@@ -413,6 +413,10 @@ impl ExecutionBackend for ParallelInterp {
             }
             let _wave_span = vpps_obs::span("engine.wave");
             let stripe = wave.len().div_ceil(workers.min(wave.len()));
+            if vpps_obs::enabled() {
+                vpps_obs::counter("engine.waves").incr();
+                vpps_obs::counter("engine.wave_workers").add(wave.len().div_ceil(stripe) as u64);
+            }
             let mut journal: Vec<JournalEntry> = std::thread::scope(|scope| {
                 let mut handles = Vec::new();
                 for part in wave.chunks(stripe) {

@@ -21,9 +21,11 @@
 //! ```
 //!
 //! * **Literal resolution** — every pool offset (including the chunk's
-//!   `row_start` bias), operand length and chunk slice range is folded into
-//!   the [`MicroOp`] as a plain integer at lower time; the hot loop does no
-//!   `Distribution` lookups and allocates nothing.
+//!   `row_start` bias), operand length and chunk *register-arena offset*
+//!   ([`chunk_offsets`] — the host analogue of the literal register index)
+//!   is folded into the [`MicroOp`] as a plain integer at lower time; the hot
+//!   loop does no `Distribution` or chunk-table lookups and allocates
+//!   nothing.
 //! * **Sync compiled away** — the event-driven schedule (which *is* the
 //!   barrier/wave structure) is resolved at lower time into the serial op
 //!   order of [`TimelineReport::order`]; the executor is a branch-light
@@ -60,9 +62,9 @@ use std::time::Instant;
 use gpu_sim::CostModel;
 use vpps_tensor::Pool;
 
-use crate::distribute::{ChunkId, Distribution};
+use crate::distribute::Distribution;
 use crate::exec::kernels;
-use crate::exec::regcache::RegCache;
+use crate::exec::regcache::{chunk_offsets, RegCache};
 use crate::exec::semantics::{instr_cost, InstrCost};
 use crate::script::{GeneratedScript, Instr, ScriptSet};
 #[allow(unused_imports)] // doc links
@@ -74,6 +76,9 @@ use super::timeline::{self, ScriptCosts, TimelineReport};
 /// One chunk's geometry and static per-kind costs, resolved once per plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoweredChunk {
+    /// Offset of the chunk's first element in the plan's register arena
+    /// ([`chunk_offsets`]).
+    pub offset: u32,
     /// First row of the parameter matrix this chunk covers.
     pub row_start: u32,
     /// Rows in this chunk.
@@ -106,9 +111,11 @@ impl LoweredPlan {
         let chunks = dist
             .chunks()
             .iter()
-            .map(|c| {
+            .zip(chunk_offsets(dist))
+            .map(|(c, offset)| {
                 let (rows, cols) = (c.rows as u64, c.cols as u64);
                 LoweredChunk {
+                    offset: u32::try_from(offset).expect("register arena exceeds u32 offsets"),
                     row_start: c.row_start as u32,
                     rows: c.rows as u32,
                     cols: c.cols as u32,
@@ -138,15 +145,16 @@ impl LoweredPlan {
 /// One fully resolved instruction of the lowered stream.
 ///
 /// All fields are literal `u32`s: raw pool indices (with any chunk
-/// `row_start` bias already folded in), element counts and chunk table
-/// indices. Executing one op touches no plan metadata.
+/// `row_start` bias already folded in), element counts and register-arena
+/// offsets (`reg`, the chunk's [`LoweredChunk::offset`]). Executing one op
+/// touches no plan metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroOp {
     /// `y[r] = dot(chunk_row_r, x[..len])`; `y` is pre-offset by the
     /// chunk's `row_start`.
     MatVec {
-        /// Chunk table index.
-        chunk: u32,
+        /// Arena offset of the chunk.
+        reg: u32,
         /// Input vector pool index.
         x: u32,
         /// Output pool index (row_start already applied).
@@ -161,8 +169,8 @@ pub enum MicroOp {
     /// `dx[..len] += Σ_r dy[r] * chunk_row_r`; `dy` pre-offset by
     /// `row_start`.
     TMatVec {
-        /// Chunk table index.
-        chunk: u32,
+        /// Arena offset of the chunk.
+        reg: u32,
         /// Upstream gradient pool index (row_start already applied).
         dy: u32,
         /// Accumulated gradient pool index.
@@ -177,8 +185,8 @@ pub enum MicroOp {
     /// `grad_chunk_row_r += dy[r] * x[..len]`; `dy` pre-offset by
     /// `row_start`.
     Outer {
-        /// Gradient chunk table index.
-        chunk: u32,
+        /// Arena offset of the gradient chunk.
+        reg: u32,
         /// Input vector pool index.
         x: u32,
         /// Upstream gradient pool index (row_start already applied).
@@ -192,8 +200,8 @@ pub enum MicroOp {
     },
     /// `y[i] = x[i] + bias[i]` over a single-row bias chunk.
     AddBias {
-        /// Bias chunk table index.
-        chunk: u32,
+        /// Arena offset of the bias chunk.
+        reg: u32,
         /// Input pool index.
         x: u32,
         /// Output pool index.
@@ -203,8 +211,8 @@ pub enum MicroOp {
     },
     /// `bias_grad[i] += dy[i]`.
     BiasGrad {
-        /// Bias-gradient chunk table index.
-        chunk: u32,
+        /// Arena offset of the bias-gradient chunk.
+        reg: u32,
         /// Upstream gradient pool index.
         dy: u32,
         /// Element count.
@@ -471,8 +479,9 @@ pub struct LoweredScript {
     /// The precomputed per-instruction cost table.
     pub costs: ScriptCosts,
     /// The cached schedule (what [`super::Session`] would otherwise
-    /// re-analyze every run).
-    pub timeline: TimelineReport,
+    /// re-analyze every run), shared with every session prepared from this
+    /// artifact.
+    pub timeline: Arc<TimelineReport>,
     /// One past the highest pool index any op touches — bounds-checked once
     /// per run instead of per access.
     pub pool_end: usize,
@@ -574,6 +583,18 @@ fn script_costs(scripts: &ScriptSet, lplan: &LoweredPlan, dist: &Distribution) -
     }
 }
 
+/// Arena offset of a bias chunk, for an op that sweeps `len` elements of it.
+/// The executor slices `len` elements from that offset, so an op longer than
+/// its chunk would read the neighbouring chunk: refuse it at lower time.
+fn bias_reg(c: &LoweredChunk, len: u32) -> u32 {
+    assert!(
+        len <= c.rows * c.cols,
+        "lowering: bias op of {len} elements exceeds its {}-element chunk",
+        c.rows * c.cols
+    );
+    c.offset
+}
+
 fn lower_instr(instr: &Instr, lplan: &LoweredPlan) -> Option<MicroOp> {
     Some(match *instr {
         Instr::Signal { .. } | Instr::Wait { .. } => return None,
@@ -581,7 +602,7 @@ fn lower_instr(instr: &Instr, lplan: &LoweredPlan) -> Option<MicroOp> {
             let c = &lplan.chunks[chunk.index()];
             debug_assert!(!c.is_grad, "matvec must use a value chunk");
             MicroOp::MatVec {
-                chunk: chunk.0,
+                reg: c.offset,
                 x: x.raw(),
                 y: y.raw() + c.row_start,
                 len,
@@ -593,7 +614,7 @@ fn lower_instr(instr: &Instr, lplan: &LoweredPlan) -> Option<MicroOp> {
             let c = &lplan.chunks[chunk.index()];
             debug_assert!(!c.is_grad, "t-matvec must use a value chunk");
             MicroOp::TMatVec {
-                chunk: chunk.0,
+                reg: c.offset,
                 dy: dy.raw() + c.row_start,
                 dx: dx.raw(),
                 len,
@@ -605,7 +626,7 @@ fn lower_instr(instr: &Instr, lplan: &LoweredPlan) -> Option<MicroOp> {
             let c = &lplan.chunks[chunk.index()];
             debug_assert!(c.is_grad, "outer product must target a gradient chunk");
             MicroOp::Outer {
-                chunk: chunk.0,
+                reg: c.offset,
                 x: x.raw(),
                 dy: dy.raw() + c.row_start,
                 len,
@@ -614,13 +635,13 @@ fn lower_instr(instr: &Instr, lplan: &LoweredPlan) -> Option<MicroOp> {
             }
         }
         Instr::AddBiasChunk { chunk, len, x, y } => MicroOp::AddBias {
-            chunk: chunk.0,
+            reg: bias_reg(&lplan.chunks[chunk.index()], len),
             x: x.raw(),
             y: y.raw(),
             len,
         },
         Instr::BiasGradChunk { chunk, len, dy } => MicroOp::BiasGrad {
-            chunk: chunk.0,
+            reg: bias_reg(&lplan.chunks[chunk.index()], len),
             dy: dy.raw(),
             len,
         },
@@ -804,7 +825,7 @@ pub fn lower_with(
         num_barriers: gs.num_barriers,
         ops,
         costs,
-        timeline: tl,
+        timeline: Arc::new(tl),
         pool_end,
         scratch_len,
         patch_points,
@@ -829,21 +850,31 @@ unsafe fn view_mut<'x>(base: *mut f32, off: u32, len: u32) -> &'x mut [f32] {
     std::slice::from_raw_parts_mut(base.add(off as usize), len as usize)
 }
 
+/// The `rows × cols` chunk at literal arena offset `reg`.
+#[inline]
+fn chunk_rows(arena: &mut [f32], reg: u32, rows: u32, cols: u32) -> &mut [f32] {
+    let start = reg as usize;
+    &mut arena[start..start + rows as usize * cols as usize]
+}
+
 /// Executes a lowered artifact serially against `pool` and `cache`,
 /// applying `patches` — the per-request literal values from
 /// [`LoweredScript::extract_patches`], parallel to
 /// [`LoweredScript::patch_points`] — as it sweeps.
 ///
-/// The sweep is branch-light: one match per op, zero allocations (one
-/// scratch buffer is reused across ops), no sync arms, and all inner loops
-/// are the shared [`kernels`] so results are bit-identical to
-/// [`super::EventInterp`] replaying the same serial order. Patch points are
-/// ascending in op index, so patching costs one cursor compare per op.
+/// The sweep is branch-light: one match per op, zero allocations (the
+/// scratch buffer lives with the arena and is reused across ops and runs),
+/// no sync arms, chunk operands sliced straight out of the register arena at
+/// the op's literal offset, and all inner loops are the shared [`kernels`]
+/// so results are bit-identical to [`super::EventInterp`] replaying the same
+/// serial order. Patch points are ascending in op index, so patching costs
+/// one cursor compare per op.
 ///
 /// # Panics
 ///
 /// Panics if the artifact references pool memory beyond `pool`'s capacity,
-/// or if `patches` does not match the artifact's patch points.
+/// if a chunk operand lies outside `cache`'s arena (an arena laid out for
+/// another plan), or if `patches` does not match the artifact's patch points.
 pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cache: &mut RegCache) {
     let raw = pool.raw_mut();
     assert!(
@@ -858,7 +889,7 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
         "patch vector does not match the artifact's patch points"
     );
     let base = raw.as_mut_ptr();
-    let mut scratch = vec![0.0f32; art.scratch_len];
+    let (arena, scratch) = cache.arena_and_scratch(art.scratch_len);
     let mut next_patch = 0usize;
     // SAFETY: `base` comes from a unique `&mut` borrow of the pool held for
     // the whole loop; execution is single-threaded; and lowering asserted
@@ -867,7 +898,8 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
     // both bounds and disjointness: a patched copy source stays below the
     // persistent floor (covered by `pool_end`, and every write lands above
     // the floor), and a patched label changes no pool range. Register chunks
-    // live in `cache`, a separate allocation, and can never alias the pool.
+    // live in `cache`'s arena, a separate allocation reached only through
+    // bounds-checked slicing, and can never alias the pool.
     unsafe {
         for (i, op) in art.ops.iter().enumerate() {
             let mut op = *op;
@@ -886,7 +918,7 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
             }
             match op {
                 MicroOp::MatVec {
-                    chunk,
+                    reg,
                     x,
                     y,
                     len,
@@ -895,14 +927,13 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
                 } => {
                     let xv = view(base, x, len);
                     let out = view_mut(base, y, rows);
-                    let data = cache.chunk(ChunkId(chunk));
-                    let cols = cols as usize;
-                    for (r, o) in out.iter_mut().enumerate() {
-                        *o = kernels::dot(&data[r * cols..(r + 1) * cols], xv);
+                    let data = chunk_rows(arena, reg, rows, cols);
+                    for (o, row) in out.iter_mut().zip(data.chunks_exact(cols as usize)) {
+                        *o = kernels::dot(row, xv);
                     }
                 }
                 MicroOp::TMatVec {
-                    chunk,
+                    reg,
                     dy,
                     dx,
                     len,
@@ -912,18 +943,17 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
                     let dyv = view(base, dy, rows);
                     let contrib = &mut scratch[..len as usize];
                     contrib.fill(0.0);
-                    let data = cache.chunk(ChunkId(chunk));
-                    let cols = cols as usize;
-                    for (r, &s) in dyv.iter().enumerate() {
+                    let data = chunk_rows(arena, reg, rows, cols);
+                    for (&s, row) in dyv.iter().zip(data.chunks_exact(cols as usize)) {
                         if s == 0.0 {
                             continue;
                         }
-                        kernels::axpy(contrib, s, &data[r * cols..(r + 1) * cols]);
+                        kernels::axpy(contrib, s, row);
                     }
                     kernels::add_assign(view_mut(base, dx, len), contrib);
                 }
                 MicroOp::Outer {
-                    chunk,
+                    reg,
                     x,
                     dy,
                     len,
@@ -932,26 +962,24 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
                 } => {
                     let xv = view(base, x, len);
                     let dyv = view(base, dy, rows);
-                    let data = cache.chunk_mut(ChunkId(chunk));
-                    let cols = cols as usize;
-                    for (r, &s) in dyv.iter().enumerate() {
+                    let data = chunk_rows(arena, reg, rows, cols);
+                    for (&s, row) in dyv.iter().zip(data.chunks_exact_mut(cols as usize)) {
                         if s == 0.0 {
                             continue;
                         }
-                        kernels::axpy(&mut data[r * cols..(r + 1) * cols], s, xv);
+                        kernels::axpy(row, s, xv);
                     }
                 }
-                MicroOp::AddBias { chunk, x, y, len } => {
+                MicroOp::AddBias { reg, x, y, len } => {
                     let xv = view(base, x, len);
                     let out = view_mut(base, y, len);
                     out.copy_from_slice(xv);
-                    let bias = cache.chunk(ChunkId(chunk));
-                    for (o, b) in out.iter_mut().zip(bias) {
+                    for (o, b) in out.iter_mut().zip(chunk_rows(arena, reg, 1, len).iter()) {
                         *o += b;
                     }
                 }
-                MicroOp::BiasGrad { chunk, dy, len } => {
-                    kernels::add_assign(cache.chunk_mut(ChunkId(chunk)), view(base, dy, len));
+                MicroOp::BiasGrad { reg, dy, len } => {
+                    kernels::add_assign(chunk_rows(arena, reg, 1, len), view(base, dy, len));
                 }
                 MicroOp::Tanh { x, y, len } => {
                     let xv = view(base, x, len);

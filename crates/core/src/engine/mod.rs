@@ -130,8 +130,9 @@ pub struct Session<'a> {
     pub gs: &'a GeneratedScript,
     /// Training hyper-parameters for the epilogue.
     pub cfg: ExecConfig,
-    /// Event-driven schedule of the script phase.
-    pub timeline: TimelineReport,
+    /// Event-driven schedule of the script phase (shared with the lowered
+    /// artifact it came from, when there is one).
+    pub timeline: Arc<TimelineReport>,
     /// The batch's complete metrics (timing + traffic), computed up front.
     pub metrics: Metrics,
     /// The lowered artifact, when this session was prepared for the
@@ -161,7 +162,7 @@ impl<'a> Session<'a> {
         let _span = vpps_obs::span("engine.prepare");
         let timeline = timeline::analyze(plan, gs, cost, trace);
         timeline.record_obs(gs.num_barriers);
-        Self::assemble(plan, gs, cfg, cost, timeline, None)
+        Self::assemble(plan, gs, cfg, cost, Arc::new(timeline), None)
     }
 
     /// Builds a session around an already-lowered artifact: the cached
@@ -179,7 +180,7 @@ impl<'a> Session<'a> {
         artifact: Arc<LoweredScript>,
     ) -> Self {
         let _span = vpps_obs::span("engine.prepare");
-        let timeline = artifact.timeline.clone();
+        let timeline = Arc::clone(&artifact.timeline);
         timeline.record_obs(artifact.num_barriers);
         let patches = artifact.extract_patches(gs);
         let mut session = Self::assemble(plan, gs, cfg, cost, timeline, Some(artifact));
@@ -196,7 +197,7 @@ impl<'a> Session<'a> {
         gs: &'a GeneratedScript,
         cfg: ExecConfig,
         cost: &CostModel,
-        timeline: TimelineReport,
+        timeline: Arc<TimelineReport>,
         lowered: Option<Arc<LoweredScript>>,
     ) -> Self {
         let geo = plan.distribution().geometry();
@@ -406,8 +407,8 @@ pub fn run_batch_traced(
 /// Executes an already-prepared [`Session`]: prologue parameter load, script
 /// execution, in-register gradient epilogue, and the [`Metrics::commit`] that
 /// posts the batch to the simulated device. [`run_batch`] is `prepare` +
-/// `run_prepared`; the recovery layer calls this directly because it needs
-/// the session's analytic body time *before* execution to arm the watchdog.
+/// `run_prepared`; it builds a throw-away register arena per call — warm
+/// paths that keep one per plan call [`run_prepared_in`].
 pub fn run_prepared(
     backend: &dyn ExecutionBackend,
     session: &Session<'_>,
@@ -415,21 +416,44 @@ pub fn run_prepared(
     model: &mut Model,
     gpu: &mut GpuSim,
 ) -> RunOutcome {
+    let mut cache = RegCache::new(session.plan.distribution());
+    run_prepared_in(backend, session, pool, model, gpu, &mut cache)
+}
+
+/// [`run_prepared`] in a caller-owned register arena, so a warm path pays
+/// the arena's allocation once per plan instead of once per batch. The
+/// recovery layer calls this directly because it needs the session's
+/// analytic body time *before* execution to arm the watchdog.
+///
+/// Whatever `cache` held is discarded: parameter values are re-loaded from
+/// `model` and the gradient half re-zeroed on every call, so an arena kept
+/// across batches can never go stale (after a rollback, a baseline fallback,
+/// an external `param_mut`) and never carries a failed attempt's gradients
+/// into a retry.
+///
+/// # Panics
+///
+/// Panics if `cache` was laid out for another plan's distribution.
+pub fn run_prepared_in(
+    backend: &dyn ExecutionBackend,
+    session: &Session<'_>,
+    pool: &mut Pool,
+    model: &mut Model,
+    gpu: &mut GpuSim,
+    cache: &mut RegCache,
+) -> RunOutcome {
     let _span = vpps_obs::span("engine.run");
     if vpps_obs::enabled() {
         vpps_obs::counter(&format!("engine.batches.{}", backend.name())).incr();
     }
-    let dist = session.plan.distribution();
-    let mut cache = RegCache::new(dist);
-    cache.load_from_model(dist, model);
-    let outcome = backend.run(session, pool, &mut cache);
+    assert!(
+        cache.laid_out_for(session.plan.distribution()),
+        "register arena was laid out for another plan"
+    );
+    cache.load_from_model(model);
+    let outcome = backend.run(session, pool, cache);
     if session.cfg.apply_update && session.plan.grad_strategy() == GradStrategy::InRegister {
-        cache.apply_updates(
-            dist,
-            model,
-            session.cfg.learning_rate,
-            session.cfg.weight_decay,
-        );
+        cache.apply_updates(model, session.cfg.learning_rate, session.cfg.weight_decay);
     }
     outcome.metrics.commit(gpu);
     outcome

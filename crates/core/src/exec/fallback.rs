@@ -9,7 +9,7 @@
 
 use dyn_graph::{Model, ParamId};
 use gpu_sim::{GpuSim, KernelDesc, SimTime};
-use vpps_tensor::{ops, Pool, PoolOffset};
+use vpps_tensor::{ops, Pool};
 
 use crate::exec::interp::ExecConfig;
 use crate::script::BatchLayout;
@@ -50,22 +50,13 @@ pub fn apply_gemm_fallback(
             .unwrap_or_else(|| ParamId::from_index(pidx));
         match stage.x_base {
             Some(x_base) => {
-                // Matrix gradient: G += Σ_k dy_k ⊗ x_k, computed as one GEMM.
-                for k in 0..stage.uses {
-                    let dy = pool
-                        .slice(
-                            PoolOffset(stage.dy_base.raw() + (k * stage.rows) as u32),
-                            stage.rows,
-                        )
-                        .to_vec();
-                    let x = pool
-                        .slice(
-                            PoolOffset(x_base.raw() + (k * stage.cols) as u32),
-                            stage.cols,
-                        )
-                        .to_vec();
-                    ops::ger_acc(&mut model.param_mut(pid).grad, &dy, &x);
-                }
+                // Matrix gradient: G += Σ_k dy_k ⊗ x_k, computed as one GEMM
+                // over the staged operands where they lie in the pool.
+                ops::gemm_outer_acc(
+                    &mut model.param_mut(pid).grad,
+                    pool.slice(stage.dy_base, stage.uses * stage.rows),
+                    pool.slice(x_base, stage.uses * stage.cols),
+                );
                 let staged_bytes = (stage.uses * (stage.rows + stage.cols) * 4) as u64;
                 let grad_bytes = (stage.rows * stage.cols * 4) as u64;
                 run.time += gpu.launch(&KernelDesc {
@@ -80,14 +71,12 @@ pub fn apply_gemm_fallback(
             }
             None => {
                 // Bias gradient: a plain sum reduction of the staged dys.
-                for k in 0..stage.uses {
-                    let dy = pool
-                        .slice(
-                            PoolOffset(stage.dy_base.raw() + (k * stage.cols) as u32),
-                            stage.cols,
-                        )
-                        .to_vec();
-                    ops::axpy(1.0, &dy, model.param_mut(pid).grad.row_mut(0));
+                let grad = model.param_mut(pid).grad.row_mut(0);
+                for dy in pool
+                    .slice(stage.dy_base, stage.uses * stage.cols)
+                    .chunks_exact(stage.cols)
+                {
+                    ops::axpy(1.0, dy, grad);
                 }
                 let staged_bytes = (stage.uses * stage.cols * 4) as u64;
                 run.time += gpu.launch(&KernelDesc {
@@ -139,6 +128,7 @@ mod tests {
     use crate::specialize::KernelPlan;
     use dyn_graph::{exec as refexec, Graph, Model, Trainer};
     use gpu_sim::DeviceConfig;
+    use vpps_tensor::PoolOffset;
 
     /// A device so small that gradients cannot be cached.
     fn tiny_device() -> DeviceConfig {

@@ -1,63 +1,157 @@
 //! Functional stand-in for the register-cached matrix chunks.
 
-use dyn_graph::Model;
+use dyn_graph::{Model, ParamId};
 
 use crate::distribute::{ChunkId, Distribution};
 
-/// Storage for every register-cached chunk, indexed by [`ChunkId`].
+/// Arena offset of every chunk of `dist`, in [`ChunkId`] order: chunks sit
+/// back to back. This is the one definition of the arena layout — the
+/// lowering pass folds these offsets into its micro-ops as literals, the way
+/// the specialized kernel bakes literal register indices.
+pub fn chunk_offsets(dist: &Distribution) -> impl Iterator<Item = usize> + '_ {
+    dist.chunks().iter().scan(0usize, |next, c| {
+        let offset = *next;
+        *next += c.len();
+        Some(offset)
+    })
+}
+
+/// Where one parameter's whole matrix (value or gradient) sits in the arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ParamSpan {
+    param: ParamId,
+    offset: usize,
+    len: usize,
+}
+
+/// Storage for every register-cached chunk: one flat arena with a
+/// precomputed `(offset, len)` per [`ChunkId`].
 ///
 /// On hardware these values live in literal architected registers of the
 /// owning CTA; reads and writes of chunk data therefore cost *no DRAM
 /// traffic* during script execution — only the prologue load and epilogue
 /// write-back touch memory, which is the entire point of the paper.
+///
+/// [`Distribution::build`] emits chunks value pass first, parameter by
+/// parameter, in row order, so each parameter's chunks tile one contiguous
+/// arena range that *is* the master matrix's row-major layout
+/// ([`RegCache::new`] asserts this). The prologue and epilogue therefore work
+/// on whole parameters, not on chunks.
+///
+/// The arena is a per-batch working set, not a coherent copy: holders that
+/// keep one between batches must still [`RegCache::load_from_model`] before
+/// every run (which also zeroes the gradient half) and must never read
+/// parameter values back out of it.
 #[derive(Debug, Clone)]
 pub struct RegCache {
-    chunks: Vec<Vec<f32>>,
+    data: Vec<f32>,
+    spans: Vec<(usize, usize)>,
+    values: Vec<ParamSpan>,
+    grads: Vec<ParamSpan>,
+    /// Contribution buffer of the lowered executor, kept with the arena so a
+    /// persistent arena also stops the per-run allocation.
+    scratch: Vec<f32>,
 }
 
 impl RegCache {
     /// Allocates zeroed storage for every chunk of `dist`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dist` does not emit value chunks before gradient chunks
+    /// with each parameter's chunks consecutive and in row order.
     pub fn new(dist: &Distribution) -> Self {
+        let mut spans = Vec::with_capacity(dist.chunks().len());
+        let mut values: Vec<ParamSpan> = Vec::new();
+        let mut grads: Vec<ParamSpan> = Vec::new();
+        for (c, offset) in dist.chunks().iter().zip(chunk_offsets(dist)) {
+            let group = if c.is_grad {
+                &mut grads
+            } else {
+                assert!(
+                    grads.is_empty(),
+                    "value chunks must precede gradient chunks"
+                );
+                &mut values
+            };
+            match group.last_mut() {
+                Some(p) if p.param == c.param => {
+                    assert_eq!(
+                        p.len,
+                        c.row_start * c.cols,
+                        "a parameter's chunks must be consecutive and in row order"
+                    );
+                    p.len += c.len();
+                }
+                _ => {
+                    assert_eq!(c.row_start, 0, "a parameter's chunks must start at row 0");
+                    group.push(ParamSpan {
+                        param: c.param,
+                        offset,
+                        len: c.len(),
+                    });
+                }
+            }
+            spans.push((offset, c.len()));
+        }
+        let total = spans.last().map_or(0, |&(offset, len)| offset + len);
         Self {
-            chunks: dist.chunks().iter().map(|c| vec![0.0; c.len()]).collect(),
+            data: vec![0.0; total],
+            spans,
+            values,
+            grads,
+            scratch: Vec::new(),
         }
     }
 
-    /// Kernel prologue: copies every value chunk's rows from the master
-    /// parameters in `model` and zeroes every gradient chunk (paper
-    /// §III-A2's "parameter load" and "in-register gradient matrix
-    /// initialization" routines).
-    pub fn load_from_model(&mut self, dist: &Distribution, model: &Model) {
-        for (i, chunk) in dist.chunks().iter().enumerate() {
-            if chunk.is_grad {
-                self.chunks[i].fill(0.0);
-            } else {
-                let value = &model.param(chunk.param).value;
-                for r in 0..chunk.rows {
-                    let src = value.row(chunk.row_start + r);
-                    let dst = &mut self.chunks[i][r * chunk.cols..(r + 1) * chunk.cols];
-                    dst.copy_from_slice(src);
-                }
-            }
+    /// First element of the gradient half (`data.len()` without one).
+    fn grad_start(&self) -> usize {
+        self.grads.first().map_or(self.data.len(), |g| g.offset)
+    }
+
+    /// `true` if this arena has exactly the chunk layout of `dist`.
+    pub fn laid_out_for(&self, dist: &Distribution) -> bool {
+        self.spans.len() == dist.chunks().len()
+            && dist
+                .chunks()
+                .iter()
+                .zip(&self.spans)
+                .all(|(c, &(_, len))| c.len() == len)
+    }
+
+    /// Kernel prologue: copies every parameter's master value from `model`
+    /// into the value half and zeroes the gradient half (paper §III-A2's
+    /// "parameter load" and "in-register gradient matrix initialization"
+    /// routines).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parameter of `model` does not have the shape the arena
+    /// was laid out for.
+    pub fn load_from_model(&mut self, model: &Model) {
+        for p in &self.values {
+            self.data[p.offset..p.offset + p.len]
+                .copy_from_slice(model.param(p.param).value.as_slice());
         }
+        let grad_start = self.grad_start();
+        self.data[grad_start..].fill(0.0);
     }
 
     /// Kernel epilogue for the in-register gradient strategy: applies
     /// `W -= lr * (G + wd * W)` to the master copy in `model` using the
-    /// cached gradient chunks.
-    pub fn apply_updates(&self, dist: &Distribution, model: &mut Model, lr: f32, wd: f32) {
-        for (i, chunk) in dist.chunks().iter().enumerate() {
-            if !chunk.is_grad {
-                continue;
-            }
-            let grad = &self.chunks[i];
-            let value = &mut model.param_mut(chunk.param).value;
-            for r in 0..chunk.rows {
-                let row = value.row_mut(chunk.row_start + r);
-                for c in 0..chunk.cols {
-                    let g = grad[r * chunk.cols + c];
-                    row[c] -= lr * (g + wd * row[c]);
-                }
+    /// cached gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parameter of `model` does not have the shape the arena
+    /// was laid out for.
+    pub fn apply_updates(&self, model: &mut Model, lr: f32, wd: f32) {
+        for p in &self.grads {
+            let grad = &self.data[p.offset..p.offset + p.len];
+            let value = model.param_mut(p.param).value.as_mut_slice();
+            assert_eq!(value.len(), grad.len(), "parameter shape changed");
+            for (v, g) in value.iter_mut().zip(grad) {
+                *v -= lr * (g + wd * *v);
             }
         }
     }
@@ -68,7 +162,8 @@ impl RegCache {
     ///
     /// Panics if `id` is out of range.
     pub fn chunk(&self, id: ChunkId) -> &[f32] {
-        &self.chunks[id.index()]
+        let (offset, len) = self.spans[id.index()];
+        &self.data[offset..offset + len]
     }
 
     /// Mutably borrows one chunk's data.
@@ -77,26 +172,39 @@ impl RegCache {
     ///
     /// Panics if `id` is out of range.
     pub fn chunk_mut(&mut self, id: ChunkId) -> &mut [f32] {
-        &mut self.chunks[id.index()]
+        let (offset, len) = self.spans[id.index()];
+        &mut self.data[offset..offset + len]
     }
 
     /// Number of chunks.
     pub fn len(&self) -> usize {
-        self.chunks.len()
+        self.spans.len()
     }
 
     /// `true` if the cache holds no chunks.
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        self.spans.is_empty()
+    }
+
+    /// The whole arena plus a scratch buffer of at least `scratch_len`
+    /// elements, for the lowered executor (which addresses the arena by the
+    /// literal offsets of [`chunk_offsets`]).
+    pub(crate) fn arena_and_scratch(&mut self, scratch_len: usize) -> (&mut [f32], &mut [f32]) {
+        if self.scratch.len() < scratch_len {
+            self.scratch.resize(scratch_len, 0.0);
+        }
+        (&mut self.data, &mut self.scratch)
     }
 
     /// Raw `(pointer, length)` views of every chunk's storage, for the
     /// engine's shared-chunk access (owner-VPP-only discipline; see
     /// `engine::backends::SharedChunks`).
     pub(crate) fn chunk_ptrs(&mut self) -> Vec<(*mut f32, usize)> {
-        self.chunks
-            .iter_mut()
-            .map(|c| (c.as_mut_ptr(), c.len()))
+        let base = self.data.as_mut_ptr();
+        self.spans
+            .iter()
+            // SAFETY: every span lies inside `data` (they tile it exactly).
+            .map(|&(offset, len)| (unsafe { base.add(offset) }, len))
             .collect()
     }
 
@@ -106,22 +214,24 @@ impl RegCache {
     pub fn into_parts(self, dist: &Distribution) -> Vec<Vec<(ChunkId, Vec<f32>)>> {
         let mut parts: Vec<Vec<(ChunkId, Vec<f32>)>> =
             vec![Vec::new(); dist.geometry().total_vpps()];
-        for (i, data) in self.chunks.into_iter().enumerate() {
+        for i in 0..self.spans.len() {
             let id = ChunkId(i as u32);
-            parts[dist.chunk(id).vpp].push((id, data));
+            parts[dist.chunk(id).vpp].push((id, self.chunk(id).to_vec()));
         }
         parts
     }
 
     /// Rebuilds a cache from the parts produced by [`RegCache::into_parts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part's data does not have its chunk's length.
     pub fn from_parts(dist: &Distribution, parts: Vec<Vec<(ChunkId, Vec<f32>)>>) -> Self {
-        let mut chunks = vec![Vec::new(); dist.chunks().len()];
-        for part in parts {
-            for (id, data) in part {
-                chunks[id.index()] = data;
-            }
+        let mut cache = Self::new(dist);
+        for (id, data) in parts.into_iter().flatten() {
+            cache.chunk_mut(id).copy_from_slice(&data);
         }
-        Self { chunks }
+        cache
     }
 }
 
@@ -150,7 +260,7 @@ mod tests {
     fn load_reconstructs_the_matrix() {
         let (m, w, dist) = setup();
         let mut cache = RegCache::new(&dist);
-        cache.load_from_model(&dist, &m);
+        cache.load_from_model(&m);
         // Every value chunk's rows must equal the master rows.
         for cid in dist.value_chunks_of(w) {
             let c = dist.chunk(*cid);
@@ -168,7 +278,7 @@ mod tests {
     fn grad_chunks_start_zero() {
         let (m, w, dist) = setup();
         let mut cache = RegCache::new(&dist);
-        cache.load_from_model(&dist, &m);
+        cache.load_from_model(&m);
         for cid in dist.grad_chunks_of(w) {
             assert!(cache.chunk(*cid).iter().all(|&v| v == 0.0));
         }
@@ -178,13 +288,13 @@ mod tests {
     fn apply_updates_matches_sgd() {
         let (mut m, w, dist) = setup();
         let mut cache = RegCache::new(&dist);
-        cache.load_from_model(&dist, &m);
+        cache.load_from_model(&m);
         // Put gradient 1.0 everywhere.
         for cid in dist.grad_chunks_of(w).to_vec() {
             cache.chunk_mut(cid).fill(1.0);
         }
         let before = m.param(w).value.clone();
-        cache.apply_updates(&dist, &mut m, 0.1, 0.0);
+        cache.apply_updates(&mut m, 0.1, 0.0);
         for i in 0..before.len() {
             let expect = before.as_slice()[i] - 0.1;
             assert!((m.param(w).value.as_slice()[i] - expect).abs() < 1e-6);
@@ -195,9 +305,9 @@ mod tests {
     fn weight_decay_applied_in_epilogue() {
         let (mut m, w, dist) = setup();
         let mut cache = RegCache::new(&dist);
-        cache.load_from_model(&dist, &m);
+        cache.load_from_model(&m);
         let before = m.param(w).value.clone();
-        cache.apply_updates(&dist, &mut m, 0.5, 0.1);
+        cache.apply_updates(&mut m, 0.5, 0.1);
         for i in 0..before.len() {
             let v = before.as_slice()[i];
             let expect = v - 0.5 * 0.1 * v;
@@ -205,20 +315,120 @@ mod tests {
         }
     }
 
+    /// Two matrices and a bias with gradients: several chunks per matrix,
+    /// a short final chunk, and a single-row parameter.
+    fn mixed_setup() -> (Model, Distribution) {
+        let mut m = Model::new(5);
+        let shapes = [
+            (m.add_matrix("W", 20, 16), 20, 16),
+            (m.add_matrix("V", 9, 12), 9, 12),
+            (m.add_bias("b", 16), 1, 16),
+        ]
+        .map(|(id, rows, cols)| ParamShape { id, rows, cols });
+        let mut d = DeviceConfig::titan_v();
+        d.num_sms = 2;
+        let geo = DistGeometry::derive(&d, 1, 1, 16).unwrap();
+        (m, Distribution::build(&shapes, geo, true).unwrap())
+    }
+
     #[test]
-    fn parts_round_trip() {
-        let (m, _, dist) = setup();
+    fn spans_tile_the_arena_exactly() {
+        let (m, dist) = mixed_setup();
         let mut cache = RegCache::new(&dist);
-        cache.load_from_model(&dist, &m);
-        let reference = cache.clone();
-        let parts = cache.into_parts(&dist);
-        assert_eq!(parts.len(), dist.geometry().total_vpps());
-        let rebuilt = RegCache::from_parts(&dist, parts);
-        for i in 0..reference.len() {
+        assert!(cache.laid_out_for(&dist));
+        let mut next = 0;
+        for (i, c) in dist.chunks().iter().enumerate() {
             assert_eq!(
-                reference.chunk(ChunkId(i as u32)),
-                rebuilt.chunk(ChunkId(i as u32))
+                cache.spans[i],
+                (next, c.len()),
+                "chunk {i} follows its predecessor"
+            );
+            next += c.len();
+        }
+        assert_eq!(next, cache.data.len(), "no element outside a chunk");
+        assert!(chunk_offsets(&dist).eq(cache.spans.iter().map(|s| s.0)));
+        assert_eq!(
+            cache.grad_start() * 2,
+            cache.data.len(),
+            "gradients mirror values"
+        );
+
+        // Each parameter's chunks together are its row-major master matrix.
+        cache.load_from_model(&m);
+        for (id, p) in m.params() {
+            let first = dist.value_chunks_of(id)[0];
+            let start = cache.spans[first.index()].0;
+            assert_eq!(
+                &cache.data[start..start + p.value.len()],
+                p.value.as_slice()
             );
         }
+        assert!(cache.data[cache.grad_start()..].iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn another_distributions_arena_is_recognized() {
+        let (_, dist) = mixed_setup();
+        let (_, _, other) = setup();
+        assert!(!RegCache::new(&other).laid_out_for(&dist));
+        assert!(!RegCache::new(&dist).laid_out_for(&other));
+    }
+
+    #[test]
+    fn parts_and_chunk_ptrs_round_trip() {
+        let (m, dist) = mixed_setup();
+        let mut cache = RegCache::new(&dist);
+        cache.load_from_model(&m);
+        for (i, cid) in (0..cache.len()).map(|i| (i, ChunkId(i as u32))) {
+            cache.chunk_mut(cid)[0] += i as f32; // make gradient chunks distinct too
+        }
+        let reference = cache.clone();
+
+        let ptrs = cache.chunk_ptrs();
+        assert_eq!(ptrs.len(), reference.len());
+        for (i, &(ptr, len)) in ptrs.iter().enumerate() {
+            // SAFETY: `chunk_ptrs` views stay valid while `cache` is alive
+            // and unmoved; nothing else accesses it here.
+            let view = unsafe { std::slice::from_raw_parts(ptr, len) };
+            assert_eq!(view, reference.chunk(ChunkId(i as u32)));
+        }
+
+        let parts = cache.into_parts(&dist);
+        assert_eq!(parts.len(), dist.geometry().total_vpps());
+        for (vpp, part) in parts.iter().enumerate() {
+            assert!(part.iter().all(|(id, _)| dist.chunk(*id).vpp == vpp));
+        }
+        let rebuilt = RegCache::from_parts(&dist, parts);
+        assert_eq!(rebuilt.data, reference.data);
+        assert_eq!(rebuilt.spans, reference.spans);
+    }
+
+    #[test]
+    #[should_panic(expected = "register arena was laid out for another plan")]
+    fn run_prepared_in_rejects_another_plans_arena() {
+        use crate::engine::{self, BackendKind};
+        use crate::exec::interp::ExecConfig;
+        use crate::script::{generate, TableLayout};
+        use crate::specialize::KernelPlan;
+
+        let mut m = Model::new(9);
+        let w = m.add_matrix("W", 24, 24);
+        let mut device = DeviceConfig::titan_v();
+        device.num_sms = 2;
+        // rpw 1 cuts W into three 8-row chunks, rpw 3 into one.
+        let plan = KernelPlan::build(&m, &device, 1).unwrap();
+        let other = KernelPlan::build(&m, &device, 3).unwrap();
+        let mut pool = vpps_tensor::Pool::with_capacity(1 << 16);
+        let tables = TableLayout::install(&m, &mut pool).unwrap();
+        let mut g = dyn_graph::Graph::new();
+        let x = g.input(vec![0.5; 24]);
+        let y = g.matvec(&m, w, x);
+        let loss = g.pick_neg_log_softmax(y, 0);
+        let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).unwrap();
+        let mut gpu = gpu_sim::GpuSim::new(device);
+        let backend = BackendKind::Lowered.backend();
+        let session = backend.prepare(&plan, &gs, ExecConfig::default(), gpu.cost_model());
+        let mut arena = RegCache::new(other.distribution());
+        engine::run_prepared_in(backend, &session, &mut pool, &mut m, &mut gpu, &mut arena);
     }
 }

@@ -42,12 +42,11 @@ pub fn run_threaded(
     // cost model and discarded (only the loss is returned).
     let cost = CostModel::new(DeviceConfig::titan_v());
     let session = Session::build(plan, gs, cfg, &cost, None);
-    let dist = plan.distribution();
-    let mut cache = RegCache::new(dist);
-    cache.load_from_model(dist, model);
+    let mut cache = RegCache::new(plan.distribution());
+    cache.load_from_model(model);
     let outcome = Threaded.run(&session, pool, &mut cache);
     if plan.grad_strategy() == GradStrategy::InRegister {
-        cache.apply_updates(dist, model, cfg.learning_rate, cfg.weight_decay);
+        cache.apply_updates(model, cfg.learning_rate, cfg.weight_decay);
     }
     outcome.loss
 }

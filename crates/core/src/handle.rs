@@ -30,6 +30,7 @@ use crate::engine::{self, BackendKind, Engine};
 use crate::error::VppsError;
 use crate::exec::fallback::apply_gemm_fallback;
 use crate::exec::interp::ExecConfig;
+use crate::exec::regcache::RegCache;
 use crate::script::{generate, TableLayout};
 use crate::specialize::{JitCost, KernelPlan};
 
@@ -352,6 +353,9 @@ fn simulate_jit(
 #[derive(Debug)]
 pub struct Handle {
     plans: Vec<KernelPlan>,
+    /// One register arena per entry of `plans`, built on the plan's first
+    /// batch and dropped when the plan is re-JITted.
+    arenas: Vec<Option<RegCache>>,
     active: usize,
     gpu: GpuSim,
     pool: Pool,
@@ -417,6 +421,7 @@ impl Handle {
         let mut pool = Pool::with_capacity(opts.pool_capacity);
         let tables = TableLayout::install(model, &mut pool)?;
         Ok(Self {
+            arenas: vec![None; plans.len()],
             plans,
             active: 0,
             gpu: GpuSim::new(device),
@@ -743,12 +748,15 @@ impl Handle {
         // A DRAM corruption is only detected by ECC *after* the run: the
         // full body time is paid and the caller must roll back.
         let dram_fault = draw_fault(&mut self.faults, FaultKind::DramCorruption, self.gpu.now());
-        let run = engine::run_prepared(
+        let arena =
+            self.arenas[self.active].get_or_insert_with(|| RegCache::new(plan.distribution()));
+        let run = engine::run_prepared_in(
             backend.backend(),
             &session,
             &mut self.pool,
             model,
             &mut self.gpu,
+            arena,
         );
         drop(session);
         if dram_fault {
@@ -785,6 +793,7 @@ impl Handle {
             self.rec.stats.jit_retries +=
                 simulate_jit(&mut self.faults, &self.opts.recovery, self.gpu.now())? as u64;
             self.plans[self.active] = KernelPlan::build(model, &device, rpw)?;
+            self.arenas[self.active] = None;
             self.rec.stats.rejits += 1;
         }
         Ok(())
@@ -828,29 +837,39 @@ impl Handle {
         }
     }
 
+    /// Applies the batch's embedding gradients: accumulates each looked-up
+    /// row's derivative into `LookupParameter::grad`, runs the SGD step on
+    /// the tables, zeroes the gradients and re-copies what changed to the
+    /// pool-resident tables.
+    ///
+    /// Without weight decay a row this batch did not look up is a fixed
+    /// point of the step — its gradient is zero (`LookupParameter::grad`:
+    /// "rows untouched by a batch stay zero"), so `v - lr * (0 + 0 * v)` is
+    /// `v` bit for bit — and only the looked-up rows are stepped, zeroed and
+    /// re-copied. With weight decay every row moves, so the whole table is.
     fn apply_lookup_updates(
         &mut self,
         model: &mut Model,
         graph: &Graph,
         gs: &generate::GeneratedScript,
     ) {
-        let mut touched = false;
+        let lr = self.opts.learning_rate;
+        let wd = self.opts.weight_decay;
+        let mut touched = Vec::new();
         for (id, node) in graph.iter() {
             if let Op::Lookup { table, index } = node.op {
-                let d = self
-                    .pool
-                    .slice(gs.layout.deriv_off[id.index()], node.dim)
-                    .to_vec();
+                let d = self.pool.slice(gs.layout.deriv_off[id.index()], node.dim);
                 let row = model.lookup_mut(table).grad.row_mut(index);
-                for (g, v) in row.iter_mut().zip(&d) {
+                for (g, v) in row.iter_mut().zip(d) {
                     *g += v;
                 }
-                touched = true;
+                touched.push((table, index));
             }
         }
-        if touched {
-            let lr = self.opts.learning_rate;
-            let wd = self.opts.weight_decay;
+        if touched.is_empty() {
+            return;
+        }
+        if wd != 0.0 {
             for lid in model.lookups().map(|(id, _)| id).collect::<Vec<_>>() {
                 let l = model.lookup_mut(lid);
                 for i in 0..l.table.len() {
@@ -861,6 +880,20 @@ impl Handle {
                 l.grad.fill_zero();
             }
             self.tables.refresh(model, &mut self.pool);
+            return;
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for (table, index) in touched {
+            let l = model.lookup_mut(table);
+            let row = l.table.row_mut(index);
+            for (v, g) in row.iter_mut().zip(l.grad.row_mut(index)) {
+                *v -= lr * (*g + wd * *v);
+                *g = 0.0;
+            }
+            self.pool
+                .slice_mut(self.tables.row_offset(table, index), row.len())
+                .copy_from_slice(row);
         }
     }
 
@@ -1135,6 +1168,7 @@ mod tests {
     use super::*;
     use dyn_graph::Trainer;
     use gpu_sim::DeviceConfig;
+    use vpps_tensor::Matrix;
 
     fn small_device() -> DeviceConfig {
         let mut d = DeviceConfig::titan_v();
@@ -1295,6 +1329,118 @@ mod tests {
             "one kernel for the whole batch"
         );
         assert_eq!(got, expected, "batched inference is bit-identical");
+    }
+
+    /// Two embedding tables feeding one classifier; `tokens` are looked up in
+    /// the first table, `tag` in the second.
+    fn lookup_model() -> (Model, [dyn_graph::LookupId; 2], dyn_graph::ParamId) {
+        let mut m = Model::new(91);
+        let words = m.add_lookup("words", 7, 24);
+        let tags = m.add_lookup("tags", 3, 24);
+        let cls = m.add_matrix("cls", 4, 24);
+        (m, [words, tags], cls)
+    }
+
+    fn lookup_graph(
+        m: &Model,
+        [words, tags]: [dyn_graph::LookupId; 2],
+        cls: dyn_graph::ParamId,
+        tokens: &[usize],
+        tag: usize,
+    ) -> (Graph, NodeId) {
+        let mut g = Graph::new();
+        let mut h = g.lookup(m, tags, tag);
+        for &t in tokens {
+            let e = g.lookup(m, words, t);
+            let s = g.add(h, e);
+            h = g.tanh(s);
+        }
+        let o = g.matvec(m, cls, h);
+        let loss = g.pick_neg_log_softmax(o, 2);
+        (g, loss)
+    }
+
+    /// The dense embedding step `apply_lookup_updates` ran on every batch
+    /// before it went sparse: accumulate, sweep every element of every
+    /// table, zero every gradient.
+    fn dense_lookup_reference(
+        h: &Handle,
+        model: &mut Model,
+        graph: &Graph,
+        gs: &generate::GeneratedScript,
+    ) {
+        for (id, node) in graph.iter() {
+            if let Op::Lookup { table, index } = node.op {
+                let d = h.pool.slice(gs.layout.deriv_off[id.index()], node.dim);
+                let row = model.lookup_mut(table).grad.row_mut(index);
+                for (g, v) in row.iter_mut().zip(d) {
+                    *g += v;
+                }
+            }
+        }
+        let (lr, wd) = (h.opts.learning_rate, h.opts.weight_decay);
+        for lid in model.lookups().map(|(id, _)| id).collect::<Vec<_>>() {
+            let l = model.lookup_mut(lid);
+            for i in 0..l.table.len() {
+                let g = l.grad.as_slice()[i];
+                let v = l.table.as_slice()[i];
+                l.table.as_mut_slice()[i] = v - lr * (g + wd * v);
+            }
+            l.grad.fill_zero();
+        }
+    }
+
+    /// Runs one batch's kernel, then the lookup epilogue on `model` and the
+    /// dense reference on a clone, and checks tables, gradients and the
+    /// pool-resident copies agree bit for bit. Returns the tables before and
+    /// after, as bits.
+    fn check_lookup_epilogue(weight_decay: f32) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut m, tables, cls) = lookup_model();
+        let mut o = opts();
+        o.weight_decay = weight_decay;
+        let mut h = Handle::new(&m, small_device(), o).unwrap();
+        // Row 5 is looked up twice in this batch, rows 0, 3, 4 and 6 of
+        // `words` and rows 0 and 2 of `tags` not at all.
+        let (g, loss) = lookup_graph(&m, tables, cls, &[5, 1, 5, 2], 1);
+        let before: Vec<_> = m.lookups().map(|(_, l)| bits(&l.table)).collect();
+        let mut times = AttemptTimes::default();
+        let ok = h
+            .run_with_recovery(&mut m, &g, loss, true, &mut times)
+            .unwrap();
+        let mut reference = m.clone();
+        dense_lookup_reference(&h, &mut reference, &g, &ok.gs);
+        h.apply_lookup_updates(&mut m, &g, &ok.gs);
+
+        for ((id, got), (_, want)) in m.lookups().zip(reference.lookups()) {
+            assert_eq!(bits(&got.table), bits(&want.table), "table {}", got.name);
+            assert_eq!(bits(&got.grad), bits(&want.grad), "grad {}", got.name);
+            assert!(got.grad.as_slice().iter().all(|v| v.to_bits() == 0));
+            let resident = h.pool.slice(h.tables.row_offset(id, 0), got.table.len());
+            assert_eq!(resident, want.table.as_slice(), "pool copy of {}", got.name);
+        }
+        let after = m.lookups().map(|(_, l)| bits(&l.table)).collect();
+        (before, after)
+    }
+
+    #[test]
+    fn sparse_lookup_update_matches_the_dense_sweep() {
+        let (before, after) = check_lookup_epilogue(0.0);
+        let dim = 24;
+        for (table, touched) in [(0, &[1usize, 2, 5][..]), (1, &[1][..])] {
+            for row in 0..before[table].len() / dim {
+                let moved = before[table][row * dim..][..dim] != after[table][row * dim..][..dim];
+                assert_eq!(moved, touched.contains(&row), "table {table} row {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn weight_decay_takes_the_dense_lookup_path() {
+        let (before, after) = check_lookup_epilogue(0.01);
+        for (b, a) in before.iter().flatten().zip(after.iter().flatten()) {
+            assert_ne!(b, a, "weight decay moves every element of every table");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! real-thread executor, the wave-parallel interpreter and the lowered
 //! micro-op executor must return bit-identical losses, bit-identical updated
 //! parameters, and identical unified metrics (DRAM bytes per traffic class,
-//! launch counts).
+//! launch counts) — except that `Threaded`, whose concurrent atomic adds
+//! land in scheduling order, matches on accumulated floats only within
+//! [`within_accumulation_tolerance`].
 //!
 //! Reuses the graph generators from `tests/support/graphgen.rs` shared with
 //! `proptest_random_graphs.rs`, so backend agreement is tested over the same
@@ -62,10 +64,21 @@ fn run_on_backend(recipe: &GraphRecipe, kind: BackendKind) -> (f32, Metrics, Vec
     (run.loss, run.metrics, params)
 }
 
+/// `Threaded` accumulation order is inherently racy — its float results carry
+/// tolerances (see `accumulate()` in `crates/core/src/engine/backends.rs`) —
+/// so two runs can legitimately differ in final float bits. This is the
+/// bound its accumulated observables are compared under.
+fn within_accumulation_tolerance(a: u32, b: u32) -> bool {
+    let (a, b) = (f32::from_bits(a), f32::from_bits(b));
+    (a - b).abs() <= 1e-4 * a.abs().max(b.abs()).max(1.0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// All backends agree bit-for-bit on any random graph.
+    /// All backends agree on any random graph: bit-for-bit, except
+    /// `Threaded`'s updated parameters (sums of racing atomic adds), which
+    /// agree within the accumulation tolerance.
     #[test]
     fn backends_agree_on_random_graphs(recipe in arb_recipe()) {
         let (ref_loss, ref_metrics, ref_params) =
@@ -91,7 +104,17 @@ proptest! {
                 metrics.kernel_time, ref_metrics.kernel_time,
                 "{:?} modeled kernel time differs", kind
             );
-            prop_assert_eq!(&params, &ref_params, "{:?} updated parameters diverged", kind);
+            if kind == BackendKind::Threaded {
+                prop_assert_eq!(params.len(), ref_params.len());
+                for (i, (&p, &r)) in params.iter().zip(&ref_params).enumerate() {
+                    prop_assert!(
+                        within_accumulation_tolerance(p, r),
+                        "Threaded: parameter {} beyond accumulation tolerance", i
+                    );
+                }
+            } else {
+                prop_assert_eq!(&params, &ref_params, "{:?} updated parameters diverged", kind);
+            }
         }
     }
 }
@@ -141,13 +164,12 @@ proptest! {
     /// every backend it produces bit-identical losses, parameters, virtual
     /// time, and metrics to a run with the injector disabled outright.
     ///
-    /// Exception: `Threaded` accumulation order is inherently racy — its
-    /// float results carry tolerances (see `accumulate()` in
-    /// `crates/core/src/engine/backends.rs`) — so two *independent* Threaded
-    /// runs can legitimately differ in final float bits regardless of the
-    /// injector. For that backend the float observables are compared within
-    /// the backend's own tolerance; every deterministic observable (virtual
-    /// clock, DRAM traffic, launch counts) is still compared bit-for-bit.
+    /// Exception: two *independent* `Threaded` runs can legitimately differ
+    /// in final float bits regardless of the injector. For that backend the
+    /// float observables are compared under
+    /// [`within_accumulation_tolerance`]; every deterministic observable
+    /// (virtual clock, DRAM traffic, launch counts) is still compared
+    /// bit-for-bit.
     #[test]
     fn armed_rate_zero_injector_is_bit_identical_to_disabled(recipe in arb_recipe()) {
         for kind in [
@@ -161,18 +183,14 @@ proptest! {
             let disabled =
                 run_handle_with_faults(&recipe, kind, gpu_sim::FaultConfig::disabled());
             if kind == BackendKind::Threaded {
-                let close = |a: u32, b: u32| {
-                    let (a, b) = (f32::from_bits(a), f32::from_bits(b));
-                    (a - b).abs() <= 1e-4 * a.abs().max(b.abs()).max(1.0)
-                };
                 prop_assert!(
-                    close(armed.0, disabled.0),
+                    within_accumulation_tolerance(armed.0, disabled.0),
                     "Threaded: losses beyond accumulation tolerance"
                 );
                 prop_assert_eq!(armed.1.len(), disabled.1.len());
                 for (i, (&a, &d)) in armed.1.iter().zip(&disabled.1).enumerate() {
                     prop_assert!(
-                        close(a, d),
+                        within_accumulation_tolerance(a, d),
                         "Threaded: parameter {} beyond accumulation tolerance", i
                     );
                 }
@@ -190,9 +208,8 @@ proptest! {
     }
 }
 
-/// Trains a fixed workload on one backend and reports (loss history, host
-/// wall-clock).
-fn train_workload(kind: BackendKind, batches: usize) -> (Vec<f32>, std::time::Duration) {
+/// Trains a fixed workload on one backend and reports its loss history.
+fn train_workload(kind: BackendKind, batches: usize) -> Vec<f32> {
     use vpps_datasets::{Treebank, TreebankConfig};
     use vpps_models::{build_batch, TreeLstm};
 
@@ -213,14 +230,13 @@ fn train_workload(kind: BackendKind, batches: usize) -> (Vec<f32>, std::time::Du
         ..VppsOptions::default()
     };
     let mut handle = Handle::new(&model, small_device(), opts).expect("tiny Tree-LSTM fits");
-    let start = std::time::Instant::now();
     let mut losses = Vec::new();
     for chunk in samples.chunks(4) {
         let (g, l) = build_batch(&arch, &model, chunk);
         handle.fb(&mut model, &g, l);
         losses.push(handle.sync_get_latest_loss());
     }
-    (losses, start.elapsed())
+    losses
 }
 
 /// On a real multi-batch Tree-LSTM workload the lowered executor matches the
@@ -228,8 +244,8 @@ fn train_workload(kind: BackendKind, batches: usize) -> (Vec<f32>, std::time::Du
 /// batches run from the handle's lowered-artifact cache).
 #[test]
 fn lowered_matches_reference_on_real_workload() {
-    let (serial_losses, _) = train_workload(BackendKind::EventInterp, 8);
-    let (lowered_losses, _) = train_workload(BackendKind::Lowered, 8);
+    let serial_losses = train_workload(BackendKind::EventInterp, 8);
+    let lowered_losses = train_workload(BackendKind::Lowered, 8);
     assert_eq!(
         serial_losses, lowered_losses,
         "lowered backend must agree bit-for-bit"
@@ -237,25 +253,31 @@ fn lowered_matches_reference_on_real_workload() {
 }
 
 /// On a real Tree-LSTM workload the wave-parallel interpreter matches the
-/// serial interpreter exactly; on multi-core hosts it must also be no slower
-/// in host wall-clock (it partitions each barrier wave across all cores).
+/// serial interpreter exactly, and on multi-core hosts it really does
+/// partition barrier waves across workers. (No host wall-clock comparison:
+/// on a shared two-core machine the ratio to the serial backend is noise.)
 #[test]
 fn parallel_interp_matches_and_scales() {
-    let (serial_losses, serial_time) = train_workload(BackendKind::EventInterp, 8);
-    let (parallel_losses, parallel_time) = train_workload(BackendKind::ParallelInterp, 8);
+    vpps_obs::set_enabled(true);
+    let waves = vpps_obs::counter("engine.waves");
+    let workers = vpps_obs::counter("engine.wave_workers");
+    let serial_losses = train_workload(BackendKind::EventInterp, 8);
+    let (waves_before, workers_before) = (waves.get(), workers.get());
+    let parallel_losses = train_workload(BackendKind::ParallelInterp, 8);
+    let waves_run = waves.get() - waves_before;
+    let workers_run = workers.get() - workers_before;
     assert_eq!(
         serial_losses, parallel_losses,
         "backends must agree bit-for-bit"
     );
 
+    assert!(waves_run > 0, "the parallel interpreter ran no wave");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores > 1 {
-        // Generous slack: the win must come from parallel waves, but tiny
-        // CI machines share cores with the OS.
         assert!(
-            parallel_time < serial_time * 3,
-            "with {cores} cores the parallel interpreter should not be far \
-             slower than serial: parallel {parallel_time:?} vs serial {serial_time:?}"
+            workers_run > waves_run,
+            "with {cores} cores some wave must be split across workers: \
+             {workers_run} workers over {waves_run} waves"
         );
     }
 }

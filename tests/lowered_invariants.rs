@@ -10,15 +10,21 @@
 //! * **Caching** — the two-level `LoweredCache` returns the same `Arc` on a
 //!   hit, never re-lowers a seen script (re-miss counter stays zero), and
 //!   shares the per-plan chunk table across distinct scripts of one plan.
+//! * **Persistent arena** — a `Handle` keeping one register arena per plan
+//!   between batches computes exactly what a fresh arena per call computes,
+//!   across plan switches and through faulted, rolled-back attempts.
 
 use std::collections::BTreeMap;
 
-use dyn_graph::Model;
-use gpu_sim::GpuSim;
+use dyn_graph::{Graph, Model, NodeId, Op};
+use gpu_sim::{FaultConfig, GpuSim};
 use proptest::prelude::*;
-use vpps::engine::lowered::{self, LoweredCache, LoweredScript};
-use vpps::script::{generate, TableLayout};
-use vpps::KernelPlan;
+use vpps::engine::lowered::{self, Lowered, LoweredCache, LoweredScript};
+use vpps::engine::{self, Session};
+use vpps::exec::fallback::apply_gemm_fallback;
+use vpps::exec::interp::ExecConfig;
+use vpps::script::{generate, generate_forward_only, TableLayout};
+use vpps::{BackendKind, Handle, KernelPlan, RecoveryPolicy, RpwMode, VppsOptions};
 
 #[path = "support/graphgen.rs"]
 mod graphgen;
@@ -42,6 +48,175 @@ fn lower_recipe(recipe: &GraphRecipe) -> LoweredScript {
     let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).expect("fits");
     let gpu = GpuSim::new(small_device());
     lowered::lower(&plan, &gs, gpu.cost_model())
+}
+
+const LEARNING_RATE: f32 = 0.05;
+
+/// What `Handle::fb` / `infer` do per batch on the `Lowered` backend, rebuilt
+/// from the engine's public entry points with `engine::run_prepared` — a
+/// fresh register arena on every call — in place of the handle's persistent
+/// per-plan arenas.
+struct FreshArenaPipeline {
+    plans: Vec<KernelPlan>,
+    pool: vpps_tensor::Pool,
+    tables: TableLayout,
+    gpu: GpuSim,
+    cache: LoweredCache,
+}
+
+impl FreshArenaPipeline {
+    fn new(model: &Model) -> Self {
+        let device = small_device();
+        let plans = KernelPlan::candidate_rpws(model, &device)
+            .into_iter()
+            .map(|rpw| KernelPlan::build(model, &device, rpw).expect("tiny model fits"))
+            .collect();
+        let mut pool = vpps_tensor::Pool::with_capacity(1 << 18);
+        let tables = TableLayout::install(model, &mut pool).expect("pool big enough");
+        Self {
+            plans,
+            pool,
+            tables,
+            gpu: GpuSim::new(device),
+            cache: LoweredCache::default(),
+        }
+    }
+
+    /// Runs one call on the plan with the given `rpw`; returns the loss
+    /// (training) or `root`'s value (inference).
+    fn step(
+        &mut self,
+        model: &mut Model,
+        graph: &Graph,
+        root: NodeId,
+        train: bool,
+        rpw: usize,
+    ) -> Vec<f32> {
+        let Self {
+            plans,
+            pool,
+            tables,
+            gpu,
+            cache,
+        } = self;
+        let plan = plans
+            .iter()
+            .find(|p| p.rpw() == rpw)
+            .expect("a candidate plan");
+        pool.reset();
+        let gs = if train {
+            generate::generate(graph, root, plan, pool, tables)
+        } else {
+            generate_forward_only(graph, root, plan, pool, tables)
+        }
+        .expect("fits");
+        for (id, node) in graph.iter() {
+            if let Op::Input { values } = &node.op {
+                pool.slice_mut(gs.layout.value_off[id.index()], node.dim)
+                    .copy_from_slice(values);
+            }
+        }
+        let cfg = ExecConfig {
+            learning_rate: LEARNING_RATE,
+            weight_decay: 0.0,
+            apply_update: train,
+        };
+        let art = cache.get_or_lower(plan, &gs, gpu.cost_model());
+        let session = Session::from_lowered(plan, &gs, cfg, gpu.cost_model(), art);
+        let run = engine::run_prepared(&Lowered, &session, pool, model, gpu);
+        if !train {
+            let dim = graph.node(root).dim;
+            return pool.slice(gs.layout.value_off[root.index()], dim).to_vec();
+        }
+        apply_gemm_fallback(plan, &gs.layout, pool, model, gpu, cfg);
+        vec![run.loss]
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn param_bits(model: &Model) -> Vec<u32> {
+    model
+        .params()
+        .flat_map(|(_, p)| bits(p.value.as_slice()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Any interleaving of `fb` and `infer` on one `Handle` gives the loss,
+    /// output and parameter bits of the same calls made with a fresh arena
+    /// each: under a fixed plan, while the rpw profiler switches plans (each
+    /// plan must get its own arena), and while certain-to-occur DRAM faults
+    /// force rollbacks and a quarantine re-JIT (the gradients a failed
+    /// attempt left in the arena must not reach the retry).
+    #[test]
+    fn persistent_arena_matches_fresh_arena_per_call(
+        first in arb_recipe(),
+        rest in prop::collection::vec((arb_recipe(), any::<bool>()), 2..6),
+    ) {
+        // Every attempt draws a DRAM fault with p = 0.6, detected after the
+        // kernel ran and its epilogue updated the parameters. 32 attempts
+        // per rung and two bit-exact rungs (Lowered, EventInterp) keep the
+        // launch-per-op baseline out of reach; threshold 1 re-JITs on the
+        // first fault.
+        let faulty = FaultConfig::parse("seed=3,dram=0.6").expect("valid spec");
+        let tenacious = RecoveryPolicy {
+            max_attempts: 32,
+            quarantine_threshold: 1,
+            ..RecoveryPolicy::default()
+        };
+        let calls: Vec<_> = std::iter::once((first, true)).chain(rest).collect();
+        for (rpw, faults, recovery) in [
+            (RpwMode::Fixed(1), FaultConfig::disabled(), RecoveryPolicy::default()),
+            (RpwMode::Profile, FaultConfig::disabled(), RecoveryPolicy::default()),
+            (RpwMode::Fixed(1), faulty, tenacious),
+        ] {
+            let mut model = test_model();
+            let mut fresh_model = model.clone();
+            let opts = VppsOptions {
+                rpw,
+                learning_rate: LEARNING_RATE,
+                pool_capacity: 1 << 18,
+                profile_batches_per_rpw: 1,
+                backend: BackendKind::Lowered,
+                faults,
+                recovery,
+                ..VppsOptions::default()
+            };
+            let mut handle = Handle::new(&model, small_device(), opts).expect("tiny model fits");
+            let mut fresh = FreshArenaPipeline::new(&fresh_model);
+            let mut plans_used = std::collections::BTreeSet::new();
+            for (recipe, train) in &calls {
+                let (g, root) = build_from_recipe(&model, recipe);
+                let plan_rpw = handle.plan().rpw();
+                plans_used.insert(plan_rpw);
+                let got = if *train {
+                    handle.fb(&mut model, &g, root);
+                    vec![handle.sync_get_latest_loss()]
+                } else {
+                    handle.infer(&mut model, &g, root)
+                };
+                let want = fresh.step(&mut fresh_model, &g, root, *train, plan_rpw);
+                prop_assert_eq!(bits(&got), bits(&want), "{:?}: result bits (train={})", rpw, train);
+                prop_assert_eq!(
+                    param_bits(&model), param_bits(&fresh_model),
+                    "{:?}: parameter bits (train={})", rpw, train
+                );
+            }
+            let stats = handle.recovery_stats();
+            prop_assert_eq!(stats.baseline_fallbacks, 0, "stayed on bit-exact rungs");
+            if faults.enabled {
+                prop_assert!(stats.rollbacks > 0, "a faulted fb was rolled back");
+                prop_assert_eq!(stats.rejits, 1, "the plan was quarantined and re-JITted");
+            } else if rpw == RpwMode::Profile && calls.iter().filter(|c| c.1).count() > 1 {
+                prop_assert!(plans_used.len() > 1, "the profiler switched plans");
+            }
+        }
+    }
 }
 
 proptest! {
