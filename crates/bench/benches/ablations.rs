@@ -8,7 +8,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dyn_graph::Model;
 use gpu_sim::{DeviceConfig, GpuSim};
-use vpps::exec::interp::{run_persistent_kernel, ExecConfig};
+use vpps::engine::{run_batch, EventInterp};
+use vpps::exec::interp::ExecConfig;
 use vpps::script::{generate, SchedulePolicy, TableLayout};
 use vpps::{GradStrategy, Handle, KernelPlan, RpwMode, VppsOptions};
 use vpps_datasets::{Treebank, TreebankConfig};
@@ -49,7 +50,8 @@ fn kernel_time_with_policy(policy: SchedulePolicy) -> f64 {
         }
     }
     let mut gpu = GpuSim::new(device());
-    let run = run_persistent_kernel(
+    let run = run_batch(
+        &EventInterp,
         &plan,
         &gs,
         &mut pool,
@@ -100,7 +102,8 @@ fn device_time_with_strategy(strategy: GradStrategy) -> f64 {
         }
     }
     let mut gpu = GpuSim::new(device());
-    run_persistent_kernel(
+    run_batch(
+        &EventInterp,
         &plan,
         &gs,
         &mut pool,

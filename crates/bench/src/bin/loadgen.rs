@@ -58,7 +58,7 @@ fn usage() -> ! {
          \x20              [--train-fraction F] [--deadline-us F] [--closed-loop N]\n\
          \x20              [--queue-cap N] [--tenant-quota N] [--hidden N]\n\
          \x20              [--devices N] [--sample-pool N]\n\
-         \x20              [--backend event-interp|threaded|parallel-interp]\n\
+         \x20              [--backend event-interp|lowered]\n\
          \x20              [--label S] [--emit FILE|-] [--fail-on-shed]\n\
          \x20              [--verify-determinism] [--fault-profile SPEC]\n\
          \x20              [--outage DEV@START..END[:kind]] [--no-fallback]\n\

@@ -33,12 +33,10 @@
 //! running in minutes on one CPU core.
 //!
 //! `--backend=NAME` selects the VPPS execution backend for the sweeps
-//! (`event-interp`, `threaded`, `parallel-interp`, or `lowered`);
-//! `parallel-interp` partitions VPPs across all host cores, which shortens
-//! the `fig8`/`fig12` host wall time on multi-core machines without
-//! changing any reported number — every backend feeds the same unified
-//! metrics. `lowered` pre-resolves each script to flat micro-ops and caches
-//! the artifact per plan, so warm batches skip both dispatch and analysis.
+//! (`event-interp` or `lowered`) without changing any reported number —
+//! both feed the same unified metrics. `lowered` pre-resolves each script to
+//! flat micro-ops and caches the artifact per plan, so warm batches skip
+//! both dispatch and analysis.
 //!
 //! `--emit-metrics=FILE` turns instrumentation on and writes the run's
 //! metric registry after the experiment: a versioned JSON snapshot, or
@@ -378,7 +376,8 @@ fn table2() {
 }
 
 fn trace() {
-    use vpps::exec::interp::{run_persistent_kernel_traced, ExecConfig};
+    use vpps::engine::{run_batch_traced, EventInterp};
+    use vpps::exec::interp::ExecConfig;
     use vpps::script::{generate, TableLayout};
 
     println!("Exporting a per-VPP kernel timeline (Tree-LSTM, batch 4)...");
@@ -401,7 +400,8 @@ fn trace() {
         }
     }
     let mut gpu = gpu_sim::GpuSim::new(device());
-    let (run, trace) = run_persistent_kernel_traced(
+    let (run, trace) = run_batch_traced(
+        &EventInterp,
         &plan,
         &gs,
         &mut pool,
@@ -1085,7 +1085,7 @@ fn main() {
             eprintln!("unknown experiment '{other}'");
             eprintln!(
                 "usage: repro [fig2|fig8|fig9|fig10|fig12|table1|table2|trace|serve|serve-sharded|serve-trace|lowered|chaos|chaos-sharded|all] \
-                 [--full] [--backend=event-interp|threaded|parallel-interp|lowered] \
+                 [--full] [--backend=event-interp|lowered] \
                  [--emit-metrics=FILE[.prom]] [--emit-trace=FILE]"
             );
             std::process::exit(2);

@@ -99,10 +99,9 @@ pub fn run_vpps(
 
 /// Trains one epoch under VPPS with an explicit execution backend and
 /// reports the metrics. All counters come from the unified
-/// [`Metrics`] plumbing ([`Handle::metrics`]), so every backend — the
-/// event-driven interpreter, the threaded executor or the wave-parallel
-/// interpreter — reports identical DRAM-byte and launch counts; only host
-/// wall time differs.
+/// [`Metrics`] plumbing ([`Handle::metrics`]), so both backends — the
+/// lowered executor and the event-driven interpreter — report identical
+/// DRAM-byte and launch counts; only host wall time differs.
 pub fn run_vpps_with(
     app: &AppInstance,
     device: &DeviceConfig,
@@ -240,11 +239,7 @@ mod tests {
             1,
             BackendKind::EventInterp,
         );
-        for kind in [
-            BackendKind::Threaded,
-            BackendKind::ParallelInterp,
-            BackendKind::Lowered,
-        ] {
+        for kind in BackendKind::ALL {
             let r = run_vpps_with(&app, &DeviceConfig::titan_v(), 4, 1, kind);
             assert_eq!(r.final_loss, reference.final_loss, "{kind:?} loss");
             assert_eq!(r.kernels, reference.kernels, "{kind:?} launches");

@@ -1,19 +1,17 @@
-//! The three [`ExecutionBackend`] implementations.
+//! The interpreting [`ExecutionBackend`] implementations.
 //!
 //! * [`EventInterp`] — replays the session timeline's serial order on one
 //!   thread; the reference semantics every other backend is checked against.
 //! * [`Threaded`] — one OS thread per VPP with the `signal`/`wait` protocol
 //!   on real atomics (the paper's §III-B1 `atomicAdd` + `__threadfence`
-//!   pairing); validates the scripts are deadlock-free and race-free under
-//!   true concurrency.
-//! * [`ParallelInterp`] — wave-parallel interpreter: barrier waves execute
-//!   one after another, VPPs within a wave are partitioned across a host
-//!   worker pool, and accumulating writes are journaled and committed in the
-//!   reference serial order — so results are bit-identical to
-//!   [`EventInterp`] while `repro` sweeps use every host core.
+//!   pairing). It is the protocol checker: tests drive it through
+//!   [`crate::engine::run_batch`] to validate that the scripts are
+//!   deadlock-free and race-free under true concurrency. It has no
+//!   [`crate::engine::BackendKind`], so nothing can be configured to serve
+//!   with it.
 //!
-//! All three read their timing and traffic numbers from the shared
-//! [`Session`] analytics, so their [`RunOutcome::metrics`] are identical by
+//! Both read their timing and traffic numbers from the shared [`Session`]
+//! analytics, so their [`RunOutcome::metrics`] are identical by
 //! construction.
 
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -21,7 +19,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use vpps_tensor::{Pool, PoolOffset};
 
 use crate::distribute::ChunkId;
-use crate::engine::{BackendKind, ExecutionBackend, RunOutcome, Session};
+use crate::engine::{ExecutionBackend, RunOutcome, Session};
 use crate::exec::regcache::RegCache;
 use crate::exec::semantics::{execute_instr, ExecCtx};
 use crate::script::Instr;
@@ -33,12 +31,11 @@ use crate::script::Instr;
 /// * `read`/`write` are plain (non-atomic) accesses. The script generator
 ///   guarantees every pool location has at most one plain writer per barrier
 ///   epoch and that readers of a location are separated from its writer by a
-///   barrier; the barrier's `Release`-increment / `Acquire`-spin (or, for the
-///   wave-parallel backend, the per-wave thread join) establishes the
-///   necessary happens-before edges.
+///   barrier; the barrier's `Release`-increment / `Acquire`-spin establishes
+///   the necessary happens-before edges.
 /// * `accumulate` may race with other accumulators and therefore uses atomic
 ///   compare-and-swap adds on the `f32` bit patterns.
-pub(crate) struct SharedPool {
+struct SharedPool {
     ptr: *mut f32,
     len: usize,
 }
@@ -50,7 +47,7 @@ unsafe impl Sync for SharedPool {}
 unsafe impl Send for SharedPool {}
 
 impl SharedPool {
-    pub(crate) fn new(pool: &mut Pool) -> Self {
+    fn new(pool: &mut Pool) -> Self {
         let raw = pool.raw_mut();
         Self {
             ptr: raw.as_mut_ptr(),
@@ -97,24 +94,11 @@ impl SharedPool {
             // load + compare_exchange_weak loop (same CAS retry protocol,
             // provided by the standard library). This atomic does *not*
             // decide summation order: `Threaded` accumulation order is
-            // inherently racy (its float results carry tolerances), and
-            // `ParallelInterp` gets bit-identical sums by journaling its
-            // accumulates and committing them in reference serial order via
-            // `add_serial` — never through this method.
+            // inherently racy, so its float results carry tolerances.
             cell.fetch_update(Ordering::AcqRel, Ordering::Relaxed, |cur| {
                 Some((f32::from_bits(cur) + v).to_bits())
             })
             .expect("fetch_update closure never returns None");
-        }
-    }
-
-    /// Serial add without atomics (used after a wave join, when no other
-    /// thread is running).
-    fn add_serial(&self, off: PoolOffset, data: &[f32]) {
-        self.check(off, data.len());
-        for (i, v) in data.iter().enumerate() {
-            // SAFETY: in-bounds; caller guarantees exclusive access.
-            unsafe { *self.ptr.add(off.raw() as usize + i) += *v };
         }
     }
 }
@@ -125,10 +109,9 @@ impl SharedPool {
 ///
 /// The script generator assigns every chunk-touching instruction to the
 /// chunk's owning VPP, and each VPP's instruction stream runs on exactly one
-/// thread at a time (per-VPP thread in [`Threaded`], one wave worker in
-/// [`ParallelInterp`]). A chunk is therefore only ever accessed by one thread
-/// concurrently; cross-wave ordering is established by thread joins.
-pub(crate) struct SharedChunks {
+/// thread ([`Threaded`] spawns one per VPP). A chunk is therefore only ever
+/// accessed by one thread concurrently.
+struct SharedChunks {
     ptrs: Vec<(*mut f32, usize)>,
 }
 
@@ -136,7 +119,7 @@ unsafe impl Sync for SharedChunks {}
 unsafe impl Send for SharedChunks {}
 
 impl SharedChunks {
-    pub(crate) fn new(cache: &mut RegCache) -> Self {
+    fn new(cache: &mut RegCache) -> Self {
         Self {
             ptrs: cache.chunk_ptrs(),
         }
@@ -193,8 +176,8 @@ impl ExecCtx for SeqCtx<'_> {
 pub struct EventInterp;
 
 impl ExecutionBackend for EventInterp {
-    fn kind(&self) -> BackendKind {
-        BackendKind::EventInterp
+    fn name(&self) -> &'static str {
+        "event-interp"
     }
 
     fn run(&self, session: &Session<'_>, pool: &mut Pool, cache: &mut RegCache) -> RunOutcome {
@@ -206,27 +189,6 @@ impl ExecutionBackend for EventInterp {
                 execute_instr(instr, dist, &mut ctx);
             }
         }
-        let loss = pool.slice(session.loss_offset(), 1)[0];
-        session.outcome(loss)
-    }
-}
-
-/// Real-thread backend: one OS thread per VPP, barriers on real atomics.
-///
-/// Functionally equivalent to [`EventInterp`] up to floating-point
-/// accumulation order (concurrent atomic adds commute only approximately in
-/// `f32`); forward-only values are bit-identical because plain writes have
-/// unique writers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Threaded;
-
-impl ExecutionBackend for Threaded {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Threaded
-    }
-
-    fn run(&self, session: &Session<'_>, pool: &mut Pool, cache: &mut RegCache) -> RunOutcome {
-        run_threaded_scripts(session, pool, cache);
         let loss = pool.slice(session.loss_offset(), 1)[0];
         session.outcome(loss)
     }
@@ -259,110 +221,19 @@ impl ExecCtx for ThreadCtx<'_> {
     }
 }
 
-/// Executes the script phase on real threads (one per VPP). Shared between
-/// the [`Threaded`] backend and the legacy
-/// [`crate::exec::threaded::run_threaded`] entry point.
-pub(crate) fn run_threaded_scripts(session: &Session<'_>, pool: &mut Pool, cache: &mut RegCache) {
-    let dist = session.plan.distribution();
-    let gs = session.gs;
-    let num_vpps = dist.geometry().total_vpps();
-
-    let barriers: Vec<AtomicU32> = (0..gs.num_barriers).map(|_| AtomicU32::new(0)).collect();
-    let shared = SharedPool::new(pool);
-    let chunks = SharedChunks::new(cache);
-
-    std::thread::scope(|scope| {
-        for vpp in 0..num_vpps {
-            let shared = &shared;
-            let chunks = &chunks;
-            let barriers = &barriers;
-            let script = gs.scripts.script(vpp);
-            scope.spawn(move || {
-                let mut ctx = ThreadCtx {
-                    pool: shared,
-                    chunks,
-                };
-                for instr in script {
-                    match instr {
-                        Instr::Signal { barrier } => {
-                            barriers[*barrier as usize].fetch_add(1, Ordering::Release);
-                        }
-                        Instr::Wait { barrier, needed } => {
-                            let b = &barriers[*barrier as usize];
-                            let mut spins = 0u32;
-                            while b.load(Ordering::Acquire) < *needed {
-                                spins += 1;
-                                if spins.is_multiple_of(64) {
-                                    std::thread::yield_now();
-                                }
-                                std::hint::spin_loop();
-                            }
-                        }
-                        other => {
-                            execute_instr(other, dist, &mut ctx);
-                        }
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// Wave-parallel interpreter.
+/// Real-thread protocol checker: one OS thread per VPP, barriers on real
+/// atomics.
 ///
-/// The script generator emits barriers as strictly ordered global waves:
-/// every participant of wave `w` waits on the barrier that *all* of wave
-/// `w-1`'s participants signal, so per VPP a script is a sequence of
-/// `(wait? body signal)` segments with strictly increasing barrier ids.
-/// Executing the waves one after another (with a full join in between) is
-/// therefore a correct schedule, and within a wave the segments of distinct
-/// VPPs are independent except for accumulating writes.
-///
-/// Determinism: plain writes (unique writer per epoch) go straight to the
-/// pool during the parallel phase; accumulating writes are journaled with the
-/// instruction's position in the reference serial order and committed
-/// serially after the wave joins, sorted by that position. Every `f32` add
-/// therefore happens in exactly the order [`EventInterp`] performs it, making
-/// losses *and* updated parameters bit-identical.
+/// Functionally equivalent to [`EventInterp`] up to floating-point
+/// accumulation order (concurrent atomic adds commute only approximately in
+/// `f32`); forward-only values are bit-identical because plain writes have
+/// unique writers. A protocol bug in the script generator deadlocks here.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelInterp;
+pub struct Threaded;
 
-/// One journaled accumulating write: (reference serial position, target,
-/// contribution).
-type JournalEntry = (u32, PoolOffset, Vec<f32>);
-
-struct WaveCtx<'a> {
-    pool: &'a SharedPool,
-    chunks: &'a SharedChunks,
-    current: u32,
-    journal: Vec<JournalEntry>,
-}
-
-impl ExecCtx for WaveCtx<'_> {
-    fn read(&self, off: PoolOffset, out: &mut [f32]) {
-        self.pool.read(off, out);
-    }
-
-    fn write(&mut self, off: PoolOffset, data: &[f32]) {
-        self.pool.write(off, data);
-    }
-
-    fn accumulate(&mut self, off: PoolOffset, data: &[f32]) {
-        self.journal.push((self.current, off, data.to_vec()));
-    }
-
-    fn chunk(&self, id: ChunkId) -> &[f32] {
-        self.chunks.chunk(id)
-    }
-
-    fn chunk_mut(&mut self, id: ChunkId) -> &mut [f32] {
-        self.chunks.chunk_mut(id)
-    }
-}
-
-impl ExecutionBackend for ParallelInterp {
-    fn kind(&self) -> BackendKind {
-        BackendKind::ParallelInterp
+impl ExecutionBackend for Threaded {
+    fn name(&self) -> &'static str {
+        "threaded"
     }
 
     fn run(&self, session: &Session<'_>, pool: &mut Pool, cache: &mut RegCache) -> RunOutcome {
@@ -370,89 +241,100 @@ impl ExecutionBackend for ParallelInterp {
         let gs = session.gs;
         let num_vpps = dist.geometry().total_vpps();
 
-        // Position of each compute instruction in the reference serial order.
-        let mut serial: Vec<Vec<u32>> = (0..num_vpps)
-            .map(|v| vec![u32::MAX; gs.scripts.script(v).len()])
-            .collect();
-        for (pos, &(v, ip)) in session.timeline.order.iter().enumerate() {
-            serial[v as usize][ip as usize] = pos as u32;
-        }
-
-        // Segment every script into barrier waves. Wave `w` holds, per VPP,
-        // the instruction range whose trailing `signal` targets barrier `w`;
-        // instructions after the last signal form a final drain wave.
-        let num_waves = gs.num_barriers as usize + 1;
-        let mut waves: Vec<Vec<(usize, std::ops::Range<usize>)>> = vec![Vec::new(); num_waves];
-        for v in 0..num_vpps {
-            let script = gs.scripts.script(v);
-            let mut start = 0usize;
-            for (i, instr) in script.iter().enumerate() {
-                match instr {
-                    Instr::Wait { .. } => start = i + 1,
-                    Instr::Signal { barrier } => {
-                        waves[*barrier as usize].push((v, start..i));
-                        start = i + 1;
-                    }
-                    _ => {}
-                }
-            }
-            if start < script.len() {
-                waves[num_waves - 1].push((v, start..script.len()));
-            }
-        }
-
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let barriers: Vec<AtomicU32> = (0..gs.num_barriers).map(|_| AtomicU32::new(0)).collect();
         let shared = SharedPool::new(pool);
         let chunks = SharedChunks::new(cache);
 
-        for wave in &waves {
-            if wave.is_empty() {
-                continue;
-            }
-            let _wave_span = vpps_obs::span("engine.wave");
-            let stripe = wave.len().div_ceil(workers.min(wave.len()));
-            if vpps_obs::enabled() {
-                vpps_obs::counter("engine.waves").incr();
-                vpps_obs::counter("engine.wave_workers").add(wave.len().div_ceil(stripe) as u64);
-            }
-            let mut journal: Vec<JournalEntry> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for part in wave.chunks(stripe) {
-                    let shared = &shared;
-                    let chunks = &chunks;
-                    let serial = &serial;
-                    handles.push(scope.spawn(move || {
-                        let mut ctx = WaveCtx {
-                            pool: shared,
-                            chunks,
-                            current: 0,
-                            journal: Vec::new(),
-                        };
-                        for (v, range) in part {
-                            let script = gs.scripts.script(*v);
-                            for ip in range.clone() {
-                                ctx.current = serial[*v][ip];
-                                execute_instr(&script[ip], dist, &mut ctx);
+        std::thread::scope(|scope| {
+            for vpp in 0..num_vpps {
+                let shared = &shared;
+                let chunks = &chunks;
+                let barriers = &barriers;
+                let script = gs.scripts.script(vpp);
+                scope.spawn(move || {
+                    let mut ctx = ThreadCtx {
+                        pool: shared,
+                        chunks,
+                    };
+                    for instr in script {
+                        match instr {
+                            Instr::Signal { barrier } => {
+                                barriers[*barrier as usize].fetch_add(1, Ordering::Release);
+                            }
+                            Instr::Wait { barrier, needed } => {
+                                let b = &barriers[*barrier as usize];
+                                let mut spins = 0u32;
+                                while b.load(Ordering::Acquire) < *needed {
+                                    spins += 1;
+                                    if spins.is_multiple_of(64) {
+                                        std::thread::yield_now();
+                                    }
+                                    std::hint::spin_loop();
+                                }
+                            }
+                            other => {
+                                execute_instr(other, dist, &mut ctx);
                             }
                         }
-                        ctx.journal
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("wave worker panicked"))
-                    .collect()
-            });
-            // Commit accumulating writes in the reference serial order.
-            journal.sort_by_key(|(pos, _, _)| *pos);
-            for (_, off, data) in &journal {
-                shared.add_serial(*off, data);
+                    }
+                });
             }
-        }
+        });
 
         let loss = pool.slice(session.loss_offset(), 1)[0];
         session.outcome(loss)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::run_batch;
+    use crate::exec::interp::ExecConfig;
+    use crate::script::{generate, TableLayout};
+    use crate::specialize::KernelPlan;
+    use dyn_graph::{Graph, Model};
+    use gpu_sim::{DeviceConfig, GpuSim};
+
+    #[test]
+    fn threaded_handles_wide_fan_in() {
+        // Many VPPs accumulating into one derivative concurrently — the
+        // atomic-add path under real contention.
+        let mut device = DeviceConfig::titan_v();
+        device.num_sms = 4;
+        let mut model = Model::new(55);
+        let w = model.add_matrix("W", 16, 16);
+        let plan = KernelPlan::build(&model, &device, 1).unwrap();
+        let mut g = Graph::new();
+        let x = g.input(vec![0.3; 16]);
+        let shared = g.tanh(x);
+        let mut heads = Vec::new();
+        for _ in 0..24 {
+            let h = g.matvec(&model, w, shared);
+            let t = g.tanh(h);
+            let l = g.pick_neg_log_softmax(t, 2);
+            heads.push(l);
+        }
+        let loss_node = g.sum(&heads);
+
+        let mut ref_model = model.clone();
+        let mut pool = Pool::with_capacity(1 << 18);
+        let tables = TableLayout::install(&model, &mut pool).unwrap();
+        let gs = generate::generate(&g, loss_node, &plan, &mut pool, &tables).unwrap();
+        for (id, node) in g.iter() {
+            if let dyn_graph::Op::Input { values } = &node.op {
+                pool.slice_mut(gs.layout.value_off[id.index()], node.dim)
+                    .copy_from_slice(values);
+            }
+        }
+        let mut gpu = GpuSim::new(device);
+        let cfg = ExecConfig::default();
+        let loss = run_batch(&Threaded, &plan, &gs, &mut pool, &mut model, &mut gpu, cfg).loss;
+
+        let ref_loss = dyn_graph::exec::forward_backward(&g, &mut ref_model, loss_node);
+        assert!(
+            (loss - ref_loss).abs() < 1e-3,
+            "threaded {loss} vs reference {ref_loss}"
+        );
     }
 }

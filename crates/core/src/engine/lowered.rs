@@ -1256,8 +1256,8 @@ impl LoweredCache {
 pub struct Lowered;
 
 impl super::ExecutionBackend for Lowered {
-    fn kind(&self) -> super::BackendKind {
-        super::BackendKind::Lowered
+    fn name(&self) -> &'static str {
+        "lowered"
     }
 
     fn prepare<'a>(

@@ -1,9 +1,13 @@
 //! The unified execution engine (backend abstraction layer).
 //!
-//! Every way of executing a batch's generated scripts — the event-driven
-//! interpreter, the real-thread executor, the wave-parallel interpreter, and
-//! the lowered micro-op executor — implements one [`ExecutionBackend`]
-//! trait:
+//! Every way of executing a batch's generated scripts implements one
+//! [`ExecutionBackend`] trait. Two are selectable through [`BackendKind`] and
+//! bit-identical to each other by construction — the lowered micro-op
+//! executor ([`Lowered`], the production path) and the event-driven
+//! interpreter ([`EventInterp`], the reference oracle). The third,
+//! [`Threaded`], is the signal/wait protocol checker on real atomics: tests
+//! hand it to [`run_batch`] directly and compare it under an accumulation
+//! tolerance.
 //!
 //! * [`ExecutionBackend::prepare`] analyzes the scripts once into a
 //!   [`Session`]: the full per-VPP timeline, the kernel body time and a
@@ -39,31 +43,25 @@ use vpps_tensor::{Pool, PoolOffset};
 
 use vpps_obs::SimTrace;
 
-use crate::exec::interp::{ExecConfig, KernelRun};
+use crate::exec::interp::ExecConfig;
 use crate::exec::regcache::RegCache;
 use crate::script::GeneratedScript;
 use crate::specialize::{GradStrategy, KernelPlan};
 
-pub use backends::{EventInterp, ParallelInterp, Threaded};
+pub use backends::{EventInterp, Threaded};
 pub use lowered::{
     Lowered, LoweredCache, LoweredCacheStats, LoweredPlan, LoweredScript, MicroOp, PatchPoint,
 };
 pub use recovery::{RecoveryPolicy, RecoveryStats};
 pub use timeline::{ScriptCosts, TimelineReport};
 
-/// Which execution backend a [`crate::Handle`] (or test) should use.
+/// Which execution backend a [`crate::Handle`] (or test) should use. Every
+/// member is bit-identical to the reference by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// Deterministic single-thread event-driven interpreter (the reference).
     #[default]
     EventInterp,
-    /// One OS thread per VPP with real atomic barriers (validates the
-    /// signal/wait protocol under true concurrency).
-    Threaded,
-    /// Wave-parallel interpreter: VPPs are partitioned across a host worker
-    /// pool per barrier wave, with a deterministic merge that reproduces the
-    /// reference execution bit-for-bit.
-    ParallelInterp,
     /// Pre-lowered micro-op executor: scripts are compiled once per plan into
     /// flat arrays of literal-resolved [`MicroOp`]s (sync compiled away,
     /// costs precomputed) and cached, bit-identical to [`EventInterp`].
@@ -72,29 +70,17 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Every backend, in display order.
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::EventInterp,
-        BackendKind::Threaded,
-        BackendKind::ParallelInterp,
-        BackendKind::Lowered,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::EventInterp, BackendKind::Lowered];
 
     /// Short stable name (accepted back by [`FromStr`]).
     pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::EventInterp => "event-interp",
-            BackendKind::Threaded => "threaded",
-            BackendKind::ParallelInterp => "parallel-interp",
-            BackendKind::Lowered => "lowered",
-        }
+        self.backend().name()
     }
 
     /// The backend implementation for this kind.
     pub fn backend(self) -> &'static dyn ExecutionBackend {
         match self {
             BackendKind::EventInterp => &EventInterp,
-            BackendKind::Threaded => &Threaded,
-            BackendKind::ParallelInterp => &ParallelInterp,
             BackendKind::Lowered => &Lowered,
         }
     }
@@ -104,16 +90,10 @@ impl FromStr for BackendKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "event-interp" | "event" | "interp" | "serial" => Ok(BackendKind::EventInterp),
-            "threaded" | "threads" => Ok(BackendKind::Threaded),
-            "parallel-interp" | "parallel" => Ok(BackendKind::ParallelInterp),
-            "lowered" | "lower" => Ok(BackendKind::Lowered),
-            other => Err(format!(
-                "unknown backend {other:?} (expected event-interp, threaded, parallel-interp \
-                 or lowered)"
-            )),
-        }
+        Self::ALL
+            .into_iter()
+            .find(|kind| kind.name() == s)
+            .ok_or_else(|| format!("unknown backend {s:?} (expected event-interp or lowered)"))
     }
 }
 
@@ -288,19 +268,6 @@ pub struct RunOutcome {
     pub metrics: Metrics,
 }
 
-impl RunOutcome {
-    /// The legacy [`KernelRun`] view of this outcome.
-    pub fn kernel_run(&self) -> KernelRun {
-        KernelRun {
-            loss: self.loss,
-            body_time: self.body_time,
-            instructions: self.instructions,
-            max_vpp_time: self.max_vpp_time,
-            mean_vpp_time: self.mean_vpp_time,
-        }
-    }
-}
-
 /// One way of executing a prepared batch's scripts.
 ///
 /// Implementations must be functionally equivalent: same pool contents, same
@@ -308,13 +275,8 @@ impl RunOutcome {
 /// [`Threaded`]), and — because the [`Session`] carries the analytics — the
 /// exact same [`RunOutcome::metrics`].
 pub trait ExecutionBackend: Sync {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Short stable name for reports and CLI flags.
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
+    /// Short stable name for reports, obs counters and CLI flags.
+    fn name(&self) -> &'static str;
 
     /// Analyzes the batch's scripts into a [`Session`].
     fn prepare<'a>(

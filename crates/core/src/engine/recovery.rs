@@ -84,9 +84,7 @@ impl RecoveryPolicy {
 /// not an [`super::ExecutionBackend`] and is handled by [`crate::Handle`]).
 pub fn degraded(kind: BackendKind) -> Option<BackendKind> {
     match kind {
-        BackendKind::Lowered | BackendKind::Threaded | BackendKind::ParallelInterp => {
-            Some(BackendKind::EventInterp)
-        }
+        BackendKind::Lowered => Some(BackendKind::EventInterp),
         BackendKind::EventInterp => None,
     }
 }
@@ -150,14 +148,6 @@ mod tests {
     fn ladder_ends_at_event_interp() {
         assert_eq!(
             degraded(BackendKind::Lowered),
-            Some(BackendKind::EventInterp)
-        );
-        assert_eq!(
-            degraded(BackendKind::Threaded),
-            Some(BackendKind::EventInterp)
-        );
-        assert_eq!(
-            degraded(BackendKind::ParallelInterp),
             Some(BackendKind::EventInterp)
         );
         assert_eq!(degraded(BackendKind::EventInterp), None);

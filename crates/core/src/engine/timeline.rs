@@ -5,8 +5,8 @@
 //! a batch — finish times, barrier stalls, DRAM byte totals, and the exact
 //! serial execution order — can be computed *before* any arithmetic runs.
 //! [`analyze`] performs that sweep once per batch; every execution backend
-//! then reuses the one [`TimelineReport`], which is how serial, threaded and
-//! parallel backends report bit-identical timing and traffic numbers.
+//! then reuses the one [`TimelineReport`], which is how every backend
+//! reports bit-identical timing and traffic numbers.
 //!
 //! Cost resolution is split from the sweep: [`ScriptCosts::compute`] resolves
 //! every instruction's [`InstrCost`] (plus the per-VPP encoded script bytes
@@ -97,9 +97,8 @@ pub struct TimelineReport {
     pub instr_mix: Vec<(&'static str, u64)>,
     /// `(vpp, instruction index)` of every compute instruction in the order
     /// the event-driven schedule executes them. Replaying this order serially
-    /// reproduces the reference execution exactly; it also defines the
-    /// deterministic commit order the parallel backend uses for accumulating
-    /// writes, and the op order of the lowered backend's flat micro-op array.
+    /// reproduces the reference execution exactly; it also defines the op
+    /// order of the lowered backend's flat micro-op array.
     pub order: Vec<(u32, u32)>,
 }
 

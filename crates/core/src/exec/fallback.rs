@@ -123,7 +123,7 @@ pub fn apply_gemm_fallback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::interp::run_persistent_kernel;
+    use crate::engine::{self, EventInterp};
     use crate::script::{generate, TableLayout};
     use crate::specialize::KernelPlan;
     use dyn_graph::{exec as refexec, Graph, Model, Trainer};
@@ -189,7 +189,15 @@ mod tests {
                 weight_decay: 0.0,
                 apply_update: true,
             };
-            let run = run_persistent_kernel(&plan, &gs, &mut pool, &mut model, &mut gpu, cfg);
+            let run = engine::run_batch(
+                &EventInterp,
+                &plan,
+                &gs,
+                &mut pool,
+                &mut model,
+                &mut gpu,
+                cfg,
+            );
             let fb = apply_gemm_fallback(&plan, &gs.layout, &pool, &mut model, &mut gpu, cfg);
             assert!(fb.gemm_kernels >= 2);
             vpps_losses.push(run.loss);

@@ -2,17 +2,14 @@
 //! (paper §III-B2, Fig. 7).
 //!
 //! The executors themselves live in the unified engine layer
-//! ([`crate::engine`]), where every backend — the event-driven interpreter,
-//! the real-thread executor and the wave-parallel interpreter — implements
-//! one `ExecutionBackend` trait over the shared instruction semantics
+//! ([`crate::engine`]), where every backend implements one
+//! `ExecutionBackend` trait over the shared instruction semantics
 //! ([`semantics::execute_instr`]) and static costs
 //! ([`semantics::instr_cost`]). This module keeps the pieces the engine is
-//! built from plus the legacy entry points:
+//! built from:
 //!
-//! * [`interp`] — [`run_persistent_kernel`], the original API, now a wrapper
-//!   over `engine::run_batch` with the event-driven backend;
-//! * [`threaded`] — the original real-thread wrapper over the engine's
-//!   `Threaded` backend;
+//! * [`interp`] — [`ExecConfig`], the epilogue hyper-parameters;
+//! * [`fallback`] — the batched-GEMM gradient epilogue;
 //! * [`regcache`] — the functional stand-in for the SM register file;
 //! * [`semantics`] — data-independent instruction semantics and costs;
 //! * [`kernels`] — the SIMD-friendly inner loops (chunked dot, axpy) shared
@@ -27,8 +24,7 @@ pub mod interp;
 pub mod kernels;
 pub mod regcache;
 pub mod semantics;
-pub mod threaded;
 
-pub use interp::{run_persistent_kernel, run_persistent_kernel_traced, ExecConfig, KernelRun};
+pub use interp::ExecConfig;
 pub use regcache::RegCache;
 pub use vpps_obs::{SimSpan, SimTrace};

@@ -207,32 +207,6 @@ impl RegCache {
             .map(|&(offset, len)| (unsafe { base.add(offset) }, len))
             .collect()
     }
-
-    /// Splits the cache into per-VPP ownership sets for the threaded
-    /// executor. Returns one `Vec<(ChunkId, Vec<f32>)>` per VPP; recombine
-    /// with [`RegCache::from_parts`].
-    pub fn into_parts(self, dist: &Distribution) -> Vec<Vec<(ChunkId, Vec<f32>)>> {
-        let mut parts: Vec<Vec<(ChunkId, Vec<f32>)>> =
-            vec![Vec::new(); dist.geometry().total_vpps()];
-        for i in 0..self.spans.len() {
-            let id = ChunkId(i as u32);
-            parts[dist.chunk(id).vpp].push((id, self.chunk(id).to_vec()));
-        }
-        parts
-    }
-
-    /// Rebuilds a cache from the parts produced by [`RegCache::into_parts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a part's data does not have its chunk's length.
-    pub fn from_parts(dist: &Distribution, parts: Vec<Vec<(ChunkId, Vec<f32>)>>) -> Self {
-        let mut cache = Self::new(dist);
-        for (id, data) in parts.into_iter().flatten() {
-            cache.chunk_mut(id).copy_from_slice(&data);
-        }
-        cache
-    }
 }
 
 #[cfg(test)]
@@ -375,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn parts_and_chunk_ptrs_round_trip() {
+    fn chunk_ptrs_round_trip() {
         let (m, dist) = mixed_setup();
         let mut cache = RegCache::new(&dist);
         cache.load_from_model(&m);
@@ -392,15 +366,6 @@ mod tests {
             let view = unsafe { std::slice::from_raw_parts(ptr, len) };
             assert_eq!(view, reference.chunk(ChunkId(i as u32)));
         }
-
-        let parts = cache.into_parts(&dist);
-        assert_eq!(parts.len(), dist.geometry().total_vpps());
-        for (vpp, part) in parts.iter().enumerate() {
-            assert!(part.iter().all(|(id, _)| dist.chunk(*id).vpp == vpp));
-        }
-        let rebuilt = RegCache::from_parts(&dist, parts);
-        assert_eq!(rebuilt.data, reference.data);
-        assert_eq!(rebuilt.spans, reference.spans);
     }
 
     #[test]

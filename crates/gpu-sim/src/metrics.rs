@@ -1,8 +1,8 @@
 //! Unified execution metrics shared by every execution backend.
 //!
-//! The VPPS engine backends (event-driven interpreter, threaded executor,
-//! parallel interpreter) and the baseline executors all report their device
-//! activity through one [`Metrics`] struct, so the paper's tables compare
+//! The VPPS engine backends (event-driven interpreter, lowered executor,
+//! threaded protocol checker) and the baseline executors all report their
+//! device activity through one [`Metrics`] struct, so the paper's tables compare
 //! numbers produced by identical plumbing: kernel time, DRAM traffic split
 //! by [`TrafficTag`], launch counts, the per-VPP load-imbalance histogram
 //! and accumulated barrier-stall time.

@@ -53,11 +53,11 @@ fn main() -> Result<(), vpps::VppsError> {
         );
     }
 
-    // Backend selectable per handle; all backends agree bit-for-bit.
+    // Backend selectable per handle.
     let opts = VppsOptions {
         learning_rate: 0.1,
         pool_capacity: 1 << 22,
-        backend: BackendKind::Threaded,
+        backend: BackendKind::Lowered,
         ..VppsOptions::default()
     };
     let mut handle = Handle::new(&model, DeviceConfig::titan_v(), opts)?;

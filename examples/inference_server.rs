@@ -29,12 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- phase 1: train briefly.
     let mut model = dyn_graph::Model::new(7777);
     let arch = TreeLstm::register(&mut model, vocab, dim, dim, 5);
-    // Serve with the wave-parallel interpreter: identical results to the
-    // serial backends, but request batches execute across all host cores.
+    // Serve with the lowered executor: scripts compile once per plan into
+    // cached micro-ops, so repeated request shapes skip dispatch and analysis.
     let opts = VppsOptions {
         learning_rate: 0.08,
         pool_capacity: 1 << 22,
-        backend: BackendKind::ParallelInterp,
+        backend: BackendKind::Lowered,
         ..VppsOptions::default()
     };
     let mut trainer_handle = Handle::new(&model, DeviceConfig::titan_v(), opts)?;

@@ -21,15 +21,10 @@ fn main() -> Result<(), vpps::VppsError> {
 
     // 2. Specialize the kernel for this model — paper: `vpps::handle hndl(model)`.
     //    The `backend` option picks how the simulated kernel executes on the
-    //    host: every backend produces bit-identical losses and metrics, and
-    //    the wave-parallel interpreter uses all host cores.
-    let backend = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-        BackendKind::ParallelInterp
-    } else {
-        BackendKind::default()
-    };
+    //    host: the lowered micro-op executor here, or the reference
+    //    interpreter it is checked against.
     let opts = VppsOptions {
-        backend,
+        backend: BackendKind::Lowered,
         ..VppsOptions::default()
     };
     let mut handle = Handle::new(&model, DeviceConfig::titan_v(), opts)?;

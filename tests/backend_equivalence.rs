@@ -1,11 +1,11 @@
 //! Property: every execution backend is the *same machine*. Whatever random
-//! dynamic graph the generator produces, the event-driven interpreter, the
-//! real-thread executor, the wave-parallel interpreter and the lowered
-//! micro-op executor must return bit-identical losses, bit-identical updated
+//! dynamic graph the generator produces, every selectable backend
+//! (`BackendKind::ALL`: the event-driven interpreter and the lowered micro-op
+//! executor) must return bit-identical losses, bit-identical updated
 //! parameters, and identical unified metrics (DRAM bytes per traffic class,
-//! launch counts) — except that `Threaded`, whose concurrent atomic adds
-//! land in scheduling order, matches on accumulated floats only within
-//! [`within_accumulation_tolerance`].
+//! launch counts). The protocol checker `engine::Threaded`, whose concurrent
+//! atomic adds land in scheduling order, is driven next to them and matches
+//! on accumulated floats only within [`within_accumulation_tolerance`].
 //!
 //! Reuses the graph generators from `tests/support/graphgen.rs` shared with
 //! `proptest_random_graphs.rs`, so backend agreement is tested over the same
@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use vpps::engine;
 use vpps::exec::interp::ExecConfig;
 use vpps::script::{generate, TableLayout};
-use vpps::{BackendKind, Handle, KernelPlan, RpwMode, VppsOptions};
+use vpps::{BackendKind, ExecutionBackend, Handle, KernelPlan, RpwMode, VppsOptions};
 
 #[path = "support/graphgen.rs"]
 mod graphgen;
@@ -26,7 +26,10 @@ use graphgen::{arb_recipe, build_from_recipe, small_device, GraphRecipe, DIM};
 /// Runs one recipe start-to-finish on one backend with its own fresh model,
 /// pool and device, returning the loss, the batch metrics and the updated
 /// dense parameters.
-fn run_on_backend(recipe: &GraphRecipe, kind: BackendKind) -> (f32, Metrics, Vec<u32>) {
+fn run_on_backend(
+    recipe: &GraphRecipe,
+    backend: &dyn ExecutionBackend,
+) -> (f32, Metrics, Vec<u32>) {
     let mut model = Model::new(987);
     model.add_matrix("W1", DIM, DIM);
     model.add_matrix("W2", DIM, DIM);
@@ -45,7 +48,7 @@ fn run_on_backend(recipe: &GraphRecipe, kind: BackendKind) -> (f32, Metrics, Vec
     }
     let mut gpu = GpuSim::new(small_device());
     let run = engine::run_batch(
-        kind.backend(),
+        backend,
         &plan,
         &gs,
         &mut pool,
@@ -76,44 +79,43 @@ fn within_accumulation_tolerance(a: u32, b: u32) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// All backends agree on any random graph: bit-for-bit, except
-    /// `Threaded`'s updated parameters (sums of racing atomic adds), which
-    /// agree within the accumulation tolerance.
+    /// All backends agree on any random graph: every `BackendKind`
+    /// bit-for-bit, and `Threaded` bit-for-bit except its updated parameters
+    /// (sums of racing atomic adds), which agree within the accumulation
+    /// tolerance.
     #[test]
     fn backends_agree_on_random_graphs(recipe in arb_recipe()) {
-        let (ref_loss, ref_metrics, ref_params) =
-            run_on_backend(&recipe, BackendKind::EventInterp);
-        for kind in [
-            BackendKind::Threaded,
-            BackendKind::ParallelInterp,
-            BackendKind::Lowered,
-        ] {
-            let (loss, metrics, params) = run_on_backend(&recipe, kind);
+        let (ref_loss, ref_metrics, ref_params) = run_on_backend(&recipe, &engine::EventInterp);
+        let selectable = BackendKind::ALL.map(|kind| (kind.backend(), true));
+        let checker: &dyn ExecutionBackend = &engine::Threaded;
+        for (backend, exact_params) in selectable.into_iter().chain([(checker, false)]) {
+            let name = backend.name();
+            let (loss, metrics, params) = run_on_backend(&recipe, backend);
             prop_assert_eq!(
                 loss.to_bits(), ref_loss.to_bits(),
-                "{:?} loss {} != event-interp loss {}", kind, loss, ref_loss
+                "{} loss {} != event-interp loss {}", name, loss, ref_loss
             );
             prop_assert_eq!(
                 metrics.dram.loads(TrafficTag::Weight),
                 ref_metrics.dram.loads(TrafficTag::Weight),
-                "{:?} DRAM weight bytes differ", kind
+                "{} DRAM weight bytes differ", name
             );
-            prop_assert_eq!(&metrics.dram, &ref_metrics.dram, "{:?} DRAM bytes differ", kind);
-            prop_assert_eq!(metrics.launches, ref_metrics.launches, "{:?} launches", kind);
+            prop_assert_eq!(&metrics.dram, &ref_metrics.dram, "{} DRAM bytes differ", name);
+            prop_assert_eq!(metrics.launches, ref_metrics.launches, "{} launches", name);
             prop_assert_eq!(
                 metrics.kernel_time, ref_metrics.kernel_time,
-                "{:?} modeled kernel time differs", kind
+                "{} modeled kernel time differs", name
             );
-            if kind == BackendKind::Threaded {
+            if exact_params {
+                prop_assert_eq!(&params, &ref_params, "{} updated parameters diverged", name);
+            } else {
                 prop_assert_eq!(params.len(), ref_params.len());
                 for (i, (&p, &r)) in params.iter().zip(&ref_params).enumerate() {
                     prop_assert!(
                         within_accumulation_tolerance(p, r),
-                        "Threaded: parameter {} beyond accumulation tolerance", i
+                        "{}: parameter {} beyond accumulation tolerance", name, i
                     );
                 }
-            } else {
-                prop_assert_eq!(&params, &ref_params, "{:?} updated parameters diverged", kind);
             }
         }
     }
@@ -163,41 +165,15 @@ proptest! {
     /// An armed fault injector whose rates are all zero is invisible: on
     /// every backend it produces bit-identical losses, parameters, virtual
     /// time, and metrics to a run with the injector disabled outright.
-    ///
-    /// Exception: two *independent* `Threaded` runs can legitimately differ
-    /// in final float bits regardless of the injector. For that backend the
-    /// float observables are compared under
-    /// [`within_accumulation_tolerance`]; every deterministic observable
-    /// (virtual clock, DRAM traffic, launch counts) is still compared
-    /// bit-for-bit.
     #[test]
     fn armed_rate_zero_injector_is_bit_identical_to_disabled(recipe in arb_recipe()) {
-        for kind in [
-            BackendKind::EventInterp,
-            BackendKind::Threaded,
-            BackendKind::ParallelInterp,
-            BackendKind::Lowered,
-        ] {
+        for kind in BackendKind::ALL {
             let armed =
                 run_handle_with_faults(&recipe, kind, gpu_sim::FaultConfig::uniform(7, 0.0));
             let disabled =
                 run_handle_with_faults(&recipe, kind, gpu_sim::FaultConfig::disabled());
-            if kind == BackendKind::Threaded {
-                prop_assert!(
-                    within_accumulation_tolerance(armed.0, disabled.0),
-                    "Threaded: losses beyond accumulation tolerance"
-                );
-                prop_assert_eq!(armed.1.len(), disabled.1.len());
-                for (i, (&a, &d)) in armed.1.iter().zip(&disabled.1).enumerate() {
-                    prop_assert!(
-                        within_accumulation_tolerance(a, d),
-                        "Threaded: parameter {} beyond accumulation tolerance", i
-                    );
-                }
-            } else {
-                prop_assert_eq!(armed.0, disabled.0, "{:?}: loss bits differ", kind);
-                prop_assert_eq!(&armed.1, &disabled.1, "{:?}: parameter bits differ", kind);
-            }
+            prop_assert_eq!(armed.0, disabled.0, "{:?}: loss bits differ", kind);
+            prop_assert_eq!(&armed.1, &disabled.1, "{:?}: parameter bits differ", kind);
             prop_assert_eq!(armed.2, disabled.2, "{:?}: wall-clock bits differ", kind);
             prop_assert_eq!(&armed.3.dram, &disabled.3.dram, "{:?}: DRAM bytes differ", kind);
             prop_assert_eq!(
@@ -250,34 +226,4 @@ fn lowered_matches_reference_on_real_workload() {
         serial_losses, lowered_losses,
         "lowered backend must agree bit-for-bit"
     );
-}
-
-/// On a real Tree-LSTM workload the wave-parallel interpreter matches the
-/// serial interpreter exactly, and on multi-core hosts it really does
-/// partition barrier waves across workers. (No host wall-clock comparison:
-/// on a shared two-core machine the ratio to the serial backend is noise.)
-#[test]
-fn parallel_interp_matches_and_scales() {
-    vpps_obs::set_enabled(true);
-    let waves = vpps_obs::counter("engine.waves");
-    let workers = vpps_obs::counter("engine.wave_workers");
-    let serial_losses = train_workload(BackendKind::EventInterp, 8);
-    let (waves_before, workers_before) = (waves.get(), workers.get());
-    let parallel_losses = train_workload(BackendKind::ParallelInterp, 8);
-    let waves_run = waves.get() - waves_before;
-    let workers_run = workers.get() - workers_before;
-    assert_eq!(
-        serial_losses, parallel_losses,
-        "backends must agree bit-for-bit"
-    );
-
-    assert!(waves_run > 0, "the parallel interpreter ran no wave");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores > 1 {
-        assert!(
-            workers_run > waves_run,
-            "with {cores} cores some wave must be split across workers: \
-             {workers_run} workers over {waves_run} waves"
-        );
-    }
 }

@@ -191,12 +191,12 @@ fn quarantined_plan_is_rejitted_exactly_once() {
 fn non_baseline_recovery_is_bit_identical_to_fault_free() {
     let trace = |faults: FaultConfig| -> (Vec<u32>, vpps::RecoveryStats) {
         let mut model = tiny_model();
-        // The Threaded backend gives two bit-exact rungs (Threaded, then
+        // The Lowered backend gives two bit-exact rungs (Lowered, then
         // EventInterp) before the fp-close baseline, so a moderate fault
         // rate recovers without ever leaving bit-exact territory.
         let mut handle = handle_on(
             &model,
-            BackendKind::Threaded,
+            BackendKind::Lowered,
             faults,
             RecoveryPolicy::default(),
         );

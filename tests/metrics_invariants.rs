@@ -83,42 +83,34 @@ proptest! {
         prop_assert!(metrics.dram.total_loads() > 0, "a batch always loads weights");
     }
 
-    /// With instrumentation ON, all three backends still report identical
-    /// unified metrics — the obs hooks sit outside the analytic path.
+    /// With instrumentation ON, the lowered backend still reports unified
+    /// metrics identical to the reference interpreter's — the obs hooks sit
+    /// outside the analytic path.
     #[test]
     fn backends_report_identical_metrics_under_instrumentation(recipe in arb_recipe()) {
         vpps_obs::set_enabled(true);
         let reference = run_on_backend(&recipe, BackendKind::EventInterp);
-        let outcome = [BackendKind::Threaded, BackendKind::ParallelInterp]
-            .map(|kind| run_on_backend(&recipe, kind));
+        let metrics = run_on_backend(&recipe, BackendKind::Lowered);
         vpps_obs::set_enabled(false);
-        for (kind, metrics) in [BackendKind::Threaded, BackendKind::ParallelInterp]
-            .iter()
-            .zip(outcome.iter())
-        {
-            for &tag in &TrafficTag::ALL {
-                prop_assert_eq!(
-                    metrics.dram.loads(tag), reference.dram.loads(tag),
-                    "{:?} loads[{:?}]", kind, tag
-                );
-                prop_assert_eq!(
-                    metrics.dram.stores(tag), reference.dram.stores(tag),
-                    "{:?} stores[{:?}]", kind, tag
-                );
-            }
-            prop_assert_eq!(metrics.launches, reference.launches);
+        for &tag in &TrafficTag::ALL {
+            prop_assert_eq!(metrics.dram.loads(tag), reference.dram.loads(tag), "loads[{:?}]", tag);
             prop_assert_eq!(
-                metrics.kernel_time.as_ns().to_bits(),
-                reference.kernel_time.as_ns().to_bits(),
-                "{:?} kernel_time", kind
+                metrics.dram.stores(tag), reference.dram.stores(tag),
+                "stores[{:?}]", tag
             );
-            prop_assert_eq!(
-                metrics.barrier_stall.as_ns().to_bits(),
-                reference.barrier_stall.as_ns().to_bits(),
-                "{:?} barrier_stall", kind
-            );
-            assert_dram_sums(metrics);
         }
+        prop_assert_eq!(metrics.launches, reference.launches);
+        prop_assert_eq!(
+            metrics.kernel_time.as_ns().to_bits(),
+            reference.kernel_time.as_ns().to_bits(),
+            "kernel_time"
+        );
+        prop_assert_eq!(
+            metrics.barrier_stall.as_ns().to_bits(),
+            reference.barrier_stall.as_ns().to_bits(),
+            "barrier_stall"
+        );
+        assert_dram_sums(&metrics);
     }
 
     /// A metric snapshot built from arbitrary contents survives the JSON

@@ -4,7 +4,8 @@
 
 use dyn_graph::{load_model, save_model, Graph, Model, NodeId, Trainer};
 use gpu_sim::{DeviceConfig, GpuSim};
-use vpps::exec::interp::{run_persistent_kernel_traced, ExecConfig};
+use vpps::engine::{run_batch_traced, EventInterp};
+use vpps::exec::interp::ExecConfig;
 use vpps::script::{generate, TableLayout};
 use vpps::{KernelPlan, PlanCache};
 use vpps_datasets::{Treebank, TreebankConfig};
@@ -49,7 +50,8 @@ fn kernel_cache_amortizes_jit_across_sessions() {
     let tables = TableLayout::install(&model, &mut pool).unwrap();
     let gs = generate::generate(&g, loss, &plan2, &mut pool, &tables).unwrap();
     let mut gpu = GpuSim::new(device());
-    let (run, _) = run_persistent_kernel_traced(
+    let (run, _) = run_batch_traced(
+        &EventInterp,
         &plan2,
         &gs,
         &mut pool,
@@ -120,7 +122,8 @@ fn kernel_trace_captures_the_whole_timeline() {
     let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).unwrap();
 
     let mut gpu = GpuSim::new(device());
-    let (run, trace) = run_persistent_kernel_traced(
+    let (run, trace) = run_batch_traced(
+        &EventInterp,
         &plan,
         &gs,
         &mut pool,

@@ -6,7 +6,8 @@
 use dyn_graph::{exec as refexec, Model};
 use gpu_sim::GpuSim;
 use proptest::prelude::*;
-use vpps::exec::interp::{run_persistent_kernel, ExecConfig};
+use vpps::engine::{run_batch, EventInterp};
+use vpps::exec::interp::ExecConfig;
 use vpps::script::{generate, TableLayout};
 use vpps::KernelPlan;
 use vpps_tensor::Pool;
@@ -45,7 +46,8 @@ proptest! {
             }
         }
         let mut gpu = GpuSim::new(small_device());
-        let run = run_persistent_kernel(
+        let run = run_batch(
+            &EventInterp,
             &plan,
             &gs,
             &mut pool,
@@ -83,8 +85,8 @@ proptest! {
             "generated script violates the barrier protocol"
         );
         let mut gpu = GpuSim::new(small_device());
-        let run = run_persistent_kernel(
-            &plan, &gs, &mut pool, &mut model, &mut gpu, ExecConfig::default(),
+        let run = run_batch(
+            &EventInterp, &plan, &gs, &mut pool, &mut model, &mut gpu, ExecConfig::default(),
         );
         prop_assert!(run.instructions >= g.len() - 1);
         prop_assert!(run.loss.is_finite());

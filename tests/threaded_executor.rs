@@ -1,13 +1,14 @@
-//! Cross-crate validation of the real-thread executor: the `signal`/`wait`
-//! protocol on actual atomics must reproduce the sequential interpreter's
-//! results on full benchmark models, not just synthetic graphs.
+//! Cross-crate validation of the real-thread protocol checker
+//! (`engine::Threaded`): the `signal`/`wait` protocol on actual atomics must
+//! reproduce the sequential interpreter's results on full benchmark models,
+//! not just synthetic graphs.
 
 use dyn_graph::Model;
 use gpu_sim::{DeviceConfig, GpuSim};
-use vpps::exec::interp::{run_persistent_kernel, ExecConfig};
-use vpps::exec::threaded::run_threaded;
+use vpps::engine::{run_batch, EventInterp, Threaded};
+use vpps::exec::interp::ExecConfig;
 use vpps::script::{generate, TableLayout};
-use vpps::KernelPlan;
+use vpps::{ExecutionBackend, KernelPlan};
 use vpps_datasets::{Treebank, TreebankConfig};
 use vpps_models::{build_batch, DynamicModel, Rvnn, TreeLstm};
 use vpps_tensor::Pool;
@@ -28,43 +29,36 @@ fn write_inputs(g: &dyn_graph::Graph, gs: &generate::GeneratedScript, pool: &mut
     }
 }
 
+/// Runs one training batch of `g` on `backend` from a fresh copy of `model`;
+/// returns the loss and the updated copy.
+fn run_on(
+    backend: &dyn ExecutionBackend,
+    plan: &KernelPlan,
+    g: &dyn_graph::Graph,
+    loss: dyn_graph::NodeId,
+    model: &Model,
+) -> (f32, Model) {
+    let mut model = model.clone();
+    let mut pool = Pool::with_capacity(1 << 20);
+    let tables = TableLayout::install(&model, &mut pool).unwrap();
+    let gs = generate::generate(g, loss, plan, &mut pool, &tables).unwrap();
+    write_inputs(g, &gs, &mut pool);
+    let mut gpu = GpuSim::new(small_device());
+    let cfg = ExecConfig::default();
+    let run = run_batch(backend, plan, &gs, &mut pool, &mut model, &mut gpu, cfg);
+    (run.loss, model)
+}
+
 fn check_threaded_matches_sequential<S>(arch: &impl DynamicModel<S>, model: &Model, samples: &[S]) {
     let plan = KernelPlan::build(model, &small_device(), 1).unwrap();
     let (g, loss) = build_batch(arch, model, samples);
 
-    let mut model_a = model.clone();
-    let mut pool_a = Pool::with_capacity(1 << 20);
-    let tables_a = TableLayout::install(&model_a, &mut pool_a).unwrap();
-    let gs_a = generate::generate(&g, loss, &plan, &mut pool_a, &tables_a).unwrap();
-    write_inputs(&g, &gs_a, &mut pool_a);
-    let mut gpu = GpuSim::new(small_device());
-    let seq = run_persistent_kernel(
-        &plan,
-        &gs_a,
-        &mut pool_a,
-        &mut model_a,
-        &mut gpu,
-        ExecConfig::default(),
-    );
-
-    let mut model_b = model.clone();
-    let mut pool_b = Pool::with_capacity(1 << 20);
-    let tables_b = TableLayout::install(&model_b, &mut pool_b).unwrap();
-    let gs_b = generate::generate(&g, loss, &plan, &mut pool_b, &tables_b).unwrap();
-    write_inputs(&g, &gs_b, &mut pool_b);
-    let thr = run_threaded(
-        &plan,
-        &gs_b,
-        &mut pool_b,
-        &mut model_b,
-        ExecConfig::default(),
-    );
+    let (seq, model_a) = run_on(&EventInterp, &plan, &g, loss, model);
+    let (thr, model_b) = run_on(&Threaded, &plan, &g, loss, model);
 
     assert!(
-        (seq.loss - thr).abs() < 1e-3 * (1.0 + seq.loss.abs()),
-        "sequential {} vs threaded {}",
-        seq.loss,
-        thr
+        (seq - thr).abs() < 1e-3 * (1.0 + seq.abs()),
+        "sequential {seq} vs threaded {thr}"
     );
     for ((_, pa), (_, pb)) in model_a.params().zip(model_b.params()) {
         for (x, y) in pa.value.as_slice().iter().zip(pb.value.as_slice()) {
@@ -117,21 +111,9 @@ fn threaded_is_deterministic_up_to_float_reassociation() {
     let plan = KernelPlan::build(&model, &small_device(), 1).unwrap();
     let (g, loss) = build_batch(&arch, &model, &samples);
 
-    let mut losses = Vec::new();
-    for _ in 0..3 {
-        let mut m = model.clone();
-        let mut pool = Pool::with_capacity(1 << 20);
-        let tables = TableLayout::install(&m, &mut pool).unwrap();
-        let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).unwrap();
-        write_inputs(&g, &gs, &mut pool);
-        losses.push(run_threaded(
-            &plan,
-            &gs,
-            &mut pool,
-            &mut m,
-            ExecConfig::default(),
-        ));
-    }
+    let losses: Vec<f32> = (0..3)
+        .map(|_| run_on(&Threaded, &plan, &g, loss, &model).0)
+        .collect();
     for w in losses.windows(2) {
         assert!(
             (w[0] - w[1]).abs() < 1e-4,

@@ -144,8 +144,9 @@ fn forced_strategies_agree_on_results() {
     assert!(KernelPlan::build_forced(&model, &device(), 1, GradStrategy::InRegister).is_ok());
     assert!(KernelPlan::build_forced(&model, &device(), 1, GradStrategy::GemmFallback).is_ok());
 
+    use vpps::engine::{run_batch, EventInterp};
     use vpps::exec::fallback::apply_gemm_fallback;
-    use vpps::exec::interp::{run_persistent_kernel, ExecConfig};
+    use vpps::exec::interp::ExecConfig;
     use vpps::script::{generate, TableLayout};
     use vpps_tensor::Pool;
 
@@ -164,7 +165,7 @@ fn forced_strategies_agree_on_results() {
         }
         let mut gpu = gpu_sim::GpuSim::new(device());
         let cfg = ExecConfig::default();
-        let run = run_persistent_kernel(&plan, &gs, &mut pool, &mut m, &mut gpu, cfg);
+        let run = run_batch(&EventInterp, &plan, &gs, &mut pool, &mut m, &mut gpu, cfg);
         apply_gemm_fallback(&plan, &gs.layout, &pool, &mut m, &mut gpu, cfg);
         (run.loss, m)
     };
