@@ -182,10 +182,13 @@ impl ExecutionBackend for EventInterp {
 
     fn run(&self, session: &Session<'_>, pool: &mut Pool, cache: &mut RegCache) -> RunOutcome {
         let dist = session.plan.distribution();
+        let gs = session
+            .gs
+            .expect("interpreting a session needs its scripts");
         {
             let mut ctx = SeqCtx { pool, cache };
             for &(v, ip) in &session.timeline.order {
-                let instr = &session.gs.scripts.script(v as usize)[ip as usize];
+                let instr = &gs.scripts.script(v as usize)[ip as usize];
                 execute_instr(instr, dist, &mut ctx);
             }
         }
@@ -238,7 +241,9 @@ impl ExecutionBackend for Threaded {
 
     fn run(&self, session: &Session<'_>, pool: &mut Pool, cache: &mut RegCache) -> RunOutcome {
         let dist = session.plan.distribution();
-        let gs = session.gs;
+        let gs = session
+            .gs
+            .expect("interpreting a session needs its scripts");
         let num_vpps = dist.geometry().total_vpps();
 
         let barriers: Vec<AtomicU32> = (0..gs.num_barriers).map(|_| AtomicU32::new(0)).collect();

@@ -54,11 +54,20 @@
 //! back in per run, so scripts that differ *only* in which rows they look
 //! up and which labels they pick — a serving bucket's canonical
 //! super-graphs — share one cached artifact.
+//!
+//! Finding that artifact by fingerprint still means generating the batch's
+//! scripts first. A *graph-level* index in front of the script level skips
+//! that too: it is keyed on the batch graph's structural encoding
+//! ([`Graph::dispatch_key`], which masks exactly the literals the script
+//! fingerprint masks) and yields a [`WarmBatch`] — the cached artifact plus
+//! the few things a batch otherwise reads from its [`GeneratedScript`]. The
+//! generating path stays the only producer of both.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
+use dyn_graph::{Graph, NodeId, Op};
 use gpu_sim::CostModel;
 use vpps_tensor::Pool;
 
@@ -66,7 +75,7 @@ use crate::distribute::Distribution;
 use crate::exec::kernels;
 use crate::exec::regcache::{chunk_offsets, RegCache};
 use crate::exec::semantics::{instr_cost, InstrCost};
-use crate::script::{GeneratedScript, Instr, ScriptSet};
+use crate::script::{BatchLayout, GeneratedScript, Instr, ScriptSet, TableLayout};
 #[allow(unused_imports)] // doc links
 use crate::specialize::PlanSignature;
 use crate::specialize::{KernelPlan, PlanMemo};
@@ -375,8 +384,9 @@ pub enum MicroOp {
     },
 }
 
-/// Pool `(start, len)` ranges one micro-op reads, plus the range it writes.
-type OpRanges = (Vec<(u32, u32)>, Option<(u32, u32)>);
+/// Pool `(start, len)` ranges one micro-op reads — the first `n` of the
+/// array, no op reads more than two — plus the range it writes.
+type OpRanges = (([(u32, u32); 2], usize), Option<(u32, u32)>);
 
 impl MicroOp {
     /// Mnemonic, identical to the source [`Instr::mnemonic`] string.
@@ -409,36 +419,37 @@ impl MicroOp {
     /// `(start, len)` pairs — used by the lower-time aliasing check that the
     /// raw-pointer executor relies on.
     fn ranges(&self) -> OpRanges {
+        let one = |r| ([r, (0, 0)], 1);
         match *self {
             MicroOp::MatVec {
                 x, y, len, rows, ..
-            } => (vec![(x, len)], Some((y, rows))),
+            } => (one((x, len)), Some((y, rows))),
             MicroOp::TMatVec {
                 dy, dx, len, rows, ..
-            } => (vec![(dy, rows)], Some((dx, len))),
+            } => (one((dy, rows)), Some((dx, len))),
             MicroOp::Outer {
                 x, dy, len, rows, ..
-            } => (vec![(x, len), (dy, rows)], None),
-            MicroOp::AddBias { x, y, len, .. } => (vec![(x, len)], Some((y, len))),
-            MicroOp::BiasGrad { dy, len, .. } => (vec![(dy, len)], None),
+            } => (([(x, len), (dy, rows)], 2), None),
+            MicroOp::AddBias { x, y, len, .. } => (one((x, len)), Some((y, len))),
+            MicroOp::BiasGrad { dy, len, .. } => (one((dy, len)), None),
             MicroOp::Tanh { x, y, len }
             | MicroOp::Sigmoid { x, y, len }
-            | MicroOp::Relu { x, y, len } => (vec![(x, len)], Some((y, len))),
+            | MicroOp::Relu { x, y, len } => (one((x, len)), Some((y, len))),
             MicroOp::TanhBwd { y, dy, dx, len }
             | MicroOp::SigmoidBwd { y, dy, dx, len }
-            | MicroOp::ReluBwd { y, dy, dx, len } => (vec![(y, len), (dy, len)], Some((dx, len))),
+            | MicroOp::ReluBwd { y, dy, dx, len } => (([(y, len), (dy, len)], 2), Some((dx, len))),
             MicroOp::Sub { a, b, y, len }
             | MicroOp::Add { a, b, y, len }
             | MicroOp::CwiseMult { a, b, y, len }
-            | MicroOp::MulAcc { a, b, y, len } => (vec![(a, len), (b, len)], Some((y, len))),
+            | MicroOp::MulAcc { a, b, y, len } => (([(a, len), (b, len)], 2), Some((y, len))),
             MicroOp::AccSub { x, y, len } | MicroOp::AccAdd { x, y, len } => {
-                (vec![(x, len)], Some((y, len)))
+                (one((x, len)), Some((y, len)))
             }
-            MicroOp::Copy { src, dst, len } => (vec![(src, len)], Some((dst, len))),
-            MicroOp::PickNls { x, out, len, .. } => (vec![(x, len)], Some((out, 1))),
+            MicroOp::Copy { src, dst, len } => (one((src, len)), Some((dst, len))),
+            MicroOp::PickNls { x, out, len, .. } => (one((x, len)), Some((out, 1))),
             MicroOp::PickNlsBwd {
                 x, dloss, dx, len, ..
-            } => (vec![(x, len), (dloss, 1)], Some((dx, len))),
+            } => (([(x, len), (dloss, 1)], 2), Some((dx, len))),
         }
     }
 }
@@ -758,6 +769,19 @@ pub fn lower_with(
     gs: &GeneratedScript,
     cost: &CostModel,
 ) -> LoweredScript {
+    let fingerprint = gs.scripts.structural_fingerprint(gs.persistent_floor);
+    lower_keyed(lplan, plan, gs, cost, fingerprint)
+}
+
+/// [`lower_with`] for a caller that already computed `gs`'s structural
+/// fingerprint (the cache, which keys on it).
+fn lower_keyed(
+    lplan: &LoweredPlan,
+    plan: &KernelPlan,
+    gs: &GeneratedScript,
+    cost: &CostModel,
+    fingerprint: u64,
+) -> LoweredScript {
     let _span = vpps_obs::span("engine.lower");
     let dist = plan.distribution();
     let costs = script_costs(&gs.scripts, lplan, dist);
@@ -795,17 +819,18 @@ pub fn lower_with(
                 op_index: ops.len() as u32,
             });
         }
-        let (reads, write) = op.ranges();
+        let ((reads, n), write) = op.ranges();
+        let reads = &reads[..n];
         if let Some(w) = write {
             pool_end = pool_end.max(w.0 as usize + w.1 as usize);
-            for r in &reads {
+            for r in reads {
                 assert!(
                     !overlaps(*r, w),
                     "lowering: op {op:?} writes a pool range overlapping its input"
                 );
             }
         }
-        for r in &reads {
+        for r in reads {
             pool_end = pool_end.max(r.0 as usize + r.1 as usize);
         }
         scratch_len = scratch_len.max(match op {
@@ -821,7 +846,7 @@ pub fn lower_with(
 
     LoweredScript {
         plan_id: plan.signature().plan_id(),
-        fingerprint: gs.scripts.structural_fingerprint(gs.persistent_floor),
+        fingerprint,
         num_barriers: gs.num_barriers,
         ops,
         costs,
@@ -1089,6 +1114,183 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
     }
 }
 
+/// Where a warm batch reads one [`PatchPoint`]'s literal from, without the
+/// script that carried it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PatchSource {
+    /// The pool offset of the table row this `Lookup` node copies.
+    Row(NodeId),
+    /// The gold label of this `PickNegLogSoftmax` node.
+    Label(NodeId),
+    /// A batch-invariant resident offset (the loss-seed constant).
+    Resident(u32),
+}
+
+/// What a batch needs from its [`GeneratedScript`] once the artifact is
+/// cached — a few KB instead of the scripts: the pool layout, the counts the
+/// simulated host/copy charges are computed from, the length of the batch's
+/// pool region, and the graph node (or resident constant) behind every patch
+/// point. Captured on the generating path, handed back by
+/// [`LoweredCache::lookup_graph`] to batches whose graph is structurally
+/// identical.
+#[derive(Debug)]
+pub struct WarmBatch {
+    /// The cached artifact the batch executes.
+    pub artifact: Arc<LoweredScript>,
+    /// Pool layout of the batch ([`GeneratedScript::layout`]).
+    pub layout: BatchLayout,
+    /// [`GeneratedScript::forward_instructions`].
+    pub forward_instructions: usize,
+    /// [`GeneratedScript::backward_instructions`].
+    pub backward_instructions: usize,
+    /// [`ScriptSet::encoded_bytes`] of the scripts (the H2D script copy).
+    pub encoded_bytes: usize,
+    /// Elements script generation allocated above the pool base: one
+    /// `alloc` of this length reserves (and zeroes) the same region.
+    pub pool_len: usize,
+    signal_instrs: u64,
+    wait_instrs: u64,
+    sources: Vec<PatchSource>,
+}
+
+impl WarmBatch {
+    /// Captures `gs`'s warm-path summary, attributing every patch point of
+    /// `artifact` to the node of `graph` that supplies its literal. `None`
+    /// when a patch point has no such node or the attributed literals differ
+    /// from the ones `gs` carries — the batch then simply stays on the
+    /// generating path.
+    fn capture(
+        artifact: &Arc<LoweredScript>,
+        gs: &GeneratedScript,
+        graph: &Graph,
+        tables: &TableLayout,
+        pool_len: usize,
+    ) -> Option<Self> {
+        // Every node owns a distinct value (and, training, derivative)
+        // allocation, so an instruction's destination names its node.
+        let mut lookup_at: HashMap<u32, NodeId> = HashMap::new();
+        let mut pick_at: HashMap<u32, NodeId> = HashMap::new();
+        for (id, node) in graph.iter() {
+            match node.op {
+                Op::Lookup { .. } => {
+                    lookup_at.insert(gs.layout.value_off[id.index()].raw(), id);
+                }
+                Op::PickNegLogSoftmax { .. } => {
+                    pick_at.insert(gs.layout.value_off[id.index()].raw(), id);
+                    pick_at.insert(gs.layout.deriv_off[id.index()].raw(), id);
+                }
+                _ => {}
+            }
+        }
+        let sources = artifact
+            .patch_points
+            .iter()
+            .map(|p| {
+                Some(match gs.scripts.script(p.vpp as usize)[p.ip as usize] {
+                    Instr::Copy { src, .. } if src == tables.const_one() => {
+                        PatchSource::Resident(src.raw())
+                    }
+                    Instr::Copy { dst, .. } => PatchSource::Row(*lookup_at.get(&dst.raw())?),
+                    Instr::PickNls { out, .. } => PatchSource::Label(*pick_at.get(&out.raw())?),
+                    Instr::PickNlsBwd { dloss, .. } => {
+                        PatchSource::Label(*pick_at.get(&dloss.raw())?)
+                    }
+                    _ => return None,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let (mut signal_instrs, mut wait_instrs) = (0u64, 0u64);
+        for v in 0..gs.scripts.num_vpps() {
+            for instr in gs.scripts.script(v) {
+                match instr {
+                    Instr::Signal { .. } => signal_instrs += 1,
+                    Instr::Wait { .. } => wait_instrs += 1,
+                    _ => {}
+                }
+            }
+        }
+        let warm = Self {
+            artifact: Arc::clone(artifact),
+            layout: gs.layout.clone(),
+            forward_instructions: gs.forward_instructions,
+            backward_instructions: gs.backward_instructions,
+            encoded_bytes: gs.scripts.encoded_bytes(),
+            pool_len,
+            signal_instrs,
+            wait_instrs,
+            sources,
+        };
+        (warm.patches(graph, tables) == artifact.extract_patches(gs)).then_some(warm)
+    }
+
+    /// This batch's patch vector, read straight from `graph` — equal to
+    /// [`LoweredScript::extract_patches`] on the scripts `graph` would
+    /// generate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not structurally identical to the graph this
+    /// summary was captured from ([`LoweredCache::lookup_graph`] only
+    /// returns it to graphs that are).
+    pub fn patches(&self, graph: &Graph, tables: &TableLayout) -> Vec<u32> {
+        self.sources
+            .iter()
+            .map(|source| match *source {
+                PatchSource::Resident(offset) => offset,
+                PatchSource::Row(n) => match graph.node(n).op {
+                    Op::Lookup { table, index } => tables.row_offset(table, index).raw(),
+                    ref op => panic!("patch source {n} is {op:?}, not a lookup"),
+                },
+                PatchSource::Label(n) => match graph.node(n).op {
+                    Op::PickNegLogSoftmax { label } => label as u32,
+                    ref op => panic!("patch source {n} is {op:?}, not a pick"),
+                },
+            })
+            .collect()
+    }
+
+    /// Adds to the `script.*` obs counters what generating this batch's
+    /// scripts would have added, so a snapshot reads the same with and
+    /// without the shortcut.
+    pub fn replay_generate_obs(&self) {
+        if !vpps_obs::enabled() {
+            return;
+        }
+        vpps_obs::counter("script.instructions")
+            .add((self.forward_instructions + self.backward_instructions) as u64);
+        vpps_obs::counter("script.barriers").add(u64::from(self.artifact.num_barriers));
+        vpps_obs::counter("script.signal_instrs").add(self.signal_instrs);
+        vpps_obs::counter("script.wait_instrs").add(self.wait_instrs);
+    }
+}
+
+/// Graph-level key of one dispatch, handed out by a missed
+/// [`LoweredCache::lookup_graph`] and taken back by
+/// [`LoweredCache::install_graph`].
+#[derive(Debug)]
+pub struct GraphKey {
+    hash: u64,
+    words: Box<[u32]>,
+}
+
+#[derive(Debug)]
+struct GraphEntry {
+    /// The full key the entry was installed under; a lookup is a hit only
+    /// when this compares equal, never on the 64-bit hash alone.
+    words: Box<[u32]>,
+    /// The script-level entry `warm.artifact` lives under.
+    script_key: (u64, u64),
+    warm: Arc<WarmBatch>,
+}
+
+/// Word-wise FNV-1a: the graph index's bucket hash (equality of the key
+/// words decides a hit, so this only has to spread).
+fn hash_words(words: &[u32]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &w| {
+        (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Cache-hit/miss tallies of a [`LoweredCache`], independent of whether
 /// observability is enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1109,6 +1311,22 @@ pub struct LoweredCacheStats {
     pub script_re_misses: u64,
     /// Scripts evicted, by FIFO capacity pressure or plan quarantine.
     pub script_evictions: u64,
+    /// The subset of `script_hits` served by the graph-level index, i.e.
+    /// without generating the batch's scripts.
+    pub graph_hits: u64,
+}
+
+impl std::ops::AddAssign for LoweredCacheStats {
+    fn add_assign(&mut self, other: Self) {
+        self.plan_hits += other.plan_hits;
+        self.plan_misses += other.plan_misses;
+        self.plan_re_misses += other.plan_re_misses;
+        self.script_hits += other.script_hits;
+        self.script_misses += other.script_misses;
+        self.script_re_misses += other.script_re_misses;
+        self.script_evictions += other.script_evictions;
+        self.graph_hits += other.graph_hits;
+    }
 }
 
 /// Two-level cache of lowered artifacts, owned by warm paths
@@ -1121,17 +1339,36 @@ pub struct LoweredCacheStats {
 /// `lower.script.cache_miss` / `lower.script.cache_re_miss`. Time spent
 /// lowering accumulates in the `lower.ns` counter and lowered micro-ops per
 /// mnemonic in `lower.ops.<mnemonic>`.
+///
+/// In front of level 2 sits a *graph-level* index: `(plan id, pool base,
+/// train|infer, root, structural graph encoding)` → the [`WarmBatch`] of an
+/// artifact level 2 still holds, so a batch whose graph was seen before
+/// finds its artifact without generating its scripts
+/// ([`LoweredCache::lookup_graph`]). An index entry never outlives its
+/// artifact — FIFO eviction and [`LoweredCache::invalidate_plan`] drop both
+/// together — so a graph-level hit is always a batch level 2 would have hit
+/// too, and is counted as one (`lower.script.cache_hit` plus
+/// `lower.graph.cache_hit`). The index assumes one [`TableLayout`] per
+/// cache, which holds for the [`crate::Handle`] that owns both.
 #[derive(Debug)]
 pub struct LoweredCache {
     plans: PlanMemo<LoweredPlan>,
     scripts: HashMap<(u64, u64), Arc<LoweredScript>>,
     fifo: VecDeque<(u64, u64)>,
     seen_scripts: HashSet<(u64, u64)>,
+    /// Graph-level index, by [`hash_words`] of the key words.
+    graphs: HashMap<u64, GraphEntry>,
+    /// Scratch for the key words of the lookup in progress.
+    key_words: Vec<u32>,
     capacity: usize,
+    /// Bound on `graphs`: `capacity`, or zero for the always-generating
+    /// reference cache.
+    graph_capacity: usize,
     script_hits: u64,
     script_misses: u64,
     script_re_misses: u64,
     script_evictions: u64,
+    graph_hits: u64,
 }
 
 /// Lowered scripts kept per handle before FIFO eviction; plans are never
@@ -1152,11 +1389,112 @@ impl LoweredCache {
             scripts: HashMap::new(),
             fifo: VecDeque::new(),
             seen_scripts: HashSet::new(),
+            graphs: HashMap::new(),
+            key_words: Vec::new(),
             capacity: capacity.max(1),
+            graph_capacity: capacity.max(1),
             script_hits: 0,
             script_misses: 0,
             script_re_misses: 0,
             script_evictions: 0,
+            graph_hits: 0,
+        }
+    }
+
+    /// Test reference: a cache whose graph-level index stays empty, so every
+    /// dispatch through it generates its scripts and takes the script-level
+    /// path — what the index is checked against, bit for bit.
+    #[doc(hidden)]
+    pub fn without_graph_index(capacity: usize) -> Self {
+        Self {
+            graph_capacity: 0,
+            ..Self::with_capacity(capacity)
+        }
+    }
+
+    /// Looks `graph`'s dispatch up in the graph-level index: the warm-path
+    /// summary of a cached artifact when a structurally identical graph was
+    /// dispatched before (same plan, same pool base, same root, same
+    /// train|infer), otherwise the key to [`LoweredCache::install_graph`]
+    /// the batch under once its scripts are generated and lowered.
+    ///
+    /// A hit is not counted here but by [`LoweredCache::note_graph_hit`],
+    /// which the caller invokes where it would have called
+    /// [`LoweredCache::get_or_lower`] — an attempt that faults before that
+    /// point counts nothing on either path.
+    pub fn lookup_graph(
+        &mut self,
+        plan: &KernelPlan,
+        graph: &Graph,
+        root: NodeId,
+        train: bool,
+        pool_base: usize,
+    ) -> Result<Arc<WarmBatch>, GraphKey> {
+        let plan_id = plan.signature().plan_id();
+        self.key_words.clear();
+        self.key_words.push(plan_id as u32);
+        self.key_words.push((plan_id >> 32) as u32);
+        self.key_words
+            .push(u32::try_from(pool_base).expect("pool offsets are 4-byte"));
+        graph.dispatch_key(root, train, &mut self.key_words);
+        let hash = hash_words(&self.key_words);
+        match self.graphs.get(&hash) {
+            Some(entry) if *entry.words == *self.key_words => Ok(Arc::clone(&entry.warm)),
+            _ => Err(GraphKey {
+                hash,
+                words: self.key_words.as_slice().into(),
+            }),
+        }
+    }
+
+    /// Counts one batch served from the graph-level index exactly as
+    /// [`LoweredCache::get_or_lower`] counts the script-level hit it stands
+    /// in for (plan memo included), plus `graph_hits` /
+    /// `lower.graph.cache_hit`.
+    pub fn note_graph_hit(&mut self, plan: &KernelPlan) {
+        self.plans
+            .get_or_insert_with(plan.signature(), || LoweredPlan::build(plan));
+        self.script_hits += 1;
+        self.graph_hits += 1;
+        vpps_obs::counter("lower.script.cache_hit").incr();
+        vpps_obs::counter("lower.graph.cache_hit").incr();
+    }
+
+    /// Indexes `graph`'s dispatch under `key` (from the missed
+    /// [`LoweredCache::lookup_graph`]): `artifact` is what
+    /// [`LoweredCache::get_or_lower`] returned for `gs`, the scripts
+    /// generated from `graph`, and `pool_len` the pool elements generating
+    /// them allocated. Skipped when the artifact is no longer cached, when
+    /// the index is full (it holds as many entries as the script level holds
+    /// scripts), or when a patch point cannot be attributed to a graph node;
+    /// the dispatch then keeps generating.
+    pub fn install_graph(
+        &mut self,
+        key: GraphKey,
+        artifact: &Arc<LoweredScript>,
+        gs: &GeneratedScript,
+        graph: &Graph,
+        tables: &TableLayout,
+        pool_len: usize,
+    ) {
+        let script_key = (artifact.plan_id, artifact.fingerprint);
+        let cached = self
+            .scripts
+            .get(&script_key)
+            .is_some_and(|a| Arc::ptr_eq(a, artifact));
+        let replaces = self.graphs.contains_key(&key.hash);
+        if !cached || (!replaces && self.graphs.len() >= self.graph_capacity) {
+            return;
+        }
+        if let Some(warm) = WarmBatch::capture(artifact, gs, graph, tables, pool_len) {
+            self.graphs.insert(
+                key.hash,
+                GraphEntry {
+                    words: key.words,
+                    script_key,
+                    warm: Arc::new(warm),
+                },
+            );
         }
     }
 
@@ -1186,7 +1524,7 @@ impl LoweredCache {
             self.script_re_misses += 1;
             vpps_obs::counter("lower.script.cache_re_miss").incr();
         }
-        let art = Arc::new(lower_with(&lplan, plan, gs, cost));
+        let art = Arc::new(lower_keyed(&lplan, plan, gs, cost, key.1));
         if vpps_obs::enabled() {
             vpps_obs::counter("lower.ns").add(t0.elapsed().as_nanos() as u64);
             for (mnemonic, n) in &art.costs.instr_mix {
@@ -1196,6 +1534,7 @@ impl LoweredCache {
         if self.scripts.len() == self.capacity {
             if let Some(old) = self.fifo.pop_front() {
                 self.scripts.remove(&old);
+                self.graphs.retain(|_, e| e.script_key != old);
                 self.script_evictions += 1;
                 vpps_obs::counter("lower.script.cache_evict").incr();
             }
@@ -1216,21 +1555,24 @@ impl LoweredCache {
             script_misses: self.script_misses,
             script_re_misses: self.script_re_misses,
             script_evictions: self.script_evictions,
+            graph_hits: self.graph_hits,
         }
     }
 
     /// Quarantines one plan: evicts its [`LoweredPlan`] memo entry *and*
-    /// every cached [`LoweredScript`] lowered from it, in one step, so the
-    /// two levels can never disagree about a plan the recovery layer has
-    /// condemned. Returns the number of scripts evicted. The next
-    /// [`LoweredCache::get_or_lower`] for this plan re-lowers from scratch
-    /// and is counted as a plan-level *re-miss* (`lower.cache_re_miss`) —
-    /// the monitored invariant that plan entries only vanish on purpose.
+    /// every cached [`LoweredScript`] lowered from it (with the graph-level
+    /// entries pointing at them), in one step, so the levels can never
+    /// disagree about a plan the recovery layer has condemned. Returns the
+    /// number of scripts evicted. The next [`LoweredCache::get_or_lower`] for
+    /// this plan re-lowers from scratch and is counted as a plan-level
+    /// *re-miss* (`lower.cache_re_miss`) — the monitored invariant that plan
+    /// entries only vanish on purpose.
     pub fn invalidate_plan(&mut self, plan_id: u64) -> usize {
         self.plans.remove(plan_id);
         let before = self.scripts.len();
         self.scripts.retain(|&(pid, _), _| pid != plan_id);
         self.fifo.retain(|&(pid, _)| pid != plan_id);
+        self.graphs.retain(|_, e| e.script_key.0 != plan_id);
         let evicted = before - self.scripts.len();
         if evicted > 0 {
             self.script_evictions += evicted as u64;
@@ -1284,5 +1626,176 @@ impl super::ExecutionBackend for Lowered {
         execute(art, &session.patches, pool, cache);
         let loss = pool.slice(session.loss_offset(), 1)[0];
         session.outcome(loss)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::script::generate;
+    use dyn_graph::Model;
+    use gpu_sim::{DeviceConfig, GpuSim};
+
+    struct Fixture {
+        model: Model,
+        plan: KernelPlan,
+        pool: Pool,
+        tables: TableLayout,
+        gpu: GpuSim,
+        cache: LoweredCache,
+    }
+
+    fn fixture() -> Fixture {
+        let mut device = DeviceConfig::titan_v();
+        device.num_sms = 3;
+        let mut model = Model::new(11);
+        model.add_lookup("E", 9, 12);
+        model.add_matrix("W", 12, 12);
+        let plan = KernelPlan::build(&model, &device, 1).expect("tiny model fits");
+        let mut pool = Pool::with_capacity(1 << 16);
+        let tables = TableLayout::install(&model, &mut pool).expect("pool big enough");
+        Fixture {
+            model,
+            plan,
+            pool,
+            tables,
+            gpu: GpuSim::new(device),
+            cache: LoweredCache::default(),
+        }
+    }
+
+    /// `steps` matvec+tanh layers over row `row`, picked at `label`.
+    fn chain(model: &Model, steps: usize, row: usize, label: usize) -> (Graph, NodeId) {
+        let table = model.lookups().next().expect("one table").0;
+        let w = model.params().next().expect("one matrix").0;
+        let mut g = Graph::new();
+        let mut h = g.lookup(model, table, row);
+        for _ in 0..steps {
+            let z = g.matvec(model, w, h);
+            h = g.tanh(z);
+        }
+        let loss = g.pick_neg_log_softmax(h, label);
+        (g, loss)
+    }
+
+    impl Fixture {
+        /// One training dispatch the way `Handle::attempt` drives the cache;
+        /// returns whether the graph-level index served it.
+        fn dispatch(&mut self, graph: &Graph, root: NodeId) -> bool {
+            self.pool.reset();
+            let base = self.pool.used();
+            match self.cache.lookup_graph(&self.plan, graph, root, true, base) {
+                Ok(_) => {
+                    self.cache.note_graph_hit(&self.plan);
+                    true
+                }
+                Err(key) => {
+                    let gs =
+                        generate::generate(graph, root, &self.plan, &mut self.pool, &self.tables)
+                            .expect("fits");
+                    let art = self
+                        .cache
+                        .get_or_lower(&self.plan, &gs, self.gpu.cost_model());
+                    let pool_len = self.pool.used() - base;
+                    self.cache
+                        .install_graph(key, &art, &gs, graph, &self.tables, pool_len);
+                    false
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn graph_hit_reads_patches_from_the_graph() {
+        let mut f = fixture();
+        let (a, root) = chain(&f.model, 2, 1, 0);
+        assert!(!f.dispatch(&a, root), "first dispatch generates");
+        // Same structure, other row and label: a hit whose patch vector is
+        // what generating the scripts and extracting from them would give.
+        let (b, root_b) = chain(&f.model, 2, 7, 3);
+        f.pool.reset();
+        let base = f.pool.used();
+        let warm = f
+            .cache
+            .lookup_graph(&f.plan, &b, root_b, true, base)
+            .expect("structurally identical graph hits");
+        let gs = generate::generate(&b, root_b, &f.plan, &mut f.pool, &f.tables).expect("fits");
+        assert_eq!(
+            warm.patches(&b, &f.tables),
+            warm.artifact.extract_patches(&gs)
+        );
+        assert_eq!(warm.pool_len, f.pool.used() - base);
+        assert_eq!(warm.encoded_bytes, gs.scripts.encoded_bytes());
+        assert!(f.dispatch(&b, root_b));
+        let stats = f.cache.stats();
+        assert_eq!((stats.script_misses, stats.script_hits), (1, 1));
+        assert_eq!(stats.graph_hits, 1);
+        assert_eq!((stats.plan_misses, stats.plan_hits), (1, 1));
+    }
+
+    #[test]
+    fn forged_equal_hash_with_different_encoding_is_a_miss() {
+        let mut f = fixture();
+        let (a, root_a) = chain(&f.model, 2, 1, 0);
+        let (b, root_b) = chain(&f.model, 3, 1, 0);
+        assert!(!f.dispatch(&a, root_a));
+        f.pool.reset();
+        let base = f.pool.used();
+        let key_b = f
+            .cache
+            .lookup_graph(&f.plan, &b, root_b, true, base)
+            .expect_err("b was never dispatched");
+        // Forge a 64-bit collision: file a's entry under b's hash.
+        let (_, entry) = f.cache.graphs.drain().next().expect("a's entry");
+        f.cache.graphs.insert(key_b.hash, entry);
+        let again = f
+            .cache
+            .lookup_graph(&f.plan, &b, root_b, true, base)
+            .expect_err("equal hash, different encoding: a miss, never a's script");
+        assert_eq!(again.hash, key_b.hash);
+        // The miss path then lowers b and takes the slot over.
+        assert!(!f.dispatch(&b, root_b));
+        assert!(f.dispatch(&b, root_b));
+        assert_eq!(f.cache.stats().script_misses, 2);
+    }
+
+    #[test]
+    fn invalidate_plan_drops_graph_entries_with_their_scripts() {
+        let mut f = fixture();
+        let (a, root_a) = chain(&f.model, 2, 1, 0);
+        let (b, root_b) = chain(&f.model, 3, 1, 0);
+        assert!(!f.dispatch(&a, root_a));
+        assert!(!f.dispatch(&b, root_b));
+        assert!(f.dispatch(&a, root_a));
+        assert_eq!(f.cache.graphs.len(), 2);
+
+        let plan_id = f.plan.signature().plan_id();
+        assert_eq!(f.cache.invalidate_plan(plan_id), 2);
+        assert!(f.cache.graphs.is_empty(), "no entry outlives its artifact");
+        assert!(!f.dispatch(&a, root_a), "a quarantined plan re-generates");
+        let stats = f.cache.stats();
+        assert_eq!(stats.script_re_misses, 1);
+        assert_eq!(stats.plan_re_misses, 1);
+    }
+
+    #[test]
+    fn fifo_eviction_drops_the_graph_entry_of_the_evicted_script() {
+        let mut f = fixture();
+        f.cache = LoweredCache::with_capacity(2);
+        let graphs: Vec<_> = (1..=3).map(|steps| chain(&f.model, steps, 1, 0)).collect();
+        for (g, root) in &graphs {
+            assert!(!f.dispatch(g, *root));
+        }
+        assert_eq!(f.cache.len(), 2);
+        assert_eq!(f.cache.graphs.len(), 2);
+        // The first graph's script was the FIFO head: it misses (and
+        // re-installs, evicting the second); the third still hits.
+        assert!(f.dispatch(&graphs[2].0, graphs[2].1));
+        assert!(!f.dispatch(&graphs[0].0, graphs[0].1));
+        assert!(f.dispatch(&graphs[0].0, graphs[0].1));
+        assert!(!f.dispatch(&graphs[1].0, graphs[1].1));
+        let stats = f.cache.stats();
+        assert_eq!(stats.script_re_misses, 2);
+        assert_eq!(stats.script_evictions, 3);
     }
 }

@@ -45,12 +45,13 @@ use vpps_obs::SimTrace;
 
 use crate::exec::interp::ExecConfig;
 use crate::exec::regcache::RegCache;
-use crate::script::GeneratedScript;
+use crate::script::{BatchLayout, GeneratedScript};
 use crate::specialize::{GradStrategy, KernelPlan};
 
 pub use backends::{EventInterp, Threaded};
 pub use lowered::{
     Lowered, LoweredCache, LoweredCacheStats, LoweredPlan, LoweredScript, MicroOp, PatchPoint,
+    WarmBatch,
 };
 pub use recovery::{RecoveryPolicy, RecoveryStats};
 pub use timeline::{ScriptCosts, TimelineReport};
@@ -106,8 +107,12 @@ impl FromStr for BackendKind {
 pub struct Session<'a> {
     /// The specialized kernel plan (register distribution, grad strategy).
     pub plan: &'a KernelPlan,
-    /// The batch's generated scripts and pool layout.
-    pub gs: &'a GeneratedScript,
+    /// The batch's generated scripts. `None` for a [`Session::from_warm`]
+    /// session, which never generated them: only the [`Lowered`] backend,
+    /// which executes the artifact, can run such a session.
+    pub gs: Option<&'a GeneratedScript>,
+    /// The batch's pool layout.
+    pub layout: &'a BatchLayout,
     /// Training hyper-parameters for the epilogue.
     pub cfg: ExecConfig,
     /// Event-driven schedule of the script phase (shared with the lowered
@@ -142,7 +147,15 @@ impl<'a> Session<'a> {
         let _span = vpps_obs::span("engine.prepare");
         let timeline = timeline::analyze(plan, gs, cost, trace);
         timeline.record_obs(gs.num_barriers);
-        Self::assemble(plan, gs, cfg, cost, Arc::new(timeline), None)
+        Self::assemble(
+            plan,
+            Some(gs),
+            &gs.layout,
+            cfg,
+            cost,
+            Arc::new(timeline),
+            None,
+        )
     }
 
     /// Builds a session around an already-lowered artifact: the cached
@@ -160,10 +173,42 @@ impl<'a> Session<'a> {
         artifact: Arc<LoweredScript>,
     ) -> Self {
         let _span = vpps_obs::span("engine.prepare");
+        let patches = artifact.extract_patches(gs);
+        Self::around_artifact(plan, Some(gs), &gs.layout, cfg, cost, artifact, patches)
+    }
+
+    /// [`Session::from_lowered`] for a batch that skipped script generation:
+    /// layout and artifact come from the graph-level cache's [`WarmBatch`],
+    /// and `patches` ([`WarmBatch::patches`]) from the batch graph itself.
+    /// Metrics and per-run obs are those of the generating path, since both
+    /// derive from the artifact's timeline and the layout alone.
+    pub fn from_warm(
+        plan: &'a KernelPlan,
+        warm: &'a WarmBatch,
+        cfg: ExecConfig,
+        cost: &CostModel,
+        patches: Vec<u32>,
+    ) -> Self {
+        let _span = vpps_obs::span("engine.prepare");
+        let artifact = Arc::clone(&warm.artifact);
+        Self::around_artifact(plan, None, &warm.layout, cfg, cost, artifact, patches)
+    }
+
+    /// The prepare step shared by the two artifact-backed constructors
+    /// (inside their `engine.prepare` span): reuse the artifact's timeline,
+    /// record the per-run obs, assemble.
+    fn around_artifact(
+        plan: &'a KernelPlan,
+        gs: Option<&'a GeneratedScript>,
+        layout: &'a BatchLayout,
+        cfg: ExecConfig,
+        cost: &CostModel,
+        artifact: Arc<LoweredScript>,
+        patches: Vec<u32>,
+    ) -> Self {
         let timeline = Arc::clone(&artifact.timeline);
         timeline.record_obs(artifact.num_barriers);
-        let patches = artifact.extract_patches(gs);
-        let mut session = Self::assemble(plan, gs, cfg, cost, timeline, Some(artifact));
+        let mut session = Self::assemble(plan, gs, layout, cfg, cost, timeline, Some(artifact));
         session.patches = patches;
         session
     }
@@ -174,7 +219,8 @@ impl<'a> Session<'a> {
     /// timeline.
     fn assemble(
         plan: &'a KernelPlan,
-        gs: &'a GeneratedScript,
+        gs: Option<&'a GeneratedScript>,
+        layout: &'a BatchLayout,
         cfg: ExecConfig,
         cost: &CostModel,
         timeline: Arc<TimelineReport>,
@@ -190,7 +236,7 @@ impl<'a> Session<'a> {
         let weight_bytes = plan.prologue_weight_bytes();
         metrics.dram.record_load(TrafficTag::Weight, weight_bytes);
         let mut body_time = cost.dram_time(weight_bytes, all_sms);
-        let deriv_bytes = (gs.layout.deriv_len * 4) as u64;
+        let deriv_bytes = (layout.deriv_len * 4) as u64;
         metrics
             .dram
             .record_store(TrafficTag::Activation, deriv_bytes);
@@ -225,6 +271,7 @@ impl<'a> Session<'a> {
         Session {
             plan,
             gs,
+            layout,
             cfg,
             timeline,
             metrics,
@@ -235,7 +282,7 @@ impl<'a> Session<'a> {
 
     /// Pool offset of the scalar loss value.
     pub fn loss_offset(&self) -> PoolOffset {
-        self.gs.layout.value_off[self.gs.layout.loss.index()]
+        self.layout.value_off[self.layout.loss.index()]
     }
 
     /// Packages a finished run.

@@ -17,6 +17,7 @@
 //! device-bound at small batches, host-bound at large ones.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use dyn_graph::{Graph, Model, NodeId, Op, Trainer};
 use gpu_sim::{
@@ -31,7 +32,7 @@ use crate::error::VppsError;
 use crate::exec::fallback::apply_gemm_fallback;
 use crate::exec::interp::ExecConfig;
 use crate::exec::regcache::RegCache;
-use crate::script::{generate, TableLayout};
+use crate::script::{generate, BatchLayout, TableLayout};
 use crate::specialize::{JitCost, KernelPlan};
 
 /// Rows-per-warp selection policy.
@@ -315,10 +316,45 @@ struct AttemptTimes {
     copy: SimTime,
 }
 
+/// What an attempt's host preparation produced: freshly generated scripts,
+/// or — when the lowered cache already knows the batch's graph — the cached
+/// summary that stands in for them.
+enum Prepared {
+    Generated(generate::GeneratedScript),
+    Warm(Arc<engine::WarmBatch>),
+}
+
+impl Prepared {
+    fn layout(&self) -> &BatchLayout {
+        match self {
+            Prepared::Generated(gs) => &gs.layout,
+            Prepared::Warm(warm) => &warm.layout,
+        }
+    }
+
+    /// `(forward instructions, backward instructions, encoded script bytes)`
+    /// — what the simulated host-scheduling and script-copy times are
+    /// charged from.
+    fn script_counts(&self) -> (usize, usize, usize) {
+        match self {
+            Prepared::Generated(gs) => (
+                gs.forward_instructions,
+                gs.backward_instructions,
+                gs.scripts.encoded_bytes(),
+            ),
+            Prepared::Warm(warm) => (
+                warm.forward_instructions,
+                warm.backward_instructions,
+                warm.encoded_bytes,
+            ),
+        }
+    }
+}
+
 /// One successful attempt's products.
 struct AttemptOk {
     run: engine::RunOutcome,
-    gs: generate::GeneratedScript,
+    prepared: Prepared,
     kernel_total: SimTime,
 }
 
@@ -505,7 +541,7 @@ impl Handle {
                 let fb_before = self.gpu.now();
                 apply_gemm_fallback(
                     &self.plans[self.active],
-                    &ok.gs.layout,
+                    ok.prepared.layout(),
                     &self.pool,
                     model,
                     &mut self.gpu,
@@ -514,7 +550,7 @@ impl Handle {
                 let fallback_total = self.gpu.now() - fb_before;
 
                 // --- lookup-table gradients (sparse, outside the cached set).
-                self.apply_lookup_updates(model, graph, &ok.gs);
+                self.apply_lookup_updates(model, graph, ok.prepared.layout());
                 (ok.run.loss, ok.kernel_total, fallback_total)
             }
             None => {
@@ -656,10 +692,12 @@ impl Handle {
         }
     }
 
-    /// One end-to-end attempt: host prep (script generation + transfers),
-    /// fault draws in fixed order (transfer, launch, hang, dram), and the
-    /// kernel run. Host and copy times accumulate into `times` whether or
-    /// not the attempt survives.
+    /// One end-to-end attempt: host prep (script generation — or, on the
+    /// lowered backend, a graph-keyed cache hit that stands in for it — and
+    /// transfers), fault draws in fixed order (transfer, launch, hang, dram),
+    /// and the kernel run. Host and copy times accumulate into `times`
+    /// whether or not the attempt survives; a cache hit charges the times of
+    /// the scripts it did not generate, from their cached counts.
     fn attempt(
         &mut self,
         model: &mut Model,
@@ -671,14 +709,46 @@ impl Handle {
     ) -> Result<AttemptOk, VppsError> {
         let plan = &self.plans[self.active];
         self.pool.reset();
-        let gs = if train {
-            generate::generate(graph, root, plan, &mut self.pool, &self.tables)?
-        } else {
-            generate::generate_forward_only(graph, root, plan, &mut self.pool, &self.tables)?
+        let pool_base = self.pool.used();
+        // The lowered backend first asks its cache for the graph: a batch
+        // structurally identical to an earlier one reserves the same pool
+        // region with one allocation and skips script generation. Every
+        // other backend (and every miss) generates.
+        let lookup = (backend == BackendKind::Lowered).then(|| {
+            self.lowered
+                .lookup_graph(plan, graph, root, train, pool_base)
+        });
+        let (prepared, graph_key) = match lookup {
+            Some(Ok(warm)) => {
+                self.pool
+                    .alloc(warm.pool_len)
+                    .map_err(|_| VppsError::PoolExhausted {
+                        requested: warm.pool_len,
+                        capacity: self.pool.capacity(),
+                    })?;
+                warm.replay_generate_obs();
+                (Prepared::Warm(warm), None)
+            }
+            miss => {
+                let gs = if train {
+                    generate::generate(graph, root, plan, &mut self.pool, &self.tables)?
+                } else {
+                    generate::generate_forward_only(
+                        graph,
+                        root,
+                        plan,
+                        &mut self.pool,
+                        &self.tables,
+                    )?
+                };
+                (Prepared::Generated(gs), miss.and_then(Result::err))
+            }
         };
-        times.fwd += self.host.schedule(graph.len(), gs.forward_instructions);
+        let pool_len = self.pool.used() - pool_base;
+        let (forward_instructions, backward_instructions, script_bytes) = prepared.script_counts();
+        times.fwd += self.host.schedule(graph.len(), forward_instructions);
         if train {
-            times.bwd += self.host.schedule(graph.len(), gs.backward_instructions);
+            times.bwd += self.host.schedule(graph.len(), backward_instructions);
         }
 
         // --- input + script transfer.
@@ -686,7 +756,7 @@ impl Handle {
         for (id, node) in graph.iter() {
             if let Op::Input { values } = &node.op {
                 self.pool
-                    .slice_mut(gs.layout.value_off[id.index()], node.dim)
+                    .slice_mut(prepared.layout().value_off[id.index()], node.dim)
                     .copy_from_slice(values);
                 input_bytes += (node.dim * 4) as u64;
             }
@@ -694,9 +764,7 @@ impl Handle {
         if input_bytes > 0 {
             times.copy += self.gpu.h2d_copy(input_bytes, TrafficTag::Activation);
         }
-        times.copy += self
-            .gpu
-            .h2d_copy(gs.scripts.encoded_bytes() as u64, TrafficTag::Script);
+        times.copy += self.gpu.h2d_copy(script_bytes as u64, TrafficTag::Script);
 
         // --- fault draws, in fixed order so the stream is stable.
         if draw_fault(
@@ -726,13 +794,25 @@ impl Handle {
         // Prepare first: the session's analytic body time arms the watchdog.
         // The lowered backend goes through the handle's artifact cache so
         // repeated shapes skip lowering *and* the timeline sweep entirely.
-        let session = if backend == BackendKind::Lowered {
-            let art = self.lowered.get_or_lower(plan, &gs, self.gpu.cost_model());
-            engine::Session::from_lowered(plan, &gs, cfg, self.gpu.cost_model(), art)
-        } else {
-            backend
-                .backend()
-                .prepare(plan, &gs, cfg, self.gpu.cost_model())
+        let session = match &prepared {
+            Prepared::Warm(warm) => {
+                self.lowered.note_graph_hit(plan);
+                let patches = warm.patches(graph, &self.tables);
+                engine::Session::from_warm(plan, warm, cfg, self.gpu.cost_model(), patches)
+            }
+            Prepared::Generated(gs) if backend == BackendKind::Lowered => {
+                let art = self.lowered.get_or_lower(plan, gs, self.gpu.cost_model());
+                if let Some(key) = graph_key {
+                    self.lowered
+                        .install_graph(key, &art, gs, graph, &self.tables, pool_len);
+                }
+                engine::Session::from_lowered(plan, gs, cfg, self.gpu.cost_model(), art)
+            }
+            Prepared::Generated(gs) => {
+                backend
+                    .backend()
+                    .prepare(plan, gs, cfg, self.gpu.cost_model())
+            }
         };
         if draw_fault(&mut self.faults, FaultKind::VppHang, self.gpu.now()) {
             // The kernel launches, one CTA stops advancing, and the watchdog
@@ -767,7 +847,7 @@ impl Handle {
         let kernel_total = self.gpu.now() - before;
         Ok(AttemptOk {
             run,
-            gs,
+            prepared,
             kernel_total,
         })
     }
@@ -847,18 +927,13 @@ impl Handle {
     /// "rows untouched by a batch stay zero"), so `v - lr * (0 + 0 * v)` is
     /// `v` bit for bit — and only the looked-up rows are stepped, zeroed and
     /// re-copied. With weight decay every row moves, so the whole table is.
-    fn apply_lookup_updates(
-        &mut self,
-        model: &mut Model,
-        graph: &Graph,
-        gs: &generate::GeneratedScript,
-    ) {
+    fn apply_lookup_updates(&mut self, model: &mut Model, graph: &Graph, layout: &BatchLayout) {
         let lr = self.opts.learning_rate;
         let wd = self.opts.weight_decay;
         let mut touched = Vec::new();
         for (id, node) in graph.iter() {
             if let Op::Lookup { table, index } = node.op {
-                let d = self.pool.slice(gs.layout.deriv_off[id.index()], node.dim);
+                let d = self.pool.slice(layout.deriv_off[id.index()], node.dim);
                 let row = model.lookup_mut(table).grad.row_mut(index);
                 for (g, v) in row.iter_mut().zip(d) {
                     *g += v;
@@ -1000,7 +1075,7 @@ impl Handle {
                     .map(|&root| {
                         let dim = graph.node(root).dim;
                         self.pool
-                            .slice(ok.gs.layout.value_off[root.index()], dim)
+                            .slice(ok.prepared.layout().value_off[root.index()], dim)
                             .to_vec()
                     })
                     .collect();
@@ -1068,6 +1143,15 @@ impl Handle {
     /// [`VppsOptions::backend`] is [`BackendKind::Lowered`]).
     pub fn lowered_cache_stats(&self) -> engine::LoweredCacheStats {
         self.lowered.stats()
+    }
+
+    /// Test hook: the handle's lowered-artifact cache, so a test can swap in
+    /// a smaller one ([`engine::LoweredCache::with_capacity`]) or the
+    /// always-generating reference
+    /// ([`engine::LoweredCache::without_graph_index`]).
+    #[doc(hidden)]
+    pub fn lowered_cache_mut(&mut self) -> &mut engine::LoweredCache {
+        &mut self.lowered
     }
 
     /// The fault injector, if armed via [`VppsOptions::faults`]. Exposes the
@@ -1363,15 +1447,10 @@ mod tests {
     /// The dense embedding step `apply_lookup_updates` ran on every batch
     /// before it went sparse: accumulate, sweep every element of every
     /// table, zero every gradient.
-    fn dense_lookup_reference(
-        h: &Handle,
-        model: &mut Model,
-        graph: &Graph,
-        gs: &generate::GeneratedScript,
-    ) {
+    fn dense_lookup_reference(h: &Handle, model: &mut Model, graph: &Graph, layout: &BatchLayout) {
         for (id, node) in graph.iter() {
             if let Op::Lookup { table, index } = node.op {
-                let d = h.pool.slice(gs.layout.deriv_off[id.index()], node.dim);
+                let d = h.pool.slice(layout.deriv_off[id.index()], node.dim);
                 let row = model.lookup_mut(table).grad.row_mut(index);
                 for (g, v) in row.iter_mut().zip(d) {
                     *g += v;
@@ -1409,8 +1488,8 @@ mod tests {
             .run_with_recovery(&mut m, &g, loss, true, &mut times)
             .unwrap();
         let mut reference = m.clone();
-        dense_lookup_reference(&h, &mut reference, &g, &ok.gs);
-        h.apply_lookup_updates(&mut m, &g, &ok.gs);
+        dense_lookup_reference(&h, &mut reference, &g, ok.prepared.layout());
+        h.apply_lookup_updates(&mut m, &g, ok.prepared.layout());
 
         for ((id, got), (_, want)) in m.lookups().zip(reference.lookups()) {
             assert_eq!(bits(&got.table), bits(&want.table), "table {}", got.name);
@@ -1441,6 +1520,29 @@ mod tests {
         for (b, a) in before.iter().flatten().zip(after.iter().flatten()) {
             assert_ne!(b, a, "weight decay moves every element of every table");
         }
+    }
+
+    #[test]
+    fn graph_hit_on_a_pool_too_small_is_a_typed_error() {
+        let (mut m, tables, cls) = lookup_model();
+        let mut o = opts();
+        o.backend = BackendKind::Lowered;
+        let mut h = Handle::new(&m, small_device(), o).unwrap();
+        let (g, loss) = lookup_graph(&m, tables, cls, &[5, 1], 1);
+        h.fb(&mut m, &g, loss);
+        // Same residents, same floor, but room for nothing above it: the
+        // next structurally identical batch hits the graph index and must
+        // fail reserving its region, exactly as generating would.
+        h.pool = Pool::with_capacity(h.pool.floor() + 8);
+        h.tables = TableLayout::install(&m, &mut h.pool).unwrap();
+        let (g2, loss2) = lookup_graph(&m, tables, cls, &[2, 6], 0);
+        let err = h.try_fb(&mut m, &g2, loss2).unwrap_err();
+        // One request for the whole region, not a node-sized one.
+        assert!(
+            matches!(err, VppsError::PoolExhausted { requested, .. } if requested > 24),
+            "{err}"
+        );
+        assert_eq!(h.lowered_cache_stats().graph_hits, 0, "no hit was served");
     }
 
     #[test]

@@ -294,46 +294,36 @@ impl Graph {
             .count()
     }
 
-    /// Stable 64-bit *structural* hash of the graph: topology (argument
-    /// edges), operation kinds, dimensions, parameter identities and lookup
-    /// *tables* — but not the per-request literals (input values, lookup
-    /// row indices, gold labels).
+    /// The one definition of "graph structure": feeds `eat` the graph's
+    /// structural encoding word by word — node count, then per node the
+    /// operation kind, its parameter identity or lookup *table*, the output
+    /// dimension and the argument edges — and leaves out the per-request
+    /// literals (input values, lookup row indices, gold labels).
     ///
-    /// Two graphs with equal structural hashes generate scripts that are
-    /// structurally identical in the
-    /// `ScriptSet::structural_fingerprint` sense: same instruction streams
-    /// up to the masked per-request literals. That makes this hash the
-    /// right batching key for warm-path reuse — requests sharing it can be
-    /// absorbed into canonical super-graphs that all land on one cached
-    /// lowered artifact.
-    pub fn structural_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |word: u64| {
-            for b in word.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.nodes.len() as u64);
+    /// Two graphs with equal encodings generate scripts that are identical
+    /// up to exactly those literals (`ScriptSet::structural_fingerprint`
+    /// masks the same things). Both the serving layer's batching key
+    /// ([`Graph::structural_hash`]) and the lowered engine's graph-level
+    /// cache key are derived from this stream, so they cannot drift apart.
+    pub fn encode_structure(&self, mut eat: impl FnMut(u32)) {
+        // Script operands address the pool with 4-byte offsets, so every
+        // count, index and dimension of a dispatchable graph fits a word.
+        let word = |v: usize| u32::try_from(v).expect("graph sizes fit 4-byte script operands");
+        eat(word(self.nodes.len()));
         for node in &self.nodes {
-            // Variant tag plus the structural payload; request literals
-            // (input values, lookup indices, labels) are deliberately
-            // excluded.
             match &node.op {
                 Op::Input { .. } => eat(0),
                 Op::Lookup { table, .. } => {
                     eat(1);
-                    eat(table.index() as u64);
+                    eat(word(table.index()));
                 }
                 Op::MatVec { w } => {
                     eat(2);
-                    eat(w.index() as u64);
+                    eat(word(w.index()));
                 }
                 Op::AddBias { b } => {
                     eat(3);
-                    eat(b.index() as u64);
+                    eat(word(b.index()));
                 }
                 Op::Add => eat(4),
                 Op::Sub => eat(5),
@@ -345,13 +335,41 @@ impl Graph {
                 Op::Concat => eat(11),
                 Op::PickNegLogSoftmax { .. } => eat(12),
             }
-            eat(node.dim as u64);
-            eat(node.args.len() as u64);
+            eat(word(node.dim));
+            eat(word(node.args.len()));
             for a in &node.args {
-                eat(u64::from(a.0));
+                eat(a.0);
             }
         }
+    }
+
+    /// Stable 64-bit *structural* hash of the graph: FNV-1a over
+    /// [`Graph::encode_structure`]. Requests sharing it can be absorbed into
+    /// canonical super-graphs that all land on one cached lowered artifact,
+    /// which makes it the right batching key for warm-path reuse.
+    pub fn structural_hash(&self) -> u64 {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = OFFSET;
+        self.encode_structure(|word| {
+            for b in u64::from(word).to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(PRIME);
+            }
+        });
         h
+    }
+
+    /// Appends the structural identity of *dispatching* this graph to `out`:
+    /// whether the dispatch trains (forward + backward) or only infers, the
+    /// root it runs from, then [`Graph::encode_structure`]. Equal keys mean
+    /// the script generator emits the same scripts up to the per-request
+    /// literals, which is what lets the lowered engine look a batch's
+    /// artifact up from its graph without generating the scripts first.
+    pub fn dispatch_key(&self, root: NodeId, train: bool, out: &mut Vec<u32>) {
+        out.push(u32::from(train));
+        out.push(root.0);
+        self.encode_structure(|word| out.push(word));
     }
 
     /// Merges the node list of `other` into `self`, returning the remapped id
@@ -456,33 +474,52 @@ mod tests {
     fn structural_hash_masks_request_literals() {
         let mut m = Model::new(0);
         let e = m.add_lookup("E", 10, 6);
-        let build = |index: usize, label: usize, values: Vec<f32>| {
+        let e2 = m.add_lookup("E2", 10, 6);
+        let w = m.add_matrix("W", 6, 6);
+        let w2 = m.add_matrix("W2", 6, 6);
+        // lookup -> matvec -> tanh, concatenated with an input, into a loss.
+        let build = |table, index: usize, param, label: usize, values: Vec<f32>, swap: bool| {
             let mut g = Graph::new();
-            let x = g.lookup(&m, e, index);
+            let x = g.lookup(&m, table, index);
             let v = g.input(values);
-            let t = g.tanh(x);
-            let c = g.concat(&[t, v]);
-            g.pick_neg_log_softmax(c, label);
-            g
+            let h = g.matvec(&m, param, x);
+            let t = g.tanh(h);
+            let c = g.concat(&if swap { [v, t] } else { [t, v] });
+            let loss = g.pick_neg_log_softmax(c, label);
+            (g, loss)
         };
-        let a = build(1, 0, vec![0.0; 2]);
-        let b = build(7, 1, vec![9.0, -3.0]);
+        let key = |(g, root): &(Graph, NodeId), train: bool| {
+            let mut k = Vec::new();
+            g.dispatch_key(*root, train, &mut k);
+            k
+        };
+        let a = build(e, 1, w, 0, vec![0.0; 2], false);
+        let b = build(e, 7, w, 1, vec![9.0, -3.0], false);
         assert_eq!(
-            a.structural_hash(),
-            b.structural_hash(),
+            a.0.structural_hash(),
+            b.0.structural_hash(),
             "lookup rows, labels and input values are not structural"
         );
-        // Topology changes the hash: same ops, different wiring.
-        let mut c = Graph::new();
-        let x = c.lookup(&m, e, 1);
-        let v = c.input(vec![0.0; 2]);
-        let t = c.tanh(x);
-        let cc = c.concat(&[v, t]);
-        c.pick_neg_log_softmax(cc, 0);
-        assert_ne!(a.structural_hash(), c.structural_hash());
-        // Dimensions are structural.
-        let d = build(1, 0, vec![0.0; 3]);
-        assert_ne!(a.structural_hash(), d.structural_hash());
+        assert_eq!(key(&a, true), key(&b, true));
+        assert_eq!(key(&a, false), key(&b, false));
+
+        // Each structural difference on its own changes hash and key.
+        let different = [
+            ("one argument edge", build(e, 1, w, 0, vec![0.0; 2], true)),
+            ("one dimension", build(e, 1, w, 0, vec![0.0; 3], false)),
+            ("one parameter id", build(e, 1, w2, 0, vec![0.0; 2], false)),
+            ("one lookup table", build(e2, 1, w, 0, vec![0.0; 2], false)),
+        ];
+        for (what, other) in &different {
+            assert_ne!(a.0.structural_hash(), other.0.structural_hash(), "{what}");
+            assert_ne!(key(&a, true), key(other, true), "{what}");
+        }
+        // The dispatch key also separates roots and train from infer, which
+        // the graph-only hash cannot see.
+        let inner_root = (a.0.clone(), NodeId(a.1 .0 - 1));
+        assert_eq!(a.0.structural_hash(), inner_root.0.structural_hash());
+        assert_ne!(key(&a, false), key(&inner_root, false), "root");
+        assert_ne!(key(&a, true), key(&a, false), "train vs infer");
     }
 
     #[test]

@@ -380,14 +380,7 @@ impl Device {
     pub fn lowered_cache_stats(&self) -> LoweredCacheStats {
         let mut total = LoweredCacheStats::default();
         for m in &self.models {
-            let s = m.handle.lowered_cache_stats();
-            total.plan_hits += s.plan_hits;
-            total.plan_misses += s.plan_misses;
-            total.plan_re_misses += s.plan_re_misses;
-            total.script_hits += s.script_hits;
-            total.script_misses += s.script_misses;
-            total.script_re_misses += s.script_re_misses;
-            total.script_evictions += s.script_evictions;
+            total += m.handle.lowered_cache_stats();
         }
         total
     }

@@ -75,10 +75,15 @@ impl Error for PoolOverflowError {}
 /// DyNet's per-batch scratch reuse.
 #[derive(Debug, Clone)]
 pub struct Pool {
+    /// The backing buffer. Room for `capacity` elements is reserved up
+    /// front, but the vector is only as long as the high-water mark: memory
+    /// no batch ever reached is never written, so it never becomes resident
+    /// (a zero-filled buffer of the full capacity is, whenever the allocator
+    /// recycles a freed one instead of mapping fresh pages).
     data: Vec<f32>,
+    capacity: usize,
     used: usize,
     floor: usize,
-    high_water: usize,
 }
 
 impl Pool {
@@ -94,10 +99,10 @@ impl Pool {
             "pool capacity must be addressable by a 4-byte offset"
         );
         Self {
-            data: vec![0.0; capacity],
+            data: Vec::with_capacity(capacity),
+            capacity,
             used: 0,
             floor: 0,
-            high_water: 0,
         }
     }
 
@@ -107,19 +112,25 @@ impl Pool {
     ///
     /// Returns [`PoolOverflowError`] if the pool has insufficient space.
     pub fn alloc(&mut self, len: usize) -> Result<PoolOffset, PoolOverflowError> {
-        if self.used + len > self.data.len() {
+        let end = self.used + len;
+        if end > self.capacity {
             return Err(PoolOverflowError {
                 requested: len,
                 used: self.used,
-                capacity: self.data.len(),
+                capacity: self.capacity,
             });
         }
         let off = PoolOffset(self.used as u32);
         // Freshly reclaimed regions may hold stale data from the previous
-        // batch; accumulating ops (`+=`) require zeroed destinations.
-        self.data[self.used..self.used + len].fill(0.0);
-        self.used += len;
-        self.high_water = self.high_water.max(self.used);
+        // batch; accumulating ops (`+=`) require zeroed destinations. What
+        // lies past the high-water mark is appended, zeroed, within the
+        // reserved capacity.
+        let reclaimed = end.min(self.data.len());
+        self.data[self.used..reclaimed].fill(0.0);
+        if end > self.data.len() {
+            self.data.resize(end, 0.0);
+        }
+        self.used = end;
         Ok(off)
     }
 
@@ -184,13 +195,13 @@ impl Pool {
 
     /// Total capacity in elements.
     pub fn capacity(&self) -> usize {
-        self.data.len()
+        self.capacity
     }
 
     /// Maximum `used` observed since construction — sizing feedback for the
     /// up-front reservation.
     pub fn high_water(&self) -> usize {
-        self.high_water
+        self.data.len()
     }
 
     /// Reclaims all allocations above the persistent floor in O(1). Offsets
@@ -212,13 +223,14 @@ impl Pool {
         self.floor
     }
 
-    /// Raw read access to the full backing buffer (used by the threaded VPP
-    /// executor, which partitions writes by the barrier protocol).
+    /// Raw read access to the backing buffer up to the high-water mark, which
+    /// covers every live allocation (used by the threaded VPP executor, which
+    /// partitions writes by the barrier protocol).
     pub fn raw(&self) -> &[f32] {
         &self.data
     }
 
-    /// Raw mutable access to the full backing buffer.
+    /// Raw mutable access to the backing buffer up to the high-water mark.
     pub fn raw_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
@@ -272,6 +284,22 @@ mod tests {
         p.reset();
         p.alloc(10).unwrap();
         assert_eq!(p.high_water(), 60);
+    }
+
+    #[test]
+    fn buffer_is_only_as_long_as_the_high_water_mark() {
+        let mut p = Pool::with_capacity(100);
+        assert_eq!((p.capacity(), p.raw().len()), (100, 0));
+        let a = p.alloc(60).unwrap();
+        p.slice_mut(a, 60).fill(7.0);
+        p.reset();
+        // Half reclaimed (stale sevens), half never reached: all zero.
+        p.alloc(30).unwrap();
+        let b = p.alloc(50).unwrap();
+        assert_eq!(p.slice(b, 50), &[0.0; 50]);
+        assert_eq!(p.raw().len(), 80);
+        assert_eq!(p.capacity(), 100);
+        assert!(p.alloc(21).is_err());
     }
 
     #[test]

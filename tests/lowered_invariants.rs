@@ -13,13 +13,17 @@
 //! * **Persistent arena** — a `Handle` keeping one register arena per plan
 //!   between batches computes exactly what a fresh arena per call computes,
 //!   across plan switches and through faulted, rolled-back attempts.
+//! * **Graph-keyed warm path** — a `Handle` whose cache finds a batch's
+//!   artifact from the batch graph (no script generation) is
+//!   indistinguishable, on both clocks' simulated side, from one that
+//!   generates every batch.
 
 use std::collections::BTreeMap;
 
 use dyn_graph::{Graph, Model, NodeId, Op};
 use gpu_sim::{FaultConfig, GpuSim};
 use proptest::prelude::*;
-use vpps::engine::lowered::{self, Lowered, LoweredCache, LoweredScript};
+use vpps::engine::lowered::{self, Lowered, LoweredCache, LoweredCacheStats, LoweredScript};
 use vpps::engine::{self, Session};
 use vpps::exec::fallback::apply_gemm_fallback;
 use vpps::exec::interp::ExecConfig;
@@ -28,7 +32,7 @@ use vpps::{BackendKind, Handle, KernelPlan, RecoveryPolicy, RpwMode, VppsOptions
 
 #[path = "support/graphgen.rs"]
 mod graphgen;
-use graphgen::{arb_recipe, build_from_recipe, small_device, GraphRecipe, DIM};
+use graphgen::{arb_recipe, build_from_recipe, grow_recipe, small_device, GraphRecipe, DIM};
 
 fn test_model() -> Model {
     let mut model = Model::new(987);
@@ -214,6 +218,171 @@ proptest! {
                 prop_assert_eq!(stats.rejits, 1, "the plan was quarantined and re-JITted");
             } else if rpw == RpwMode::Profile && calls.iter().filter(|c| c.1).count() > 1 {
                 prop_assert!(plans_used.len() > 1, "the profiler switched plans");
+            }
+        }
+    }
+}
+
+/// [`test_model`] plus an embedding table, so batches carry all three kinds
+/// of per-request literal: input values, lookup rows and labels.
+fn lookup_model() -> Model {
+    let mut model = test_model();
+    model.add_lookup("E", 9, DIM);
+    model
+}
+
+/// Request `variant` of a recipe: always the same structure, with the input
+/// values, the looked-up row and the gold label all derived from `variant`.
+fn build_variant(model: &Model, recipe: &GraphRecipe, variant: u8) -> (Graph, NodeId) {
+    let table = model.lookups().next().expect("model has a table").0;
+    let v = usize::from(variant);
+    let mut g = Graph::new();
+    let x = g.input(
+        (0..DIM)
+            .map(|i| 0.1 * i as f32 - 0.05 * (v % 11) as f32)
+            .collect(),
+    );
+    let e = g.lookup(model, table, v % 9);
+    let label = (usize::from(recipe.label) + v) % 4;
+    let loss = grow_recipe(&mut g, model, recipe, vec![x, e], label);
+    (g, loss)
+}
+
+/// One call of the graph-keyed test: what to dispatch and how.
+#[derive(Debug, Clone, Copy)]
+enum Dispatch {
+    /// `fb` on one request graph.
+    Train,
+    /// `fb` on a super-graph of two requests with summed losses.
+    TrainPair,
+    /// `infer_many` on a super-graph of two requests.
+    InferPair,
+}
+
+/// Runs one dispatch on `handle`; returns the loss or the roots' values.
+fn dispatch(
+    handle: &mut Handle,
+    model: &mut Model,
+    recipe: &GraphRecipe,
+    variant: u8,
+    how: Dispatch,
+) -> Vec<Vec<f32>> {
+    let (g, root) = build_variant(model, recipe, variant);
+    if let Dispatch::Train = how {
+        handle.fb(model, &g, root);
+        return vec![vec![handle.sync_get_latest_loss()]];
+    }
+    let (g2, root2) = build_variant(model, recipe, variant.wrapping_add(5));
+    let mut sg = Graph::new();
+    let roots = [sg.absorb(&g, root), sg.absorb(&g2, root2)];
+    match how {
+        Dispatch::InferPair => handle.infer_many(model, &sg, &roots),
+        _ => {
+            let total = sg.sum(&roots);
+            handle.fb(model, &sg, total);
+            vec![vec![handle.sync_get_latest_loss()]]
+        }
+    }
+}
+
+fn model_bits(model: &Model) -> Vec<u32> {
+    let mut all = param_bits(model);
+    all.extend(model.lookups().flat_map(|(_, l)| bits(l.table.as_slice())));
+    all
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A `Handle` whose lowered cache finds a re-submitted graph's artifact
+    /// from the graph (fresh input values, lookup rows and labels each time;
+    /// single graphs and train / `infer_many` super-graphs) returns the
+    /// losses and outputs, leaves the parameters and lookup tables, and
+    /// reports the `Metrics`, `PhaseBreakdown`, steady-state and wall time,
+    /// recovery and cache tallies of a `Handle` that generates every batch:
+    /// under a fixed plan, while the profiler switches plans, with a
+    /// two-script cache (evict, miss, re-install), and while DRAM faults
+    /// force rollbacks and a quarantine re-JIT.
+    #[test]
+    fn graph_keyed_hit_is_bit_identical_to_generated_path(
+        recipes in prop::collection::vec(arb_recipe(), 3),
+        random_calls in prop::collection::vec((0usize..3, any::<u8>(), 0u8..3), 3..8),
+    ) {
+        let faulty = FaultConfig::parse("seed=3,dram=0.6").expect("valid spec");
+        let tenacious = RecoveryPolicy {
+            max_attempts: 32,
+            quarantine_threshold: 1,
+            ..RecoveryPolicy::default()
+        };
+        // The random calls, then a tail that cycles three structures and
+        // comes back to the first: with two cache slots that is evict, miss,
+        // re-install, hit.
+        let calls: Vec<(usize, u8, Dispatch)> = random_calls
+            .iter()
+            .map(|&(r, v, how)| {
+                (r, v, [Dispatch::Train, Dispatch::TrainPair, Dispatch::InferPair][how as usize])
+            })
+            .chain([(0, 1, Dispatch::Train), (1, 2, Dispatch::Train), (2, 3, Dispatch::Train)])
+            .chain([(0, 4, Dispatch::Train), (0, 5, Dispatch::Train)])
+            .collect();
+        for (rpw, faults, recovery, capacity) in [
+            (RpwMode::Fixed(1), FaultConfig::disabled(), RecoveryPolicy::default(), 256),
+            (RpwMode::Profile, FaultConfig::disabled(), RecoveryPolicy::default(), 256),
+            (RpwMode::Fixed(1), FaultConfig::disabled(), RecoveryPolicy::default(), 2),
+            (RpwMode::Fixed(1), faulty, tenacious, 256),
+        ] {
+            let opts = VppsOptions {
+                rpw,
+                learning_rate: LEARNING_RATE,
+                pool_capacity: 1 << 18,
+                profile_batches_per_rpw: 1,
+                backend: BackendKind::Lowered,
+                faults,
+                recovery,
+                ..VppsOptions::default()
+            };
+            let mut model = lookup_model();
+            let mut reference_model = model.clone();
+            let mut handle = Handle::new(&model, small_device(), opts).expect("tiny model fits");
+            let mut reference =
+                Handle::new(&reference_model, small_device(), opts).expect("tiny model fits");
+            *handle.lowered_cache_mut() = LoweredCache::with_capacity(capacity);
+            *reference.lowered_cache_mut() = LoweredCache::without_graph_index(capacity);
+
+            for &(r, variant, how) in &calls {
+                let got = dispatch(&mut handle, &mut model, &recipes[r], variant, how);
+                let want =
+                    dispatch(&mut reference, &mut reference_model, &recipes[r], variant, how);
+                let what = format!("{rpw:?} capacity {capacity} {how:?}");
+                prop_assert_eq!(
+                    got.iter().map(|v| bits(v)).collect::<Vec<_>>(),
+                    want.iter().map(|v| bits(v)).collect::<Vec<_>>(),
+                    "{}: result bits", what
+                );
+                prop_assert_eq!(
+                    model_bits(&model), model_bits(&reference_model),
+                    "{}: parameter and table bits", what
+                );
+                prop_assert_eq!(handle.metrics(), reference.metrics(), "{}", what);
+                prop_assert_eq!(handle.phases(), reference.phases(), "{}", what);
+                prop_assert_eq!(handle.steady_state_time(), reference.steady_state_time());
+                prop_assert_eq!(handle.wall_time(), reference.wall_time());
+                prop_assert_eq!(handle.plan().rpw(), reference.plan().rpw());
+            }
+            prop_assert_eq!(handle.recovery_stats(), reference.recovery_stats());
+            let stats = handle.lowered_cache_stats();
+            prop_assert_eq!(reference.lowered_cache_stats().graph_hits, 0);
+            prop_assert_eq!(
+                LoweredCacheStats { graph_hits: 0, ..stats },
+                reference.lowered_cache_stats(),
+                "{:?} capacity {}: cache tallies", rpw, capacity
+            );
+            prop_assert!(stats.graph_hits <= stats.script_hits);
+            if !faults.enabled && rpw == RpwMode::Fixed(1) {
+                prop_assert!(stats.graph_hits > 0, "the closing repeat is a graph-level hit");
+            }
+            if faults.enabled {
+                prop_assert_eq!(handle.recovery_stats().rejits, 1, "quarantined and re-JITted");
             }
         }
     }

@@ -31,12 +31,25 @@ pub fn arb_recipe() -> impl Strategy<Value = GraphRecipe> {
 /// Materializes a recipe against a model with two `DIM`x`DIM` matrices and a
 /// `DIM` bias (in registration order), returning the graph and its loss node.
 pub fn build_from_recipe(model: &Model, recipe: &GraphRecipe) -> (Graph, NodeId) {
+    let mut g = Graph::new();
+    let x = g.input((0..DIM).map(|i| 0.1 * i as f32 - 0.5).collect());
+    let loss = grow_recipe(&mut g, model, recipe, vec![x], recipe.label as usize);
+    (g, loss)
+}
+
+/// Grows `recipe`'s operations in `g` on top of the `DIM`-wide nodes in
+/// `frontier` and closes with a loss picking `label`.
+pub fn grow_recipe(
+    g: &mut Graph,
+    model: &Model,
+    recipe: &GraphRecipe,
+    mut frontier: Vec<NodeId>,
+    label: usize,
+) -> NodeId {
     let w1 = model.params().next().expect("model has w1").0;
     let w2 = model.params().nth(1).expect("model has w2").0;
     let b = model.params().nth(2).expect("model has bias").0;
 
-    let mut g = Graph::new();
-    let mut frontier = vec![g.input((0..DIM).map(|i| 0.1 * i as f32 - 0.5).collect())];
     for (i, op) in recipe.ops.iter().enumerate() {
         let pick = |k: usize| {
             frontier[recipe.picks[(i + k) % recipe.picks.len()] as usize % frontier.len()]
@@ -54,8 +67,7 @@ pub fn build_from_recipe(model: &Model, recipe: &GraphRecipe) -> (Graph, NodeId)
         frontier.push(node);
     }
     let last = *frontier.last().expect("non-empty");
-    let loss = g.pick_neg_log_softmax(last, recipe.label as usize);
-    (g, loss)
+    g.pick_neg_log_softmax(last, label)
 }
 
 /// A cut-down Titan V so several VPPs share real work even on tiny graphs.
