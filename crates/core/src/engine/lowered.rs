@@ -12,11 +12,10 @@
 //! ```text
 //!  GeneratedScript ─┐
 //!  Distribution  ───┼─ lower() ──► LoweredScript
-//!  KernelPlan  ─────┘                ├─ ops:      flat [MicroOp] in the
-//!  (CostModel for the timeline)      │            reference serial order,
-//!                                    │            sync compiled away
-//!                                    ├─ costs:    per-instruction InstrCost
-//!                                    │            table (ScriptCosts)
+//!  KernelPlan  ─────┘                ├─ ops:      flat [MicroOp], sync
+//!  (CostModel for the timeline)      │            compiled away: the reference
+//!                                    │            serial order, same-chunk ops
+//!                                    │            regrouped inside segments
 //!                                    └─ timeline: the cached TimelineReport
 //! ```
 //!
@@ -32,15 +31,31 @@
 //!   sweep over contiguous `MicroOp` structs with no `Signal`/`Wait` arms at
 //!   all. Note the serial order is not wave-contiguous: a VPP whose wait is
 //!   satisfied mid-sweep runs ahead into the next wave, and the lowered
-//!   stream preserves exactly that reference order, which is what keeps the
-//!   backend bit-identical to [`super::EventInterp`].
-//! * **Costs resolved once** — the [`ScriptCosts`] table is derived from the
-//!   per-plan [`LoweredPlan`] chunk table and cached with the artifact, so
-//!   re-running an identical script never recomputes `instr_cost` and the
-//!   timeline analysis consumes precomputed costs.
+//!   stream follows that reference order, which is what keeps the backend
+//!   bit-identical to [`super::EventInterp`].
+//! * **Weight-stationary order** — the paper loads a weight once and reuses
+//!   it from registers for every node of a level; the reference order does
+//!   the opposite on the host (node-major: each op streams a different
+//!   chunk). Inside each *segment* — one VPP's consecutive compute
+//!   instructions with no `Signal`/`Wait` between them — lowering regroups
+//!   the ops so that mat-vecs, transposed mat-vecs and outer products of one
+//!   chunk sit next to each other (`regroup`), never swapping two ops that
+//!   conflict (one writes what the other reads or writes, in the pool or the
+//!   arena). `ops` is therefore a conflict-preserving permutation of the
+//!   reference order: every memory location sees the same operations in the
+//!   same order, so the result is the same to the bit, while the sweep walks
+//!   each chunk once per segment and hands adjacent same-chunk ops to the
+//!   register-blocked kernels.
+//! * **Costs resolved once** — the [`ScriptCosts`] table the timeline sweep
+//!   consumes is derived from the per-plan [`LoweredPlan`] chunk table at
+//!   lower time and dropped with it; the artifact caches the resulting
+//!   [`TimelineReport`], so re-running an identical script never recomputes
+//!   `instr_cost` or the schedule. The timeline and the cost model see the
+//!   original scripts — regrouping changes no simulated number.
 //! * **Shared inner kernels** — the arithmetic routes through
-//!   [`crate::exec::kernels`], the same chunked, autovectorizable dot/axpy
-//!   loops the interpreted semantics use, so results match bit for bit.
+//!   [`crate::exec::kernels`]: the chunked dot/axpy loops the interpreted
+//!   semantics use, in register-blocked forms that give every output element
+//!   the same operations in the same order, so results match bit for bit.
 //!
 //! Artifacts are cached at two levels by [`LoweredCache`]: a
 //! [`PlanSignature`]-keyed [`PlanMemo`] of [`LoweredPlan`]s (chunk geometry
@@ -72,7 +87,7 @@ use gpu_sim::CostModel;
 use vpps_tensor::Pool;
 
 use crate::distribute::Distribution;
-use crate::exec::kernels;
+use crate::exec::kernels::{self, MAX_BLOCK};
 use crate::exec::regcache::{chunk_offsets, RegCache};
 use crate::exec::semantics::{instr_cost, InstrCost};
 use crate::script::{BatchLayout, GeneratedScript, Instr, ScriptSet, TableLayout};
@@ -452,6 +467,57 @@ impl MicroOp {
             } => (([(x, len), (dloss, 1)], 2), Some((dx, len))),
         }
     }
+
+    /// The register-arena `(start, len)` span this op touches and whether it
+    /// writes it; `None` for ops that only touch the pool.
+    fn arena_span(&self) -> Option<((u32, u32), bool)> {
+        match *self {
+            MicroOp::MatVec {
+                reg, rows, cols, ..
+            }
+            | MicroOp::TMatVec {
+                reg, rows, cols, ..
+            } => Some(((reg, rows * cols), false)),
+            MicroOp::Outer {
+                reg, rows, cols, ..
+            } => Some(((reg, rows * cols), true)),
+            MicroOp::AddBias { reg, len, .. } => Some(((reg, len), false)),
+            MicroOp::BiasGrad { reg, len, .. } => Some(((reg, len), true)),
+            _ => None,
+        }
+    }
+
+    /// `[kind, reg, len, rows, cols]` of a matrix-chunk op, `None` for every
+    /// other op. Ops with equal keys do the same work against the same
+    /// register chunk with different operands: lowering makes them adjacent
+    /// ([`regroup`]) and the sweep runs adjacent ones through one blocked
+    /// kernel.
+    fn chunk_key(&self) -> Option<[u32; 5]> {
+        match *self {
+            MicroOp::MatVec {
+                reg,
+                len,
+                rows,
+                cols,
+                ..
+            } => Some([0, reg, len, rows, cols]),
+            MicroOp::TMatVec {
+                reg,
+                len,
+                rows,
+                cols,
+                ..
+            } => Some([1, reg, len, rows, cols]),
+            MicroOp::Outer {
+                reg,
+                len,
+                rows,
+                cols,
+                ..
+            } => Some([2, reg, len, rows, cols]),
+            _ => None,
+        }
+    }
 }
 
 /// One patchable literal in a lowered op stream: an op whose value depends
@@ -484,11 +550,11 @@ pub struct LoweredScript {
     pub fingerprint: u64,
     /// Barrier count of the source scripts (for per-run obs).
     pub num_barriers: u32,
-    /// Micro-ops in the reference serial execution order
-    /// ([`TimelineReport::order`]), sync compiled away.
+    /// One micro-op per compute instruction, sync compiled away: the
+    /// reference serial execution order ([`TimelineReport::order`]) with
+    /// same-chunk ops made adjacent inside each segment — a permutation of
+    /// it that swaps no two conflicting ops (`regroup`).
     pub ops: Vec<MicroOp>,
-    /// The precomputed per-instruction cost table.
-    pub costs: ScriptCosts,
     /// The cached schedule (what [`super::Session`] would otherwise
     /// re-analyze every run), shared with every session prepared from this
     /// artifact.
@@ -506,6 +572,18 @@ pub struct LoweredScript {
 }
 
 impl LoweredScript {
+    /// Ops that sit next to another op of their [`MicroOp::chunk_key`]: the
+    /// share of the stream the sweep runs weight-stationary.
+    fn blocked_ops(&self) -> usize {
+        let same = |a: usize, b: usize| {
+            let key = self.ops[a].chunk_key();
+            key.is_some() && key == self.ops[b].chunk_key()
+        };
+        (0..self.ops.len())
+            .filter(|&i| (i > 0 && same(i - 1, i)) || (i + 1 < self.ops.len() && same(i, i + 1)))
+            .count()
+    }
+
     /// Reads the per-request literal values out of `gs` at this artifact's
     /// patch points, producing the patch vector [`execute`] applies. For the
     /// script this artifact was lowered from, the patches equal the baked
@@ -754,6 +832,179 @@ fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
     a.0 < b.0 + b.1 && b.0 < a.0 + a.1
 }
 
+/// What one op touches, resolved once per segment for [`regroup`]'s
+/// pairwise checks: its pool ranges, its arena span, and a 128-bit summary of
+/// each side that rules most non-conflicting pairs out in two `AND`s.
+#[derive(Clone, Copy)]
+struct Access {
+    reads: [(u32, u32); 2],
+    n_reads: usize,
+    write: Option<(u32, u32)>,
+    arena: Option<((u32, u32), bool)>,
+    /// One bit per block (hashed) of everything read: 256-element blocks of
+    /// the pool, 2048-element blocks of the arena.
+    read_bits: u128,
+    /// The same over everything written.
+    write_bits: u128,
+}
+
+impl Access {
+    fn of(op: &MicroOp) -> Self {
+        // Two overlapping ranges share a block, hence a bit; pool and arena
+        // blocks hash apart.
+        fn bits(space: u32, shift: u32, (start, len): (u32, u32)) -> u128 {
+            let last = start + len.saturating_sub(1);
+            ((start >> shift)..=(last >> shift)).fold(0, |bits, block| {
+                bits | 1 << ((block ^ space).wrapping_mul(0x9E37_79B9) >> 25)
+            })
+        }
+        let ((reads, n_reads), write) = op.ranges();
+        let arena = op.arena_span();
+        let (mut read_bits, mut write_bits) = (0, write.map_or(0, |w| bits(0, 8, w)));
+        for r in &reads[..n_reads] {
+            read_bits |= bits(0, 8, *r);
+        }
+        match arena {
+            Some((span, true)) => write_bits |= bits(1 << 31, 11, span),
+            Some((span, false)) => read_bits |= bits(1 << 31, 11, span),
+            None => {}
+        }
+        Self {
+            reads,
+            n_reads,
+            write,
+            arena,
+            read_bits,
+            write_bits,
+        }
+    }
+
+    /// `true` when executing the two ops in either order could give
+    /// different results: one writes a pool or arena range the other reads
+    /// or writes. Two accumulations into one target conflict too — f32
+    /// addition does not commute across roundings.
+    fn conflicts_with(&self, other: &Access) -> bool {
+        if self.write_bits & (other.read_bits | other.write_bits) == 0
+            && other.write_bits & self.read_bits == 0
+        {
+            return false;
+        }
+        let hits = |w: Option<(u32, u32)>, reader: &Access| {
+            w.is_some_and(|w| {
+                reader.reads[..reader.n_reads]
+                    .iter()
+                    .any(|r| overlaps(*r, w))
+            })
+        };
+        hits(self.write, other)
+            || hits(other.write, self)
+            || matches!((self.write, other.write), (Some(a), Some(b)) if overlaps(a, b))
+            || match (self.arena, other.arena) {
+                (Some((a, a_writes)), Some((b, b_writes))) => {
+                    (a_writes || b_writes) && overlaps(a, b)
+                }
+                _ => false,
+            }
+    }
+}
+
+/// Stably regroups each *segment* of the op stream so that ops with one
+/// [`MicroOp::chunk_key`] sit next to each other, and moves `patch_points`
+/// with their ops.
+///
+/// A segment is one VPP's run of consecutive compute instructions with no
+/// `Signal`/`Wait` between them (`order` is [`TimelineReport::order`], the
+/// `(vpp, ip)` each op came from): the part of the stream the barrier
+/// protocol lets nothing else observe half-done, so only orderings *inside*
+/// it are free. Within a segment an op joins the group of the latest earlier
+/// op with its key, unless it [conflicts](Access::conflicts_with) with an op
+/// that would then come after it; otherwise it opens a new group at the end.
+/// So no two conflicting ops ever swap — every pool and arena location sees
+/// the same reads, writes and accumulations in the same order as the
+/// reference order, which is what keeps the regrouped sweep bit-identical to
+/// it — and ops without a key (patchable ones included) keep their relative
+/// order, so `patch_points` stays ascending.
+fn regroup(ops: &mut [MicroOp], order: &[(u32, u32)], patch_points: &mut [PatchPoint]) {
+    // Buffers for the segment in hand, reused across segments. Per op: its
+    // group and what it touches; per group: the segment index of the op that
+    // opened it and its size (then its offset in the new order); per keyed
+    // group: its key and number.
+    let mut group_of: Vec<u32> = Vec::new();
+    let mut touched: Vec<Access> = Vec::new();
+    let mut groups: Vec<(u32, u32)> = Vec::new();
+    let mut keyed: Vec<([u32; 5], u32)> = Vec::new();
+    let mut moved: Vec<MicroOp> = Vec::new();
+    let mut next_patch = 0;
+    let mut start = 0;
+    while start < ops.len() {
+        let mut end = start + 1;
+        while end < ops.len() && order[end] == (order[end - 1].0, order[end - 1].1 + 1) {
+            end += 1;
+        }
+        let segment = &mut ops[start..end];
+        group_of.clear();
+        touched.clear();
+        groups.clear();
+        keyed.clear();
+        let mut hoisted = false;
+        for (j, op) in segment.iter().enumerate() {
+            let access = Access::of(op);
+            let key = op.chunk_key();
+            let home = key
+                .and_then(|key| keyed.iter().rfind(|&&(k, _)| k == key))
+                .map(|&(_, group)| group)
+                .filter(|&group| {
+                    // Ops before the next group opened all sit in groups up
+                    // to `group`: only later ones can end up behind `op`.
+                    let later = groups
+                        .get(group as usize + 1)
+                        .map_or(j, |&(opened, _)| opened as usize);
+                    (later..j).all(|i| group_of[i] <= group || !touched[i].conflicts_with(&access))
+                });
+            let group = home.unwrap_or_else(|| {
+                groups.push((j as u32, 0));
+                groups.len() as u32 - 1
+            });
+            match (home, key) {
+                (Some(_), _) => hoisted |= (group as usize) < groups.len() - 1,
+                (None, Some(key)) => keyed.push((key, group)),
+                (None, None) => {}
+            }
+            groups[group as usize].1 += 1;
+            group_of.push(group);
+            touched.push(access);
+        }
+        if hoisted {
+            // Stable counting sort by group: sizes to offsets, then scatter
+            // in the old order.
+            let mut offset = 0;
+            for (_, size) in &mut groups {
+                offset += std::mem::replace(size, offset);
+            }
+            while patch_points
+                .get(next_patch)
+                .is_some_and(|patch| (patch.op_index as usize) < start)
+            {
+                next_patch += 1;
+            }
+            moved.clear();
+            moved.extend_from_slice(segment);
+            for (j, (op, &group)) in moved.iter().zip(&group_of).enumerate() {
+                let at = &mut groups[group as usize].1;
+                segment[*at as usize] = *op;
+                if let Some(patch) = patch_points.get_mut(next_patch) {
+                    if patch.op_index as usize == start + j {
+                        patch.op_index = start as u32 + *at;
+                        next_patch += 1;
+                    }
+                }
+                *at += 1;
+            }
+        }
+        start = end;
+    }
+}
+
 /// Lowers `gs` against an already-resolved [`LoweredPlan`].
 ///
 /// # Panics
@@ -784,8 +1035,12 @@ fn lower_keyed(
 ) -> LoweredScript {
     let _span = vpps_obs::span("engine.lower");
     let dist = plan.distribution();
-    let costs = script_costs(&gs.scripts, lplan, dist);
-    let tl = timeline::analyze_costed(plan, gs, &costs, cost, None);
+    // The per-instruction cost table only feeds the sweep; the artifact
+    // keeps the schedule it produces.
+    let tl = {
+        let costs = script_costs(&gs.scripts, lplan, dist);
+        timeline::analyze_costed(plan, gs, &costs, cost, None)
+    };
 
     let mut resolved: Vec<Vec<Option<MicroOp>>> = (0..gs.scripts.num_vpps())
         .map(|v| {
@@ -843,13 +1098,13 @@ fn lower_keyed(
     // single bounds check must cover the whole resident region, not just the
     // rows this particular script happened to read.
     pool_end = pool_end.max(gs.persistent_floor as usize);
+    regroup(&mut ops, &tl.order, &mut patch_points);
 
     LoweredScript {
         plan_id: plan.signature().plan_id(),
         fingerprint,
         num_barriers: gs.num_barriers,
         ops,
-        costs,
         timeline: Arc::new(tl),
         pool_end,
         scratch_len,
@@ -882,6 +1137,46 @@ fn chunk_rows(arena: &mut [f32], reg: u32, rows: u32, cols: u32) -> &mut [f32] {
     &mut arena[start..start + rows as usize * cols as usize]
 }
 
+/// Length (`1..=MAX_BLOCK`) of the block of `MatVec`s at the head of `ops`
+/// that one [`kernels::matvec_block`] call may run together: they share
+/// `ops[0]`'s chunk and operand length, and no member writes a pool range
+/// another member reads or writes (the kernel interleaves their rows, and
+/// takes all outputs as `&mut` at once).
+fn matvec_block_len(ops: &[MicroOp]) -> usize {
+    let operand = |op: &MicroOp| match *op {
+        MicroOp::MatVec {
+            x, y, len, rows, ..
+        } => ((x, len), (y, rows)),
+        ref other => unreachable!("equal chunk keys, yet {other:?} is no mat-vec"),
+    };
+    let key = ops[0].chunk_key();
+    let mut n = 1;
+    while n < MAX_BLOCK.min(ops.len()) && ops[n].chunk_key() == key {
+        let (x, y) = operand(&ops[n]);
+        let independent = ops[..n].iter().all(|member| {
+            let (mx, my) = operand(member);
+            !overlaps(my, x) && !overlaps(y, mx) && !overlaps(y, my)
+        });
+        if !independent {
+            break;
+        }
+        n += 1;
+    }
+    n
+}
+
+/// Length (`1..=MAX_BLOCK`) of the block of `Outer`s at the head of `ops`
+/// that accumulate into `ops[0]`'s gradient chunk from operands of its
+/// length. They write no pool memory and [`kernels::outer_block`] applies
+/// them to every element in op order, so equal keys are all it takes.
+fn outer_block_len(ops: &[MicroOp]) -> usize {
+    let key = ops[0].chunk_key();
+    ops.iter()
+        .take(MAX_BLOCK)
+        .take_while(|op| op.chunk_key() == key)
+        .count()
+}
+
 /// Executes a lowered artifact serially against `pool` and `cache`,
 /// applying `patches` — the per-request literal values from
 /// [`LoweredScript::extract_patches`], parallel to
@@ -890,10 +1185,14 @@ fn chunk_rows(arena: &mut [f32], reg: u32, rows: u32, cols: u32) -> &mut [f32] {
 /// The sweep is branch-light: one match per op, zero allocations (the
 /// scratch buffer lives with the arena and is reused across ops and runs),
 /// no sync arms, chunk operands sliced straight out of the register arena at
-/// the op's literal offset, and all inner loops are the shared [`kernels`]
-/// so results are bit-identical to [`super::EventInterp`] replaying the same
-/// serial order. Patch points are ascending in op index, so patching costs
-/// one cursor compare per op.
+/// the op's literal offset. It is *weight-stationary* where lowering made it
+/// possible: adjacent `MatVec`s (and `Outer`s) of one chunk — one key
+/// compare per op finds them — go through one register-blocked kernel call,
+/// up to [`MAX_BLOCK`] at a time, so each chunk row is loaded once for all
+/// of them. The blocked [`kernels`] give every output element the per-row
+/// kernels' operations in their order, so results are bit-identical to
+/// [`super::EventInterp`] replaying the reference serial order. Patch points
+/// are ascending in op index, so patching costs one cursor compare per op.
 ///
 /// # Panics
 ///
@@ -919,15 +1218,17 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
     // SAFETY: `base` comes from a unique `&mut` borrow of the pool held for
     // the whole loop; execution is single-threaded; and lowering asserted
     // that every op's written range is disjoint from its read ranges, so
-    // each iteration's shared/mutable views never alias. Patching preserves
-    // both bounds and disjointness: a patched copy source stays below the
-    // persistent floor (covered by `pool_end`, and every write lands above
-    // the floor), and a patched label changes no pool range. Register chunks
-    // live in `cache`'s arena, a separate allocation reached only through
-    // bounds-checked slicing, and can never alias the pool.
+    // each iteration's shared/mutable views never alias (a blocked mat-vec
+    // checks the same across its members, see `matvec_block_len`). Patching
+    // preserves both bounds and disjointness: a patched copy source stays
+    // below the persistent floor (covered by `pool_end`, and every write
+    // lands above the floor), and a patched label changes no pool range.
+    // Register chunks live in `cache`'s arena, a separate allocation reached
+    // only through bounds-checked slicing, and can never alias the pool.
     unsafe {
-        for (i, op) in art.ops.iter().enumerate() {
-            let mut op = *op;
+        let mut i = 0;
+        while i < art.ops.len() {
+            let mut op = art.ops[i];
             if next_patch < art.patch_points.len()
                 && art.patch_points[next_patch].op_index as usize == i
             {
@@ -941,21 +1242,27 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
                     other => panic!("patch point targets unpatchable op {other:?}"),
                 }
             }
+            // Ops this iteration executes: more than one for a block.
+            let mut taken = 1;
             match op {
                 MicroOp::MatVec {
-                    reg,
-                    x,
-                    y,
-                    len,
-                    rows,
-                    cols,
+                    reg, rows, cols, ..
                 } => {
-                    let xv = view(base, x, len);
-                    let out = view_mut(base, y, rows);
-                    let data = chunk_rows(arena, reg, rows, cols);
-                    for (o, row) in out.iter_mut().zip(data.chunks_exact(cols as usize)) {
-                        *o = kernels::dot(row, xv);
+                    taken = matvec_block_len(&art.ops[i..]);
+                    let mut xs: [&[f32]; MAX_BLOCK] = [&[]; MAX_BLOCK];
+                    let mut ys: [&mut [f32]; MAX_BLOCK] = [(); MAX_BLOCK].map(|()| &mut [][..]);
+                    for (j, member) in art.ops[i..i + taken].iter().enumerate() {
+                        if let MicroOp::MatVec { x, y, len, .. } = *member {
+                            xs[j] = view(base, x, len);
+                            ys[j] = view_mut(base, y, rows);
+                        }
                     }
+                    kernels::matvec_block(
+                        chunk_rows(arena, reg, rows, cols),
+                        cols as usize,
+                        &xs[..taken],
+                        &mut ys[..taken],
+                    );
                 }
                 MicroOp::TMatVec {
                     reg,
@@ -965,35 +1272,33 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
                     rows,
                     cols,
                 } => {
-                    let dyv = view(base, dy, rows);
                     let contrib = &mut scratch[..len as usize];
-                    contrib.fill(0.0);
-                    let data = chunk_rows(arena, reg, rows, cols);
-                    for (&s, row) in dyv.iter().zip(data.chunks_exact(cols as usize)) {
-                        if s == 0.0 {
-                            continue;
-                        }
-                        kernels::axpy(contrib, s, row);
-                    }
+                    kernels::tmatvec_contrib(
+                        chunk_rows(arena, reg, rows, cols),
+                        cols as usize,
+                        view(base, dy, rows),
+                        contrib,
+                    );
                     kernels::add_assign(view_mut(base, dx, len), contrib);
                 }
                 MicroOp::Outer {
-                    reg,
-                    x,
-                    dy,
-                    len,
-                    rows,
-                    cols,
+                    reg, rows, cols, ..
                 } => {
-                    let xv = view(base, x, len);
-                    let dyv = view(base, dy, rows);
-                    let data = chunk_rows(arena, reg, rows, cols);
-                    for (&s, row) in dyv.iter().zip(data.chunks_exact_mut(cols as usize)) {
-                        if s == 0.0 {
-                            continue;
+                    taken = outer_block_len(&art.ops[i..]);
+                    let mut xs: [&[f32]; MAX_BLOCK] = [&[]; MAX_BLOCK];
+                    let mut dys: [&[f32]; MAX_BLOCK] = [&[]; MAX_BLOCK];
+                    for (j, member) in art.ops[i..i + taken].iter().enumerate() {
+                        if let MicroOp::Outer { x, dy, len, .. } = *member {
+                            xs[j] = view(base, x, len);
+                            dys[j] = view(base, dy, rows);
                         }
-                        kernels::axpy(row, s, xv);
                     }
+                    kernels::outer_block(
+                        chunk_rows(arena, reg, rows, cols),
+                        cols as usize,
+                        &xs[..taken],
+                        &dys[..taken],
+                    );
                 }
                 MicroOp::AddBias { reg, x, y, len } => {
                     let xv = view(base, x, len);
@@ -1110,8 +1415,14 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
                     kernels::add_assign(view_mut(base, dx, len), contrib);
                 }
             }
+            i += taken;
         }
     }
+    assert_eq!(
+        next_patch,
+        patches.len(),
+        "a patch point names a chunk op inside a block"
+    );
 }
 
 /// Where a warm batch reads one [`PatchPoint`]'s literal from, without the
@@ -1527,9 +1838,10 @@ impl LoweredCache {
         let art = Arc::new(lower_keyed(&lplan, plan, gs, cost, key.1));
         if vpps_obs::enabled() {
             vpps_obs::counter("lower.ns").add(t0.elapsed().as_nanos() as u64);
-            for (mnemonic, n) in &art.costs.instr_mix {
+            for (mnemonic, n) in &art.timeline.instr_mix {
                 vpps_obs::counter(&format!("lower.ops.{mnemonic}")).add(*n);
             }
+            vpps_obs::counter("lower.blocked_ops").add(art.blocked_ops() as u64);
         }
         if self.scripts.len() == self.capacity {
             if let Some(old) = self.fifo.pop_front() {
@@ -1646,11 +1958,19 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
+        fixture_on(3, 1)
+    }
+
+    /// A device of `num_sms` SMs and a model of one table and `matrices`
+    /// 12 × 12 matrices.
+    fn fixture_on(num_sms: usize, matrices: usize) -> Fixture {
         let mut device = DeviceConfig::titan_v();
-        device.num_sms = 3;
+        device.num_sms = num_sms;
         let mut model = Model::new(11);
         model.add_lookup("E", 9, 12);
-        model.add_matrix("W", 12, 12);
+        for i in 0..matrices {
+            model.add_matrix(&format!("W{i}"), 12, 12);
+        }
         let plan = KernelPlan::build(&model, &device, 1).expect("tiny model fits");
         let mut pool = Pool::with_capacity(1 << 16);
         let tables = TableLayout::install(&model, &mut pool).expect("pool big enough");
@@ -1703,6 +2023,277 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every token through every matrix of the model, twice, with a loss of
+    /// its own after the first layer: levels where several mat-vecs share
+    /// every chunk, and one where patchable picks sit between them.
+    fn fan(model: &Model, rows: &[usize], label: usize) -> (Graph, NodeId) {
+        let table = model.lookups().next().expect("one table").0;
+        let mut g = Graph::new();
+        let mut losses = Vec::new();
+        for &row in rows {
+            let mut h = g.lookup(model, table, row);
+            for layer in 0..2 {
+                let projections: Vec<NodeId> =
+                    model.params().map(|(w, _)| g.matvec(model, w, h)).collect();
+                let z = g.sum(&projections);
+                h = g.tanh(z);
+                losses.push(g.pick_neg_log_softmax(h, (label + layer) % 12));
+            }
+        }
+        let loss = g.sum(&losses);
+        (g, loss)
+    }
+
+    /// The segments of `order`, as index ranges.
+    fn segments(order: &[(u32, u32)]) -> Vec<std::ops::Range<usize>> {
+        let mut out = Vec::new();
+        let mut start = 0;
+        for end in 1..=order.len() {
+            if end == order.len() || order[end] != (order[end - 1].0, order[end - 1].1 + 1) {
+                out.push(start..end);
+                start = end;
+            }
+        }
+        out
+    }
+
+    fn matvec(reg: u32, x: u32, y: u32) -> MicroOp {
+        MicroOp::MatVec {
+            reg,
+            x,
+            y,
+            len: 8,
+            rows: 2,
+            cols: 8,
+        }
+    }
+
+    fn tmatvec(reg: u32, dy: u32, dx: u32) -> MicroOp {
+        MicroOp::TMatVec {
+            reg,
+            dy,
+            dx,
+            len: 8,
+            rows: 2,
+            cols: 8,
+        }
+    }
+
+    fn outer(reg: u32, x: u32, dy: u32) -> MicroOp {
+        MicroOp::Outer {
+            reg,
+            x,
+            dy,
+            len: 8,
+            rows: 2,
+            cols: 8,
+        }
+    }
+
+    /// One VPP's instructions `0..n` with nothing between them.
+    fn one_segment(n: usize) -> Vec<(u32, u32)> {
+        (0..n as u32).map(|ip| (0, ip)).collect()
+    }
+
+    #[test]
+    fn regroup_makes_same_chunk_ops_adjacent_and_moves_patch_points() {
+        let (a, b) = (0, 16);
+        let copy = MicroOp::Copy {
+            src: 3,
+            dst: 500,
+            len: 8,
+        };
+        let pick = MicroOp::PickNls {
+            x: 500,
+            out: 600,
+            label: 1,
+            len: 8,
+        };
+        let mut ops = vec![
+            matvec(a, 100, 200),
+            copy,
+            matvec(b, 100, 210),
+            matvec(a, 110, 220),
+            pick,
+            matvec(b, 110, 230),
+        ];
+        let patch = |op_index| PatchPoint {
+            vpp: 0,
+            ip: op_index,
+            op_index,
+        };
+        let mut patch_points = vec![patch(1), patch(4)];
+        regroup(&mut ops, &one_segment(6), &mut patch_points);
+        assert_eq!(
+            ops,
+            vec![
+                matvec(a, 100, 200),
+                matvec(a, 110, 220),
+                copy,
+                matvec(b, 100, 210),
+                matvec(b, 110, 230),
+                pick,
+            ]
+        );
+        // Moved with their ops, `(vpp, ip)` untouched, still ascending.
+        assert_eq!(
+            patch_points,
+            vec![
+                PatchPoint {
+                    op_index: 2,
+                    ..patch(1)
+                },
+                PatchPoint {
+                    op_index: 5,
+                    ..patch(4)
+                }
+            ]
+        );
+    }
+
+    #[test]
+    fn regroup_never_swaps_two_accumulations_into_one_target() {
+        let (a, b) = (0, 16);
+        // The third op would join the first, past the second — which adds
+        // into the same `dx`.
+        let same_dx = vec![
+            tmatvec(a, 100, 300),
+            tmatvec(b, 110, 300),
+            tmatvec(a, 120, 300),
+        ];
+        let mut ops = same_dx.clone();
+        regroup(&mut ops, &one_segment(3), &mut []);
+        assert_eq!(ops, same_dx);
+        // With its own `dx` it does move.
+        let mut ops = vec![
+            tmatvec(a, 100, 300),
+            tmatvec(b, 110, 300),
+            tmatvec(a, 120, 310),
+        ];
+        regroup(&mut ops, &one_segment(3), &mut []);
+        assert_eq!(
+            ops,
+            vec![
+                tmatvec(a, 100, 300),
+                tmatvec(a, 120, 310),
+                tmatvec(b, 110, 300)
+            ]
+        );
+
+        // Two outer products into one gradient chunk, around a bias-gradient
+        // that adds into a span of the same chunk.
+        let bias_grad = MicroOp::BiasGrad {
+            reg: a + 8,
+            dy: 400,
+            len: 4,
+        };
+        let around = vec![outer(a, 100, 200), bias_grad, outer(a, 110, 210)];
+        let mut ops = around.clone();
+        regroup(&mut ops, &one_segment(3), &mut []);
+        assert_eq!(ops, around);
+        // Reads of what an op in between writes pin an op too.
+        let chained = vec![
+            matvec(a, 100, 200),
+            MicroOp::Tanh {
+                x: 200,
+                y: 110,
+                len: 2,
+            },
+            matvec(a, 104, 220),
+        ];
+        let mut ops = chained.clone();
+        regroup(&mut ops, &one_segment(3), &mut []);
+        assert_eq!(ops, chained);
+    }
+
+    #[test]
+    fn regroup_stops_at_sync_points() {
+        let (a, b) = (0, 16);
+        let stream = vec![
+            matvec(a, 100, 200),
+            matvec(b, 100, 210),
+            // A `Signal`/`Wait` pair sat here (ips 2 and 3)...
+            matvec(a, 110, 220),
+            matvec(b, 110, 230),
+            // ...and here the sweep moved on to another VPP.
+            matvec(a, 120, 240),
+        ];
+        let order = [(0, 0), (0, 1), (0, 4), (0, 5), (1, 6)];
+        let mut ops = stream.clone();
+        regroup(&mut ops, &order, &mut []);
+        assert_eq!(ops, stream);
+    }
+
+    /// On a real batch: regrouping happens, every segment keeps its ops, no
+    /// two conflicting ops change their relative order, and the patch
+    /// points — moved — still name patchable ops whose literals the graph
+    /// supplies.
+    #[test]
+    fn regrouped_artifact_is_a_conflict_preserving_permutation() {
+        // One SM, two matrices: every VPP holds several chunks, so the
+        // node-major reference order alternates between them.
+        let mut f = fixture_on(1, 2);
+        let (g, root) = fan(&f.model, &[1, 4, 7, 2, 5], 3);
+        f.pool.reset();
+        let base = f.pool.used();
+        let gs = generate::generate(&g, root, &f.plan, &mut f.pool, &f.tables).expect("fits");
+        let lplan = LoweredPlan::build(&f.plan);
+        let art = lower_with(&lplan, &f.plan, &gs, f.gpu.cost_model());
+        let order = &art.timeline.order;
+        let reference: Vec<MicroOp> = order
+            .iter()
+            .map(|&(v, ip)| {
+                lower_instr(&gs.scripts.script(v as usize)[ip as usize], &lplan).expect("compute")
+            })
+            .collect();
+        assert_ne!(art.ops, reference, "this batch has ops to regroup");
+        assert!(art.blocked_ops() > 0);
+
+        for segment in segments(order) {
+            let (was, is) = (&reference[segment.clone()], &art.ops[segment]);
+            let at = |op: &MicroOp| {
+                let mut hits = is.iter().enumerate().filter(|(_, o)| *o == op);
+                let (p, _) = hits.next().expect("segments keep their ops");
+                assert!(hits.next().is_none(), "ops of this batch are distinct");
+                p
+            };
+            for (i, earlier) in was.iter().enumerate() {
+                for later in &was[i + 1..] {
+                    if Access::of(earlier).conflicts_with(&Access::of(later)) {
+                        assert!(at(earlier) < at(later), "{earlier:?} and {later:?} swapped");
+                    }
+                }
+            }
+        }
+
+        assert!(art
+            .patch_points
+            .windows(2)
+            .all(|w| w[0].op_index < w[1].op_index));
+        assert!(
+            art.patch_points
+                .iter()
+                .any(|p| { order[p.op_index as usize] != (p.vpp, p.ip) }),
+            "this batch has patch points that moved"
+        );
+        for p in &art.patch_points {
+            assert!(matches!(
+                art.ops[p.op_index as usize],
+                MicroOp::Copy { .. } | MicroOp::PickNls { .. } | MicroOp::PickNlsBwd { .. }
+            ));
+        }
+        let art = Arc::new(art);
+        let warm = WarmBatch::capture(&art, &gs, &g, &f.tables, f.pool.used() - base)
+            .expect("every patch point has a graph node behind it");
+        assert_eq!(warm.patches(&g, &f.tables), art.extract_patches(&gs));
+        // Same structure, other rows and labels: still what the scripts say.
+        let (other, other_root) = fan(&f.model, &[8, 0, 3, 6, 1], 7);
+        f.pool.reset();
+        let gs =
+            generate::generate(&other, other_root, &f.plan, &mut f.pool, &f.tables).expect("fits");
+        assert_eq!(warm.patches(&other, &f.tables), art.extract_patches(&gs));
     }
 
     #[test]

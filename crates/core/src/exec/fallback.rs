@@ -12,6 +12,7 @@ use gpu_sim::{GpuSim, KernelDesc, SimTime};
 use vpps_tensor::{ops, Pool};
 
 use crate::exec::interp::ExecConfig;
+use crate::exec::kernels::{self, MAX_BLOCK};
 use crate::script::BatchLayout;
 use crate::specialize::{GradStrategy, KernelPlan};
 
@@ -22,6 +23,61 @@ pub struct FallbackRun {
     pub gemm_kernels: u64,
     /// Total device time of the fallback kernels.
     pub time: SimTime,
+}
+
+/// Gradient rows [`gemm_outer_acc`] updates per sweep over the staged pairs:
+/// the rows whose `dy` entries share one cache line of a packed `dy` vector.
+const ROW_BLOCK: usize = 16;
+
+/// Dense matrix-matrix product `G += DY · Xᵀ` over `k` staged operand pairs
+/// into the row-major `rows × cols` gradient `g`: `dys` packs `k` vectors of
+/// length `rows` back to back, `xs` packs `k` vectors of length `cols`.
+///
+/// This is exactly the CUBLAS-backed gradient fallback of paper §III-C2: for
+/// each weight matrix the lhs (`dy`) vectors and rhs (`x`) vectors staged
+/// during backward are multiplied in one go.
+///
+/// Row-outer: the gradient is visited once, [`ROW_BLOCK`] rows at a time,
+/// and the staged pairs are streamed against those rows in `k` order —
+/// [`MAX_BLOCK`] pairs per [`kernels::outer_block`] call, which holds a tile
+/// of each row in registers across them — so the rows stay in L1 instead of
+/// the whole matrix being swept once per pair. Every element still receives
+/// its adds in `k` order (and a zero `dy` entry is still skipped), so the
+/// result is bit-identical to `k` successive rank-1 updates
+/// ([`ops::ger_acc`]).
+///
+/// # Panics
+///
+/// Panics if `dys` is not a whole number of `rows`-vectors or `xs` does not
+/// hold the same number of `cols`-vectors.
+fn gemm_outer_acc(g: &mut [f32], rows: usize, cols: usize, dys: &[f32], xs: &[f32]) {
+    assert_eq!(
+        dys.len() % rows,
+        0,
+        "gemm_outer_acc: dys must pack whole dy vectors"
+    );
+    assert_eq!(
+        xs.len(),
+        dys.len() / rows * cols,
+        "gemm_outer_acc: pair counts must match"
+    );
+    for (tile, block) in g.chunks_mut(ROW_BLOCK * cols).enumerate() {
+        let first = tile * ROW_BLOCK;
+        for (dys, xs) in dys
+            .chunks(MAX_BLOCK * rows)
+            .zip(xs.chunks(MAX_BLOCK * cols))
+        {
+            let mut dy_block: [&[f32]; MAX_BLOCK] = [&[]; MAX_BLOCK];
+            let mut x_block: [&[f32]; MAX_BLOCK] = [&[]; MAX_BLOCK];
+            let pairs = dys.chunks_exact(rows).zip(xs.chunks_exact(cols));
+            let n = pairs.len();
+            for (j, (dy, x)) in pairs.enumerate() {
+                dy_block[j] = &dy[first..];
+                x_block[j] = x;
+            }
+            kernels::outer_block(block, cols, &x_block[..n], &dy_block[..n]);
+        }
+    }
 }
 
 /// Computes gradients from the staged operand pairs and applies the SGD
@@ -52,8 +108,10 @@ pub fn apply_gemm_fallback(
             Some(x_base) => {
                 // Matrix gradient: G += Σ_k dy_k ⊗ x_k, computed as one GEMM
                 // over the staged operands where they lie in the pool.
-                ops::gemm_outer_acc(
-                    &mut model.param_mut(pid).grad,
+                gemm_outer_acc(
+                    model.param_mut(pid).grad.as_mut_slice(),
+                    stage.rows,
+                    stage.cols,
                     pool.slice(stage.dy_base, stage.uses * stage.rows),
                     pool.slice(x_base, stage.uses * stage.cols),
                 );
@@ -216,6 +274,56 @@ mod tests {
         for (a, b) in vpps_losses.iter().zip(&ref_losses) {
             assert!((a - b).abs() < 5e-3, "fallback diverged: {a} vs {b}");
         }
+    }
+
+    /// Bit-equal to repeated `ger_acc`, including zero and negative-zero
+    /// `dy` entries: both skip them, so a `-0.0` gradient element (row 4) is
+    /// not flipped to `+0.0` by adding `±0.0 * x`. Two full row blocks and a
+    /// short one; a full pair block and a short one; a column tile and a
+    /// tail.
+    #[test]
+    fn gemm_outer_is_bit_equal_to_repeated_ger() {
+        use vpps_tensor::Matrix;
+        let (rows, cols, uses) = (2 * ROW_BLOCK + 5, 43, MAX_BLOCK + 3);
+        let val = |i: usize| ((i * 37 % 23) as f32 - 11.0) * 0.173;
+        let mut dys: Vec<f32> = (0..uses * rows).map(|i| val(i + 3)).collect();
+        let xs: Vec<f32> = (0..uses * cols).map(|i| val(7 * i + 1)).collect();
+        dys[2] = 0.0;
+        dys[rows + 2] = -0.0;
+        dys[3 * rows] = -0.0;
+        for k in 0..uses {
+            dys[k * rows + 4] = if k % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        let start = Matrix::from_fn(
+            rows,
+            cols,
+            |r, c| {
+                if r == 4 {
+                    -0.0
+                } else {
+                    val(r * cols + c)
+                }
+            },
+        );
+
+        let mut via_gemm = start.clone();
+        gemm_outer_acc(via_gemm.as_mut_slice(), rows, cols, &dys, &xs);
+        let mut via_ger = start;
+        for (dy, x) in dys.chunks_exact(rows).zip(xs.chunks_exact(cols)) {
+            ops::ger_acc(&mut via_ger, dy, x);
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&via_gemm), bits(&via_ger));
+        assert!(via_gemm
+            .row(4)
+            .iter()
+            .all(|v| v.to_bits() == (-0.0f32).to_bits()));
+    }
+
+    #[test]
+    #[should_panic(expected = "pair counts must match")]
+    fn gemm_outer_rejects_mismatched_pair_counts() {
+        gemm_outer_acc(&mut [0.0; 6], 2, 3, &[1.0; 4], &[1.0; 3]);
     }
 
     #[test]

@@ -101,56 +101,6 @@ pub fn ger_acc(g: &mut Matrix, dy: &[f32], x: &[f32]) {
     }
 }
 
-/// Gradient rows [`gemm_outer_acc`] updates per sweep over the staged pairs:
-/// the rows whose `dy` entries share one cache line of a packed `dy` vector.
-const ROW_BLOCK: usize = 16;
-
-/// Dense matrix-matrix product `G += DY · Xᵀ` over `k` staged operand pairs:
-/// `dys` packs `k` vectors of length `g.rows()` back to back, `xs` packs `k`
-/// vectors of length `g.cols()`.
-///
-/// This is exactly the CUBLAS-backed gradient fallback of paper §III-C2: for
-/// each weight matrix the lhs (`dy`) vectors and rhs (`x`) vectors staged
-/// during backward are multiplied in one go.
-///
-/// Row-outer: the gradient is visited once, `ROW_BLOCK` rows at a time,
-/// and the staged pairs are streamed against those rows in `k` order, so
-/// they stay in L1 instead of the whole matrix being swept once per pair.
-/// Every element still receives its adds in `k` order (and a zero `dy` entry
-/// is still skipped), so the result is bit-identical to `k` successive
-/// [`ger_acc`] calls.
-///
-/// # Panics
-///
-/// Panics if `dys` is not a whole number of `g.rows()`-vectors or `xs` does
-/// not hold the same number of `g.cols()`-vectors.
-pub fn gemm_outer_acc(g: &mut Matrix, dys: &[f32], xs: &[f32]) {
-    let (rows, cols) = (g.rows(), g.cols());
-    assert_eq!(
-        dys.len() % rows,
-        0,
-        "gemm_outer_acc: dys must pack whole dy vectors"
-    );
-    assert_eq!(
-        xs.len(),
-        dys.len() / rows * cols,
-        "gemm_outer_acc: pair counts must match"
-    );
-    for (tile, block) in g.as_mut_slice().chunks_mut(ROW_BLOCK * cols).enumerate() {
-        let first = tile * ROW_BLOCK;
-        for (dy, x) in dys.chunks_exact(rows).zip(xs.chunks_exact(cols)) {
-            for (row, &s) in block.chunks_exact_mut(cols).zip(&dy[first..]) {
-                if s == 0.0 {
-                    continue;
-                }
-                for (gi, xi) in row.iter_mut().zip(x) {
-                    *gi += s * xi;
-                }
-            }
-        }
-    }
-}
-
 /// General dense `C = A * B` on [`Matrix`] values (reference semantics for
 /// batched baselines that fuse many matrix-vector products into one
 /// matrix-matrix kernel).
@@ -281,55 +231,6 @@ mod tests {
         let mut g = Matrix::zeros(2, 3);
         ger_acc(&mut g, &[1.0, 2.0], &[3.0, 4.0, 5.0]);
         assert_eq!(g.as_slice(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
-    }
-
-    /// Bit-equal to repeated `ger_acc`, including zero and negative-zero
-    /// `dy` entries: both kernels skip them, so a `-0.0` gradient element
-    /// (the last row) is not flipped to `+0.0` by adding `±0.0 * x`. Two full
-    /// row blocks and a short one.
-    #[test]
-    fn gemm_outer_is_bit_equal_to_repeated_ger() {
-        let (rows, cols, uses) = (2 * ROW_BLOCK + 5, 19, 7);
-        let val = |i: usize| ((i * 37 % 23) as f32 - 11.0) * 0.173;
-        let mut dys: Vec<f32> = (0..uses * rows).map(|i| val(i + 3)).collect();
-        let xs: Vec<f32> = (0..uses * cols).map(|i| val(7 * i + 1)).collect();
-        dys[2] = 0.0;
-        dys[rows + 2] = -0.0;
-        dys[3 * rows] = -0.0;
-        for k in 0..uses {
-            dys[k * rows + 4] = if k % 2 == 0 { 0.0 } else { -0.0 };
-        }
-        let start = Matrix::from_fn(
-            rows,
-            cols,
-            |r, c| {
-                if r == 4 {
-                    -0.0
-                } else {
-                    val(r * cols + c)
-                }
-            },
-        );
-
-        let mut via_gemm = start.clone();
-        gemm_outer_acc(&mut via_gemm, &dys, &xs);
-        let mut via_ger = start;
-        for (dy, x) in dys.chunks_exact(rows).zip(xs.chunks_exact(cols)) {
-            ger_acc(&mut via_ger, dy, x);
-        }
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&via_gemm), bits(&via_ger));
-        assert!(via_gemm
-            .row(4)
-            .iter()
-            .all(|v| v.to_bits() == (-0.0f32).to_bits()));
-    }
-
-    #[test]
-    #[should_panic(expected = "pair counts must match")]
-    fn gemm_outer_rejects_mismatched_pair_counts() {
-        let mut g = Matrix::zeros(2, 3);
-        gemm_outer_acc(&mut g, &[1.0; 4], &[1.0; 3]);
     }
 
     #[test]

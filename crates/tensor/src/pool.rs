@@ -47,8 +47,8 @@ impl fmt::Display for PoolOffset {
     }
 }
 
-/// Error returned when a [`Pool`] allocation exceeds the pre-reserved
-/// capacity (the analogue of exhausting DyNet's up-front DRAM reservation).
+/// Error returned when a [`Pool`] allocation exceeds the pool's capacity
+/// (the analogue of exhausting DyNet's up-front DRAM reservation).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolOverflowError {
     requested: usize,
@@ -75,12 +75,14 @@ impl Error for PoolOverflowError {}
 /// DyNet's per-batch scratch reuse.
 #[derive(Debug, Clone)]
 pub struct Pool {
-    /// The backing buffer. Room for `capacity` elements is reserved up
-    /// front, but the vector is only as long as the high-water mark: memory
-    /// no batch ever reached is never written, so it never becomes resident
-    /// (a zero-filled buffer of the full capacity is, whenever the allocator
-    /// recycles a freed one instead of mapping fresh pages).
+    /// The backing buffer: as long as the high-water mark and grown on
+    /// demand, so a pool asks the allocator for what its batches reached,
+    /// never for its whole capacity (a 16 MB reservation per `Handle` that
+    /// mostly stays untouched still costs address space, and resident pages
+    /// whenever the allocator recycles a freed buffer instead of mapping a
+    /// fresh one).
     data: Vec<f32>,
+    /// Logical bound on `used`: what [`Pool::alloc`] refuses to exceed.
     capacity: usize,
     used: usize,
     floor: usize,
@@ -99,7 +101,7 @@ impl Pool {
             "pool capacity must be addressable by a 4-byte offset"
         );
         Self {
-            data: Vec::with_capacity(capacity),
+            data: Vec::new(),
             capacity,
             used: 0,
             floor: 0,
@@ -123,8 +125,7 @@ impl Pool {
         let off = PoolOffset(self.used as u32);
         // Freshly reclaimed regions may hold stale data from the previous
         // batch; accumulating ops (`+=`) require zeroed destinations. What
-        // lies past the high-water mark is appended, zeroed, within the
-        // reserved capacity.
+        // lies past the high-water mark is appended, zeroed.
         let reclaimed = end.min(self.data.len());
         self.data[self.used..reclaimed].fill(0.0);
         if end > self.data.len() {
@@ -199,7 +200,7 @@ impl Pool {
     }
 
     /// Maximum `used` observed since construction — sizing feedback for the
-    /// up-front reservation.
+    /// capacity.
     pub fn high_water(&self) -> usize {
         self.data.len()
     }

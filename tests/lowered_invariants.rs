@@ -400,7 +400,11 @@ proptest! {
         prop_assert_eq!(a.plan_id, b.plan_id, "plan identity must be stable");
         prop_assert_eq!(a.fingerprint, b.fingerprint, "script fingerprint must be stable");
         prop_assert_eq!(&a.ops, &b.ops, "micro-op arrays must be identical");
-        prop_assert_eq!(&a.costs, &b.costs, "cost tables must be identical");
+        prop_assert_eq!(
+            &a.timeline.instr_mix,
+            &b.timeline.instr_mix,
+            "instruction mixes must be identical"
+        );
         prop_assert_eq!(a.pool_end, b.pool_end);
         prop_assert_eq!(a.scratch_len, b.scratch_len);
         prop_assert_eq!(a.num_barriers, b.num_barriers);
@@ -425,7 +429,7 @@ proptest! {
         for op in &art.ops {
             *counts.entry(op.mnemonic()).or_insert(0) += 1;
         }
-        let mix: BTreeMap<&'static str, u64> = art.costs.instr_mix.iter().copied().collect();
+        let mix: BTreeMap<&'static str, u64> = art.timeline.instr_mix.iter().copied().collect();
         prop_assert_eq!(counts, mix, "lowered op histogram must equal the static mix");
     }
 
