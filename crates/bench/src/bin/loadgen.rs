@@ -48,8 +48,9 @@
 //!   faults and completed requests: proves the recovery path actually ran.
 
 use vpps::{BackendKind, FaultConfig};
-use vpps_bench::serve_bench::{run_scenario_server, ServeScenario};
-use vpps_serve::{serve_summary_json, validate_serve_summary, ServeRecord, ServeReport};
+use vpps_bench::serve_bench::{record_of, run_scenario_server, ServeScenario, SCHEMA};
+use vpps_bench::trajectory;
+use vpps_serve::ServeRecord;
 
 fn usage() -> ! {
     eprintln!(
@@ -200,7 +201,6 @@ struct RunOutput {
 fn run_once(sc: &ServeScenario) -> RunOutput {
     let (mut server, mid, offered_rps) = run_scenario_server(sc);
     let trace = server.take_trace();
-    let cache = server.lowered_cache_stats();
     let router = server.router_stats();
     // Faults are injected per device stream; sum over the fleet.
     let faults_injected = (0..server.device_count())
@@ -211,20 +211,7 @@ fn run_once(sc: &ServeScenario) -> RunOutput {
         })
         .sum();
     RunOutput {
-        rec: ServeRecord {
-            label: sc.label.clone(),
-            backend: sc.backend.name().to_owned(),
-            offered_rps,
-            script_hits: cache.script_hits,
-            script_misses: cache.script_misses,
-            script_re_misses: cache.script_re_misses,
-            devices: server
-                .device_stats()
-                .iter()
-                .map(vpps_serve::DeviceRow::from_stats)
-                .collect(),
-            report: ServeReport::from_outcomes(server.outcomes()),
-        },
+        rec: record_of(sc, &server, offered_rps),
         faults_injected,
         recovery: server.recovery_stats(mid),
         redispatched: server.redispatched_batches(),
@@ -277,8 +264,8 @@ fn main() {
     let t0 = std::time::Instant::now();
     let out = run_once(&args.scenario);
     let rec = out.rec;
-    let json = serve_summary_json(&args.scenario.label, std::slice::from_ref(&rec));
-    if let Err(e) = validate_serve_summary(&json) {
+    let json = SCHEMA.document(&args.scenario.label, &[], vec![rec.to_json()]);
+    if let Err(e) = trajectory::validate(&json) {
         eprintln!("trajectory failed self-validation: {e}");
         std::process::exit(1);
     }
@@ -358,7 +345,7 @@ fn main() {
     }
     if args.verify_determinism {
         let again = run_once(&args.scenario).rec;
-        let json2 = serve_summary_json(&args.scenario.label, std::slice::from_ref(&again));
+        let json2 = SCHEMA.document(&args.scenario.label, &[], vec![again.to_json()]);
         if json == json2 {
             println!("determinism: two runs produced byte-identical trajectories");
         } else {

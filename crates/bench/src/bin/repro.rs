@@ -4,33 +4,35 @@
 //! ```text
 //! cargo run -p vpps-bench --release --bin repro -- all          # quick scale
 //! cargo run -p vpps-bench --release --bin repro -- fig8 --full  # paper scale
+//! cargo run -p vpps-bench --release --bin repro -- check BENCH_*.json
 //! ```
 //!
-//! Subcommands: `fig2`, `fig8`, `fig9`, `fig10`, `fig12`, `table1`,
-//! `table2`, `all`, `serve` (serving-layer batching experiment writing
-//! `BENCH_serve.json`), `serve-sharded` (device-count sweep of the sharded
-//! serving layer writing `BENCH_serve_sharded.json`; exits nonzero if the
-//! warm-cache, determinism, or single-device-equivalence self-checks fail),
-//! `lowered` (interpreted-vs-lowered engine wall-clock
-//! comparison writing `BENCH_lowered.json`; included in `all`), `chaos`
-//! (serving goodput under swept deterministic fault rates writing
-//! `BENCH_chaos.json`; exits nonzero if its armed-rate-0 or same-seed
-//! reproducibility invariant fails), `chaos-sharded` (whole-device outage
-//! sweep — crash, hang, brownout — against the sharded server, writing
-//! `BENCH_chaos_sharded.json`; exits nonzero unless every admitted request
-//! resolves exactly once, surviving-path outputs are bit-identical to a
-//! fault-free run, re-dispatch is visible in the request traces, and the
-//! same-seed rerun is byte-identical), `serve-trace` (end-to-end request
-//! tracing sweep writing `BENCH_serve_trace.json`; exits nonzero unless
-//! every request's phase spans tile its latency exactly, every admitted
-//! request resolves exactly once, nothing was dropped, and the rerun is
-//! byte-identical; with `--emit-trace=FILE` it writes the per-request
-//! Chrome view — one track per device plus one per request — instead of
-//! the host-span trace), and `trace`
-//! (writes a Chrome trace of one Tree-LSTM persistent kernel to
-//! `vpps_kernel_trace.json`). `--full` uses the paper's 128-input
-//! workloads; the default "quick" scale keeps every trend visible while
-//! running in minutes on one CPU core.
+//! Subcommands:
+//!
+//! * `fig2`, `fig8`, `fig9`, `fig12`, `table1` — print the paper's table and
+//!   write the runs behind it to `BENCH_<name>.json`; `fig10`, `table2` —
+//!   print only; `all` — all seven plus `serve`.
+//! * `ablations` — the four design-decision ablations of EXPERIMENTS.md.
+//! * `serve` (batching vs per-request dispatch, `BENCH_serve.json`),
+//!   `serve-sharded` (device-count sweep, `BENCH_serve_sharded.json`),
+//!   `serve-trace` (per-request phase attribution, `BENCH_serve_trace.json`;
+//!   `--emit-trace=FILE` writes the per-request Chrome view — one track per
+//!   device plus one per request — instead of the host-span trace), `chaos`
+//!   (swept fault rates, `BENCH_chaos.json`), `chaos-sharded` (whole-device
+//!   crash / hang / brownout windows, `BENCH_chaos_sharded.json`).
+//! * `check FILE…` — validates each `BENCH_*.json` against the schema its
+//!   `"schema"` string names and checks the facts it records. Exit 0: all
+//!   hold; 1: a recorded fact failed (each is named); 2: a file is
+//!   unreadable, malformed, or of an unknown schema or version.
+//! * `trace` — writes a Chrome trace of one Tree-LSTM persistent kernel to
+//!   `vpps_kernel_trace.json`.
+//!
+//! Every sweep that writes a file then runs `check` on what it wrote and
+//! exits nonzero if a recorded fact does not hold, so the self-checks have
+//! one definition (`vpps_bench::trajectory`). Files go to `$VPPS_BENCH_DIR`
+//! when set, else the current directory. `--full` uses the paper's
+//! 128-input workloads; the default "quick" scale keeps every trend visible
+//! while running in minutes on one CPU core.
 //!
 //! `--backend=NAME` selects the VPPS execution backend for the sweeps
 //! (`event-interp` or `lowered`) without changing any reported number —
@@ -45,14 +47,19 @@
 //! chrome://tracing or https://ui.perfetto.dev). Both outputs are validated
 //! against their own schemas before the process exits.
 
+use std::path::Path;
+
 use gpu_sim::DeviceConfig;
 use vpps::BackendKind;
 use vpps_baselines::Strategy;
+use vpps_bench::ablations::{self, Ablation};
 use vpps_bench::apps::{AppInstance, AppKind, AppSpec};
-use vpps_bench::harness::{profiled_rpw, run_baseline, run_vpps_with, RunResult};
-use vpps_bench::report::{fmt_mb, fmt_ratio, fmt_tput, render_table};
-use vpps_bench::serve_bench::{run_scenario, ServeScenario};
-use vpps_serve::write_serve_summary;
+use vpps_bench::harness::{self, profiled_rpw, run_baseline, run_vpps_with, RunResult};
+use vpps_bench::report::{fmt_flag, fmt_mb, fmt_ratio, fmt_tput, render_columns, render_table};
+use vpps_bench::serve_bench::{self, run_scenario, ServeScenario};
+use vpps_bench::trajectory::{self, CheckError, Schema};
+use vpps_bench::{chaos_bench, chaos_sharded_bench, sharded_bench, trace_bench};
+use vpps_obs::Json;
 
 #[derive(Clone, Copy)]
 struct Scale {
@@ -91,17 +98,98 @@ fn inputs_for(kind: AppKind, scale: &Scale) -> usize {
     }
 }
 
-fn best_baseline(results: &[RunResult]) -> &RunResult {
-    results
-        .iter()
-        .max_by(|a, b| a.throughput.total_cmp(&b.throughput))
-        .expect("at least one baseline result")
+/// The batch sizes of `batches` that `app` has enough inputs for.
+fn fitting<'a>(batches: &'a [usize], app: &'a AppInstance) -> impl Iterator<Item = usize> + 'a {
+    batches.iter().copied().filter(|&b| b <= app.num_inputs())
+}
+
+/// Trains `app` at `batch` under VPPS (profiled rpw) and under each of
+/// `baselines`. Returns the runs, VPPS first, and VPPS's throughput over
+/// the best baseline's.
+fn vpps_vs(
+    app: &AppInstance,
+    batch: usize,
+    backend: BackendKind,
+    baselines: &[Strategy],
+) -> (Vec<RunResult>, f64) {
+    let rpw = profiled_rpw(app, &device(), batch);
+    let mut runs = vec![run_vpps_with(app, &device(), batch, rpw, backend)];
+    for &strategy in baselines {
+        runs.push(run_baseline(app, &device(), batch, strategy));
+    }
+    let best = runs[1..].iter().map(|r| r.throughput).fold(0.0, f64::max);
+    let ratio = runs[0].throughput / best;
+    (runs, ratio)
+}
+
+/// The `[batch, throughput of each run…, ratio]` table row for [`vpps_vs`].
+fn tput_row(batch: usize, runs: &[RunResult], ratio: f64) -> Vec<String> {
+    let mut row = vec![batch.to_string()];
+    row.extend(runs.iter().map(|r| fmt_tput(r.throughput)));
+    row.push(fmt_ratio(ratio));
+    row
+}
+
+const DYNET: [Strategy; 2] = [Strategy::DepthBased, Strategy::AgendaBased];
+
+/// Checks one trajectory file the way `repro check` reports it. Returns the
+/// exit-code class: 0 ok, 1 a recorded fact failed, 2 unreadable/malformed.
+fn check_file(path: &Path) -> i32 {
+    let name = path.display();
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("{name}: unreadable: {e}");
+            return 2;
+        }
+    };
+    match trajectory::check(&text) {
+        Ok(schema) => {
+            println!("{name}: ok ({} v{})", schema.name, schema.version);
+            0
+        }
+        Err(CheckError::Facts(failed)) => {
+            for fact in failed {
+                eprintln!("{name}: FAILED {fact}");
+            }
+            1
+        }
+        Err(CheckError::Malformed(e)) => {
+            eprintln!("{name}: malformed: {e}");
+            2
+        }
+    }
+}
+
+/// Writes a sweep's `BENCH_<experiment>.json`, then holds the file to the
+/// same checker: the subcommand fails if a fact it recorded does not hold.
+fn emit(experiment: &str, document: String) {
+    let path = trajectory::write(experiment, &document).unwrap_or_else(|e| {
+        eprintln!("cannot write the {experiment} trajectory: {e}");
+        std::process::exit(1);
+    });
+    if check_file(&path) != 0 {
+        std::process::exit(1);
+    }
+    println!();
+}
+
+/// [`emit`] for a schema without header fields.
+fn emit_records(schema: &Schema, experiment: &str, records: Vec<Json>) {
+    emit(experiment, schema.document(experiment, &[], records));
+}
+
+/// [`emit`] for the figure/table sweeps: the runs behind the printed rows.
+fn emit_runs(experiment: &str, runs: &[RunResult]) {
+    let records = runs.iter().map(RunResult::to_json).collect();
+    emit_records(&harness::SCHEMA, experiment, records);
 }
 
 fn fig2(scale: &Scale) {
     println!("Fig. 2 — Distribution of off-chip DRAM loads during DyNet training");
     println!("(weight-matrix bytes as a fraction of all loaded bytes, DyNet-AB, batch 8)\n");
     let mut rows = Vec::new();
+    let mut runs = Vec::new();
     for kind in AppKind::ALL {
         let inputs = inputs_for(kind, scale).min(16);
         let app = AppInstance::new(AppSpec::paper(kind), inputs);
@@ -111,6 +199,7 @@ fn fig2(scale: &Scale) {
             format!("{:.1}%", 100.0 * r.weight_fraction),
             format!("{:.1}%", 100.0 * (1.0 - r.weight_fraction)),
         ]);
+        runs.push(r);
     }
     println!(
         "{}",
@@ -121,6 +210,7 @@ fn fig2(scale: &Scale) {
         )
     );
     println!("Paper: weight matrices dominate DRAM loads for every application.\n");
+    emit_runs("fig2", &runs);
 }
 
 fn fig8(scale: &Scale, backend: BackendKind) {
@@ -128,25 +218,12 @@ fn fig8(scale: &Scale, backend: BackendKind) {
     println!("(hidden = embedding = 256; inputs/s in simulated time)\n");
     let app = AppInstance::new(AppSpec::paper(AppKind::TreeLstm), scale.treelstm_inputs);
     let mut rows = Vec::new();
-    for &batch in scale.batches {
-        if batch > app.num_inputs() {
-            continue;
-        }
-        let rpw = profiled_rpw(&app, &device(), batch);
-        let vpps = run_vpps_with(&app, &device(), batch, rpw, backend);
-        let db = run_baseline(&app, &device(), batch, Strategy::DepthBased);
-        let ab = run_baseline(&app, &device(), batch, Strategy::AgendaBased);
-        let tf = run_baseline(&app, &device(), batch, Strategy::TfFold);
-        let baselines = [db, ab, tf];
-        let best = best_baseline(&baselines);
-        rows.push(vec![
-            batch.to_string(),
-            fmt_tput(vpps.throughput),
-            fmt_tput(baselines[0].throughput),
-            fmt_tput(baselines[1].throughput),
-            fmt_tput(baselines[2].throughput),
-            fmt_ratio(vpps.throughput / best.throughput),
-        ]);
+    let mut runs = Vec::new();
+    for batch in fitting(scale.batches, &app) {
+        let baselines = [DYNET[0], DYNET[1], Strategy::TfFold];
+        let (batch_runs, ratio) = vpps_vs(&app, batch, backend, &baselines);
+        rows.push(tput_row(batch, &batch_runs, ratio));
+        runs.extend(batch_runs);
     }
     println!(
         "{}",
@@ -165,6 +242,7 @@ fn fig8(scale: &Scale, backend: BackendKind) {
     );
     println!("Paper: VPPS wins 2.92x at batch 2, narrowing to 1.16x at batch 128;");
     println!("TF-Fold trails both. The advantage concentrates at small batches.\n");
+    emit_runs("fig8", &runs);
 }
 
 fn table1(scale: &Scale, backend: BackendKind) {
@@ -177,25 +255,26 @@ fn table1(scale: &Scale, backend: BackendKind) {
     let mut header = vec!["system".to_owned()];
     let mut vpps_row = vec!["VPPS".to_owned()];
     let mut ab_row = vec!["DyNet-AB".to_owned()];
-    for &batch in scale.batches {
-        if batch > app.num_inputs() {
-            continue;
-        }
+    let mut runs = Vec::new();
+    for batch in fitting(scale.batches, &app) {
         header.push(format!("b={batch}"));
         let vpps = run_vpps_with(&app, &device(), batch, 1, backend);
         let ab = run_baseline(&app, &device(), batch, Strategy::AgendaBased);
         vpps_row.push(fmt_mb(vpps.weight_mb));
         ab_row.push(fmt_mb(ab.weight_mb));
+        runs.extend([vpps, ab]);
     }
     let headers: Vec<&str> = header.iter().map(String::as_str).collect();
     println!("{}", render_table("Table I", &headers, &[vpps_row, ab_row]));
     println!("Paper (128 inputs): VPPS 352.62 MB at batch 1 halving with batch size");
     println!("(exactly weights x launches); DyNet-AB 2.82k MB shrinking sub-linearly.\n");
+    emit_runs("table1", &runs);
 }
 
 fn fig9(scale: &Scale, backend: BackendKind) {
     println!("Fig. 9 — Tree-LSTM throughput vs hidden-layer length");
     println!("(word embedding fixed at 128)\n");
+    let mut runs = Vec::new();
     for hidden in [128usize, 256, 384] {
         let spec = AppSpec::paper(AppKind::TreeLstm)
             .with_hidden(hidden)
@@ -203,29 +282,13 @@ fn fig9(scale: &Scale, backend: BackendKind) {
         let app = AppInstance::new(spec, scale.treelstm_inputs);
         let mut rows = Vec::new();
         let mut occupancy = String::new();
-        for &batch in scale.batches {
-            if batch > app.num_inputs() {
-                continue;
-            }
-            let rpw = profiled_rpw(&app, &device(), batch);
-            let vpps = run_vpps_with(&app, &device(), batch, rpw, backend);
-            let db = run_baseline(&app, &device(), batch, Strategy::DepthBased);
-            let ab = run_baseline(&app, &device(), batch, Strategy::AgendaBased);
-            if let Some((ctas, _)) = vpps.vpps_config {
+        for batch in fitting(scale.batches, &app) {
+            let (batch_runs, ratio) = vpps_vs(&app, batch, backend, &DYNET);
+            if let Some((ctas, _)) = batch_runs[0].vpps_config {
                 occupancy = format!("{} CTA(s)/SM ({}% occupancy)", ctas, 12.5 * ctas as f64);
             }
-            let best = if db.throughput > ab.throughput {
-                &db
-            } else {
-                &ab
-            };
-            rows.push(vec![
-                batch.to_string(),
-                fmt_tput(vpps.throughput),
-                fmt_tput(db.throughput),
-                fmt_tput(ab.throughput),
-                fmt_ratio(vpps.throughput / best.throughput),
-            ]);
+            rows.push(tput_row(batch, &batch_runs, ratio));
+            runs.extend(batch_runs);
         }
         println!(
             "{}",
@@ -238,6 +301,7 @@ fn fig9(scale: &Scale, backend: BackendKind) {
     }
     println!("Paper: throughput falls as hidden grows; 384 forces 1 CTA/SM (12.5%");
     println!("occupancy) and drops disproportionately vs 256; VPPS stays ahead.\n");
+    emit_runs("fig9", &runs);
 }
 
 fn fig10(scale: &Scale, backend: BackendKind) {
@@ -245,10 +309,7 @@ fn fig10(scale: &Scale, backend: BackendKind) {
     println!("(Tree-LSTM, hidden = embedding = 256; CPU and GPU overlap at runtime)\n");
     let app = AppInstance::new(AppSpec::paper(AppKind::TreeLstm), scale.treelstm_inputs);
     let mut rows = Vec::new();
-    for &batch in scale.batches {
-        if batch > app.num_inputs() {
-            continue;
-        }
+    for batch in fitting(scale.batches, &app) {
         let rpw = profiled_rpw(&app, &device(), batch);
         let r = run_vpps_with(&app, &device(), batch, rpw, backend);
         let p = r.vpps_phases.expect("vpps run has phases");
@@ -289,6 +350,7 @@ fn fig10(scale: &Scale, backend: BackendKind) {
 fn fig12(scale: &Scale, backend: BackendKind) {
     println!("Fig. 12 — Training throughput for the other applications");
     println!("(BiLSTM/BiLSTMwChar/TD-LSTM at 256; TD-RNN/RvNN at 512)\n");
+    let mut runs = Vec::new();
     for kind in [
         AppKind::BiLstm,
         AppKind::BiLstmChar,
@@ -299,28 +361,11 @@ fn fig12(scale: &Scale, backend: BackendKind) {
         let app = AppInstance::new(AppSpec::paper(kind), inputs_for(kind, scale));
         let mut rows = Vec::new();
         let mut peak: f64 = 0.0;
-        for &batch in scale.fig12_batches {
-            if batch > app.num_inputs() {
-                continue;
-            }
-            let rpw = profiled_rpw(&app, &device(), batch);
-            let vpps = run_vpps_with(&app, &device(), batch, rpw, backend);
-            let db = run_baseline(&app, &device(), batch, Strategy::DepthBased);
-            let ab = run_baseline(&app, &device(), batch, Strategy::AgendaBased);
-            let best = if db.throughput > ab.throughput {
-                &db
-            } else {
-                &ab
-            };
-            let ratio = vpps.throughput / best.throughput;
+        for batch in fitting(scale.fig12_batches, &app) {
+            let (batch_runs, ratio) = vpps_vs(&app, batch, backend, &DYNET);
             peak = peak.max(ratio);
-            rows.push(vec![
-                batch.to_string(),
-                fmt_tput(vpps.throughput),
-                fmt_tput(db.throughput),
-                fmt_tput(ab.throughput),
-                fmt_ratio(ratio),
-            ]);
+            rows.push(tput_row(batch, &batch_runs, ratio));
+            runs.extend(batch_runs);
         }
         println!(
             "{}",
@@ -338,6 +383,7 @@ fn fig12(scale: &Scale, backend: BackendKind) {
     println!("Paper: VPPS leads across applications, up to 6.08x (BiLSTM, batch 2);");
     println!("DyNet closes the gap at smaller batches on TD-RNN/RvNN, whose graphs");
     println!("have few operation types and batch easily.\n");
+    emit_runs("fig12", &runs);
 }
 
 fn table2() {
@@ -377,8 +423,6 @@ fn table2() {
 
 fn trace() {
     use vpps::engine::{run_batch_traced, EventInterp};
-    use vpps::exec::interp::ExecConfig;
-    use vpps::script::{generate, TableLayout};
 
     println!("Exporting a per-VPP kernel timeline (Tree-LSTM, batch 4)...");
     let mut spec = AppSpec::paper(AppKind::TreeLstm);
@@ -389,16 +433,8 @@ fn trace() {
     let app = AppInstance::new(spec, 4);
     let mut model = app.fresh_model();
     let plan = vpps::KernelPlan::build(&model, &device(), 1).expect("fits");
-    let (g, loss) = (app.batch_graphs(4).remove(0).0, app.batch_graphs(4)[0].1);
-    let mut pool = vpps_tensor::Pool::with_capacity(1 << 22);
-    let tables = TableLayout::install(&model, &mut pool).expect("fits");
-    let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).expect("fits");
-    for (id, node) in g.iter() {
-        if let dyn_graph::Op::Input { values } = &node.op {
-            pool.slice_mut(gs.layout.value_off[id.index()], node.dim)
-                .copy_from_slice(values);
-        }
-    }
+    let (g, loss) = app.batch_graphs(4).remove(0);
+    let (gs, mut pool) = harness::staged(&model, &plan, (&g, loss), Default::default());
     let mut gpu = gpu_sim::GpuSim::new(device());
     let (run, trace) = run_batch_traced(
         &EventInterp,
@@ -407,7 +443,7 @@ fn trace() {
         &mut pool,
         &mut model,
         &mut gpu,
-        ExecConfig::default(),
+        Default::default(),
     );
     let path = "vpps_kernel_trace.json";
     std::fs::write(path, trace.to_chrome_json()).expect("write trace");
@@ -420,71 +456,37 @@ fn trace() {
     println!("open chrome://tracing or https://ui.perfetto.dev and load the file.");
 }
 
-/// Interpreted-vs-lowered engine wall-clock comparison. Writes
-/// `BENCH_lowered.json` (honoring `$VPPS_BENCH_DIR`).
-fn lowered(full: bool) {
-    println!("Lowered — pre-resolved micro-op execution vs the event interpreter");
-    println!("(engine wall-clock only; losses compared bit-for-bit)\n");
-    let rows = vpps_bench::lowered_bench(full);
-    let mut table = Vec::new();
-    for r in &rows {
-        table.push(vec![
-            r.scenario.clone(),
-            r.batches.to_string(),
-            format!("{:.2}", r.interp_ns as f64 / 1e6),
-            format!("{:.2}", r.lowered_ns as f64 / 1e6),
-            fmt_ratio(r.speedup),
-            if r.plan_warm_hit_rate < 0.0 {
-                "-".to_owned()
-            } else {
-                format!("{:.2}", r.plan_warm_hit_rate)
-            },
-            format!("{}/{}", r.script_hits, r.script_hits + r.script_misses),
-            if r.bit_identical { "yes" } else { "NO" }.to_owned(),
-        ]);
-    }
+/// The four design-decision ablations (EXPERIMENTS.md "Ablations"), every
+/// number virtual-clock or a static count.
+fn ablations() {
+    println!("Ablations — the design decisions DESIGN.md calls out");
+    println!("(one Tree-LSTM batch of 4 trees, hidden = embedding = 64)\n");
+    let value = |r: &Ablation, v: f64| match r.unit {
+        "us" => format!("{v:.1} us"),
+        unit => format!("{v:.0} {unit}"),
+    };
     println!(
         "{}",
-        render_table(
-            "Lowered",
+        render_columns(
+            "Ablations",
+            &ablations::run(),
             &[
-                "scenario",
-                "batches",
-                "interp ms",
-                "lowered ms",
-                "speedup",
-                "warm hit rate",
-                "script hits",
-                "bit-identical"
-            ],
-            &table
+                ("design decision", &|r| r.decision.to_owned()),
+                ("chosen", &|r| value(r, r.chosen)),
+                ("alternative", &|r| value(r, r.alternative)),
+                ("alt / chosen", &|r| fmt_ratio(r.alternative / r.chosen)),
+            ]
         )
     );
-    println!("Every row must be bit-identical; the fig8 sweep shows the cache win");
-    println!("(epoch 2+ batches skip lowering and the timeline sweep entirely).\n");
-    // Self-check: the serve row runs the structure-keyed batcher against the
-    // lowered backend's script cache, so repeated popular inputs must hit.
-    if let Some(serve_row) = rows.iter().find(|r| r.scenario == "serve") {
-        if serve_row.script_hits == 0 {
-            eprintln!(
-                "serve row recorded no script-cache hits: the serve workload \
-                 is not exercising the warm lowered cache"
-            );
-            std::process::exit(1);
-        }
-    }
-    match vpps_bench::write_lowered_summary(&rows) {
-        Ok(path) => println!("lowered trajectory -> {}\n", path.display()),
-        Err(e) => {
-            eprintln!("cannot write lowered trajectory: {e}");
-            std::process::exit(1);
-        }
-    }
+    println!("Paper: in-register gradients win when registers allow (III-C2); overlap");
+    println!("hides host scheduling (III-C1); RISC scripts would multiply the");
+    println!("instructions the host must manage (III-B2).\n");
 }
 
 /// Serving-layer experiment: shape-bucketed dynamic batching vs batch-1
 /// dispatch at a saturating offered load, plus a low-load sanity row.
-/// Writes `BENCH_serve.json` (honoring `$VPPS_BENCH_DIR`).
+/// Writes `BENCH_serve.json`; on the lowered backend the checked facts are
+/// that every row hit the warm script cache and none re-missed.
 fn serve(full: bool, backend: BackendKind) {
     println!("Serve — multi-tenant batched serving vs per-request dispatch");
     println!("(Tree-LSTM inference; open-loop Poisson arrivals on the virtual clock)\n");
@@ -516,33 +518,20 @@ fn serve(full: bool, backend: BackendKind) {
             ..base.clone()
         }),
     ];
-    let mut rows = Vec::new();
-    for rec in &records {
-        let r = &rec.report;
-        rows.push(vec![
-            rec.label.clone(),
-            format!("{:.0}", rec.offered_rps),
-            format!("{:.0}", r.goodput_rps),
-            format!("{:.2}", r.mean_batch),
-            format!("{:.0}", r.e2e.p50_us),
-            format!("{:.0}", r.e2e.p99_us),
-            format!("{}", r.total_shed()),
-        ]);
-    }
     println!(
         "{}",
-        render_table(
+        render_columns(
             "Serve",
+            &records,
             &[
-                "scenario",
-                "offered rps",
-                "goodput rps",
-                "mean batch",
-                "p50 us",
-                "p99 us",
-                "shed"
-            ],
-            &rows
+                ("scenario", &|r| r.label.clone()),
+                ("offered rps", &|r| format!("{:.0}", r.offered_rps)),
+                ("goodput rps", &|r| format!("{:.0}", r.report.goodput_rps)),
+                ("mean batch", &|r| format!("{:.2}", r.report.mean_batch)),
+                ("p50 us", &|r| format!("{:.0}", r.report.e2e.p50_us)),
+                ("p99 us", &|r| format!("{:.0}", r.report.e2e.p99_us)),
+                ("shed", &|r| r.report.total_shed().to_string()),
+            ]
         )
     );
     let single = records[0].report.goodput_rps;
@@ -552,113 +541,42 @@ fn serve(full: bool, backend: BackendKind) {
         fmt_ratio(batched / single.max(1.0))
     );
     println!("the low-load row must complete everything with zero shed.\n");
-    if backend == BackendKind::Lowered {
-        // Self-check: once a bucket's scripts are lowered they must stay
-        // warm. First-touch misses are the warmup; everything after must
-        // hit (re-misses mean the structure-keyed cache is churning).
-        for rec in &records {
-            let after_warmup = rec.script_hits + rec.script_re_misses;
-            let rate = if after_warmup == 0 {
-                1.0
-            } else {
-                rec.script_hits as f64 / after_warmup as f64
-            };
-            if rate < 0.9 {
-                eprintln!(
-                    "{}: post-warmup script-cache hit rate {:.3} < 0.9 \
-                     ({} hits, {} re-misses)",
-                    rec.label, rate, rec.script_hits, rec.script_re_misses
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-    match write_serve_summary("serve", &records) {
-        Ok(path) => println!("serving trajectory -> {}\n", path.display()),
-        Err(e) => {
-            eprintln!("cannot write serving trajectory: {e}");
-            std::process::exit(1);
-        }
-    }
+    let records = records.iter().map(|r| r.to_json()).collect();
+    emit_records(&serve_bench::SCHEMA, "serve", records);
 }
 
 /// Sharded-serving experiment: the saturating Zipf serving trace swept
 /// across device counts, with warmup so the reported goodput reflects warm
-/// per-device lowered caches. Writes `BENCH_serve_sharded.json` (honoring
-/// `$VPPS_BENCH_DIR`) and exits nonzero if any self-check fails: warm
-/// script-cache hit rate >= 0.9, byte-identical reruns, sharded outputs
-/// bit-identical to single-device, goodput not regressing as devices are
-/// added.
+/// per-device lowered caches. Writes `BENCH_serve_sharded.json`; the
+/// checked facts: warm script-cache hit rate >= 0.9, byte-identical reruns,
+/// sharded outputs bit-identical to single-device, goodput not regressing
+/// as devices are added and >= 1.5x at 4 devices.
 fn serve_sharded(full: bool) {
     println!("Serve-sharded — device-count sweep of the sharded serving layer");
     println!("(saturating Zipf corpus; plan-affinity routing with work stealing)\n");
-    let records = vpps_bench::run_sharded(full);
-    let mut rows = Vec::new();
-    for r in &records {
-        let util = r
-            .per_device_util
-            .iter()
-            .map(|u| format!("{:.2}", u))
-            .collect::<Vec<_>>()
-            .join(" ");
-        rows.push(vec![
-            r.devices.to_string(),
-            format!("{:.0}", r.goodput_rps),
-            format!("{:.2}", r.mean_batch),
-            format!("{:.3}", r.warm_hit_rate),
-            r.affinity_hits.to_string(),
-            r.steals.to_string(),
-            util,
-            if r.deterministic { "yes" } else { "NO" }.to_owned(),
-            if r.outputs_match_single { "yes" } else { "NO" }.to_owned(),
-        ]);
-    }
+    let records = sharded_bench::run_sharded(full);
+    let util = |r: &sharded_bench::ShardedRecord| {
+        let per_device = r.per_device_util.iter().map(|u| format!("{u:.2}"));
+        per_device.collect::<Vec<_>>().join(" ")
+    };
     println!(
         "{}",
-        render_table(
+        render_columns(
             "Serve-sharded",
+            &records,
             &[
-                "devices",
-                "goodput rps",
-                "mean batch",
-                "warm hit",
-                "affinity",
-                "steals",
-                "per-device util",
-                "det",
-                "=1-dev"
-            ],
-            &rows
+                ("devices", &|r| r.devices.to_string()),
+                ("goodput rps", &|r| format!("{:.0}", r.goodput_rps)),
+                ("mean batch", &|r| format!("{:.2}", r.mean_batch)),
+                ("warm hit", &|r| format!("{:.3}", r.warm_hit_rate)),
+                ("affinity", &|r| r.affinity_hits.to_string()),
+                ("steals", &|r| r.steals.to_string()),
+                ("per-device util", &util),
+                ("det", &|r| fmt_flag(r.deterministic)),
+                ("=1-dev", &|r| fmt_flag(r.outputs_match_single)),
+            ]
         )
     );
-    let mut failed = false;
-    for r in &records {
-        if r.warm_hit_rate < 0.9 {
-            eprintln!(
-                "devices={}: warm script-cache hit rate {:.3} < 0.9",
-                r.devices, r.warm_hit_rate
-            );
-            failed = true;
-        }
-        if r.script_re_misses != 0 {
-            eprintln!(
-                "devices={}: {} structural re-misses (keying bug)",
-                r.devices, r.script_re_misses
-            );
-            failed = true;
-        }
-        if !r.deterministic {
-            eprintln!("devices={}: rerun was not byte-identical", r.devices);
-            failed = true;
-        }
-        if !r.outputs_match_single {
-            eprintln!(
-                "devices={}: outputs differ from the single-device run",
-                r.devices
-            );
-            failed = true;
-        }
-    }
     let g1 = records
         .iter()
         .find(|r| r.devices == 1)
@@ -670,63 +588,42 @@ fn serve_sharded(full: bool) {
             fmt_ratio(r.goodput_rps / g1.max(1.0))
         );
     }
-    if failed {
-        eprintln!("serve-sharded self-checks failed");
-        std::process::exit(1);
-    }
     println!();
-    match vpps_bench::write_sharded_summary(&records) {
-        Ok(path) => println!("sharded trajectory -> {}\n", path.display()),
-        Err(e) => {
-            eprintln!("cannot write sharded trajectory: {e}");
-            std::process::exit(1);
-        }
-    }
+    let records = records.iter().map(|r| r.to_json()).collect();
+    emit_records(&sharded_bench::SCHEMA, "serve_sharded", records);
 }
 
 /// Request-tracing experiment: the saturating sharded corpus with every
 /// request traced, per device count. Prints the fig10-style per-phase p99
-/// breakdown (overall and cold-vs-warm), writes `BENCH_serve_trace.json`
-/// (honoring `$VPPS_BENCH_DIR`), and exits nonzero if any self-check
-/// fails: exact phase tiling, exactly one terminal per admitted request,
-/// zero dropped events/spans, nonzero queue attribution, byte-identical
-/// reruns. `trace_view` writes the per-request Chrome view.
+/// breakdown (overall and cold-vs-warm) and writes
+/// `BENCH_serve_trace.json`; the checked facts: exact phase tiling, exactly
+/// one terminal per admitted request, zero dropped events/spans, nonzero
+/// queue attribution, byte-identical reruns. `trace_view` writes the
+/// per-request Chrome view.
 fn serve_trace(full: bool, trace_view: Option<&str>) {
     println!("Serve-trace — end-to-end request tracing with exact time attribution");
     println!("(every request traced; phase spans must tile e2e latency bitwise)\n");
-    let records = vpps_bench::run_trace(full);
-    let mut rows = Vec::new();
-    for r in &records {
-        rows.push(vec![
-            r.devices.to_string(),
-            r.traced.to_string(),
-            format!("{:.0}", r.overall.e2e.p99_us),
-            format!("{:.0}", r.overall.linger.p99_us),
-            format!("{:.0}", r.overall.queue.p99_us),
-            format!("{:.0}", r.overall.execute.p99_us),
-            format!("{:.2}", r.overall.tail_queue_share),
-            if r.tiled_exactly { "yes" } else { "NO" }.to_owned(),
-            if r.terminal_exactly_once { "yes" } else { "NO" }.to_owned(),
-            if r.deterministic { "yes" } else { "NO" }.to_owned(),
-        ]);
-    }
+    let records = trace_bench::run_trace(full);
     println!(
         "{}",
-        render_table(
+        render_columns(
             "Serve-trace",
+            &records,
             &[
-                "devices",
-                "traced",
-                "e2e p99 us",
-                "linger p99",
-                "queue p99",
-                "exec p99",
-                "tail queue",
-                "tiled",
-                "1 terminal",
-                "det"
-            ],
-            &rows
+                ("devices", &|r| r.devices.to_string()),
+                ("traced", &|r| r.traced.to_string()),
+                ("e2e p99 us", &|r| format!("{:.0}", r.overall.e2e.p99_us)),
+                ("linger p99", &|r| format!("{:.0}", r.overall.linger.p99_us)),
+                ("queue p99", &|r| format!("{:.0}", r.overall.queue.p99_us)),
+                ("exec p99", &|r| format!("{:.0}", r.overall.execute.p99_us)),
+                ("tail queue", &|r| format!(
+                    "{:.2}",
+                    r.overall.tail_queue_share
+                )),
+                ("tiled", &|r| fmt_flag(r.tiled_exactly)),
+                ("1 terminal", &|r| fmt_flag(r.terminal_exactly_once)),
+                ("det", &|r| fmt_flag(r.deterministic)),
+            ]
         )
     );
     for r in &records {
@@ -738,34 +635,12 @@ fn serve_trace(full: bool, trace_view: Option<&str>) {
         }
     }
     println!();
-    let mut failed = false;
-    for r in &records {
-        if !r.self_checks_pass() {
-            eprintln!(
-                "devices={}: self-checks failed (errors={} tiled={} terminal={} queue={} \
-                 warmth={} complete={} det={})",
-                r.devices,
-                r.errors,
-                r.tiled_exactly,
-                r.terminal_exactly_once,
-                r.queue_attr_nonzero,
-                r.cold_and_warm_present,
-                r.complete,
-                r.deterministic
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        eprintln!("serve-trace self-checks failed");
-        std::process::exit(1);
-    }
     if let Some(path) = trace_view {
-        let sc = vpps_bench::trace_scenario(full);
-        let devices = *vpps_bench::trace_bench::trace_device_counts(full)
+        let sc = trace_bench::trace_scenario(full);
+        let devices = *trace_bench::trace_device_counts(full)
             .last()
             .expect("at least one device count");
-        match vpps_bench::chrome_view_json(&sc, devices) {
+        match trace_bench::chrome_view_json(&sc, devices) {
             Ok(json) => {
                 std::fs::write(path, &json).unwrap_or_else(|e| {
                     eprintln!("cannot write {path}: {e}");
@@ -779,176 +654,97 @@ fn serve_trace(full: bool, trace_view: Option<&str>) {
             }
         }
     }
-    match vpps_bench::write_trace_summary(&records) {
-        Ok(path) => println!("trace trajectory -> {}\n", path.display()),
-        Err(e) => {
-            eprintln!("cannot write trace trajectory: {e}");
-            std::process::exit(1);
-        }
-    }
+    let records = records.iter().map(|r| r.to_json()).collect();
+    emit_records(&trace_bench::SCHEMA, "serve_trace", records);
 }
 
 /// Chaos experiment: the serving trace replayed across a ladder of fault
 /// rates with deterministic injection and the full recovery stack armed.
-/// Writes `BENCH_chaos.json` (honoring `$VPPS_BENCH_DIR`) and exits
-/// nonzero if either self-checked invariant (armed-rate-0 silence,
-/// same-seed reproducibility) fails.
+/// Writes `BENCH_chaos.json`; the checked facts: armed-rate-0 silence,
+/// same-seed reproducibility, faults injected off the rate-0 row.
 fn chaos(full: bool, backend: BackendKind) {
     println!("Chaos — goodput and recovery cost under swept fault rates");
     println!("(deterministic injection; every point self-checks reproducibility)\n");
-    let sc = vpps_bench::ChaosScenario {
+    let sc = chaos_bench::ChaosScenario {
         requests: if full { 240 } else { 80 },
         hidden: if full { 64 } else { 32 },
         backend,
-        ..vpps_bench::ChaosScenario::default()
+        ..chaos_bench::ChaosScenario::default()
     };
-    let summary = vpps_bench::run_chaos(&sc);
-    let mut rows = Vec::new();
-    for rec in &summary.records {
-        let r = &rec.record.report;
-        rows.push(vec![
-            format!("{:.2}", rec.rate),
-            rec.faults_total.to_string(),
-            rec.recovery.retries.to_string(),
-            (rec.recovery.backend_fallbacks + rec.recovery.baseline_fallbacks).to_string(),
-            rec.recovery.quarantines.to_string(),
-            format!("{:.0}", r.goodput_rps),
-            format!("{:.0}", r.e2e.p99_us),
-            format!("{}", r.total_shed()),
-        ]);
-    }
+    let summary = chaos_bench::run_chaos(&sc);
+    let fallbacks = |r: &chaos_bench::ChaosRecord| {
+        (r.recovery.backend_fallbacks + r.recovery.baseline_fallbacks).to_string()
+    };
     println!(
         "{}",
-        render_table(
+        render_columns(
             "Chaos",
+            &summary.records,
             &[
-                "fault rate",
-                "injected",
-                "retries",
-                "fallbacks",
-                "quarantines",
-                "goodput rps",
-                "p99 us",
-                "shed"
-            ],
-            &rows
+                ("fault rate", &|r| format!("{:.2}", r.rate)),
+                ("injected", &|r| r.faults_total.to_string()),
+                ("retries", &|r| r.recovery.retries.to_string()),
+                ("fallbacks", &fallbacks),
+                ("quarantines", &|r| r.recovery.quarantines.to_string()),
+                ("goodput rps", &|r| format!(
+                    "{:.0}",
+                    r.record.report.goodput_rps
+                )),
+                ("p99 us", &|r| format!("{:.0}", r.record.report.e2e.p99_us)),
+                ("shed", &|r| r.record.report.total_shed().to_string()),
+            ]
         )
     );
     println!(
         "armed rate-0 identical to disabled: {}; same-seed sweep reproducible: {}\n",
-        if summary.zero_rate_identical {
-            "yes"
-        } else {
-            "NO"
-        },
-        if summary.same_seed_identical {
-            "yes"
-        } else {
-            "NO"
-        },
+        fmt_flag(summary.zero_rate_identical),
+        fmt_flag(summary.same_seed_identical),
     );
-    if !summary.zero_rate_identical || !summary.same_seed_identical {
-        eprintln!("chaos determinism invariant failed");
-        std::process::exit(1);
-    }
-    match vpps_bench::write_chaos_summary("chaos", &summary) {
-        Ok(path) => println!("chaos trajectory -> {}\n", path.display()),
-        Err(e) => {
-            eprintln!("cannot write chaos trajectory: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit("chaos", chaos_bench::document("chaos", &summary));
 }
 
 /// Chaos-sharded experiment: device-count × outage-kind sweep of scheduled
 /// whole-device faults (crash, hang, brownout) against the sharded server.
-/// Writes `BENCH_chaos_sharded.json` (honoring `$VPPS_BENCH_DIR`) and
-/// exits nonzero if any point's self-checks fail: zero lost requests, zero
-/// duplicate resolutions, surviving-path outputs bit-identical to a
-/// fault-free run, same-seed rerun byte-identical, request-trace spans
-/// still tiling exactly with re-dispatch attributed.
+/// Writes `BENCH_chaos_sharded.json`; the checked facts: zero lost
+/// requests, zero duplicate resolutions, surviving-path outputs
+/// bit-identical to a fault-free run, same-seed rerun byte-identical,
+/// request-trace spans still tiling exactly with re-dispatch attributed,
+/// goodput holding its (N-1)/N floor during and recovering after.
 fn chaos_sharded(full: bool) {
     println!("Chaos-sharded — whole-device outages against the sharded server");
     println!("(scheduled crash/hang/brownout on device 1 over the middle third");
     println!("of the fault-free makespan; every point self-checks exactly-once)\n");
-    let sc = vpps_bench::chaos_sharded_scenario(full);
-    let records = vpps_bench::run_chaos_sharded(&sc);
-    let mut rows = Vec::new();
-    for r in &records {
-        rows.push(vec![
-            r.devices.to_string(),
-            r.kind.clone(),
-            format!("{:.0}..{:.0}", r.outage_start_us, r.outage_end_us),
-            r.lost.to_string(),
-            r.duplicates.to_string(),
-            r.redispatched.to_string(),
-            format!("{}/{}", r.warm_rebuild_cold_lowers, r.rehomes),
-            format!("{:.0}", r.goodput_pre_rps),
-            format!("{:.0}", r.goodput_during_rps),
-            format!("{:.0}", r.goodput_post_rps),
-            if r.outputs_match_fault_free {
-                "yes"
-            } else {
-                "NO"
-            }
-            .to_owned(),
-            if r.deterministic { "yes" } else { "NO" }.to_owned(),
-        ]);
-    }
+    let sc = chaos_sharded_bench::chaos_sharded_scenario(full);
+    let records = chaos_sharded_bench::run_chaos_sharded(&sc);
     println!(
         "{}",
-        render_table(
+        render_columns(
             "Chaos-sharded",
+            &records,
             &[
-                "devices",
-                "outage",
-                "window us",
-                "lost",
-                "dup",
-                "redisp",
-                "cold/rehomed",
-                "pre rps",
-                "during rps",
-                "post rps",
-                "=clean",
-                "det"
-            ],
-            &rows
+                ("devices", &|r| r.devices.to_string()),
+                ("outage", &|r| r.kind.clone()),
+                ("window us", &|r| {
+                    format!("{:.0}..{:.0}", r.outage_start_us, r.outage_end_us)
+                }),
+                ("lost", &|r| r.lost.to_string()),
+                ("dup", &|r| r.duplicates.to_string()),
+                ("redisp", &|r| r.redispatched.to_string()),
+                ("cold/rehomed", &|r| {
+                    format!("{}/{}", r.warm_rebuild_cold_lowers, r.rehomes)
+                }),
+                ("pre rps", &|r| format!("{:.0}", r.goodput_pre_rps)),
+                ("during rps", &|r| format!("{:.0}", r.goodput_during_rps)),
+                ("post rps", &|r| format!("{:.0}", r.goodput_post_rps)),
+                ("=clean", &|r| fmt_flag(r.outputs_match_fault_free)),
+                ("det", &|r| fmt_flag(r.deterministic)),
+            ]
         )
     );
     println!("lost and dup must be 0 on every row: a failing device may slow the");
     println!("fleet but never loses or double-resolves an admitted request.\n");
-    let mut failed = false;
-    for r in &records {
-        if !r.self_checks_pass() {
-            eprintln!(
-                "devices={} kind={}: self-checks failed (lost={} dup={} redisp={} \
-                 downs={} revivals={} =clean={} det={} trace={})",
-                r.devices,
-                r.kind,
-                r.lost,
-                r.duplicates,
-                r.redispatched,
-                r.device_downs,
-                r.device_revivals,
-                r.outputs_match_fault_free,
-                r.deterministic,
-                r.trace_complete
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        eprintln!("chaos-sharded self-checks failed");
-        std::process::exit(1);
-    }
-    match vpps_bench::write_chaos_sharded_summary(&records) {
-        Ok(path) => println!("chaos-sharded trajectory -> {}\n", path.display()),
-        Err(e) => {
-            eprintln!("cannot write chaos-sharded trajectory: {e}");
-            std::process::exit(1);
-        }
-    }
+    let records = records.iter().map(|r| r.to_json()).collect();
+    emit_records(&chaos_sharded_bench::SCHEMA, "chaos_sharded", records);
 }
 
 /// Captures the metric registry and writes it to `path` (Prometheus text
@@ -1018,33 +814,62 @@ fn emit_trace(path: &str) {
     );
 }
 
+/// Names the `problem` with the command line, prints the usage, exits 2.
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "{problem}\nusage: repro [fig2|fig8|fig9|fig10|fig12|table1|table2|ablations|trace|\
+         serve|serve-sharded|serve-trace|chaos|chaos-sharded|all] [--full] \
+         [--backend=event-interp|lowered] [--emit-metrics=FILE[.prom]] [--emit-trace=FILE]\n       \
+         repro check FILE..."
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let scale = if full { FULL } else { QUICK };
-    let backend = match args.iter().find_map(|a| a.strip_prefix("--backend=")) {
-        Some(name) => name.parse::<BackendKind>().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-        None => BackendKind::default(),
+    let (flags, positional): (Vec<&str>, Vec<&str>) = args
+        .iter()
+        .map(String::as_str)
+        .partition(|a| a.starts_with("--"));
+    let (cmd, operands) = match positional.split_first() {
+        Some((&cmd, rest)) => (cmd, rest),
+        None => ("all", &[][..]),
     };
-    let metrics_path = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--emit-metrics="))
-        .map(str::to_owned);
-    let mut trace_path = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--emit-trace="))
-        .map(str::to_owned);
+    if cmd == "check" {
+        if operands.is_empty() || !flags.is_empty() {
+            usage("check takes files and no flags");
+        }
+        let worst = operands.iter().map(|f| check_file(Path::new(f))).max();
+        std::process::exit(worst.unwrap_or(0));
+    }
+
+    let mut full = false;
+    let mut backend = BackendKind::default();
+    let mut metrics_path = None;
+    let mut trace_path = None;
+    for flag in flags {
+        if flag == "--full" {
+            full = true;
+        } else if let Some(name) = flag.strip_prefix("--backend=") {
+            backend = name.parse().unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            });
+        } else if let Some(path) = flag.strip_prefix("--emit-metrics=") {
+            metrics_path = Some(path);
+        } else if let Some(path) = flag.strip_prefix("--emit-trace=") {
+            trace_path = Some(path);
+        } else {
+            usage(&format!("unknown flag '{flag}'"));
+        }
+    }
+    if let Some(extra) = operands.first() {
+        usage(&format!("unexpected argument '{extra}'"));
+    }
+    let scale = if full { FULL } else { QUICK };
     if metrics_path.is_some() || trace_path.is_some() {
         vpps_obs::set_enabled(true);
     }
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
 
     let t0 = std::time::Instant::now();
     println!(
@@ -1061,13 +886,13 @@ fn main() {
         "fig12" => fig12(&scale, backend),
         "table1" => table1(&scale, backend),
         "table2" => table2(),
+        "ablations" => ablations(),
         "trace" => trace(),
         "serve" => serve(full, backend),
         "serve-sharded" => serve_sharded(full),
         // serve-trace claims --emit-trace for its per-request view (one
         // track per device + one per request) instead of the host spans.
-        "serve-trace" => serve_trace(full, trace_path.take().as_deref()),
-        "lowered" => lowered(full),
+        "serve-trace" => serve_trace(full, trace_path.take()),
         "chaos" => chaos(full, backend),
         "chaos-sharded" => chaos_sharded(full),
         "all" => {
@@ -1079,22 +904,13 @@ fn main() {
             fig10(&scale, backend);
             fig12(&scale, backend);
             serve(full, backend);
-            lowered(full);
         }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!(
-                "usage: repro [fig2|fig8|fig9|fig10|fig12|table1|table2|trace|serve|serve-sharded|serve-trace|lowered|chaos|chaos-sharded|all] \
-                 [--full] [--backend=event-interp|lowered] \
-                 [--emit-metrics=FILE[.prom]] [--emit-trace=FILE]"
-            );
-            std::process::exit(2);
-        }
+        other => usage(&format!("unknown experiment '{other}'")),
     }
-    if let Some(path) = &metrics_path {
+    if let Some(path) = metrics_path {
         emit_metrics(path, cmd, backend, full);
     }
-    if let Some(path) = &trace_path {
+    if let Some(path) = trace_path {
         emit_trace(path);
     }
     println!("(completed in {:.1?} host wall time)", t0.elapsed());

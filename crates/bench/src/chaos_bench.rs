@@ -4,12 +4,11 @@
 //! Tree-LSTM workload from [`crate::serve_bench`]) at a ladder of fault
 //! rates, producing one [`ChaosRecord`] per rate: serving goodput, faults
 //! injected by kind, and the handle-level recovery activity (retries,
-//! backoff time, fallbacks, quarantines). The summary is a versioned,
-//! self-validating `BENCH_chaos.json` document, like the other bench
-//! trajectories.
+//! backoff time, fallbacks, quarantines). The summary is the versioned
+//! `BENCH_chaos.json` document, like the other bench trajectories.
 //!
 //! Two invariants are *checked while benchmarking* and recorded in the
-//! document, so CI only needs to read flags:
+//! document, so the schema's fact list only needs to read flags:
 //!
 //! * `zero_rate_identical` — the rate-0 row is executed twice, once with the
 //!   injector armed at rate 0 and once with it disabled, and the serialized
@@ -19,20 +18,78 @@
 //!   and the two summaries must serialize byte-identically (faults and
 //!   recovery are exactly reproducible).
 
-use std::io;
-use std::path::PathBuf;
-
 use vpps::{FaultConfig, FaultKind, RecoveryStats};
 use vpps_obs::Json;
-use vpps_serve::{serve_summary_json, ServeRecord, ServeReport};
+use vpps_serve::ServeRecord;
 
-use crate::serve_bench::{run_scenario_server, ServeScenario};
+use crate::serve_bench::{record_of, run_scenario_server, ServeScenario, REPORT};
+use crate::trajectory::{num, records, uint, Facts, Schema, Ty};
 
-/// Schema identifier written into every chaos trajectory.
-pub const SCHEMA: &str = "vpps-chaos-trajectory";
+/// `BENCH_chaos.json`: one [`ChaosRecord`] per swept fault rate, under the
+/// sweep's two determinism flags.
+pub static SCHEMA: Schema = Schema {
+    name: "vpps-chaos-trajectory",
+    version: 1,
+    header: &[
+        ("zero_rate_identical", Ty::Bool),
+        ("same_seed_identical", Ty::Bool),
+    ],
+    record: &[
+        ("rate", Ty::F64),
+        ("label", Ty::Str),
+        ("backend", Ty::Str),
+        ("offered_rps", Ty::F64),
+        ("report", Ty::Obj(REPORT)),
+        (
+            "faults",
+            Ty::Tally(|| {
+                let kinds = FaultKind::ALL.iter().map(|k| k.name());
+                kinds.chain(["total"]).collect()
+            }),
+        ),
+        (
+            "recovery",
+            Ty::Obj(&[
+                ("retries", Ty::U64),
+                ("backoff_us", Ty::F64),
+                ("watchdog_timeouts", Ty::U64),
+                ("backend_fallbacks", Ty::U64),
+                ("baseline_fallbacks", Ty::U64),
+                ("quarantines", Ty::U64),
+                ("rejits", Ty::U64),
+                ("jit_retries", Ty::U64),
+                ("rollbacks", Ty::U64),
+            ]),
+        ),
+        ("batch_failures", Ty::U64),
+        ("breaker_transitions", Ty::U64),
+    ],
+    facts,
+};
 
-/// Current schema version.
-pub const VERSION: u64 = 1;
+fn facts(doc: &Json) -> Vec<String> {
+    let mut f = Facts::default();
+    f.all_true(doc, &["zero_rate_identical", "same_seed_identical"]);
+    // The injector must be silent at rate 0; above it, it must fire and the
+    // recovery layer must answer.
+    let sum = |path: &str, zero_rate: bool| -> u64 {
+        let rows = records(doc).iter();
+        rows.filter(|r| (num(r, "rate") == 0.0) == zero_rate)
+            .map(|r| uint(r, path))
+            .sum()
+    };
+    let (silent, injected) = (sum("faults.total", true), sum("faults.total", false));
+    f.require(silent == 0, || {
+        format!("faults.total is {silent} on the rate-0 rows")
+    });
+    f.require(injected > 0, || {
+        "faults.total is 0 off the rate-0 rows: nothing was injected".to_owned()
+    });
+    f.require(sum("recovery.retries", false) > 0, || {
+        "recovery.retries is 0 off the rate-0 rows: recovery never ran".to_owned()
+    });
+    f.failed
+}
 
 /// One chaos experiment: a serving trace swept over fault rates.
 #[derive(Debug, Clone)]
@@ -121,21 +178,7 @@ fn serve_scenario(sc: &ChaosScenario, rate: f64, faults: FaultConfig) -> ServeSc
 fn run_point(sc: &ChaosScenario, rate: f64, faults: FaultConfig) -> ChaosRecord {
     let ssc = serve_scenario(sc, rate, faults);
     let (server, mid, offered_rps) = run_scenario_server(&ssc);
-    let cache = server.lowered_cache_stats();
-    let record = ServeRecord {
-        label: ssc.label.clone(),
-        backend: ssc.backend.name().to_owned(),
-        offered_rps,
-        script_hits: cache.script_hits,
-        script_misses: cache.script_misses,
-        script_re_misses: cache.script_re_misses,
-        devices: server
-            .device_stats()
-            .iter()
-            .map(vpps_serve::DeviceRow::from_stats)
-            .collect(),
-        report: ServeReport::from_outcomes(server.outcomes()),
-    };
+    let record = record_of(&ssc, &server, offered_rps);
     let faults: Vec<(String, u64)> = FaultKind::ALL
         .iter()
         .map(|&k| {
@@ -167,9 +210,8 @@ fn run_sweep(sc: &ChaosScenario) -> (Vec<ChaosRecord>, bool) {
             // results at all: compare the serialized records byte-for-byte
             // against a disabled-injector run of the same trace.
             let disabled = run_point(sc, rate, FaultConfig::disabled());
-            let a = serve_summary_json("chaos-zero", std::slice::from_ref(&armed.record));
-            let b = serve_summary_json("chaos-zero", std::slice::from_ref(&disabled.record));
-            zero_rate_identical &= a == b && armed.faults_total == 0;
+            zero_rate_identical &= armed.faults_total == 0
+                && armed.record.to_json().to_string() == disabled.record.to_json().to_string();
         }
         records.push(armed);
     }
@@ -191,7 +233,7 @@ pub fn run_chaos(sc: &ChaosScenario) -> ChaosSummary {
         zero_rate_identical: zero_again,
         same_seed_identical: true,
     };
-    let identical = chaos_summary_json("chaos", &first) == chaos_summary_json("chaos", &second);
+    let identical = document("chaos", &first) == document("chaos", &second);
     ChaosSummary {
         same_seed_identical: identical,
         ..first
@@ -230,171 +272,41 @@ impl ChaosRecord {
     }
 }
 
-/// Serializes a chaos summary into the versioned trajectory document.
-pub fn chaos_summary_json(experiment: &str, summary: &ChaosSummary) -> String {
-    let mut doc = Json::obj();
-    doc.set("schema", Json::from(SCHEMA));
-    doc.set("version", Json::from(VERSION));
-    doc.set("experiment", Json::from(experiment));
-    doc.set(
-        "zero_rate_identical",
-        Json::Bool(summary.zero_rate_identical),
-    );
-    doc.set(
-        "same_seed_identical",
-        Json::Bool(summary.same_seed_identical),
-    );
-    doc.set(
-        "records",
-        Json::Arr(summary.records.iter().map(ChaosRecord::to_json).collect()),
-    );
-    let mut out = String::new();
-    doc.write(&mut out);
-    out
-}
-
-/// Writes `BENCH_<experiment>.json` into `$VPPS_BENCH_DIR` (or the current
-/// directory), validating the document first.
-///
-/// # Errors
-///
-/// I/O failure writing the file, or (as [`io::ErrorKind::InvalidData`]) a
-/// document that fails its own schema validation — a bug, not an
-/// environment problem.
-pub fn write_chaos_summary(experiment: &str, summary: &ChaosSummary) -> io::Result<PathBuf> {
-    let json = chaos_summary_json(experiment, summary);
-    validate_chaos_summary(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let mut path = std::env::var_os("VPPS_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_default();
-    path.push(format!("BENCH_{experiment}.json"));
-    std::fs::write(&path, &json)?;
-    Ok(path)
-}
-
-/// Validates a chaos trajectory document against the schema.
-///
-/// # Errors
-///
-/// Describes the first structural problem found.
-pub fn validate_chaos_summary(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing string \"schema\"".to_string())?;
-    if schema != SCHEMA {
-        return Err(format!("unknown schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "missing integer \"version\"".to_string())?;
-    if version != VERSION {
-        return Err(format!("unsupported version {version}, expected {VERSION}"));
-    }
-    doc.get("experiment")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing string \"experiment\"".to_string())?;
-    for key in ["zero_rate_identical", "same_seed_identical"] {
-        doc.get(key)
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("missing bool {key:?}"))?;
-    }
-    let records = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing array \"records\"".to_string())?;
-    if records.is_empty() {
-        return Err("empty \"records\"".to_string());
-    }
-    for (i, rec) in records.iter().enumerate() {
-        let err = |what: &str| format!("record {i}: {what}");
-        rec.get("rate")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| err("missing number \"rate\""))?;
-        rec.get("report")
-            .and_then(|r| r.get("goodput_rps"))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| err("missing number report.goodput_rps"))?;
-        let faults = rec
-            .get("faults")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| err("missing object \"faults\""))?;
-        for kind in FaultKind::ALL {
-            if !faults.iter().any(|(k, _)| k == kind.name()) {
-                return Err(err(&format!("missing fault kind {:?}", kind.name())));
-            }
-        }
-        let recovery = rec
-            .get("recovery")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| err("missing object \"recovery\""))?;
-        for key in [
-            "retries",
-            "watchdog_timeouts",
-            "backend_fallbacks",
-            "baseline_fallbacks",
-            "quarantines",
-            "rejits",
-            "rollbacks",
-        ] {
-            if !recovery.iter().any(|(k, _)| k == key) {
-                return Err(err(&format!("missing recovery.{key}")));
-            }
-        }
-        rec.get("batch_failures")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| err("missing u64 \"batch_failures\""))?;
-    }
-    Ok(())
+/// Serializes a chaos summary into its [`SCHEMA`] document.
+pub fn document(experiment: &str, summary: &ChaosSummary) -> String {
+    let header = [
+        ("zero_rate_identical", summary.zero_rate_identical.into()),
+        ("same_seed_identical", summary.same_seed_identical.into()),
+    ];
+    let records = summary.records.iter().map(ChaosRecord::to_json).collect();
+    SCHEMA.document(experiment, &header, records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny() -> ChaosScenario {
-        ChaosScenario {
+    /// The recorded facts (silent at rate 0, injected + retried above it,
+    /// reproducible) are checked with every schema's in `trajectory::tests`.
+    #[test]
+    fn faults_cost_latency_not_completions() {
+        let summary = run_chaos(&ChaosScenario {
             requests: 24,
             rates: vec![0.0, 0.1],
             ..ChaosScenario::default()
-        }
-    }
-
-    #[test]
-    fn chaos_sweep_self_checks_and_validates() {
-        let summary = run_chaos(&tiny());
-        assert!(summary.zero_rate_identical, "armed rate-0 must be silent");
-        assert!(summary.same_seed_identical, "sweep must be reproducible");
-        assert_eq!(summary.records.len(), 2);
-        assert_eq!(summary.records[0].faults_total, 0);
-        assert!(
-            summary.records[1].faults_total > 0,
-            "rate 0.1 must inject faults"
-        );
+        });
+        let [clean, faulty] = &summary.records[..] else {
+            panic!("one record per rate");
+        };
+        assert!(faulty.faults_total > 0 && faulty.recovery.retries > 0);
         // With the ladder on, goodput survives: everything still completes.
-        assert_eq!(
-            summary.records[1].record.report.completed,
-            summary.records[1].record.report.offered
-        );
-        let json = chaos_summary_json("chaos", &summary);
-        validate_chaos_summary(&json).unwrap();
-        assert!(validate_chaos_summary("{}").is_err());
-    }
-
-    #[test]
-    fn faults_slow_the_system_down() {
-        let sc = tiny();
-        let summary = run_chaos(&sc);
-        let clean = &summary.records[0];
-        let faulty = &summary.records[1];
-        assert!(faulty.recovery.retries > 0, "faults must trigger retries");
+        let (clean, faulty) = (&clean.record.report, &faulty.record.report);
+        assert_eq!(faulty.completed, faulty.offered);
         assert!(
-            faulty.record.report.e2e.p99_us >= clean.record.report.e2e.p99_us,
+            faulty.e2e.p99_us >= clean.e2e.p99_us,
             "recovery work cannot make the tail faster: {} vs {}",
-            faulty.record.report.e2e.p99_us,
-            clean.record.report.e2e.p99_us
+            faulty.e2e.p99_us,
+            clean.e2e.p99_us
         );
     }
 }

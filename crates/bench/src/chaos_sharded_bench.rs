@@ -13,7 +13,8 @@
 //! 3. **outage again** — same seed, to self-check byte-identical replay.
 //!
 //! The invariants the failure-domain design promises are *checked while
-//! benchmarking* and written into the document, so CI only reads flags:
+//! benchmarking* and written into the document, so the schema's fact list
+//! only reads flags:
 //!
 //! * `lost == 0` and `duplicates == 0` — every admitted request resolves
 //!   exactly once, across crash, hang and brownout schedules;
@@ -24,22 +25,91 @@
 //! * `trace_complete` — the traced run's per-request phase spans still tile
 //!   each latency exactly, with re-dispatch visible as an attributed phase.
 
-use std::collections::BTreeMap;
-use std::io;
-use std::path::PathBuf;
-
 use gpu_sim::{OutageKind, OutageWindow, SimTime};
 use vpps::BackendKind;
 use vpps_obs::Json;
 use vpps_serve::{Outcome, Server};
 
-use crate::serve_bench::{run_scenario_server, ServeScenario};
+use crate::serve_bench::{outcome_fingerprint, output_bits, run_scenario_server, ServeScenario};
+use crate::trajectory::{num, records, text, uint, Facts, Schema, Ty};
 
-/// Schema identifier written into every chaos-sharded trajectory.
-pub const SCHEMA: &str = "vpps-chaos-sharded-trajectory";
+/// `BENCH_chaos_sharded.json`: one [`ChaosShardedRecord`] per (device count,
+/// outage kind) point.
+pub static SCHEMA: Schema = Schema {
+    name: "vpps-chaos-sharded-trajectory",
+    version: 1,
+    header: &[],
+    record: &[
+        ("devices", Ty::U64),
+        ("kind", Ty::Str),
+        ("outage_device", Ty::U64),
+        ("outage_start_us", Ty::F64),
+        ("outage_end_us", Ty::F64),
+        ("offered", Ty::U64),
+        ("completed", Ty::U64),
+        ("shed", Ty::U64),
+        ("lost", Ty::U64),
+        ("duplicates", Ty::U64),
+        ("redispatched", Ty::U64),
+        ("rehomes", Ty::U64),
+        ("warm_rebuild_cold_lowers", Ty::U64),
+        ("device_downs", Ty::U64),
+        ("device_revivals", Ty::U64),
+        ("goodput_pre_rps", Ty::F64),
+        ("goodput_during_rps", Ty::F64),
+        ("goodput_post_rps", Ty::F64),
+        ("outputs_match_fault_free", Ty::Bool),
+        ("deterministic", Ty::Bool),
+        ("trace_complete", Ty::Bool),
+        ("self_checks_pass", Ty::Bool),
+    ],
+    facts,
+};
 
-/// Current schema version.
-pub const VERSION: u64 = 1;
+fn facts(doc: &Json) -> Vec<String> {
+    let mut f = Facts::default();
+    let rows = records(doc);
+    let crash4 = rows
+        .iter()
+        .any(|r| uint(r, "devices") == 4 && text(r, "kind") == OutageKind::Crash.name());
+    f.require(crash4, || "no record has devices=4 kind=crash".to_owned());
+    for r in rows {
+        let (n, kind) = (uint(r, "devices"), text(r, "kind"));
+        f.row(format!("devices={n} kind={kind}"));
+        f.all_zero(r, &["lost", "duplicates"]);
+        f.all_true(
+            r,
+            &[
+                "outputs_match_fault_free",
+                "deterministic",
+                "trace_complete",
+                "self_checks_pass",
+            ],
+        );
+        // Crash and hang must actually kill (and revive) the device and
+        // move its work; a brownout must never escalate to Down.
+        if kind == OutageKind::Brownout.name() {
+            f.all_zero(r, &["device_downs"]);
+        } else {
+            for key in ["device_downs", "device_revivals", "redispatched"] {
+                f.require(uint(r, key) >= 1, || format!("{key} is 0"));
+            }
+        }
+        // Losing 1 of N devices may cost its capacity share but no more
+        // (0.8 slack for batching-boundary jitter), and the revived fleet
+        // must recover to at least 0.9x pre-outage.
+        let [pre, during, post] =
+            ["pre", "during", "post"].map(|w| num(r, &format!("goodput_{w}_rps")));
+        let floor = (n as f64 - 1.0) / n as f64 * 0.8 * pre;
+        f.require(during >= floor, || {
+            format!("goodput_during_rps {during:.0} below the (N-1)/N floor {floor:.0}")
+        });
+        f.require(post >= 0.9 * pre, || {
+            format!("goodput_post_rps {post:.0} < 0.9x goodput_pre_rps {pre:.0}")
+        });
+    }
+    f.failed
+}
 
 /// The sweep scenario: device counts × outage kinds over one seeded trace.
 #[derive(Debug, Clone)]
@@ -132,8 +202,9 @@ pub struct ChaosShardedRecord {
 }
 
 impl ChaosShardedRecord {
-    /// `true` iff every in-process invariant held for this point.
-    pub fn self_checks_pass(&self) -> bool {
+    /// `true` iff every in-process invariant held for this point (recorded
+    /// as `self_checks_pass`).
+    fn self_checks_pass(&self) -> bool {
         self.lost == 0
             && self.duplicates == 0
             && self.outputs_match_fault_free
@@ -164,36 +235,6 @@ fn scenario_for(sc: &ChaosShardedScenario, devices: usize, label: String) -> Ser
         tenant_quota: 1 << 16,   // checked over *completions*
         ..ServeScenario::default()
     }
-}
-
-/// Per-outcome fingerprint for same-seed replay comparison: id, virtual
-/// timestamps, executing device, payload digest.
-fn run_fingerprint(server: &Server) -> Vec<(u64, u64, u64, u64)> {
-    server
-        .outcomes()
-        .iter()
-        .map(|o| match o {
-            Outcome::Completed(c) => {
-                let mut digest = 0xcbf2_9ce4_8422_2325u64 ^ c.device as u64;
-                for x in &c.output {
-                    digest ^= x.to_bits() as u64;
-                    digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                (c.id.0, c.completed_at.as_ns().to_bits(), digest, 0)
-            }
-            Outcome::Shed(s) => (s.id.0, s.at.as_ns().to_bits(), u64::MAX, 1),
-        })
-        .collect()
-}
-
-/// Completed outputs keyed by request id, for fault-free comparison.
-fn output_map(server: &Server) -> BTreeMap<u64, Vec<u32>> {
-    server
-        .outcomes()
-        .iter()
-        .filter_map(Outcome::completion)
-        .map(|c| (c.id.0, c.output.iter().map(|x| x.to_bits()).collect()))
-        .collect()
 }
 
 /// In-deadline completions per simulated second inside `[from, to)`.
@@ -247,7 +288,7 @@ fn chaos_sharded_point(
     };
     let (server, trace) = run(&outage_sc);
     let (server2, _) = run(&outage_sc);
-    let deterministic = run_fingerprint(&server) == run_fingerprint(&server2);
+    let deterministic = outcome_fingerprint(&server) == outcome_fingerprint(&server2);
 
     let analysis = trace.as_ref().map(vpps_obs::TraceAnalysis::analyze);
     let trace_complete = analysis.as_ref().is_some_and(|a| a.complete());
@@ -312,8 +353,8 @@ fn chaos_sharded_point(
             window_goodput(&server, window.end, post_end)
         },
         outputs_match_fault_free: {
-            let reference = output_map(&clean);
-            !reference.is_empty() && output_map(&server) == reference
+            let reference = output_bits(&clean);
+            !reference.is_empty() && output_bits(&server) == reference
         },
         deterministic,
         trace_complete,
@@ -341,7 +382,8 @@ pub fn chaos_sharded_scenario(full: bool) -> ChaosShardedScenario {
 }
 
 impl ChaosShardedRecord {
-    fn to_json(&self) -> Json {
+    /// Serializes the point as one record of [`SCHEMA`].
+    pub fn to_json(&self) -> Json {
         let mut o = Json::obj();
         o.set("devices", Json::from(self.devices as u64));
         o.set("kind", Json::from(self.kind.as_str()));
@@ -372,153 +414,5 @@ impl ChaosShardedRecord {
         o.set("trace_complete", Json::Bool(self.trace_complete));
         o.set("self_checks_pass", Json::Bool(self.self_checks_pass()));
         o
-    }
-}
-
-/// Serializes the sweep into the versioned summary document.
-pub fn chaos_sharded_summary_json(records: &[ChaosShardedRecord]) -> String {
-    let mut doc = Json::obj();
-    doc.set("schema", Json::from(SCHEMA));
-    doc.set("version", Json::from(VERSION));
-    doc.set("experiment", Json::from("chaos_sharded"));
-    doc.set(
-        "records",
-        Json::Arr(records.iter().map(|r| r.to_json()).collect()),
-    );
-    let mut out = String::new();
-    doc.write(&mut out);
-    out
-}
-
-/// Writes `BENCH_chaos_sharded.json` (into `$VPPS_BENCH_DIR` when set, else
-/// the current directory), validating the document first.
-///
-/// # Errors
-///
-/// I/O failure writing the file, or (as [`io::ErrorKind::InvalidData`]) a
-/// document that fails its own schema validation — a bug, not an
-/// environment problem.
-pub fn write_chaos_sharded_summary(records: &[ChaosShardedRecord]) -> io::Result<PathBuf> {
-    let json = chaos_sharded_summary_json(records);
-    validate_chaos_sharded_summary(&json)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let mut path = std::env::var_os("VPPS_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_default();
-    path.push("BENCH_chaos_sharded.json");
-    std::fs::write(&path, &json)?;
-    Ok(path)
-}
-
-/// Validates a chaos-sharded summary document against the schema.
-///
-/// # Errors
-///
-/// Describes the first structural problem found.
-pub fn validate_chaos_sharded_summary(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing string \"schema\"".to_string())?;
-    if schema != SCHEMA {
-        return Err(format!("unknown schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "missing integer \"version\"".to_string())?;
-    if version != VERSION {
-        return Err(format!("unsupported version {version}, expected {VERSION}"));
-    }
-    let records = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing array \"records\"".to_string())?;
-    for (i, rec) in records.iter().enumerate() {
-        let err = |what: &str| format!("record {i}: {what}");
-        rec.get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("missing string \"kind\""))?;
-        for key in [
-            "devices",
-            "outage_device",
-            "offered",
-            "completed",
-            "shed",
-            "lost",
-            "duplicates",
-            "redispatched",
-            "rehomes",
-            "warm_rebuild_cold_lowers",
-            "device_downs",
-            "device_revivals",
-        ] {
-            rec.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| err(&format!("missing u64 {key:?}")))?;
-        }
-        for key in [
-            "outage_start_us",
-            "outage_end_us",
-            "goodput_pre_rps",
-            "goodput_during_rps",
-            "goodput_post_rps",
-        ] {
-            rec.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| err(&format!("missing number {key:?}")))?;
-        }
-        for key in [
-            "outputs_match_fault_free",
-            "deterministic",
-            "trace_complete",
-            "self_checks_pass",
-        ] {
-            match rec.get(key) {
-                Some(Json::Bool(_)) => {}
-                _ => return Err(err(&format!("missing bool {key:?}"))),
-            }
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_summary_validates() {
-        let json = chaos_sharded_summary_json(&[]);
-        validate_chaos_sharded_summary(&json).unwrap();
-        assert!(json.contains("\"experiment\":\"chaos_sharded\""));
-        assert!(validate_chaos_sharded_summary(&json.replace(SCHEMA, "nope")).is_err());
-        assert!(validate_chaos_sharded_summary("{}").is_err());
-    }
-
-    #[test]
-    fn tiny_crash_point_passes_its_self_checks() {
-        // Default scale: smaller traces can leave the crashed device with
-        // nothing queued, and a crash point must show real re-dispatch.
-        let sc = ChaosShardedScenario::default();
-        let rec = chaos_sharded_point(&sc, 2, OutageKind::Crash);
-        assert_eq!(rec.lost, 0, "a crash must not lose requests");
-        assert_eq!(rec.duplicates, 0, "a crash must not double-resolve");
-        assert!(rec.outputs_match_fault_free);
-        assert!(rec.deterministic);
-        assert!(rec.trace_complete);
-        assert!(rec.self_checks_pass(), "{rec:?}");
-        let json = chaos_sharded_summary_json(&[rec]);
-        validate_chaos_sharded_summary(&json).unwrap();
-    }
-
-    #[test]
-    fn tiny_hang_point_is_detected_and_resolves() {
-        let sc = ChaosShardedScenario::default();
-        let rec = chaos_sharded_point(&sc, 2, OutageKind::Hang);
-        assert_eq!(rec.lost, 0);
-        assert_eq!(rec.duplicates, 0);
-        assert!(rec.self_checks_pass(), "{rec:?}");
     }
 }

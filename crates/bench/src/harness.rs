@@ -1,11 +1,36 @@
 //! Experiment runner: trains one app instance under VPPS or a baseline and
 //! collects the metrics the paper's tables and figures report.
 
+use dyn_graph::{Graph, Model, NodeId, Op};
 use gpu_sim::{DeviceConfig, Metrics, SimTime};
-use vpps::{BackendKind, Engine, Handle, PhaseBreakdown, RpwMode, VppsOptions};
+use vpps::script::{generate, GeneratedScript, SchedulePolicy, TableLayout};
+use vpps::{BackendKind, Engine, Handle, KernelPlan, PhaseBreakdown, RpwMode, VppsOptions};
 use vpps_baselines::{BaselineExecutor, Strategy};
+use vpps_obs::Json;
+use vpps_tensor::Pool;
 
 use crate::apps::AppInstance;
+use crate::trajectory::{Schema, Ty};
+
+/// `BENCH_fig2|fig8|fig9|fig12|table1.json`: one headline row
+/// ([`RunResult::to_json`]) per run behind the table `repro` prints.
+pub static SCHEMA: Schema = Schema {
+    name: "vpps-bench-trajectory",
+    version: 1,
+    header: &[],
+    record: &[
+        ("system", Ty::Str),
+        ("batch", Ty::U64),
+        ("throughput", Ty::F64),
+        ("dram_load_bytes", Ty::U64),
+        ("dram_store_bytes", Ty::U64),
+        ("weight_load_bytes", Ty::U64),
+        ("launches", Ty::U64),
+        ("barrier_stall_fraction", Ty::F64),
+        ("kernel_time_s", Ty::F64),
+    ],
+    facts: |_| Vec::new(),
+};
 
 /// Metrics from one training run (one system, one batch size, one epoch over
 /// the instance's inputs).
@@ -41,6 +66,54 @@ pub struct RunResult {
     /// Full unified metrics for the run — every headline column above is
     /// derived from this one struct, identically for every system.
     pub metrics: Metrics,
+}
+
+impl RunResult {
+    /// Condenses the run into its trajectory row: the handful of headline
+    /// numbers a regression tracker needs.
+    pub fn to_json(&self) -> Json {
+        let m = &self.metrics;
+        // Stall time over kernel time; baselines have no barriers (0).
+        let stall_fraction = match m.kernel_time.as_ns() {
+            kernel_ns if kernel_ns > 0.0 => m.barrier_stall.as_ns() / kernel_ns,
+            _ => 0.0,
+        };
+        let mut o = Json::obj();
+        o.set("system", Json::from(self.system.as_str()));
+        o.set("batch", Json::from(self.batch_size as u64));
+        o.set("throughput", Json::Num(self.throughput));
+        o.set("dram_load_bytes", Json::from(m.dram.total_loads()));
+        o.set("dram_store_bytes", Json::from(m.dram.total_stores()));
+        o.set("weight_load_bytes", Json::from(m.weight_load_bytes()));
+        o.set("launches", Json::from(m.launches));
+        o.set("barrier_stall_fraction", Json::Num(stall_fraction));
+        o.set("kernel_time_s", Json::Num(m.kernel_time.as_secs()));
+        o
+    }
+}
+
+/// Pool capacity for driving one small batch through the engine by hand.
+pub const SMALL_POOL: usize = 1 << 22;
+
+/// Generates one batch's scripts under `plan` into a fresh pool and stages
+/// the graph's inputs, ready for `engine::run_batch`.
+pub fn staged(
+    model: &Model,
+    plan: &KernelPlan,
+    (g, loss): (&Graph, NodeId),
+    policy: SchedulePolicy,
+) -> (GeneratedScript, Pool) {
+    let mut pool = Pool::with_capacity(SMALL_POOL);
+    let tables = TableLayout::install(model, &mut pool).expect("fits");
+    let gs =
+        generate::generate_with_policy(g, loss, plan, &mut pool, &tables, policy).expect("fits");
+    for (id, node) in g.iter() {
+        if let Op::Input { values } = &node.op {
+            pool.slice_mut(gs.layout.value_off[id.index()], node.dim)
+                .copy_from_slice(values);
+        }
+    }
+    (gs, pool)
 }
 
 /// Sizes the device pool for the largest batch graph of the run.
@@ -84,21 +157,8 @@ pub fn profiled_rpw(app: &AppInstance, device: &DeviceConfig, batch: usize) -> u
     handle.plan().rpw()
 }
 
-/// Trains one epoch under VPPS and reports the metrics.
-///
-/// Convenience wrapper over [`run_vpps_with`] using the default execution
-/// backend.
-pub fn run_vpps(
-    app: &AppInstance,
-    device: &DeviceConfig,
-    batch_size: usize,
-    rpw: usize,
-) -> RunResult {
-    run_vpps_with(app, device, batch_size, rpw, BackendKind::default())
-}
-
-/// Trains one epoch under VPPS with an explicit execution backend and
-/// reports the metrics. All counters come from the unified
+/// Trains one epoch under VPPS on `backend` and reports the metrics. All
+/// counters come from the unified
 /// [`Metrics`] plumbing ([`Handle::metrics`]), so both backends — the
 /// lowered executor and the event-driven interpreter — report identical
 /// DRAM-byte and launch counts; only host wall time differs.
@@ -196,7 +256,7 @@ mod tests {
     #[test]
     fn vpps_run_produces_sane_metrics() {
         let app = tiny_app();
-        let r = run_vpps(&app, &DeviceConfig::titan_v(), 4, 1);
+        let r = run_vpps_with(&app, &DeviceConfig::titan_v(), 4, 1, BackendKind::default());
         assert_eq!(r.inputs, 8);
         assert!(r.throughput > 0.0);
         assert!(r.final_loss.is_finite() && r.final_loss > 0.0);
@@ -218,7 +278,7 @@ mod tests {
     fn vpps_beats_baselines_at_small_batch() {
         // The headline claim at miniature scale.
         let app = tiny_app();
-        let vpps = run_vpps(&app, &DeviceConfig::titan_v(), 1, 1);
+        let vpps = run_vpps_with(&app, &DeviceConfig::titan_v(), 1, 1, BackendKind::default());
         let ab = run_baseline(&app, &DeviceConfig::titan_v(), 1, Strategy::AgendaBased);
         assert!(
             vpps.throughput > ab.throughput,

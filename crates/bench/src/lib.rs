@@ -7,19 +7,21 @@
 //! and under every baseline on the simulated Titan V ([`harness`]), and
 //! formats the paper's tables and figures as text ([`report`]). The `repro`
 //! binary (`cargo run -p vpps-bench --release --bin repro -- all`) drives
-//! everything; the Criterion benches under `benches/` wrap scaled-down
-//! versions of the same runs for regression tracking.
+//! everything and writes a `BENCH_<experiment>.json` per sweep;
+//! [`trajectory`] is the single definition of those files and of the
+//! checker of the facts they record (`repro check FILE…`).
 //!
-//! Absolute numbers come from the simulated clock, so they will not match
-//! the paper's wall-clock measurements — the reproduction targets the
-//! *shape* of each result: who wins, by roughly what factor, and where the
-//! crossovers fall. `EXPERIMENTS.md` records both.
+//! Every number comes from the simulated clock, so it is deterministic and
+//! will not match the paper's wall-clock measurements — the reproduction
+//! targets the *shape* of each result: who wins, by roughly what factor, and
+//! where the crossovers fall. `EXPERIMENTS.md` records both. Host speed has
+//! one instrument, the standalone `benchmark/` package.
 
+pub mod ablations;
 pub mod apps;
 pub mod chaos_bench;
 pub mod chaos_sharded_bench;
 pub mod harness;
-pub mod lowered_bench;
 pub mod report;
 pub mod serve_bench;
 pub mod sharded_bench;
@@ -27,25 +29,11 @@ pub mod trace_bench;
 pub mod trajectory;
 
 pub use apps::{AppInstance, AppKind, AppSpec};
-pub use chaos_bench::{
-    chaos_summary_json, run_chaos, validate_chaos_summary, write_chaos_summary, ChaosRecord,
-    ChaosScenario, ChaosSummary,
-};
+pub use chaos_bench::{run_chaos, ChaosRecord, ChaosScenario, ChaosSummary};
 pub use chaos_sharded_bench::{
-    chaos_sharded_scenario, chaos_sharded_summary_json, run_chaos_sharded,
-    validate_chaos_sharded_summary, write_chaos_sharded_summary, ChaosShardedRecord,
-    ChaosShardedScenario,
+    chaos_sharded_scenario, run_chaos_sharded, ChaosShardedRecord, ChaosShardedScenario,
 };
-pub use harness::{profiled_rpw, run_baseline, run_vpps, RunResult};
-pub use lowered_bench::{
-    lowered_bench, validate_lowered_summary, write_lowered_summary, LoweredBenchRow,
-};
+pub use harness::{profiled_rpw, run_baseline, run_vpps_with, RunResult};
 pub use serve_bench::{run_scenario, run_scenario_server, ServeScenario, ServeWorkload};
-pub use sharded_bench::{
-    run_sharded, validate_sharded_summary, write_sharded_summary, ShardedRecord,
-};
-pub use trace_bench::{
-    chrome_view_json, run_trace, trace_point, trace_scenario, trace_summary_json,
-    validate_trace_summary, write_trace_summary, TraceRecord,
-};
-pub use trajectory::{validate_bench_summary, write_bench_summary, BenchRecord};
+pub use sharded_bench::{run_sharded, ShardedRecord};
+pub use trace_bench::{chrome_view_json, run_trace, trace_point, trace_scenario, TraceRecord};

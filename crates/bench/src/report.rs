@@ -52,6 +52,22 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
     out
 }
 
+/// A table column: its header and how to format an item's cell under it.
+pub type Column<'a, T> = (&'a str, &'a dyn Fn(&T) -> String);
+
+/// Renders one row per item, each column defined once as `(header, cell)`.
+pub fn render_columns<T>(title: &str, items: &[T], columns: &[Column<'_, T>]) -> String {
+    let headers: Vec<&str> = columns.iter().map(|c| c.0).collect();
+    let cells = |item| columns.iter().map(|c| (c.1)(item)).collect();
+    let rows: Vec<Vec<String>> = items.iter().map(cells).collect();
+    render_table(title, &headers, &rows)
+}
+
+/// Formats a recorded self-check flag (`NO` stands out in a column of `yes`).
+pub fn fmt_flag(v: bool) -> String {
+    if v { "yes" } else { "NO" }.to_owned()
+}
+
 /// Formats a throughput value (inputs / simulated second).
 pub fn fmt_tput(v: f64) -> String {
     if v >= 1000.0 {

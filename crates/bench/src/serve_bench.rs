@@ -19,6 +19,8 @@
 //!   request outstanding, submitting the next the moment the previous
 //!   completes. Offered load adapts to service capacity.
 
+use std::collections::BTreeMap;
+
 use dyn_graph::{Graph, Model, NodeId};
 use gpu_sim::{DeviceConfig, SimTime};
 use rand::rngs::StdRng;
@@ -26,10 +28,90 @@ use rand::{Rng, SeedableRng};
 use vpps::BackendKind;
 use vpps_datasets::{RequestCorpus, RequestCorpusConfig, Treebank, TreebankConfig};
 use vpps_models::{DynamicModel, TreeLstm};
+use vpps_obs::Json;
 use vpps_serve::{
-    Admission, AdmissionPolicy, BatchPolicy, ModelId, Outcome, Request, RequestKind, ServeConfig,
-    ServeRecord, ServeReport, Server, TenantId,
+    Admission, AdmissionPolicy, BatchPolicy, DeviceRow, ModelId, Outcome, Request, RequestKind,
+    ServeConfig, ServeRecord, ServeReport, Server, ShedReason, TenantId,
 };
+
+use crate::trajectory::{records, text, uint, Facts, Field, Schema, Ty};
+
+const LATENCY: &[Field] = &[
+    ("p50_us", Ty::F64),
+    ("p95_us", Ty::F64),
+    ("p99_us", Ty::F64),
+    ("max_us", Ty::F64),
+    ("mean_us", Ty::F64),
+];
+
+const DEVICE_ROW: &[Field] = &[
+    ("device", Ty::U64),
+    ("health", Ty::Str),
+    ("breaker_open", Ty::U64),
+    ("breaker_half_open", Ty::U64),
+    ("batches", Ty::U64),
+    ("failures", Ty::U64),
+];
+
+/// Fields of [`ServeReport::to_json`] (the chaos trajectory embeds the same
+/// object in its records).
+pub(crate) const REPORT: &[Field] = &[
+    ("offered", Ty::U64),
+    ("completed", Ty::U64),
+    ("good", Ty::U64),
+    (
+        "shed",
+        Ty::Tally(|| ShedReason::ALL.iter().map(|r| r.name()).collect()),
+    ),
+    ("batches", Ty::U64),
+    ("batch_sizes", Ty::Arr),
+    ("mean_batch", Ty::F64),
+    ("makespan_s", Ty::F64),
+    ("goodput_rps", Ty::F64),
+    ("throughput_rps", Ty::F64),
+    ("e2e", Ty::Obj(LATENCY)),
+    ("queue_wait", Ty::Obj(LATENCY)),
+    ("execute", Ty::Obj(LATENCY)),
+];
+
+/// `BENCH_serve.json` and `loadgen --emit`: one [`ServeRecord::to_json`] per
+/// scenario. v2 added the lowered script-cache counters (`script_hits` /
+/// `script_misses` / `script_re_misses`); v3 the `execute` latency stage
+/// (device start → completion); v4 the per-device `devices` array (terminal
+/// health, circuit-breaker occupancy, batch/failure tallies).
+pub static SCHEMA: Schema = Schema {
+    name: "vpps-serve-trajectory",
+    version: 4,
+    header: &[],
+    record: &[
+        ("label", Ty::Str),
+        ("backend", Ty::Str),
+        ("offered_rps", Ty::F64),
+        ("script_hits", Ty::U64),
+        ("script_misses", Ty::U64),
+        ("script_re_misses", Ty::U64),
+        ("devices", Ty::ArrOf(DEVICE_ROW)),
+        ("report", Ty::Obj(REPORT)),
+    ],
+    facts,
+};
+
+/// On the lowered backend the structure-keyed script cache must be exercised
+/// (popular inputs repeat) and must stay warm: a re-miss is a script lowered
+/// twice, i.e. the cache keying churning.
+fn facts(doc: &Json) -> Vec<String> {
+    let mut f = Facts::default();
+    for r in records(doc) {
+        if text(r, "backend") == BackendKind::Lowered.name() {
+            f.row(text(r, "label").to_owned());
+            f.require(uint(r, "script_hits") > 0, || {
+                "script_hits is 0: the warm lowered cache was never hit".to_owned()
+            });
+            f.all_zero(r, &["script_re_misses"]);
+        }
+    }
+    f.failed
+}
 
 /// One serving experiment, fully described.
 #[derive(Debug, Clone)]
@@ -200,6 +282,11 @@ pub(crate) fn server_for(sc: &ServeScenario) -> (Server, ModelId, ServeWorkload)
 /// Deterministic: equal scenarios produce byte-identical records.
 pub fn run_scenario(sc: &ServeScenario) -> ServeRecord {
     let (server, _, offered_rps) = run_scenario_server(sc);
+    record_of(sc, &server, offered_rps)
+}
+
+/// Condenses a finished scenario's server into its trajectory record.
+pub fn record_of(sc: &ServeScenario, server: &Server, offered_rps: f64) -> ServeRecord {
     let cache = server.lowered_cache_stats();
     ServeRecord {
         label: sc.label.clone(),
@@ -211,7 +298,7 @@ pub fn run_scenario(sc: &ServeScenario) -> ServeRecord {
         devices: server
             .device_stats()
             .iter()
-            .map(vpps_serve::DeviceRow::from_stats)
+            .map(DeviceRow::from_stats)
             .collect(),
         report: ServeReport::from_outcomes(server.outcomes()),
     }
@@ -228,9 +315,9 @@ pub fn run_scenario_server(sc: &ServeScenario) -> (Server, ModelId, f64) {
     }
 }
 
-fn run_open_loop(sc: &ServeScenario) -> (Server, ModelId, f64) {
-    let (mut server, mid, workload) = server_for(sc);
-    let corpus = RequestCorpus::generate(RequestCorpusConfig {
+/// The open-loop request trace `sc` describes.
+pub(crate) fn corpus_for(sc: &ServeScenario) -> RequestCorpus {
+    RequestCorpus::generate(RequestCorpusConfig {
         requests: sc.requests,
         tenants: sc.tenants,
         tenant_skew: 1.0,
@@ -239,8 +326,18 @@ fn run_open_loop(sc: &ServeScenario) -> (Server, ModelId, f64) {
         deadline_s: sc.deadline_us.map(|us| us * 1e-6),
         sample_pool: sc.sample_pool,
         seed: sc.seed,
-    });
-    let offered = corpus.offered_rps();
+    })
+}
+
+/// Submits one pass over `corpus`, shifting every arrival (and deadline) by
+/// `offset` so a later pass lands after the earlier ones finished.
+pub(crate) fn submit_corpus(
+    server: &mut Server,
+    mid: ModelId,
+    workload: &ServeWorkload,
+    corpus: &RequestCorpus,
+    offset: SimTime,
+) {
     for spec in &corpus.specs {
         let (graph, root) = workload.request_graph(spec.sample_seed);
         server.submit(Request {
@@ -253,12 +350,52 @@ fn run_open_loop(sc: &ServeScenario) -> (Server, ModelId, f64) {
             },
             graph,
             root,
-            arrival: SimTime::from_secs(spec.arrival_s),
-            deadline: spec.deadline_s.map(SimTime::from_secs),
+            arrival: offset + SimTime::from_secs(spec.arrival_s),
+            deadline: spec.deadline_s.map(|d| offset + SimTime::from_secs(d)),
         });
     }
+}
+
+fn run_open_loop(sc: &ServeScenario) -> (Server, ModelId, f64) {
+    let (mut server, mid, workload) = server_for(sc);
+    let corpus = corpus_for(sc);
+    submit_corpus(&mut server, mid, &workload, &corpus, SimTime::ZERO);
     server.drain();
-    (server, mid, offered)
+    (server, mid, corpus.offered_rps())
+}
+
+/// A finished run's observable surface, for same-seed replay comparison:
+/// per outcome `(id, time bits, time bits, device + payload digest)`.
+pub(crate) fn outcome_fingerprint(server: &Server) -> Vec<(u64, u64, u64, u64)> {
+    let time = |t: SimTime| t.as_ns().to_bits();
+    server
+        .outcomes()
+        .iter()
+        .map(|o| match o {
+            Outcome::Completed(c) => {
+                let mut digest = 0xcbf2_9ce4_8422_2325u64 ^ c.device as u64;
+                for x in &c.output {
+                    digest ^= x.to_bits() as u64;
+                    digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                (c.id.0, time(c.dispatched_at), time(c.completed_at), digest)
+            }
+            Outcome::Shed(s) => {
+                let reason = ShedReason::ALL.iter().position(|r| *r == s.reason);
+                (s.id.0, time(s.at), u64::MAX, reason.map_or(0, |r| r as u64))
+            }
+        })
+        .collect()
+}
+
+/// Completed outputs as bits, keyed by request id.
+pub(crate) fn output_bits(server: &Server) -> BTreeMap<u64, Vec<u32>> {
+    server
+        .outcomes()
+        .iter()
+        .filter_map(Outcome::completion)
+        .map(|c| (c.id.0, c.output.iter().map(|x| x.to_bits()).collect()))
+        .collect()
 }
 
 fn run_closed_loop(sc: &ServeScenario, clients: usize) -> (Server, ModelId, f64) {
@@ -271,8 +408,7 @@ fn run_closed_loop(sc: &ServeScenario, clients: usize) -> (Server, ModelId, f64)
     // Client c is ready to submit at ready[c]; a client with a request in
     // flight is keyed by that request's id instead.
     let mut ready: Vec<(usize, SimTime)> = (0..clients).map(|c| (c, SimTime::ZERO)).collect();
-    let mut blocked: std::collections::BTreeMap<vpps_serve::RequestId, usize> =
-        std::collections::BTreeMap::new();
+    let mut blocked: BTreeMap<vpps_serve::RequestId, usize> = BTreeMap::new();
     let mut scanned = 0;
     let mut issued = 0;
     while issued < sc.requests || !blocked.is_empty() {
@@ -339,7 +475,6 @@ fn run_closed_loop(sc: &ServeScenario, clients: usize) -> (Server, ModelId, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpps_serve::serve_summary_json;
 
     fn tiny(label: &str) -> ServeScenario {
         ServeScenario {
@@ -378,8 +513,8 @@ mod tests {
     #[test]
     fn scenarios_are_deterministic() {
         let sc = tiny("det");
-        let a = serve_summary_json("det", &[run_scenario(&sc)]);
-        let b = serve_summary_json("det", &[run_scenario(&sc)]);
+        let a = SCHEMA.document("det", &[], vec![run_scenario(&sc).to_json()]);
+        let b = SCHEMA.document("det", &[], vec![run_scenario(&sc).to_json()]);
         assert_eq!(a, b, "same scenario must serialize identically");
     }
 

@@ -11,34 +11,94 @@
 //!   this must be ≈1: every batch shape was already lowered during warmup;
 //! * **router behavior** — placements, affinity hits, steal counts;
 //! * **per-device utilization and batch counts** over the measured pass;
-//! * two self-checks computed in-process so CI only reads booleans:
-//!   `deterministic` (the whole warmup+measure run, repeated, is
-//!   byte-identical)
-//!   and `outputs_match_single` (a low-load verification trace produces
-//!   bit-identical per-request outputs on N devices and on one).
+//! * two self-checks computed in-process and recorded as booleans for the
+//!   schema's fact list: `deterministic` (the whole warmup+measure run,
+//!   repeated, is byte-identical) and `outputs_match_single` (a low-load
+//!   verification trace produces bit-identical per-request outputs on N
+//!   devices and on one).
 //!
 //! Everything runs on the virtual clock; records are pure functions of the
 //! scenario.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::PathBuf;
 
-use gpu_sim::SimTime;
 use vpps::BackendKind;
-use vpps_datasets::{RequestCorpus, RequestCorpusConfig};
 use vpps_obs::Json;
-use vpps_serve::{
-    ModelId, Outcome, Request, RequestKind, ServeReport, Server, ShedReason, TenantId,
+use vpps_serve::ServeReport;
+
+use crate::serve_bench::{
+    corpus_for, outcome_fingerprint, output_bits, run_scenario_server, server_for, submit_corpus,
+    ServeScenario,
+};
+use crate::trajectory::{arr, num, records, uint, Facts, Schema, Ty};
+
+/// `BENCH_serve_sharded.json`: one [`ShardedRecord`] per device count.
+pub static SCHEMA: Schema = Schema {
+    name: "vpps-serve-sharded-trajectory",
+    version: 1,
+    header: &[],
+    record: &[
+        ("devices", Ty::U64),
+        ("offered_rps", Ty::F64),
+        ("completed", Ty::U64),
+        ("shed", Ty::U64),
+        ("goodput_rps", Ty::F64),
+        ("mean_batch", Ty::F64),
+        ("warm_hit_rate", Ty::F64),
+        ("script_hits", Ty::U64),
+        ("script_misses", Ty::U64),
+        ("script_re_misses", Ty::U64),
+        ("routed", Ty::U64),
+        ("placements", Ty::U64),
+        ("affinity_hits", Ty::U64),
+        ("steals", Ty::U64),
+        ("per_device_util", Ty::Arr),
+        ("per_device_batches", Ty::Arr),
+        ("deterministic", Ty::Bool),
+        ("outputs_match_single", Ty::Bool),
+    ],
+    facts,
 };
 
-use crate::serve_bench::{run_scenario_server, server_for, ServeScenario, ServeWorkload};
-
-/// Schema identifier written into every sharded summary.
-pub const SCHEMA: &str = "vpps-serve-sharded-trajectory";
-
-/// Current schema version.
-pub const VERSION: u64 = 1;
+fn facts(doc: &Json) -> Vec<String> {
+    let mut f = Facts::default();
+    let rows = records(doc);
+    // Adding devices must not cost goodput (2% tolerance for batching-
+    // boundary jitter), and 4 devices must deliver at least 1.5x one.
+    let mut goodput: Vec<(u64, f64)> = rows
+        .iter()
+        .map(|r| (uint(r, "devices"), num(r, "goodput_rps")))
+        .collect();
+    goodput.sort_by_key(|&(devices, _)| devices);
+    for pair in goodput.windows(2) {
+        let ((d_lo, lo), (d_hi, hi)) = (pair[0], pair[1]);
+        f.require(hi >= 0.98 * lo, || {
+            format!("goodput_rps fell {lo:.0} -> {hi:.0} from {d_lo} to {d_hi} devices")
+        });
+    }
+    let at = |d| goodput.iter().find(|p| p.0 == d).map(|p| p.1);
+    match (at(1), at(4)) {
+        (Some(g1), Some(g4)) => f.require(g4 >= 1.5 * g1, || {
+            format!("goodput_rps at 4 devices {g4:.0} < 1.5x the 1-device {g1:.0}")
+        }),
+        _ => f.require(false, || "scaling needs devices=1 and devices=4".to_owned()),
+    }
+    for r in rows {
+        let devices = uint(r, "devices");
+        f.row(format!("devices={devices}"));
+        let hit = num(r, "warm_hit_rate");
+        f.require(hit >= 0.9, || {
+            format!("warm_hit_rate {hit:.3} < 0.9 after warmup")
+        });
+        f.all_zero(r, &["script_re_misses"]);
+        f.all_true(r, &["deterministic", "outputs_match_single"]);
+        for key in ["per_device_util", "per_device_batches"] {
+            let n = arr(r, key).len() as u64;
+            f.require(n == devices, || format!("{key} has {n} entries"));
+        }
+    }
+    f.failed
+}
 
 /// One device-count point of the sharded sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,60 +179,6 @@ pub fn run_sharded(full: bool) -> Vec<ShardedRecord> {
         .collect()
 }
 
-/// Submits one corpus pass, shifting every arrival (and deadline) by
-/// `offset` so a second pass lands after the first finished.
-fn submit_corpus(
-    server: &mut Server,
-    mid: ModelId,
-    workload: &ServeWorkload,
-    corpus: &RequestCorpus,
-    offset: SimTime,
-) {
-    for spec in &corpus.specs {
-        let (graph, root) = workload.request_graph(spec.sample_seed);
-        server.submit(Request {
-            tenant: TenantId(spec.tenant),
-            model: mid,
-            kind: if spec.train {
-                RequestKind::Train
-            } else {
-                RequestKind::Infer
-            },
-            graph,
-            root,
-            arrival: offset + SimTime::from_secs(spec.arrival_s),
-            deadline: spec.deadline_s.map(|d| offset + SimTime::from_secs(d)),
-        });
-    }
-}
-
-/// A run's observable surface, for byte-identity comparison: per outcome
-/// (id, time bits, time bits, payload digest).
-fn outcome_fingerprint(outcomes: &[Outcome]) -> Vec<(u64, u64, u64, u64)> {
-    outcomes
-        .iter()
-        .map(|o| match o {
-            Outcome::Completed(c) => {
-                let mut digest = 0xcbf2_9ce4_8422_2325u64;
-                for x in &c.output {
-                    digest ^= x.to_bits() as u64;
-                    digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                (
-                    c.id.0,
-                    c.dispatched_at.as_ns().to_bits(),
-                    c.completed_at.as_ns().to_bits(),
-                    digest,
-                )
-            }
-            Outcome::Shed(s) => {
-                let reason = ShedReason::ALL.iter().position(|r| *r == s.reason).unwrap() as u64;
-                (s.id.0, s.at.as_ns().to_bits(), u64::MAX, reason)
-            }
-        })
-        .collect()
-}
-
 /// Everything one warmup+measure execution produces.
 struct WarmRun {
     record: ShardedRecord,
@@ -183,16 +189,7 @@ fn warm_run(sc: &ServeScenario, devices: usize) -> WarmRun {
     let mut sc = sc.clone();
     sc.devices = devices;
     let (mut server, mid, workload) = server_for(&sc);
-    let corpus = RequestCorpus::generate(RequestCorpusConfig {
-        requests: sc.requests,
-        tenants: sc.tenants,
-        tenant_skew: 1.0,
-        rate_rps: sc.rate_rps,
-        train_fraction: sc.train_fraction,
-        deadline_s: sc.deadline_us.map(|us| us * 1e-6),
-        sample_pool: sc.sample_pool,
-        seed: sc.seed,
-    });
+    let corpus = corpus_for(&sc);
 
     // Warmup: three passes over the trace. The first pays the cold lowering
     // misses on each bucket's affinity device; the later ones let devices
@@ -262,7 +259,7 @@ fn warm_run(sc: &ServeScenario, devices: usize) -> WarmRun {
             deterministic: false,        // filled by sharded_point
             outputs_match_single: false, // filled by sharded_point
         },
-        fingerprint: outcome_fingerprint(server.outcomes()),
+        fingerprint: outcome_fingerprint(&server),
     }
 }
 
@@ -276,20 +273,12 @@ fn verification_outputs(sc: &ServeScenario, devices: usize) -> Option<BTreeMap<u
     v.deadline_us = None;
     v.queue_capacity = 1 << 16; // belt and braces: admission never sheds
     let (server, _, _) = run_scenario_server(&v);
-    let mut out = BTreeMap::new();
-    for o in server.outcomes() {
-        match o {
-            Outcome::Completed(c) => {
-                out.insert(c.id.0, c.output.iter().map(|x| x.to_bits()).collect());
-            }
-            Outcome::Shed(_) => return None, // a shed voids the comparison
-        }
-    }
-    Some(out)
+    let out = output_bits(&server);
+    (out.len() == v.requests).then_some(out) // a shed voids the comparison
 }
 
 /// One point of the sweep, with both self-checks filled in.
-fn sharded_point(sc: &ServeScenario, devices: usize) -> ShardedRecord {
+pub(crate) fn sharded_point(sc: &ServeScenario, devices: usize) -> ShardedRecord {
     let first = warm_run(sc, devices);
     let second = warm_run(sc, devices);
     let single = verification_outputs(sc, 1);
@@ -306,7 +295,8 @@ fn sharded_point(sc: &ServeScenario, devices: usize) -> ShardedRecord {
 }
 
 impl ShardedRecord {
-    fn to_json(&self) -> Json {
+    /// Serializes the point as one record of [`SCHEMA`].
+    pub fn to_json(&self) -> Json {
         let mut o = Json::obj();
         o.set("devices", Json::from(self.devices as u64));
         o.set("offered_rps", Json::Num(self.offered_rps));
@@ -341,147 +331,5 @@ impl ShardedRecord {
             Json::from(self.outputs_match_single),
         );
         o
-    }
-}
-
-/// Serializes the sweep into the versioned summary document.
-pub fn sharded_summary_json(records: &[ShardedRecord]) -> String {
-    let mut doc = Json::obj();
-    doc.set("schema", Json::from(SCHEMA));
-    doc.set("version", Json::from(VERSION));
-    doc.set("experiment", Json::from("serve_sharded"));
-    doc.set(
-        "records",
-        Json::Arr(records.iter().map(|r| r.to_json()).collect()),
-    );
-    let mut out = String::new();
-    doc.write(&mut out);
-    out
-}
-
-/// Writes `BENCH_serve_sharded.json` (into `$VPPS_BENCH_DIR` when set, else
-/// the current directory), validating the document first.
-///
-/// # Errors
-///
-/// I/O failure writing the file, or (as [`io::ErrorKind::InvalidData`]) a
-/// document that fails its own schema validation — a bug, not an
-/// environment problem.
-pub fn write_sharded_summary(records: &[ShardedRecord]) -> io::Result<PathBuf> {
-    let json = sharded_summary_json(records);
-    validate_sharded_summary(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let mut path = std::env::var_os("VPPS_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_default();
-    path.push("BENCH_serve_sharded.json");
-    std::fs::write(&path, &json)?;
-    Ok(path)
-}
-
-/// Validates a sharded summary document against the schema.
-///
-/// # Errors
-///
-/// Describes the first structural problem found.
-pub fn validate_sharded_summary(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing string \"schema\"".to_string())?;
-    if schema != SCHEMA {
-        return Err(format!("unknown schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "missing integer \"version\"".to_string())?;
-    if version != VERSION {
-        return Err(format!("unsupported version {version}, expected {VERSION}"));
-    }
-    let records = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing array \"records\"".to_string())?;
-    for (i, rec) in records.iter().enumerate() {
-        let err = |what: &str| format!("record {i}: {what}");
-        for key in [
-            "devices",
-            "completed",
-            "shed",
-            "script_hits",
-            "script_misses",
-            "script_re_misses",
-            "routed",
-            "placements",
-            "affinity_hits",
-            "steals",
-        ] {
-            rec.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| err(&format!("missing u64 {key:?}")))?;
-        }
-        for key in ["offered_rps", "goodput_rps", "mean_batch", "warm_hit_rate"] {
-            rec.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| err(&format!("missing number {key:?}")))?;
-        }
-        for key in ["per_device_util", "per_device_batches"] {
-            let arr = rec
-                .get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err(&format!("missing array {key:?}")))?;
-            let devices = rec.get("devices").and_then(Json::as_u64).unwrap();
-            if arr.len() as u64 != devices {
-                return Err(err(&format!(
-                    "{key} has {} entries for {} devices",
-                    arr.len(),
-                    devices
-                )));
-            }
-        }
-        for key in ["deterministic", "outputs_match_single"] {
-            match rec.get(key) {
-                Some(Json::Bool(_)) => {}
-                _ => return Err(err(&format!("missing bool {key:?}"))),
-            }
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_summary_validates() {
-        let json = sharded_summary_json(&[]);
-        validate_sharded_summary(&json).unwrap();
-        assert!(json.contains("\"experiment\":\"serve_sharded\""));
-        assert!(validate_sharded_summary(&json.replace(SCHEMA, "nope")).is_err());
-        assert!(validate_sharded_summary("{}").is_err());
-    }
-
-    #[test]
-    fn tiny_sharded_point_passes_its_self_checks() {
-        let mut sc = sharded_scenario(false);
-        sc.requests = 60;
-        let rec = sharded_point(&sc, 2);
-        assert_eq!(rec.devices, 2);
-        assert!(rec.deterministic, "warmup+measure run must be reproducible");
-        assert!(
-            rec.outputs_match_single,
-            "2-device outputs must match 1-device bitwise"
-        );
-        assert!(
-            rec.warm_hit_rate >= 0.9,
-            "warm pass must hit the script cache, got {}",
-            rec.warm_hit_rate
-        );
-        assert_eq!(rec.script_re_misses, 0);
-        assert_eq!(rec.per_device_util.len(), 2);
-        let json = sharded_summary_json(&[rec]);
-        validate_sharded_summary(&json).unwrap();
     }
 }

@@ -4,8 +4,8 @@
 //! armed (sampling every request), reconstructs every timeline with
 //! [`TraceAnalysis`], and records — per device count — the fig10-style
 //! per-phase latency breakdown (overall, per tenant, per bucket signature,
-//! cold vs warm script cache) together with the self-checks CI reads as
-//! booleans:
+//! cold vs warm script cache) together with the self-checks the schema's
+//! fact list reads as booleans:
 //!
 //! * **tiled_exactly** — every request's phase spans tile its end-to-end
 //!   latency with bit-equal boundaries and an exactly-zero sum residue;
@@ -23,20 +23,99 @@
 //!   script-cache behaviour and both populations exist.
 
 use std::collections::BTreeSet;
-use std::io;
-use std::path::PathBuf;
 
 use vpps_obs::{GroupBreakdown, Json, PhaseStats, Resolution, TraceAnalysis};
 use vpps_serve::Outcome;
 
 use crate::serve_bench::{run_scenario_server, ServeScenario};
 use crate::sharded_bench::sharded_scenario;
+use crate::trajectory::{num, records, uint, Facts, Field, Schema, Ty};
 
-/// Schema identifier written into every trace summary.
-pub const SCHEMA: &str = "vpps-serve-trace";
+const PHASE: &[Field] = &[
+    ("count", Ty::U64),
+    ("mean_us", Ty::F64),
+    ("p50_us", Ty::F64),
+    ("p95_us", Ty::F64),
+    ("p99_us", Ty::F64),
+    ("max_us", Ty::F64),
+];
 
-/// Current schema version.
-pub const VERSION: u64 = 1;
+const BREAKDOWN: &[Field] = &[
+    ("label", Ty::Str),
+    ("requests", Ty::U64),
+    ("e2e", Ty::Obj(PHASE)),
+    ("linger", Ty::Obj(PHASE)),
+    ("queue", Ty::Obj(PHASE)),
+    ("execute", Ty::Obj(PHASE)),
+    ("tail_linger_share", Ty::F64),
+    ("tail_queue_share", Ty::F64),
+    ("tail_execute_share", Ty::F64),
+];
+
+/// `BENCH_serve_trace.json`: one [`TraceRecord`] per device count.
+pub static SCHEMA: Schema = Schema {
+    name: "vpps-serve-trace",
+    version: 1,
+    header: &[],
+    record: &[
+        ("devices", Ty::U64),
+        ("offered_rps", Ty::F64),
+        ("requests", Ty::U64),
+        ("completed", Ty::U64),
+        ("dropped", Ty::U64),
+        ("traced", Ty::U64),
+        ("events", Ty::U64),
+        ("events_dropped", Ty::U64),
+        ("host_spans_dropped", Ty::U64),
+        ("batches", Ty::U64),
+        ("retries", Ty::U64),
+        ("steals", Ty::U64),
+        ("errors", Ty::U64),
+        ("tiled_exactly", Ty::Bool),
+        ("terminal_exactly_once", Ty::Bool),
+        ("queue_attr_nonzero", Ty::Bool),
+        ("cold_and_warm_present", Ty::Bool),
+        ("complete", Ty::Bool),
+        ("deterministic", Ty::Bool),
+        ("overall", Ty::Obj(BREAKDOWN)),
+        ("by_tenant", Ty::ArrOf(BREAKDOWN)),
+        ("by_bucket", Ty::ArrOf(BREAKDOWN)),
+        ("by_warmth", Ty::ArrOf(BREAKDOWN)),
+    ],
+    facts,
+};
+
+fn facts(doc: &Json) -> Vec<String> {
+    let mut f = Facts::default();
+    for r in records(doc) {
+        f.row(format!("devices={}", uint(r, "devices")));
+        f.all_true(
+            r,
+            &[
+                "tiled_exactly",
+                "terminal_exactly_once",
+                "queue_attr_nonzero",
+                "cold_and_warm_present",
+                "complete",
+                "deterministic",
+            ],
+        );
+        f.all_zero(r, &["events_dropped", "host_spans_dropped", "errors"]);
+        // The sweep's corpus saturates the devices: an all-zero queue phase
+        // means the analyzer mislabels time, not that the queues are empty.
+        for phase in ["e2e", "queue", "execute"] {
+            let p99 = num(r, &format!("overall.{phase}.p99_us"));
+            f.require(p99 > 0.0, || {
+                format!("overall.{phase}.p99_us is {p99} under a saturating corpus")
+            });
+        }
+        let (traced, requests) = (uint(r, "traced"), uint(r, "requests"));
+        f.require(traced == requests, || {
+            format!("traced {traced} of {requests} requests")
+        });
+    }
+    f.failed
+}
 
 /// The tracing scenario: the sharded sweep's saturating Zipf corpus with
 /// every request traced.
@@ -108,27 +187,8 @@ pub struct TraceRecord {
     pub by_warmth: Vec<GroupBreakdown>,
 }
 
-impl TraceRecord {
-    /// True when every self-check holds — the condition `repro serve-trace`
-    /// gates its exit status on.
-    pub fn self_checks_pass(&self) -> bool {
-        self.errors == 0
-            && self.tiled_exactly
-            && self.terminal_exactly_once
-            && self.queue_attr_nonzero
-            && self.cold_and_warm_present
-            && self.complete
-            && self.deterministic
-    }
-}
-
-/// One run's full observable surface: the analysis plus the outcome-derived
-/// terminal sets, everything needed to build (and byte-compare) a record.
-struct TraceRun {
-    record: TraceRecord,
-}
-
-fn trace_run(sc: &ServeScenario, devices: usize) -> TraceRun {
+/// One run condensed into its record (`deterministic` still unset).
+fn trace_run(sc: &ServeScenario, devices: usize) -> TraceRecord {
     // The host-span ring is global; start each run from a clean ring so
     // `host_spans_dropped` reflects this run alone (and reruns match).
     vpps_obs::clear_spans();
@@ -161,32 +221,30 @@ fn trace_run(sc: &ServeScenario, devices: usize) -> TraceRun {
     let terminal_exactly_once = tl_completed == out_completed && tl_dropped == out_dropped;
     let has_warmth = |label: &str| analysis.by_warmth.iter().any(|g| g.label == label);
 
-    TraceRun {
-        record: TraceRecord {
-            devices,
-            offered_rps,
-            requests: server.outcomes().len() as u64,
-            completed: out_completed.len() as u64,
-            dropped: out_dropped.len() as u64,
-            traced: analysis.timelines.len() as u64,
-            events: analysis.events,
-            events_dropped: analysis.events_dropped,
-            host_spans_dropped: analysis.host_spans_dropped,
-            batches: analysis.batches,
-            retries: analysis.retries,
-            steals: analysis.steals,
-            errors: analysis.errors.len() as u64,
-            tiled_exactly,
-            terminal_exactly_once,
-            queue_attr_nonzero: analysis.overall.queue.p99_us > 0.0,
-            cold_and_warm_present: has_warmth("cold") && has_warmth("warm"),
-            complete: analysis.complete(),
-            deterministic: false, // filled by trace_point
-            overall: analysis.overall,
-            by_tenant: analysis.by_tenant,
-            by_bucket: analysis.by_bucket,
-            by_warmth: analysis.by_warmth,
-        },
+    TraceRecord {
+        devices,
+        offered_rps,
+        requests: server.outcomes().len() as u64,
+        completed: out_completed.len() as u64,
+        dropped: out_dropped.len() as u64,
+        traced: analysis.timelines.len() as u64,
+        events: analysis.events,
+        events_dropped: analysis.events_dropped,
+        host_spans_dropped: analysis.host_spans_dropped,
+        batches: analysis.batches,
+        retries: analysis.retries,
+        steals: analysis.steals,
+        errors: analysis.errors.len() as u64,
+        tiled_exactly,
+        terminal_exactly_once,
+        queue_attr_nonzero: analysis.overall.queue.p99_us > 0.0,
+        cold_and_warm_present: has_warmth("cold") && has_warmth("warm"),
+        complete: analysis.complete(),
+        deterministic: false, // filled by trace_point
+        overall: analysis.overall,
+        by_tenant: analysis.by_tenant,
+        by_bucket: analysis.by_bucket,
+        by_warmth: analysis.by_warmth,
     }
 }
 
@@ -194,18 +252,11 @@ fn trace_run(sc: &ServeScenario, devices: usize) -> TraceRun {
 /// the scenario is run twice and `deterministic` records whether both
 /// runs serialized to the same bytes.
 pub fn trace_point(sc: &ServeScenario, devices: usize) -> TraceRecord {
-    let first = trace_run(sc, devices);
+    let mut record = trace_run(sc, devices);
     let second = trace_run(sc, devices);
-    let mut record = first.record;
     // `deterministic` is false in both records here, so comparing their
     // serialized bytes compares only the measured trace.
-    record.deterministic = {
-        let mut a = String::new();
-        let mut b = String::new();
-        record.to_json().write(&mut a);
-        second.record.to_json().write(&mut b);
-        a == b
-    };
+    record.deterministic = record.to_json().to_string() == second.to_json().to_string();
     record
 }
 
@@ -262,7 +313,8 @@ fn breakdown_json(b: &GroupBreakdown) -> Json {
 }
 
 impl TraceRecord {
-    fn to_json(&self) -> Json {
+    /// Serializes the point as one record of [`SCHEMA`].
+    pub fn to_json(&self) -> Json {
         let mut o = Json::obj();
         o.set("devices", Json::from(self.devices as u64));
         o.set("offered_rps", Json::Num(self.offered_rps));
@@ -306,190 +358,9 @@ impl TraceRecord {
     }
 }
 
-/// Serializes the sweep into the versioned summary document.
-pub fn trace_summary_json(records: &[TraceRecord]) -> String {
-    let mut doc = Json::obj();
-    doc.set("schema", Json::from(SCHEMA));
-    doc.set("version", Json::from(VERSION));
-    doc.set("experiment", Json::from("serve_trace"));
-    doc.set(
-        "records",
-        Json::Arr(records.iter().map(|r| r.to_json()).collect()),
-    );
-    let mut out = String::new();
-    doc.write(&mut out);
-    out
-}
-
-/// Writes `BENCH_serve_trace.json` (into `$VPPS_BENCH_DIR` when set, else
-/// the current directory), validating the document first.
-///
-/// # Errors
-///
-/// I/O failure writing the file, or (as [`io::ErrorKind::InvalidData`]) a
-/// document that fails its own schema validation — a bug, not an
-/// environment problem.
-pub fn write_trace_summary(records: &[TraceRecord]) -> io::Result<PathBuf> {
-    let json = trace_summary_json(records);
-    validate_trace_summary(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let mut path = std::env::var_os("VPPS_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_default();
-    path.push("BENCH_serve_trace.json");
-    std::fs::write(&path, &json)?;
-    Ok(path)
-}
-
-fn validate_breakdown(b: &Json, what: &str) -> Result<(), String> {
-    b.get("label")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what}: missing string label"))?;
-    b.get("requests")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what}: missing u64 requests"))?;
-    for phase in ["e2e", "linger", "queue", "execute"] {
-        let s = b
-            .get(phase)
-            .ok_or_else(|| format!("{what}: missing object {phase}"))?;
-        s.get("count")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{what}: missing u64 {phase}.count"))?;
-        for key in ["mean_us", "p50_us", "p95_us", "p99_us", "max_us"] {
-            s.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{what}: missing number {phase}.{key}"))?;
-        }
-    }
-    for key in [
-        "tail_linger_share",
-        "tail_queue_share",
-        "tail_execute_share",
-    ] {
-        b.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{what}: missing number {key}"))?;
-    }
-    Ok(())
-}
-
-/// Validates a trace summary document against the schema.
-///
-/// # Errors
-///
-/// Describes the first structural problem found.
-pub fn validate_trace_summary(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing string \"schema\"".to_string())?;
-    if schema != SCHEMA {
-        return Err(format!("unknown schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "missing integer \"version\"".to_string())?;
-    if version != VERSION {
-        return Err(format!("unsupported version {version}, expected {VERSION}"));
-    }
-    let records = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing array \"records\"".to_string())?;
-    for (i, rec) in records.iter().enumerate() {
-        let err = |what: &str| format!("record {i}: {what}");
-        for key in [
-            "devices",
-            "requests",
-            "completed",
-            "dropped",
-            "traced",
-            "events",
-            "events_dropped",
-            "host_spans_dropped",
-            "batches",
-            "retries",
-            "steals",
-            "errors",
-        ] {
-            rec.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| err(&format!("missing u64 {key:?}")))?;
-        }
-        rec.get("offered_rps")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| err("missing number \"offered_rps\""))?;
-        for key in [
-            "tiled_exactly",
-            "terminal_exactly_once",
-            "queue_attr_nonzero",
-            "cold_and_warm_present",
-            "complete",
-            "deterministic",
-        ] {
-            match rec.get(key) {
-                Some(Json::Bool(_)) => {}
-                _ => return Err(err(&format!("missing bool {key:?}"))),
-            }
-        }
-        let overall = rec
-            .get("overall")
-            .ok_or_else(|| err("missing object \"overall\""))?;
-        validate_breakdown(overall, &format!("record {i} overall"))?;
-        for key in ["by_tenant", "by_bucket", "by_warmth"] {
-            let arr = rec
-                .get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err(&format!("missing array {key:?}")))?;
-            for (j, b) in arr.iter().enumerate() {
-                validate_breakdown(b, &format!("record {i} {key}[{j}]"))?;
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_summary_validates() {
-        let json = trace_summary_json(&[]);
-        validate_trace_summary(&json).unwrap();
-        assert!(json.contains("\"experiment\":\"serve_trace\""));
-        assert!(validate_trace_summary(&json.replace(SCHEMA, "nope")).is_err());
-        assert!(validate_trace_summary("{}").is_err());
-    }
-
-    #[test]
-    fn tiny_trace_point_passes_its_self_checks() {
-        // Enough requests that popular buckets repeat a batch shape and hit
-        // the warm script cache (cold_and_warm_present needs both).
-        let mut sc = trace_scenario(false);
-        sc.requests = 120;
-        let rec = trace_point(&sc, 2);
-        assert_eq!(rec.devices, 2);
-        assert_eq!(rec.traced, rec.requests, "every request must be traced");
-        assert!(
-            rec.self_checks_pass(),
-            "self-checks failed: tiled={} terminal={} queue={} warmth={} complete={} det={} errors={}",
-            rec.tiled_exactly,
-            rec.terminal_exactly_once,
-            rec.queue_attr_nonzero,
-            rec.cold_and_warm_present,
-            rec.complete,
-            rec.deterministic,
-            rec.errors
-        );
-        // Under the saturating corpus the breakdown must attribute real
-        // time to all three latency-bearing phases.
-        assert!(rec.overall.e2e.p99_us > 0.0);
-        assert!(rec.overall.execute.p99_us > 0.0);
-        let json = trace_summary_json(&[rec]);
-        validate_trace_summary(&json).unwrap();
-    }
 
     #[test]
     fn chrome_view_renders_and_validates() {

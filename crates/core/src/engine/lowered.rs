@@ -2317,6 +2317,28 @@ mod tests {
         );
         assert_eq!(warm.pool_len, f.pool.used() - base);
         assert_eq!(warm.encoded_bytes, gs.scripts.encoded_bytes());
+        // What `replay_generate_obs` adds to `script.*` for the skipped
+        // generation is what generating `b` adds.
+        let count = |pick: fn(&Instr) -> bool| {
+            let vpps = 0..gs.scripts.num_vpps();
+            vpps.flat_map(|v| gs.scripts.script(v))
+                .filter(|i| pick(i))
+                .count() as u64
+        };
+        assert_eq!(
+            (
+                warm.forward_instructions + warm.backward_instructions,
+                warm.artifact.num_barriers,
+                warm.signal_instrs,
+                warm.wait_instrs,
+            ),
+            (
+                gs.forward_instructions + gs.backward_instructions,
+                gs.num_barriers,
+                count(|i| matches!(i, Instr::Signal { .. })),
+                count(|i| matches!(i, Instr::Wait { .. })),
+            ),
+        );
         assert!(f.dispatch(&b, root_b));
         let stats = f.cache.stats();
         assert_eq!((stats.script_misses, stats.script_hits), (1, 1));

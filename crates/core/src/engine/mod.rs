@@ -369,29 +369,6 @@ pub fn run_batch(
     run_prepared(backend, &session, pool, model, gpu)
 }
 
-/// [`run_batch`] for the [`Lowered`] backend through a [`LoweredCache`]:
-/// the lowering artifact (micro-ops, costs, timeline) is fetched from —
-/// or installed into — `cache`, so warm paths pay lowering once per
-/// `(plan, script)` and skip both cost resolution and the timeline sweep
-/// on every hit.
-///
-/// # Panics
-///
-/// Same conditions as [`run_batch`].
-pub fn run_batch_lowered(
-    plan: &KernelPlan,
-    gs: &GeneratedScript,
-    pool: &mut Pool,
-    model: &mut Model,
-    gpu: &mut GpuSim,
-    cfg: ExecConfig,
-    cache: &mut LoweredCache,
-) -> RunOutcome {
-    let art = cache.get_or_lower(plan, gs, gpu.cost_model());
-    let session = Session::from_lowered(plan, gs, cfg, gpu.cost_model(), art);
-    run_prepared(&Lowered, &session, pool, model, gpu)
-}
-
 /// [`run_batch`] plus a full per-VPP instruction timeline for visualization
 /// (a [`SimTrace`], exportable via [`SimTrace::to_chrome_json`]).
 ///

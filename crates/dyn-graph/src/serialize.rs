@@ -83,11 +83,14 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], LoadModelError> {
-        if self.pos + n > self.buf.len() {
-            return Err(LoadModelError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        // `n` comes from the file: `pos + n` must not wrap.
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.buf.len())
+            .ok_or(LoadModelError::Truncated)?;
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
@@ -109,7 +112,11 @@ impl<'a> Reader<'a> {
         if rows == 0 || cols == 0 {
             return Err(LoadModelError::Malformed("zero dimension"));
         }
-        let bytes = self.take(rows * cols * 4)?;
+        let len = rows
+            .checked_mul(cols)
+            .and_then(|n| n.checked_mul(4))
+            .ok_or(LoadModelError::Malformed("dimensions overflow"))?;
+        let bytes = self.take(len)?;
         let data: Vec<f32> = bytes
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
@@ -220,6 +227,27 @@ mod tests {
         for cut in [3usize, 8, 20, bytes.len() - 1] {
             assert!(load_model(&bytes[..cut]).is_err(), "cut at {cut} must fail");
         }
+    }
+
+    #[test]
+    fn overflowing_dimensions_rejected() {
+        // A valid 2x2 checkpoint whose header claims 2^31 x 2^31: the byte
+        // count wraps `usize` to 0 on 64-bit, which must not reach
+        // `Matrix::from_vec`.
+        let mut m = Model::new(1);
+        m.add_matrix("W", 2, 2);
+        let mut bytes = save_model(&m);
+        let dims = 16 + 4 + 1; // header, name_len, "W"
+        bytes[dims..dims + 4].copy_from_slice(&0x8000_0000u32.to_le_bytes());
+        bytes[dims + 4..dims + 8].copy_from_slice(&0x8000_0000u32.to_le_bytes());
+        assert_eq!(
+            load_model(&bytes).unwrap_err(),
+            LoadModelError::Malformed("dimensions overflow")
+        );
+        // Large but non-wrapping dimensions are a plain truncation.
+        bytes[dims..dims + 4].copy_from_slice(&0xffffu32.to_le_bytes());
+        bytes[dims + 4..dims + 8].copy_from_slice(&0xffffu32.to_le_bytes());
+        assert_eq!(load_model(&bytes).unwrap_err(), LoadModelError::Truncated);
     }
 
     #[test]

@@ -173,7 +173,9 @@ impl OutageWindow {
             .trim()
             .parse()
             .map_err(|_| format!("outage end `{}` is not a number", end.trim()))?;
-        if !start_us.is_finite() || !end_us.is_finite() || start_us < 0.0 || end_us <= start_us {
+        // `SimTime` holds finite nanoseconds, so it is the scaled end that
+        // must be finite (`1e306` µs is a finite f64, `1e309` ns is not).
+        if !(end_us * 1e3).is_finite() || !(0.0..end_us).contains(&start_us) {
             return Err(format!(
                 "outage window `{span}` must satisfy 0 <= start < end"
             ));
@@ -661,6 +663,9 @@ mod tests {
         assert_eq!(bf.brownout_factor, 2.5);
 
         assert!(FaultConfig::parse("outage=1@600..300").is_err());
+        assert!(FaultConfig::parse("outage=1@NaN..300").is_err());
+        assert!(FaultConfig::parse("outage=1@0..inf").is_err());
+        assert!(FaultConfig::parse("outage=1@0..1e306").is_err());
         assert!(FaultConfig::parse("outage=1@300..600:melt").is_err());
         assert!(FaultConfig::parse("outage=x@1..2").is_err());
         assert!(FaultConfig::parse("outage=1&1..2").is_err());

@@ -148,6 +148,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -222,9 +223,16 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// this workspace emits nests at most 6 levels; the cap turns a hostile
+/// `[[[[…` into an error instead of unbounded `value → array → value`
+/// recursion (a stack overflow aborts the process).
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -271,8 +279,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -280,6 +288,19 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -373,9 +394,10 @@ impl Parser<'_> {
                                 self.expect(b'\\')?;
                                 self.expect(b'u')?;
                                 let low = self.hex4()?;
-                                let combined =
-                                    0x10000 + ((cp - 0xd800) << 10) + (low.wrapping_sub(0xdc00));
-                                char::from_u32(combined)
+                                if !(0xdc00..0xe000).contains(&low) {
+                                    return Err("invalid \\u escape".to_string());
+                                }
+                                char::from_u32(0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00))
                             } else {
                                 char::from_u32(cp)
                             };
@@ -410,9 +432,11 @@ impl Parser<'_> {
             }
         }
         let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number {s:?} at byte {start}"))
+        // `1e999` parses to infinity, which `Json::Num` cannot write back.
+        match s.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            _ => Err(format!("invalid number {s:?} at byte {start}")),
+        }
     }
 }
 
@@ -467,6 +491,40 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+        assert!(Json::parse("1e999").is_err());
+        assert!(Json::parse("[-1e999]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(Json::parse(&"{\"k\":".repeat(100_000)).is_err());
+        // The cap counts open containers, not bytes: 128 levels parse.
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deep).is_ok());
+        assert!(Json::parse(&format!("[{deep}]")).is_err());
+        // Siblings do not accumulate depth.
+        assert!(Json::parse(&format!("[{}]", vec!["[]"; 1000].join(","))).is_ok());
+    }
+
+    #[test]
+    fn unpaired_surrogates_are_rejected() {
+        // High surrogate followed by a non-low-surrogate escape.
+        assert_eq!(
+            Json::parse(r#""\ud800\u0041""#).unwrap_err(),
+            "invalid \\u escape"
+        );
+        // High surrogate followed by plain text, and one cut short.
+        assert!(Json::parse(r#""\ud800A""#).is_err());
+        assert!(Json::parse(r#""\ud800"#).is_err());
+        // A lone low surrogate.
+        assert!(Json::parse(r#""\udc00""#).is_err());
+        // A well-formed pair still decodes.
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("\u{1f600}")
+        );
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //!   [`gpu_sim::SimTime`]. Same request stream in, byte-identical outcome
 //!   stream out — for any device count — see [`Server`].
 //! * **Reports** ([`ServeReport`]) with exact latency quantiles, goodput,
-//!   and batch-size distribution, plus the versioned `BENCH_serve.json`
-//!   trajectory ([`write_serve_summary`]).
+//!   and batch-size distribution, plus the rows ([`ServeRecord`]) of the
+//!   versioned `BENCH_serve.json` trajectory.
 
 pub mod batcher;
 pub mod breaker;
@@ -67,10 +67,7 @@ pub use device::{Device, DeviceHealth, DeviceId, DeviceStats, HealthTransition};
 pub use policy::{
     AdmissionPolicy, BatchPolicy, HealthPolicy, RecoveryConfig, ServeConfig, ShardPolicy,
 };
-pub use report::{
-    serve_summary_json, validate_serve_summary, write_serve_summary, DeviceRow, LatencyStats,
-    ServeRecord, ServeReport,
-};
+pub use report::{DeviceRow, LatencyStats, ServeRecord, ServeReport};
 pub use request::{
     Completion, ModelId, Outcome, Request, RequestId, RequestKind, Shed, ShedReason, TenantId,
 };

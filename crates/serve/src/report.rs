@@ -1,32 +1,18 @@
-//! Serving reports and the `BENCH_serve.json` trajectory document.
+//! Serving reports and the rows of the `BENCH_serve.json` trajectory.
 //!
 //! [`ServeReport`] condenses a server's outcome stream into the headline
 //! serving numbers — offered load, goodput, latency quantiles, batch-size
 //! distribution, shed counts — computed **exactly** from the per-request
-//! records (not from the log2 obs histograms, which are estimates). The
-//! trajectory document mirrors the bench crate's `BENCH_<experiment>.json`
-//! convention: a versioned JSON file validated by its own parser, written
-//! to `$VPPS_BENCH_DIR` so CI can archive and diff it across commits.
-
-use std::io;
-use std::path::PathBuf;
+//! records (not from the log2 obs histograms, which are estimates).
+//! [`ServeRecord::to_json`] is one row of the trajectory document; the
+//! document itself (envelope, field table, checker) is defined with every
+//! other `BENCH_*.json` in `vpps_bench::trajectory`.
 
 use gpu_sim::SimTime;
 use vpps_obs::Json;
 
 use crate::device::DeviceStats;
 use crate::request::{Outcome, ShedReason};
-
-/// Schema identifier written into every serve trajectory.
-pub const SCHEMA: &str = "vpps-serve-trajectory";
-
-/// Current schema version. v2 added the lowered script-cache counters
-/// (`script_hits` / `script_misses` / `script_re_misses`) to every record.
-/// v3 added the `execute` latency stage (device start → completion),
-/// carried by the `started_at` timestamp on every completion.
-/// v4 added the per-device `devices` array (terminal health, circuit-breaker
-/// occupancy, batch/failure tallies) to every record.
-pub const VERSION: u64 = 4;
 
 /// Exact latency quantiles over one stage, in microseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -280,7 +266,8 @@ pub struct ServeRecord {
 }
 
 impl ServeRecord {
-    fn to_json(&self) -> Json {
+    /// Serializes the row as one record of the serve trajectory.
+    pub fn to_json(&self) -> Json {
         let mut o = Json::obj();
         o.set("label", Json::from(self.label.as_str()));
         o.set("backend", Json::from(self.backend.as_str()));
@@ -295,146 +282,6 @@ impl ServeRecord {
         o.set("report", self.report.to_json());
         o
     }
-}
-
-/// Serializes serve records into the versioned trajectory document.
-pub fn serve_summary_json(experiment: &str, records: &[ServeRecord]) -> String {
-    let mut doc = Json::obj();
-    doc.set("schema", Json::from(SCHEMA));
-    doc.set("version", Json::from(VERSION));
-    doc.set("experiment", Json::from(experiment));
-    doc.set(
-        "records",
-        Json::Arr(records.iter().map(ServeRecord::to_json).collect()),
-    );
-    let mut out = String::new();
-    doc.write(&mut out);
-    out
-}
-
-/// Writes `BENCH_<experiment>.json` into `$VPPS_BENCH_DIR` (or the current
-/// directory), validating the document first.
-///
-/// # Errors
-///
-/// I/O failure writing the file, or (as [`io::ErrorKind::InvalidData`]) a
-/// document that fails its own schema validation — a bug, not an
-/// environment problem.
-pub fn write_serve_summary(experiment: &str, records: &[ServeRecord]) -> io::Result<PathBuf> {
-    let json = serve_summary_json(experiment, records);
-    validate_serve_summary(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let mut path = std::env::var_os("VPPS_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_default();
-    path.push(format!("BENCH_{experiment}.json"));
-    std::fs::write(&path, &json)?;
-    Ok(path)
-}
-
-/// Validates a serve trajectory document against the schema.
-///
-/// # Errors
-///
-/// Describes the first structural problem found.
-pub fn validate_serve_summary(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing string \"schema\"".to_string())?;
-    if schema != SCHEMA {
-        return Err(format!("unknown schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "missing integer \"version\"".to_string())?;
-    if version != VERSION {
-        return Err(format!("unsupported version {version}, expected {VERSION}"));
-    }
-    doc.get("experiment")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing string \"experiment\"".to_string())?;
-    let records = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing array \"records\"".to_string())?;
-    for (i, rec) in records.iter().enumerate() {
-        let err = |what: &str| format!("record {i}: {what}");
-        for key in ["label", "backend"] {
-            rec.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| err(&format!("missing string {key:?}")))?;
-        }
-        rec.get("offered_rps")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| err("missing number \"offered_rps\""))?;
-        for key in ["script_hits", "script_misses", "script_re_misses"] {
-            rec.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| err(&format!("missing u64 {key:?}")))?;
-        }
-        let devices = rec
-            .get("devices")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("missing array \"devices\""))?;
-        for (d, dev) in devices.iter().enumerate() {
-            let derr = |what: &str| err(&format!("devices[{d}]: {what}"));
-            dev.get("health")
-                .and_then(Json::as_str)
-                .ok_or_else(|| derr("missing string \"health\""))?;
-            for key in [
-                "device",
-                "breaker_open",
-                "breaker_half_open",
-                "batches",
-                "failures",
-            ] {
-                dev.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| derr(&format!("missing u64 {key:?}")))?;
-            }
-        }
-        let report = rec
-            .get("report")
-            .ok_or_else(|| err("missing object \"report\""))?;
-        for key in ["offered", "completed", "good", "batches"] {
-            report
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| err(&format!("missing u64 report.{key}")))?;
-        }
-        for key in ["mean_batch", "makespan_s", "goodput_rps", "throughput_rps"] {
-            report
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| err(&format!("missing number report.{key}")))?;
-        }
-        let shed = report
-            .get("shed")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| err("missing object report.shed"))?;
-        for reason in ShedReason::ALL {
-            if !shed.iter().any(|(k, _)| k == reason.name()) {
-                return Err(err(&format!("missing shed reason {:?}", reason.name())));
-            }
-        }
-        report
-            .get("batch_sizes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("missing array report.batch_sizes"))?;
-        for stage in ["e2e", "queue_wait", "execute"] {
-            let s = report
-                .get(stage)
-                .ok_or_else(|| err(&format!("missing object report.{stage}")))?;
-            for key in ["p50_us", "p95_us", "p99_us", "max_us", "mean_us"] {
-                s.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| err(&format!("missing number report.{stage}.{key}")))?;
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -506,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_round_trips_and_validates() {
+    fn record_serializes_every_section() {
         let outcomes = vec![completion(0, 0.0, 500.0, 1, true)];
         let rec = ServeRecord {
             label: "batching".into(),
@@ -525,14 +372,14 @@ mod tests {
             }],
             report: ServeReport::from_outcomes(&outcomes),
         };
-        let json = serve_summary_json("serve", &[rec]);
-        validate_serve_summary(&json).unwrap();
-        assert!(json.contains("\"experiment\":\"serve\""));
+        let json = rec.to_json().to_string();
+        assert!(json.starts_with("{\"label\":\"batching\",\"backend\":\"event-interp\""));
         assert!(json.contains("\"goodput_rps\""));
         assert!(json.contains("\"script_hits\":12"));
         assert!(json.contains("\"health\":\"healthy\""));
         assert!(json.contains("\"breaker_half_open\":1"));
-        assert!(validate_serve_summary(&json.replace(SCHEMA, "nope")).is_err());
-        assert!(validate_serve_summary("{}").is_err());
+        for reason in ShedReason::ALL {
+            assert!(json.contains(&format!("\"{}\":", reason.name())));
+        }
     }
 }

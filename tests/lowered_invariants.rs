@@ -588,8 +588,8 @@ fn evictions_are_counted_by_stats_and_obs() {
 }
 
 /// Through a `Handle` training a fixed shape, every batch after the first is
-/// a script-level cache hit — the warm-path hit rate the CI smoke job
-/// asserts through obs counters.
+/// a script-level cache hit served by the graph-level index — the stats the
+/// `lower.script.cache_hit` / `lower.graph.cache_hit` counters mirror.
 #[test]
 fn handle_warm_path_hits_after_first_batch() {
     use vpps::{BackendKind, Handle, RpwMode, VppsOptions};
@@ -614,6 +614,10 @@ fn handle_warm_path_hits_after_first_batch() {
     let stats = handle.lowered_cache_stats();
     assert_eq!(stats.script_misses, 1, "only the cold batch lowers");
     assert_eq!(stats.script_hits, 4, "every warm batch hits");
+    assert_eq!(
+        stats.graph_hits, stats.script_hits,
+        "every warm batch is served by the graph-level index (no script generated)"
+    );
     assert_eq!(stats.script_re_misses, 0);
     assert_eq!(stats.plan_re_misses, 0);
 }

@@ -27,8 +27,9 @@ mod graphgen;
 use graphgen::{arb_recipe, build_from_recipe, small_device, GraphRecipe, DIM};
 
 /// Runs one recipe end-to-end on one backend with a fresh model, pool and
-/// device, returning the batch metrics.
-fn run_on_backend(recipe: &GraphRecipe, kind: BackendKind) -> Metrics {
+/// device, returning the batch metrics and what the run posts to the
+/// `engine.instr.*` / `engine.barriers` counters.
+fn run_on_backend(recipe: &GraphRecipe, kind: BackendKind) -> (Metrics, InstrCounts) {
     let mut model = Model::new(987);
     model.add_matrix("W1", DIM, DIM);
     model.add_matrix("W2", DIM, DIM);
@@ -46,21 +47,19 @@ fn run_on_backend(recipe: &GraphRecipe, kind: BackendKind) -> Metrics {
         }
     }
     let mut gpu = GpuSim::new(small_device());
-    let run = engine::run_batch(
-        kind.backend(),
-        &plan,
-        &gs,
-        &mut pool,
-        &mut model,
-        &mut gpu,
-        ExecConfig {
-            learning_rate: 0.05,
-            weight_decay: 0.0,
-            apply_update: true,
-        },
-    );
-    run.metrics
+    let cfg = ExecConfig {
+        learning_rate: 0.05,
+        weight_decay: 0.0,
+        apply_update: true,
+    };
+    let session = kind.backend().prepare(&plan, &gs, cfg, gpu.cost_model());
+    let posted = (session.timeline.instr_mix.clone(), gs.num_barriers);
+    let run = engine::run_prepared(kind.backend(), &session, &mut pool, &mut model, &mut gpu);
+    (run.metrics, posted)
 }
+
+/// Per-mnemonic executed-instruction counts plus the barrier count.
+type InstrCounts = (Vec<(&'static str, u64)>, u32);
 
 fn assert_dram_sums(metrics: &Metrics) {
     let load_sum: u64 = TrafficTag::ALL.iter().map(|&t| metrics.dram.loads(t)).sum();
@@ -78,7 +77,7 @@ proptest! {
     /// Per-class DRAM bytes sum to the totals on any random graph.
     #[test]
     fn dram_classes_sum_to_totals(recipe in arb_recipe()) {
-        let metrics = run_on_backend(&recipe, BackendKind::EventInterp);
+        let (metrics, _) = run_on_backend(&recipe, BackendKind::EventInterp);
         assert_dram_sums(&metrics);
         prop_assert!(metrics.dram.total_loads() > 0, "a batch always loads weights");
     }
@@ -89,9 +88,11 @@ proptest! {
     #[test]
     fn backends_report_identical_metrics_under_instrumentation(recipe in arb_recipe()) {
         vpps_obs::set_enabled(true);
-        let reference = run_on_backend(&recipe, BackendKind::EventInterp);
-        let metrics = run_on_backend(&recipe, BackendKind::Lowered);
+        let (reference, reference_instrs) = run_on_backend(&recipe, BackendKind::EventInterp);
+        let (metrics, instrs) = run_on_backend(&recipe, BackendKind::Lowered);
         vpps_obs::set_enabled(false);
+        prop_assert!(!instrs.0.is_empty(), "a batch executes instructions");
+        prop_assert_eq!(instrs, reference_instrs, "executed-instruction counters");
         for &tag in &TrafficTag::ALL {
             prop_assert_eq!(metrics.dram.loads(tag), reference.dram.loads(tag), "loads[{:?}]", tag);
             prop_assert_eq!(

@@ -368,6 +368,7 @@ proptest! {
         prop_assert!(warm.script_hits > cold.script_hits,
             "the replayed batches must hit the script cache");
         prop_assert_eq!(warm.script_re_misses, 0, "structure-keyed buckets never re-miss");
+        prop_assert_eq!(warm.script_evictions, 0, "a fault-free run far below capacity never evicts");
     }
 
     /// Sharding changes placement, never numerics: an all-inference trace

@@ -205,9 +205,10 @@ fn same_seed_trace_summary_is_byte_identical() {
         "rerun of the same seed produced different trace bytes"
     );
     let b = vpps_bench::trace_point(&sc, 2);
+    let schema = &vpps_bench::trace_bench::SCHEMA;
     let (sa, sb) = (
-        vpps_bench::trace_summary_json(std::slice::from_ref(&a)),
-        vpps_bench::trace_summary_json(std::slice::from_ref(&b)),
+        schema.document("serve_trace", &[], vec![a.to_json()]),
+        schema.document("serve_trace", &[], vec![b.to_json()]),
     );
     assert_eq!(
         sa.as_bytes(),
