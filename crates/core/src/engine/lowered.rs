@@ -1935,6 +1935,9 @@ impl super::ExecutionBackend for Lowered {
             .lowered
             .as_ref()
             .expect("Lowered backend requires a session with a lowered artifact");
+        if vpps_obs::enabled() {
+            vpps_obs::counter(&format!("engine.kernels.{}", kernels::tier())).incr();
+        }
         execute(art, &session.patches, pool, cache);
         let loss = pool.slice(session.loss_offset(), 1)[0];
         session.outcome(loss)

@@ -162,16 +162,10 @@ pub fn apply_gemm_fallback(
         flops: 3 * (weight_bytes / 4),
         ctas: gpu.config().num_sms,
     });
-    for (pid, _) in model
-        .params()
-        .map(|(id, p)| (id, p.value.len()))
-        .collect::<Vec<_>>()
-    {
-        let p = model.param_mut(pid);
-        for i in 0..p.value.len() {
-            let g = p.grad.as_slice()[i];
-            let v = p.value.as_slice()[i];
-            p.value.as_mut_slice()[i] = v - cfg.learning_rate * (g + cfg.weight_decay * v);
+    for pidx in 0..model.num_params() {
+        let p = model.param_mut(ParamId::from_index(pidx));
+        for (v, &g) in p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
+            *v -= cfg.learning_rate * (g + cfg.weight_decay * *v);
         }
         p.grad.fill_zero();
     }

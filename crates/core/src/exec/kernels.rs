@@ -6,26 +6,33 @@
 //! Sharing the exact loop bodies is what makes the backends bit-identical:
 //! f32 addition is not associative, so two different reduction orders would
 //! produce different losses. Every kernel here has one fixed, deterministic
-//! association — chunked into [`LANES`] independent accumulators so LLVM can
-//! autovectorize the loop, with a fixed pairwise reduction tree at the end
-//! and a sequential scalar tail.
+//! association — [`LANES`] independent accumulators, a fixed pairwise
+//! reduction tree at the end and a sequential scalar tail — and one fixed
+//! arithmetic: a rounded multiply followed by a rounded add, never fused.
 //!
-//! The interpreter runs one [`dot`] / [`axpy`] per chunk row. The lowered
-//! sweep runs whole chunk ops through the *register-blocked* forms
-//! ([`matvec_block`], [`tmatvec_contrib`], [`outer_block`]), which keep more
-//! in registers between loads — a chunk row against several operands, a tile
-//! of the contribution across all rows, a tile of a gradient row across
-//! several operands — while every output element still receives exactly the
-//! per-row kernels' operations in exactly their order, so the two forms agree
-//! to the bit (the proptests below hold them to that, NaN, infinities and
-//! signed zeros included).
+//! The interpreter runs one [`dot`] / [`axpy`] per chunk row, plain loops
+//! that LLVM autovectorizes. The lowered sweep runs whole chunk ops through
+//! the *register-blocked* forms ([`matvec_block`], [`tmatvec_contrib`],
+//! [`outer_block`]), which keep more in registers between loads — a chunk row
+//! against several operands, a tile of the contribution across all rows, a
+//! tile of a gradient row across several operands — while every output
+//! element still receives exactly the per-row kernels' operations in exactly
+//! their order, so the two forms agree to the bit.
+//!
+//! The blocked forms are explicit SIMD in *tiers* (`Lanes`): 256-bit AVX
+//! registers where the host's CPUID reports them ([`tier`]), two 128-bit
+//! SSE2 registers on any other x86-64 host, a plain array elsewhere. Each
+//! entry point picks once per call. Register width is free; lane count,
+//! association and the two roundings are not, so the tiers agree with each
+//! other and with the per-row loops to the bit, on any host and under any
+//! build flags — the proptests below hold every tier the host can run to
+//! that, NaN, infinities and signed zeros included.
 
 /// Number of independent accumulator lanes in the chunked reduction.
 ///
-/// Eight f32 lanes fill one AVX2 register; on narrower ISAs LLVM splits the
-/// lanes across two registers, which is still profitable. The value is part
-/// of the numerical contract (it fixes the association of [`dot`]), so it
-/// must never depend on the host CPU.
+/// Eight f32 lanes are one AVX register or two SSE2 registers. The value is
+/// part of the numerical contract (it fixes the association of [`dot`]), so
+/// it is the same on every tier and must never depend on the host CPU.
 pub const LANES: usize = 8;
 
 /// Dot product with a fixed chunked association.
@@ -84,51 +91,116 @@ pub fn add_assign(acc: &mut [f32], x: &[f32]) {
 }
 
 /// [`LANES`] f32 values held in SIMD registers — what the register-blocked
-/// kernels accumulate in.
+/// kernels accumulate in, one implementation per instruction-set *tier*.
 ///
-/// The blocked loops are written against this type rather than left to the
+/// The blocked loops are written against this trait rather than left to the
 /// autovectorizer: with several accumulator sets live, LLVM's SLP pass
 /// vectorizes *across* operands (transposing every accumulator inside the
 /// main loop) or scalarizes, depending on inlining context — measured 0.3x to
-/// 2.1x of the per-row loop for the same source. Every operation is a plain
-/// IEEE lane-wise multiply or add (never fused), so the two implementations
-/// and the scalar kernels round identically.
+/// 2.1x of the per-row loop for the same source.
+///
+/// A tier chooses the register *width* and nothing else. Every tier holds the
+/// same [`LANES`] lanes, and `mul_acc` is a lane-wise IEEE multiply, rounded,
+/// followed by a lane-wise add, rounded — never a fused multiply-add, whose
+/// single rounding would diverge from [`dot`] / [`axpy`] and so from the
+/// interpreter. The tiers therefore agree with each other and with the
+/// scalar kernels to the bit, and which one runs is not observable in any
+/// result.
+///
+/// The methods are safe to call only where the tier's instructions exist:
+/// `Portable` and `Sse2` wherever they compile, `Avx` only after
+/// `is_x86_feature_detected!("avx")`. The trait, the tiers and every generic
+/// body over them are private to this module so that each instantiation is
+/// here to audit: the baseline tier in the three public entry points, `Avx`
+/// in the three `*_avx` wrappers they dispatch to.
+///
+/// Every function between an `*_avx` wrapper and the intrinsics is
+/// `#[inline(always)]`: an `__m256` that crossed a call out of the
+/// `#[target_feature]` function would be passed through memory.
+trait Lanes: Copy {
+    fn zero() -> Self;
+    fn splat(s: f32) -> Self;
+    fn load(v: &[f32; LANES]) -> Self;
+    fn store(self, out: &mut [f32; LANES]);
+    /// `self + a * b` per lane: product rounded, then sum rounded.
+    fn mul_acc(self, a: Self, b: Self) -> Self;
+}
+
+/// A plain array, one scalar multiply and add per lane: the only tier off
+/// x86-64, and the reference the tests hold the others to everywhere.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+#[derive(Clone, Copy)]
+struct Portable([f32; LANES]);
+
+#[cfg(any(test, not(target_arch = "x86_64")))]
+impl Lanes for Portable {
+    #[inline(always)]
+    fn zero() -> Self {
+        Self([0.0; LANES])
+    }
+
+    #[inline(always)]
+    fn splat(s: f32) -> Self {
+        Self([s; LANES])
+    }
+
+    #[inline(always)]
+    fn load(v: &[f32; LANES]) -> Self {
+        Self(*v)
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [f32; LANES]) {
+        *out = self.0;
+    }
+
+    #[inline(always)]
+    fn mul_acc(mut self, a: Self, b: Self) -> Self {
+        for l in 0..LANES {
+            self.0[l] += a.0[l] * b.0[l];
+        }
+        self
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
-mod lanes {
+mod x86 {
     use core::arch::x86_64::{
-        __m128, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
+        __m128, __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps,
+        _mm_setzero_ps, _mm_storeu_ps,
     };
 
-    use super::LANES;
+    use super::{Lanes, LANES};
 
-    /// Two SSE registers (SSE is part of the x86-64 baseline, so no run-time
-    /// detection and no wider, host-dependent path).
+    /// Two 128-bit registers: SSE2 is part of the x86-64 baseline, so this
+    /// tier needs no detection and is the one a host without AVX runs.
     #[derive(Clone, Copy)]
-    pub(super) struct Lanes(__m128, __m128);
+    pub(super) struct Sse2(__m128, __m128);
 
-    impl Lanes {
+    impl Lanes for Sse2 {
         #[inline(always)]
-        pub(super) fn zero() -> Self {
-            // SAFETY: SSE is always available on x86-64.
+        fn zero() -> Self {
+            // SAFETY: SSE2 is always available on x86-64.
             unsafe { Self(_mm_setzero_ps(), _mm_setzero_ps()) }
         }
 
         #[inline(always)]
-        pub(super) fn splat(s: f32) -> Self {
-            // SAFETY: SSE is always available on x86-64.
+        fn splat(s: f32) -> Self {
+            // SAFETY: SSE2 is always available on x86-64.
             unsafe { Self(_mm_set1_ps(s), _mm_set1_ps(s)) }
         }
 
         #[inline(always)]
-        pub(super) fn load(v: &[f32; LANES]) -> Self {
-            // SAFETY: SSE is always available on x86-64; both unaligned loads
-            // read four floats inside the eight `v` borrows.
+        fn load(v: &[f32; LANES]) -> Self {
+            // SAFETY: SSE2 is always available on x86-64; both unaligned
+            // loads read four floats inside the eight `v` borrows.
             unsafe { Self(_mm_loadu_ps(v.as_ptr()), _mm_loadu_ps(v.as_ptr().add(4))) }
         }
 
         #[inline(always)]
-        pub(super) fn store(self, out: &mut [f32; LANES]) {
-            // SAFETY: SSE is always available on x86-64; both unaligned
+        fn store(self, out: &mut [f32; LANES]) {
+            // SAFETY: SSE2 is always available on x86-64; both unaligned
             // stores write four floats inside the eight `out` borrows.
             unsafe {
                 _mm_storeu_ps(out.as_mut_ptr(), self.0);
@@ -136,10 +208,9 @@ mod lanes {
             }
         }
 
-        /// `self + a * b` per lane: product rounded, then sum rounded.
         #[inline(always)]
-        pub(super) fn mul_acc(self, a: Self, b: Self) -> Self {
-            // SAFETY: SSE is always available on x86-64.
+        fn mul_acc(self, a: Self, b: Self) -> Self {
+            // SAFETY: SSE2 is always available on x86-64.
             unsafe {
                 Self(
                     _mm_add_ps(self.0, _mm_mul_ps(a.0, b.0)),
@@ -148,49 +219,73 @@ mod lanes {
             }
         }
     }
-}
 
-#[cfg(not(target_arch = "x86_64"))]
-mod lanes {
-    use super::LANES;
-
-    /// Portable stand-in: a plain array, one scalar multiply and add per lane.
+    /// One 256-bit register. Instantiated only behind a passed
+    /// `is_x86_feature_detected!("avx")` (see [`Lanes`]), which is what every
+    /// `SAFETY` comment below relies on.
     #[derive(Clone, Copy)]
-    pub(super) struct Lanes([f32; LANES]);
+    pub(super) struct Avx(__m256);
 
-    impl Lanes {
+    impl Lanes for Avx {
         #[inline(always)]
-        pub(super) fn zero() -> Self {
-            Self([0.0; LANES])
+        fn zero() -> Self {
+            // SAFETY: the host has AVX.
+            unsafe { Self(_mm256_setzero_ps()) }
         }
 
         #[inline(always)]
-        pub(super) fn splat(s: f32) -> Self {
-            Self([s; LANES])
+        fn splat(s: f32) -> Self {
+            // SAFETY: the host has AVX.
+            unsafe { Self(_mm256_set1_ps(s)) }
         }
 
         #[inline(always)]
-        pub(super) fn load(v: &[f32; LANES]) -> Self {
-            Self(*v)
+        fn load(v: &[f32; LANES]) -> Self {
+            // SAFETY: the host has AVX; the unaligned load reads exactly the
+            // eight floats `v` borrows.
+            unsafe { Self(_mm256_loadu_ps(v.as_ptr())) }
         }
 
         #[inline(always)]
-        pub(super) fn store(self, out: &mut [f32; LANES]) {
-            *out = self.0;
+        fn store(self, out: &mut [f32; LANES]) {
+            // SAFETY: the host has AVX; the unaligned store writes exactly
+            // the eight floats `out` borrows.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), self.0) }
         }
 
-        /// `self + a * b` per lane: product rounded, then sum rounded.
         #[inline(always)]
-        pub(super) fn mul_acc(mut self, a: Self, b: Self) -> Self {
-            for l in 0..LANES {
-                self.0[l] += a.0[l] * b.0[l];
-            }
-            self
+        fn mul_acc(self, a: Self, b: Self) -> Self {
+            // SAFETY: the host has AVX. Two intrinsics, two roundings: an
+            // `fmadd` here would break bit identity with `dot` / `axpy`.
+            unsafe { Self(_mm256_add_ps(self.0, _mm256_mul_ps(a.0, b.0))) }
         }
     }
 }
 
-use lanes::Lanes;
+#[cfg(target_arch = "x86_64")]
+use x86::{Avx, Sse2 as Baseline};
+#[cfg(not(target_arch = "x86_64"))]
+use Portable as Baseline;
+
+/// The tier the blocked kernels run on this host: `"avx"` where CPUID reports
+/// it, else `"sse2"` on x86-64, `"portable"` on every other architecture.
+/// Chosen by the host alone — there is no option, flag or build setting — and
+/// never visible in a result (see [`Lanes`]); exported so that a timing can
+/// name what it measured.
+pub fn tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx") {
+            "avx"
+        } else {
+            "sse2"
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        "portable"
+    }
+}
 
 /// `K` dot products of one chunk row: `out[j]` is [`dot`]`(row, xs[j])` bit
 /// for bit, for operands of one common length.
@@ -201,15 +296,15 @@ use lanes::Lanes;
 /// dependency chains, where `dot` alone has two loads per multiply-add and
 /// one chain per SIMD register.
 #[inline(always)]
-fn dot_block<const K: usize>(row: &[f32], xs: [&[f32]; K]) -> [f32; K] {
+fn dot_block<L: Lanes, const K: usize>(row: &[f32], xs: [&[f32]; K]) -> [f32; K] {
     let n = row.len().min(xs[0].len());
     let (row, row_tail) = row[..n].as_chunks::<LANES>();
     let xs = xs.map(|x| x[..n].as_chunks::<LANES>());
-    let mut acc = [Lanes::zero(); K];
+    let mut acc = [L::zero(); K];
     for (k, r) in row.iter().enumerate() {
-        let r = Lanes::load(r);
+        let r = L::load(r);
         for (a, (x, _)) in acc.iter_mut().zip(&xs) {
-            *a = a.mul_acc(r, Lanes::load(&x[k]));
+            *a = a.mul_acc(r, L::load(&x[k]));
         }
     }
     let mut out = [0.0f32; K];
@@ -225,8 +320,46 @@ fn dot_block<const K: usize>(row: &[f32], xs: [&[f32]; K]) -> [f32; K] {
 }
 
 /// Most operands one blocked kernel call takes: with [`LANES`] lanes each,
-/// four accumulators are half the SSE register file.
+/// four accumulators are half the register file on the SSE2 tier. The AVX
+/// tier would have room for eight, but eight measured slower there
+/// (DESIGN.md §8), so the value is the same on every tier.
 pub const MAX_BLOCK: usize = 4;
+
+#[inline(always)]
+fn matvec_sweep<L: Lanes, const K: usize>(
+    chunk: &[f32],
+    cols: usize,
+    xs: &[&[f32]],
+    ys: &mut [&mut [f32]],
+) {
+    let xs: [&[f32]; K] = xs.try_into().expect("dispatched on the operand count");
+    for (r, row) in chunk.chunks_exact(cols).enumerate() {
+        for (y, o) in ys.iter_mut().zip(dot_block::<L, K>(row, xs)) {
+            y[r] = o;
+        }
+    }
+}
+
+/// [`matvec_block`] past its asserts, on tier `L`.
+#[inline(always)]
+fn matvec_body<L: Lanes>(chunk: &[f32], cols: usize, xs: &[&[f32]], ys: &mut [&mut [f32]]) {
+    match xs.len() {
+        1 => matvec_sweep::<L, 1>(chunk, cols, xs, ys),
+        2 => matvec_sweep::<L, 2>(chunk, cols, xs, ys),
+        3 => matvec_sweep::<L, 3>(chunk, cols, xs, ys),
+        MAX_BLOCK => matvec_sweep::<L, MAX_BLOCK>(chunk, cols, xs, ys),
+        n => panic!("a block holds 1..={MAX_BLOCK} operands, not {n}"),
+    }
+}
+
+/// # Safety
+///
+/// The host must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn matvec_block_avx(chunk: &[f32], cols: usize, xs: &[&[f32]], ys: &mut [&mut [f32]]) {
+    matvec_body::<Avx>(chunk, cols, xs, ys);
+}
 
 /// Mat-vecs of up to [`MAX_BLOCK`] operands against one register chunk:
 /// `ys[j][r] = dot(row_r, xs[j])` for every `cols`-wide row of `chunk`,
@@ -238,67 +371,55 @@ pub const MAX_BLOCK: usize = 4;
 /// Panics unless there are `1..=MAX_BLOCK` operands of one length, with one
 /// output each.
 pub fn matvec_block(chunk: &[f32], cols: usize, xs: &[&[f32]], ys: &mut [&mut [f32]]) {
-    fn sweep<const K: usize>(chunk: &[f32], cols: usize, xs: &[&[f32]], ys: &mut [&mut [f32]]) {
-        let xs: [&[f32]; K] = xs.try_into().expect("dispatched on the operand count");
-        for (r, row) in chunk.chunks_exact(cols).enumerate() {
-            for (y, o) in ys.iter_mut().zip(dot_block(row, xs)) {
-                y[r] = o;
-            }
-        }
-    }
     assert_eq!(xs.len(), ys.len(), "one output per operand");
     assert!(
         xs.iter().all(|x| x.len() == xs[0].len()),
         "blocked mat-vec operands must have one length"
     );
-    match xs.len() {
-        1 => sweep::<1>(chunk, cols, xs, ys),
-        2 => sweep::<2>(chunk, cols, xs, ys),
-        3 => sweep::<3>(chunk, cols, xs, ys),
-        MAX_BLOCK => sweep::<MAX_BLOCK>(chunk, cols, xs, ys),
-        n => panic!("a block holds 1..={MAX_BLOCK} operands, not {n}"),
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX was just detected.
+        return unsafe { matvec_block_avx(chunk, cols, xs, ys) };
     }
+    matvec_body::<Baseline>(chunk, cols, xs, ys);
 }
 
 /// Accumulator registers a tile of [`tmatvec_contrib`] / [`outer_block`]
-/// holds: four [`Lanes`] are eight of the sixteen SSE registers, the most
-/// that leaves room for the operands.
+/// holds: four [`Lanes`] are eight of the sixteen registers on the SSE2 tier
+/// — the most that leaves room for the operands — and four on the AVX tier,
+/// where wider tiles measured no faster (DESIGN.md §8).
 const TILE_LANES: usize = 4;
 /// Columns per tile.
 const TILE: usize = TILE_LANES * LANES;
 
 /// `acc += s * x` over one tile.
 #[inline(always)]
-fn tile_axpy(acc: &mut [Lanes; TILE_LANES], s: f32, x: &[f32]) {
-    let s = Lanes::splat(s);
+fn tile_axpy<L: Lanes>(acc: &mut [L; TILE_LANES], s: f32, x: &[f32]) {
+    let s = L::splat(s);
     let (x, _) = x.as_chunks::<LANES>();
     for (a, v) in acc.iter_mut().zip(x) {
-        *a = a.mul_acc(s, Lanes::load(v));
+        *a = a.mul_acc(s, L::load(v));
     }
 }
 
 #[inline(always)]
-fn tile_store(acc: [Lanes; TILE_LANES], out: &mut [f32]) {
+fn tile_store<L: Lanes>(acc: [L; TILE_LANES], out: &mut [f32]) {
     let (out, _) = out.as_chunks_mut::<LANES>();
     for (a, o) in acc.into_iter().zip(out) {
         a.store(o);
     }
 }
 
-/// Transposed mat-vec contribution of one register chunk:
-/// `contrib[c] = Σ_r dy[r] * row_r[c]`, rows in order and rows whose `dy[r]`
-/// is zero skipped — bit-identical to zero-filling `contrib` and running one
-/// [`axpy`] per non-zero row, but a 32-column slice of `contrib` stays
-/// in registers across all rows instead of being loaded and stored per row.
-/// Columns past the chunk's width are zeroed.
-pub fn tmatvec_contrib(chunk: &[f32], cols: usize, dy: &[f32], contrib: &mut [f32]) {
+/// [`tmatvec_contrib`] on tier `L`.
+#[inline(always)]
+fn tmatvec_body<L: Lanes>(chunk: &[f32], cols: usize, dy: &[f32], contrib: &mut [f32]) {
     let n = contrib.len().min(cols);
     let (contrib, beyond) = contrib.split_at_mut(n);
     beyond.fill(0.0);
     let mut tiles = contrib.chunks_exact_mut(TILE);
     let mut c0 = 0;
     for tile in &mut tiles {
-        let mut acc = [Lanes::zero(); TILE_LANES];
+        let mut acc = [L::zero(); TILE_LANES];
         for (&s, row) in dy.iter().zip(chunk.chunks_exact(cols)) {
             if s != 0.0 {
                 tile_axpy(&mut acc, s, &row[c0..c0 + TILE]);
@@ -316,6 +437,85 @@ pub fn tmatvec_contrib(chunk: &[f32], cols: usize, dy: &[f32], contrib: &mut [f3
     }
 }
 
+/// # Safety
+///
+/// The host must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn tmatvec_contrib_avx(chunk: &[f32], cols: usize, dy: &[f32], contrib: &mut [f32]) {
+    tmatvec_body::<Avx>(chunk, cols, dy, contrib);
+}
+
+/// Transposed mat-vec contribution of one register chunk:
+/// `contrib[c] = Σ_r dy[r] * row_r[c]`, rows in order and rows whose `dy[r]`
+/// is zero skipped — bit-identical to zero-filling `contrib` and running one
+/// [`axpy`] per non-zero row, but a 32-column slice of `contrib` stays
+/// in registers across all rows instead of being loaded and stored per row.
+/// Columns past the chunk's width are zeroed.
+pub fn tmatvec_contrib(chunk: &[f32], cols: usize, dy: &[f32], contrib: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX was just detected.
+        return unsafe { tmatvec_contrib_avx(chunk, cols, dy, contrib) };
+    }
+    tmatvec_body::<Baseline>(chunk, cols, dy, contrib);
+}
+
+#[inline(always)]
+fn outer_sweep<L: Lanes, const K: usize>(
+    chunk: &mut [f32],
+    cols: usize,
+    xs: &[&[f32]],
+    dys: &[&[f32]],
+) {
+    let xs: [&[f32]; K] = xs.try_into().expect("dispatched on the pair count");
+    let dys: [&[f32]; K] = dys.try_into().expect("one dy per x");
+    let n = xs[0].len().min(cols);
+    for (r, row) in chunk.chunks_exact_mut(cols).enumerate() {
+        let s = dys.map(|dy| dy[r]);
+        let mut tiles = row[..n].chunks_exact_mut(TILE);
+        let mut c0 = 0;
+        for tile in &mut tiles {
+            let (lanes, _) = tile.as_chunks::<LANES>();
+            let mut acc: [L; TILE_LANES] = std::array::from_fn(|l| L::load(&lanes[l]));
+            for (&s, x) in s.iter().zip(&xs) {
+                if s != 0.0 {
+                    tile_axpy(&mut acc, s, &x[c0..c0 + TILE]);
+                }
+            }
+            tile_store(acc, tile);
+            c0 += TILE;
+        }
+        let rest = tiles.into_remainder();
+        for (&s, x) in s.iter().zip(&xs) {
+            if s != 0.0 {
+                axpy(rest, s, &x[c0..n]);
+            }
+        }
+    }
+}
+
+/// [`outer_block`] past its asserts, on tier `L`.
+#[inline(always)]
+fn outer_body<L: Lanes>(chunk: &mut [f32], cols: usize, xs: &[&[f32]], dys: &[&[f32]]) {
+    match xs.len() {
+        1 => outer_sweep::<L, 1>(chunk, cols, xs, dys),
+        2 => outer_sweep::<L, 2>(chunk, cols, xs, dys),
+        3 => outer_sweep::<L, 3>(chunk, cols, xs, dys),
+        MAX_BLOCK => outer_sweep::<L, MAX_BLOCK>(chunk, cols, xs, dys),
+        n => panic!("a block holds 1..={MAX_BLOCK} pairs, not {n}"),
+    }
+}
+
+/// # Safety
+///
+/// The host must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn outer_block_avx(chunk: &mut [f32], cols: usize, xs: &[&[f32]], dys: &[&[f32]]) {
+    outer_body::<Avx>(chunk, cols, xs, dys);
+}
+
 /// Outer-product accumulations of up to [`MAX_BLOCK`] operand pairs into one
 /// gradient chunk: `row_r += dys[j][r] * xs[j]` for `j` in order, zero
 /// `dys[j][r]` skipped — bit-identical to one sweep of [`axpy`] per pair
@@ -327,45 +527,17 @@ pub fn tmatvec_contrib(chunk: &[f32], cols: usize, dy: &[f32], contrib: &mut [f3
 ///
 /// Panics unless there are `1..=MAX_BLOCK` pairs whose `xs` have one length.
 pub fn outer_block(chunk: &mut [f32], cols: usize, xs: &[&[f32]], dys: &[&[f32]]) {
-    fn sweep<const K: usize>(chunk: &mut [f32], cols: usize, xs: &[&[f32]], dys: &[&[f32]]) {
-        let xs: [&[f32]; K] = xs.try_into().expect("dispatched on the pair count");
-        let dys: [&[f32]; K] = dys.try_into().expect("one dy per x");
-        let n = xs[0].len().min(cols);
-        for (r, row) in chunk.chunks_exact_mut(cols).enumerate() {
-            let s = dys.map(|dy| dy[r]);
-            let mut tiles = row[..n].chunks_exact_mut(TILE);
-            let mut c0 = 0;
-            for tile in &mut tiles {
-                let (lanes, _) = tile.as_chunks::<LANES>();
-                let mut acc: [Lanes; TILE_LANES] = std::array::from_fn(|l| Lanes::load(&lanes[l]));
-                for (&s, x) in s.iter().zip(&xs) {
-                    if s != 0.0 {
-                        tile_axpy(&mut acc, s, &x[c0..c0 + TILE]);
-                    }
-                }
-                tile_store(acc, tile);
-                c0 += TILE;
-            }
-            let rest = tiles.into_remainder();
-            for (&s, x) in s.iter().zip(&xs) {
-                if s != 0.0 {
-                    axpy(rest, s, &x[c0..n]);
-                }
-            }
-        }
-    }
     assert_eq!(xs.len(), dys.len(), "one dy per x");
     assert!(
         xs.iter().all(|x| x.len() == xs[0].len()),
         "blocked outer-product operands must have one length"
     );
-    match xs.len() {
-        1 => sweep::<1>(chunk, cols, xs, dys),
-        2 => sweep::<2>(chunk, cols, xs, dys),
-        3 => sweep::<3>(chunk, cols, xs, dys),
-        MAX_BLOCK => sweep::<MAX_BLOCK>(chunk, cols, xs, dys),
-        n => panic!("a block holds 1..={MAX_BLOCK} pairs, not {n}"),
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX was just detected.
+        return unsafe { outer_block_avx(chunk, cols, xs, dys) };
     }
+    outer_body::<Baseline>(chunk, cols, xs, dys);
 }
 
 #[cfg(test)]
@@ -488,11 +660,101 @@ mod proptests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The three kernels on one tier, past the entry points' asserts — or
+    /// the dispatching entry points themselves.
+    struct Tier {
+        name: &'static str,
+        matvec: MatVecFn,
+        tmatvec: fn(&[f32], usize, &[f32], &mut [f32]),
+        outer: OuterFn,
+    }
+    type MatVecFn = fn(&[f32], usize, &[&[f32]], &mut [&mut [f32]]);
+    type OuterFn = fn(&mut [f32], usize, &[&[f32]], &[&[f32]]);
+
+    const PORTABLE: Tier = Tier {
+        name: "portable",
+        matvec: matvec_body::<Portable>,
+        tmatvec: tmatvec_body::<Portable>,
+        outer: outer_body::<Portable>,
+    };
+
+    /// Whichever tier this host dispatches to, through the public functions.
+    const DISPATCH: Tier = Tier {
+        name: "dispatch",
+        matvec: matvec_block,
+        tmatvec: tmatvec_contrib,
+        outer: outer_block,
+    };
+
+    /// Every tier this host can run, narrowest first, so that the last one
+    /// is the one [`tier`] names. `Avx` goes through the same `*_avx`
+    /// wrappers the entry points dispatch to.
+    fn tiers() -> Vec<Tier> {
+        #[allow(unused_mut)]
+        let mut tiers = vec![PORTABLE];
+        #[cfg(target_arch = "x86_64")]
+        {
+            tiers.push(Tier {
+                name: "sse2",
+                matvec: matvec_body::<x86::Sse2>,
+                tmatvec: tmatvec_body::<x86::Sse2>,
+                outer: outer_body::<x86::Sse2>,
+            });
+            if std::arch::is_x86_feature_detected!("avx") {
+                // SAFETY (all three): AVX was just detected.
+                tiers.push(Tier {
+                    name: "avx",
+                    matvec: |c, n, xs, ys| unsafe { matvec_block_avx(c, n, xs, ys) },
+                    tmatvec: |c, n, dy, out| unsafe { tmatvec_contrib_avx(c, n, dy, out) },
+                    outer: |c, n, xs, dys| unsafe { outer_block_avx(c, n, xs, dys) },
+                });
+            } else {
+                static SKIP: std::sync::Once = std::sync::Once::new();
+                SKIP.call_once(|| eprintln!("skip: no AVX on this host, avx tier not tested"));
+            }
+        }
+        tiers
+    }
+
+    /// `ys[j][r]` for every operand of the case, [`MAX_BLOCK`] per call.
+    fn run_matvec(tier: &Tier, case: &Case) -> Vec<Vec<f32>> {
+        let mut got = vec![vec![7.0f32; case.rows]; case.xs.len()];
+        for (ys, xs) in got.chunks_mut(MAX_BLOCK).zip(case.xs.chunks(MAX_BLOCK)) {
+            let xs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+            let mut ys: Vec<&mut [f32]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+            (tier.matvec)(&case.chunk, case.cols, &xs, &mut ys);
+        }
+        got
+    }
+
+    /// One contribution per `(x, dy)` pair of the case, `x` giving its length.
+    fn run_tmatvec(tier: &Tier, case: &Case) -> Vec<Vec<f32>> {
+        let pairs = case.xs.iter().zip(&case.dys);
+        pairs
+            .map(|(x, dy)| {
+                let mut got = vec![7.0f32; x.len()];
+                (tier.tmatvec)(&case.chunk, case.cols, dy, &mut got);
+                got
+            })
+            .collect()
+    }
+
+    /// The case's gradient chunk after all its pairs, [`MAX_BLOCK`] per call.
+    fn run_outer(tier: &Tier, case: &Case) -> Vec<f32> {
+        let mut got = case.grad.clone();
+        for (xs, dys) in case.xs.chunks(MAX_BLOCK).zip(case.dys.chunks(MAX_BLOCK)) {
+            let xs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+            let dys: Vec<&[f32]> = dys.iter().map(Vec::as_slice).collect();
+            (tier.outer)(&mut got, case.cols, &xs, &dys);
+        }
+        got
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Blocks of up to `MAX_BLOCK` operands ≡ one `dot` per (row,
-        /// operand).
+        /// On every tier, blocks of up to `MAX_BLOCK` operands ≡ one `dot`
+        /// per (row, operand).
         #[test]
         fn matvec_block_equals_per_operand_dots(case in arb_case()) {
             let Case { rows, cols, chunk, xs, .. } = &case;
@@ -502,38 +764,38 @@ mod proptests {
                     *o = dot(row, x);
                 }
             }
-            let mut got = vec![vec![7.0f32; *rows]; xs.len()];
-            for (ys, xs) in got.chunks_mut(MAX_BLOCK).zip(xs.chunks(MAX_BLOCK)) {
-                let xs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-                let mut ys: Vec<&mut [f32]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
-                matvec_block(chunk, *cols, &xs, &mut ys);
-            }
-            for (got, want) in got.iter().zip(&want) {
-                prop_assert_eq!(bits(got), bits(want));
+            for tier in tiers() {
+                for (got, want) in run_matvec(&tier, &case).iter().zip(&want) {
+                    prop_assert_eq!(bits(got), bits(want), "tier {}", tier.name);
+                }
             }
         }
 
-        /// The register-tiled contribution ≡ zero-fill plus one `axpy` per
-        /// non-zero `dy` row.
+        /// On every tier, the register-tiled contribution ≡ zero-fill plus
+        /// one `axpy` per non-zero `dy` row.
         #[test]
         fn tmatvec_contrib_equals_per_row_axpys(case in arb_case()) {
             let Case { cols, chunk, xs, dys, .. } = &case;
+            let mut want = Vec::new();
             for (x, dy) in xs.iter().zip(dys) {
-                let mut want = vec![0.0f32; x.len()];
+                let mut contrib = vec![0.0f32; x.len()];
                 for (&s, row) in dy.iter().zip(chunk.chunks_exact(*cols)) {
                     if s == 0.0 {
                         continue;
                     }
-                    axpy(&mut want, s, row);
+                    axpy(&mut contrib, s, row);
                 }
-                let mut got = vec![7.0f32; x.len()];
-                tmatvec_contrib(chunk, *cols, dy, &mut got);
-                prop_assert_eq!(bits(&got), bits(&want));
+                want.push(contrib);
+            }
+            for tier in tiers() {
+                for (got, want) in run_tmatvec(&tier, &case).iter().zip(&want) {
+                    prop_assert_eq!(bits(got), bits(want), "tier {}", tier.name);
+                }
             }
         }
 
-        /// Blocks of up to `MAX_BLOCK` pairs, in order ≡ one sweep of
-        /// `axpy`s per pair, in order.
+        /// On every tier, blocks of up to `MAX_BLOCK` pairs, in order ≡ one
+        /// sweep of `axpy`s per pair, in order.
         #[test]
         fn outer_block_equals_per_pair_axpys(case in arb_case()) {
             let Case { cols, grad, xs, dys, .. } = &case;
@@ -546,13 +808,27 @@ mod proptests {
                     axpy(row, s, x);
                 }
             }
-            let mut got = grad.clone();
-            for (xs, dys) in xs.chunks(MAX_BLOCK).zip(dys.chunks(MAX_BLOCK)) {
-                let xs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-                let dys: Vec<&[f32]> = dys.iter().map(Vec::as_slice).collect();
-                outer_block(&mut got, *cols, &xs, &dys);
+            for tier in tiers() {
+                prop_assert_eq!(bits(&run_outer(&tier, &case)), bits(&want), "tier {}", tier.name);
             }
-            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        /// The public entry points ≡ the `Portable` tier, whichever tier this
+        /// host makes them dispatch to.
+        #[test]
+        fn dispatch_equals_the_portable_tier(case in arb_case()) {
+            for (got, want) in run_matvec(&DISPATCH, &case).iter().zip(&run_matvec(&PORTABLE, &case)) {
+                prop_assert_eq!(bits(got), bits(want), "matvec on {}", tier());
+            }
+            for (got, want) in run_tmatvec(&DISPATCH, &case).iter().zip(&run_tmatvec(&PORTABLE, &case)) {
+                prop_assert_eq!(bits(got), bits(want), "tmatvec on {}", tier());
+            }
+            prop_assert_eq!(
+                bits(&run_outer(&DISPATCH, &case)),
+                bits(&run_outer(&PORTABLE, &case)),
+                "outer on {}",
+                tier()
+            );
         }
     }
 
@@ -566,14 +842,30 @@ mod proptests {
             .iter()
             .flat_map(|&w| vec![w; cols])
             .collect();
-        let mut contrib = vec![7.0f32; cols];
-        tmatvec_contrib(&chunk, cols, &[0.0, -0.0], &mut contrib);
-        assert_eq!(bits(&contrib), bits(&vec![0.0; cols]));
-
-        let mut grad = vec![-0.0f32; 2 * cols];
         let x = vec![f32::NAN; cols];
-        outer_block(&mut grad, cols, &[&x, &x], &[&[0.0, -0.0], &[-0.0, 0.0]]);
-        assert_eq!(bits(&grad), bits(&vec![-0.0; 2 * cols]));
+        for tier in tiers().into_iter().chain([DISPATCH]) {
+            let mut contrib = vec![7.0f32; cols];
+            (tier.tmatvec)(&chunk, cols, &[0.0, -0.0], &mut contrib);
+            assert_eq!(bits(&contrib), bits(&vec![0.0; cols]), "{}", tier.name);
+
+            let mut grad = vec![-0.0f32; 2 * cols];
+            (tier.outer)(&mut grad, cols, &[&x, &x], &[&[0.0, -0.0], &[-0.0, 0.0]]);
+            assert_eq!(bits(&grad), bits(&vec![-0.0; 2 * cols]), "{}", tier.name);
+        }
+    }
+
+    /// [`tier`] names what CPUID reports, and it is the widest tier the
+    /// properties above run.
+    #[test]
+    fn tier_names_what_the_host_dispatches_to() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert!(["avx", "sse2"].contains(&tier()));
+            assert_eq!(tier() == "avx", std::arch::is_x86_feature_detected!("avx"));
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(tier(), "portable");
+        assert_eq!(tiers().last().map(|t| t.name), Some(tier()));
     }
 
     #[test]

@@ -191,17 +191,23 @@ pub enum SchedulePolicy {
 struct Emitter<'a> {
     dist: &'a Distribution,
     loads: Vec<f64>,
-    level: BTreeMap<usize, Vec<Instr>>,
+    /// The open level's body per VPP. The buffers live as long as the
+    /// emitter; [`Emitter::flush_level`] drains the touched ones.
+    level: Vec<Vec<Instr>>,
+    /// VPPs with a non-empty body in the open level, in first-emit order.
+    touched: Vec<usize>,
     policy: SchedulePolicy,
     rr_next: usize,
 }
 
 impl<'a> Emitter<'a> {
     fn new(dist: &'a Distribution, policy: SchedulePolicy) -> Self {
+        let vpps = dist.geometry().total_vpps();
         Self {
             dist,
-            loads: vec![0.0; dist.geometry().total_vpps()],
-            level: BTreeMap::new(),
+            loads: vec![0.0; vpps],
+            level: vec![Vec::new(); vpps],
+            touched: Vec::new(),
             policy,
             rr_next: 0,
         }
@@ -237,7 +243,11 @@ impl<'a> Emitter<'a> {
     /// Emits to a pinned VPP.
     fn emit_pinned(&mut self, vpp: usize, instr: Instr) {
         self.loads[vpp] += self.instr_load(&instr);
-        self.level.entry(vpp).or_default().push(instr);
+        let body = &mut self.level[vpp];
+        if body.is_empty() {
+            self.touched.push(vpp);
+        }
+        body.push(instr);
     }
 
     /// Emits to the VPP chosen by the scheduling policy, returning the
@@ -270,18 +280,20 @@ impl<'a> Emitter<'a> {
         next_barrier: &mut u32,
         last: Option<(u32, u32)>,
     ) -> Option<(u32, u32)> {
-        if self.level.is_empty() {
+        if self.touched.is_empty() {
             return last;
         }
-        let level = std::mem::take(&mut self.level);
         let barrier = *next_barrier;
         *next_barrier += 1;
-        let participants = level.len() as u32;
-        for (vpp, body) in level {
+        let participants = self.touched.len() as u32;
+        // Scripts are per VPP, so the flush order cannot change one; ascending
+        // keeps the walk the same as over a map keyed by VPP.
+        self.touched.sort_unstable();
+        for vpp in self.touched.drain(..) {
             if let Some((b, needed)) = last {
                 scripts.push(vpp, Instr::Wait { barrier: b, needed });
             }
-            for instr in body {
+            for instr in self.level[vpp].drain(..) {
                 scripts.push(vpp, instr);
             }
             scripts.push(vpp, Instr::Signal { barrier });
@@ -1000,20 +1012,54 @@ mod tests {
     #[test]
     fn waits_always_precede_level_bodies() {
         let (m, w, b, plan, mut pool, tables) = setup();
-        let (g, loss) = chain_graph(&m, w, b, 4);
+        // Levels of different widths, so successive levels touch different
+        // VPP subsets: 24 independent tanh nodes, one sum, then the chain.
+        let mut g = Graph::new();
+        let wide: Vec<NodeId> = (0..24)
+            .map(|i| {
+                let x = g.input(vec![0.01 * i as f32; 32]);
+                g.tanh(x)
+            })
+            .collect();
+        let mut h = g.sum(&wide);
+        for _ in 0..4 {
+            let z = g.affine(&m, w, b, h);
+            h = g.tanh(z);
+        }
+        let loss = g.pick_neg_log_softmax(h, 3);
         let gs = generate(&g, loss, &plan, &mut pool, &tables).unwrap();
+
+        let mut signallers: HashMap<u32, Vec<usize>> = HashMap::new();
         for v in 0..gs.scripts.num_vpps() {
-            let script = gs.scripts.script(v);
             // Pattern per VPP: (Wait? body+ Signal)*, i.e. a Wait may only
-            // appear immediately after a Signal or at the start.
+            // appear immediately after a Signal or at the start, and a Signal
+            // only after a body instruction.
             let mut prev_was_signal = true;
-            for instr in script {
+            let mut prev_was_body = false;
+            for instr in gs.scripts.script(v) {
                 if matches!(instr, Instr::Wait { .. }) {
                     assert!(prev_was_signal, "wait in the middle of a level body");
                 }
+                if let Instr::Signal { barrier } = instr {
+                    assert!(prev_was_body, "VPP {v} signals a level it has no body in");
+                    signallers.entry(*barrier).or_default().push(v);
+                }
                 prev_was_signal = matches!(instr, Instr::Signal { .. });
+                prev_was_body = !instr.is_sync();
             }
         }
+        check_barrier_protocol(&gs.scripts);
+        // Every instruction lands in exactly one level's body: a buffer that
+        // survived its flush would replay in the VPP's next level.
+        assert_eq!(
+            gs.scripts.compute_instructions(),
+            gs.forward_instructions + gs.backward_instructions
+        );
+        let widths: std::collections::BTreeSet<usize> = signallers.values().map(Vec::len).collect();
+        assert!(
+            widths.len() > 1,
+            "every level touched the same number of VPPs: {widths:?}"
+        );
     }
 
     #[test]

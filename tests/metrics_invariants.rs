@@ -5,13 +5,14 @@
 //!   instrumentation enabled* (the obs hooks must not perturb the analytic
 //!   path);
 //! * recorded span trees are well-nested with monotonic timestamps;
+//! * a lowered run names the kernel tier it ran on, an interpreted run none;
 //! * metric snapshots survive a JSON round-trip through their versioned
 //!   schema.
 //!
 //! Reuses the random-graph generators shared with the backend-equivalence
 //! and reference-agreement suites. Tests that enable the global obs flag
-//! filter spans by their own thread's track, so parallel test threads do
-//! not interfere.
+//! take [`obs_lock`] and filter spans by their own thread's track, so
+//! parallel test threads do not interfere.
 
 use dyn_graph::Model;
 use gpu_sim::{GpuSim, Metrics, TrafficTag};
@@ -61,6 +62,14 @@ fn run_on_backend(recipe: &GraphRecipe, kind: BackendKind) -> (Metrics, InstrCou
 /// Per-mnemonic executed-instruction counts plus the barrier count.
 type InstrCounts = (Vec<(&'static str, u64)>, u32);
 
+/// Serializes the tests that flip the process-wide obs flag: one switching
+/// it off must not cut short what another records or counts. Poisoning is
+/// ignored: a failed test must not cascade.
+fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn assert_dram_sums(metrics: &Metrics) {
     let load_sum: u64 = TrafficTag::ALL.iter().map(|&t| metrics.dram.loads(t)).sum();
     let store_sum: u64 = TrafficTag::ALL
@@ -87,6 +96,7 @@ proptest! {
     /// outside the analytic path.
     #[test]
     fn backends_report_identical_metrics_under_instrumentation(recipe in arb_recipe()) {
+        let _obs = obs_lock();
         vpps_obs::set_enabled(true);
         let (reference, reference_instrs) = run_on_backend(&recipe, BackendKind::EventInterp);
         let (metrics, instrs) = run_on_backend(&recipe, BackendKind::Lowered);
@@ -152,6 +162,7 @@ proptest! {
 /// carry monotonic timestamps.
 #[test]
 fn span_trees_are_well_nested_and_monotonic() {
+    let _obs = obs_lock();
     vpps_obs::set_enabled(true);
     let track = vpps_obs::current_track();
     let recipe = GraphRecipe {
@@ -208,6 +219,7 @@ fn span_trees_are_well_nested_and_monotonic() {
 /// The Chrome exporter renders those same spans as a trace that validates.
 #[test]
 fn host_spans_export_as_valid_chrome_trace() {
+    let _obs = obs_lock();
     vpps_obs::set_enabled(true);
     let track = vpps_obs::current_track();
     let recipe = GraphRecipe {
@@ -230,4 +242,40 @@ fn host_spans_export_as_valid_chrome_trace() {
         vpps_obs::validate_chrome_trace(&json).expect("valid chrome trace"),
         mine.len()
     );
+}
+
+/// A lowered run counts itself under the kernel tier the host dispatched to —
+/// one `engine.kernels.*` name, in step with `engine.batches.lowered` — and an
+/// interpreted run, which never enters the blocked kernels, under none.
+#[test]
+fn lowered_runs_name_their_kernel_tier() {
+    let _obs = obs_lock();
+    let recipe = GraphRecipe {
+        ops: vec![0, 3, 1, 6, 2],
+        picks: vec![5; 30],
+        label: 1,
+    };
+    let counted_tiers = || -> Vec<(String, u64)> {
+        vpps_obs::registry_snapshot()
+            .into_iter()
+            .filter_map(|(name, value)| match value {
+                vpps_obs::MetricValue::Counter(n) if n > 0 => Some((name, n)),
+                _ => None,
+            })
+            .filter(|(name, _)| name.starts_with("engine.kernels."))
+            .collect()
+    };
+    vpps_obs::reset_metrics();
+    vpps_obs::set_enabled(true);
+    run_on_backend(&recipe, BackendKind::EventInterp);
+    let after_interp = counted_tiers();
+    run_on_backend(&recipe, BackendKind::Lowered);
+    run_on_backend(&recipe, BackendKind::Lowered);
+    vpps_obs::set_enabled(false);
+
+    assert_eq!(after_interp, Vec::new(), "the interpreter names no tier");
+    let batches = vpps_obs::counter("engine.batches.lowered").get();
+    assert_eq!(batches, 2);
+    let tier = format!("engine.kernels.{}", vpps::exec::kernels::tier());
+    assert_eq!(counted_tiers(), vec![(tier, batches)]);
 }
