@@ -44,8 +44,9 @@
 //!   per-device health.
 //! * `--no-fallback` — disable the handle's backend degradation ladder, so
 //!   exhausted retries surface as typed errors (breaker/shed territory).
-//! * `--expect-recovery` — exit non-zero unless the run both injected
-//!   faults and completed requests: proves the recovery path actually ran.
+//! * `--expect-recovery` — exit non-zero unless the run injected faults,
+//!   some handle in the fleet retried or fell back, and requests completed:
+//!   proves the recovery path actually ran.
 
 use vpps::{BackendKind, FaultConfig};
 use vpps_bench::serve_bench::{record_of, run_scenario_server, ServeScenario, SCHEMA};
@@ -202,17 +203,9 @@ fn run_once(sc: &ServeScenario) -> RunOutput {
     let (mut server, mid, offered_rps) = run_scenario_server(sc);
     let trace = server.take_trace();
     let router = server.router_stats();
-    // Faults are injected per device stream; sum over the fleet.
-    let faults_injected = (0..server.device_count())
-        .map(|d| {
-            server
-                .fault_profile_on(mid, d)
-                .map_or(0, |p| p.total_injected())
-        })
-        .sum();
     RunOutput {
         rec: record_of(sc, &server, offered_rps),
-        faults_injected,
+        faults_injected: server.faults_injected(mid),
         recovery: server.recovery_stats(mid),
         redispatched: server.redispatched_batches(),
         rehomes: router.rehomes,
@@ -356,6 +349,11 @@ fn main() {
     if args.expect_recovery {
         if out.faults_injected == 0 {
             eprintln!("RECOVERY FAILURE: --expect-recovery but no faults were injected");
+            failed = true;
+        }
+        let r = &out.recovery;
+        if r.retries + r.backend_fallbacks + r.baseline_fallbacks + r.jit_retries == 0 {
+            eprintln!("RECOVERY FAILURE: faults were injected but no handle recovered from one");
             failed = true;
         }
         if rec.report.completed == 0 {

@@ -179,12 +179,13 @@ fn run_point(sc: &ChaosScenario, rate: f64, faults: FaultConfig) -> ChaosRecord 
     let ssc = serve_scenario(sc, rate, faults);
     let (server, mid, offered_rps) = run_scenario_server(&ssc);
     let record = record_of(&ssc, &server, offered_rps);
+    // The chaos sweep runs one device, so device 0 is the whole fleet.
     let faults: Vec<(String, u64)> = FaultKind::ALL
         .iter()
         .map(|&k| {
             (
                 k.name().to_owned(),
-                server.fault_profile(mid).map_or(0, |p| p.injected(k)),
+                server.fault_profile_on(mid, 0).map_or(0, |p| p.injected(k)),
             )
         })
         .collect();
@@ -196,7 +197,7 @@ fn run_point(sc: &ChaosScenario, rate: f64, faults: FaultConfig) -> ChaosRecord 
         faults_total,
         recovery: server.recovery_stats(mid),
         batch_failures: server.batch_failures(),
-        breaker_transitions: server.breaker_transitions(mid).len() as u64,
+        breaker_transitions: server.breaker_transitions_on(mid, 0).len() as u64,
     }
 }
 

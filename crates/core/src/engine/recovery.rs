@@ -113,6 +113,20 @@ pub struct RecoveryStats {
     pub rollbacks: u64,
 }
 
+impl std::ops::AddAssign for RecoveryStats {
+    fn add_assign(&mut self, other: Self) {
+        self.retries += other.retries;
+        self.backoff += other.backoff;
+        self.watchdog_timeouts += other.watchdog_timeouts;
+        self.backend_fallbacks += other.backend_fallbacks;
+        self.baseline_fallbacks += other.baseline_fallbacks;
+        self.quarantines += other.quarantines;
+        self.rejits += other.rejits;
+        self.jit_retries += other.jit_retries;
+        self.rollbacks += other.rollbacks;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -981,6 +981,7 @@ impl Handle {
     ///
     /// Panics if the batch exhausts the device memory pool.
     pub fn infer(&mut self, model: &mut Model, graph: &Graph, root: NodeId) -> Vec<f32> {
+        // Unreachable because `infer_many` returns one value per root.
         self.infer_many(model, graph, &[root])
             .pop()
             .expect("one root")
@@ -997,6 +998,7 @@ impl Handle {
         graph: &Graph,
         root: NodeId,
     ) -> Result<Vec<f32>, VppsError> {
+        // Unreachable because `try_infer_many` returns one value per root.
         Ok(self
             .try_infer_many(model, graph, &[root])?
             .pop()

@@ -133,8 +133,6 @@ pub(crate) struct BatchJob {
     /// to completions; queue wait on the device is execution delay, not
     /// batching delay).
     pub formed_at: SimTime,
-    /// Enqueue sequence, the deterministic FIFO tie-break.
-    pub seq: u64,
 }
 
 impl BatchJob {
@@ -148,68 +146,57 @@ impl BatchJob {
     }
 }
 
-/// What happened when the device executed (or refused) one queued batch.
-/// The server translates these into outcomes and accounting; the device
-/// itself never touches the outcome stream.
-///
-/// `Started` is emitted the moment a batch occupies the device; its
-/// `Executed` result is *held* on the device and only emitted once the
-/// virtual clock reaches `completed_at` — so a whole-device crash or hang
-/// can still abort the attempt and re-dispatch the members elsewhere.
+/// A batch that executed successfully.
 #[derive(Debug)]
-pub(crate) enum DeviceEvent {
-    /// A batch began executing and will (unless the device fails first)
-    /// complete successfully at `completed_at`. The server counts its
-    /// members as in-flight from this moment, exactly as it would have when
-    /// results were reported at dispatch time.
-    Started {
-        /// Member count (one in-flight slot each).
-        members: usize,
-        /// Promised completion time on the virtual clock.
-        completed_at: SimTime,
-    },
-    /// The batch executed successfully.
-    Executed {
-        batch_id: u64,
-        key: BucketKey,
-        batch: Vec<Pending>,
-        outputs: Vec<Vec<f32>>,
-        dispatched_at: SimTime,
-        /// When the batch actually started on the device timeline
-        /// (`max(now, busy_until)` at dispatch) — recorded explicitly
-        /// because `completed_at - service` is not bit-identical to it.
-        started_at: SimTime,
-        completed_at: SimTime,
-        service: SimTime,
-        /// What the dispatch cost the handle (phase/cache/stall deltas).
-        cost: BatchCost,
-    },
-    /// The model's breaker was open: every member is shed.
-    BreakerShed { batch: Vec<Pending>, at: SimTime },
-    /// The dispatch returned a typed error. Members within their retry
-    /// budget were re-enqueued as singleton jobs (`retried` maps each to
-    /// its fresh batch id); the rest are returned for a `RetryBudget` shed.
-    Failed {
-        batch_id: u64,
-        started_at: SimTime,
-        completed_at: SimTime,
-        dropped: Vec<Pending>,
-        retried: Vec<(RequestId, u64)>,
-        at: SimTime,
-    },
+pub(crate) struct Executed {
+    pub batch_id: u64,
+    pub key: BucketKey,
+    pub batch: Vec<Pending>,
+    pub outputs: Vec<Vec<f32>>,
+    pub dispatched_at: SimTime,
+    /// When the batch actually started on the device timeline
+    /// (`max(now, busy_until)` at dispatch) — recorded explicitly because
+    /// `completed_at - service` is not bit-identical to it.
+    pub started_at: SimTime,
+    pub completed_at: SimTime,
+    pub service: SimTime,
+    /// What the dispatch cost the handle (phase/cache/stall deltas).
+    pub cost: BatchCost,
 }
 
-/// Returned by [`Device::thaw`] when an undetected hang slipped a running
-/// batch's promised completion: the server must move that batch's in-flight
-/// entries from the old completion time to the new one.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct InflightRetime {
-    /// In-flight slots to move (one per member).
-    pub members: usize,
-    /// Completion time the slots were booked at.
-    pub old_completed: SimTime,
-    /// Completion time they move to.
-    pub new_completed: SimTime,
+/// A batch whose dispatch returned a typed error. Members within their
+/// retry budget were re-enqueued as singleton jobs (`retried` maps each to
+/// its fresh batch id); the rest are returned for a `RetryBudget` shed.
+#[derive(Debug)]
+pub(crate) struct FailedAttempt {
+    pub batch_id: u64,
+    pub started_at: SimTime,
+    pub completed_at: SimTime,
+    pub dropped: Vec<Pending>,
+    pub retried: Vec<(RequestId, u64)>,
+    /// The pump time the attempt was made at: when its drops are shed.
+    pub at: SimTime,
+}
+
+/// The attempt occupying a device. Its result is computed the moment the
+/// batch starts but *held* here until the virtual clock reaches
+/// `completed_at` — so a whole-device crash or hang can still abort the
+/// attempt and re-dispatch the members elsewhere.
+#[derive(Debug)]
+pub(crate) enum Running {
+    Executed(Executed),
+    Failed(FailedAttempt),
+}
+
+/// What one [`Device::pump`] step produced. The server translates these
+/// into outcomes and accounting; the device itself never touches the
+/// outcome stream.
+#[derive(Debug)]
+pub(crate) enum DeviceEvent {
+    /// The held attempt reached its completion time.
+    Finished(Running),
+    /// The model's breaker was open: every member is shed.
+    BreakerShed { batch: Vec<Pending>, at: SimTime },
 }
 
 /// Per-(device, model) execution state: a full model replica behind a warm
@@ -219,7 +206,6 @@ struct DeviceModel {
     model: Model,
     handle: Handle,
     breaker: CircuitBreaker,
-    batches: u64,
 }
 
 /// One virtual device shard. See the module docs.
@@ -235,7 +221,6 @@ pub struct Device {
     busy_total: SimTime,
     executed: u64,
     failures: u64,
-    next_seq: u64,
     /// Scratch super-graph reused across batches: `clear()` keeps the node
     /// allocation, so steady-state batch absorption does not allocate.
     scratch: Graph,
@@ -246,7 +231,7 @@ pub struct Device {
     recovery: RecoveryConfig,
     /// The held result of the batch currently occupying the device, emitted
     /// by [`Device::pump`] once the clock reaches `busy_until`.
-    running: Option<DeviceEvent>,
+    running: Option<Running>,
     /// Lifecycle state (driven by the server's outage schedule + watchdog).
     health: DeviceHealth,
     /// Every health transition, in order.
@@ -258,13 +243,18 @@ pub struct Device {
     frozen: bool,
     /// When the current freeze began (valid while `frozen`).
     frozen_at: SimTime,
+    /// Liveness timer: `Some(due)` while a frozen device owes work. A hang
+    /// is silent, so only a completion overdue by `watchdog_grace` can
+    /// expose it; the server declares the device down when `due` passes.
+    watchdog: Option<SimTime>,
+    watchdog_grace: SimTime,
     /// Successful batches still required to clear revival probation
     /// (meaningful while `health == Reviving`).
     probation_left: u32,
 }
 
 impl Device {
-    pub(crate) fn new(id: DeviceId, recovery: RecoveryConfig) -> Self {
+    pub(crate) fn new(id: DeviceId, recovery: RecoveryConfig, watchdog_grace: SimTime) -> Self {
         Self {
             id,
             models: Vec::new(),
@@ -273,7 +263,6 @@ impl Device {
             busy_total: SimTime::ZERO,
             executed: 0,
             failures: 0,
-            next_seq: 0,
             scratch: Graph::new(),
             seen: BTreeSet::new(),
             recovery,
@@ -283,6 +272,8 @@ impl Device {
             slowdown: 1.0,
             frozen: false,
             frozen_at: SimTime::ZERO,
+            watchdog: None,
+            watchdog_grace,
             probation_left: 0,
         }
     }
@@ -301,7 +292,6 @@ impl Device {
                 self.recovery.breaker_threshold,
                 self.recovery.breaker_cooldown,
             ),
-            batches: 0,
         });
     }
 
@@ -345,6 +335,22 @@ impl Device {
     /// Virtual time at which the running batch (if any) completes.
     pub(crate) fn busy_until(&self) -> SimTime {
         self.busy_until
+    }
+
+    /// When the liveness timer expires, while it is armed.
+    pub(crate) fn watchdog_due(&self) -> Option<SimTime> {
+        self.watchdog
+    }
+
+    /// Requests executing at `now`: the members of the held successful
+    /// result whose completion is still ahead. They count against the
+    /// admission bound until then; a failed attempt holds none (its retry
+    /// singletons are queued, its drops are gone).
+    pub(crate) fn inflight_members(&self, now: SimTime) -> usize {
+        match &self.running {
+            Some(Running::Executed(e)) if e.completed_at > now => e.batch.len(),
+            _ => 0,
+        }
     }
 
     /// `true` if this device has executed a batch from `key`'s bucket
@@ -443,39 +449,36 @@ impl Device {
     pub(crate) fn freeze(&mut self, at: SimTime) {
         self.frozen = true;
         self.frozen_at = at;
+        self.arm_watchdog(at);
+    }
+
+    /// Arms the liveness timer if the device is frozen with pending work
+    /// and not already being watched: the deadline is the promised
+    /// completion (or `now`, for work enqueued onto an idle freeze) plus
+    /// the grace.
+    fn arm_watchdog(&mut self, now: SimTime) {
+        if self.watchdog.is_none() && self.frozen && !self.is_idle() {
+            self.watchdog = Some(self.busy_until.max(now) + self.watchdog_grace);
+        }
     }
 
     /// Lifts an *undetected* hang at `at` (the window ended before the
-    /// watchdog's grace elapsed): the device resumes with its timeline
-    /// slipped by the freeze duration. Returns the in-flight retime the
-    /// server must apply when a running batch's promised completion moved.
-    pub(crate) fn thaw(&mut self, at: SimTime) -> Option<InflightRetime> {
+    /// watchdog's grace elapsed): the device resumes with its timeline —
+    /// and the held attempt's promised completion — slipped by the freeze
+    /// duration.
+    pub(crate) fn thaw(&mut self, at: SimTime) {
         self.frozen = false;
+        self.watchdog = None;
         let delta = at - self.frozen_at;
         if delta.as_ns() <= 0.0 {
-            return None;
+            return;
         }
-        let old = self.busy_until;
-        match self.running.as_mut() {
-            Some(DeviceEvent::Executed {
-                batch,
-                completed_at,
-                ..
-            }) => {
-                self.busy_until = old + delta;
-                *completed_at = self.busy_until;
-                Some(InflightRetime {
-                    members: batch.len(),
-                    old_completed: old,
-                    new_completed: self.busy_until,
-                })
+        if let Some(running) = self.running.as_mut() {
+            self.busy_until += delta;
+            match running {
+                Running::Executed(e) => e.completed_at = self.busy_until,
+                Running::Failed(f) => f.completed_at = self.busy_until,
             }
-            Some(DeviceEvent::Failed { completed_at, .. }) => {
-                self.busy_until = old + delta;
-                *completed_at = self.busy_until;
-                None // failed attempts hold no in-flight slots
-            }
-            _ => None,
         }
     }
 
@@ -488,11 +491,12 @@ impl Device {
         &mut self,
         at: SimTime,
         lose_warm: bool,
-    ) -> (Vec<BatchJob>, Option<DeviceEvent>) {
+    ) -> (Vec<BatchJob>, Option<Running>) {
         let jobs: Vec<BatchJob> = self.queue.drain(..).collect();
         let running = self.running.take();
         self.busy_until = at;
         self.frozen = false;
+        self.watchdog = None;
         if lose_warm {
             self.seen.clear();
         }
@@ -507,90 +511,90 @@ impl Device {
         self.set_health(DeviceHealth::Reviving, at);
     }
 
-    /// Queues one formed batch. Execution happens in [`Device::pump`].
-    pub(crate) fn enqueue(&mut self, mut job: BatchJob) {
-        job.seq = self.next_seq;
-        self.next_seq += 1;
+    /// Queues one formed batch at `now`. Execution happens in
+    /// [`Device::pump`]. Work routed onto a silently frozen device arms its
+    /// watchdog: the device looks healthy, so only a missed completion can
+    /// expose it.
+    pub(crate) fn enqueue(&mut self, job: BatchJob, now: SimTime) {
         self.queue.push_back(job);
+        self.arm_watchdog(now);
         vpps_obs::gauge(&format!("serve.device.{}.queue_depth", self.id.0))
             .set(self.queued_members() as f64);
     }
 
-    /// Advances the device to `now`: emits the held running result once the
-    /// clock reaches its completion, then starts queued batches (most
-    /// deadline-urgent first) while the device is free. Retry singletons
-    /// from a failed batch re-enter the queue (drawing fresh ids from the
-    /// server's `next_batch` counter) and run at later pump calls (the
+    /// Advances the device at `now` up to its next event: the held running
+    /// result once the clock reaches its completion, or a breaker shed —
+    /// starting queued batches (most deadline-urgent first) while the device
+    /// is free. The server calls this until it returns `None`. Retry
+    /// singletons from a failed batch re-enter the queue (drawing fresh ids
+    /// from the server's `next_batch` counter) and run at later pumps (the
     /// failed attempt occupied the device, so `busy_until` has moved past
     /// `now`). Frozen devices make no progress at all; down devices emit
     /// nothing (fail-over already took their work) and start nothing.
-    pub(crate) fn pump(&mut self, now: SimTime, next_batch: &mut u64, out: &mut Vec<DeviceEvent>) {
+    pub(crate) fn pump(&mut self, now: SimTime, next_batch: &mut u64) -> Option<DeviceEvent> {
         if self.frozen {
-            return;
+            return None;
         }
         while self.busy_until <= now {
-            if let Some(ev) = self.running.take() {
-                if let DeviceEvent::Executed { completed_at, .. } = &ev {
-                    if self.health == DeviceHealth::Reviving {
-                        // A completed batch counts toward probation; enough
-                        // of them restore full routing eligibility.
-                        let done_at = *completed_at;
-                        self.probation_left = self.probation_left.saturating_sub(1);
-                        if self.probation_left == 0 {
-                            self.set_health(DeviceHealth::Healthy, done_at);
-                        }
+            if let Some(running) = self.running.take() {
+                if let (Running::Executed(e), DeviceHealth::Reviving) = (&running, self.health) {
+                    // A completed batch counts toward probation; enough of
+                    // them restore full routing eligibility.
+                    self.probation_left = self.probation_left.saturating_sub(1);
+                    if self.probation_left == 0 {
+                        self.set_health(DeviceHealth::Healthy, e.completed_at);
                     }
                 }
-                out.push(ev);
+                return Some(DeviceEvent::Finished(running));
             }
             if matches!(self.health, DeviceHealth::Draining | DeviceHealth::Down) {
                 break;
             }
-            let Some(idx) = self.most_urgent() else { break };
-            let job = self.queue.remove(idx).expect("index from most_urgent");
-            self.run_job(job, now, next_batch, out);
+            let Some(job) = self.take_most_urgent() else {
+                break;
+            };
+            if let Some(shed) = self.run_job(job, now, next_batch) {
+                return Some(shed);
+            }
         }
         vpps_obs::gauge(&format!("serve.device.{}.queue_depth", self.id.0))
             .set(self.queued_members() as f64);
+        None
     }
 
-    /// Index of the queued job to run next: earliest member deadline, then
-    /// enqueue order (deadline-free jobs sort last among ties).
-    fn most_urgent(&self) -> Option<usize> {
-        let mut best: Option<(f64, u64, usize)> = None;
-        for (i, j) in self.queue.iter().enumerate() {
-            let d = j.urgency_ns();
-            let better = match best {
-                None => true,
-                Some((bd, bs, _)) => d < bd || (d == bd && j.seq < bs),
-            };
-            if better {
-                best = Some((d, j.seq, i));
+    /// Takes the queued job to run next: earliest member deadline first.
+    /// The queue is in enqueue order, so among equally urgent jobs (all the
+    /// deadline-free ones, at infinity) the first found is the oldest.
+    fn take_most_urgent(&mut self) -> Option<BatchJob> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, job) in self.queue.iter().enumerate() {
+            let urgency = job.urgency_ns();
+            if best.is_none_or(|(_, least)| urgency < least) {
+                best = Some((i, urgency));
             }
         }
-        best.map(|(_, _, i)| i)
+        self.queue.remove(best?.0)
     }
 
     /// Executes one batch: breaker gate, absorb into the scratch
     /// super-graph, one persistent-kernel launch on the model's warm handle.
+    /// The result is held as [`Device::running`]; only a breaker refusal
+    /// comes back at once.
     fn run_job(
         &mut self,
         job: BatchJob,
         now: SimTime,
         next_batch: &mut u64,
-        out: &mut Vec<DeviceEvent>,
-    ) {
+    ) -> Option<DeviceEvent> {
         let BatchJob {
             id: batch_id,
             key,
             batch,
             formed_at,
-            ..
         } = job;
         let dm = &mut self.models[key.model.0];
         if !dm.breaker.allow(now) {
-            out.push(DeviceEvent::BreakerShed { batch, at: now });
-            return;
+            return Some(DeviceEvent::BreakerShed { batch, at: now });
         }
 
         // The attempt lowers (or reuses) the bucket's scripts either way,
@@ -634,16 +638,14 @@ impl Device {
         self.busy_until = completed_at;
         self.busy_total += service;
 
-        match result {
+        self.running = Some(match result {
             Ok(outputs) => {
                 dm.breaker.record_success(now);
-                dm.batches += 1;
                 self.executed += 1;
-                out.push(DeviceEvent::Started {
-                    members: batch.len(),
-                    completed_at,
-                });
-                self.running = Some(DeviceEvent::Executed {
+                // Dispatch accounting happens here, when the device accepts
+                // the batch — not when it finishes.
+                vpps_obs::counter("serve.batches").incr();
+                Running::Executed(Executed {
                     batch_id,
                     key,
                     batch,
@@ -653,11 +655,12 @@ impl Device {
                     completed_at,
                     service,
                     cost,
-                });
+                })
             }
             Err(_) => {
                 dm.breaker.record_failure(now);
                 self.failures += 1;
+                vpps_obs::counter("serve.batch_failures").incr();
                 let budget = self.recovery.retry_budget;
                 let mut dropped = Vec::new();
                 let mut retried = Vec::new();
@@ -673,24 +676,27 @@ impl Device {
                         let retry_id = *next_batch;
                         *next_batch += 1;
                         retried.push((p.id, retry_id));
-                        self.enqueue(BatchJob {
-                            id: retry_id,
-                            key,
-                            batch: vec![p],
-                            formed_at,
-                            seq: 0, // assigned by enqueue
-                        });
+                        self.enqueue(
+                            BatchJob {
+                                id: retry_id,
+                                key,
+                                batch: vec![p],
+                                formed_at,
+                            },
+                            now,
+                        );
                     }
                 }
-                self.running = Some(DeviceEvent::Failed {
+                Running::Failed(FailedAttempt {
                     batch_id,
                     started_at: start,
                     completed_at,
                     dropped,
                     retried,
                     at: now,
-                });
+                })
             }
-        }
+        });
+        None
     }
 }

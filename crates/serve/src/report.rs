@@ -131,7 +131,9 @@ impl ServeReport {
                     batch_members += 1;
                 }
                 Outcome::Shed(s) => {
-                    shed[ShedReason::ALL.iter().position(|r| *r == s.reason).unwrap()].1 += 1;
+                    // `ShedReason::ALL` lists the variants in declaration
+                    // order, so a reason's discriminant is its slot.
+                    shed[s.reason as usize].1 += 1;
                 }
             }
         }
@@ -332,6 +334,29 @@ mod tests {
         assert!((r.throughput_rps - 1.5e6).abs() < 1.0);
         assert!(r.e2e.p50_us > 0.0);
         assert!(r.e2e.max_us >= r.e2e.p99_us);
+    }
+
+    #[test]
+    fn every_shed_reason_is_counted_under_its_own_name() {
+        // One shed of the first reason, two of the second, ...
+        let outcomes: Vec<Outcome> = ShedReason::ALL
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &reason)| {
+                std::iter::repeat_n(reason, i + 1).map(|reason| {
+                    Outcome::Shed(Shed {
+                        id: RequestId(0),
+                        tenant: TenantId(0),
+                        at: SimTime::ZERO,
+                        reason,
+                    })
+                })
+            })
+            .collect();
+        let r = ServeReport::from_outcomes(&outcomes);
+        for (i, reason) in ShedReason::ALL.iter().enumerate() {
+            assert_eq!(r.shed[i], (reason.name().to_owned(), i as u64 + 1));
+        }
     }
 
     #[test]

@@ -179,12 +179,11 @@ impl Router {
         iter: impl Iterator<Item = &'a Device>,
         now: SimTime,
     ) -> Option<DeviceId> {
+        // A backlog is a finite, sign-positive span, so `total_cmp` is the
+        // numeric order.
         iter.min_by(|a, b| {
-            a.backlog(now)
-                .as_ns()
-                .partial_cmp(&b.backlog(now).as_ns())
-                .expect("finite backlogs")
-                .then(a.id().cmp(&b.id()))
+            let (a_ns, b_ns) = (a.backlog(now).as_ns(), b.backlog(now).as_ns());
+            a_ns.total_cmp(&b_ns).then(a.id().cmp(&b.id()))
         })
         .map(Device::id)
     }
@@ -197,21 +196,15 @@ impl Router {
         {
             return id;
         }
-        devices
-            .iter()
-            .min_by(|a, b| {
-                Self::health_rank(a.health())
-                    .cmp(&Self::health_rank(b.health()))
-                    .then(
-                        a.backlog(now)
-                            .as_ns()
-                            .partial_cmp(&b.backlog(now).as_ns())
-                            .expect("finite backlogs"),
-                    )
-                    .then(a.id().cmp(&b.id()))
-            })
-            .expect("at least one device")
-            .id()
+        let least_bad = devices.iter().min_by(|a, b| {
+            let (a_ns, b_ns) = (a.backlog(now).as_ns(), b.backlog(now).as_ns());
+            Self::health_rank(a.health())
+                .cmp(&Self::health_rank(b.health()))
+                .then(a_ns.total_cmp(&b_ns))
+                .then(a.id().cmp(&b.id()))
+        });
+        // Unreachable because `Server::new` refuses a fleet of zero devices.
+        least_bad.expect("at least one device").id()
     }
 
     /// Picks the new home for a bucket forced off an unavailable device:

@@ -30,9 +30,17 @@
 //!    warm handle; the prologue weight load is paid once per batch, which is
 //!    where batching wins. Each device is serially occupied and drains its
 //!    queue most-deadline-urgent first.
+//!
+//! The server is one state machine. Its schedule is never stored: each
+//! turn, `Server::next_event` derives the due work from the state that
+//! implies it (the outage schedule's cursor, each device's liveness timer
+//! and busy horizon, each bucket's earliest flush bound) and picks the least
+//! `EventKey`; `Server::step` applies it. [`Server::submit`],
+//! [`Server::run_until`] and [`Server::drain`] are loops over those two.
+//! Every batch reaches a device through `Server::dispatch` and every request
+//! leaves through `Server::resolve`.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use dyn_graph::Model;
 use gpu_sim::{OutageKind, OutageWindow, SimTime};
@@ -42,8 +50,8 @@ use vpps_obs::{Resolution, TraceEvent, TraceSink};
 use crate::batcher::{shape_class, Bucket, BucketKey, Pending};
 use crate::breaker::{BreakerState, BreakerTransition};
 use crate::device::{
-    BatchJob, Device, DeviceEvent, DeviceHealth, DeviceId, DeviceStats, HealthTransition,
-    InflightRetime,
+    BatchJob, Device, DeviceEvent, DeviceHealth, DeviceId, DeviceStats, Executed, FailedAttempt,
+    HealthTransition, Running,
 };
 use crate::policy::ServeConfig;
 use crate::request::{
@@ -95,7 +103,7 @@ enum OutageEdge {
 }
 
 /// One edge of a scheduled device outage, pre-sorted into the server's
-/// event schedule at construction.
+/// outage schedule at construction.
 #[derive(Debug, Clone, Copy)]
 struct OutageEvent {
     at: SimTime,
@@ -103,12 +111,64 @@ struct OutageEvent {
     window: OutageWindow,
 }
 
-/// What kind of health event is due next (outage schedule edges sort before
-/// watchdog expiries at equal times).
+/// The source of a piece of due work. Declaration order is the tie-break
+/// between sources firing at the same instant: health first — a crash or a
+/// watchdog declaration must abort a completion promised for that instant,
+/// not race it — then devices, then batch formation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EventClass {
+    OutageEdge,
+    Watchdog,
+    DeviceReady,
+    BucketFlush,
+}
+
+/// When a piece of due work fires. The derived `Ord` *is* the server's
+/// event order, and nothing else compares event sources: earliest time,
+/// then [`EventClass`], then `index` — the edge's position in the outage
+/// schedule (sorted end-before-start, then by device), the device index, or
+/// the bucket's rank in [`BucketKey`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey {
+    at_bits: u64,
+    class: EventClass,
+    index: usize,
+}
+
+impl EventKey {
+    fn at(self) -> SimTime {
+        SimTime::from_ns(f64::from_bits(self.at_bits))
+    }
+}
+
+/// Bit pattern of a firing time, clamped to `clock`. The server clock
+/// starts at `+0.0` and never runs backwards, so the clamped time is finite
+/// and sign-positive — and such floats order exactly as their bit patterns.
+fn time_bits(clock: SimTime, at: SimTime) -> u64 {
+    clock.max(at).as_ns().to_bits()
+}
+
+/// One piece of due work, as [`Server::step`] applies it.
 #[derive(Debug, Clone, Copy)]
-enum HealthDue {
-    Outage,
+enum Event {
+    /// The next edge of the outage schedule.
+    OutageEdge,
+    /// This device's liveness timer expired: declare it hung.
     Watchdog(usize),
+    /// This device's held result is due, or it is free to start queued work.
+    DeviceReady(usize),
+    /// This bucket forms a batch.
+    BucketFlush(BucketKey),
+}
+
+/// The shed outcome of a queued request.
+fn shed(p: &Pending, at: SimTime, reason: ShedReason) -> Outcome {
+    Outcome::Shed(Shed {
+        id: p.id,
+        tenant: p.tenant,
+        at,
+        reason,
+    })
 }
 
 /// Multi-tenant serving engine over warm VPPS handles, sharded across one or
@@ -128,17 +188,7 @@ pub struct Server {
     next_id: u64,
     queued: usize,
     queued_per_tenant: BTreeMap<TenantId, usize>,
-    /// Completion times (ns bit pattern, min-heap) of dispatched requests
-    /// the device has not finished yet at `now`. Dispatched work counts
-    /// toward the admission bound — otherwise an overloaded server would
-    /// keep admitting forever and just complete everything arbitrarily
-    /// late.
-    inflight: BinaryHeap<Reverse<u64>>,
     outcomes: Vec<Outcome>,
-    batches: u64,
-    /// Batches whose dispatch returned a typed error (after the handle's own
-    /// retry/fallback ladder gave up).
-    batch_failures: u64,
     jit_paid: SimTime,
     /// Next batch id. Assigned at formation (and to retry singletons inside
     /// the devices) whether or not tracing is enabled, so enabling tracing
@@ -151,9 +201,6 @@ pub struct Server {
     /// unprocessed edge.
     outages: Vec<OutageEvent>,
     next_outage: usize,
-    /// Per-device watchdog deadline: `Some(due)` while a completion the
-    /// device promised is being waited on past its hang freeze.
-    watchdogs: Vec<Option<SimTime>>,
     /// Batches taken off a failed device and re-dispatched to survivors.
     redispatched_batches: u64,
 }
@@ -169,34 +216,25 @@ impl Server {
         assert!(cfg.batch.max_batch > 0, "max_batch must be at least 1");
         assert!(cfg.shard.devices > 0, "need at least one device");
         let devices: Vec<Device> = (0..cfg.shard.devices)
-            .map(|i| Device::new(DeviceId(i), cfg.recovery))
+            .map(|i| Device::new(DeviceId(i), cfg.recovery, cfg.health.watchdog_grace))
             .collect();
         // Pre-sort the outage schedule into edge events. Windows naming a
         // device the server does not have are ignored, so one schedule can
         // sweep across device counts.
-        let mut outages: Vec<OutageEvent> = Vec::new();
-        for w in cfg.opts.faults.outage_windows() {
-            if (w.device as usize) < cfg.shard.devices {
-                outages.push(OutageEvent {
-                    at: w.start,
-                    edge: OutageEdge::Start,
-                    window: w,
-                });
-                outages.push(OutageEvent {
-                    at: w.end,
-                    edge: OutageEdge::End,
-                    window: w,
-                });
-            }
-        }
-        outages.sort_by(|a, b| {
-            a.at.as_ns()
-                .partial_cmp(&b.at.as_ns())
-                .expect("outage times are finite")
-                .then_with(|| a.edge.cmp(&b.edge))
-                .then_with(|| a.window.device.cmp(&b.window.device))
-        });
-        let watchdogs = vec![None; cfg.shard.devices];
+        let mut outages: Vec<OutageEvent> = cfg
+            .opts
+            .faults
+            .outage_windows()
+            .filter(|w| (w.device as usize) < cfg.shard.devices)
+            .flat_map(|window| {
+                [
+                    (window.start, OutageEdge::Start),
+                    (window.end, OutageEdge::End),
+                ]
+                .map(|(at, edge)| OutageEvent { at, edge, window })
+            })
+            .collect();
+        outages.sort_by_key(|e| (time_bits(SimTime::ZERO, e.at), e.edge, e.window.device));
         Self {
             cfg,
             registry: Vec::new(),
@@ -208,16 +246,12 @@ impl Server {
             next_id: 0,
             queued: 0,
             queued_per_tenant: BTreeMap::new(),
-            inflight: BinaryHeap::new(),
             outcomes: Vec::new(),
-            batches: 0,
-            batch_failures: 0,
             jit_paid: SimTime::ZERO,
             next_batch: 0,
             trace: None,
             outages,
             next_outage: 0,
-            watchdogs,
             redispatched_batches: 0,
         }
     }
@@ -243,6 +277,16 @@ impl Server {
     /// `true` if tracing is on and `id` is selected by the sampling policy.
     fn trace_sampled(&self, id: RequestId) -> bool {
         self.trace.as_ref().is_some_and(|t| t.sampled(id.0))
+    }
+
+    /// The ids of `batch`'s traced members (empty, and unallocated, when
+    /// tracing is off).
+    fn traced_members(&self, batch: &[Pending]) -> Vec<u64> {
+        let ids = batch.iter().map(|p| p.id.0);
+        match &self.trace {
+            Some(t) => ids.filter(|&id| t.sampled(id)).collect(),
+            None => Vec::new(),
+        }
     }
 
     fn trace_event(&mut self, ev: TraceEvent) {
@@ -308,36 +352,17 @@ impl Server {
         self.queued
     }
 
-    /// Requests sitting in formed batches on device queues.
-    fn device_queued(&self) -> usize {
-        self.devices.iter().map(Device::queued_members).sum()
-    }
-
     /// Number of admitted requests not yet *finished* at the current
     /// virtual time: bucket-queued, device-queued, or dispatched but still
     /// executing. This is the quantity the server-wide admission bound
-    /// applies to.
+    /// applies to. Dispatched work counts — otherwise an overloaded server
+    /// would keep admitting forever and just complete everything
+    /// arbitrarily late — and it is read straight off the devices' held
+    /// results: a batch is in flight from the moment its device accepts it
+    /// until its promised completion, or until a fail-over takes it back.
     pub fn outstanding(&self) -> usize {
-        let now_bits = self.now.as_ns().to_bits();
-        self.queued
-            + self.device_queued()
-            + self
-                .inflight
-                .iter()
-                .filter(|Reverse(done)| *done > now_bits)
-                .count()
-    }
-
-    /// Drops in-flight records whose completion time has passed.
-    fn settle_inflight(&mut self) {
-        let now_bits = self.now.as_ns().to_bits();
-        while self
-            .inflight
-            .peek()
-            .is_some_and(|Reverse(done)| *done <= now_bits)
-        {
-            self.inflight.pop();
-        }
+        let on_devices = |d: &Device| d.queued_members() + d.inflight_members(self.now);
+        self.queued + self.devices.iter().map(on_devices).sum::<usize>()
     }
 
     /// Registered name of a model.
@@ -361,9 +386,15 @@ impl Server {
         &self.outcomes
     }
 
-    /// Batches dispatched so far.
+    /// Batches the devices have accepted for execution so far.
     pub fn batches_dispatched(&self) -> u64 {
-        self.batches
+        self.devices.iter().map(|d| d.stats().batches).sum()
+    }
+
+    /// Batches whose dispatch came back with a typed error (after the
+    /// handle's own retry/fallback ladder gave up).
+    pub fn batch_failures(&self) -> u64 {
+        self.devices.iter().map(|d| d.stats().failures).sum()
     }
 
     /// Number of virtual devices.
@@ -400,176 +431,82 @@ impl Server {
     /// input never panics the server.
     pub fn submit(&mut self, req: Request) -> Admission {
         self.run_until(req.arrival);
-        self.settle_inflight();
         let arrival = req.arrival.max(self.now);
         let id = RequestId(self.next_id);
         self.next_id += 1;
 
-        let shed = |reason: ShedReason| Admission::Shed(id, reason);
-        let verdict = if req.model.0 >= self.registry.len() {
-            shed(ShedReason::UnknownModel)
+        let tenant_queued = self.queued_per_tenant.get(&req.tenant).copied();
+        let rejection = if req.model.0 >= self.registry.len() {
+            Some(ShedReason::UnknownModel)
         } else if req.deadline.is_some_and(|d| d < arrival) {
-            shed(ShedReason::DeadlineExpired)
-        } else if self.queued + self.device_queued() + self.inflight.len()
-            >= self.cfg.admission.queue_capacity
-        {
-            shed(ShedReason::QueueFull)
-        } else if self
-            .queued_per_tenant
-            .get(&req.tenant)
-            .copied()
-            .unwrap_or(0)
-            >= self.cfg.admission.tenant_quota
-        {
-            shed(ShedReason::TenantQuota)
+            Some(ShedReason::DeadlineExpired)
+        } else if self.outstanding() >= self.cfg.admission.queue_capacity {
+            Some(ShedReason::QueueFull)
+        } else if tenant_queued.unwrap_or(0) >= self.cfg.admission.tenant_quota {
+            Some(ShedReason::TenantQuota)
         } else {
-            Admission::Queued(id)
+            None
         };
 
-        match verdict {
-            Admission::Shed(id, reason) => {
-                if self.trace_sampled(id) {
-                    let at_ns = arrival.as_ns();
-                    self.trace_event(TraceEvent::Admitted {
-                        req: id.0,
-                        tenant: req.tenant.0,
-                        at_ns,
-                    });
-                    self.trace_event(TraceEvent::Resolved {
-                        req: id.0,
-                        outcome: Resolution::Shed,
-                        reason: reason.name(),
-                        at_ns,
-                    });
-                }
-                self.record_shed(Shed {
-                    id,
-                    tenant: req.tenant,
-                    at: arrival,
-                    reason,
-                });
-            }
-            Admission::Queued(id) => {
-                vpps_obs::counter("serve.admitted").incr();
-                if self.trace_sampled(id) {
-                    self.trace_event(TraceEvent::Admitted {
-                        req: id.0,
-                        tenant: req.tenant.0,
-                        at_ns: arrival.as_ns(),
-                    });
-                }
-                let key = BucketKey {
-                    model: req.model,
-                    kind: req.kind,
-                    shape: shape_class(req.graph.len()),
-                    structure: req.graph.structural_hash(),
-                };
-                self.buckets.entry(key).or_default().push(Pending {
-                    id,
-                    tenant: req.tenant,
-                    graph: req.graph,
-                    root: req.root,
-                    arrival,
-                    deadline: req.deadline,
-                    linger_deadline: arrival + self.cfg.batch.max_linger,
-                    retries: 0,
-                });
-                self.queued += 1;
-                *self.queued_per_tenant.entry(req.tenant).or_insert(0) += 1;
-                // Size trigger: flush as long as the bucket can fill a batch.
-                while self
-                    .buckets
-                    .get(&key)
-                    .is_some_and(|b| b.len() >= self.cfg.batch.max_batch)
-                {
-                    self.flush_bucket(key);
-                }
-            }
+        if self.trace_sampled(id) {
+            self.trace_event(TraceEvent::Admitted {
+                req: id.0,
+                tenant: req.tenant.0,
+                at_ns: arrival.as_ns(),
+            });
         }
+        let verdict = if let Some(reason) = rejection {
+            let rejected = Shed {
+                id,
+                tenant: req.tenant,
+                at: arrival,
+                reason,
+            };
+            self.resolve(Outcome::Shed(rejected), arrival);
+            Admission::Shed(id, reason)
+        } else {
+            vpps_obs::counter("serve.admitted").incr();
+            let key = BucketKey {
+                model: req.model,
+                kind: req.kind,
+                shape: shape_class(req.graph.len()),
+                structure: req.graph.structural_hash(),
+            };
+            self.buckets.entry(key).or_default().push(Pending {
+                id,
+                tenant: req.tenant,
+                graph: req.graph,
+                root: req.root,
+                arrival,
+                deadline: req.deadline,
+                linger_deadline: arrival + self.cfg.batch.max_linger,
+                retries: 0,
+            });
+            self.queued += 1;
+            *self.queued_per_tenant.entry(req.tenant).or_insert(0) += 1;
+            // Size trigger: flush as long as the bucket can fill a batch.
+            while self
+                .buckets
+                .get(&key)
+                .is_some_and(|b| b.len() >= self.cfg.batch.max_batch)
+            {
+                self.step(self.now, Event::BucketFlush(key));
+            }
+            Admission::Queued(id)
+        };
         vpps_obs::gauge("serve.queue_depth").set(self.queued as f64);
         verdict
     }
 
     /// Advances the virtual clock to `t`, firing every due event on the
-    /// way in event-time order: health events (outage-schedule edges, then
-    /// watchdog expiries), device completions (a busy device picking up its
-    /// next queued batch) and bucket linger/deadline flushes. Ties break
-    /// health-before-device-before-flush, then lowest device id / bucket
-    /// key order — deterministic.
+    /// way: earliest first, ties broken health (outage edge, then watchdog)
+    /// before device before bucket flush, then lowest device id / bucket
+    /// key order.
     pub fn run_until(&mut self, t: SimTime) {
-        while self.step_due(t) {}
+        while let Some((key, event)) = self.next_event(t) {
+            self.step(key.at(), event);
+        }
         self.now = self.now.max(t);
-    }
-
-    /// Processes the single earliest due event at or before `limit`.
-    /// Returns `false` when nothing is due.
-    fn step_due(&mut self, limit: SimTime) -> bool {
-        // Health events first: a crash or watchdog declaration must abort a
-        // completion promised for the same instant, not race it.
-        let mut due_health: Option<(SimTime, HealthDue)> = None;
-        if let Some(e) = self.outages.get(self.next_outage) {
-            if e.at <= limit {
-                due_health = Some((e.at, HealthDue::Outage));
-            }
-        }
-        for (i, w) in self.watchdogs.iter().enumerate() {
-            if let Some(due) = *w {
-                if due <= limit && due_health.is_none_or(|(t, _)| due.as_ns() < t.as_ns()) {
-                    due_health = Some((due, HealthDue::Watchdog(i)));
-                }
-            }
-        }
-        let mut due_dev: Option<(SimTime, usize)> = None;
-        for (i, d) in self.devices.iter().enumerate() {
-            if let Some(rt) = d.next_ready() {
-                if rt <= limit && due_dev.is_none_or(|(bt, _)| rt < bt) {
-                    due_dev = Some((rt, i));
-                }
-            }
-        }
-        let mut due_flush: Option<(SimTime, BucketKey)> = None;
-        for (key, bucket) in &self.buckets {
-            if let Some(ft) = bucket.next_flush(self.cfg.batch.deadline_aware) {
-                if ft <= limit && due_flush.is_none_or(|(bt, _)| ft < bt) {
-                    due_flush = Some((ft, *key));
-                }
-            }
-        }
-        if let Some((ht, kind)) = due_health {
-            let dev_later = due_dev.is_none_or(|(rt, _)| ht.as_ns() <= rt.as_ns());
-            let flush_later = due_flush.is_none_or(|(ft, _)| ht.as_ns() <= ft.as_ns());
-            if dev_later && flush_later {
-                self.now = self.now.max(ht);
-                match kind {
-                    HealthDue::Outage => self.apply_outage(),
-                    HealthDue::Watchdog(i) => self.fire_watchdog(i),
-                }
-                return true;
-            }
-        }
-        match (due_dev, due_flush) {
-            (None, None) => false,
-            (Some((rt, i)), None) => {
-                self.now = self.now.max(rt);
-                self.pump_device(i);
-                true
-            }
-            (None, Some((ft, key))) => {
-                self.now = self.now.max(ft);
-                self.flush_bucket(key);
-                true
-            }
-            (Some((rt, i)), Some((ft, key))) => {
-                if rt.as_ns() <= ft.as_ns() {
-                    self.now = self.now.max(rt);
-                    self.pump_device(i);
-                } else {
-                    self.now = self.now.max(ft);
-                    self.flush_bucket(key);
-                }
-                true
-            }
-        }
     }
 
     /// Flushes every remaining queued request immediately (end of the
@@ -584,11 +521,12 @@ impl Server {
         let horizon = SimTime::from_ns(f64::MAX);
         loop {
             while let Some(key) = self.buckets.keys().next().copied() {
-                self.flush_bucket(key);
+                self.step(self.now, Event::BucketFlush(key));
             }
-            if !self.step_due(horizon) {
+            let Some((key, event)) = self.next_event(horizon) else {
                 break;
-            }
+            };
+            self.step(key.at(), event);
         }
         // Leave the server quiescent: the final batches still occupy their
         // devices past the last event time. Advancing the clock to the
@@ -601,87 +539,122 @@ impl Server {
         vpps_obs::gauge("serve.queue_depth").set(0.0);
     }
 
+    /// The earliest piece of work due at or before `limit`, by
+    /// [`EventKey`] — the only place due work is discovered. The schedule
+    /// is derived from state on every call rather than stored: a stored
+    /// queue would need cancellation for every thawed watchdog, failed-over
+    /// completion and size-flushed linger timer.
+    fn next_event(&self, limit: SimTime) -> Option<(EventKey, Event)> {
+        use EventClass as Class;
+        let due = |at: SimTime, class, index, event| {
+            let at_bits = time_bits(self.now, at);
+            let key = EventKey {
+                at_bits,
+                class,
+                index,
+            };
+            (at <= limit).then_some((key, event))
+        };
+        let edge = self.next_outage;
+        let outage = self.outages.get(edge);
+        let outage = outage.and_then(|e| due(e.at, Class::OutageEdge, edge, Event::OutageEdge));
+        let devices = self.devices.iter().enumerate();
+        let timers = devices
+            .clone()
+            .filter_map(|(i, d)| due(d.watchdog_due()?, Class::Watchdog, i, Event::Watchdog(i)));
+        let ready = devices.filter_map(|(i, d)| {
+            due(
+                d.next_ready()?,
+                Class::DeviceReady,
+                i,
+                Event::DeviceReady(i),
+            )
+        });
+        let aware = self.cfg.batch.deadline_aware;
+        let flushes = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(rank, (key, b))| {
+                due(
+                    b.next_flush(aware)?,
+                    Class::BucketFlush,
+                    rank,
+                    Event::BucketFlush(*key),
+                )
+            });
+        outage
+            .into_iter()
+            .chain(timers)
+            .chain(ready)
+            .chain(flushes)
+            .min_by_key(|&(key, _)| key)
+    }
+
+    /// Applies one piece of due work at virtual time `at` — the only place
+    /// the clock moves forward to an event.
+    fn step(&mut self, at: SimTime, event: Event) {
+        self.now = self.now.max(at);
+        match event {
+            Event::OutageEdge => self.apply_outage(),
+            // The grace elapsed past a promised completion: declare the
+            // device down (a hang keeps its host-side caches, unlike a
+            // crash).
+            Event::Watchdog(idx) => self.fail_device(idx, "hang", false),
+            Event::DeviceReady(idx) => self.pump_device(idx),
+            Event::BucketFlush(key) => self.flush_bucket(key),
+        }
+    }
+
     /// Applies the next outage-schedule edge at the current virtual time.
     fn apply_outage(&mut self) {
         let e = self.outages[self.next_outage];
         self.next_outage += 1;
+        let now = self.now;
         let idx = e.window.device as usize;
+        let device = &mut self.devices[idx];
         match (e.edge, e.window.kind) {
-            (OutageEdge::Start, OutageKind::Crash) => {
-                // Whole-device crash: resident lowered state is gone.
-                self.fail_device(idx, "crash", true);
-            }
-            (OutageEdge::Start, OutageKind::Hang) => {
-                // Silent freeze: routing is *not* told — the device still
-                // looks healthy until the watchdog notices the missed
-                // completion.
-                self.devices[idx].freeze(self.now);
-                self.arm_watchdog(idx);
-            }
+            // Whole-device crash: resident lowered state is gone.
+            (OutageEdge::Start, OutageKind::Crash) => self.fail_device(idx, "crash", true),
+            // Silent freeze: routing is *not* told — the device still looks
+            // healthy until its watchdog notices the missed completion.
+            (OutageEdge::Start, OutageKind::Hang) => device.freeze(now),
             (OutageEdge::Start, OutageKind::Brownout) => {
-                self.devices[idx].set_slowdown(self.cfg.opts.faults.brownout_factor);
-                self.devices[idx].set_health(DeviceHealth::Degraded, self.now);
+                device.set_slowdown(self.cfg.opts.faults.brownout_factor);
+                device.set_health(DeviceHealth::Degraded, now);
             }
-            (OutageEdge::End, OutageKind::Crash) => {
-                if self.devices[idx].health() == DeviceHealth::Down {
-                    self.revive_device(idx);
-                }
+            // A crashed device, or a hung one the watchdog already
+            // declared, comes back the moment its window ends.
+            (OutageEdge::End, OutageKind::Crash | OutageKind::Hang)
+                if device.health() == DeviceHealth::Down =>
+            {
+                self.revive_device(idx);
             }
-            (OutageEdge::End, OutageKind::Hang) => {
-                if self.devices[idx].health() == DeviceHealth::Down {
-                    // The watchdog already declared it; the window's end is
-                    // the moment the device comes back.
-                    self.revive_device(idx);
-                } else if self.devices[idx].is_frozen() {
-                    // Undetected short hang: the device resumes with its
-                    // timeline slipped by the freeze; nothing was lost, so
-                    // routing never knew.
-                    self.watchdogs[idx] = None;
-                    if let Some(rt) = self.devices[idx].thaw(self.now) {
-                        self.retime_inflight(rt);
-                    }
-                    self.pump_device(idx);
-                }
+            // Undetected short hang: the device resumes with its timeline
+            // slipped by the freeze; nothing was lost, so routing never
+            // knew.
+            (OutageEdge::End, OutageKind::Hang) if device.is_frozen() => {
+                device.thaw(now);
+                self.pump_device(idx);
             }
+            (OutageEdge::End, OutageKind::Crash | OutageKind::Hang) => {}
             (OutageEdge::End, OutageKind::Brownout) => {
-                self.devices[idx].set_slowdown(1.0);
-                if self.devices[idx].health() == DeviceHealth::Degraded {
-                    self.devices[idx].set_health(DeviceHealth::Healthy, self.now);
+                device.set_slowdown(1.0);
+                if device.health() == DeviceHealth::Degraded {
+                    device.set_health(DeviceHealth::Healthy, now);
                 }
             }
         }
-    }
-
-    /// Arms device `idx`'s watchdog if it is frozen with pending work and
-    /// not already being watched: the deadline is the promised completion
-    /// (or now, for work enqueued onto an idle freeze) plus the grace.
-    fn arm_watchdog(&mut self, idx: usize) {
-        if self.watchdogs[idx].is_some()
-            || !self.devices[idx].is_frozen()
-            || self.devices[idx].is_idle()
-        {
-            return;
-        }
-        let promised = self.devices[idx].busy_until().max(self.now);
-        self.watchdogs[idx] = Some(promised + self.cfg.health.watchdog_grace);
-    }
-
-    /// The watchdog's grace elapsed past a promised completion: declare the
-    /// device down (a hang keeps its host-side caches, unlike a crash).
-    fn fire_watchdog(&mut self, idx: usize) {
-        self.watchdogs[idx] = None;
-        self.fail_device(idx, "hang", false);
     }
 
     /// Takes device `idx` out of service at the current virtual time:
-    /// `Healthy → Draining → Down`, with its queued batches and the aborted
-    /// in-flight attempt re-dispatched to survivors. Exactly-once: the
+    /// `Healthy → Draining → Down`, with the aborted in-flight attempt and
+    /// its queued batches re-dispatched to survivors. Exactly-once: the
     /// aborted attempt's outputs are discarded *before* ever becoming
-    /// outcomes and its in-flight slots are released, so each member
-    /// resolves exactly once — from wherever its re-dispatched batch runs.
+    /// outcomes, so each member resolves exactly once — from wherever its
+    /// re-dispatched batch runs.
     fn fail_device(&mut self, idx: usize, reason: &'static str, lose_warm: bool) {
         let at = self.now;
-        self.watchdogs[idx] = None;
         self.trace_event(TraceEvent::DeviceDown {
             device: idx as u32,
             reason,
@@ -690,98 +663,33 @@ impl Server {
         vpps_obs::counter("serve.device.downs").incr();
         self.devices[idx].set_health(DeviceHealth::Draining, at);
         let (jobs, running) = self.devices[idx].fail_over(at, lose_warm);
-        let mut redispatch: Vec<BatchJob> = Vec::new();
-        if let Some(ev) = running {
-            match ev {
-                DeviceEvent::Executed {
-                    batch_id,
-                    key,
-                    batch,
-                    dispatched_at,
-                    completed_at,
-                    ..
-                } => {
-                    // Abort the attempt: release its booked in-flight slots
-                    // and re-dispatch the members (ahead of the queued jobs
-                    // — they started first).
-                    self.unbook_inflight(batch.len(), completed_at);
-                    redispatch.push(BatchJob {
-                        id: batch_id,
-                        key,
-                        batch,
-                        formed_at: dispatched_at,
-                        seq: 0,
-                    });
-                }
-                DeviceEvent::Failed {
-                    batch_id,
-                    started_at,
-                    dropped,
-                    retried,
-                    ..
-                } => {
-                    // The failed attempt ends the moment the device dies;
-                    // fold it now so retry/drop accounting is not lost. Its
-                    // retry singletons are already among the drained jobs.
-                    self.fold_failed(idx, batch_id, started_at, at, dropped, retried, at);
-                }
-                DeviceEvent::Started { .. } | DeviceEvent::BreakerShed { .. } => {
-                    unreachable!("only batch results are held as running");
-                }
-            }
-        }
-        redispatch.extend(jobs);
         self.devices[idx].set_health(DeviceHealth::Down, at);
-        for job in redispatch {
-            self.redispatch(job, idx);
-        }
-    }
-
-    /// Re-dispatches one batch taken off a failed device: routes it among
-    /// the survivors (re-homing its bucket's affinity) under a fresh batch
-    /// id, so every execution attempt stays addressable in traces.
-    fn redispatch(&mut self, job: BatchJob, from: usize) {
-        let BatchJob {
-            id: old_id,
-            key,
-            batch,
-            formed_at,
-            ..
-        } = job;
-        let (target, _decision) =
-            self.router
-                .route(key, self.now, self.cfg.shard.steal_margin, &self.devices);
-        let new_id = self.next_batch;
-        self.next_batch += 1;
-        self.redispatched_batches += 1;
-        vpps_obs::counter("serve.redispatched").incr();
-        let traced_members: Vec<u64> = match &self.trace {
-            Some(t) => batch
-                .iter()
-                .map(|p| p.id.0)
-                .filter(|&id| t.sampled(id))
-                .collect(),
-            None => Vec::new(),
+        let aborted = match running {
+            // Abort the attempt and re-dispatch its members (ahead of the
+            // queued jobs — they started first).
+            Some(Running::Executed(e)) => Some(BatchJob {
+                id: e.batch_id,
+                key: e.key,
+                batch: e.batch,
+                formed_at: e.dispatched_at,
+            }),
+            // The failed attempt ends the moment the device dies — it never
+            // reached its own end; fold it now so retry/drop accounting is
+            // not lost. Its retry singletons are among the drained jobs.
+            Some(Running::Failed(f)) => {
+                let ended = FailedAttempt {
+                    completed_at: at,
+                    at,
+                    ..f
+                };
+                self.fold_failed(idx, ended);
+                None
+            }
+            None => None,
         };
-        if !traced_members.is_empty() {
-            self.trace_event(TraceEvent::Redispatched {
-                from_batch: old_id,
-                batch: new_id,
-                from_device: from as u32,
-                device: target.0 as u32,
-                members: traced_members,
-                at_ns: self.now.as_ns(),
-            });
+        for job in aborted.into_iter().chain(jobs) {
+            self.dispatch(job, Some(idx));
         }
-        self.devices[target.0].enqueue(BatchJob {
-            id: new_id,
-            key,
-            batch,
-            formed_at,
-            seq: 0, // assigned by enqueue
-        });
-        self.arm_watchdog(target.0);
-        self.pump_device(target.0);
     }
 
     /// Brings a down device back into service on revival probation.
@@ -797,56 +705,20 @@ impl Server {
         self.pump_device(idx);
     }
 
-    /// Removes up to `count` in-flight slots booked at `completed_at`.
-    /// Best-effort: slots whose time already passed may have been settled.
-    fn unbook_inflight(&mut self, count: usize, completed_at: SimTime) {
-        let bits = completed_at.as_ns().to_bits();
-        let mut remaining = count;
-        let entries = std::mem::take(&mut self.inflight).into_vec();
-        self.inflight = entries
-            .into_iter()
-            .filter(|Reverse(b)| {
-                if remaining > 0 && *b == bits {
-                    remaining -= 1;
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
-    }
-
-    /// Moves a running batch's in-flight slots after a thaw slipped its
-    /// promised completion.
-    fn retime_inflight(&mut self, rt: InflightRetime) {
-        self.unbook_inflight(rt.members, rt.old_completed);
-        let bits = rt.new_completed.as_ns().to_bits();
-        for _ in 0..rt.members {
-            self.inflight.push(Reverse(bits));
-        }
-    }
-
-    fn record_shed(&mut self, shed: Shed) {
-        vpps_obs::counter("serve.shed").incr();
-        vpps_obs::counter(&format!("serve.shed.{}", shed.reason.name())).incr();
-        self.outcomes.push(Outcome::Shed(shed));
-    }
-
-    /// Forms one batch from `key`'s bucket at the current virtual time,
-    /// routes it, and lets the target device run it if free. Also sheds
-    /// queued requests whose deadline already passed. Removes the bucket
-    /// when it empties.
+    /// Forms one batch from `key`'s bucket at the current virtual time and
+    /// dispatches it. Also sheds queued requests whose deadline already
+    /// passed. Removes the bucket when it empties.
     fn flush_bucket(&mut self, key: BucketKey) {
         let Some(bucket) = self.buckets.get_mut(&key) else {
             return;
         };
-        let expired = bucket.expire(self.now);
+        let now = self.now;
+        let expired = bucket.expire(now);
         let batch = bucket.take_batch(self.cfg.batch.max_batch);
         if bucket.is_empty() {
             self.buckets.remove(&key);
         }
-        let removed = expired.len() + batch.len();
-        self.queued -= removed;
+        self.queued -= expired.len() + batch.len();
         for p in expired.iter().chain(&batch) {
             if let Some(n) = self.queued_per_tenant.get_mut(&p.tenant) {
                 *n = n.saturating_sub(1);
@@ -854,224 +726,168 @@ impl Server {
         }
         vpps_obs::gauge("serve.queue_depth").set(self.queued as f64);
         for p in expired {
-            if self.trace_sampled(p.id) {
-                self.trace_event(TraceEvent::Resolved {
-                    req: p.id.0,
-                    outcome: Resolution::Shed,
-                    reason: ShedReason::DeadlineExpired.name(),
-                    at_ns: self.now.as_ns(),
-                });
-            }
-            self.record_shed(Shed {
-                id: p.id,
-                tenant: p.tenant,
-                at: self.now,
-                reason: ShedReason::DeadlineExpired,
-            });
+            self.resolve(shed(&p, now, ShedReason::DeadlineExpired), now);
         }
         if batch.is_empty() {
             return;
         }
         // Batch ids are assigned unconditionally so turning tracing on or
         // off can never change the virtual timeline.
-        let batch_id = self.next_batch;
+        let id = self.next_batch;
         self.next_batch += 1;
-        let traced_members: Vec<u64> = match &self.trace {
-            Some(t) => batch
-                .iter()
-                .map(|p| p.id.0)
-                .filter(|&id| t.sampled(id))
-                .collect(),
-            None => Vec::new(),
-        };
-        if !traced_members.is_empty() {
+        let members = self.traced_members(&batch);
+        if !members.is_empty() {
             self.trace_event(TraceEvent::Formed {
-                batch: batch_id,
+                batch: id,
                 bucket: key.label(),
-                members: traced_members.clone(),
-                at_ns: self.now.as_ns(),
+                members,
+                at_ns: now.as_ns(),
             });
         }
-        let (target, decision) =
-            self.router
-                .route(key, self.now, self.cfg.shard.steal_margin, &self.devices);
-        if !traced_members.is_empty() {
-            self.trace_event(TraceEvent::Routed {
-                batch: batch_id,
-                device: target.0 as u32,
-                decision: decision.name(),
-                at_ns: self.now.as_ns(),
-            });
-        }
-        self.devices[target.0].enqueue(BatchJob {
-            id: batch_id,
+        let formed = BatchJob {
+            id,
             key,
             batch,
-            formed_at: self.now,
-            seq: 0, // assigned by enqueue
-        });
-        // Work routed onto a silently frozen device arms its watchdog: the
-        // device looks healthy, so only a missed completion can expose it.
-        self.arm_watchdog(target.0);
+            formed_at: now,
+        };
+        self.dispatch(formed, None);
+    }
+
+    /// Routes one batch to a device and lets that device run it if free —
+    /// the only way work reaches a device. A batch taken off failed device
+    /// `from` is routed among the survivors (re-homing its bucket's
+    /// affinity) under a fresh batch id, so every execution attempt stays
+    /// addressable in traces; it keeps its original formation time.
+    fn dispatch(&mut self, mut job: BatchJob, from: Option<usize>) {
+        let now = self.now;
+        let margin = self.cfg.shard.steal_margin;
+        let (target, decision) = self.router.route(job.key, now, margin, &self.devices);
+        match from {
+            None => {
+                if job.batch.iter().any(|p| self.trace_sampled(p.id)) {
+                    self.trace_event(TraceEvent::Routed {
+                        batch: job.id,
+                        device: target.0 as u32,
+                        decision: decision.name(),
+                        at_ns: now.as_ns(),
+                    });
+                }
+            }
+            Some(from) => {
+                let from_batch = std::mem::replace(&mut job.id, self.next_batch);
+                self.next_batch += 1;
+                self.redispatched_batches += 1;
+                vpps_obs::counter("serve.redispatched").incr();
+                let members = self.traced_members(&job.batch);
+                if !members.is_empty() {
+                    self.trace_event(TraceEvent::Redispatched {
+                        from_batch,
+                        batch: job.id,
+                        from_device: from as u32,
+                        device: target.0 as u32,
+                        members,
+                        at_ns: now.as_ns(),
+                    });
+                }
+            }
+        }
+        self.devices[target.0].enqueue(job, now);
         self.pump_device(target.0);
     }
 
     /// Lets one device execute whatever it can at the current virtual time
-    /// and folds the resulting events into outcomes and accounting.
+    /// and folds what it reports into outcomes and accounting.
     fn pump_device(&mut self, idx: usize) {
         let now = self.now;
-        let mut events = Vec::new();
-        self.devices[idx].pump(now, &mut self.next_batch, &mut events);
-        for ev in events {
-            match ev {
-                DeviceEvent::Executed {
-                    batch_id,
-                    key,
-                    batch,
-                    outputs,
-                    dispatched_at,
-                    started_at,
-                    completed_at,
-                    service,
-                    cost,
-                } => {
-                    vpps_obs::counter("serve.completed").add(batch.len() as u64);
-                    vpps_obs::histogram("serve.batch_size").record(batch.len() as u64);
-                    vpps_obs::histogram("serve.service_ns").record(service.as_ns() as u64);
-                    // A batch is "cold" when executing it lowered at least
-                    // one fresh script (structural script-cache miss).
-                    let cold = cost.script_misses > 0;
-                    if self.trace.is_some() && batch.iter().any(|p| self.trace_sampled(p.id)) {
-                        self.trace_event(TraceEvent::Executed {
-                            batch: batch_id,
-                            device: idx as u32,
-                            started_ns: started_at.as_ns(),
-                            completed_ns: completed_at.as_ns(),
-                            cold,
-                            host_prep_ns: cost.phases.host_total().as_ns(),
-                            copy_ns: cost.phases.script_copy.as_ns(),
-                            kernel_ns: cost.phases.kernel_exec.as_ns(),
-                            fallback_ns: cost.phases.fallback_exec.as_ns(),
-                            recovery_ns: cost.phases.recovery.as_ns(),
-                            barrier_stall_ns: cost.barrier_stall.as_ns(),
-                        });
-                    }
-                    let batch_size = batch.len();
-                    for (p, output) in batch.into_iter().zip(outputs) {
-                        let in_deadline = p.deadline.is_none_or(|d| completed_at <= d);
-                        vpps_obs::histogram("serve.queue_wait_ns")
-                            .record((dispatched_at - p.arrival).as_ns() as u64);
-                        vpps_obs::histogram("serve.e2e_ns")
-                            .record((completed_at - p.arrival).as_ns() as u64);
-                        vpps_obs::histogram("serve.phase.linger_ns")
-                            .record((dispatched_at - p.arrival).as_ns() as u64);
-                        vpps_obs::histogram("serve.phase.queue_ns")
-                            .record((started_at - dispatched_at).as_ns() as u64);
-                        vpps_obs::histogram("serve.phase.execute_ns")
-                            .record((completed_at - started_at).as_ns() as u64);
-                        if self.trace_sampled(p.id) {
-                            self.trace_event(TraceEvent::Resolved {
-                                req: p.id.0,
-                                outcome: Resolution::Completed,
-                                reason: "completed",
-                                at_ns: completed_at.as_ns(),
-                            });
-                        }
-                        self.outcomes.push(Outcome::Completed(Completion {
-                            id: p.id,
-                            tenant: p.tenant,
-                            model: key.model,
-                            kind: key.kind,
-                            arrival: p.arrival,
-                            dispatched_at,
-                            started_at,
-                            completed_at,
-                            device: idx,
-                            batch_size,
-                            output,
-                            in_deadline,
-                        }));
-                    }
-                }
-                DeviceEvent::Started {
-                    members,
-                    completed_at,
-                } => {
-                    // Dispatch accounting happens here, when the device
-                    // accepts the batch — not when it finishes.
-                    self.batches += 1;
-                    vpps_obs::counter("serve.batches").incr();
-                    // The batch occupies the device from this moment; book
-                    // its members against the admission bound until the
-                    // promised completion (or a fail-over unbooks them).
-                    for _ in 0..members {
-                        self.inflight.push(Reverse(completed_at.as_ns().to_bits()));
-                    }
-                }
+        while let Some(event) = self.devices[idx].pump(now, &mut self.next_batch) {
+            match event {
+                DeviceEvent::Finished(Running::Executed(done)) => self.complete(idx, done),
+                DeviceEvent::Finished(Running::Failed(failed)) => self.fold_failed(idx, failed),
                 DeviceEvent::BreakerShed { batch, at } => {
                     for p in batch {
-                        if self.trace_sampled(p.id) {
-                            self.trace_event(TraceEvent::Resolved {
-                                req: p.id.0,
-                                outcome: Resolution::Shed,
-                                reason: ShedReason::BreakerOpen.name(),
-                                at_ns: at.as_ns(),
-                            });
-                        }
-                        self.record_shed(Shed {
-                            id: p.id,
-                            tenant: p.tenant,
-                            at,
-                            reason: ShedReason::BreakerOpen,
-                        });
+                        self.resolve(shed(&p, at, ShedReason::BreakerOpen), at);
                     }
-                }
-                DeviceEvent::Failed {
-                    batch_id,
-                    started_at,
-                    completed_at,
-                    dropped,
-                    retried,
-                    at,
-                } => {
-                    self.fold_failed(
-                        idx,
-                        batch_id,
-                        started_at,
-                        completed_at,
-                        dropped,
-                        retried,
-                        at,
-                    );
                 }
             }
         }
     }
 
-    /// Folds one failed batch attempt into outcomes and accounting. Also
-    /// called from [`Server::fail_device`] when the failing attempt was
-    /// still held on a dying device — there `completed_at` is the failure
-    /// time, since the device never reached the attempt's own end.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_failed(
-        &mut self,
-        idx: usize,
-        batch_id: u64,
-        started_at: SimTime,
-        completed_at: SimTime,
-        dropped: Vec<Pending>,
-        retried: Vec<(RequestId, u64)>,
-        at: SimTime,
-    ) {
-        self.batch_failures += 1;
-        vpps_obs::counter("serve.batch_failures").incr();
-        let any_traced = self.trace.is_some()
-            && dropped
-                .iter()
-                .map(|p| p.id)
-                .chain(retried.iter().map(|&(id, _)| id))
-                .any(|id| self.trace_sampled(id));
-        if any_traced {
+    /// Folds one successfully executed batch into outcomes and accounting.
+    fn complete(&mut self, idx: usize, done: Executed) {
+        let Executed {
+            batch_id,
+            key,
+            batch,
+            outputs,
+            dispatched_at,
+            started_at,
+            completed_at,
+            service,
+            cost,
+        } = done;
+        let batch_size = batch.len();
+        vpps_obs::counter("serve.completed").add(batch_size as u64);
+        vpps_obs::histogram("serve.batch_size").record(batch_size as u64);
+        vpps_obs::histogram("serve.service_ns").record(service.as_ns() as u64);
+        if batch.iter().any(|p| self.trace_sampled(p.id)) {
+            self.trace_event(TraceEvent::Executed {
+                batch: batch_id,
+                device: idx as u32,
+                started_ns: started_at.as_ns(),
+                completed_ns: completed_at.as_ns(),
+                // A batch is "cold" when executing it lowered at least one
+                // fresh script (structural script-cache miss).
+                cold: cost.script_misses > 0,
+                host_prep_ns: cost.phases.host_total().as_ns(),
+                copy_ns: cost.phases.script_copy.as_ns(),
+                kernel_ns: cost.phases.kernel_exec.as_ns(),
+                fallback_ns: cost.phases.fallback_exec.as_ns(),
+                recovery_ns: cost.phases.recovery.as_ns(),
+                barrier_stall_ns: cost.barrier_stall.as_ns(),
+            });
+        }
+        for (p, output) in batch.into_iter().zip(outputs) {
+            let linger_ns = (dispatched_at - p.arrival).as_ns() as u64;
+            vpps_obs::histogram("serve.queue_wait_ns").record(linger_ns);
+            vpps_obs::histogram("serve.e2e_ns").record((completed_at - p.arrival).as_ns() as u64);
+            vpps_obs::histogram("serve.phase.linger_ns").record(linger_ns);
+            vpps_obs::histogram("serve.phase.queue_ns")
+                .record((started_at - dispatched_at).as_ns() as u64);
+            vpps_obs::histogram("serve.phase.execute_ns")
+                .record((completed_at - started_at).as_ns() as u64);
+            let completion = Completion {
+                id: p.id,
+                tenant: p.tenant,
+                model: key.model,
+                kind: key.kind,
+                arrival: p.arrival,
+                dispatched_at,
+                started_at,
+                completed_at,
+                device: idx,
+                batch_size,
+                output,
+                in_deadline: p.deadline.is_none_or(|d| completed_at <= d),
+            };
+            self.resolve(Outcome::Completed(completion), completed_at);
+        }
+    }
+
+    /// Folds one failed batch attempt into outcomes and accounting.
+    fn fold_failed(&mut self, idx: usize, failed: FailedAttempt) {
+        let FailedAttempt {
+            batch_id,
+            started_at,
+            completed_at,
+            dropped,
+            retried,
+            at,
+        } = failed;
+        let mut members = dropped
+            .iter()
+            .map(|p| p.id)
+            .chain(retried.iter().map(|&(id, _)| id));
+        if members.any(|id| self.trace_sampled(id)) {
             self.trace_event(TraceEvent::FailedAttempt {
                 batch: batch_id,
                 device: idx as u32,
@@ -1079,7 +895,7 @@ impl Server {
                 completed_ns: completed_at.as_ns(),
             });
         }
-        for &(rid, retry_batch) in &retried {
+        for (rid, retry_batch) in retried {
             vpps_obs::counter("serve.retried").incr();
             if self.trace_sampled(rid) {
                 self.trace_event(TraceEvent::Retried {
@@ -1090,48 +906,59 @@ impl Server {
                 });
             }
         }
+        // The trace resolves retry-budget drops at the failed attempt's
+        // completion so phase spans tile the timeline exactly; the outcome
+        // keeps the historical `at` (the pump time) to preserve outcome
+        // fingerprints.
         for p in dropped {
-            // The trace resolves retry-budget drops at the failed attempt's
-            // completion so phase spans tile the timeline exactly; the
-            // Outcome keeps the historical `at` (the pump time) to preserve
-            // outcome fingerprints.
-            if self.trace_sampled(p.id) {
-                self.trace_event(TraceEvent::Resolved {
-                    req: p.id.0,
-                    outcome: Resolution::Failed,
-                    reason: ShedReason::RetryBudget.name(),
-                    at_ns: completed_at.as_ns(),
-                });
-            }
-            self.record_shed(Shed {
-                id: p.id,
-                tenant: p.tenant,
-                at,
-                reason: ShedReason::RetryBudget,
-            });
+            self.resolve(shed(&p, at, ShedReason::RetryBudget), completed_at);
         }
     }
 
-    /// Batches whose dispatch came back with a typed error.
-    pub fn batch_failures(&self) -> u64 {
-        self.batch_failures
+    /// Records a request's one outcome: the only writer of the outcome
+    /// stream and of the trace's `Resolved` events. `at` is the instant the
+    /// trace resolves the request.
+    fn resolve(&mut self, outcome: Outcome, at: SimTime) {
+        let (resolution, reason) = match &outcome {
+            Outcome::Completed(_) => (Resolution::Completed, "completed"),
+            Outcome::Shed(s) => {
+                vpps_obs::counter("serve.shed").incr();
+                vpps_obs::counter(&format!("serve.shed.{}", s.reason.name())).incr();
+                // Out of retry budget means tried and failed; every other
+                // shed never ran.
+                let resolution = match s.reason {
+                    ShedReason::RetryBudget => Resolution::Failed,
+                    _ => Resolution::Shed,
+                };
+                (resolution, s.reason.name())
+            }
+        };
+        let id = outcome.id();
+        if self.trace_sampled(id) {
+            self.trace_event(TraceEvent::Resolved {
+                req: id.0,
+                outcome: resolution,
+                reason,
+                at_ns: at.as_ns(),
+            });
+        }
+        self.outcomes.push(outcome);
     }
 
-    /// Current breaker state of a registered model on device 0 (the only
-    /// device in unsharded configurations).
-    pub fn breaker_state(&self, id: ModelId) -> BreakerState {
-        self.devices[0].breaker_state(id.0)
+    /// Every breaker transition of a registered model on one device, in
+    /// order.
+    pub fn breaker_transitions_on(&self, id: ModelId, device: usize) -> &[BreakerTransition] {
+        self.devices[device].breaker_transitions(id.0)
     }
 
-    /// Every breaker transition of a registered model on device 0, in order.
-    pub fn breaker_transitions(&self, id: ModelId) -> &[BreakerTransition] {
-        self.devices[0].breaker_transitions(id.0)
-    }
-
-    /// Cumulative handle-level recovery activity of a registered model on
-    /// device 0.
+    /// Cumulative handle-level recovery activity of a registered model,
+    /// summed over every device's handle.
     pub fn recovery_stats(&self, id: ModelId) -> RecoveryStats {
-        self.devices[0].handle(id.0).recovery_stats()
+        let mut total = RecoveryStats::default();
+        for d in &self.devices {
+            total += d.handle(id.0).recovery_stats();
+        }
+        total
     }
 
     /// Total faults injected across every device's handle for a registered
@@ -1145,13 +972,6 @@ impl Server {
                     .map_or(0, |p| p.total_injected())
             })
             .sum()
-    }
-
-    /// The fault injector of a registered model's handle on device 0, when
-    /// armed (journal, per-kind counts — for chaos benches and
-    /// reproducibility checks).
-    pub fn fault_profile(&self, id: ModelId) -> Option<&vpps::FaultProfile> {
-        self.devices[0].handle(id.0).fault_profile()
     }
 
     /// The fault injector of a registered model's handle on one device, when
@@ -1605,7 +1425,7 @@ mod tests {
         assert_eq!(completed, 8, "the recovery ladder absorbs every fault");
         assert_eq!(srv.batch_failures(), 0);
         assert!(srv.faults_injected(mid) > 0, "faults were actually drawn");
-        assert_eq!(srv.breaker_state(mid), BreakerState::Closed);
+        assert_eq!(srv.breaker_state_on(mid, 0), BreakerState::Closed);
     }
 
     #[test]
@@ -1627,7 +1447,7 @@ mod tests {
         }
         srv.drain();
         assert!(srv.batch_failures() > 0);
-        assert_eq!(srv.breaker_state(mid), BreakerState::Open);
+        assert_eq!(srv.breaker_state_on(mid, 0), BreakerState::Open);
         // Exactly one outcome per request, all shed with recovery reasons.
         assert_eq!(srv.outcomes().len(), 8);
         for o in srv.outcomes() {
@@ -1640,7 +1460,7 @@ mod tests {
         }
         // Breaker transitions are legal: Closed→Open first, then only
         // Open→HalfOpen→{Open,Closed} moves.
-        let trs = srv.breaker_transitions(mid);
+        let trs = srv.breaker_transitions_on(mid, 0);
         assert!(!trs.is_empty());
         assert_eq!(
             (trs[0].from, trs[0].to),

@@ -295,18 +295,21 @@ fn per_device_fault_journals_are_disjoint_and_seed_stable() {
 /// The sharded serving path preserves the attribution: with one profile
 /// armed per device, every journal the server exposes is tagged with its
 /// own device, and a same-seed rerun reproduces all of them byte-for-byte.
+/// The fleet tallies add up over the same devices: faults drawn anywhere in
+/// the fleet show up as recovery activity in `recovery_stats`, also when
+/// device 0 drew none.
 #[test]
 fn sharded_fault_journals_stay_attributed_and_reproducible() {
     use vpps_serve::{ModelId, Request, RequestKind, ServeConfig, Server, TenantId};
 
-    let run = || -> (Server, ModelId) {
+    let run = |faults: FaultConfig| -> (Server, ModelId) {
         let model = tiny_model();
         let mut cfg = ServeConfig {
             device: small_device(),
             ..ServeConfig::default()
         };
         cfg.opts.pool_capacity = 1 << 18;
-        cfg.opts.faults = FaultConfig::uniform(29, 0.05);
+        cfg.opts.faults = faults;
         cfg.shard.devices = 3;
         let mut server = Server::new(cfg);
         let mid = server.register_model("tiny", model.clone()).expect("fits");
@@ -328,8 +331,9 @@ fn sharded_fault_journals_stay_attributed_and_reproducible() {
         (server, mid)
     };
 
-    let (server, mid) = run();
-    let (server2, mid2) = run();
+    let uniform = FaultConfig::uniform(29, 0.05);
+    let (server, mid) = run(uniform);
+    let (server2, mid2) = run(uniform);
     let mut fired_any = false;
     for d in 0..3 {
         let journal = server
@@ -350,6 +354,30 @@ fn sharded_fault_journals_stay_attributed_and_reproducible() {
         assert_eq!(journal, journal2, "device {d} journal is not seed-stable");
     }
     assert!(fired_any, "rate 0.05 over 24 batches should fire somewhere");
+
+    // A transfer-only profile whose seed leaves device 0's stream silent
+    // while devices 1 and 2 draw faults: every one of them costs its handle
+    // a retry or a fallback, and the fleet-wide tallies must say so.
+    let (server, mid) = run(FaultConfig {
+        transfer_corruption: 0.02,
+        ..FaultConfig::uniform(12, 0.0)
+    });
+    let journal_len = |d| {
+        server
+            .fault_profile_on(mid, d)
+            .map_or(0, |p| p.journal().len())
+    };
+    assert_eq!(journal_len(0), 0, "seed 12 keeps device 0 fault-free");
+    assert!(
+        journal_len(1) + journal_len(2) > 0,
+        "seed 12 faults elsewhere"
+    );
+    assert!(server.faults_injected(mid) > 0);
+    let recovery = server.recovery_stats(mid);
+    assert!(
+        recovery.retries + recovery.backend_fallbacks + recovery.baseline_fallbacks > 0,
+        "faults were injected but the fleet reports no recovery: {recovery:?}"
+    );
 }
 
 proptest! {

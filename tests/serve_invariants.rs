@@ -433,6 +433,18 @@ fn run_outage_trace(
     devices: usize,
     window: OutageWindow,
 ) -> Server {
+    run_outage_trace_armed(spec, workload, devices, window, |_| {})
+}
+
+/// [`run_outage_trace`] with `arm` applied to the server before the first
+/// submission (used to switch tracing on).
+fn run_outage_trace_armed(
+    spec: &RunSpec,
+    workload: &TwoModelWorkload,
+    devices: usize,
+    window: OutageWindow,
+    arm: impl FnOnce(&mut Server),
+) -> Server {
     let (mut server, mids) = server_with(
         spec,
         workload,
@@ -445,6 +457,7 @@ fn run_outage_trace(
                 .expect("one window fits");
         },
     );
+    arm(&mut server);
     submit_trace(&mut server, mids, spec, workload, SimTime::ZERO);
     server.drain();
     server
@@ -633,4 +646,331 @@ fn completed_outputs(srv: &Server) -> BTreeMap<vpps_serve::RequestId, Vec<u32>> 
             Outcome::Shed(_) => None,
         })
         .collect()
+}
+
+/// The hand-timed trace of [`virtual_timeline_is_pinned_across_commits`]:
+/// `(arrival µs, tenant, parse-tree seed, second model, train)`. Every
+/// fourth request trains.
+const PINNED_TRACE: [(u32, u32, u32, bool, bool); 48] = [
+    (80, 0, 1, false, false),
+    (96, 1, 1, false, false),
+    (112, 2, 2, true, false),
+    (128, 0, 2, true, true),
+    (960, 1, 3, false, false),
+    (1000, 2, 3, false, false),
+    (1040, 0, 1, false, false),
+    (1080, 1, 4, true, true),
+    (2240, 0, 3, false, false),
+    (2242, 1, 3, false, false),
+    (2244, 2, 3, false, false),
+    (2246, 0, 5, false, true),
+    (2248, 1, 3, false, false),
+    (2250, 2, 3, false, false),
+    (2252, 0, 3, false, false),
+    (2254, 1, 6, true, true),
+    (5600, 1, 1, false, false),
+    (5640, 2, 1, false, false),
+    (5680, 0, 2, true, false),
+    (5720, 1, 7, false, true),
+    (12800, 2, 3, false, false),
+    (12840, 0, 3, false, false),
+    (12880, 1, 2, true, false),
+    (12920, 2, 4, true, true),
+    (15920, 0, 1, false, false),
+    (15936, 1, 1, false, false),
+    (15952, 2, 2, true, false),
+    (15968, 0, 8, true, true),
+    (16400, 1, 3, false, false),
+    (16480, 2, 3, false, false),
+    (16560, 0, 1, false, false),
+    (16640, 1, 5, false, true),
+    (24000, 2, 2, true, false),
+    (24080, 0, 2, true, false),
+    (24160, 1, 1, false, false),
+    (24240, 2, 9, true, true),
+    (35920, 0, 1, false, false),
+    (35936, 1, 3, false, false),
+    (35952, 2, 2, true, false),
+    (35968, 0, 4, true, true),
+    (36160, 1, 1, false, false),
+    (36320, 2, 3, false, false),
+    (36480, 0, 2, true, false),
+    (36640, 1, 6, true, true),
+    (40080, 2, 1, false, false),
+    (40160, 0, 3, false, false),
+    (40240, 1, 2, true, false),
+    (40320, 2, 7, false, true),
+];
+
+/// Renders the *discrete* timeline of a drained server: outcomes in recorded
+/// order, every device's health walk, and the routing/dispatch tallies. No
+/// float goes in — output values pass through `tanh`/`exp` and every
+/// timestamp through a `log2` in the host cost model, so their bits depend
+/// on the host's libm; orders and counts do not.
+fn discrete_timeline(srv: &Server, devices: usize) -> String {
+    let mut lines: Vec<String> = srv
+        .outcomes()
+        .iter()
+        .map(|o| match o {
+            Outcome::Completed(c) => {
+                format!("{} completed d{} b{}", c.id.0, c.device, c.batch_size)
+            }
+            Outcome::Shed(s) => format!("{} shed {}", s.id.0, s.reason.name()),
+        })
+        .collect();
+    lines.extend((0..devices).map(|d| {
+        let walk: Vec<String> = srv
+            .device_health_log(d)
+            .iter()
+            .map(|t| format!("{}>{}", t.from, t.to))
+            .collect();
+        format!("d{d} health {}", walk.join(" "))
+    }));
+    let r = srv.router_stats();
+    lines.push(format!(
+        "routed {} placements {} affinity {} steals {} rehomes {} cold {}",
+        r.routed, r.placements, r.affinity_hits, r.steals, r.rehomes, r.cold_rebuilds
+    ));
+    lines.push(format!(
+        "redispatched {} batches {} failures {}",
+        srv.redispatched_batches(),
+        srv.batches_dispatched(),
+        srv.batch_failures()
+    ));
+    lines.join("\n") + "\n"
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of [`discrete_timeline`] over [`PINNED_TRACE`], computed at commit
+/// `a55bec9` (the last one before the server became a single state machine).
+const PINNED_TIMELINE_HASH: u64 = 17_034_076_343_720_286_194;
+
+/// Cross-commit pin of the serving layer's virtual timeline: a fixed trace
+/// on three devices through a crash, a watchdog-declared hang, a sub-grace
+/// hang that thaws in place, a brownout, a fault profile with the handle's
+/// degradation ladder off (so batches really fail, split and trip breakers)
+/// and a 25 % train mix must resolve every request in the same order, on
+/// the same device, in the same batch, with the same health walks and
+/// routing tallies as it did when the constant was recorded. Same-commit
+/// rerun checks cannot see a change that moves both runs alike; this can.
+#[test]
+fn virtual_timeline_is_pinned_across_commits() {
+    let mut at_us = 0;
+    let reqs = PINNED_TRACE
+        .iter()
+        .map(|&(arrival_us, tenant, sample_seed, second_model, train)| {
+            let gap_ns = (arrival_us - at_us) * 1_000;
+            at_us = arrival_us;
+            ReqSpec {
+                tenant,
+                gap_ns,
+                sample_seed,
+                second_model,
+                train,
+            }
+        })
+        .collect();
+    let spec = RunSpec {
+        reqs,
+        max_batch: 3,
+        linger_us: 60,
+        queue_capacity: 9,
+        tenant_quota: 1,
+        deadline_us: 900,
+    };
+    let window = |device, kind, start_us: f64, end_us: f64| OutageWindow {
+        device,
+        kind,
+        start: SimTime::from_us(start_us),
+        end: SimTime::from_us(end_us),
+    };
+    let workload = TwoModelWorkload::new();
+    let (mut server, mids) = server_with(
+        &spec,
+        &workload,
+        3,
+        BackendKind::default(),
+        |cfg: &mut ServeConfig| {
+            let mut faults = vpps::FaultConfig::uniform(5, 0.3);
+            faults.jit_failure = 0.0;
+            cfg.opts.faults = faults;
+            cfg.opts.recovery.fallback = false;
+            for w in [
+                window(0, OutageKind::Crash, 2500.0, 12000.0),
+                window(2, OutageKind::Hang, 16000.0, 32000.0),
+                window(1, OutageKind::Hang, 36000.0, 36150.0),
+                window(0, OutageKind::Brownout, 40000.0, 44800.0),
+            ] {
+                cfg.opts.faults.push_outage(w).expect("four windows fit");
+            }
+        },
+    );
+    submit_trace(&mut server, mids, &spec, &workload, SimTime::ZERO);
+    server.drain();
+
+    let timeline = discrete_timeline(&server, 3);
+    assert_eq!(server.outcomes().len(), PINNED_TRACE.len());
+    assert_eq!(
+        fnv1a(timeline.as_bytes()),
+        PINNED_TIMELINE_HASH,
+        "the virtual timeline moved; it now reads:\n{timeline}"
+    );
+}
+
+/// The hand-timed trace of [`exact_tie_outage_placements_are_enumerated`]:
+/// `(arrival µs, second model)`, every request an inference over one fixed
+/// parse tree per model — so two buckets. Pairs arrive in the same instant,
+/// the third and fourth fill both buckets (size flushes), and the last pair
+/// lingers out together (two linger flushes tied at 70 µs).
+const TIE_TRACE: [(u32, bool); 6] = [
+    (10, false),
+    (10, true),
+    (20, false),
+    (25, true),
+    (40, false),
+    (40, true),
+];
+
+/// Deterministic-simulation coverage of the event order: sampling proptests
+/// place an outage edge on the exact instant of another event with
+/// probability ~0, so this enumerates those placements instead. Every
+/// window whose start *and* end are instants of the fault-free run (plus,
+/// per start, one end inside and one beyond the watchdog grace) is tried on
+/// every device as a crash, a hang and a brownout; each run must resolve
+/// every request exactly once with the fault-free output bits, start nothing
+/// on a device between its `Draining` and `Reviving` transitions, and leave
+/// a complete trace. The one order-sensitive rule is checked by name: an
+/// outage edge sorts before a device completion in the same instant, so a
+/// crash starting exactly when the victim's running batch would complete
+/// aborts it — no completion on the victim carries that instant, and the
+/// members complete elsewhere.
+#[test]
+fn exact_tie_outage_placements_are_enumerated() {
+    const DEVICES: usize = 3;
+    let mut at_us = 0;
+    let reqs = TIE_TRACE
+        .iter()
+        .map(|&(arrival_us, second_model)| {
+            let gap_ns = (arrival_us - at_us) * 1_000;
+            at_us = arrival_us;
+            ReqSpec {
+                tenant: 0,
+                gap_ns,
+                sample_seed: 1 + u32::from(second_model),
+                second_model,
+                train: false,
+            }
+        })
+        .collect();
+    let spec = RunSpec {
+        reqs,
+        max_batch: 2,
+        linger_us: 30,
+        queue_capacity: 64,
+        tenant_quota: 64,
+        deadline_us: 0,
+    };
+    let workload = TwoModelWorkload::new();
+    let (clean, _, _) = run_trace(&spec, &workload, DEVICES, BackendKind::default());
+    let clean_outputs = completed_outputs(&clean);
+    assert_eq!(clean_outputs.len(), TIE_TRACE.len());
+    let clean_completions: Vec<_> = clean
+        .outcomes()
+        .iter()
+        .filter_map(Outcome::completion)
+        .collect();
+
+    let mut instants: Vec<SimTime> = clean_completions
+        .iter()
+        .flat_map(|c| [c.arrival, c.dispatched_at, c.started_at, c.completed_at])
+        .collect();
+    instants.sort_by(|a, b| a.as_ns().total_cmp(&b.as_ns()));
+    instants.dedup();
+    let grace = vpps_serve::HealthPolicy::default().watchdog_grace;
+    let mut spans: Vec<(SimTime, SimTime)> = Vec::new();
+    for (i, &start) in instants.iter().enumerate() {
+        spans.extend(instants[i + 1..].iter().map(|&end| (start, end)));
+        spans.push((start, start + SimTime::from_ns(grace.as_ns() / 2.0)));
+        spans.push((start, start + grace + grace));
+    }
+
+    let mut aborts_checked = 0;
+    for device in 0..DEVICES {
+        for kind in OutageKind::ALL {
+            for &(start, end) in &spans {
+                let window = OutageWindow {
+                    device: device as u32,
+                    kind,
+                    start,
+                    end,
+                };
+                let at = format!(
+                    "{kind:?} on device {device}, {} us .. {} us",
+                    start.as_us(),
+                    end.as_us()
+                );
+                let mut srv = run_outage_trace_armed(&spec, &workload, DEVICES, window, |s| {
+                    s.enable_tracing(1 << 12, 1)
+                });
+
+                assert_eq!(
+                    srv.outcomes().len(),
+                    TIE_TRACE.len(),
+                    "{at}: one outcome each"
+                );
+                assert_eq!(
+                    completed_outputs(&srv),
+                    clean_outputs,
+                    "{at}: outputs differ from the fault-free run"
+                );
+                let sink = srv.take_trace().expect("tracing was armed");
+                let analysis = vpps_obs::TraceAnalysis::analyze(&sink);
+                assert!(
+                    analysis.complete(),
+                    "{at}: trace errors {:?}",
+                    analysis.errors
+                );
+
+                let log = srv.device_health_log(device);
+                let down = log.iter().find(|t| t.to == DeviceHealth::Draining);
+                let back = log.iter().find(|t| t.to == DeviceHealth::Reviving);
+                for c in srv.outcomes().iter().filter_map(Outcome::completion) {
+                    let out_of_service = down.is_some_and(|d| c.started_at >= d.at)
+                        && back.is_none_or(|b| c.started_at < b.at);
+                    assert!(
+                        c.device != device || !out_of_service,
+                        "{at}: request {:?} started at {} us on the out-of-service device",
+                        c.id,
+                        c.started_at.as_us()
+                    );
+                }
+
+                if kind != OutageKind::Crash {
+                    continue;
+                }
+                // The batch (if any) that the fault-free run completes on
+                // the victim in the very instant the crash begins.
+                let tied: Vec<_> = clean_completions
+                    .iter()
+                    .filter(|c| c.device == device && c.completed_at == start)
+                    .collect();
+                for c in srv.outcomes().iter().filter_map(Outcome::completion) {
+                    assert!(
+                        !(c.device == device && c.completed_at == start),
+                        "{at}: a completion raced the crash in its own instant"
+                    );
+                    if tied.iter().any(|t| t.id == c.id) {
+                        assert_ne!(c.device, device, "{at}: aborted member ran on the victim");
+                        aborts_checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(aborts_checked > 0, "no crash start tied with a completion");
 }
