@@ -44,7 +44,7 @@
 //! metric registry after the experiment: a versioned JSON snapshot, or
 //! Prometheus text exposition when FILE ends in `.prom`. `--emit-trace=FILE`
 //! writes the recorded host spans as Chrome `trace_event` JSON (load in
-//! chrome://tracing or https://ui.perfetto.dev). Both outputs are validated
+//! `chrome://tracing` or <https://ui.perfetto.dev>). Both outputs are validated
 //! against their own schemas before the process exits.
 
 use std::path::Path;

@@ -69,6 +69,12 @@ pub struct Chunk {
     /// `true` if this chunk caches the parameter's *gradient* rather than
     /// its value.
     pub is_grad: bool,
+    /// First element of this chunk in the plan's register arena: chunks sit
+    /// back to back in [`ChunkId`] order. The host analogue of the literal
+    /// register index the specialized kernel bakes in — lowering folds it
+    /// into its micro-ops and [`crate::exec::regcache::RegCache`] lays its
+    /// storage out by it.
+    pub offset: u32,
 }
 
 impl Chunk {
@@ -230,6 +236,12 @@ impl Distribution {
     ///
     /// * [`VppsError::NoParameters`] if `shapes` is empty.
     /// * [`VppsError::ModelTooLarge`] if the chunks exceed available slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if chunks that fit the slots do not fit a register arena of
+    /// `u32` offsets (a chunk is no larger than its partition, so that takes
+    /// a device of tens of thousands of SMs).
     pub fn build(
         shapes: &[ParamShape],
         geometry: DistGeometry,
@@ -269,6 +281,7 @@ impl Distribution {
                         vpp,
                         partition,
                         is_grad,
+                        offset: 0, // assigned below, once the chunks are known to fit
                     });
                     if is_grad {
                         grad_chunks[shape.id.index()].push(id);
@@ -287,6 +300,11 @@ impl Distribution {
                 required_chunks: slot,
                 available_chunks: geometry.total_slots(),
             });
+        }
+        let mut arena_len = 0usize;
+        for c in &mut chunks {
+            c.offset = u32::try_from(arena_len).expect("register arena exceeds u32 offsets");
+            arena_len += c.len();
         }
 
         Ok(Self {

@@ -182,6 +182,7 @@ impl ExecutionBackend for EventInterp {
 
     fn run(&self, session: &Session<'_>, pool: &mut Pool, cache: &mut RegCache) -> RunOutcome {
         let dist = session.plan.distribution();
+        // A script-less session never reaches an interpreter: see `Session::gs`.
         let gs = session
             .gs
             .expect("interpreting a session needs its scripts");
@@ -241,6 +242,7 @@ impl ExecutionBackend for Threaded {
 
     fn run(&self, session: &Session<'_>, pool: &mut Pool, cache: &mut RegCache) -> RunOutcome {
         let dist = session.plan.distribution();
+        // A script-less session never reaches an interpreter: see `Session::gs`.
         let gs = session
             .gs
             .expect("interpreting a session needs its scripts");

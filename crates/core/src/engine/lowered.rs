@@ -21,10 +21,9 @@
 //!
 //! * **Literal resolution** — every pool offset (including the chunk's
 //!   `row_start` bias), operand length and chunk *register-arena offset*
-//!   ([`chunk_offsets`] — the host analogue of the literal register index)
+//!   ([`Chunk::offset`] — the host analogue of the literal register index)
 //!   is folded into the [`MicroOp`] as a plain integer at lower time; the hot
-//!   loop does no `Distribution` or chunk-table lookups and allocates
-//!   nothing.
+//!   loop does no [`Distribution`] lookups and allocates nothing.
 //! * **Sync compiled away** — the event-driven schedule (which *is* the
 //!   barrier/wave structure) is resolved at lower time into the serial op
 //!   order of [`TimelineReport::order`]; the executor is a branch-light
@@ -46,24 +45,23 @@
 //!   same order, so the result is the same to the bit, while the sweep walks
 //!   each chunk once per segment and hands adjacent same-chunk ops to the
 //!   register-blocked kernels.
-//! * **Costs resolved once** — the [`ScriptCosts`] table the timeline sweep
-//!   consumes is derived from the per-plan [`LoweredPlan`] chunk table at
-//!   lower time and dropped with it; the artifact caches the resulting
-//!   [`TimelineReport`], so re-running an identical script never recomputes
-//!   `instr_cost` or the schedule. The timeline and the cost model see the
-//!   original scripts — regrouping changes no simulated number.
+//! * **Schedule resolved once** — lowering runs the one timeline sweep
+//!   ([`timeline::analyze`], which prices each instruction as it walks) and
+//!   the artifact caches the resulting [`TimelineReport`], so re-running an
+//!   identical script never recomputes a cost or the schedule. The timeline
+//!   and the cost model see the original scripts — regrouping changes no
+//!   simulated number.
 //! * **Shared inner kernels** — the arithmetic routes through
 //!   [`crate::exec::kernels`]: the chunked dot/axpy loops the interpreted
 //!   semantics use, in register-blocked forms that give every output element
 //!   the same operations in the same order, so results match bit for bit.
 //!
-//! Artifacts are cached at two levels by [`LoweredCache`]: a
-//! [`PlanSignature`]-keyed [`PlanMemo`] of [`LoweredPlan`]s (chunk geometry
-//! and static costs — shared by every script of a plan, so serving corpora
-//! whose requests all have distinct graphs still hit after the first batch)
-//! and a bounded `(plan id, structural script fingerprint)`-keyed map of
-//! full [`LoweredScript`]s (micro-ops + timeline — the full skip-analysis
-//! win for re-run scripts). The structural fingerprint
+//! Everything lowering needs to know about the *plan* — chunk geometry and
+//! arena offsets — it reads from [`KernelPlan::distribution`], built once per
+//! plan. What [`LoweredCache`] caches is per *script*: a bounded `(plan id,
+//! structural script fingerprint)`-keyed FIFO of full [`LoweredScript`]s
+//! (micro-ops + timeline — the full skip-analysis win for re-run scripts).
+//! The structural fingerprint
 //! ([`ScriptSet::structural_fingerprint`]) masks per-request literals
 //! (embedding-row copy sources, gold labels), which the executor patches
 //! back in per run, so scripts that differ *only* in which rows they look
@@ -86,92 +84,22 @@ use dyn_graph::{Graph, NodeId, Op};
 use gpu_sim::CostModel;
 use vpps_tensor::Pool;
 
-use crate::distribute::Distribution;
+use crate::distribute::{Chunk, Distribution};
 use crate::exec::kernels::{self, MAX_BLOCK};
-use crate::exec::regcache::{chunk_offsets, RegCache};
-use crate::exec::semantics::{instr_cost, InstrCost};
-use crate::script::{BatchLayout, GeneratedScript, Instr, ScriptSet, TableLayout};
+use crate::exec::regcache::RegCache;
+use crate::script::{BatchLayout, GeneratedScript, Instr, TableLayout};
+use crate::specialize::KernelPlan;
 #[allow(unused_imports)] // doc links
-use crate::specialize::PlanSignature;
-use crate::specialize::{KernelPlan, PlanMemo};
+use crate::{script::ScriptSet, specialize::PlanSignature};
 
-use super::timeline::{self, ScriptCosts, TimelineReport};
-
-/// One chunk's geometry and static per-kind costs, resolved once per plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoweredChunk {
-    /// Offset of the chunk's first element in the plan's register arena
-    /// ([`chunk_offsets`]).
-    pub offset: u32,
-    /// First row of the parameter matrix this chunk covers.
-    pub row_start: u32,
-    /// Rows in this chunk.
-    pub rows: u32,
-    /// Columns (the full matrix width).
-    pub cols: u32,
-    /// `true` for gradient-accumulator chunks.
-    pub is_grad: bool,
-    /// Static cost of a `MatVecChunk` on this chunk (for `len == cols`).
-    pub matvec_cost: InstrCost,
-    /// Static cost of a `TMatVecChunk` on this chunk (for `len == cols`).
-    pub tmatvec_cost: InstrCost,
-    /// Static cost of an `OuterChunk` on this chunk (for `len == cols`).
-    pub outer_cost: InstrCost,
-}
-
-/// Per-plan lowering artifact: every chunk's geometry and static costs as a
-/// flat, index-addressed table. Built once per [`PlanSignature`] and shared
-/// by every script lowered against that plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoweredPlan {
-    /// `chunks[ChunkId.index()]` — resolved geometry + costs.
-    pub chunks: Vec<LoweredChunk>,
-}
-
-impl LoweredPlan {
-    /// Resolves `plan`'s distribution into the flat chunk table.
-    pub fn build(plan: &KernelPlan) -> Self {
-        let dist = plan.distribution();
-        let chunks = dist
-            .chunks()
-            .iter()
-            .zip(chunk_offsets(dist))
-            .map(|(c, offset)| {
-                let (rows, cols) = (c.rows as u64, c.cols as u64);
-                LoweredChunk {
-                    offset: u32::try_from(offset).expect("register arena exceeds u32 offsets"),
-                    row_start: c.row_start as u32,
-                    rows: c.rows as u32,
-                    cols: c.cols as u32,
-                    is_grad: c.is_grad,
-                    matvec_cost: InstrCost {
-                        read_bytes: 4 * cols,
-                        write_bytes: 4 * rows,
-                        flops: 2 * rows * cols,
-                    },
-                    tmatvec_cost: InstrCost {
-                        read_bytes: 4 * (rows + cols),
-                        write_bytes: 4 * cols,
-                        flops: 2 * rows * cols,
-                    },
-                    outer_cost: InstrCost {
-                        read_bytes: 4 * (cols + rows),
-                        write_bytes: 0,
-                        flops: 2 * rows * cols,
-                    },
-                }
-            })
-            .collect();
-        Self { chunks }
-    }
-}
+use super::timeline::{self, TimelineReport};
 
 /// One fully resolved instruction of the lowered stream.
 ///
 /// All fields are literal `u32`s: raw pool indices (with any chunk
 /// `row_start` bias already folded in), element counts and register-arena
-/// offsets (`reg`, the chunk's [`LoweredChunk::offset`]). Executing one op
-/// touches no plan metadata.
+/// offsets (`reg`, the chunk's [`Chunk::offset`]). Executing one op touches
+/// no plan metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroOp {
     /// `y[r] = dot(chunk_row_r, x[..len])`; `y` is pre-offset by the
@@ -585,7 +513,7 @@ impl LoweredScript {
     }
 
     /// Reads the per-request literal values out of `gs` at this artifact's
-    /// patch points, producing the patch vector [`execute`] applies. For the
+    /// patch points, producing the patch vector the executor applies. For the
     /// script this artifact was lowered from, the patches equal the baked
     /// literals (applying them is a no-op); for any other script with the
     /// same structural fingerprint they re-target the cached ops.
@@ -614,123 +542,65 @@ impl LoweredScript {
     }
 }
 
-fn resolve_cost(instr: &Instr, lplan: &LoweredPlan, dist: &Distribution) -> InstrCost {
-    match *instr {
-        Instr::MatVecChunk { chunk, len, .. } => {
-            let c = &lplan.chunks[chunk.index()];
-            if len == c.cols {
-                c.matvec_cost
-            } else {
-                instr_cost(instr, dist)
-            }
-        }
-        Instr::TMatVecChunk { chunk, len, .. } => {
-            let c = &lplan.chunks[chunk.index()];
-            if len == c.cols {
-                c.tmatvec_cost
-            } else {
-                instr_cost(instr, dist)
-            }
-        }
-        Instr::OuterChunk { chunk, len, .. } => {
-            let c = &lplan.chunks[chunk.index()];
-            if len == c.cols {
-                c.outer_cost
-            } else {
-                instr_cost(instr, dist)
-            }
-        }
-        ref other => instr_cost(other, dist),
-    }
-}
-
-/// Builds the [`ScriptCosts`] table from the per-plan chunk table (identical
-/// values to [`ScriptCosts::compute`], without per-instruction
-/// `Distribution` lookups for the chunk ops).
-fn script_costs(scripts: &ScriptSet, lplan: &LoweredPlan, dist: &Distribution) -> ScriptCosts {
-    let mut costs = Vec::with_capacity(scripts.num_vpps());
-    let mut vpp_script_bytes = Vec::with_capacity(scripts.num_vpps());
-    let mut mix: std::collections::BTreeMap<&'static str, u64> = std::collections::BTreeMap::new();
-    for v in 0..scripts.num_vpps() {
-        let script = scripts.script(v);
-        let mut per_ip = Vec::with_capacity(script.len());
-        let mut bytes = 0u64;
-        for instr in script {
-            per_ip.push(resolve_cost(instr, lplan, dist));
-            bytes += instr.encoded_len() as u64;
-            if !instr.is_sync() {
-                *mix.entry(instr.mnemonic()).or_insert(0) += 1;
-            }
-        }
-        costs.push(per_ip);
-        vpp_script_bytes.push(bytes);
-    }
-    ScriptCosts {
-        costs,
-        vpp_script_bytes,
-        instr_mix: mix.into_iter().collect(),
-    }
-}
-
 /// Arena offset of a bias chunk, for an op that sweeps `len` elements of it.
 /// The executor slices `len` elements from that offset, so an op longer than
 /// its chunk would read the neighbouring chunk: refuse it at lower time.
-fn bias_reg(c: &LoweredChunk, len: u32) -> u32 {
+fn bias_reg(c: &Chunk, len: u32) -> u32 {
     assert!(
-        len <= c.rows * c.cols,
+        len as usize <= c.len(),
         "lowering: bias op of {len} elements exceeds its {}-element chunk",
-        c.rows * c.cols
+        c.len()
     );
     c.offset
 }
 
-fn lower_instr(instr: &Instr, lplan: &LoweredPlan) -> Option<MicroOp> {
+fn lower_instr(instr: &Instr, dist: &Distribution) -> Option<MicroOp> {
     Some(match *instr {
         Instr::Signal { .. } | Instr::Wait { .. } => return None,
         Instr::MatVecChunk { chunk, len, x, y } => {
-            let c = &lplan.chunks[chunk.index()];
+            let c = dist.chunk(chunk);
             debug_assert!(!c.is_grad, "matvec must use a value chunk");
             MicroOp::MatVec {
                 reg: c.offset,
                 x: x.raw(),
-                y: y.raw() + c.row_start,
+                y: y.raw() + c.row_start as u32,
                 len,
-                rows: c.rows,
-                cols: c.cols,
+                rows: c.rows as u32,
+                cols: c.cols as u32,
             }
         }
         Instr::TMatVecChunk { chunk, len, dy, dx } => {
-            let c = &lplan.chunks[chunk.index()];
+            let c = dist.chunk(chunk);
             debug_assert!(!c.is_grad, "t-matvec must use a value chunk");
             MicroOp::TMatVec {
                 reg: c.offset,
-                dy: dy.raw() + c.row_start,
+                dy: dy.raw() + c.row_start as u32,
                 dx: dx.raw(),
                 len,
-                rows: c.rows,
-                cols: c.cols,
+                rows: c.rows as u32,
+                cols: c.cols as u32,
             }
         }
         Instr::OuterChunk { chunk, len, x, dy } => {
-            let c = &lplan.chunks[chunk.index()];
+            let c = dist.chunk(chunk);
             debug_assert!(c.is_grad, "outer product must target a gradient chunk");
             MicroOp::Outer {
                 reg: c.offset,
                 x: x.raw(),
-                dy: dy.raw() + c.row_start,
+                dy: dy.raw() + c.row_start as u32,
                 len,
-                rows: c.rows,
-                cols: c.cols,
+                rows: c.rows as u32,
+                cols: c.cols as u32,
             }
         }
         Instr::AddBiasChunk { chunk, len, x, y } => MicroOp::AddBias {
-            reg: bias_reg(&lplan.chunks[chunk.index()], len),
+            reg: bias_reg(dist.chunk(chunk), len),
             x: x.raw(),
             y: y.raw(),
             len,
         },
         Instr::BiasGradChunk { chunk, len, dy } => MicroOp::BiasGrad {
-            reg: bias_reg(&lplan.chunks[chunk.index()], len),
+            reg: bias_reg(dist.chunk(chunk), len),
             dy: dy.raw(),
             len,
         },
@@ -1005,7 +875,8 @@ fn regroup(ops: &mut [MicroOp], order: &[(u32, u32)], patch_points: &mut [PatchP
     }
 }
 
-/// Lowers `gs` against an already-resolved [`LoweredPlan`].
+/// Lowers `gs` from scratch. Cached callers should go through
+/// [`LoweredCache::get_or_lower`] instead.
 ///
 /// # Panics
 ///
@@ -1014,20 +885,14 @@ fn regroup(ops: &mut [MicroOp], order: &[(u32, u32)], patch_points: &mut [PatchP
 /// ops (each destination is a fresh allocation), and the raw-pointer
 /// executor depends on that disjointness, so lowering checks it once
 /// up front rather than trusting it silently.
-pub fn lower_with(
-    lplan: &LoweredPlan,
-    plan: &KernelPlan,
-    gs: &GeneratedScript,
-    cost: &CostModel,
-) -> LoweredScript {
+pub fn lower(plan: &KernelPlan, gs: &GeneratedScript, cost: &CostModel) -> LoweredScript {
     let fingerprint = gs.scripts.structural_fingerprint(gs.persistent_floor);
-    lower_keyed(lplan, plan, gs, cost, fingerprint)
+    lower_keyed(plan, gs, cost, fingerprint)
 }
 
-/// [`lower_with`] for a caller that already computed `gs`'s structural
-/// fingerprint (the cache, which keys on it).
+/// [`lower`] for a caller that already computed `gs`'s structural fingerprint
+/// (the cache, which keys on it).
 fn lower_keyed(
-    lplan: &LoweredPlan,
     plan: &KernelPlan,
     gs: &GeneratedScript,
     cost: &CostModel,
@@ -1035,34 +900,18 @@ fn lower_keyed(
 ) -> LoweredScript {
     let _span = vpps_obs::span("engine.lower");
     let dist = plan.distribution();
-    // The per-instruction cost table only feeds the sweep; the artifact
-    // keeps the schedule it produces.
-    let tl = {
-        let costs = script_costs(&gs.scripts, lplan, dist);
-        timeline::analyze_costed(plan, gs, &costs, cost, None)
-    };
-
-    let mut resolved: Vec<Vec<Option<MicroOp>>> = (0..gs.scripts.num_vpps())
-        .map(|v| {
-            gs.scripts
-                .script(v)
-                .iter()
-                .map(|i| lower_instr(i, lplan))
-                .collect()
-        })
-        .collect();
+    let tl = timeline::analyze(plan, gs, cost, None);
 
     let mut ops = Vec::with_capacity(tl.order.len());
     let mut patch_points = Vec::new();
     let mut pool_end = 0usize;
     let mut scratch_len = 0usize;
     for &(v, ip) in &tl.order {
-        let op = resolved[v as usize][ip as usize]
-            .take()
-            .expect("timeline order names a sync or duplicated instruction");
+        let instr = &gs.scripts.script(v as usize)[ip as usize];
+        let op = lower_instr(instr, dist).expect("timeline order names a sync instruction");
         // Per-request literals the structural fingerprint masks out become
         // patch points: resident-region copy sources and pick labels.
-        let patchable = match &gs.scripts.script(v as usize)[ip as usize] {
+        let patchable = match instr {
             Instr::Copy { src, .. } => src.raw() < gs.persistent_floor,
             Instr::PickNls { .. } | Instr::PickNlsBwd { .. } => true,
             _ => false,
@@ -1110,13 +959,6 @@ fn lower_keyed(
         scratch_len,
         patch_points,
     }
-}
-
-/// Lowers `gs` from scratch (resolving the plan table too). Cached callers
-/// should go through [`LoweredCache::get_or_lower`] instead.
-pub fn lower(plan: &KernelPlan, gs: &GeneratedScript, cost: &CostModel) -> LoweredScript {
-    let lplan = LoweredPlan::build(plan);
-    lower_with(&lplan, plan, gs, cost)
 }
 
 #[inline]
@@ -1510,16 +1352,7 @@ impl WarmBatch {
                 })
             })
             .collect::<Option<Vec<_>>>()?;
-        let (mut signal_instrs, mut wait_instrs) = (0u64, 0u64);
-        for v in 0..gs.scripts.num_vpps() {
-            for instr in gs.scripts.script(v) {
-                match instr {
-                    Instr::Signal { .. } => signal_instrs += 1,
-                    Instr::Wait { .. } => wait_instrs += 1,
-                    _ => {}
-                }
-            }
-        }
+        let (signal_instrs, wait_instrs) = gs.scripts.sync_instructions();
         let warm = Self {
             artifact: Arc::clone(artifact),
             layout: gs.layout.clone(),
@@ -1606,13 +1439,6 @@ fn hash_words(words: &[u32]) -> u64 {
 /// observability is enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoweredCacheStats {
-    /// Plan-level ([`PlanSignature`]-keyed) hits.
-    pub plan_hits: u64,
-    /// Plan-level misses (first encounter of a plan).
-    pub plan_misses: u64,
-    /// Plan-level misses for plans already lowered before (always zero while
-    /// the plan memo is unbounded — the warm-hit-rate invariant).
-    pub plan_re_misses: u64,
     /// Script-level hits (identical script re-run on the same plan).
     pub script_hits: u64,
     /// Script-level misses.
@@ -1629,9 +1455,6 @@ pub struct LoweredCacheStats {
 
 impl std::ops::AddAssign for LoweredCacheStats {
     fn add_assign(&mut self, other: Self) {
-        self.plan_hits += other.plan_hits;
-        self.plan_misses += other.plan_misses;
-        self.plan_re_misses += other.plan_re_misses;
         self.script_hits += other.script_hits;
         self.script_misses += other.script_misses;
         self.script_re_misses += other.script_re_misses;
@@ -1640,30 +1463,29 @@ impl std::ops::AddAssign for LoweredCacheStats {
     }
 }
 
-/// Two-level cache of lowered artifacts, owned by warm paths
-/// ([`crate::Handle`], and through it `vpps-serve`).
+/// Cache of lowered artifacts, owned by warm paths ([`crate::Handle`], and
+/// through it `vpps-serve`): a bounded script-level FIFO with a graph index
+/// in front.
 ///
-/// Level 1 memoizes [`LoweredPlan`]s by [`PlanSignature`] — obs counters
-/// `lower.cache_hit` / `lower.cache_miss` / `lower.cache_re_miss`. Level 2
-/// holds full [`LoweredScript`]s keyed by `(plan id, structural script
-/// fingerprint)` with bounded FIFO eviction — counters `lower.script.cache_hit` /
+/// The script level holds full [`LoweredScript`]s keyed by `(plan id
+/// ([`PlanSignature::plan_id`]), structural script fingerprint)` with bounded
+/// FIFO eviction — obs counters `lower.script.cache_hit` /
 /// `lower.script.cache_miss` / `lower.script.cache_re_miss`. Time spent
 /// lowering accumulates in the `lower.ns` counter and lowered micro-ops per
 /// mnemonic in `lower.ops.<mnemonic>`.
 ///
-/// In front of level 2 sits a *graph-level* index: `(plan id, pool base,
+/// In front of it sits a *graph-level* index: `(plan id, pool base,
 /// train|infer, root, structural graph encoding)` → the [`WarmBatch`] of an
-/// artifact level 2 still holds, so a batch whose graph was seen before
-/// finds its artifact without generating its scripts
+/// artifact the script level still holds, so a batch whose graph was seen
+/// before finds its artifact without generating its scripts
 /// ([`LoweredCache::lookup_graph`]). An index entry never outlives its
 /// artifact — FIFO eviction and [`LoweredCache::invalidate_plan`] drop both
-/// together — so a graph-level hit is always a batch level 2 would have hit
-/// too, and is counted as one (`lower.script.cache_hit` plus
+/// together — so a graph-level hit is always a batch the script level would
+/// have hit too, and is counted as one (`lower.script.cache_hit` plus
 /// `lower.graph.cache_hit`). The index assumes one [`TableLayout`] per
 /// cache, which holds for the [`crate::Handle`] that owns both.
 #[derive(Debug)]
 pub struct LoweredCache {
-    plans: PlanMemo<LoweredPlan>,
     scripts: HashMap<(u64, u64), Arc<LoweredScript>>,
     fifo: VecDeque<(u64, u64)>,
     seen_scripts: HashSet<(u64, u64)>,
@@ -1682,8 +1504,7 @@ pub struct LoweredCache {
     graph_hits: u64,
 }
 
-/// Lowered scripts kept per handle before FIFO eviction; plans are never
-/// evicted (they are small and bounded by the number of served models).
+/// Lowered scripts kept per handle before FIFO eviction.
 pub const DEFAULT_SCRIPT_CACHE_CAPACITY: usize = 256;
 
 impl Default for LoweredCache {
@@ -1696,7 +1517,6 @@ impl LoweredCache {
     /// Creates a cache holding at most `capacity` lowered scripts (>= 1).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            plans: PlanMemo::new("lower"),
             scripts: HashMap::new(),
             fifo: VecDeque::new(),
             seen_scripts: HashSet::new(),
@@ -1760,11 +1580,8 @@ impl LoweredCache {
 
     /// Counts one batch served from the graph-level index exactly as
     /// [`LoweredCache::get_or_lower`] counts the script-level hit it stands
-    /// in for (plan memo included), plus `graph_hits` /
-    /// `lower.graph.cache_hit`.
-    pub fn note_graph_hit(&mut self, plan: &KernelPlan) {
-        self.plans
-            .get_or_insert_with(plan.signature(), || LoweredPlan::build(plan));
+    /// in for, plus `graph_hits` / `lower.graph.cache_hit`.
+    pub fn note_graph_hit(&mut self) {
         self.script_hits += 1;
         self.graph_hits += 1;
         vpps_obs::counter("lower.script.cache_hit").incr();
@@ -1817,9 +1634,6 @@ impl LoweredCache {
         cost: &CostModel,
     ) -> Arc<LoweredScript> {
         let t0 = Instant::now();
-        let lplan = self
-            .plans
-            .get_or_insert_with(plan.signature(), || LoweredPlan::build(plan));
         let key = (
             plan.signature().plan_id(),
             gs.scripts.structural_fingerprint(gs.persistent_floor),
@@ -1835,7 +1649,7 @@ impl LoweredCache {
             self.script_re_misses += 1;
             vpps_obs::counter("lower.script.cache_re_miss").incr();
         }
-        let art = Arc::new(lower_keyed(&lplan, plan, gs, cost, key.1));
+        let art = Arc::new(lower_keyed(plan, gs, cost, key.1));
         if vpps_obs::enabled() {
             vpps_obs::counter("lower.ns").add(t0.elapsed().as_nanos() as u64);
             for (mnemonic, n) in &art.timeline.instr_mix {
@@ -1858,11 +1672,7 @@ impl LoweredCache {
 
     /// Hit/miss tallies since construction.
     pub fn stats(&self) -> LoweredCacheStats {
-        let (plan_hits, plan_misses, plan_re_misses) = self.plans.stats();
         LoweredCacheStats {
-            plan_hits,
-            plan_misses,
-            plan_re_misses,
             script_hits: self.script_hits,
             script_misses: self.script_misses,
             script_re_misses: self.script_re_misses,
@@ -1871,16 +1681,15 @@ impl LoweredCache {
         }
     }
 
-    /// Quarantines one plan: evicts its [`LoweredPlan`] memo entry *and*
-    /// every cached [`LoweredScript`] lowered from it (with the graph-level
-    /// entries pointing at them), in one step, so the levels can never
-    /// disagree about a plan the recovery layer has condemned. Returns the
-    /// number of scripts evicted. The next [`LoweredCache::get_or_lower`] for
-    /// this plan re-lowers from scratch and is counted as a plan-level
-    /// *re-miss* (`lower.cache_re_miss`) — the monitored invariant that plan
-    /// entries only vanish on purpose.
+    /// Quarantines one plan: evicts every cached [`LoweredScript`] lowered
+    /// from it together with the graph-level entries pointing at them, so
+    /// the two can never disagree about a plan the recovery layer has
+    /// condemned. Returns the number of scripts evicted. The plan's chunk
+    /// table needs no eviction — the caller rebuilds the [`KernelPlan`], and
+    /// the table with it. The next [`LoweredCache::get_or_lower`] of a script
+    /// seen before re-lowers from scratch and is counted as a script-level
+    /// *re-miss* (`lower.script.cache_re_miss`).
     pub fn invalidate_plan(&mut self, plan_id: u64) -> usize {
-        self.plans.remove(plan_id);
         let before = self.scripts.len();
         self.scripts.retain(|&(pid, _), _| pid != plan_id);
         self.fifo.retain(|&(pid, _)| pid != plan_id);
@@ -1931,6 +1740,7 @@ impl super::ExecutionBackend for Lowered {
         pool: &mut Pool,
         cache: &mut RegCache,
     ) -> super::RunOutcome {
+        // The mirror of the interpreters' `expect`: see `Session::gs`.
         let art = session
             .lowered
             .as_ref()
@@ -2009,7 +1819,7 @@ mod tests {
             let base = self.pool.used();
             match self.cache.lookup_graph(&self.plan, graph, root, true, base) {
                 Ok(_) => {
-                    self.cache.note_graph_hit(&self.plan);
+                    self.cache.note_graph_hit();
                     true
                 }
                 Err(key) => {
@@ -2242,13 +2052,13 @@ mod tests {
         f.pool.reset();
         let base = f.pool.used();
         let gs = generate::generate(&g, root, &f.plan, &mut f.pool, &f.tables).expect("fits");
-        let lplan = LoweredPlan::build(&f.plan);
-        let art = lower_with(&lplan, &f.plan, &gs, f.gpu.cost_model());
+        let art = lower(&f.plan, &gs, f.gpu.cost_model());
+        let dist = f.plan.distribution();
         let order = &art.timeline.order;
         let reference: Vec<MicroOp> = order
             .iter()
             .map(|&(v, ip)| {
-                lower_instr(&gs.scripts.script(v as usize)[ip as usize], &lplan).expect("compute")
+                lower_instr(&gs.scripts.script(v as usize)[ip as usize], dist).expect("compute")
             })
             .collect();
         assert_ne!(art.ops, reference, "this batch has ops to regroup");
@@ -2346,7 +2156,6 @@ mod tests {
         let stats = f.cache.stats();
         assert_eq!((stats.script_misses, stats.script_hits), (1, 1));
         assert_eq!(stats.graph_hits, 1);
-        assert_eq!((stats.plan_misses, stats.plan_hits), (1, 1));
     }
 
     #[test]
@@ -2389,9 +2198,7 @@ mod tests {
         assert_eq!(f.cache.invalidate_plan(plan_id), 2);
         assert!(f.cache.graphs.is_empty(), "no entry outlives its artifact");
         assert!(!f.dispatch(&a, root_a), "a quarantined plan re-generates");
-        let stats = f.cache.stats();
-        assert_eq!(stats.script_re_misses, 1);
-        assert_eq!(stats.plan_re_misses, 1);
+        assert_eq!(f.cache.stats().script_re_misses, 1);
     }
 
     #[test]

@@ -50,11 +50,10 @@ use crate::specialize::{GradStrategy, KernelPlan};
 
 pub use backends::{EventInterp, Threaded};
 pub use lowered::{
-    Lowered, LoweredCache, LoweredCacheStats, LoweredPlan, LoweredScript, MicroOp, PatchPoint,
-    WarmBatch,
+    Lowered, LoweredCache, LoweredCacheStats, LoweredScript, MicroOp, PatchPoint, WarmBatch,
 };
 pub use recovery::{RecoveryPolicy, RecoveryStats};
-pub use timeline::{ScriptCosts, TimelineReport};
+pub use timeline::TimelineReport;
 
 /// Which execution backend a [`crate::Handle`] (or test) should use. Every
 /// member is bit-identical to the reference by construction.
@@ -107,9 +106,23 @@ impl FromStr for BackendKind {
 pub struct Session<'a> {
     /// The specialized kernel plan (register distribution, grad strategy).
     pub plan: &'a KernelPlan,
-    /// The batch's generated scripts. `None` for a [`Session::from_warm`]
-    /// session, which never generated them: only the [`Lowered`] backend,
-    /// which executes the artifact, can run such a session.
+    /// The batch's generated scripts. `None` only for a
+    /// [`Session::from_warm`] session, which never generated them: only the
+    /// [`Lowered`] backend, which executes the artifact, can run such a
+    /// session.
+    ///
+    /// The interpreting backends ([`EventInterp`], [`Threaded`]) `expect` the
+    /// scripts, and [`Lowered`] `expect`s [`Session::lowered`] the same way.
+    /// These stay panics because pairing a session with a backend it was not
+    /// prepared for is a programming error no input can cause: every
+    /// constructor but `from_warm` is handed the scripts; `from_warm` is
+    /// reached only from `Handle::attempt`'s graph-level cache hit, which
+    /// `attempt` looks for (`LoweredCache::lookup_graph`) only under
+    /// `backend == BackendKind::Lowered` and then runs on that backend; and a
+    /// degraded rung re-enters `attempt` with [`EventInterp`], which
+    /// generates. Likewise every session `attempt` hands to [`Lowered`] came
+    /// from `from_warm` or [`Session::from_lowered`], which both set the
+    /// artifact, as does [`Lowered`]'s own `prepare`.
     pub gs: Option<&'a GeneratedScript>,
     /// The batch's pool layout.
     pub layout: &'a BatchLayout,

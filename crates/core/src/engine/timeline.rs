@@ -8,68 +8,20 @@
 //! then reuses the one [`TimelineReport`], which is how every backend
 //! reports bit-identical timing and traffic numbers.
 //!
-//! Cost resolution is split from the sweep: [`ScriptCosts::compute`] resolves
-//! every instruction's [`InstrCost`] (plus the per-VPP encoded script bytes
-//! and the per-mnemonic instruction mix) once, and [`analyze_costed`] consumes
-//! the precomputed table. The lowering pass ([`crate::engine::lowered`])
-//! caches `ScriptCosts` alongside its micro-ops, so repeated runs of an
-//! identical script never recompute `instr_cost` — previously that happened
-//! once per instruction per run.
-
-use std::collections::BTreeMap;
+//! Nothing is tabulated ahead of the sweep: it prices each instruction with
+//! `instr_cost` as it advances past it (one indexed chunk load and a few
+//! multiplies), and reads each VPP's script-fetch bytes and the per-mnemonic
+//! instruction mix from the tallies [`crate::script::ScriptSet`] keeps as it
+//! is built. The lowering pass ([`crate::engine::lowered`]) caches the
+//! resulting [`TimelineReport`] with its micro-ops, so re-running an identical
+//! script repeats neither.
 
 use gpu_sim::{CostModel, SimTime};
 use vpps_obs::SimTrace;
 
-use crate::distribute::Distribution;
-use crate::exec::semantics::{instr_cost, InstrCost};
-use crate::script::{GeneratedScript, Instr, ScriptSet};
+use crate::exec::semantics::instr_cost;
+use crate::script::{GeneratedScript, Instr};
 use crate::specialize::KernelPlan;
-
-/// Per-instruction costs of one script set, resolved once.
-///
-/// Everything in here depends only on the scripts and the parameter
-/// distribution — not on data, not on the batch — so it is computed at
-/// lowering/plan-build time and reused across every run of the same script.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScriptCosts {
-    /// `costs[vpp][ip]` — static cost of each instruction (zero for sync).
-    pub costs: Vec<Vec<InstrCost>>,
-    /// Encoded script bytes each VPP fetches from DRAM.
-    pub vpp_script_bytes: Vec<u64>,
-    /// Compute instructions per mnemonic, sorted by mnemonic. Every compute
-    /// instruction executes exactly once per run, so this static mix *is*
-    /// the executed-instruction histogram.
-    pub instr_mix: Vec<(&'static str, u64)>,
-}
-
-impl ScriptCosts {
-    /// Resolves every instruction's static cost against `dist`.
-    pub fn compute(scripts: &ScriptSet, dist: &Distribution) -> Self {
-        let mut costs = Vec::with_capacity(scripts.num_vpps());
-        let mut vpp_script_bytes = Vec::with_capacity(scripts.num_vpps());
-        let mut mix: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for v in 0..scripts.num_vpps() {
-            let script = scripts.script(v);
-            let mut per_ip = Vec::with_capacity(script.len());
-            let mut bytes = 0u64;
-            for instr in script {
-                per_ip.push(instr_cost(instr, dist));
-                bytes += instr.encoded_len() as u64;
-                if !instr.is_sync() {
-                    *mix.entry(instr.mnemonic()).or_insert(0) += 1;
-                }
-            }
-            costs.push(per_ip);
-            vpp_script_bytes.push(bytes);
-        }
-        Self {
-            costs,
-            vpp_script_bytes,
-            instr_mix: mix.into_iter().collect(),
-        }
-    }
-}
 
 /// Complete static schedule of one batch's scripts.
 #[derive(Debug, Clone)]
@@ -125,28 +77,11 @@ impl TimelineReport {
     }
 }
 
-/// Resolves costs and sweeps the scripts ([`ScriptCosts::compute`] +
-/// [`analyze_costed`]) — the once-per-batch entry point for backends that do
-/// not cache lowered artifacts.
-///
-/// # Panics
-///
-/// Panics if the scripts deadlock (a script-generator bug, caught eagerly).
-pub fn analyze(
-    plan: &KernelPlan,
-    gs: &GeneratedScript,
-    cost: &CostModel,
-    trace: Option<&mut SimTrace>,
-) -> TimelineReport {
-    let costs = ScriptCosts::compute(&gs.scripts, plan.distribution());
-    analyze_costed(plan, gs, &costs, cost, trace)
-}
-
-/// Sweeps the scripts with the event-driven scheduler: each VPP advances its
-/// own clock, `signal` records an arrival at its barrier, `wait` merges the
+/// Sweeps the scripts with the event-driven scheduler, once per batch: each
+/// VPP advances its own clock by the static cost of the instruction it
+/// executes, `signal` records an arrival at its barrier, `wait` merges the
 /// barrier's release time. Identical control flow to the original
-/// interpreter, minus the arithmetic — instruction costs come from the
-/// precomputed `costs` table instead of being re-derived per instruction.
+/// interpreter, minus the arithmetic.
 ///
 /// When `trace` is given, per-instruction events are recorded for the
 /// visualization tooling.
@@ -154,11 +89,10 @@ pub fn analyze(
 /// # Panics
 ///
 /// Panics if the scripts deadlock (a script-generator bug, caught eagerly),
-/// or if `costs` was computed for a different script set.
-pub fn analyze_costed(
+/// or if `gs` was generated for a plan with another VPP count.
+pub fn analyze(
     plan: &KernelPlan,
     gs: &GeneratedScript,
-    costs: &ScriptCosts,
     cost: &CostModel,
     mut trace: Option<&mut SimTrace>,
 ) -> TimelineReport {
@@ -166,9 +100,9 @@ pub fn analyze_costed(
     let geo = dist.geometry();
     let num_vpps = geo.total_vpps();
     assert_eq!(
-        costs.costs.len(),
+        gs.scripts.num_vpps(),
         num_vpps,
-        "cost table does not match the script set"
+        "scripts were generated for another plan"
     );
 
     #[derive(Clone, Copy, Default)]
@@ -188,7 +122,7 @@ pub fn analyze_costed(
     // Each VPP fetches its own script section from DRAM into shared memory.
     let mut script_bytes = 0u64;
     for v in 0..num_vpps {
-        let bytes = costs.vpp_script_bytes[v];
+        let bytes = gs.scripts.vpp_bytes(v);
         if bytes > 0 {
             script_bytes += bytes;
             times[v] = cost.vpp_mem_time(bytes);
@@ -234,7 +168,7 @@ pub fn analyze_costed(
                         progress = true;
                     }
                     ref instr => {
-                        let c = costs.costs[v][ips[v]];
+                        let c = instr_cost(instr, dist);
                         total_read += c.read_bytes;
                         total_write += c.write_bytes;
                         let start = times[v];
@@ -282,7 +216,7 @@ pub fn analyze_costed(
         total_write_bytes: total_write,
         script_bytes,
         instructions,
-        instr_mix: costs.instr_mix.clone(),
+        instr_mix: gs.scripts.instr_mix(),
         order,
     }
 }

@@ -270,8 +270,8 @@ use Portable as Baseline;
 /// The tier the blocked kernels run on this host: `"avx"` where CPUID reports
 /// it, else `"sse2"` on x86-64, `"portable"` on every other architecture.
 /// Chosen by the host alone — there is no option, flag or build setting — and
-/// never visible in a result (see [`Lanes`]); exported so that a timing can
-/// name what it measured.
+/// never visible in a result (the private `Lanes` trait says why); exported so
+/// that a timing can name what it measured.
 pub fn tier() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {

@@ -4,18 +4,6 @@ use dyn_graph::{Model, ParamId};
 
 use crate::distribute::{ChunkId, Distribution};
 
-/// Arena offset of every chunk of `dist`, in [`ChunkId`] order: chunks sit
-/// back to back. This is the one definition of the arena layout — the
-/// lowering pass folds these offsets into its micro-ops as literals, the way
-/// the specialized kernel bakes literal register indices.
-pub fn chunk_offsets(dist: &Distribution) -> impl Iterator<Item = usize> + '_ {
-    dist.chunks().iter().scan(0usize, |next, c| {
-        let offset = *next;
-        *next += c.len();
-        Some(offset)
-    })
-}
-
 /// Where one parameter's whole matrix (value or gradient) sits in the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ParamSpan {
@@ -24,8 +12,9 @@ struct ParamSpan {
     len: usize,
 }
 
-/// Storage for every register-cached chunk: one flat arena with a
-/// precomputed `(offset, len)` per [`ChunkId`].
+/// Storage for every register-cached chunk: one flat arena laid out by the
+/// plan's [`Chunk::offset`](crate::distribute::Chunk::offset)s, with the
+/// `(offset, len)` of each [`ChunkId`].
 ///
 /// On hardware these values live in literal architected registers of the
 /// owning CTA; reads and writes of chunk data therefore cost *no DRAM
@@ -64,7 +53,8 @@ impl RegCache {
         let mut spans = Vec::with_capacity(dist.chunks().len());
         let mut values: Vec<ParamSpan> = Vec::new();
         let mut grads: Vec<ParamSpan> = Vec::new();
-        for (c, offset) in dist.chunks().iter().zip(chunk_offsets(dist)) {
+        for c in dist.chunks() {
+            let offset = c.offset as usize;
             let group = if c.is_grad {
                 &mut grads
             } else {
@@ -187,8 +177,8 @@ impl RegCache {
     }
 
     /// The whole arena plus a scratch buffer of at least `scratch_len`
-    /// elements, for the lowered executor (which addresses the arena by the
-    /// literal offsets of [`chunk_offsets`]).
+    /// elements, for the lowered executor (which addresses the arena by
+    /// literal [`Chunk::offset`](crate::distribute::Chunk::offset)s).
     pub(crate) fn arena_and_scratch(&mut self, scratch_len: usize) -> (&mut [f32], &mut [f32]) {
         if self.scratch.len() < scratch_len {
             self.scratch.resize(scratch_len, 0.0);
@@ -313,14 +303,13 @@ mod tests {
         let mut next = 0;
         for (i, c) in dist.chunks().iter().enumerate() {
             assert_eq!(
-                cache.spans[i],
-                (next, c.len()),
-                "chunk {i} follows its predecessor"
+                c.offset as usize, next,
+                "chunk {i} follows its predecessor in `ChunkId` order"
             );
+            assert_eq!(cache.spans[i], (next, c.len()), "chunk {i} is stored there");
             next += c.len();
         }
         assert_eq!(next, cache.data.len(), "no element outside a chunk");
-        assert!(chunk_offsets(&dist).eq(cache.spans.iter().map(|s| s.0)));
         assert_eq!(
             cache.grad_start() * 2,
             cache.data.len(),

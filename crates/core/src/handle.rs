@@ -320,7 +320,7 @@ struct AttemptTimes {
 /// or — when the lowered cache already knows the batch's graph — the cached
 /// summary that stands in for them.
 enum Prepared {
-    Generated(generate::GeneratedScript),
+    Generated(Box<generate::GeneratedScript>),
     Warm(Arc<engine::WarmBatch>),
 }
 
@@ -741,7 +741,10 @@ impl Handle {
                         &self.tables,
                     )?
                 };
-                (Prepared::Generated(gs), miss.and_then(Result::err))
+                (
+                    Prepared::Generated(Box::new(gs)),
+                    miss.and_then(Result::err),
+                )
             }
         };
         let pool_len = self.pool.used() - pool_base;
@@ -796,7 +799,7 @@ impl Handle {
         // repeated shapes skip lowering *and* the timeline sweep entirely.
         let session = match &prepared {
             Prepared::Warm(warm) => {
-                self.lowered.note_graph_hit(plan);
+                self.lowered.note_graph_hit();
                 let patches = warm.patches(graph, &self.tables);
                 engine::Session::from_warm(plan, warm, cfg, self.gpu.cost_model(), patches)
             }
@@ -1056,6 +1059,7 @@ impl Handle {
         roots: &[NodeId],
     ) -> Result<Vec<Vec<f32>>, VppsError> {
         assert!(!roots.is_empty(), "inference batch needs at least one root");
+        let _span = vpps_obs::span("handle.infer");
         let t_graph = self.host.graph_construction(graph.len());
         let device_before = self.gpu.now();
         let mut times = AttemptTimes::default();

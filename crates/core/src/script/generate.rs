@@ -884,16 +884,7 @@ fn generate_inner(
         vpps_obs::counter("script.instructions")
             .add((forward_instructions + backward_instructions) as u64);
         vpps_obs::counter("script.barriers").add(next_barrier as u64);
-        let (mut signals, mut waits) = (0u64, 0u64);
-        for v in 0..scripts.num_vpps() {
-            for i in scripts.script(v) {
-                match i {
-                    Instr::Signal { .. } => signals += 1,
-                    Instr::Wait { .. } => waits += 1,
-                    _ => {}
-                }
-            }
-        }
+        let (signals, waits) = scripts.sync_instructions();
         vpps_obs::counter("script.signal_instrs").add(signals);
         vpps_obs::counter("script.wait_instrs").add(waits);
     }

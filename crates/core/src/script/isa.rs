@@ -247,6 +247,36 @@ pub enum Instr {
     },
 }
 
+/// Mnemonic of every opcode, indexed by [`Instr::opcode`].
+const MNEMONICS: [&str; 22] = [
+    "signal",
+    "wait",
+    "matvec",
+    "tmatvec",
+    "outer",
+    "add_bias",
+    "bias_grad",
+    "tanh",
+    "sigmoid",
+    "relu",
+    "tanh_bwd",
+    "sigmoid_bwd",
+    "relu_bwd",
+    "add",
+    "acc_add",
+    "mul_acc",
+    "cwise_mult",
+    "copy",
+    "pick_nls",
+    "pick_nls_bwd",
+    "sub",
+    "acc_sub",
+];
+
+/// Opcodes of the two barrier instructions; every opcode above them computes.
+const SIGNAL: usize = 0;
+const WAIT: usize = 1;
+
 impl Instr {
     fn opcode(&self) -> u8 {
         match self {
@@ -336,30 +366,7 @@ impl Instr {
 
     /// Short mnemonic for traces and diagnostics.
     pub fn mnemonic(&self) -> &'static str {
-        match self {
-            Instr::Signal { .. } => "signal",
-            Instr::Wait { .. } => "wait",
-            Instr::MatVecChunk { .. } => "matvec",
-            Instr::TMatVecChunk { .. } => "tmatvec",
-            Instr::OuterChunk { .. } => "outer",
-            Instr::AddBiasChunk { .. } => "add_bias",
-            Instr::BiasGradChunk { .. } => "bias_grad",
-            Instr::Tanh { .. } => "tanh",
-            Instr::Sigmoid { .. } => "sigmoid",
-            Instr::Relu { .. } => "relu",
-            Instr::TanhBwd { .. } => "tanh_bwd",
-            Instr::SigmoidBwd { .. } => "sigmoid_bwd",
-            Instr::ReluBwd { .. } => "relu_bwd",
-            Instr::Sub { .. } => "sub",
-            Instr::AccSub { .. } => "acc_sub",
-            Instr::Add { .. } => "add",
-            Instr::AccAdd { .. } => "acc_add",
-            Instr::MulAcc { .. } => "mul_acc",
-            Instr::CwiseMult { .. } => "cwise_mult",
-            Instr::Copy { .. } => "copy",
-            Instr::PickNls { .. } => "pick_nls",
-            Instr::PickNlsBwd { .. } => "pick_nls_bwd",
-        }
+        MNEMONICS[usize::from(self.opcode())]
     }
 
     /// Encoded size in bytes: 4-byte preamble plus 4 bytes per operand.
@@ -604,9 +611,18 @@ impl Instr {
 /// concatenated per-VPP instruction streams, so each virtual processor can
 /// "quickly index into its own set of instructions" after one bulk
 /// host-to-device copy.
+///
+/// [`ScriptSet::push`] is the only way an instruction gets in, and it keeps
+/// two running tallies — encoded bytes per VPP and instructions per opcode —
+/// so what the engine and the obs counters need to know about a set's size
+/// and mix is read, never recounted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScriptSet {
     scripts: Vec<Vec<Instr>>,
+    /// Encoded bytes of each VPP's instructions (header excluded).
+    vpp_bytes: Vec<u64>,
+    /// Instructions per opcode across all VPPs.
+    opcode_counts: [u64; MNEMONICS.len()],
 }
 
 impl ScriptSet {
@@ -614,12 +630,20 @@ impl ScriptSet {
     pub fn new(num_vpps: usize) -> Self {
         Self {
             scripts: vec![Vec::new(); num_vpps],
+            vpp_bytes: vec![0; num_vpps],
+            opcode_counts: [0; MNEMONICS.len()],
         }
     }
 
     /// Creates a script set from per-VPP instruction vectors.
     pub fn from_scripts(scripts: Vec<Vec<Instr>>) -> Self {
-        Self { scripts }
+        let mut set = Self::new(scripts.len());
+        for (vpp, script) in scripts.into_iter().enumerate() {
+            for instr in script {
+                set.push(vpp, instr);
+            }
+        }
+        set
     }
 
     /// Number of virtual processors.
@@ -643,6 +667,8 @@ impl ScriptSet {
     /// Panics if `vpp` is out of range.
     pub fn push(&mut self, vpp: usize, instr: Instr) {
         self.scripts[vpp].push(instr);
+        self.vpp_bytes[vpp] += instr.encoded_len() as u64;
+        self.opcode_counts[usize::from(instr.opcode())] += 1;
     }
 
     /// Total instruction count across VPPs.
@@ -652,11 +678,35 @@ impl ScriptSet {
 
     /// Non-sync (compute/copy) instruction count.
     pub fn compute_instructions(&self) -> usize {
-        self.scripts
-            .iter()
-            .flatten()
-            .filter(|i| !i.is_sync())
-            .count()
+        let (signals, waits) = self.sync_instructions();
+        self.total_instructions() - (signals + waits) as usize
+    }
+
+    /// `(signal, wait)` instruction counts across VPPs.
+    pub fn sync_instructions(&self) -> (u64, u64) {
+        (self.opcode_counts[SIGNAL], self.opcode_counts[WAIT])
+    }
+
+    /// Compute instructions per mnemonic, sorted by mnemonic, mnemonics that
+    /// do not occur left out. Every compute instruction executes exactly once
+    /// per run, so this static mix *is* the executed-instruction histogram.
+    pub fn instr_mix(&self) -> Vec<(&'static str, u64)> {
+        let mut mix: Vec<_> = (WAIT + 1..MNEMONICS.len())
+            .filter(|&opcode| self.opcode_counts[opcode] > 0)
+            .map(|opcode| (MNEMONICS[opcode], self.opcode_counts[opcode]))
+            .collect();
+        mix.sort_unstable();
+        mix
+    }
+
+    /// Encoded bytes of one VPP's instructions: what that processor fetches
+    /// from DRAM before it starts (the shared header excluded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vpp` is out of range.
+    pub fn vpp_bytes(&self, vpp: usize) -> u64 {
+        self.vpp_bytes[vpp]
     }
 
     /// Encodes header + all scripts into one transferable buffer.
@@ -694,60 +744,26 @@ impl ScriptSet {
         let offset = |i: usize| -> usize {
             u32::from_le_bytes(buf[4 * i..4 * i + 4].try_into().expect("truncated header")) as usize
         };
-        let mut scripts = Vec::with_capacity(num_vpps);
+        let mut set = Self::new(num_vpps);
         for v in 0..num_vpps {
             let (mut pos, end) = (offset(v), offset(v + 1));
-            let mut script = Vec::new();
             while pos < end {
                 let (instr, next) = Instr::decode(buf, pos);
-                script.push(instr);
+                set.push(v, instr);
                 pos = next;
             }
             assert_eq!(pos, end, "script for VPP {v} did not end on its boundary");
-            scripts.push(script);
         }
-        Self { scripts }
+        set
     }
 
-    /// Stable 64-bit content fingerprint (FNV-1a over the logical
-    /// instruction stream, including per-VPP boundaries).
-    ///
-    /// Two script sets have equal fingerprints exactly when they decode to
-    /// the same per-VPP instruction sequences, so the fingerprint — combined
-    /// with a plan id — keys the lowered-script cache
-    /// ([`crate::engine::lowered`]): re-running an identical script on the
-    /// same plan reuses its lowered micro-ops and timeline instead of
-    /// re-deriving them.
-    pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |word: u32| {
-            for b in word.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.scripts.len() as u32);
-        for script in &self.scripts {
-            eat(script.len() as u32);
-            for instr in script {
-                eat(u32::from(instr.opcode()));
-                eat(instr.len_field());
-                let (ops, n) = instr.operands();
-                for op in &ops[..n] {
-                    eat(*op);
-                }
-            }
-        }
-        h
-    }
-
-    /// Structural fingerprint: like [`ScriptSet::fingerprint`], but with
-    /// the per-request literals masked out — `Copy` sources below the
-    /// pool's persistent floor (embedding-table rows and the resident
-    /// constant, picked by the request's token ids) and the gold-label
-    /// operand of `PickNls` / `PickNlsBwd`.
+    /// Structural fingerprint: a stable 64-bit FNV-1a hash over the logical
+    /// instruction stream (per-VPP boundaries included) with the per-request
+    /// literals masked out — `Copy` sources below the pool's persistent floor
+    /// (embedding-table rows and the resident constant, picked by the
+    /// request's token ids) and the gold-label operand of `PickNls` /
+    /// `PickNlsBwd`. Combined with a plan id it keys the lowered-script cache
+    /// ([`crate::engine::lowered`]).
     ///
     /// Two script sets share a structural fingerprint exactly when they
     /// differ only in those literals: same topology, same schedule, same
@@ -795,13 +811,7 @@ impl ScriptSet {
     /// Size of the encoded form in bytes (what the host-to-device copy of
     /// paper §III-B2 transfers).
     pub fn encoded_bytes(&self) -> usize {
-        4 * (self.scripts.len() + 1)
-            + self
-                .scripts
-                .iter()
-                .flatten()
-                .map(Instr::encoded_len)
-                .sum::<usize>()
+        4 * (self.scripts.len() + 1) + self.vpp_bytes.iter().sum::<u64>() as usize
     }
 
     /// Estimates what the same work would cost under a *RISC* virtual-
@@ -1083,6 +1093,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn arb_offset() -> impl Strategy<Value = PoolOffset> {
         any::<u32>().prop_map(PoolOffset)
@@ -1145,7 +1156,31 @@ mod proptests {
                 set.push(i % num_vpps, instr);
             }
             let decoded = ScriptSet::decode(&set.encode(), num_vpps);
-            prop_assert_eq!(decoded, set);
+            prop_assert_eq!(&decoded, &set);
+
+            // However a set is built, its running tallies equal a fresh count
+            // over its instructions.
+            let rebuilt = ScriptSet::from_scripts(set.scripts.clone());
+            for built in [&set, &rebuilt, &decoded] {
+                let mut bytes = vec![0u64; num_vpps];
+                let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
+                for (v, script) in built.scripts.iter().enumerate() {
+                    for instr in script {
+                        bytes[v] += instr.encoded_len() as u64;
+                        *counts.entry(instr.mnemonic()).or_insert(0) += 1;
+                    }
+                }
+                let per_vpp: Vec<u64> = (0..num_vpps).map(|v| built.vpp_bytes(v)).collect();
+                prop_assert_eq!(&per_vpp, &bytes);
+                prop_assert_eq!(
+                    built.encoded_bytes() as u64,
+                    4 * (num_vpps as u64 + 1) + bytes.iter().sum::<u64>()
+                );
+                let signals = counts.remove("signal").unwrap_or(0);
+                let waits = counts.remove("wait").unwrap_or(0);
+                prop_assert_eq!(built.sync_instructions(), (signals, waits));
+                prop_assert_eq!(built.instr_mix(), counts.into_iter().collect::<Vec<_>>());
+            }
         }
 
         #[test]

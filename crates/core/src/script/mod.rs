@@ -7,11 +7,9 @@
 
 pub mod generate;
 pub mod isa;
-pub mod stats;
 pub mod validate;
 
 pub use generate::generate_forward_only;
 pub use generate::{BatchLayout, GeneratedScript, ParamStage, SchedulePolicy, TableLayout};
 pub use isa::{Instr, ScriptSet, MAX_TENSOR_LEN};
-pub use stats::ScriptStats;
 pub use validate::{disassemble, validate_protocol, ProtocolError};

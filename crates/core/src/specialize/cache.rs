@@ -9,11 +9,9 @@
 //! A cache hit skips the expensive program-compilation stage; the
 //! PTX-to-binary module load must still be paid, just as on real hardware.
 
-use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use dyn_graph::Model;
 use gpu_sim::{DeviceConfig, SimTime};
@@ -54,7 +52,7 @@ impl PlanCache {
 
     /// `true` if a kernel for this specialization is cached.
     pub fn contains(&self, model: &Model, device: &DeviceConfig, rpw: usize) -> bool {
-        self.path_for(&Self::key(model, device, rpw)).exists()
+        self.path_for(&Self::key(model, device, rpw)).is_file()
     }
 
     /// Builds a plan, consulting the cache: on a hit the modeled
@@ -65,10 +63,12 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// Propagates plan-construction failures; filesystem errors writing the
-    /// cache are reported via [`VppsError::PoolExhausted`]? No — cache write
-    /// failures are non-fatal and silently skipped (the plan is still
-    /// returned), matching a best-effort kernel database.
+    /// Only plan-construction failures ([`KernelPlan::build`]'s). The cache
+    /// is a best-effort kernel database, so no filesystem condition is an
+    /// error: an entry that cannot be read as the source this specialization
+    /// generates — missing, truncated, stale, not UTF-8, a directory — is a
+    /// miss that the store below overwrites, and a store that fails leaves
+    /// the cache cold and the plan returned.
     pub fn build(
         &self,
         model: &Model,
@@ -78,16 +78,12 @@ impl PlanCache {
         let key = Self::key(model, device, rpw);
         let path = self.path_for(&key);
         let plan = KernelPlan::build(model, device, rpw)?;
-        if path.exists() {
-            // Validate the stored source actually matches this
-            // specialization (defends against hash collisions and stale
-            // format changes); mismatches are treated as misses.
-            if let Ok(stored) = fs::read_to_string(&path) {
-                if stored == plan.source().text() {
-                    vpps_obs::counter("specialize.cache_hit").incr();
-                    return Ok((plan.with_cached_compile(), true));
-                }
-            }
+        // Validate the stored source actually matches this specialization
+        // (defends against hash collisions and stale format changes);
+        // mismatches are treated as misses.
+        if fs::read_to_string(&path).is_ok_and(|stored| stored == plan.source().text()) {
+            vpps_obs::counter("specialize.cache_hit").incr();
+            return Ok((plan.with_cached_compile(), true));
         }
         // Best-effort store; failures leave the cache cold but harmless.
         let _ = fs::write(&path, plan.source().text());
@@ -95,105 +91,22 @@ impl PlanCache {
         Ok((plan, false))
     }
 
-    /// Number of cached kernels.
+    /// Number of cached kernels: the `*.ptx` files of the directory, not
+    /// whatever else sits in it.
     pub fn len(&self) -> usize {
-        fs::read_dir(&self.dir).map(|d| d.count()).unwrap_or(0)
+        let Ok(entries) = fs::read_dir(&self.dir) else {
+            return 0;
+        };
+        entries
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "ptx") && p.is_file())
+            .count()
     }
 
     /// `true` if the cache holds no kernels.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// An in-memory, [`PlanSignature`]-keyed memo for artifacts derived once per
-/// plan (the host analogue of the paper's per-specialization kernel cache,
-/// for things that — unlike PTX — never need to touch disk).
-///
-/// Values are stored behind [`Arc`] so consumers can hold a derived artifact
-/// across batches without cloning it. Hits and misses are counted both
-/// locally (for callers that need exact rates with observability disabled)
-/// and through `vpps-obs` under `<prefix>.cache_hit` / `<prefix>.cache_miss`;
-/// a miss whose signature was *already seen* additionally bumps
-/// `<prefix>.cache_re_miss` — with the unbounded map this cannot happen, so
-/// the counter staying at zero is the "hit rate is 1.0 after warmup"
-/// invariant CI asserts.
-#[derive(Debug)]
-pub struct PlanMemo<T> {
-    hit_counter: String,
-    miss_counter: String,
-    re_miss_counter: String,
-    map: HashMap<u64, Arc<T>>,
-    seen: HashSet<u64>,
-    hits: u64,
-    misses: u64,
-    re_misses: u64,
-}
-
-impl<T> PlanMemo<T> {
-    /// Creates an empty memo whose obs counters are named
-    /// `<prefix>.cache_hit`, `<prefix>.cache_miss` and
-    /// `<prefix>.cache_re_miss`.
-    pub fn new(prefix: &str) -> Self {
-        Self {
-            hit_counter: format!("{prefix}.cache_hit"),
-            miss_counter: format!("{prefix}.cache_miss"),
-            re_miss_counter: format!("{prefix}.cache_re_miss"),
-            map: HashMap::new(),
-            seen: HashSet::new(),
-            hits: 0,
-            misses: 0,
-            re_misses: 0,
-        }
-    }
-
-    /// Returns the artifact for `sig`, building it with `build` on first
-    /// encounter.
-    pub fn get_or_insert_with(&mut self, sig: &PlanSignature, build: impl FnOnce() -> T) -> Arc<T> {
-        let key = sig.plan_id();
-        if let Some(v) = self.map.get(&key) {
-            self.hits += 1;
-            vpps_obs::counter(&self.hit_counter).incr();
-            return Arc::clone(v);
-        }
-        self.misses += 1;
-        vpps_obs::counter(&self.miss_counter).incr();
-        if !self.seen.insert(key) {
-            self.re_misses += 1;
-            vpps_obs::counter(&self.re_miss_counter).incr();
-        }
-        let v = Arc::new(build());
-        self.map.insert(key, Arc::clone(&v));
-        v
-    }
-
-    /// Evicts the artifact memoized under `plan_id`, returning `true` if one
-    /// was present. Used by plan-cache quarantine: a plan whose artifact
-    /// keeps faulting is invalidated so the next
-    /// [`PlanMemo::get_or_insert_with`] rebuilds it — and, because the
-    /// signature stays in `seen`, that rebuild is counted as a *re-miss*, so
-    /// the eviction is visible in the `<prefix>.cache_re_miss` counter the
-    /// re-miss machinery was reserved for.
-    pub fn remove(&mut self, plan_id: u64) -> bool {
-        self.map.remove(&plan_id).is_some()
-    }
-
-    /// Number of cached artifacts.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when no artifact has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// `(hits, misses, re_misses)` since construction. `re_misses` counts
-    /// misses for signatures that had been built before (impossible while
-    /// the memo is unbounded; the field exists so an eviction policy cannot
-    /// be added later without the invariant being monitored).
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.re_misses)
     }
 }
 
@@ -261,13 +174,28 @@ mod tests {
         let cache = PlanCache::open(tmpdir("stale")).unwrap();
         let m = model(64);
         let dev = DeviceConfig::titan_v();
-        let key = PlanCache::key(&m, &dev, 1);
-        fs::write(cache.path_for(&key), "not the right source").unwrap();
-        let (_, hit) = cache.build(&m, &dev, 1).unwrap();
-        assert!(!hit, "corrupted entry must not hit");
-        // And the entry is repaired for next time.
-        let (_, hit2) = cache.build(&m, &dev, 1).unwrap();
-        assert!(hit2);
+        let path = cache.path_for(&PlanCache::key(&m, &dev, 1));
+        fs::write(cache.dir.join("notes.txt"), "not a kernel").unwrap();
+        let stale: [&[u8]; 2] = [b"not the right source", &[0xff, 0xfe, 0x00]];
+        for bytes in stale {
+            fs::write(&path, bytes).unwrap();
+            let (_, hit) = cache.build(&m, &dev, 1).unwrap();
+            assert!(!hit, "corrupted entry {bytes:?} must not hit");
+            // And the entry is repaired for next time.
+            let (_, hit2) = cache.build(&m, &dev, 1).unwrap();
+            assert!(hit2);
+            assert_eq!(cache.len(), 1, "the stray notes.txt is no kernel");
+        }
+        // A directory squatting on the entry's path cannot be repaired: every
+        // build misses, none panics, and nothing counts as cached.
+        fs::remove_file(&path).unwrap();
+        fs::create_dir(&path).unwrap();
+        for _ in 0..2 {
+            let (_, hit) = cache.build(&m, &dev, 1).unwrap();
+            assert!(!hit, "a directory is no kernel");
+        }
+        assert!(!cache.contains(&m, &dev, 1));
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use gpu_sim::DeviceConfig;
 use crate::distribute::{DistGeometry, Distribution, ParamShape};
 use crate::error::VppsError;
 
-pub use cache::{PlanCache, PlanMemo};
+pub use cache::PlanCache;
 pub use jit::JitCost;
 pub use source::KernelSource;
 

@@ -4,7 +4,7 @@
 //!
 //! One small, dependency-free layer shared by every crate in the workspace:
 //!
-//! * **Spans** ([`span`]) — hierarchical host-side intervals with monotonic
+//! * **Spans** ([`span()`]) — hierarchical host-side intervals with monotonic
 //!   timestamps, recorded into a bounded global ring buffer. Each thread is
 //!   its own *track*; nesting depth is maintained per thread, so well-nested
 //!   span trees fall out of RAII scoping.

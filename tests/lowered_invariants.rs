@@ -7,9 +7,9 @@
 //! * **Stream shape** — the micro-op stream is exactly the timeline's
 //!   compute-instruction order with sync compiled away: same length, same
 //!   per-mnemonic counts as the script's static instruction mix.
-//! * **Caching** — the two-level `LoweredCache` returns the same `Arc` on a
-//!   hit, never re-lowers a seen script (re-miss counter stays zero), and
-//!   shares the per-plan chunk table across distinct scripts of one plan.
+//! * **Caching** — `LoweredCache` returns the same `Arc` on a hit and never
+//!   re-lowers a seen script (re-miss counter stays zero) unless it was
+//!   evicted, by capacity or by plan quarantine, and both are counted.
 //! * **Persistent arena** — a `Handle` keeping one register arena per plan
 //!   between batches computes exactly what a fresh arena per call computes,
 //!   across plan switches and through faulted, rolled-back attempts.
@@ -455,9 +455,6 @@ proptest! {
             );
         }
         let stats = cache.stats();
-        prop_assert_eq!(stats.plan_misses, 1);
-        prop_assert_eq!(stats.plan_hits, 3);
-        prop_assert_eq!(stats.plan_re_misses, 0, "plans are never evicted");
         prop_assert_eq!(stats.script_misses, 1);
         prop_assert_eq!(stats.script_hits, 3);
         prop_assert_eq!(stats.script_re_misses, 0, "a seen script must not re-lower");
@@ -465,58 +462,10 @@ proptest! {
     }
 }
 
-/// Distinct scripts of the same plan share the level-1 (per-plan) entry:
-/// only the first batch misses it, so warm-path plan hit rate is 1.0.
-#[test]
-fn plan_table_is_shared_across_distinct_scripts() {
-    let model = test_model();
-    let plan = KernelPlan::build(&model, &small_device(), 1).expect("tiny model fits");
-    let gpu = GpuSim::new(small_device());
-    let mut cache = LoweredCache::default();
-
-    let recipes = [
-        GraphRecipe {
-            ops: vec![0, 3, 1, 6],
-            picks: vec![1; 30],
-            label: 0,
-        },
-        GraphRecipe {
-            ops: vec![1, 4, 2],
-            picks: vec![2; 30],
-            label: 1,
-        },
-        GraphRecipe {
-            ops: vec![0, 1, 5, 7, 2],
-            picks: vec![3; 30],
-            label: 2,
-        },
-    ];
-    for recipe in &recipes {
-        let (g, loss) = build_from_recipe(&model, recipe);
-        let mut pool = vpps_tensor::Pool::with_capacity(1 << 18);
-        let tables = TableLayout::install(&model, &mut pool).expect("pool big enough");
-        let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).expect("fits");
-        cache.get_or_lower(&plan, &gs, gpu.cost_model());
-    }
-
-    let stats = cache.stats();
-    assert_eq!(stats.plan_misses, 1, "one plan, one plan-level miss");
-    assert_eq!(
-        stats.plan_hits, 2,
-        "remaining scripts reuse the chunk table"
-    );
-    assert_eq!(stats.plan_re_misses, 0);
-    assert_eq!(
-        stats.script_misses, 3,
-        "three distinct scripts each lower once"
-    );
-    assert_eq!(stats.script_re_misses, 0);
-}
-
 /// FIFO capacity pressure and plan quarantine are the only two ways a
 /// script leaves the cache, and both are observable: the stats struct and
-/// the `lower.script.cache_evict` counter move in lockstep, and a
-/// quarantined plan's next lowering registers as a plan-level re-miss.
+/// the `lower.script.cache_evict` counter move in lockstep, and re-lowering
+/// a script of a quarantined plan registers as a script-level re-miss.
 #[test]
 fn evictions_are_counted_by_stats_and_obs() {
     vpps_obs::set_enabled(true);
@@ -554,13 +503,18 @@ fn evictions_are_counted_by_stats_and_obs() {
         plan_id = cache.get_or_lower(&plan, &gs, gpu.cost_model()).plan_id;
     }
     assert_eq!(cache.len(), 2, "capacity 2 holds two scripts");
+    let stats = cache.stats();
     assert_eq!(
-        cache.stats().script_evictions,
-        1,
+        (stats.script_misses, stats.script_re_misses),
+        (3, 0),
+        "three distinct scripts each lower once"
+    );
+    assert_eq!(
+        stats.script_evictions, 1,
         "the third distinct script evicts the FIFO head"
     );
 
-    // Quarantine: both remaining scripts and the plan memo go at once.
+    // Quarantine: both remaining scripts go at once.
     assert_eq!(cache.invalidate_plan(plan_id), 2);
     assert!(cache.is_empty());
     assert_eq!(cache.stats().script_evictions, 3);
@@ -570,19 +524,15 @@ fn evictions_are_counted_by_stats_and_obs() {
         "obs counter moves in lockstep with the stats struct"
     );
 
-    // Re-lowering after quarantine is a deliberate re-miss on both levels.
+    // Re-lowering after quarantine is a deliberate re-miss.
     let (g, loss) = build_from_recipe(&model, &recipes[0]);
     let mut pool = vpps_tensor::Pool::with_capacity(1 << 18);
     let tables = TableLayout::install(&model, &mut pool).expect("pool big enough");
     let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).expect("fits");
     cache.get_or_lower(&plan, &gs, gpu.cost_model());
-    let stats = cache.stats();
     assert_eq!(
-        stats.plan_re_misses, 1,
-        "plan entries vanish only on purpose"
-    );
-    assert_eq!(
-        stats.script_re_misses, 1,
+        cache.stats().script_re_misses,
+        1,
         "the script is re-lowered knowingly"
     );
 }
@@ -619,5 +569,4 @@ fn handle_warm_path_hits_after_first_batch() {
         "every warm batch is served by the graph-level index (no script generated)"
     );
     assert_eq!(stats.script_re_misses, 0);
-    assert_eq!(stats.plan_re_misses, 0);
 }

@@ -7,7 +7,9 @@
 //! * recorded span trees are well-nested with monotonic timestamps;
 //! * a lowered run names the kernel tier it ran on, an interpreted run none;
 //! * metric snapshots survive a JSON round-trip through their versioned
-//!   schema.
+//!   schema;
+//! * the registered metric names and recorded span names are the catalogue
+//!   DESIGN.md §5c documents, in both directions.
 //!
 //! Reuses the random-graph generators shared with the backend-equivalence
 //! and reference-agreement suites. Tests that enable the global obs flag
@@ -27,14 +29,20 @@ use vpps_obs::HistogramSnapshot;
 mod graphgen;
 use graphgen::{arb_recipe, build_from_recipe, small_device, GraphRecipe, DIM};
 
-/// Runs one recipe end-to-end on one backend with a fresh model, pool and
-/// device, returning the batch metrics and what the run posts to the
-/// `engine.instr.*` / `engine.barriers` counters.
-fn run_on_backend(recipe: &GraphRecipe, kind: BackendKind) -> (Metrics, InstrCounts) {
+/// The model every recipe of this suite is built over.
+fn test_model() -> Model {
     let mut model = Model::new(987);
     model.add_matrix("W1", DIM, DIM);
     model.add_matrix("W2", DIM, DIM);
     model.add_bias("b", DIM);
+    model
+}
+
+/// Runs one recipe end-to-end on one backend with a fresh model, pool and
+/// device, returning the batch metrics and what the run posts to the
+/// `engine.instr.*` / `engine.barriers` counters.
+fn run_on_backend(recipe: &GraphRecipe, kind: BackendKind) -> (Metrics, InstrCounts) {
+    let mut model = test_model();
     let (g, loss) = build_from_recipe(&model, recipe);
 
     let plan = KernelPlan::build(&model, &small_device(), 1).expect("tiny model fits");
@@ -278,4 +286,179 @@ fn lowered_runs_name_their_kernel_tier() {
     assert_eq!(batches, 2);
     let tier = format!("engine.kernels.{}", vpps::exec::kernels::tier());
     assert_eq!(counted_tiers(), vec![(tier, batches)]);
+}
+
+/// One §5c table row's name, `{a,b}` groups already expanded: its segments
+/// (`<…>` is a placeholder for any one dot-free segment), the metric kind
+/// (empty for a span) and whether only a `PlanCache` user registers it.
+struct CatalogueEntry {
+    pattern: String,
+    kind: String,
+    needs_plan_cache: bool,
+}
+
+impl CatalogueEntry {
+    fn matches(&self, name: &str) -> bool {
+        let want: Vec<&str> = self.pattern.split('.').collect();
+        let have: Vec<&str> = name.split('.').collect();
+        want.len() == have.len()
+            && want
+                .iter()
+                .zip(&have)
+                .all(|(w, h)| w == h || (w.starts_with('<') && !h.is_empty()))
+    }
+}
+
+/// Every spelling of `name` with its first `{a,b,…}` group (and then the
+/// rest) expanded.
+fn expand_braces(name: &str) -> Vec<String> {
+    let Some((head, rest)) = name.split_once('{') else {
+        return vec![name.to_owned()];
+    };
+    let (alternatives, tail) = rest.split_once('}').expect("closed brace group");
+    alternatives
+        .split(',')
+        .flat_map(|alt| expand_braces(&format!("{head}{alt}{tail}")))
+        .collect()
+}
+
+/// The span table and the metric table of DESIGN.md §5c, as `(spans,
+/// metrics)`: every back-ticked name in a row's first cell is an entry.
+fn design_catalogue() -> (Vec<CatalogueEntry>, Vec<CatalogueEntry>) {
+    let design = include_str!("../DESIGN.md");
+    let section = design
+        .split("\n## ")
+        .find(|s| s.starts_with("5c. Observability"))
+        .expect("DESIGN.md has a §5c");
+    let (mut spans, mut metrics) = (Vec::new(), Vec::new());
+    let mut table = "";
+    for row in section.lines().filter(|l| l.starts_with('|')) {
+        let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+        if matches!(cells[0], "Span" | "Metric") {
+            table = cells[0];
+            continue;
+        }
+        let into = match table {
+            "Span" => &mut spans,
+            "Metric" => &mut metrics,
+            other => panic!("§5c row {row:?} under unknown table {other:?}"),
+        };
+        // Odd pieces of a split on '`' are the code spans.
+        for name in cells[0].split('`').skip(1).step_by(2) {
+            into.extend(
+                expand_braces(name)
+                    .into_iter()
+                    .map(|pattern| CatalogueEntry {
+                        pattern,
+                        kind: if table == "Metric" {
+                            cells[1].to_owned()
+                        } else {
+                            String::new()
+                        },
+                        needs_plan_cache: row.contains("`PlanCache`"),
+                    }),
+            );
+        }
+    }
+    (spans, metrics)
+}
+
+/// DESIGN.md §5c is the catalogue of what the process registers: after a
+/// training batch on every backend, a batch that walks the whole recovery
+/// ladder and a traced two-device serve run through injected faults (ladder
+/// off, so batches fail) and a device crash, every registered metric and
+/// every recorded span is a row of the tables — under the documented kind —
+/// and every row that names one metric outright was registered.
+#[test]
+fn registered_names_are_the_design_catalogue() {
+    use vpps::{FaultConfig, Handle, RecoveryPolicy, RpwMode, VppsOptions};
+    use vpps_bench::{run_scenario_server, ServeScenario};
+
+    let _obs = obs_lock();
+    vpps_obs::clear_spans();
+    vpps_obs::set_enabled(true);
+    let recipe = GraphRecipe {
+        ops: vec![0, 3, 1, 6, 2],
+        picks: vec![5; 30],
+        label: 1,
+    };
+    // Every run is corrupted, so every attempt of the third batch is rolled
+    // back: the first fault quarantines the plan, the retry re-lowers what
+    // the quarantine evicted, and the ladder degrades down to the baseline.
+    let always_failing = FaultConfig::parse("seed=1,dram=1").expect("valid spec");
+    for (backend, faults) in [
+        (BackendKind::EventInterp, FaultConfig::disabled()),
+        (BackendKind::Lowered, FaultConfig::disabled()),
+        (BackendKind::Lowered, always_failing),
+    ] {
+        let mut model = test_model();
+        let opts = VppsOptions {
+            rpw: RpwMode::Fixed(1),
+            pool_capacity: 1 << 18,
+            backend,
+            faults,
+            recovery: RecoveryPolicy {
+                quarantine_threshold: 1,
+                ..RecoveryPolicy::default()
+            },
+            ..VppsOptions::default()
+        };
+        let mut handle = Handle::new(&model, small_device(), opts).expect("tiny model fits");
+        let (g, loss) = build_from_recipe(&model, &recipe);
+        handle.fb(&mut model, &g, loss);
+    }
+    let faults = FaultConfig::parse(
+        "seed=5,transfer=0.3,launch=0.3,hang=0.3,dram=0.3,outage=1@1500..3000:crash",
+    )
+    .expect("valid spec");
+    let (server, _, _) = run_scenario_server(&ServeScenario {
+        requests: 240,
+        devices: 2,
+        hidden: 24,
+        train_fraction: 0.2,
+        queue_capacity: 24,
+        backend: BackendKind::Lowered,
+        faults,
+        fallback: false,
+        trace_sample: Some(1),
+        ..ServeScenario::default()
+    });
+    vpps_obs::set_enabled(false);
+    assert_eq!(server.outcomes().len(), 240, "every request resolved");
+
+    let (spans, metrics) = design_catalogue();
+    let registry = vpps_obs::registry_snapshot();
+    let mut problems = Vec::new();
+    for (name, value) in &registry {
+        let kind = match value {
+            vpps_obs::MetricValue::Counter(_) => "counter",
+            vpps_obs::MetricValue::Gauge(_) => "gauge",
+            vpps_obs::MetricValue::Histogram(_) => "histogram",
+        };
+        match metrics.iter().find(|e| e.matches(name)) {
+            None => problems.push(format!("metric {name} is registered but not in §5c")),
+            Some(e) if e.kind != kind => {
+                problems.push(format!("{name} is a {kind}, §5c says {}", e.kind));
+            }
+            Some(_) => {}
+        }
+    }
+    for event in vpps_obs::snapshot_spans() {
+        if !spans.iter().any(|e| e.matches(event.name)) {
+            problems.push(format!("span {} is recorded but not in §5c", event.name));
+        }
+    }
+    for entry in &metrics {
+        let literal = !entry.pattern.contains('<');
+        if literal && !entry.needs_plan_cache && !registry.iter().any(|(n, _)| *n == entry.pattern)
+        {
+            problems.push(format!(
+                "§5c lists {}, which nothing registered",
+                entry.pattern
+            ));
+        }
+    }
+    problems.sort();
+    problems.dedup();
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
