@@ -445,8 +445,15 @@ fn trace() {
         &mut gpu,
         Default::default(),
     );
+    let mut chrome = vpps_obs::ChromeTrace::new();
+    chrome.add_sim_trace(0, &trace);
+    let json = chrome.to_json();
+    if let Err(e) = vpps_obs::validate_chrome_trace(&json) {
+        eprintln!("kernel trace failed self-validation: {e}");
+        std::process::exit(1);
+    }
     let path = "vpps_kernel_trace.json";
-    std::fs::write(path, trace.to_chrome_json()).expect("write trace");
+    std::fs::write(path, json).expect("write trace");
     println!(
         "kernel body {}; {} events ({} barrier-wait us) -> {path}",
         run.body_time,

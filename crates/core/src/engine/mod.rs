@@ -383,7 +383,7 @@ pub fn run_batch(
 }
 
 /// [`run_batch`] plus a full per-VPP instruction timeline for visualization
-/// (a [`SimTrace`], exportable via [`SimTrace::to_chrome_json`]).
+/// (a [`SimTrace`], exportable via [`vpps_obs::ChromeTrace::add_sim_trace`]).
 ///
 /// # Panics
 ///

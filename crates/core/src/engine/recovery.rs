@@ -20,23 +20,25 @@ use gpu_sim::{FaultProfile, SimTime};
 
 use super::BackendKind;
 
-/// Retry / watchdog / quarantine configuration, carried in
+/// First retry's backoff delay (2 µs), in ns; doubles each further retry.
+const BACKOFF_BASE_NS: f64 = 2e3;
+/// Upper bound on the exponential backoff before jitter (1 ms), in ns.
+const BACKOFF_CAP_NS: f64 = 1e6;
+/// Watchdog timeout as a multiple of the session's analytic body time.
+const WATCHDOG_MULTIPLIER: f64 = 4.0;
+/// Floor on the watchdog timeout (10 µs), in ns: tiny batches still get a
+/// grace period.
+const WATCHDOG_MIN_NS: f64 = 1e4;
+
+/// Retry / quarantine / fallback configuration, carried in
 /// [`crate::VppsOptions`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Attempts per backend rung before degrading (>= 1).
     pub max_attempts: u32,
-    /// First retry's backoff delay; doubles each further retry.
-    pub backoff_base: SimTime,
-    /// Upper bound on the exponential backoff (before jitter).
-    pub backoff_cap: SimTime,
     /// Faults charged to one plan before it is quarantined (evicted from the
     /// specialize/lowered memos and re-JITted).
     pub quarantine_threshold: u32,
-    /// Watchdog timeout as a multiple of the session's analytic body time.
-    pub watchdog_multiplier: f64,
-    /// Floor on the watchdog timeout (tiny batches still get a grace period).
-    pub watchdog_min: SimTime,
     /// Enables the degradation ladder; when `false` exhausted retries return
     /// [`crate::VppsError::RetriesExhausted`] instead of falling back.
     pub fallback: bool,
@@ -46,11 +48,7 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 3,
-            backoff_base: SimTime::from_us(2.0),
-            backoff_cap: SimTime::from_ms(1.0),
             quarantine_threshold: 3,
-            watchdog_multiplier: 4.0,
-            watchdog_min: SimTime::from_us(10.0),
             fallback: true,
         }
     }
@@ -58,22 +56,20 @@ impl Default for RecoveryPolicy {
 
 impl RecoveryPolicy {
     /// The watchdog timeout for a run whose analytic body time is
-    /// `expected`: `max(watchdog_min, watchdog_multiplier × expected)`.
-    /// A hung run occupies exactly this much virtual time before the
-    /// watchdog kills it.
+    /// `expected`: `max(10 µs, 4 × expected)`. A hung run occupies exactly
+    /// this much virtual time before the watchdog kills it.
     pub fn watchdog_timeout(&self, expected: SimTime) -> SimTime {
-        self.watchdog_min.max(SimTime::from_ns(
-            expected.as_ns() * self.watchdog_multiplier,
-        ))
+        SimTime::from_ns(WATCHDOG_MIN_NS)
+            .max(SimTime::from_ns(expected.as_ns() * WATCHDOG_MULTIPLIER))
     }
 
-    /// Backoff before retry number `retry` (0-based): exponential from
-    /// [`RecoveryPolicy::backoff_base`], capped, plus jitter uniform in
-    /// `[0, delay/2]` drawn from the fault profile's seeded stream — so the
-    /// delays decorrelate retries without breaking reproducibility.
+    /// Backoff before retry number `retry` (0-based): exponential from 2 µs,
+    /// capped at 1 ms, plus jitter uniform in `[0, delay/2]` drawn from the
+    /// fault profile's seeded stream — so the delays decorrelate retries
+    /// without breaking reproducibility.
     pub fn backoff_delay(&self, retry: u32, profile: &mut FaultProfile) -> SimTime {
         let factor = 2.0f64.powi(retry.min(40) as i32);
-        let capped = (self.backoff_base.as_ns() * factor).min(self.backoff_cap.as_ns());
+        let capped = (BACKOFF_BASE_NS * factor).min(BACKOFF_CAP_NS);
         let jitter = profile.jitter_ns(capped * 0.5);
         SimTime::from_ns(capped + jitter)
     }
@@ -135,7 +131,10 @@ mod tests {
     #[test]
     fn watchdog_scales_with_expected_time_and_has_floor() {
         let p = RecoveryPolicy::default();
-        assert_eq!(p.watchdog_timeout(SimTime::ZERO), p.watchdog_min);
+        assert_eq!(
+            p.watchdog_timeout(SimTime::ZERO),
+            SimTime::from_ns(WATCHDOG_MIN_NS)
+        );
         let t = p.watchdog_timeout(SimTime::from_us(100.0));
         assert_eq!(t, SimTime::from_us(400.0));
     }
@@ -151,11 +150,11 @@ mod tests {
         let d0b = p.backoff_delay(0, &mut b);
         assert_eq!(d0, d0b, "same seed, same delay");
         // Bounds: delay in [base * 2^k, 1.5 * cap].
-        assert!(d0 >= p.backoff_base);
-        assert!(d0.as_ns() <= p.backoff_base.as_ns() * 1.5);
+        assert!(d0.as_ns() >= BACKOFF_BASE_NS);
+        assert!(d0.as_ns() <= BACKOFF_BASE_NS * 1.5);
         let d_huge = p.backoff_delay(30, &mut a);
-        assert!(d_huge.as_ns() <= p.backoff_cap.as_ns() * 1.5);
-        assert!(d_huge >= p.backoff_cap);
+        assert!(d_huge.as_ns() <= BACKOFF_CAP_NS * 1.5);
+        assert!(d_huge.as_ns() >= BACKOFF_CAP_NS);
     }
 
     #[test]

@@ -164,9 +164,12 @@ pub fn apply_gemm_fallback(
     });
     for pidx in 0..model.num_params() {
         let p = model.param_mut(ParamId::from_index(pidx));
-        for (v, &g) in p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
-            *v -= cfg.learning_rate * (g + cfg.weight_decay * *v);
-        }
+        ops::sgd_step(
+            p.value.as_mut_slice(),
+            p.grad.as_slice(),
+            cfg.learning_rate,
+            cfg.weight_decay,
+        );
         p.grad.fill_zero();
     }
     run

@@ -1,6 +1,7 @@
 //! Functional stand-in for the register-cached matrix chunks.
 
 use dyn_graph::{Model, ParamId};
+use vpps_tensor::ops::sgd_step;
 
 use crate::distribute::{ChunkId, Distribution};
 
@@ -140,9 +141,7 @@ impl RegCache {
             let grad = &self.data[p.offset..p.offset + p.len];
             let value = model.param_mut(p.param).value.as_mut_slice();
             assert_eq!(value.len(), grad.len(), "parameter shape changed");
-            for (v, g) in value.iter_mut().zip(grad) {
-                *v -= lr * (g + wd * *v);
-            }
+            sgd_step(value, grad, lr, wd);
         }
     }
 

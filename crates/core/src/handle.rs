@@ -14,7 +14,10 @@
 //! (§III-C1) — returns the loss of the *previous* batch. The simulated wall
 //! clock overlaps each batch's host preparation with the previous batch's
 //! device execution, which is what produces the paper's Fig. 10 crossover:
-//! device-bound at small batches, host-bound at large ones.
+//! device-bound at small batches, host-bound at large ones. Training and
+//! inference batches share one dispatch path that ends in one charging
+//! step, errors included: it alone writes the [`PhaseBreakdown`], and it
+//! and [`Handle::sync_get_latest_loss`] alone move the clocks.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -24,6 +27,7 @@ use gpu_sim::{
     DeviceConfig, FaultConfig, FaultKind, FaultProfile, GpuSim, HostCostModel, KernelDesc, Metrics,
     SimTime, TrafficTag,
 };
+use vpps_tensor::ops::sgd_step;
 use vpps_tensor::Pool;
 
 use crate::engine::recovery::{self, RecoveryPolicy, RecoveryStats};
@@ -141,59 +145,6 @@ impl PhaseBreakdown {
     }
 }
 
-/// Snapshot of a handle's cumulative counters, taken before dispatching a
-/// batch so the batch's own cost can be read back as a delta afterwards —
-/// the serving layer uses this to attribute execution cost per batch without
-/// the engine having to know batches exist.
-#[derive(Debug, Clone, Copy)]
-pub struct CostProbe {
-    phases: PhaseBreakdown,
-    script_hits: u64,
-    script_misses: u64,
-    barrier_stall: SimTime,
-}
-
-/// What one dispatched batch cost, as cumulative-counter deltas between a
-/// [`CostProbe::capture`] and [`CostProbe::delta`] around the dispatch.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BatchCost {
-    /// Per-phase time attributable to the batch (host phases are pipelined
-    /// against device work, so they overlap the service window rather than
-    /// tiling it).
-    pub phases: PhaseBreakdown,
-    /// Lowered-script cache hits during the dispatch.
-    pub script_hits: u64,
-    /// Lowered-script cache misses (fresh lowerings) — nonzero means the
-    /// batch ran *cold*.
-    pub script_misses: u64,
-    /// Barrier-stall time the kernel accumulated during the dispatch.
-    pub barrier_stall: SimTime,
-}
-
-impl CostProbe {
-    /// Captures the handle's cumulative counters.
-    pub fn capture(handle: &Handle) -> Self {
-        let cache = handle.lowered_cache_stats();
-        Self {
-            phases: *handle.phases(),
-            script_hits: cache.script_hits,
-            script_misses: cache.script_misses,
-            barrier_stall: handle.metrics().barrier_stall,
-        }
-    }
-
-    /// The cost accrued on `handle` since this probe was captured.
-    pub fn delta(&self, handle: &Handle) -> BatchCost {
-        let cache = handle.lowered_cache_stats();
-        BatchCost {
-            phases: handle.phases().delta_since(&self.phases),
-            script_hits: cache.script_hits - self.script_hits,
-            script_misses: cache.script_misses - self.script_misses,
-            barrier_stall: handle.metrics().barrier_stall - self.barrier_stall,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct ProfileState {
     current: usize,
@@ -307,13 +258,16 @@ impl ParamCheckpoint {
     }
 }
 
-/// Host/copy time accumulated across *all* attempts of one batch (failed
-/// attempts redo script generation and transfers; that work is real).
-#[derive(Debug, Default, Clone, Copy)]
-struct AttemptTimes {
-    fwd: SimTime,
-    bwd: SimTime,
-    copy: SimTime,
+/// What a dispatched batch was — all [`Handle::charge`] needs to know to
+/// put it on the clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Charge {
+    /// A training batch that produced a loss.
+    Train,
+    /// An inference batch that produced its root values.
+    Infer,
+    /// A batch of either kind that ended in a typed error.
+    Failed,
 }
 
 /// What an attempt's host preparation produced: freshly generated scripts,
@@ -517,120 +471,155 @@ impl Handle {
         loss: NodeId,
     ) -> Result<f32, VppsError> {
         let _span = vpps_obs::span("handle.fb");
-        let t_graph = self.host.graph_construction(graph.len());
-        let device_before = self.gpu.now();
-        let mut times = AttemptTimes::default();
+        let stale = self.prev_loss;
+        self.dispatch(model, graph, &[loss], true)?;
+        Ok(stale)
+    }
 
-        let attempt = match self.run_with_recovery(model, graph, loss, true, &mut times) {
+    /// One batch, end to end: the graph-construction charge, the recovery
+    /// loop, then the epilogue — training's GEMM-fallback kernels and lookup
+    /// update, or reading inference's `roots` — or, when the loop exhausts
+    /// its retries and the ladder is on, the launch-per-op baseline rung.
+    /// Ends in [`Handle::charge`], errors included. A training batch's loss
+    /// becomes `prev_loss` and nothing is returned; an inference batch
+    /// returns the value of every root.
+    fn dispatch(
+        &mut self,
+        model: &mut Model,
+        graph: &Graph,
+        roots: &[NodeId],
+        train: bool,
+    ) -> Result<Vec<Vec<f32>>, VppsError> {
+        let device_before = self.gpu.now();
+        let mut cost = PhaseBreakdown {
+            graph_construction: self.host.graph_construction(graph.len()),
+            ..PhaseBreakdown::default()
+        };
+        let run = match self.run_with_recovery(model, graph, roots[0], train, &mut cost) {
             Ok(ok) => Some(ok),
             Err(VppsError::RetriesExhausted { .. }) if self.opts.recovery.fallback => None,
             Err(e) => {
-                self.charge_failed(t_graph, &times, device_before);
+                self.charge(Charge::Failed, &cost, device_before);
                 return Err(e);
             }
         };
-
-        let (loss_val, kernel_total, fallback_total) = match attempt {
+        let epilogue_before = self.gpu.now();
+        let out = match run {
             Some(ok) => {
                 self.kernel_metrics.merge(&ok.run.metrics);
-                let cfg = ExecConfig {
-                    learning_rate: self.opts.learning_rate,
-                    weight_decay: self.opts.weight_decay,
-                    apply_update: true,
-                };
-                let fb_before = self.gpu.now();
-                apply_gemm_fallback(
-                    &self.plans[self.active],
-                    ok.prepared.layout(),
-                    &self.pool,
-                    model,
-                    &mut self.gpu,
-                    cfg,
-                );
-                let fallback_total = self.gpu.now() - fb_before;
-
-                // --- lookup-table gradients (sparse, outside the cached set).
-                self.apply_lookup_updates(model, graph, ok.prepared.layout());
-                (ok.run.loss, ok.kernel_total, fallback_total)
+                cost.kernel_exec = ok.kernel_total;
+                let layout = ok.prepared.layout();
+                if train {
+                    let cfg = ExecConfig {
+                        learning_rate: self.opts.learning_rate,
+                        weight_decay: self.opts.weight_decay,
+                        apply_update: true,
+                    };
+                    apply_gemm_fallback(
+                        &self.plans[self.active],
+                        layout,
+                        &self.pool,
+                        model,
+                        &mut self.gpu,
+                        cfg,
+                    );
+                    // Lookup-table gradients (sparse, outside the cached set;
+                    // host-side, no device time).
+                    self.apply_lookup_updates(model, graph, layout);
+                    self.prev_loss = ok.run.loss;
+                    Vec::new()
+                } else {
+                    roots
+                        .iter()
+                        .map(|&root| {
+                            let dim = graph.node(root).dim;
+                            self.pool
+                                .slice(layout.value_off[root.index()], dim)
+                                .to_vec()
+                        })
+                        .collect()
+                }
             }
-            None => {
-                // Bottom of the ladder: launch-per-op baseline training on
-                // the host reference executor (deterministic; numerically —
-                // not bitwise — equivalent to the persistent kernel).
-                let base_before = self.gpu.now();
-                let loss_val = self.baseline_train(model, graph, loss);
-                (loss_val, SimTime::ZERO, self.gpu.now() - base_before)
+            // Bottom of the ladder: launch-per-op execution on the host
+            // reference executor (deterministic; numerically — not bitwise
+            // — equivalent to the persistent kernel).
+            None if train => {
+                self.prev_loss = self.baseline_train(model, graph, roots[0]);
+                Vec::new()
             }
+            None => self.baseline_infer(model, graph, roots),
         };
+        cost.fallback_exec = self.gpu.now() - epilogue_before;
+        self.charge(
+            if train { Charge::Train } else { Charge::Infer },
+            &cost,
+            device_before,
+        );
+        Ok(out)
+    }
 
-        // --- pipelined wall-clock accounting (paper §III-C1: script
-        // generation for batch i overlaps device execution of batch i-1).
-        // The device span covers every attempt: copies, faulted launches,
-        // watchdog waits and retry backoff all occupy device-side time.
-        let cpu_time = t_graph + times.fwd + times.bwd;
+    /// The one writer of [`Handle::phases`] and, with
+    /// [`Handle::sync_get_latest_loss`], of the wall and steady-state
+    /// clocks. `cost` holds the batch's host phases, copies, kernel and
+    /// epilogue time; whatever else the device did since `device_before` —
+    /// faulted launches, watchdog waits, retry backoff — is recovery. An
+    /// error is not free (the failed attempts occupied the machine, and
+    /// `vpps-serve` reads service time off the wall clock) and is charged
+    /// synchronously, as is inference; training pipelines host preparation
+    /// of batch i against device execution of batch i-1 (paper §III-C1)
+    /// unless [`VppsOptions::synchronous`].
+    fn charge(&mut self, batch: Charge, cost: &PhaseBreakdown, device_before: SimTime) {
+        let cpu_time = cost.host_total();
         let device_time = self.gpu.now() - device_before;
-        if self.opts.synchronous {
-            self.wall += cpu_time + device_time;
-            self.steady += cpu_time + device_time;
-            self.prev_device_time = SimTime::ZERO;
-        } else {
+        if batch == Charge::Train && !self.opts.synchronous {
             self.wall += cpu_time.max(self.prev_device_time);
             self.steady += cpu_time.max(device_time);
             self.prev_device_time = device_time;
+        } else {
+            self.wall += cpu_time + device_time;
+            self.steady += cpu_time + device_time;
+            // Inference leaves an in-flight training batch in flight.
+            if batch != Charge::Infer {
+                self.prev_device_time = SimTime::ZERO;
+            }
         }
 
-        self.phases.graph_construction += t_graph;
-        self.phases.forward_schedule += times.fwd;
-        self.phases.backward_schedule += times.bwd;
-        self.phases.script_copy += times.copy;
-        self.phases.kernel_exec += kernel_total;
-        self.phases.fallback_exec += fallback_total;
-        self.phases.recovery += device_time - times.copy - kernel_total - fallback_total;
-        self.batches += 1;
+        self.phases.graph_construction += cost.graph_construction;
+        self.phases.forward_schedule += cost.forward_schedule;
+        self.phases.backward_schedule += cost.backward_schedule;
+        self.phases.script_copy += cost.script_copy;
+        self.phases.kernel_exec += cost.kernel_exec;
+        self.phases.fallback_exec += cost.fallback_exec;
+        self.phases.recovery +=
+            device_time - cost.script_copy - cost.kernel_exec - cost.fallback_exec;
 
-        // --- profile-guided rpw selection, driven by the pipelined batch
-        // cost (host and device overlap, so the binding constraint is their
-        // maximum — "average computation time" in the paper's words).
-        let batch_cost = cpu_time.max(device_time);
-        self.active = self
-            .profile
-            .record(batch_cost.as_ns())
-            .min(self.plans.len() - 1);
-
-        Ok(std::mem::replace(&mut self.prev_loss, loss_val))
-    }
-
-    /// Accounts the host and device time consumed by a batch that ends in a
-    /// typed error: the failed attempts' copies, faulted launches, watchdog
-    /// waits and backoff still occupied the (virtual) machine, and callers
-    /// like `vpps-serve` derive service times from the wall-clock delta —
-    /// an error must not look free. Charged synchronously (there is no
-    /// result to pipeline behind).
-    fn charge_failed(&mut self, t_graph: SimTime, times: &AttemptTimes, device_before: SimTime) {
-        let cpu_time = t_graph + times.fwd + times.bwd;
-        let device_time = self.gpu.now() - device_before;
-        self.wall += cpu_time + device_time;
-        self.steady += cpu_time + device_time;
-        self.prev_device_time = SimTime::ZERO;
-        self.phases.graph_construction += t_graph;
-        self.phases.forward_schedule += times.fwd;
-        self.phases.backward_schedule += times.bwd;
-        self.phases.script_copy += times.copy;
-        self.phases.recovery += device_time - times.copy;
+        if batch == Charge::Train {
+            self.batches += 1;
+            // Profile-guided rpw selection, driven by the pipelined batch
+            // cost (host and device overlap, so the binding constraint is
+            // their maximum — "average computation time" in the paper's
+            // words).
+            self.active = self
+                .profile
+                .record(cpu_time.max(device_time).as_ns())
+                .min(self.plans.len() - 1);
+        }
     }
 
     /// Executes one batch with bounded retry, backend degradation and plan
     /// quarantine. `root` is the loss node (training) or the generation root
     /// (inference). Restores the dense-parameter checkpoint after every
     /// faulted training attempt so no retry ever observes half-applied
-    /// gradients.
+    /// gradients. Host-schedule and copy time of *every* attempt accumulate
+    /// into `cost` (failed attempts redo script generation and transfers;
+    /// that work is real).
     fn run_with_recovery(
         &mut self,
         model: &mut Model,
         graph: &Graph,
         root: NodeId,
         train: bool,
-        times: &mut AttemptTimes,
+        cost: &mut PhaseBreakdown,
     ) -> Result<AttemptOk, VppsError> {
         let policy = self.opts.recovery;
         let checkpoint = if train && self.faults.is_some() {
@@ -642,7 +631,7 @@ impl Handle {
         let mut on_rung = 0u32;
         let mut total = 0u32;
         loop {
-            match self.attempt(model, graph, root, train, backend, times) {
+            match self.attempt(model, graph, root, train, backend, cost) {
                 Ok(ok) => return Ok(ok),
                 Err(e) if !e.is_retryable() => return Err(e),
                 Err(e) => {
@@ -695,7 +684,7 @@ impl Handle {
     /// One end-to-end attempt: host prep (script generation — or, on the
     /// lowered backend, a graph-keyed cache hit that stands in for it — and
     /// transfers), fault draws in fixed order (transfer, launch, hang, dram),
-    /// and the kernel run. Host and copy times accumulate into `times`
+    /// and the kernel run. Host and copy times accumulate into `cost`
     /// whether or not the attempt survives; a cache hit charges the times of
     /// the scripts it did not generate, from their cached counts.
     fn attempt(
@@ -705,7 +694,7 @@ impl Handle {
         root: NodeId,
         train: bool,
         backend: BackendKind,
-        times: &mut AttemptTimes,
+        cost: &mut PhaseBreakdown,
     ) -> Result<AttemptOk, VppsError> {
         let plan = &self.plans[self.active];
         self.pool.reset();
@@ -749,9 +738,9 @@ impl Handle {
         };
         let pool_len = self.pool.used() - pool_base;
         let (forward_instructions, backward_instructions, script_bytes) = prepared.script_counts();
-        times.fwd += self.host.schedule(graph.len(), forward_instructions);
+        cost.forward_schedule += self.host.schedule(graph.len(), forward_instructions);
         if train {
-            times.bwd += self.host.schedule(graph.len(), backward_instructions);
+            cost.backward_schedule += self.host.schedule(graph.len(), backward_instructions);
         }
 
         // --- input + script transfer.
@@ -765,9 +754,9 @@ impl Handle {
             }
         }
         if input_bytes > 0 {
-            times.copy += self.gpu.h2d_copy(input_bytes, TrafficTag::Activation);
+            cost.script_copy += self.gpu.h2d_copy(input_bytes, TrafficTag::Activation);
         }
-        times.copy += self.gpu.h2d_copy(script_bytes as u64, TrafficTag::Script);
+        cost.script_copy += self.gpu.h2d_copy(script_bytes as u64, TrafficTag::Script);
 
         // --- fault draws, in fixed order so the stream is stable.
         if draw_fault(
@@ -950,11 +939,7 @@ impl Handle {
         if wd != 0.0 {
             for lid in model.lookups().map(|(id, _)| id).collect::<Vec<_>>() {
                 let l = model.lookup_mut(lid);
-                for i in 0..l.table.len() {
-                    let g = l.grad.as_slice()[i];
-                    let v = l.table.as_slice()[i];
-                    l.table.as_mut_slice()[i] = v - lr * (g + wd * v);
-                }
+                sgd_step(l.table.as_mut_slice(), l.grad.as_slice(), lr, wd);
                 l.grad.fill_zero();
             }
             self.tables.refresh(model, &mut self.pool);
@@ -964,11 +949,9 @@ impl Handle {
         touched.dedup();
         for (table, index) in touched {
             let l = model.lookup_mut(table);
-            let row = l.table.row_mut(index);
-            for (v, g) in row.iter_mut().zip(l.grad.row_mut(index)) {
-                *v -= lr * (*g + wd * *v);
-                *g = 0.0;
-            }
+            let (row, grad) = (l.table.row_mut(index), l.grad.row_mut(index));
+            sgd_step(row, grad, lr, wd);
+            grad.fill(0.0);
             self.pool
                 .slice_mut(self.tables.row_offset(table, index), row.len())
                 .copy_from_slice(row);
@@ -1060,54 +1043,7 @@ impl Handle {
     ) -> Result<Vec<Vec<f32>>, VppsError> {
         assert!(!roots.is_empty(), "inference batch needs at least one root");
         let _span = vpps_obs::span("handle.infer");
-        let t_graph = self.host.graph_construction(graph.len());
-        let device_before = self.gpu.now();
-        let mut times = AttemptTimes::default();
-
-        let attempt = match self.run_with_recovery(model, graph, roots[0], false, &mut times) {
-            Ok(ok) => Some(ok),
-            Err(VppsError::RetriesExhausted { .. }) if self.opts.recovery.fallback => None,
-            Err(e) => {
-                self.charge_failed(t_graph, &times, device_before);
-                return Err(e);
-            }
-        };
-
-        let (out, kernel_total, fallback_total) = match attempt {
-            Some(ok) => {
-                self.kernel_metrics.merge(&ok.run.metrics);
-                let out: Vec<Vec<f32>> = roots
-                    .iter()
-                    .map(|&root| {
-                        let dim = graph.node(root).dim;
-                        self.pool
-                            .slice(ok.prepared.layout().value_off[root.index()], dim)
-                            .to_vec()
-                    })
-                    .collect();
-                (out, ok.kernel_total, SimTime::ZERO)
-            }
-            None => {
-                let base_before = self.gpu.now();
-                let out = self.baseline_infer(model, graph, roots);
-                (out, SimTime::ZERO, self.gpu.now() - base_before)
-            }
-        };
-
-        // Inference is synchronous: latency accumulates without overlap. The
-        // device span folds in every attempt's copies, faulted launches,
-        // watchdog waits and backoff.
-        let device_time = self.gpu.now() - device_before;
-        let total = t_graph + times.fwd + device_time;
-        self.wall += total;
-        self.steady += total;
-        self.phases.graph_construction += t_graph;
-        self.phases.forward_schedule += times.fwd;
-        self.phases.script_copy += times.copy;
-        self.phases.kernel_exec += kernel_total;
-        self.phases.fallback_exec += fallback_total;
-        self.phases.recovery += device_time - times.copy - kernel_total - fallback_total;
-        Ok(out)
+        self.dispatch(model, graph, roots, false)
     }
 
     /// Launch-per-op forward execution on the host reference — the
@@ -1489,9 +1425,9 @@ mod tests {
         // `words` and rows 0 and 2 of `tags` not at all.
         let (g, loss) = lookup_graph(&m, tables, cls, &[5, 1, 5, 2], 1);
         let before: Vec<_> = m.lookups().map(|(_, l)| bits(&l.table)).collect();
-        let mut times = AttemptTimes::default();
+        let mut cost = PhaseBreakdown::default();
         let ok = h
-            .run_with_recovery(&mut m, &g, loss, true, &mut times)
+            .run_with_recovery(&mut m, &g, loss, true, &mut cost)
             .unwrap();
         let mut reference = m.clone();
         dense_lookup_reference(&h, &mut reference, &g, ok.prepared.layout());
@@ -1578,6 +1514,113 @@ mod tests {
         assert!(p.backward_schedule > SimTime::ZERO);
         assert!(p.script_copy > SimTime::ZERO);
         assert!(p.kernel_exec > SimTime::ZERO);
+    }
+
+    /// The clock to the bit: `wall_time`, `steady_state_time` and the seven
+    /// `phases()` fields as `to_bits()` hex after every step of four
+    /// sessions — pipelined training with an unsynced inference in the
+    /// pipeline, synchronous training, typed errors, and the baseline rung —
+    /// recorded at commit `c1d8e9e`, where three hand-kept copies wrote them.
+    #[test]
+    fn accounting_is_pinned_across_commits() {
+        const PINNED: [&str; 12] = [
+            // (a) fb ×3, infer (unsynced), sync_get_latest_loss, infer_many
+            "40a77a9e262bc501 40f3d4909d89d89e 4093880000000000 408a412ec7fc46d8 408c9949d0b2cd2c 40cf5c8000000000 40efd2013b13b13c 0000000000000000 0000000000000000",
+            "40f490658ebb36c6 410791d86906906a 40a7700000000000 409fe1c619146968 40a176f8f15f59c8 40df64aaaaaaaaab 4103a54313b13b14 0000000000000000 0000000000000000",
+            "4107efc2e19f3f7e 41147b5827627629 40b4820000000000 40ac21dff6d61660 40aef2109bd5b83e 40e791a000000000 4111892427627628 0000000000000000 3db0000000000000",
+            "410e4002a0d04257 4117a37806faf795 40b9640000000000 40b15915d46a940b 40aef2109bd5b83e 40ef64d555555556 41139634c4ec4ec6 0000000000000000 3dc0000000000000",
+            "4117d26d43474f20 4117a37806faf795 40b9640000000000 40b15915d46a940b 40aef2109bd5b83e 40ef64d555555556 41139634c4ec4ec6 0000000000000000 3dc0000000000000",
+            "411c1a663ec36380 411beb7102770bf4 40c28e0000000000 40b951f23d484963 40aef2109bd5b83e 40f39e0aaaaaaaab 411694824ec4ec50 0000000000000000 3dc0000000000000",
+            // (b) synchronous: fb, infer
+            "40fc5a0a23413682 40fc5a0a23413682 409b580000000000 4092c12eb51645fc 4094a14cfa654cfb 40cf6cd555555556 40f7618589d89d8b 0000000000000000 0000000000000000",
+            "41067670dea1c13c 41067670dea1c13c 40ab580000000000 40a2c12eb51645fc 4094a14cfa654cfb 40df5fc000000000 4101a8d189d89d8a 0000000000000000 0000000000000000",
+            // (c) launch=1.0, no ladder: try_fb Err, try_infer_many Err
+            "40f38e3b2db7725e 40f38e3b2db7725e 409b580000000000 40ac21c60fa168fa 40aef1f37797f378 40e791a000000000 0000000000000000 0000000000000000 40d5fdb585f69dec",
+            "41031d097078a6b6 41031d097078a6b6 40ab580000000000 40bc21c60fa168fa 40aef1f37797f378 40f787d000000000 0000000000000000 0000000000000000 40e63badc874ee84",
+            // (d) launch=1.0, ladder on: fb and infer on the baseline rung
+            "40c22fee61ce571c 40fa9124c3f3cedc 409b580000000000 40ac21c60fa168fa 40aef1f37797f378 40e791a000000000 0000000000000000 40e291cec4ec4ec2 40d5fdb585f69dec",
+            "40fe3abce1e9cd5a 410b42f1ecd1e8a9 40ab580000000000 40bc21c60fa168fa 40aef1f37797f378 40f787d000000000 0000000000000000 40f291cec4ec4ec5 40e63badc874ee8a",
+        ];
+        fn clock(h: &Handle) -> String {
+            let p = h.phases();
+            [
+                h.wall_time(),
+                h.steady_state_time(),
+                p.graph_construction,
+                p.forward_schedule,
+                p.backward_schedule,
+                p.script_copy,
+                p.kernel_exec,
+                p.fallback_exec,
+                p.recovery,
+            ]
+            .map(|t| format!("{:016x}", t.as_ns().to_bits()))
+            .join(" ")
+        }
+        let mut got = Vec::new();
+
+        // (a) Pipelined: inference must leave the in-flight training batch
+        // for the sync to drain.
+        let (mut m, w, cls) = toy_model();
+        let mut h = Handle::new(&m, small_device(), opts()).unwrap();
+        for (steps, label) in [(1, 0), (2, 1), (3, 2)] {
+            let (g, l) = toy_graph(&m, w, cls, steps, label);
+            h.fb(&mut m, &g, l);
+            got.push(clock(&h));
+        }
+        let (g, root) = toy_graph(&m, w, cls, 1, 0);
+        h.infer(&mut m, &g, root);
+        got.push(clock(&h));
+        h.sync_get_latest_loss();
+        got.push(clock(&h));
+        let mut sg = Graph::new();
+        let mut roots = Vec::new();
+        for steps in [1, 2] {
+            let (g, root) = toy_graph(&m, w, cls, steps, 0);
+            roots.push(sg.absorb(&g, root));
+        }
+        h.infer_many(&mut m, &sg, &roots);
+        got.push(clock(&h));
+
+        // (b) Synchronous training.
+        let (mut m, w, cls) = toy_model();
+        let o = VppsOptions {
+            synchronous: true,
+            ..opts()
+        };
+        let mut h = Handle::new(&m, small_device(), o).unwrap();
+        let (g, l) = toy_graph(&m, w, cls, 2, 1);
+        h.fb(&mut m, &g, l);
+        got.push(clock(&h));
+        h.infer(&mut m, &g, l);
+        got.push(clock(&h));
+
+        // (c) Every launch fails and the ladder is off: typed errors, charged
+        // synchronously with no kernel or fallback term; (d) the ladder on:
+        // both batches are served by the baseline rung.
+        for fallback in [false, true] {
+            let (mut m, w, cls) = toy_model();
+            let o = VppsOptions {
+                faults: FaultConfig::parse("seed=7,launch=1.0").unwrap(),
+                recovery: RecoveryPolicy {
+                    fallback,
+                    ..RecoveryPolicy::default()
+                },
+                ..opts()
+            };
+            let mut h = Handle::new(&m, small_device(), o).unwrap();
+            let (g, l) = toy_graph(&m, w, cls, 2, 1);
+            assert_eq!(h.try_fb(&mut m, &g, l).is_ok(), fallback);
+            got.push(clock(&h));
+            assert_eq!(h.try_infer_many(&mut m, &g, &[l]).is_ok(), fallback);
+            got.push(clock(&h));
+        }
+
+        assert_eq!(
+            got, PINNED,
+            "wall, steady, graph, fwd, bwd, copy, kernel, fallback, recovery per step; \
+             if the change means to move the clock, re-record:\n{got:#?}"
+        );
     }
 
     #[test]

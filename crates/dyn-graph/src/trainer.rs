@@ -1,5 +1,7 @@
 //! SGD parameter updates.
 
+use vpps_tensor::ops::sgd_step;
+
 use crate::params::Model;
 
 /// Plain stochastic gradient descent with optional L2 weight decay — the
@@ -53,21 +55,13 @@ impl Trainer {
         let ids: Vec<_> = model.params().map(|(id, _)| id).collect();
         for id in ids {
             let p = model.param_mut(id);
-            let value = p.value.as_mut_slice();
-            let grad = p.grad.as_slice();
-            for i in 0..value.len() {
-                value[i] -= lr * (grad[i] + wd * value[i]);
-            }
+            sgd_step(p.value.as_mut_slice(), p.grad.as_slice(), lr, wd);
             p.grad.fill_zero();
         }
         let lids: Vec<_> = model.lookups().map(|(id, _)| id).collect();
         for id in lids {
             let l = model.lookup_mut(id);
-            let value = l.table.as_mut_slice();
-            let grad = l.grad.as_slice();
-            for i in 0..value.len() {
-                value[i] -= lr * (grad[i] + wd * value[i]);
-            }
+            sgd_step(l.table.as_mut_slice(), l.grad.as_slice(), lr, wd);
             l.grad.fill_zero();
         }
     }

@@ -1,14 +1,11 @@
 //! Chrome `trace_event` JSON export (`chrome://tracing` / Perfetto).
 //!
-//! Two producers feed this format:
-//!
-//! * [`SimTrace`] — the per-VPP instruction timeline of one persistent
-//!   kernel, on the *simulated* clock (what `repro trace` writes). Its
-//!   [`SimTrace::to_chrome_json`] output is byte-compatible with the legacy
-//!   `vpps::exec::trace` writer it replaced.
-//! * [`ChromeTrace`] — a general builder combining any mix of simulated
-//!   timelines and recorded host [`SpanEvent`]s, each rendered as a complete
-//!   `"X"` (duration) event with its own process id.
+//! [`ChromeTrace`] is the one writer: a builder combining any mix of
+//! simulated timelines and recorded host [`SpanEvent`]s, each rendered as a
+//! complete `"X"` (duration) event with its own process id. A [`SimTrace`]
+//! is the per-VPP instruction timeline of one persistent kernel on the
+//! *simulated* clock; `repro trace` writes one as process 0, byte-compatible
+//! with the legacy `vpps::exec::trace` writer it replaced.
 
 use std::fmt::Write as _;
 
@@ -73,26 +70,6 @@ impl SimTrace {
             .filter(|e| e.name == "wait")
             .map(|e| e.dur_ns)
             .sum()
-    }
-
-    /// Serializes to the Chrome trace-event JSON array format. Timestamps
-    /// are microseconds per the format's convention.
-    pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, e) in self.events.iter().enumerate() {
-            let comma = if i + 1 == self.events.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                r#"  {{"name":"{}","ph":"X","pid":0,"tid":{},"ts":{:.3},"dur":{:.3}}}{}"#,
-                e.name,
-                e.track,
-                e.start_ns / 1e3,
-                e.dur_ns / 1e3,
-                comma
-            );
-        }
-        out.push(']');
-        out
     }
 }
 
@@ -166,9 +143,9 @@ impl ChromeTrace {
         self.events.is_empty()
     }
 
-    /// Serializes to the Chrome trace-event JSON array format (same line
-    /// shape as [`SimTrace::to_chrome_json`], with per-event pids and
-    /// JSON-escaped names).
+    /// Serializes to the Chrome trace-event JSON array format, one event per
+    /// line, names JSON-escaped. Timestamps are microseconds per the
+    /// format's convention.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[\n");
         for (i, e) in self.events.iter().enumerate() {
@@ -246,7 +223,9 @@ mod tests {
 
     #[test]
     fn sim_chrome_json_matches_the_legacy_format() {
-        let json = sample().to_chrome_json();
+        let mut c = ChromeTrace::new();
+        c.add_sim_trace(0, &sample());
+        let json = c.to_json();
         assert!(json.starts_with('['));
         assert!(json.ends_with(']'));
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 4);
@@ -263,7 +242,9 @@ mod tests {
     fn empty_trace_is_valid_json() {
         let t = SimTrace::default();
         assert!(t.is_empty());
-        assert_eq!(t.to_chrome_json(), "[\n]");
+        let mut c = ChromeTrace::new();
+        c.add_sim_trace(0, &t);
+        assert_eq!(c.to_json(), "[\n]");
         assert_eq!(validate_chrome_trace("[\n]").unwrap(), 0);
     }
 

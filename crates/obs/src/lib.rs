@@ -11,10 +11,10 @@
 //! * **Metrics** ([`counter`], [`gauge`], [`histogram`]) — a process-global
 //!   registry of named counters, gauges and fixed-log2-bucket histograms,
 //!   all plain atomics.
-//! * **Exporters** — Chrome `trace_event` JSON ([`ChromeTrace`], plus the
-//!   [`SimTrace`] per-VPP kernel timeline), Prometheus text exposition
-//!   ([`to_prometheus_text`]) and a versioned JSON snapshot ([`Snapshot`])
-//!   that parses back through its own schema.
+//! * **Exporters** — Chrome `trace_event` JSON ([`ChromeTrace`], the one
+//!   writer, for host spans and [`SimTrace`] per-VPP kernel timelines alike),
+//!   Prometheus text exposition ([`to_prometheus_text`]) and a versioned
+//!   JSON snapshot ([`Snapshot`]) that parses back through its own schema.
 //! * **Request traces** ([`trace`]) — per-request causal phase spans on the
 //!   *virtual* clock recorded by the serving layer, and an analyzer
 //!   ([`TraceAnalysis`]) that reconstructs each request's end-to-end
@@ -73,6 +73,6 @@ pub use span::{
     clear_spans, current_track, dropped_spans, snapshot_spans, span, SpanEvent, SpanGuard,
 };
 pub use trace::{
-    durations_tile_exactly, exact_sum_is_zero, two_sum, BatchSpan, GroupBreakdown, Phase,
-    PhaseSpan, PhaseStats, RequestTimeline, Resolution, TraceAnalysis, TraceEvent, TraceSink,
+    BatchSpan, GroupBreakdown, Phase, PhaseSpan, PhaseStats, RequestTimeline, Resolution,
+    TraceAnalysis, TraceEvent, TraceSink,
 };

@@ -9,11 +9,12 @@
 //! [`TraceAnalysis::analyze`] replays the event stream and reconstructs one
 //! [`RequestTimeline`] per admitted request: a sequence of [`PhaseSpan`]s
 //! (`admit → linger → route → queue → lower → execute → … → resolve`) that
-//! must *tile* the request's end-to-end latency exactly — adjacent span
-//! boundaries are bit-equal and the phase durations sum (in exact Shewchuk
-//! expansion arithmetic, see [`durations_tile_exactly`]) to the end-to-end
-//! latency with zero error. Batch-level events fan out to their member
-//! requests, so a batch's execution window appears on every member's
+//! must *tile* the request's end-to-end latency exactly: the first span
+//! starts at arrival, each next one bit-exactly where its predecessor ended,
+//! and the last ends at resolution, so over the reals the phase durations
+//! telescope to the end-to-end latency with zero error (see
+//! [`RequestTimeline::check_tiling`]). Batch-level events fan out to their
+//! member requests, so a batch's execution window appears on every member's
 //! timeline while the batch itself keeps one [`BatchSpan`] per device track.
 //!
 //! The analyzer is deliberately paranoid: any gap, overlap, duplicate
@@ -88,10 +89,8 @@ pub enum TraceEvent {
         at_ns: f64,
     },
     /// `batch` executed successfully on `device` over
-    /// `[started_ns, completed_ns]`. The sub-phase fields are host-side
-    /// pipelined cost detail (they overlap the device window and do *not*
-    /// tile it); `cold` is true when the batch lowered at least one new
-    /// script instead of hitting the warm cache.
+    /// `[started_ns, completed_ns]`; `cold` is true when the batch lowered at
+    /// least one new script instead of hitting the warm cache.
     Executed {
         /// Batch id.
         batch: u64,
@@ -103,18 +102,6 @@ pub enum TraceEvent {
         completed_ns: f64,
         /// True if the batch missed the script cache (lowered fresh).
         cold: bool,
-        /// Host graph-construction + scheduling time (pipelined).
-        host_prep_ns: f64,
-        /// Script-copy time within the device window.
-        copy_ns: f64,
-        /// Kernel execution time within the device window.
-        kernel_ns: f64,
-        /// Interpreter-fallback time within the device window.
-        fallback_ns: f64,
-        /// Fault-recovery time within the device window.
-        recovery_ns: f64,
-        /// Barrier-stall time accumulated by the kernel.
-        barrier_stall_ns: f64,
     },
     /// `batch` faulted on `device` after occupying `[started_ns,
     /// completed_ns]`. Members are either retried (see [`Self::Retried`]) or
@@ -367,8 +354,8 @@ impl RequestTimeline {
     /// Verifies the tiling invariant: the first span is a zero-width
     /// `Admit` at `arrival_ns`, every span starts bit-exactly where its
     /// predecessor ended, the last span is a `Resolve` ending bit-exactly at
-    /// `resolved_ns`, and the phase durations sum to the end-to-end latency
-    /// with zero error in exact expansion arithmetic.
+    /// `resolved_ns`. The bit-equal chain is the whole proof: over the reals
+    /// `Σ (endᵢ − startᵢ)` telescopes to `resolved_ns − arrival_ns` exactly.
     ///
     /// # Errors
     ///
@@ -414,87 +401,8 @@ impl RequestTimeline {
                 boundary, self.resolved_ns
             ));
         }
-        let intervals: Vec<(f64, f64)> =
-            self.spans.iter().map(|s| (s.start_ns, s.end_ns)).collect();
-        if !durations_tile_exactly(&intervals, self.arrival_ns, self.resolved_ns) {
-            return fail("phase durations do not sum exactly to the end-to-end latency".into());
-        }
         Ok(())
     }
-}
-
-/// Knuth's exact two-term sum: returns `(s, e)` with `s = fl(a + b)` and
-/// `a + b = s + e` exactly, for any finite `a`, `b`.
-pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
-    let s = a + b;
-    let bv = s - a;
-    let av = s - bv;
-    let e = (a - av) + (b - bv);
-    (s, e)
-}
-
-/// Adds `term` into the expansion (a multiset of doubles whose exact sum is
-/// the represented value), keeping the representation exact.
-fn grow_expansion(exp: &mut Vec<f64>, term: f64) {
-    let mut q = term;
-    let mut out = Vec::with_capacity(exp.len() + 1);
-    for &c in exp.iter() {
-        let (s, e) = two_sum(q, c);
-        if e != 0.0 {
-            out.push(e);
-        }
-        q = s;
-    }
-    if q != 0.0 {
-        out.push(q);
-    }
-    *exp = out;
-}
-
-/// True iff the exact (infinitely precise) sum of `terms` is zero. Uses
-/// Shewchuk-style expansion accumulation — each [`two_sum`] is exact, so the
-/// expansion's components always sum to the true value — followed by a
-/// distillation loop that re-accumulates the components until the expansion
-/// stops shrinking; telescoping inputs cancel to the empty expansion.
-pub fn exact_sum_is_zero(terms: &[f64]) -> bool {
-    let mut exp: Vec<f64> = Vec::new();
-    for &t in terms {
-        if t != 0.0 {
-            grow_expansion(&mut exp, t);
-        }
-    }
-    // Distill: re-accumulating can expose further cancellation between
-    // components that were added far apart. Stop at a fixpoint.
-    for _ in 0..64 {
-        if exp.is_empty() {
-            return true;
-        }
-        let mut next: Vec<f64> = Vec::new();
-        for &c in &exp {
-            grow_expansion(&mut next, c);
-        }
-        if next == exp {
-            break;
-        }
-        exp = next;
-    }
-    exp.is_empty()
-}
-
-/// True iff the span durations `end - start` sum *exactly* (as real
-/// numbers, not rounded doubles) to `resolved_ns - arrival_ns`. Each
-/// boundary enters the sum as its own exactly-representable double, so when
-/// spans chain with bit-equal boundaries the telescoping cancellation is
-/// exact regardless of magnitude.
-pub fn durations_tile_exactly(spans: &[(f64, f64)], arrival_ns: f64, resolved_ns: f64) -> bool {
-    let mut terms = Vec::with_capacity(spans.len() * 2 + 2);
-    terms.push(arrival_ns);
-    terms.push(-resolved_ns);
-    for &(start, end) in spans {
-        terms.push(end);
-        terms.push(-start);
-    }
-    exact_sum_is_zero(&terms)
 }
 
 /// Exact-rank latency quantiles over a sample set, in microseconds.
@@ -819,7 +727,6 @@ impl TraceAnalysis {
                     started_ns,
                     completed_ns,
                     cold,
-                    ..
                 } => {
                     let Some(info) = batches.get(batch) else {
                         errors.push(format!("batch {batch}: executed before formation"));
@@ -1244,12 +1151,6 @@ mod tests {
             started_ns: 450.0,
             completed_ns: 900.0,
             cold: true,
-            host_prep_ns: 10.0,
-            copy_ns: 1.0,
-            kernel_ns: 400.0,
-            fallback_ns: 0.0,
-            recovery_ns: 0.0,
-            barrier_stall_ns: 5.0,
         });
         s.record(TraceEvent::Resolved {
             req: 0,
@@ -1364,12 +1265,6 @@ mod tests {
             started_ns: 200.0,
             completed_ns: 350.0,
             cold: false,
-            host_prep_ns: 0.0,
-            copy_ns: 0.0,
-            kernel_ns: 0.0,
-            fallback_ns: 0.0,
-            recovery_ns: 0.0,
-            barrier_stall_ns: 0.0,
         });
         s.record(TraceEvent::Resolved {
             req: 0,
@@ -1430,12 +1325,6 @@ mod tests {
             started_ns: 150.0,
             completed_ns: 300.0,
             cold: true,
-            host_prep_ns: 0.0,
-            copy_ns: 0.0,
-            kernel_ns: 0.0,
-            fallback_ns: 0.0,
-            recovery_ns: 0.0,
-            barrier_stall_ns: 0.0,
         });
         s.record(TraceEvent::Resolved {
             req: 0,
@@ -1468,70 +1357,56 @@ mod tests {
 
     #[test]
     fn gap_between_phases_fails_tiling() {
-        let t = RequestTimeline {
-            req: 9,
-            tenant: 0,
-            arrival_ns: 0.0,
-            resolved_ns: 100.0,
-            resolution: Resolution::Completed,
-            reason: "completed",
-            bucket: None,
-            cold: false,
-            attempts: 1,
-            spans: vec![
-                PhaseSpan {
-                    phase: Phase::Admit,
-                    start_ns: 0.0,
-                    end_ns: 0.0,
-                    device: None,
-                    batch: None,
-                    ok: true,
-                    detail: "",
-                },
-                PhaseSpan {
-                    phase: Phase::Execute,
-                    start_ns: 10.0, // gap: previous phase ended at 0
-                    end_ns: 100.0,
-                    device: Some(0),
-                    batch: Some(0),
-                    ok: true,
-                    detail: "",
-                },
-                PhaseSpan {
-                    phase: Phase::Resolve,
-                    start_ns: 100.0,
-                    end_ns: 100.0,
-                    device: None,
-                    batch: None,
-                    ok: true,
-                    detail: "completed",
-                },
-            ],
-        };
-        let err = t.check_tiling().unwrap_err();
-        assert!(err.contains("gap/overlap"), "got: {err}");
-    }
-
-    #[test]
-    fn exact_sum_cancels_telescoping_terms() {
-        // A chain of irrational-ish boundaries: telescoping must cancel
-        // exactly even though individual durations round.
-        let b = [0.1, 0.30000000000000004, 1e9 + 0.7, 1e9 + 123.456];
-        let spans: Vec<(f64, f64)> = b.windows(2).map(|w| (w[0], w[1])).collect();
-        assert!(durations_tile_exactly(&spans, b[0], b[b.len() - 1]));
-        // Perturbing one boundary by 1 ulp breaks exactness.
-        let mut bad = spans.clone();
-        bad[1].0 = f64::from_bits(bad[1].0.to_bits() + 1);
-        assert!(!durations_tile_exactly(&bad, b[0], b[b.len() - 1]));
-    }
-
-    #[test]
-    fn exact_sum_zero_detects_nonzero_residue() {
-        assert!(exact_sum_is_zero(&[]));
-        assert!(exact_sum_is_zero(&[1.5, -1.5]));
-        assert!(exact_sum_is_zero(&[1e300, 1.0, -1.0, -1e300]));
-        assert!(!exact_sum_is_zero(&[1e300, 1.0, -1e300]));
-        assert!(!exact_sum_is_zero(&[f64::MIN_POSITIVE]));
+        // A 10 ns gap, and a span starting 1 ulp after its predecessor's end
+        // between boundaries whose differences round.
+        let near = 0.30000000000000004_f64;
+        for (arrival_ns, start_ns, resolved_ns) in [
+            (0.0, 10.0, 100.0),
+            (near, f64::from_bits(near.to_bits() + 1), 1e9 + 0.7),
+        ] {
+            let t = RequestTimeline {
+                req: 9,
+                tenant: 0,
+                arrival_ns,
+                resolved_ns,
+                resolution: Resolution::Completed,
+                reason: "completed",
+                bucket: None,
+                cold: false,
+                attempts: 1,
+                spans: vec![
+                    PhaseSpan {
+                        phase: Phase::Admit,
+                        start_ns: arrival_ns,
+                        end_ns: arrival_ns,
+                        device: None,
+                        batch: None,
+                        ok: true,
+                        detail: "",
+                    },
+                    PhaseSpan {
+                        phase: Phase::Execute,
+                        start_ns, // gap: the previous phase ended at arrival
+                        end_ns: resolved_ns,
+                        device: Some(0),
+                        batch: Some(0),
+                        ok: true,
+                        detail: "",
+                    },
+                    PhaseSpan {
+                        phase: Phase::Resolve,
+                        start_ns: resolved_ns,
+                        end_ns: resolved_ns,
+                        device: None,
+                        batch: None,
+                        ok: true,
+                        detail: "completed",
+                    },
+                ],
+            };
+            let err = t.check_tiling().unwrap_err();
+            assert!(err.contains("gap/overlap"), "got: {err}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use dyn_graph::{Graph, Model};
 use gpu_sim::SimTime;
-use vpps::{BatchCost, CostProbe, Handle, LoweredCacheStats, VppsError};
+use vpps::{Handle, LoweredCacheStats, VppsError};
 
 use crate::batcher::{BucketKey, Pending};
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
@@ -160,8 +160,9 @@ pub(crate) struct Executed {
     pub started_at: SimTime,
     pub completed_at: SimTime,
     pub service: SimTime,
-    /// What the dispatch cost the handle (phase/cache/stall deltas).
-    pub cost: BatchCost,
+    /// The dispatch lowered at least one fresh script (a script-cache miss)
+    /// instead of running warm.
+    pub cold: bool,
 }
 
 /// A batch whose dispatch returned a typed error. Members within their
@@ -609,7 +610,7 @@ impl Device {
         let roots: Vec<_> = batch.iter().map(|p| sg.absorb(&p.graph, p.root)).collect();
         let start = now.max(self.busy_until);
         let wall_before = dm.handle.wall_time();
-        let probe = CostProbe::capture(&dm.handle);
+        let misses_before = dm.handle.lowered_cache_stats().script_misses;
         let result: Result<Vec<Vec<f32>>, VppsError> = match key.kind {
             RequestKind::Infer => dm.handle.try_infer_many(&mut dm.model, sg, &roots),
             RequestKind::Train => {
@@ -624,8 +625,9 @@ impl Device {
                 })
             }
         };
-        // Failed dispatches still occupied the device (faulted attempts,
-        // watchdog waits, backoff): service time is the wall delta either way.
+        // Service time is the wall delta: it includes a training batch's
+        // drain in `sync_get_latest_loss`, and failed dispatches still
+        // occupied the device (faulted attempts, watchdog waits, backoff).
         let mut service = dm.handle.wall_time() - wall_before;
         if self.slowdown > 1.0 {
             // Brownout: the device is throttled, so the same work holds it
@@ -633,7 +635,7 @@ impl Device {
             // device timeline stretches.
             service = SimTime::from_ns(service.as_ns() * self.slowdown);
         }
-        let cost = probe.delta(&dm.handle);
+        let cold = dm.handle.lowered_cache_stats().script_misses > misses_before;
         let completed_at = start + service;
         self.busy_until = completed_at;
         self.busy_total += service;
@@ -654,7 +656,7 @@ impl Device {
                     started_at: start,
                     completed_at,
                     service,
-                    cost,
+                    cold,
                 })
             }
             Err(_) => {

@@ -823,7 +823,7 @@ impl Server {
             started_at,
             completed_at,
             service,
-            cost,
+            cold,
         } = done;
         let batch_size = batch.len();
         vpps_obs::counter("serve.completed").add(batch_size as u64);
@@ -835,15 +835,7 @@ impl Server {
                 device: idx as u32,
                 started_ns: started_at.as_ns(),
                 completed_ns: completed_at.as_ns(),
-                // A batch is "cold" when executing it lowered at least one
-                // fresh script (structural script-cache miss).
-                cold: cost.script_misses > 0,
-                host_prep_ns: cost.phases.host_total().as_ns(),
-                copy_ns: cost.phases.script_copy.as_ns(),
-                kernel_ns: cost.phases.kernel_exec.as_ns(),
-                fallback_ns: cost.phases.fallback_exec.as_ns(),
-                recovery_ns: cost.phases.recovery.as_ns(),
-                barrier_stall_ns: cost.barrier_stall.as_ns(),
+                cold,
             });
         }
         for (p, output) in batch.into_iter().zip(outputs) {

@@ -150,6 +150,26 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
+/// One SGD step with L2 weight decay, `value -= lr * (grad + wd * value)`,
+/// element by element in order — the update every trainer, kernel epilogue
+/// and lookup-table step in the workspace applies, so they agree bit for
+/// bit.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn sgd_step(value: &mut [f32], grad: &[f32], lr: f32, wd: f32) {
+    assert_eq!(
+        value.len(),
+        grad.len(),
+        "sgd_step: slices must have equal length"
+    );
+    for (v, g) in value.iter_mut().zip(grad) {
+        *v -= lr * (g + wd * *v);
+    }
+}
+
 /// Element-wise product `out = a .* b`.
 ///
 /// # Panics

