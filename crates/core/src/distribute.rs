@@ -220,7 +220,8 @@ pub struct Distribution {
     chunks: Vec<Chunk>,
     value_chunks: Vec<Vec<ChunkId>>,
     grad_chunks: Vec<Vec<ChunkId>>,
-    per_vpp: Vec<Vec<ChunkId>>,
+    /// Chunks owned by each VPP.
+    per_vpp: Vec<usize>,
     cache_grads: bool,
     param_count: usize,
 }
@@ -253,7 +254,7 @@ impl Distribution {
         let max_index = shapes.iter().map(|s| s.id.index()).max().unwrap_or(0);
         let mut value_chunks = vec![Vec::new(); max_index + 1];
         let mut grad_chunks = vec![Vec::new(); max_index + 1];
-        let mut per_vpp = vec![Vec::new(); geometry.total_vpps()];
+        let mut per_vpp = vec![0; geometry.total_vpps()];
         let mut chunks = Vec::new();
 
         let rows_per_chunk = geometry.rows_per_chunk();
@@ -288,7 +289,7 @@ impl Distribution {
                     } else {
                         value_chunks[shape.id.index()].push(id);
                     }
-                    per_vpp[vpp].push(id);
+                    per_vpp[vpp] += 1;
                     slot += 1;
                     row += rows;
                 }
@@ -351,15 +352,6 @@ impl Distribution {
         &self.grad_chunks[param.index()]
     }
 
-    /// Chunks owned by one VPP.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vpp >= geometry().total_vpps()`.
-    pub fn chunks_of_vpp(&self, vpp: usize) -> &[ChunkId] {
-        &self.per_vpp[vpp]
-    }
-
     /// `true` if gradients were given register partitions.
     pub fn caches_gradients(&self) -> bool {
         self.cache_grads
@@ -383,12 +375,12 @@ impl Distribution {
     /// Maximum over VPPs of cached chunks — with round-robin this differs
     /// from the minimum by at most one, the balance property Fig. 4 is after.
     pub fn max_chunks_per_vpp(&self) -> usize {
-        self.per_vpp.iter().map(Vec::len).max().unwrap_or(0)
+        self.per_vpp.iter().copied().max().unwrap_or(0)
     }
 
     /// Minimum over VPPs of cached chunks.
     pub fn min_chunks_per_vpp(&self) -> usize {
-        self.per_vpp.iter().map(Vec::len).min().unwrap_or(0)
+        self.per_vpp.iter().copied().min().unwrap_or(0)
     }
 }
 

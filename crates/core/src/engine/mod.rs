@@ -1,13 +1,12 @@
 //! The unified execution engine (backend abstraction layer).
 //!
 //! Every way of executing a batch's generated scripts implements one
-//! [`ExecutionBackend`] trait. Two are selectable through [`BackendKind`] and
-//! bit-identical to each other by construction — the lowered micro-op
+//! [`ExecutionBackend`] trait. Both are selectable through [`BackendKind`]
+//! and bit-identical to each other by construction — the lowered micro-op
 //! executor ([`Lowered`], the production path) and the event-driven
-//! interpreter ([`EventInterp`], the reference oracle). The third,
-//! [`Threaded`], is the signal/wait protocol checker on real atomics: tests
-//! hand it to [`run_batch`] directly and compare it under an accumulation
-//! tolerance.
+//! interpreter ([`EventInterp`], the reference oracle). Neither runs the
+//! VPPs concurrently: that the signal/wait protocol would order them on the
+//! device is proven per script set by [`crate::script::validate_protocol`].
 //!
 //! * [`ExecutionBackend::prepare`] analyzes the scripts once into a
 //!   [`Session`]: the full per-VPP timeline, the kernel body time and a
@@ -48,7 +47,7 @@ use crate::exec::regcache::RegCache;
 use crate::script::{BatchLayout, GeneratedScript};
 use crate::specialize::{GradStrategy, KernelPlan};
 
-pub use backends::{EventInterp, Threaded};
+pub use backends::EventInterp;
 pub use lowered::{
     Lowered, LoweredCache, LoweredCacheStats, LoweredScript, MicroOp, PatchPoint, WarmBatch,
 };
@@ -111,8 +110,8 @@ pub struct Session<'a> {
     /// [`Lowered`] backend, which executes the artifact, can run such a
     /// session.
     ///
-    /// The interpreting backends ([`EventInterp`], [`Threaded`]) `expect` the
-    /// scripts, and [`Lowered`] `expect`s [`Session::lowered`] the same way.
+    /// The interpreter ([`EventInterp`]) `expect`s the scripts, and
+    /// [`Lowered`] `expect`s [`Session::lowered`] the same way.
     /// These stay panics because pairing a session with a backend it was not
     /// prepared for is a programming error no input can cause: every
     /// constructor but `from_warm` is handed the scripts; `from_warm` is
@@ -331,9 +330,8 @@ pub struct RunOutcome {
 /// One way of executing a prepared batch's scripts.
 ///
 /// Implementations must be functionally equivalent: same pool contents, same
-/// register-cache contents (up to floating-point accumulation order for
-/// [`Threaded`]), and — because the [`Session`] carries the analytics — the
-/// exact same [`RunOutcome::metrics`].
+/// register-cache contents, and — because the [`Session`] carries the
+/// analytics — the exact same [`RunOutcome::metrics`].
 pub trait ExecutionBackend: Sync {
     /// Short stable name for reports, obs counters and CLI flags.
     fn name(&self) -> &'static str;

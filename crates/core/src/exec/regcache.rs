@@ -184,18 +184,6 @@ impl RegCache {
         }
         (&mut self.data, &mut self.scratch)
     }
-
-    /// Raw `(pointer, length)` views of every chunk's storage, for the
-    /// engine's shared-chunk access (owner-VPP-only discipline; see
-    /// `engine::backends::SharedChunks`).
-    pub(crate) fn chunk_ptrs(&mut self) -> Vec<(*mut f32, usize)> {
-        let base = self.data.as_mut_ptr();
-        self.spans
-            .iter()
-            // SAFETY: every span lies inside `data` (they tile it exactly).
-            .map(|&(offset, len)| (unsafe { base.add(offset) }, len))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -334,26 +322,6 @@ mod tests {
         let (_, _, other) = setup();
         assert!(!RegCache::new(&other).laid_out_for(&dist));
         assert!(!RegCache::new(&dist).laid_out_for(&other));
-    }
-
-    #[test]
-    fn chunk_ptrs_round_trip() {
-        let (m, dist) = mixed_setup();
-        let mut cache = RegCache::new(&dist);
-        cache.load_from_model(&m);
-        for (i, cid) in (0..cache.len()).map(|i| (i, ChunkId(i as u32))) {
-            cache.chunk_mut(cid)[0] += i as f32; // make gradient chunks distinct too
-        }
-        let reference = cache.clone();
-
-        let ptrs = cache.chunk_ptrs();
-        assert_eq!(ptrs.len(), reference.len());
-        for (i, &(ptr, len)) in ptrs.iter().enumerate() {
-            // SAFETY: `chunk_ptrs` views stay valid while `cache` is alive
-            // and unmoved; nothing else accesses it here.
-            let view = unsafe { std::slice::from_raw_parts(ptr, len) };
-            assert_eq!(view, reference.chunk(ChunkId(i as u32)));
-        }
     }
 
     #[test]

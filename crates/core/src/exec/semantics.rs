@@ -1,9 +1,9 @@
 //! Shared instruction semantics for every execution backend.
 //!
-//! The execution backends differ only in *how* they touch memory (direct
-//! slices, atomics, or journaled accumulates) and in whether they keep a
-//! timeline; the arithmetic of every instruction is defined once here against
-//! the [`ExecCtx`] abstraction, and the memory/compute cost of every
+//! The arithmetic of every instruction is defined once here against the
+//! [`ExecCtx`] abstraction — implemented by the interpreter, which touches
+//! the pool and register cache directly, and by the protocol validator,
+//! which only records what was touched — and the memory/compute cost of every
 //! instruction is defined once in [`instr_cost`]. Costs are data-independent
 //! (they depend only on instruction operand lengths and chunk geometry), so
 //! the engine's timeline analysis can compute exact per-VPP schedules without
@@ -31,18 +31,19 @@ pub struct InstrCost {
 
 /// Execution context: pool memory access plus register-chunk access.
 ///
-/// `write` requires the caller to be the unique writer of the range in the
-/// current barrier epoch; `accumulate` is a read-modify-write that may race
-/// with other accumulators and must therefore be atomic in concurrent
-/// implementations (mirroring the paper's "remote atomic stores" for the
-/// transposed product).
+/// Within one barrier level, a pool element two VPPs touch is either only
+/// read by both or only accumulated into by both
+/// ([`crate::script::validate_protocol`] proves this per script set).
+/// `accumulate` is therefore the one shared access that changes memory: on
+/// the device an atomic add (the paper's "remote atomic stores" for the
+/// transposed product), which commutes up to rounding.
 pub trait ExecCtx {
     /// Reads `out.len()` elements starting at `off` into `out`.
     fn read(&self, off: PoolOffset, out: &mut [f32]);
     /// Stores `data` at `off` (unique writer).
     fn write(&mut self, off: PoolOffset, data: &[f32]);
-    /// Adds `data` element-wise onto the range at `off` (atomic add
-    /// semantics).
+    /// Adds `data` element-wise onto the range at `off` (atomic-add
+    /// semantics on the device).
     fn accumulate(&mut self, off: PoolOffset, data: &[f32]);
     /// Borrows a register-cached chunk.
     fn chunk(&self, id: ChunkId) -> &[f32];

@@ -26,9 +26,9 @@
 //!   (Table II).
 //! * **Script generation + execution, once per batch** — [`script::generate`]
 //!   encodes the per-VPP instruction streams with `signal`/`wait` barriers
-//!   (Fig. 6), and [`exec`] interprets them over the simulated device, either
-//!   on a deterministic timed single thread or on real threads with atomic
-//!   barriers.
+//!   (Fig. 6), and [`exec`] interprets them over the simulated device on one
+//!   deterministic thread; [`script::validate_protocol`] proves the barriers
+//!   would order them when every VPP runs at once.
 //!
 //! The user-facing API is [`Handle`], matching the paper's three calls:
 //!

@@ -99,15 +99,6 @@ impl TableLayout {
     pub fn persistent_floor(&self) -> u32 {
         self.const_one.raw() + 1
     }
-
-    /// Total resident bytes (tables + constant).
-    pub fn resident_bytes(&self) -> u64 {
-        self.dims
-            .iter()
-            .map(|(v, d)| (v * d * 4) as u64)
-            .sum::<u64>()
-            + 4
-    }
 }
 
 /// Staging region for one parameter's GEMM-fallback gradient (paper §III-C2):
@@ -460,6 +451,21 @@ fn generate_inner(
     let mut next_barrier = 0u32;
     let mut last: Option<(u32, u32)> = None;
     let mut forward_instructions = 0usize;
+    let mut backward_instructions = 0usize;
+    // The loss derivative is seeded where its first reader runs — except for
+    // a loss whose backward readers sit on VPPs the seed cannot follow
+    // (chunk-pinned, or each balanced on its own). Those are seeded in the
+    // loss node's forward level, whose barrier orders the seed before them.
+    let seed_in_forward = backward
+        && matches!(
+            graph.node(loss).op,
+            Op::MatVec { .. }
+                | Op::AddBias { .. }
+                | Op::CwiseMult
+                | Op::Tanh
+                | Op::Sigmoid
+                | Op::Relu
+        );
 
     for level in levels.iter() {
         for &id in level {
@@ -622,12 +628,19 @@ fn generate_inner(
                     forward_instructions += 1;
                 }
             }
+            if seed_in_forward && id == loss {
+                emitter.emit_balanced(Instr::Copy {
+                    len: 1,
+                    src: tables.const_one(),
+                    dst: deriv_off[id.index()],
+                });
+                backward_instructions += 1;
+            }
         }
         last = emitter.flush_level(&mut scripts, &mut next_barrier, last);
     }
 
     // ---- backward traversal, deepest level first.
-    let mut backward_instructions = 0usize;
     let backward_levels: Vec<&Vec<NodeId>> = if backward {
         levels.iter_rev().collect()
     } else {
@@ -902,6 +915,7 @@ fn generate_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::validate_protocol;
     use dyn_graph::Model;
     use gpu_sim::DeviceConfig;
     use std::collections::HashMap;
@@ -947,35 +961,6 @@ mod tests {
         (g, loss)
     }
 
-    /// Barrier sanity: per VPP, every wait references an earlier barrier's
-    /// signals, and the number of signals per barrier equals the `needed` of
-    /// its waits.
-    fn check_barrier_protocol(scripts: &ScriptSet) {
-        let mut signal_count: HashMap<u32, u32> = HashMap::new();
-        let mut wait_needed: HashMap<u32, u32> = HashMap::new();
-        for v in 0..scripts.num_vpps() {
-            for instr in scripts.script(v) {
-                match instr {
-                    Instr::Signal { barrier } => *signal_count.entry(*barrier).or_default() += 1,
-                    Instr::Wait { barrier, needed } => {
-                        let prev = wait_needed.insert(*barrier, *needed);
-                        if let Some(p) = prev {
-                            assert_eq!(p, *needed, "inconsistent needed for barrier {barrier}");
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for (barrier, needed) in wait_needed {
-            assert_eq!(
-                signal_count.get(&barrier).copied().unwrap_or(0),
-                needed,
-                "barrier {barrier} signal/needed mismatch"
-            );
-        }
-    }
-
     #[test]
     fn generates_instructions_for_every_op() {
         let (m, w, b, plan, mut pool, tables) = setup();
@@ -997,7 +982,7 @@ mod tests {
         let (g, loss) = chain_graph(&m, w, b, 5);
         let gs = generate(&g, loss, &plan, &mut pool, &tables).unwrap();
         assert!(gs.num_barriers > 0);
-        check_barrier_protocol(&gs.scripts);
+        assert_eq!(validate_protocol(&gs.scripts, plan.distribution()), Ok(()));
     }
 
     #[test]
@@ -1020,33 +1005,20 @@ mod tests {
         let loss = g.pick_neg_log_softmax(h, 3);
         let gs = generate(&g, loss, &plan, &mut pool, &tables).unwrap();
 
-        let mut signallers: HashMap<u32, Vec<usize>> = HashMap::new();
-        for v in 0..gs.scripts.num_vpps() {
-            // Pattern per VPP: (Wait? body+ Signal)*, i.e. a Wait may only
-            // appear immediately after a Signal or at the start, and a Signal
-            // only after a body instruction.
-            let mut prev_was_signal = true;
-            let mut prev_was_body = false;
-            for instr in gs.scripts.script(v) {
-                if matches!(instr, Instr::Wait { .. }) {
-                    assert!(prev_was_signal, "wait in the middle of a level body");
-                }
-                if let Instr::Signal { barrier } = instr {
-                    assert!(prev_was_body, "VPP {v} signals a level it has no body in");
-                    signallers.entry(*barrier).or_default().push(v);
-                }
-                prev_was_signal = matches!(instr, Instr::Signal { .. });
-                prev_was_body = !instr.is_sync();
-            }
-        }
-        check_barrier_protocol(&gs.scripts);
+        assert_eq!(validate_protocol(&gs.scripts, plan.distribution()), Ok(()));
         // Every instruction lands in exactly one level's body: a buffer that
         // survived its flush would replay in the VPP's next level.
         assert_eq!(
             gs.scripts.compute_instructions(),
             gs.forward_instructions + gs.backward_instructions
         );
-        let widths: std::collections::BTreeSet<usize> = signallers.values().map(Vec::len).collect();
+        let mut signallers: HashMap<u32, usize> = HashMap::new();
+        for instr in (0..gs.scripts.num_vpps()).flat_map(|v| gs.scripts.script(v)) {
+            if let Instr::Signal { barrier } = instr {
+                *signallers.entry(*barrier).or_default() += 1;
+            }
+        }
+        let widths: std::collections::BTreeSet<usize> = signallers.into_values().collect();
         assert!(
             widths.len() > 1,
             "every level touched the same number of VPPs: {widths:?}"
@@ -1122,20 +1094,82 @@ mod tests {
         let _ = m;
     }
 
+    /// Every op that can be a 1-dim loss, as `(op, graph, loss)`, over a
+    /// model whose first parameters are a 1 × 8 matrix and a 1-dim bias and
+    /// whose first lookup table has 1-dim rows.
+    fn one_dim_losses(m: &Model) -> Vec<(&'static str, Graph, NodeId)> {
+        let w = m.params().next().unwrap().0;
+        let b = m.params().nth(1).unwrap().0;
+        let table = m.lookups().next().unwrap().0;
+        let ops = [
+            "input",
+            "lookup",
+            "matvec",
+            "add_bias",
+            "add",
+            "sub",
+            "sum",
+            "cwise_mult",
+            "tanh",
+            "sigmoid",
+            "relu",
+            "concat",
+            "pick",
+        ];
+        ops.into_iter()
+            .map(|op| {
+                let mut g = Graph::new();
+                let x = g.input((0..8).map(|i| 0.1 * i as f32 - 0.3).collect());
+                let s = g.matvec(m, w, x);
+                let t = g.tanh(s);
+                let loss = match op {
+                    "input" => g.input(vec![0.5]),
+                    "lookup" => g.lookup(m, table, 2),
+                    "matvec" => g.matvec(m, w, x),
+                    "add_bias" => g.add_bias(m, b, s),
+                    "add" => g.add(s, t),
+                    "sub" => g.sub(s, t),
+                    "sum" => g.sum(&[s, t]),
+                    "cwise_mult" => g.cwise_mult(s, t),
+                    "tanh" => g.tanh(s),
+                    "sigmoid" => g.sigmoid(s),
+                    "relu" => g.relu(s),
+                    "concat" => g.concat(&[s]),
+                    _ => g.pick_neg_log_softmax(x, 3),
+                };
+                (op, g, loss)
+            })
+            .collect()
+    }
+
     #[test]
     fn loss_derivative_is_seeded_exactly_once() {
-        let (m, w, b, plan, mut pool, tables) = setup();
-        let (g, loss) = chain_graph(&m, w, b, 2);
-        let gs = generate(&g, loss, &plan, &mut pool, &tables).unwrap();
-        let dloss = gs.layout.deriv_off[loss.index()];
-        let seeds = (0..gs.scripts.num_vpps())
-            .flat_map(|v| gs.scripts.script(v))
-            .filter(|i| {
-                matches!(i, Instr::Copy { src, dst, .. }
-                if *src == tables.const_one() && *dst == dloss)
-            })
-            .count();
-        assert_eq!(seeds, 1);
+        let mut m = Model::new(5);
+        m.add_matrix("W", 1, 8);
+        m.add_bias("b", 1);
+        m.add_lookup("E", 4, 1);
+        let plan = KernelPlan::build(&m, &small_device(), 1).unwrap();
+        let mut pool = Pool::with_capacity(1 << 16);
+        let tables = TableLayout::install(&m, &mut pool).unwrap();
+        for (name, g, loss) in one_dim_losses(&m) {
+            assert_eq!(g.node(loss).dim, 1, "{name}");
+            pool.reset();
+            let gs = generate(&g, loss, &plan, &mut pool, &tables).unwrap();
+            let dloss = gs.layout.deriv_off[loss.index()];
+            let seeds = (0..gs.scripts.num_vpps())
+                .flat_map(|v| gs.scripts.script(v))
+                .filter(|i| {
+                    matches!(i, Instr::Copy { src, dst, .. }
+                    if *src == tables.const_one() && *dst == dloss)
+                })
+                .count();
+            assert_eq!(seeds, 1, "{name}");
+            assert_eq!(
+                validate_protocol(&gs.scripts, plan.distribution()),
+                Ok(()),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -1164,6 +1198,6 @@ mod tests {
         let total = sg.sum(&[ra, rb]);
         let gs2 = generate(&sg, total, &plan, &mut pool, &tables).unwrap();
         assert!(gs2.forward_instructions > gs1.forward_instructions);
-        check_barrier_protocol(&gs2.scripts);
+        assert_eq!(validate_protocol(&gs2.scripts, plan.distribution()), Ok(()));
     }
 }

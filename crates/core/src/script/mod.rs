@@ -12,4 +12,4 @@ pub mod validate;
 pub use generate::generate_forward_only;
 pub use generate::{BatchLayout, GeneratedScript, ParamStage, SchedulePolicy, TableLayout};
 pub use isa::{Instr, ScriptSet, MAX_TENSOR_LEN};
-pub use validate::{disassemble, validate_protocol, ProtocolError};
+pub use validate::{validate_protocol, ProtocolError};

@@ -304,11 +304,6 @@ impl FaultConfig {
         r.clamp(0.0, 1.0)
     }
 
-    /// `true` if any kind can actually fire.
-    pub fn any_rate_positive(&self) -> bool {
-        FaultKind::ALL.iter().any(|&k| self.rate(k) > 0.0)
-    }
-
     /// Parses a `loadgen --fault-profile` spec: comma-separated `key=value`
     /// pairs where keys are `seed`, `rate` (applies to every kind), a kind
     /// name / short alias (`transfer`, `launch`, `hang`, `dram`, `jit`),

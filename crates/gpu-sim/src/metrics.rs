@@ -1,18 +1,18 @@
 //! Unified execution metrics shared by every execution backend.
 //!
-//! The VPPS engine backends (event-driven interpreter, lowered executor,
-//! threaded protocol checker) and the baseline executors all report their
-//! device activity through one [`Metrics`] struct, so the paper's tables compare
-//! numbers produced by identical plumbing: kernel time, DRAM traffic split
-//! by [`TrafficTag`], launch counts, the per-VPP load-imbalance histogram
-//! and accumulated barrier-stall time.
+//! The VPPS engine backends (event-driven interpreter, lowered executor) and
+//! the baseline executors all report their device activity through one
+//! [`Metrics`] struct, so the paper's tables compare numbers produced by
+//! identical plumbing: kernel time, DRAM traffic split by [`TrafficTag`],
+//! launch counts, the per-VPP load-imbalance histogram and accumulated
+//! barrier-stall time.
 //!
 //! Two construction paths exist:
 //!
 //! * **Analytic** (VPPS backends): the engine's timeline analysis computes
 //!   the figures up front and [`Metrics::commit`] records them on a
-//!   [`GpuSim`] — so every backend, serial or parallel, posts identical
-//!   counters by construction.
+//!   [`GpuSim`] — so every backend posts identical counters by
+//!   construction.
 //! * **Measured** (baselines): take a [`DeviceSnapshot`] before the work and
 //!   call [`Metrics::since`] afterwards to extract the delta from the
 //!   device's own counters.
@@ -160,11 +160,6 @@ impl Metrics {
     /// Weight-matrix bytes loaded from DRAM (Table I's quantity).
     pub fn weight_load_bytes(&self) -> u64 {
         self.dram.loads(TrafficTag::Weight)
-    }
-
-    /// Activation bytes loaded from DRAM.
-    pub fn activation_load_bytes(&self) -> u64 {
-        self.dram.loads(TrafficTag::Activation)
     }
 
     /// Weight bytes loaded, in megabytes (Table I's unit).

@@ -57,13 +57,6 @@ pub struct KernelStats {
     pub copy_time: SimTime,
 }
 
-impl KernelStats {
-    /// Total device-side wall time: body + launch + copies.
-    pub fn total_time(&self) -> SimTime {
-        self.busy_time + self.launch_time + self.copy_time
-    }
-}
-
 /// A simulated GPU: owns the DRAM counters, the clock and launch statistics.
 ///
 /// The simulator is *serial*: kernels are assumed to execute back-to-back on

@@ -232,11 +232,6 @@ impl Router {
         .unwrap_or(least)
     }
 
-    /// The device a bucket is currently homed on, if it has run before.
-    pub fn affinity_of(&self, key: &BucketKey) -> Option<DeviceId> {
-        self.affinity.get(key).copied()
-    }
-
     /// Routing tallies so far.
     pub fn stats(&self) -> RouterStats {
         self.stats

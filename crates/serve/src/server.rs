@@ -397,11 +397,6 @@ impl Server {
         self.devices.iter().map(|d| d.stats().failures).sum()
     }
 
-    /// Number of virtual devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Point-in-time stats per device, in device order.
     pub fn device_stats(&self) -> Vec<DeviceStats> {
         self.devices.iter().map(Device::stats).collect()

@@ -1,11 +1,9 @@
 //! Property: every execution backend is the *same machine*. Whatever random
-//! dynamic graph the generator produces, every selectable backend
-//! (`BackendKind::ALL`: the event-driven interpreter and the lowered micro-op
-//! executor) must return bit-identical losses, bit-identical updated
-//! parameters, and identical unified metrics (DRAM bytes per traffic class,
-//! launch counts). The protocol checker `engine::Threaded`, whose concurrent
-//! atomic adds land in scheduling order, is driven next to them and matches
-//! on accumulated floats only within [`within_accumulation_tolerance`].
+//! dynamic graph the generator produces, every backend (`BackendKind::ALL`:
+//! the event-driven interpreter and the lowered micro-op executor) must
+//! return bit-identical losses, bit-identical updated parameters, and
+//! identical unified metrics (DRAM bytes per traffic class, launch counts) —
+//! and every script they run must pass `script::validate_protocol`.
 //!
 //! Reuses the graph generators from `tests/support/graphgen.rs` shared with
 //! `proptest_random_graphs.rs`, so backend agreement is tested over the same
@@ -16,7 +14,7 @@ use gpu_sim::{GpuSim, Metrics, TrafficTag};
 use proptest::prelude::*;
 use vpps::engine;
 use vpps::exec::interp::ExecConfig;
-use vpps::script::{generate, TableLayout};
+use vpps::script::{generate, validate_protocol, TableLayout};
 use vpps::{BackendKind, ExecutionBackend, Handle, KernelPlan, RpwMode, VppsOptions};
 
 #[path = "support/graphgen.rs"]
@@ -40,6 +38,11 @@ fn run_on_backend(
     let mut pool = vpps_tensor::Pool::with_capacity(1 << 18);
     let tables = TableLayout::install(&model, &mut pool).expect("pool big enough");
     let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).expect("fits");
+    assert_eq!(
+        validate_protocol(&gs.scripts, plan.distribution()),
+        Ok(()),
+        "generated script violates the barrier protocol"
+    );
     for (id, node) in g.iter() {
         if let dyn_graph::Op::Input { values } = &node.op {
             pool.slice_mut(gs.layout.value_off[id.index()], node.dim)
@@ -67,28 +70,14 @@ fn run_on_backend(
     (run.loss, run.metrics, params)
 }
 
-/// `Threaded` accumulation order is inherently racy — its float results carry
-/// tolerances (see `accumulate()` in `crates/core/src/engine/backends.rs`) —
-/// so two runs can legitimately differ in final float bits. This is the
-/// bound its accumulated observables are compared under.
-fn within_accumulation_tolerance(a: u32, b: u32) -> bool {
-    let (a, b) = (f32::from_bits(a), f32::from_bits(b));
-    (a - b).abs() <= 1e-4 * a.abs().max(b.abs()).max(1.0)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// All backends agree on any random graph: every `BackendKind`
-    /// bit-for-bit, and `Threaded` bit-for-bit except its updated parameters
-    /// (sums of racing atomic adds), which agree within the accumulation
-    /// tolerance.
+    /// All backends agree bit-for-bit on any random graph.
     #[test]
     fn backends_agree_on_random_graphs(recipe in arb_recipe()) {
         let (ref_loss, ref_metrics, ref_params) = run_on_backend(&recipe, &engine::EventInterp);
-        let selectable = BackendKind::ALL.map(|kind| (kind.backend(), true));
-        let checker: &dyn ExecutionBackend = &engine::Threaded;
-        for (backend, exact_params) in selectable.into_iter().chain([(checker, false)]) {
+        for backend in BackendKind::ALL.map(BackendKind::backend) {
             let name = backend.name();
             let (loss, metrics, params) = run_on_backend(&recipe, backend);
             prop_assert_eq!(
@@ -106,17 +95,7 @@ proptest! {
                 metrics.kernel_time, ref_metrics.kernel_time,
                 "{} modeled kernel time differs", name
             );
-            if exact_params {
-                prop_assert_eq!(&params, &ref_params, "{} updated parameters diverged", name);
-            } else {
-                prop_assert_eq!(params.len(), ref_params.len());
-                for (i, (&p, &r)) in params.iter().zip(&ref_params).enumerate() {
-                    prop_assert!(
-                        within_accumulation_tolerance(p, r),
-                        "{}: parameter {} beyond accumulation tolerance", name, i
-                    );
-                }
-            }
+            prop_assert_eq!(&params, &ref_params, "{} updated parameters diverged", name);
         }
     }
 }

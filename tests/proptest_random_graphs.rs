@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use vpps::engine::{run_batch, EventInterp};
 use vpps::exec::interp::ExecConfig;
 use vpps::script::{generate, TableLayout};
-use vpps::KernelPlan;
+use vpps::{GradStrategy, KernelPlan};
 use vpps_tensor::Pool;
 
 #[path = "support/graphgen.rs"]
@@ -67,8 +67,9 @@ proptest! {
         }
     }
 
-    /// Script generation never deadlocks and always schedules every
-    /// instruction (the interpreter asserts deadlock-freedom internally).
+    /// Script generation never deadlocks or races under either gradient
+    /// strategy, and always schedules every instruction (the interpreter
+    /// asserts deadlock-freedom internally).
     #[test]
     fn scripts_never_deadlock(recipe in arb_recipe()) {
         let mut model = Model::new(321);
@@ -76,20 +77,24 @@ proptest! {
         model.add_matrix("W2", DIM, DIM);
         model.add_bias("b", DIM);
         let (g, loss) = build_from_recipe(&model, &recipe);
-        let plan = KernelPlan::build(&model, &small_device(), 1).expect("fits");
-        let mut pool = Pool::with_capacity(1 << 18);
-        let tables = TableLayout::install(&model, &mut pool).expect("fits");
-        let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).expect("fits");
-        prop_assert!(
-            vpps::script::validate_protocol(&gs.scripts).is_ok(),
-            "generated script violates the barrier protocol"
-        );
-        let mut gpu = GpuSim::new(small_device());
-        let run = run_batch(
-            &EventInterp, &plan, &gs, &mut pool, &mut model, &mut gpu, ExecConfig::default(),
-        );
-        prop_assert!(run.instructions >= g.len() - 1);
-        prop_assert!(run.loss.is_finite());
+        for strategy in [GradStrategy::InRegister, GradStrategy::GemmFallback] {
+            let plan = KernelPlan::build_forced(&model, &small_device(), 1, strategy)
+                .expect("fits");
+            let mut pool = Pool::with_capacity(1 << 18);
+            let tables = TableLayout::install(&model, &mut pool).expect("fits");
+            let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).expect("fits");
+            prop_assert_eq!(
+                vpps::script::validate_protocol(&gs.scripts, plan.distribution()),
+                Ok(()),
+                "{:?}: generated script violates the barrier protocol", strategy
+            );
+            let mut gpu = GpuSim::new(small_device());
+            let run = run_batch(
+                &EventInterp, &plan, &gs, &mut pool, &mut model, &mut gpu, ExecConfig::default(),
+            );
+            prop_assert!(run.instructions >= g.len() - 1);
+            prop_assert!(run.loss.is_finite());
+        }
     }
 
     /// The encoded script transfer round-trips for random graphs.
