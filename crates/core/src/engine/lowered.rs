@@ -38,13 +38,15 @@
 //!   chunk). Inside each *segment* — one VPP's consecutive compute
 //!   instructions with no `Signal`/`Wait` between them — lowering regroups
 //!   the ops so that mat-vecs, transposed mat-vecs and outer products of one
-//!   chunk sit next to each other (`regroup`), never swapping two ops that
-//!   conflict (one writes what the other reads or writes, in the pool or the
-//!   arena). `ops` is therefore a conflict-preserving permutation of the
-//!   reference order: every memory location sees the same operations in the
-//!   same order, so the result is the same to the bit, while the sweep walks
-//!   each chunk once per segment and hands adjacent same-chunk ops to the
-//!   register-blocked kernels.
+//!   chunk sit next to each other, never swapping two ops that conflict (one
+//!   writes what the other reads or writes, in the pool or the arena). `ops`
+//!   is therefore a conflict-preserving permutation of the reference order:
+//!   every memory location sees the same operations in the same order, so
+//!   the result is the same to the bit, while the sweep walks each chunk once
+//!   per segment and hands adjacent same-chunk ops to the register-blocked
+//!   kernels. This happens in the same single pass over the order that
+//!   resolves the literals, one segment at a time; a segment in which no
+//!   chunk key repeats is appended as it is.
 //! * **Schedule resolved once** — lowering runs the one timeline sweep
 //!   ([`timeline::analyze`], which prices each instruction as it walks) and
 //!   the artifact caches the resulting [`TimelineReport`], so re-running an
@@ -327,10 +329,6 @@ pub enum MicroOp {
     },
 }
 
-/// Pool `(start, len)` ranges one micro-op reads — the first `n` of the
-/// array, no op reads more than two — plus the range it writes.
-type OpRanges = (([(u32, u32); 2], usize), Option<(u32, u32)>);
-
 impl MicroOp {
     /// Mnemonic, identical to the source [`Instr::mnemonic`] string.
     pub fn mnemonic(&self) -> &'static str {
@@ -358,68 +356,11 @@ impl MicroOp {
         }
     }
 
-    /// `(pool range read set, pool range written)` of this op, as
-    /// `(start, len)` pairs — used by the lower-time aliasing check that the
-    /// raw-pointer executor relies on.
-    fn ranges(&self) -> OpRanges {
-        let one = |r| ([r, (0, 0)], 1);
-        match *self {
-            MicroOp::MatVec {
-                x, y, len, rows, ..
-            } => (one((x, len)), Some((y, rows))),
-            MicroOp::TMatVec {
-                dy, dx, len, rows, ..
-            } => (one((dy, rows)), Some((dx, len))),
-            MicroOp::Outer {
-                x, dy, len, rows, ..
-            } => (([(x, len), (dy, rows)], 2), None),
-            MicroOp::AddBias { x, y, len, .. } => (one((x, len)), Some((y, len))),
-            MicroOp::BiasGrad { dy, len, .. } => (one((dy, len)), None),
-            MicroOp::Tanh { x, y, len }
-            | MicroOp::Sigmoid { x, y, len }
-            | MicroOp::Relu { x, y, len } => (one((x, len)), Some((y, len))),
-            MicroOp::TanhBwd { y, dy, dx, len }
-            | MicroOp::SigmoidBwd { y, dy, dx, len }
-            | MicroOp::ReluBwd { y, dy, dx, len } => (([(y, len), (dy, len)], 2), Some((dx, len))),
-            MicroOp::Sub { a, b, y, len }
-            | MicroOp::Add { a, b, y, len }
-            | MicroOp::CwiseMult { a, b, y, len }
-            | MicroOp::MulAcc { a, b, y, len } => (([(a, len), (b, len)], 2), Some((y, len))),
-            MicroOp::AccSub { x, y, len } | MicroOp::AccAdd { x, y, len } => {
-                (one((x, len)), Some((y, len)))
-            }
-            MicroOp::Copy { src, dst, len } => (one((src, len)), Some((dst, len))),
-            MicroOp::PickNls { x, out, len, .. } => (one((x, len)), Some((out, 1))),
-            MicroOp::PickNlsBwd {
-                x, dloss, dx, len, ..
-            } => (([(x, len), (dloss, 1)], 2), Some((dx, len))),
-        }
-    }
-
-    /// The register-arena `(start, len)` span this op touches and whether it
-    /// writes it; `None` for ops that only touch the pool.
-    fn arena_span(&self) -> Option<((u32, u32), bool)> {
-        match *self {
-            MicroOp::MatVec {
-                reg, rows, cols, ..
-            }
-            | MicroOp::TMatVec {
-                reg, rows, cols, ..
-            } => Some(((reg, rows * cols), false)),
-            MicroOp::Outer {
-                reg, rows, cols, ..
-            } => Some(((reg, rows * cols), true)),
-            MicroOp::AddBias { reg, len, .. } => Some(((reg, len), false)),
-            MicroOp::BiasGrad { reg, len, .. } => Some(((reg, len), true)),
-            _ => None,
-        }
-    }
-
     /// `[kind, reg, len, rows, cols]` of a matrix-chunk op, `None` for every
     /// other op. Ops with equal keys do the same work against the same
     /// register chunk with different operands: lowering makes them adjacent
-    /// ([`regroup`]) and the sweep runs adjacent ones through one blocked
-    /// kernel.
+    /// ([`Segment::group`]) and the sweep runs adjacent ones through one
+    /// blocked kernel.
     fn chunk_key(&self) -> Option<[u32; 5]> {
         match *self {
             MicroOp::MatVec {
@@ -481,7 +422,7 @@ pub struct LoweredScript {
     /// One micro-op per compute instruction, sync compiled away: the
     /// reference serial execution order ([`TimelineReport::order`]) with
     /// same-chunk ops made adjacent inside each segment — a permutation of
-    /// it that swaps no two conflicting ops (`regroup`).
+    /// it that swaps no two conflicting ops.
     pub ops: Vec<MicroOp>,
     /// The cached schedule (what [`super::Session`] would otherwise
     /// re-analyze every run), shared with every session prepared from this
@@ -702,50 +643,67 @@ fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
     a.0 < b.0 + b.1 && b.0 < a.0 + a.1
 }
 
-/// What one op touches, resolved once per segment for [`regroup`]'s
-/// pairwise checks: its pool ranges, its arena span, and a 128-bit summary of
-/// each side that rules most non-conflicting pairs out in two `AND`s.
+/// What one op touches, as `(start, len)` ranges: the pool ranges it reads
+/// (the one range twice for an op that reads one) and writes, and the
+/// register-arena span it reads — or, flagged `true`, writes; `None` for an
+/// op that only touches the pool.
 #[derive(Clone, Copy)]
 struct Access {
     reads: [(u32, u32); 2],
-    n_reads: usize,
     write: Option<(u32, u32)>,
     arena: Option<((u32, u32), bool)>,
-    /// One bit per block (hashed) of everything read: 256-element blocks of
-    /// the pool, 2048-element blocks of the arena.
-    read_bits: u128,
-    /// The same over everything written.
-    write_bits: u128,
 }
 
 impl Access {
     fn of(op: &MicroOp) -> Self {
-        // Two overlapping ranges share a block, hence a bit; pool and arena
-        // blocks hash apart.
-        fn bits(space: u32, shift: u32, (start, len): (u32, u32)) -> u128 {
-            let last = start + len.saturating_sub(1);
-            ((start >> shift)..=(last >> shift)).fold(0, |bits, block| {
-                bits | 1 << ((block ^ space).wrapping_mul(0x9E37_79B9) >> 25)
-            })
-        }
-        let ((reads, n_reads), write) = op.ranges();
-        let arena = op.arena_span();
-        let (mut read_bits, mut write_bits) = (0, write.map_or(0, |w| bits(0, 8, w)));
-        for r in &reads[..n_reads] {
-            read_bits |= bits(0, 8, *r);
-        }
-        match arena {
-            Some((span, true)) => write_bits |= bits(1 << 31, 11, span),
-            Some((span, false)) => read_bits |= bits(1 << 31, 11, span),
-            None => {}
-        }
-        Self {
+        let (reads, write) = match *op {
+            MicroOp::MatVec {
+                x, y, len, rows, ..
+            } => ([(x, len); 2], Some((y, rows))),
+            MicroOp::TMatVec {
+                dy, dx, len, rows, ..
+            } => ([(dy, rows); 2], Some((dx, len))),
+            MicroOp::Outer {
+                x, dy, len, rows, ..
+            } => ([(x, len), (dy, rows)], None),
+            MicroOp::BiasGrad { dy, len, .. } => ([(dy, len); 2], None),
+            MicroOp::AddBias { x, y, len, .. }
+            | MicroOp::Tanh { x, y, len }
+            | MicroOp::Sigmoid { x, y, len }
+            | MicroOp::Relu { x, y, len }
+            | MicroOp::AccSub { x, y, len }
+            | MicroOp::AccAdd { x, y, len } => ([(x, len); 2], Some((y, len))),
+            MicroOp::TanhBwd { y, dy, dx, len }
+            | MicroOp::SigmoidBwd { y, dy, dx, len }
+            | MicroOp::ReluBwd { y, dy, dx, len } => ([(y, len), (dy, len)], Some((dx, len))),
+            MicroOp::Sub { a, b, y, len }
+            | MicroOp::Add { a, b, y, len }
+            | MicroOp::CwiseMult { a, b, y, len }
+            | MicroOp::MulAcc { a, b, y, len } => ([(a, len), (b, len)], Some((y, len))),
+            MicroOp::Copy { src, dst, len } => ([(src, len); 2], Some((dst, len))),
+            MicroOp::PickNls { x, out, len, .. } => ([(x, len); 2], Some((out, 1))),
+            MicroOp::PickNlsBwd {
+                x, dloss, dx, len, ..
+            } => ([(x, len), (dloss, 1)], Some((dx, len))),
+        };
+        let arena = match *op {
+            MicroOp::MatVec {
+                reg, rows, cols, ..
+            }
+            | MicroOp::TMatVec {
+                reg, rows, cols, ..
+            } => Some(((reg, rows * cols), false)),
+            MicroOp::Outer {
+                reg, rows, cols, ..
+            } => Some(((reg, rows * cols), true)),
+            MicroOp::AddBias { reg, len, .. } => Some(((reg, len), false)),
+            MicroOp::BiasGrad { reg, len, .. } => Some(((reg, len), true)),
+            _ => None,
+        };
+        Access {
             reads,
-            n_reads,
             write,
             arena,
-            read_bits,
-            write_bits,
         }
     }
 
@@ -754,17 +712,8 @@ impl Access {
     /// or writes. Two accumulations into one target conflict too — f32
     /// addition does not commute across roundings.
     fn conflicts_with(&self, other: &Access) -> bool {
-        if self.write_bits & (other.read_bits | other.write_bits) == 0
-            && other.write_bits & self.read_bits == 0
-        {
-            return false;
-        }
         let hits = |w: Option<(u32, u32)>, reader: &Access| {
-            w.is_some_and(|w| {
-                reader.reads[..reader.n_reads]
-                    .iter()
-                    .any(|r| overlaps(*r, w))
-            })
+            w.is_some_and(|w| reader.reads.iter().any(|r| overlaps(*r, w)))
         };
         hits(self.write, other)
             || hits(other.write, self)
@@ -778,100 +727,203 @@ impl Access {
     }
 }
 
-/// Stably regroups each *segment* of the op stream so that ops with one
-/// [`MicroOp::chunk_key`] sit next to each other, and moves `patch_points`
-/// with their ops.
-///
-/// A segment is one VPP's run of consecutive compute instructions with no
-/// `Signal`/`Wait` between them (`order` is [`TimelineReport::order`], the
-/// `(vpp, ip)` each op came from): the part of the stream the barrier
-/// protocol lets nothing else observe half-done, so only orderings *inside*
-/// it are free. Within a segment an op joins the group of the latest earlier
-/// op with its key, unless it [conflicts](Access::conflicts_with) with an op
-/// that would then come after it; otherwise it opens a new group at the end.
-/// So no two conflicting ops ever swap — every pool and arena location sees
-/// the same reads, writes and accumulations in the same order as the
-/// reference order, which is what keeps the regrouped sweep bit-identical to
-/// it — and ops without a key (patchable ones included) keep their relative
-/// order, so `patch_points` stays ascending.
-fn regroup(ops: &mut [MicroOp], order: &[(u32, u32)], patch_points: &mut [PatchPoint]) {
-    // Buffers for the segment in hand, reused across segments. Per op: its
-    // group and what it touches; per group: the segment index of the op that
-    // opened it and its size (then its offset in the new order); per keyed
-    // group: its key and number.
-    let mut group_of: Vec<u32> = Vec::new();
-    let mut touched: Vec<Access> = Vec::new();
-    let mut groups: Vec<(u32, u32)> = Vec::new();
-    let mut keyed: Vec<([u32; 5], u32)> = Vec::new();
-    let mut moved: Vec<MicroOp> = Vec::new();
-    let mut next_patch = 0;
-    let mut start = 0;
-    while start < ops.len() {
-        let mut end = start + 1;
-        while end < ops.len() && order[end] == (order[end - 1].0, order[end - 1].1 + 1) {
-            end += 1;
+/// A summary of what one op (or a set of ops) touches: one bit per block of
+/// everything it reads and of everything it writes — block `b` of the pool
+/// (256 elements) at bit `b % 64`, block `b` of the arena (2048 elements) at
+/// bit `64 + b % 64`. Two overlapping ranges share a block, hence a bit, so
+/// disjoint summaries prove two op sets conflict-free in two `AND`s.
+#[derive(Clone, Copy, Default)]
+struct Blocks {
+    read: u128,
+    write: u128,
+}
+
+impl Blocks {
+    fn of(access: &Access) -> Self {
+        // The blocks of `(start, len)`: a run of bits that wraps at 64.
+        fn bits(shift: u32, (start, len): (u32, u32)) -> u128 {
+            let (first, last) = (start >> shift, (start + len.saturating_sub(1)) >> shift);
+            let run = u64::MAX >> 63u32.saturating_sub(last - first);
+            run.rotate_left(first).into()
         }
-        let segment = &mut ops[start..end];
-        group_of.clear();
-        touched.clear();
-        groups.clear();
-        keyed.clear();
-        let mut hoisted = false;
-        for (j, op) in segment.iter().enumerate() {
-            let access = Access::of(op);
-            let key = op.chunk_key();
-            let home = key
-                .and_then(|key| keyed.iter().rfind(|&&(k, _)| k == key))
-                .map(|&(_, group)| group)
-                .filter(|&group| {
-                    // Ops before the next group opened all sit in groups up
-                    // to `group`: only later ones can end up behind `op`.
-                    let later = groups
-                        .get(group as usize + 1)
-                        .map_or(j, |&(opened, _)| opened as usize);
-                    (later..j).all(|i| group_of[i] <= group || !touched[i].conflicts_with(&access))
-                });
-            let group = home.unwrap_or_else(|| {
-                groups.push((j as u32, 0));
-                groups.len() as u32 - 1
+        let mut blocks = Blocks {
+            read: bits(8, access.reads[0]) | bits(8, access.reads[1]),
+            write: access.write.map_or(0, |w| bits(8, w)),
+        };
+        match access.arena {
+            Some((span, true)) => blocks.write |= bits(11, span) << 64,
+            Some((span, false)) => blocks.read |= bits(11, span) << 64,
+            None => {}
+        }
+        blocks
+    }
+
+    /// `false` only if nothing `self` writes is read or written by `other`
+    /// and nothing `other` writes is read by `self`.
+    fn may_conflict(&self, other: &Blocks) -> bool {
+        self.write & (other.read | other.write) | other.write & self.read != 0
+    }
+}
+
+/// While a segment is grouped: a chunk key's latest group, and the
+/// [`Blocks`] of every op placed in a later group so far — what an op
+/// joining that group would end up in front of.
+type Home = (u32, Blocks);
+
+/// The stream the lowering pass emits, plus the segment in hand — one VPP's
+/// run of compute ops with no `Signal`/`Wait` between them, the last
+/// `touched.len()` of `ops` — and the buffers grouping it needs, reused from
+/// segment to segment.
+#[derive(Default)]
+struct Lowering {
+    ops: Vec<MicroOp>,
+    patch_points: Vec<PatchPoint>,
+    /// One past the highest pool index an op touches.
+    pool_end: usize,
+    /// Largest scratch buffer an op needs.
+    scratch_len: usize,
+    /// Per op of the segment: its index into `keys` (`None`: no chunk key)
+    /// and what it touches.
+    touched: Vec<(Option<usize>, Blocks)>,
+    /// The segment's distinct chunk keys, each with its [`Home`] once it has
+    /// one.
+    keys: Vec<([u32; 5], Option<Home>)>,
+    /// The segment's ops in their original order, while grouping.
+    moved: Vec<MicroOp>,
+    /// Per op: its group, then its index in the grouped order.
+    slot: Vec<u32>,
+    /// Per group: its size, then its offset in the grouped order.
+    sizes: Vec<u32>,
+}
+
+impl Lowering {
+    /// The one pass over [`TimelineReport::order`] that lowering makes:
+    /// `ops` yields, for each `(vpp, ip)` of `order`, its micro-op and
+    /// whether it carries a per-request literal. Each op's ranges are
+    /// computed once, for the overlap proof, the bounds and the grouping
+    /// summary (only the exact check behind a summary that may conflict
+    /// derives two ops' ranges again). Each segment — a run `(v, ip),
+    /// (v, ip + 1), …` of `order`, the part of the stream the barrier
+    /// protocol lets nothing else observe half-done, so only orderings
+    /// inside it are free — is put in its final order as soon as it ends.
+    fn run(order: &[(u32, u32)], ops: impl Iterator<Item = (MicroOp, bool)>) -> Self {
+        let mut out = Lowering::default();
+        out.ops.reserve(order.len());
+        let mut next = None;
+        for (&(vpp, ip), (op, patchable)) in order.iter().zip(ops) {
+            if next != Some((vpp, ip)) {
+                out.end_segment();
+            }
+            next = Some((vpp, ip + 1));
+            let access = Access::of(&op);
+            for r in access.reads.iter().chain(&access.write) {
+                out.pool_end = out.pool_end.max(r.0 as usize + r.1 as usize);
+            }
+            let disjoint = |w| access.reads.iter().all(|r| !overlaps(*r, w));
+            assert!(
+                access.write.is_none_or(disjoint),
+                "lowering: op {op:?} writes a pool range overlapping its input"
+            );
+            if let MicroOp::TMatVec { len, .. } | MicroOp::PickNlsBwd { len, .. } = op {
+                out.scratch_len = out.scratch_len.max(len as usize);
+            }
+            if patchable {
+                let op_index = out.ops.len() as u32;
+                out.patch_points.push(PatchPoint { vpp, ip, op_index });
+            }
+            let key = op.chunk_key().map(|key| {
+                let keys = &mut out.keys;
+                keys.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+                    keys.push((key, None));
+                    keys.len() - 1
+                })
             });
-            match (home, key) {
-                (Some(_), _) => hoisted |= (group as usize) < groups.len() - 1,
-                (None, Some(key)) => keyed.push((key, group)),
-                (None, None) => {}
-            }
-            groups[group as usize].1 += 1;
-            group_of.push(group);
-            touched.push(access);
+            out.touched.push((key, Blocks::of(&access)));
+            out.ops.push(op);
         }
-        if hoisted {
-            // Stable counting sort by group: sizes to offsets, then scatter
-            // in the old order.
-            let mut offset = 0;
-            for (_, size) in &mut groups {
-                offset += std::mem::replace(size, offset);
-            }
-            while patch_points
-                .get(next_patch)
-                .is_some_and(|patch| (patch.op_index as usize) < start)
-            {
-                next_patch += 1;
-            }
-            moved.clear();
-            moved.extend_from_slice(segment);
-            for (j, (op, &group)) in moved.iter().zip(&group_of).enumerate() {
-                let at = &mut groups[group as usize].1;
-                segment[*at as usize] = *op;
-                if let Some(patch) = patch_points.get_mut(next_patch) {
-                    if patch.op_index as usize == start + j {
-                        patch.op_index = start as u32 + *at;
-                        next_patch += 1;
+        out.end_segment();
+        out
+    }
+
+    /// Puts the segment in its final order and starts the next one. A
+    /// segment stays as it is unless some chunk key occurs in it twice (else
+    /// no op can move); then it is grouped by chunk key, and its patch
+    /// points — the tail of `patch_points` — move with their ops.
+    ///
+    /// The rule: an op joins the latest group of its key unless it
+    /// [conflicts](Access::conflicts_with) with an op that would then come
+    /// after it — one already placed in a later group; otherwise, and for an
+    /// op without a key, it opens a new group at the end. Groups are emitted
+    /// in the order they were opened, members in their original order. So no
+    /// two conflicting ops ever swap — every pool and arena location sees the
+    /// same reads, writes and accumulations in the same order as the
+    /// reference order, which keeps the grouped sweep bit-identical to it —
+    /// and ops without a key (the patchable ones among them) keep their
+    /// relative order, so patch points stay ascending.
+    ///
+    /// Each key keeps the union of what its later groups touch, so a joining
+    /// op is tested against one summary; only when that may conflict are the
+    /// ops behind it checked one by one.
+    fn end_segment(&mut self) {
+        if self.touched.iter().filter(|(key, _)| key.is_some()).count() > self.keys.len() {
+            self.group();
+        }
+        self.touched.clear();
+        self.keys.clear();
+    }
+
+    fn group(&mut self) {
+        let base = self.ops.len() - self.touched.len();
+        let ops = &mut self.ops[base..];
+        self.moved.clear();
+        self.moved.extend_from_slice(ops);
+        self.slot.clear();
+        self.sizes.clear();
+        for (j, (key, summary)) in self.touched.iter().enumerate() {
+            let joins = |home: u32, behind: &Blocks| {
+                !summary.may_conflict(behind)
+                    || (0..j).all(|i| {
+                        self.slot[i] <= home
+                            || !self.touched[i].1.may_conflict(summary)
+                            || !Access::of(&self.moved[i])
+                                .conflicts_with(&Access::of(&self.moved[j]))
+                    })
+            };
+            let group = match key.map(|k| &mut self.keys[k].1) {
+                Some(Some((home, behind))) if joins(*home, behind) => *home,
+                home => {
+                    let group = self.sizes.len() as u32;
+                    self.sizes.push(0);
+                    if let Some(home) = home {
+                        *home = Some((group, Blocks::default()));
                     }
+                    group
                 }
-                *at += 1;
+            };
+            for (_, home) in &mut self.keys {
+                if let Some((_, behind)) = home.as_mut().filter(|(home, _)| *home < group) {
+                    behind.read |= summary.read;
+                    behind.write |= summary.write;
+                }
             }
+            self.sizes[group as usize] += 1;
+            self.slot.push(group);
         }
-        start = end;
+        // Stable counting sort by group: sizes to offsets, then scatter in
+        // the original order.
+        let mut offset = 0;
+        for size in &mut self.sizes {
+            offset += std::mem::replace(size, offset);
+        }
+        for (op, slot) in self.moved.iter().zip(&mut self.slot) {
+            let at = &mut self.sizes[*slot as usize];
+            (ops[*at as usize], *slot) = (*op, *at);
+            *at += 1;
+        }
+        let tail = self.patch_points.iter_mut().rev();
+        for patch in tail.take_while(|p| p.op_index as usize >= base) {
+            patch.op_index = (base + self.slot[patch.op_index as usize - base] as usize) as u32;
+        }
     }
 }
 
@@ -886,78 +938,55 @@ fn regroup(ops: &mut [MicroOp], order: &[(u32, u32)], patch_points: &mut [PatchP
 /// executor depends on that disjointness, so lowering checks it once
 /// up front rather than trusting it silently.
 pub fn lower(plan: &KernelPlan, gs: &GeneratedScript, cost: &CostModel) -> LoweredScript {
-    let fingerprint = gs.scripts.structural_fingerprint(gs.persistent_floor);
-    lower_keyed(plan, gs, cost, fingerprint)
+    let _span = vpps_obs::span("engine.lower");
+    lower_keyed(plan, gs, cost, fingerprint(gs))
+}
+
+/// `gs`'s structural fingerprint, under span `lower.fingerprint`.
+fn fingerprint(gs: &GeneratedScript) -> u64 {
+    let _span = vpps_obs::span("lower.fingerprint");
+    gs.scripts.structural_fingerprint(gs.persistent_floor)
 }
 
 /// [`lower`] for a caller that already computed `gs`'s structural fingerprint
-/// (the cache, which keys on it).
+/// (the cache, which keys on it), inside its `engine.lower` span: the
+/// schedule (span `lower.analyze`), then one pass over its order (span
+/// `lower.order`).
 fn lower_keyed(
     plan: &KernelPlan,
     gs: &GeneratedScript,
     cost: &CostModel,
     fingerprint: u64,
 ) -> LoweredScript {
-    let _span = vpps_obs::span("engine.lower");
     let dist = plan.distribution();
-    let tl = timeline::analyze(plan, gs, cost, None);
-
-    let mut ops = Vec::with_capacity(tl.order.len());
-    let mut patch_points = Vec::new();
-    let mut pool_end = 0usize;
-    let mut scratch_len = 0usize;
-    for &(v, ip) in &tl.order {
-        let instr = &gs.scripts.script(v as usize)[ip as usize];
-        let op = lower_instr(instr, dist).expect("timeline order names a sync instruction");
-        // Per-request literals the structural fingerprint masks out become
-        // patch points: resident-region copy sources and pick labels.
-        let patchable = match instr {
-            Instr::Copy { src, .. } => src.raw() < gs.persistent_floor,
-            Instr::PickNls { .. } | Instr::PickNlsBwd { .. } => true,
-            _ => false,
-        };
-        if patchable {
-            patch_points.push(PatchPoint {
-                vpp: v,
-                ip,
-                op_index: ops.len() as u32,
-            });
-        }
-        let ((reads, n), write) = op.ranges();
-        let reads = &reads[..n];
-        if let Some(w) = write {
-            pool_end = pool_end.max(w.0 as usize + w.1 as usize);
-            for r in reads {
-                assert!(
-                    !overlaps(*r, w),
-                    "lowering: op {op:?} writes a pool range overlapping its input"
-                );
-            }
-        }
-        for r in reads {
-            pool_end = pool_end.max(r.0 as usize + r.1 as usize);
-        }
-        scratch_len = scratch_len.max(match op {
-            MicroOp::TMatVec { len, .. } | MicroOp::PickNlsBwd { len, .. } => len as usize,
-            _ => 0,
-        });
-        ops.push(op);
-    }
-    // Patched copy sources can land on any resident row, so the executor's
-    // single bounds check must cover the whole resident region, not just the
-    // rows this particular script happened to read.
-    pool_end = pool_end.max(gs.persistent_floor as usize);
-    regroup(&mut ops, &tl.order, &mut patch_points);
+    let tl = {
+        let _span = vpps_obs::span("lower.analyze");
+        timeline::analyze(plan, gs, cost, None)
+    };
+    let _span = vpps_obs::span("lower.order");
+    let stream = Lowering::run(
+        &tl.order,
+        tl.order.iter().map(|&(v, ip)| {
+            let instr = &gs.scripts.script(v as usize)[ip as usize];
+            let op = lower_instr(instr, dist).expect("timeline order names a sync instruction");
+            // Per-request literals the structural fingerprint masks out
+            // become patch points.
+            (op, instr.request_literal(gs.persistent_floor).is_some())
+        }),
+    );
 
     LoweredScript {
         plan_id: plan.signature().plan_id(),
         fingerprint,
         num_barriers: gs.num_barriers,
-        ops,
+        ops: stream.ops,
         timeline: Arc::new(tl),
-        pool_end,
-        scratch_len,
-        patch_points,
+        // Patched copy sources can land on any resident row, so the
+        // executor's single bounds check must cover the whole resident
+        // region, not just the rows this particular script happened to read.
+        pool_end: stream.pool_end.max(gs.persistent_floor as usize),
+        scratch_len: stream.scratch_len,
+        patch_points: stream.patch_points,
     }
 }
 
@@ -1634,10 +1663,8 @@ impl LoweredCache {
         cost: &CostModel,
     ) -> Arc<LoweredScript> {
         let t0 = Instant::now();
-        let key = (
-            plan.signature().plan_id(),
-            gs.scripts.structural_fingerprint(gs.persistent_floor),
-        );
+        let _span = vpps_obs::span("engine.lower");
+        let key = (plan.signature().plan_id(), fingerprint(gs));
         if let Some(art) = self.scripts.get(&key) {
             self.script_hits += 1;
             vpps_obs::counter("lower.script.cache_hit").incr();
@@ -1910,6 +1937,23 @@ mod tests {
         (0..n as u32).map(|ip| (0, ip)).collect()
     }
 
+    /// Runs hand-built `ops`, the instructions `order` names, through the
+    /// lowering pass, the ops at the indices in `patchable` carrying
+    /// per-request literals: the ops and patch points of the stream it emits.
+    fn regroup(
+        ops: &[MicroOp],
+        order: &[(u32, u32)],
+        patchable: &[usize],
+    ) -> (Vec<MicroOp>, Vec<PatchPoint>) {
+        let stream = Lowering::run(
+            order,
+            ops.iter()
+                .enumerate()
+                .map(|(j, op)| (*op, patchable.contains(&j))),
+        );
+        (stream.ops, stream.patch_points)
+    }
+
     #[test]
     fn regroup_makes_same_chunk_ops_adjacent_and_moves_patch_points() {
         let (a, b) = (0, 16);
@@ -1924,7 +1968,7 @@ mod tests {
             label: 1,
             len: 8,
         };
-        let mut ops = vec![
+        let ops = [
             matvec(a, 100, 200),
             copy,
             matvec(b, 100, 210),
@@ -1937,8 +1981,7 @@ mod tests {
             ip: op_index,
             op_index,
         };
-        let mut patch_points = vec![patch(1), patch(4)];
-        regroup(&mut ops, &one_segment(6), &mut patch_points);
+        let (ops, patch_points) = regroup(&ops, &one_segment(6), &[1, 4]);
         assert_eq!(
             ops,
             vec![
@@ -1976,18 +2019,15 @@ mod tests {
             tmatvec(b, 110, 300),
             tmatvec(a, 120, 300),
         ];
-        let mut ops = same_dx.clone();
-        regroup(&mut ops, &one_segment(3), &mut []);
-        assert_eq!(ops, same_dx);
+        assert_eq!(regroup(&same_dx, &one_segment(3), &[]).0, same_dx);
         // With its own `dx` it does move.
-        let mut ops = vec![
+        let ops = [
             tmatvec(a, 100, 300),
             tmatvec(b, 110, 300),
             tmatvec(a, 120, 310),
         ];
-        regroup(&mut ops, &one_segment(3), &mut []);
         assert_eq!(
-            ops,
+            regroup(&ops, &one_segment(3), &[]).0,
             vec![
                 tmatvec(a, 100, 300),
                 tmatvec(a, 120, 310),
@@ -2003,9 +2043,7 @@ mod tests {
             len: 4,
         };
         let around = vec![outer(a, 100, 200), bias_grad, outer(a, 110, 210)];
-        let mut ops = around.clone();
-        regroup(&mut ops, &one_segment(3), &mut []);
-        assert_eq!(ops, around);
+        assert_eq!(regroup(&around, &one_segment(3), &[]).0, around);
         // Reads of what an op in between writes pin an op too.
         let chained = vec![
             matvec(a, 100, 200),
@@ -2016,9 +2054,7 @@ mod tests {
             },
             matvec(a, 104, 220),
         ];
-        let mut ops = chained.clone();
-        regroup(&mut ops, &one_segment(3), &mut []);
-        assert_eq!(ops, chained);
+        assert_eq!(regroup(&chained, &one_segment(3), &[]).0, chained);
     }
 
     #[test]
@@ -2034,9 +2070,7 @@ mod tests {
             matvec(a, 120, 240),
         ];
         let order = [(0, 0), (0, 1), (0, 4), (0, 5), (1, 6)];
-        let mut ops = stream.clone();
-        regroup(&mut ops, &order, &mut []);
-        assert_eq!(ops, stream);
+        assert_eq!(regroup(&stream, &order, &[]).0, stream);
     }
 
     /// On a real batch: regrouping happens, every segment keeps its ops, no

@@ -7,6 +7,9 @@
 //! * **Stream shape** — the micro-op stream is exactly the timeline's
 //!   compute-instruction order with sync compiled away: same length, same
 //!   per-mnemonic counts as the script's static instruction mix.
+//! * **Pinned stream** — the ops, their order, the patch points and the
+//!   bounds lowering emits for three seeded real batches hash to digests
+//!   recorded at an earlier commit.
 //! * **Caching** — `LoweredCache` returns the same `Arc` on a hit and never
 //!   re-lowers a seen script (re-miss counter stays zero) unless it was
 //!   evicted, by capacity or by plan quarantine, and both are counted.
@@ -534,6 +537,102 @@ fn evictions_are_counted_by_stats_and_obs() {
         cache.stats().script_re_misses,
         1,
         "the script is re-lowered knowingly"
+    );
+}
+
+/// FNV-1a over the debug rendering of an artifact's stream: every micro-op
+/// with its variant and every literal field, in order, every patch point,
+/// `pool_end` and `scratch_len`.
+fn stream_digest(art: &LoweredScript) -> u64 {
+    let text = format!(
+        "{:?}|{:?}|{}|{}",
+        art.ops, art.patch_points, art.pool_end, art.scratch_len
+    );
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Lowers `(g, root)` on a fresh rpw-1 plan of `model` for a Titan V:
+/// training scripts, or forward-only ones.
+fn lower_on_titan_v(model: &Model, g: &Graph, root: NodeId, train: bool) -> LoweredScript {
+    let device = gpu_sim::DeviceConfig::titan_v();
+    let plan = KernelPlan::build(model, &device, 1).expect("model fits a Titan V");
+    let mut pool = vpps_tensor::Pool::with_capacity(1 << 22);
+    let tables = TableLayout::install(model, &mut pool).expect("pool big enough");
+    let gs = if train {
+        generate::generate(g, root, &plan, &mut pool, &tables)
+    } else {
+        generate_forward_only(g, root, &plan, &mut pool, &tables)
+    }
+    .expect("fits");
+    lowered::lower(&plan, &gs, GpuSim::new(device).cost_model())
+}
+
+/// The lowered stream of three seeded batches — a Tree-LSTM h = 256 batch-1
+/// training tree, a BiLSTM-tagger batch-8 training super-graph and a
+/// Tree-LSTM h = 64 inference super-graph of four trees — hashed field by
+/// field, against the digests recorded at commit `6cbde97`. Lowering may
+/// change how it finds the order; the micro-ops, their order, the patch
+/// points and the bounds it emits may not: swapping one conflicting pair or
+/// leaving one same-key op out of its group changes a digest.
+#[test]
+fn lowered_stream_is_pinned_across_commits() {
+    use vpps_datasets::{TaggedCorpus, TaggedCorpusConfig, Treebank, TreebankConfig};
+    use vpps_models::{build_batch, BiLstmTagger, DynamicModel, TreeLstm};
+
+    let trees = |hidden: usize, count: usize| {
+        let mut model = Model::new(7);
+        let arch = TreeLstm::register(&mut model, 300, hidden, hidden, 5);
+        let mut bank = Treebank::new(TreebankConfig {
+            vocab: 300,
+            min_len: 10,
+            max_len: 14,
+            classes: 5,
+            seed: 7,
+        });
+        (model, arch, bank.samples(count))
+    };
+    let (model, arch, samples) = trees(256, 1);
+    let (g, loss) = build_batch(&arch, &model, &samples);
+    let tree_train = lower_on_titan_v(&model, &g, loss, true);
+
+    let mut model = Model::new(8);
+    let arch = BiLstmTagger::register(&mut model, 300, 64, 64, 64, 9);
+    let corpus = TaggedCorpus::generate(TaggedCorpusConfig {
+        vocab: 300,
+        sentences: 8,
+        min_len: 5,
+        max_len: 12,
+        seed: 8,
+        ..TaggedCorpusConfig::default()
+    });
+    let (g, loss) = build_batch(&arch, &model, corpus.sentences());
+    let bilstm_train = lower_on_titan_v(&model, &g, loss, true);
+
+    let (model, arch, samples) = trees(64, 4);
+    let mut sg = Graph::new();
+    let roots: Vec<NodeId> = samples
+        .iter()
+        .map(|s| {
+            let (g, root) = arch.build(&model, s);
+            sg.absorb(&g, root)
+        })
+        .collect();
+    let tree_infer = lower_on_titan_v(&model, &sg, roots[0], false);
+
+    let got = [&tree_train, &bilstm_train, &tree_infer].map(stream_digest);
+    assert_eq!(
+        got,
+        [
+            9_501_585_351_899_488_067,
+            8_755_968_626_577_170_907,
+            392_178_029_743_340_828
+        ],
+        "lowered streams moved (op counts {}, {}, {})",
+        tree_train.ops.len(),
+        bilstm_train.ops.len(),
+        tree_infer.ops.len()
     );
 }
 
