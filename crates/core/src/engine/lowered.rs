@@ -60,23 +60,23 @@
 //!
 //! Everything lowering needs to know about the *plan* — chunk geometry and
 //! arena offsets — it reads from [`KernelPlan::distribution`], built once per
-//! plan. What [`LoweredCache`] caches is per *script*: a bounded `(plan id,
-//! structural script fingerprint)`-keyed FIFO of full [`LoweredScript`]s
-//! (micro-ops + timeline — the full skip-analysis win for re-run scripts).
-//! The structural fingerprint
-//! ([`ScriptSet::structural_fingerprint`]) masks per-request literals
-//! (embedding-row copy sources, gold labels), which the executor patches
-//! back in per run, so scripts that differ *only* in which rows they look
-//! up and which labels they pick — a serving bucket's canonical
-//! super-graphs — share one cached artifact.
+//! plan. What [`LoweredCache`] caches is per *dispatch*: one bounded FIFO map
+//! from the key the generator stamps on its scripts ([`GeneratedScript::key`]
+//! — plan id, pool base, schedule policy, train|infer, root and the graph's
+//! structural encoding) to the full [`LoweredScript`] (micro-ops + timeline —
+//! the full skip-analysis win for re-run scripts). The key leaves out the
+//! per-request literals (embedding rows, gold labels, input values); the
+//! script instructions carrying them become patch points, which the executor
+//! patches back in per run, so batches that differ *only* in which rows they
+//! look up and which labels they pick — a serving bucket's canonical
+//! super-graphs — share one cached artifact. A hit needs equal key words,
+//! never just an equal hash.
 //!
-//! Finding that artifact by fingerprint still means generating the batch's
-//! scripts first. A *graph-level* index in front of the script level skips
-//! that too: it is keyed on the batch graph's structural encoding
-//! ([`Graph::dispatch_key`], which masks exactly the literals the script
-//! fingerprint masks) and yields a [`WarmBatch`] — the cached artifact plus
-//! the few things a batch otherwise reads from its [`GeneratedScript`]. The
-//! generating path stays the only producer of both.
+//! The cache builds the same key from the batch *graph*
+//! ([`LoweredCache::lookup_graph`]), so a batch seen before finds its entry
+//! without generating its scripts at all; the entry then also holds a
+//! [`WarmBatch`] — the few things a batch otherwise reads from its
+//! [`GeneratedScript`]. The generating path stays the only producer of both.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -84,12 +84,13 @@ use std::time::Instant;
 
 use dyn_graph::{Graph, NodeId, Op};
 use gpu_sim::CostModel;
-use vpps_tensor::Pool;
+use vpps_tensor::{Pool, PoolOffset};
 
 use crate::distribute::{Chunk, Distribution};
 use crate::exec::kernels::{self, MAX_BLOCK};
 use crate::exec::regcache::RegCache;
-use crate::script::{BatchLayout, GeneratedScript, Instr, TableLayout};
+use crate::script::generate::dispatch_key;
+use crate::script::{BatchLayout, GeneratedScript, Instr, SchedulePolicy, TableLayout};
 use crate::specialize::KernelPlan;
 #[allow(unused_imports)] // doc links
 use crate::{script::ScriptSet, specialize::PlanSignature};
@@ -391,9 +392,9 @@ impl MicroOp {
 
 /// One patchable literal in a lowered op stream: an op whose value depends
 /// on the *request* (which embedding row a lookup copies, which gold label a
-/// loss picks) rather than on the script's structure. Two scripts with equal
-/// [`ScriptSet::structural_fingerprint`]s differ only at these points, so a
-/// cached artifact is re-targeted to a fresh request by overwriting the
+/// loss picks) rather than on the script's structure. Two batches with equal
+/// [`GeneratedScript::key`]s get scripts that differ only at these points, so
+/// a cached artifact is re-targeted to a fresh request by overwriting the
 /// patched field — no re-lowering, no timeline re-analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatchPoint {
@@ -408,15 +409,12 @@ pub struct PatchPoint {
 
 /// A fully lowered script: the compiled artifact one plan + one script set
 /// produce, reusable across every run of that identical script — and, via
-/// [`LoweredScript::extract_patches`], across every *structurally* identical
-/// script.
+/// [`LoweredScript::extract_patches`], across every batch with the same
+/// [`GeneratedScript::key`].
 #[derive(Debug, Clone)]
 pub struct LoweredScript {
     /// The owning plan's id ([`PlanSignature::plan_id`]).
     pub plan_id: u64,
-    /// [`ScriptSet::structural_fingerprint`] of the source scripts (the
-    /// cache key half: per-request literals masked out).
-    pub fingerprint: u64,
     /// Barrier count of the source scripts (for per-run obs).
     pub num_barriers: u32,
     /// One micro-op per compute instruction, sync compiled away: the
@@ -457,14 +455,14 @@ impl LoweredScript {
     /// patch points, producing the patch vector the executor applies. For the
     /// script this artifact was lowered from, the patches equal the baked
     /// literals (applying them is a no-op); for any other script with the
-    /// same structural fingerprint they re-target the cached ops.
+    /// same [`GeneratedScript::key`] they re-target the cached ops.
     ///
     /// # Panics
     ///
-    /// Panics if `gs` is not structurally identical to the script this
-    /// artifact was lowered from (a patch point names an instruction of a
-    /// different kind) — callers key by structural fingerprint, which rules
-    /// that out.
+    /// Panics if `gs` was generated under another key than the script this
+    /// artifact was lowered from and a patch point names an instruction of a
+    /// different kind — [`LoweredCache`] hands an artifact only to scripts
+    /// whose key words equal its entry's, which rules that out.
     pub fn extract_patches(&self, gs: &GeneratedScript) -> Vec<u32> {
         self.patch_points
             .iter()
@@ -927,8 +925,9 @@ impl Lowering {
     }
 }
 
-/// Lowers `gs` from scratch. Cached callers should go through
-/// [`LoweredCache::get_or_lower`] instead.
+/// Lowers `gs` from scratch, under span `engine.lower`: the schedule (span
+/// `lower.analyze`), then one pass over its order (span `lower.order`).
+/// Cached callers should go through [`LoweredCache::get_or_lower`] instead.
 ///
 /// # Panics
 ///
@@ -939,25 +938,6 @@ impl Lowering {
 /// up front rather than trusting it silently.
 pub fn lower(plan: &KernelPlan, gs: &GeneratedScript, cost: &CostModel) -> LoweredScript {
     let _span = vpps_obs::span("engine.lower");
-    lower_keyed(plan, gs, cost, fingerprint(gs))
-}
-
-/// `gs`'s structural fingerprint, under span `lower.fingerprint`.
-fn fingerprint(gs: &GeneratedScript) -> u64 {
-    let _span = vpps_obs::span("lower.fingerprint");
-    gs.scripts.structural_fingerprint(gs.persistent_floor)
-}
-
-/// [`lower`] for a caller that already computed `gs`'s structural fingerprint
-/// (the cache, which keys on it), inside its `engine.lower` span: the
-/// schedule (span `lower.analyze`), then one pass over its order (span
-/// `lower.order`).
-fn lower_keyed(
-    plan: &KernelPlan,
-    gs: &GeneratedScript,
-    cost: &CostModel,
-    fingerprint: u64,
-) -> LoweredScript {
     let dist = plan.distribution();
     let tl = {
         let _span = vpps_obs::span("lower.analyze");
@@ -969,15 +949,14 @@ fn lower_keyed(
         tl.order.iter().map(|&(v, ip)| {
             let instr = &gs.scripts.script(v as usize)[ip as usize];
             let op = lower_instr(instr, dist).expect("timeline order names a sync instruction");
-            // Per-request literals the structural fingerprint masks out
-            // become patch points.
+            // Per-request literals, which the key leaves out, become patch
+            // points.
             (op, instr.request_literal(gs.persistent_floor).is_some())
         }),
     );
 
     LoweredScript {
         plan_id: plan.signature().plan_id(),
-        fingerprint,
         num_barriers: gs.num_barriers,
         ops: stream.ops,
         timeline: Arc::new(tl),
@@ -1313,8 +1292,7 @@ enum PatchSource {
 /// simulated host/copy charges are computed from, the length of the batch's
 /// pool region, and the graph node (or resident constant) behind every patch
 /// point. Captured on the generating path, handed back by
-/// [`LoweredCache::lookup_graph`] to batches whose graph is structurally
-/// identical.
+/// [`LoweredCache::lookup_graph`] to batches with the same dispatch key.
 #[derive(Debug)]
 pub struct WarmBatch {
     /// The cached artifact the batch executes.
@@ -1348,22 +1326,19 @@ impl WarmBatch {
         tables: &TableLayout,
         pool_len: usize,
     ) -> Option<Self> {
-        // Every node owns a distinct value (and, training, derivative)
-        // allocation, so an instruction's destination names its node.
-        let mut lookup_at: HashMap<u32, NodeId> = HashMap::new();
-        let mut pick_at: HashMap<u32, NodeId> = HashMap::new();
-        for (id, node) in graph.iter() {
-            match node.op {
-                Op::Lookup { .. } => {
-                    lookup_at.insert(gs.layout.value_off[id.index()].raw(), id);
-                }
-                Op::PickNegLogSoftmax { .. } => {
-                    pick_at.insert(gs.layout.value_off[id.index()].raw(), id);
-                    pick_at.insert(gs.layout.deriv_off[id.index()].raw(), id);
-                }
-                _ => {}
-            }
-        }
+        // Every node owns its value (and, training, derivative) allocation,
+        // laid out in node order, so an instruction's destination names its
+        // node: the one of kind `is` whose offset in `offsets` it is.
+        let node_at = |offsets: &[PoolOffset], at: PoolOffset, is: fn(&Op) -> bool| {
+            let first = offsets.partition_point(|o| *o < at);
+            (first..offsets.len())
+                .take_while(|&i| offsets[i] == at)
+                .map(NodeId::from_index)
+                .find(|&id| is(&graph.node(id).op))
+        };
+        let lookup = |op: &Op| matches!(op, Op::Lookup { .. });
+        let pick = |op: &Op| matches!(op, Op::PickNegLogSoftmax { .. });
+        let (values, derivs) = (&gs.layout.value_off, &gs.layout.deriv_off);
         let sources = artifact
             .patch_points
             .iter()
@@ -1372,10 +1347,10 @@ impl WarmBatch {
                     Instr::Copy { src, .. } if src == tables.const_one() => {
                         PatchSource::Resident(src.raw())
                     }
-                    Instr::Copy { dst, .. } => PatchSource::Row(*lookup_at.get(&dst.raw())?),
-                    Instr::PickNls { out, .. } => PatchSource::Label(*pick_at.get(&out.raw())?),
+                    Instr::Copy { dst, .. } => PatchSource::Row(node_at(values, dst, lookup)?),
+                    Instr::PickNls { out, .. } => PatchSource::Label(node_at(values, out, pick)?),
                     Instr::PickNlsBwd { dloss, .. } => {
-                        PatchSource::Label(*pick_at.get(&dloss.raw())?)
+                        PatchSource::Label(node_at(derivs, dloss, pick)?)
                     }
                     _ => return None,
                 })
@@ -1437,27 +1412,19 @@ impl WarmBatch {
     }
 }
 
-/// Graph-level key of one dispatch, handed out by a missed
-/// [`LoweredCache::lookup_graph`] and taken back by
-/// [`LoweredCache::install_graph`].
+/// One cached dispatch: its artifact, and the warm-path summary once
+/// [`LoweredCache::install_graph`] has captured it.
 #[derive(Debug)]
-pub struct GraphKey {
-    hash: u64,
-    words: Box<[u32]>,
+struct Entry {
+    /// The full key the entry was lowered under; a lookup is a hit only when
+    /// this compares equal, never on the 64-bit hash alone.
+    key: Box<[u32]>,
+    artifact: Arc<LoweredScript>,
+    warm: Option<Arc<WarmBatch>>,
 }
 
-#[derive(Debug)]
-struct GraphEntry {
-    /// The full key the entry was installed under; a lookup is a hit only
-    /// when this compares equal, never on the 64-bit hash alone.
-    words: Box<[u32]>,
-    /// The script-level entry `warm.artifact` lives under.
-    script_key: (u64, u64),
-    warm: Arc<WarmBatch>,
-}
-
-/// Word-wise FNV-1a: the graph index's bucket hash (equality of the key
-/// words decides a hit, so this only has to spread).
+/// Word-wise FNV-1a: the cache's bucket hash (equality of the key words
+/// decides a hit, so this only has to spread).
 fn hash_words(words: &[u32]) -> u64 {
     words.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &w| {
         (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -1468,18 +1435,22 @@ fn hash_words(words: &[u32]) -> u64 {
 /// observability is enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoweredCacheStats {
-    /// Script-level hits (identical script re-run on the same plan).
+    /// Hits: batches whose key was cached, found from their scripts or
+    /// their graph.
     pub script_hits: u64,
-    /// Script-level misses.
+    /// Misses: batches lowered.
     pub script_misses: u64,
-    /// Script-level misses for fingerprints previously cached (evicted and
-    /// re-lowered).
+    /// Misses on keys lowered before (evicted and re-lowered).
     pub script_re_misses: u64,
-    /// Scripts evicted, by FIFO capacity pressure or plan quarantine.
+    /// Entries evicted, by FIFO capacity pressure or plan quarantine.
     pub script_evictions: u64,
-    /// The subset of `script_hits` served by the graph-level index, i.e.
-    /// without generating the batch's scripts.
+    /// The subset of `script_hits` found from the batch graph, i.e. without
+    /// generating the batch's scripts.
     pub graph_hits: u64,
+    /// Generated batches whose warm summary could not be captured, because
+    /// a patch point has no graph node behind it: their dispatches keep
+    /// generating.
+    pub unindexed: u64,
 }
 
 impl std::ops::AddAssign for LoweredCacheStats {
@@ -1489,48 +1460,43 @@ impl std::ops::AddAssign for LoweredCacheStats {
         self.script_re_misses += other.script_re_misses;
         self.script_evictions += other.script_evictions;
         self.graph_hits += other.graph_hits;
+        self.unindexed += other.unindexed;
     }
 }
 
 /// Cache of lowered artifacts, owned by warm paths ([`crate::Handle`], and
-/// through it `vpps-serve`): a bounded script-level FIFO with a graph index
-/// in front.
+/// through it `vpps-serve`): one bounded FIFO map from a dispatch key
+/// ([`GeneratedScript::key`]) to the [`LoweredScript`] lowered under it and,
+/// once captured, its [`WarmBatch`].
 ///
-/// The script level holds full [`LoweredScript`]s keyed by `(plan id
-/// ([`PlanSignature::plan_id`]), structural script fingerprint)` with bounded
-/// FIFO eviction — obs counters `lower.script.cache_hit` /
-/// `lower.script.cache_miss` / `lower.script.cache_re_miss`. Time spent
+/// [`LoweredCache::get_or_lower`] finds an entry from generated scripts,
+/// [`LoweredCache::lookup_graph`] from the batch graph before generating —
+/// the same key function on the same inputs, so both find the same entry.
+/// Entries are bucketed by a 64-bit hash of the key words, and a lookup hits
+/// only when the stored words compare equal: a colliding key is a miss,
+/// which lowers and takes the slot over. One capacity bounds the map and the
+/// oldest entry leaves first, artifact and warm summary together — obs
+/// counters `lower.script.cache_hit` / `lower.script.cache_miss` /
+/// `lower.script.cache_re_miss` / `lower.script.cache_evict`, plus
+/// `lower.graph.cache_hit` for the hits found from the graph. Time spent
 /// lowering accumulates in the `lower.ns` counter and lowered micro-ops per
-/// mnemonic in `lower.ops.<mnemonic>`.
-///
-/// In front of it sits a *graph-level* index: `(plan id, pool base,
-/// train|infer, root, structural graph encoding)` → the [`WarmBatch`] of an
-/// artifact the script level still holds, so a batch whose graph was seen
-/// before finds its artifact without generating its scripts
-/// ([`LoweredCache::lookup_graph`]). An index entry never outlives its
-/// artifact — FIFO eviction and [`LoweredCache::invalidate_plan`] drop both
-/// together — so a graph-level hit is always a batch the script level would
-/// have hit too, and is counted as one (`lower.script.cache_hit` plus
-/// `lower.graph.cache_hit`). The index assumes one [`TableLayout`] per
-/// cache, which holds for the [`crate::Handle`] that owns both.
+/// mnemonic in `lower.ops.<mnemonic>`. The key leaves the [`TableLayout`]
+/// out, so a cache serves one table layout, which holds for the
+/// [`crate::Handle`] that owns both.
 #[derive(Debug)]
 pub struct LoweredCache {
-    scripts: HashMap<(u64, u64), Arc<LoweredScript>>,
-    fifo: VecDeque<(u64, u64)>,
-    seen_scripts: HashSet<(u64, u64)>,
-    /// Graph-level index, by [`hash_words`] of the key words.
-    graphs: HashMap<u64, GraphEntry>,
-    /// Scratch for the key words of the lookup in progress.
+    /// By [`hash_words`] of the key.
+    entries: HashMap<u64, Entry>,
+    /// The buckets of `entries`, oldest first.
+    fifo: VecDeque<u64>,
+    /// Hashes of every key lowered so far: a miss on one is a re-miss.
+    seen: HashSet<u64>,
+    /// Scratch for the key words of [`LoweredCache::lookup_graph`].
     key_words: Vec<u32>,
     capacity: usize,
-    /// Bound on `graphs`: `capacity`, or zero for the always-generating
-    /// reference cache.
-    graph_capacity: usize,
-    script_hits: u64,
-    script_misses: u64,
-    script_re_misses: u64,
-    script_evictions: u64,
-    graph_hits: u64,
+    /// `false` for the reference cache that never fills in warm summaries.
+    indexes_graphs: bool,
+    stats: LoweredCacheStats,
 }
 
 /// Lowered scripts kept per handle before FIFO eviction.
@@ -1546,37 +1512,40 @@ impl LoweredCache {
     /// Creates a cache holding at most `capacity` lowered scripts (>= 1).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            scripts: HashMap::new(),
+            entries: HashMap::new(),
             fifo: VecDeque::new(),
-            seen_scripts: HashSet::new(),
-            graphs: HashMap::new(),
+            seen: HashSet::new(),
             key_words: Vec::new(),
             capacity: capacity.max(1),
-            graph_capacity: capacity.max(1),
-            script_hits: 0,
-            script_misses: 0,
-            script_re_misses: 0,
-            script_evictions: 0,
-            graph_hits: 0,
+            indexes_graphs: true,
+            stats: LoweredCacheStats::default(),
         }
     }
 
-    /// Test reference: a cache whose graph-level index stays empty, so every
-    /// dispatch through it generates its scripts and takes the script-level
-    /// path — what the index is checked against, bit for bit.
+    /// Test reference: a cache that never fills in warm summaries, so
+    /// [`LoweredCache::lookup_graph`] always misses and every dispatch
+    /// through it generates its scripts and finds its artifact by
+    /// [`LoweredCache::get_or_lower`] — what the warm path is checked
+    /// against, bit for bit.
     #[doc(hidden)]
     pub fn without_graph_index(capacity: usize) -> Self {
         Self {
-            graph_capacity: 0,
+            indexes_graphs: false,
             ..Self::with_capacity(capacity)
         }
     }
 
-    /// Looks `graph`'s dispatch up in the graph-level index: the warm-path
-    /// summary of a cached artifact when a structurally identical graph was
-    /// dispatched before (same plan, same pool base, same root, same
-    /// train|infer), otherwise the key to [`LoweredCache::install_graph`]
-    /// the batch under once its scripts are generated and lowered.
+    /// The entry in bucket `hash`, if its key words are `key`.
+    fn entry(&self, hash: u64, key: &[u32]) -> Option<&Entry> {
+        self.entries.get(&hash).filter(|e| *e.key == *key)
+    }
+
+    /// Looks `graph`'s dispatch up before its scripts are generated: builds
+    /// the key the generator would stamp on them (same plan, pool base, root
+    /// and train|infer, and the [`SchedulePolicy::MinLoad`] that
+    /// `generate` and `generate_forward_only` schedule with) and returns the
+    /// warm-path summary cached under it, if [`LoweredCache::install_graph`]
+    /// filled one in.
     ///
     /// A hit is not counted here but by [`LoweredCache::note_graph_hit`],
     /// which the caller invokes where it would have called
@@ -1589,73 +1558,61 @@ impl LoweredCache {
         root: NodeId,
         train: bool,
         pool_base: usize,
-    ) -> Result<Arc<WarmBatch>, GraphKey> {
-        let plan_id = plan.signature().plan_id();
+    ) -> Option<Arc<WarmBatch>> {
         self.key_words.clear();
-        self.key_words.push(plan_id as u32);
-        self.key_words.push((plan_id >> 32) as u32);
-        self.key_words
-            .push(u32::try_from(pool_base).expect("pool offsets are 4-byte"));
-        graph.dispatch_key(root, train, &mut self.key_words);
+        let policy = SchedulePolicy::MinLoad;
+        dispatch_key(
+            graph,
+            root,
+            plan,
+            pool_base,
+            policy,
+            train,
+            &mut self.key_words,
+        );
         let hash = hash_words(&self.key_words);
-        match self.graphs.get(&hash) {
-            Some(entry) if *entry.words == *self.key_words => Ok(Arc::clone(&entry.warm)),
-            _ => Err(GraphKey {
-                hash,
-                words: self.key_words.as_slice().into(),
-            }),
-        }
+        self.entry(hash, &self.key_words)?.warm.clone()
     }
 
-    /// Counts one batch served from the graph-level index exactly as
-    /// [`LoweredCache::get_or_lower`] counts the script-level hit it stands
-    /// in for, plus `graph_hits` / `lower.graph.cache_hit`.
+    /// Counts one batch found from its graph exactly as
+    /// [`LoweredCache::get_or_lower`] counts the hit it stands in for, plus
+    /// `graph_hits` / `lower.graph.cache_hit`.
     pub fn note_graph_hit(&mut self) {
-        self.script_hits += 1;
-        self.graph_hits += 1;
+        self.stats.script_hits += 1;
+        self.stats.graph_hits += 1;
         vpps_obs::counter("lower.script.cache_hit").incr();
         vpps_obs::counter("lower.graph.cache_hit").incr();
     }
 
-    /// Indexes `graph`'s dispatch under `key` (from the missed
-    /// [`LoweredCache::lookup_graph`]): `artifact` is what
+    /// Fills in the warm-path summary of the entry
     /// [`LoweredCache::get_or_lower`] returned for `gs`, the scripts
-    /// generated from `graph`, and `pool_len` the pool elements generating
-    /// them allocated. Skipped when the artifact is no longer cached, when
-    /// the index is full (it holds as many entries as the script level holds
-    /// scripts), or when a patch point cannot be attributed to a graph node;
-    /// the dispatch then keeps generating.
+    /// generated from `graph`; `pool_len` is the pool elements generating
+    /// them allocated. From then on [`LoweredCache::lookup_graph`] finds the
+    /// entry from the graph. A batch with a patch point that cannot be
+    /// attributed to a graph node is counted in
+    /// [`LoweredCacheStats::unindexed`] and its dispatch keeps generating.
     pub fn install_graph(
         &mut self,
-        key: GraphKey,
-        artifact: &Arc<LoweredScript>,
         gs: &GeneratedScript,
         graph: &Graph,
         tables: &TableLayout,
         pool_len: usize,
     ) {
-        let script_key = (artifact.plan_id, artifact.fingerprint);
-        let cached = self
-            .scripts
-            .get(&script_key)
-            .is_some_and(|a| Arc::ptr_eq(a, artifact));
-        let replaces = self.graphs.contains_key(&key.hash);
-        if !cached || (!replaces && self.graphs.len() >= self.graph_capacity) {
+        if !self.indexes_graphs {
             return;
         }
-        if let Some(warm) = WarmBatch::capture(artifact, gs, graph, tables, pool_len) {
-            self.graphs.insert(
-                key.hash,
-                GraphEntry {
-                    words: key.words,
-                    script_key,
-                    warm: Arc::new(warm),
-                },
-            );
+        let hash = hash_words(&gs.key);
+        let Some(entry) = self.entries.get_mut(&hash).filter(|e| *e.key == *gs.key) else {
+            return;
+        };
+        entry.warm = WarmBatch::capture(&entry.artifact, gs, graph, tables, pool_len).map(Arc::new);
+        if entry.warm.is_none() {
+            self.stats.unindexed += 1;
         }
     }
 
-    /// Returns the lowered artifact for `(plan, gs)`, lowering on miss.
+    /// Returns the artifact cached under `gs.key`, lowering `gs` on a miss
+    /// (and evicting the oldest entry when the cache is full).
     pub fn get_or_lower(
         &mut self,
         plan: &KernelPlan,
@@ -1663,67 +1620,64 @@ impl LoweredCache {
         cost: &CostModel,
     ) -> Arc<LoweredScript> {
         let t0 = Instant::now();
-        let _span = vpps_obs::span("engine.lower");
-        let key = (plan.signature().plan_id(), fingerprint(gs));
-        if let Some(art) = self.scripts.get(&key) {
-            self.script_hits += 1;
+        let hash = hash_words(&gs.key);
+        if let Some(artifact) = self.entry(hash, &gs.key).map(|e| Arc::clone(&e.artifact)) {
+            self.stats.script_hits += 1;
             vpps_obs::counter("lower.script.cache_hit").incr();
-            return Arc::clone(art);
+            return artifact;
         }
-        self.script_misses += 1;
+        self.stats.script_misses += 1;
         vpps_obs::counter("lower.script.cache_miss").incr();
-        if !self.seen_scripts.insert(key) {
-            self.script_re_misses += 1;
+        if !self.seen.insert(hash) {
+            self.stats.script_re_misses += 1;
             vpps_obs::counter("lower.script.cache_re_miss").incr();
         }
-        let art = Arc::new(lower_keyed(plan, gs, cost, key.1));
+        let artifact = Arc::new(lower(plan, gs, cost));
         if vpps_obs::enabled() {
             vpps_obs::counter("lower.ns").add(t0.elapsed().as_nanos() as u64);
-            for (mnemonic, n) in &art.timeline.instr_mix {
+            for (mnemonic, n) in &artifact.timeline.instr_mix {
                 vpps_obs::counter(&format!("lower.ops.{mnemonic}")).add(*n);
             }
-            vpps_obs::counter("lower.blocked_ops").add(art.blocked_ops() as u64);
+            vpps_obs::counter("lower.blocked_ops").add(artifact.blocked_ops() as u64);
         }
-        if self.scripts.len() == self.capacity {
-            if let Some(old) = self.fifo.pop_front() {
-                self.scripts.remove(&old);
-                self.graphs.retain(|_, e| e.script_key != old);
-                self.script_evictions += 1;
+        if self.entries.len() == self.capacity && !self.entries.contains_key(&hash) {
+            if let Some(oldest) = self.fifo.pop_front() {
+                self.entries.remove(&oldest);
+                self.stats.script_evictions += 1;
                 vpps_obs::counter("lower.script.cache_evict").incr();
             }
         }
-        self.fifo.push_back(key);
-        self.scripts.insert(key, Arc::clone(&art));
-        art
+        let entry = Entry {
+            key: gs.key.clone(),
+            artifact: Arc::clone(&artifact),
+            warm: None,
+        };
+        // A colliding key takes the slot over, and its place in the FIFO.
+        if self.entries.insert(hash, entry).is_none() {
+            self.fifo.push_back(hash);
+        }
+        artifact
     }
 
     /// Hit/miss tallies since construction.
     pub fn stats(&self) -> LoweredCacheStats {
-        LoweredCacheStats {
-            script_hits: self.script_hits,
-            script_misses: self.script_misses,
-            script_re_misses: self.script_re_misses,
-            script_evictions: self.script_evictions,
-            graph_hits: self.graph_hits,
-        }
+        self.stats
     }
 
-    /// Quarantines one plan: evicts every cached [`LoweredScript`] lowered
-    /// from it together with the graph-level entries pointing at them, so
-    /// the two can never disagree about a plan the recovery layer has
-    /// condemned. Returns the number of scripts evicted. The plan's chunk
-    /// table needs no eviction — the caller rebuilds the [`KernelPlan`], and
-    /// the table with it. The next [`LoweredCache::get_or_lower`] of a script
-    /// seen before re-lowers from scratch and is counted as a script-level
-    /// *re-miss* (`lower.script.cache_re_miss`).
+    /// Quarantines one plan: evicts every entry lowered from it, artifact
+    /// and warm summary together, so nothing cached can outlive a plan the
+    /// recovery layer has condemned. Returns the number of entries evicted.
+    /// The plan's chunk table needs no eviction — the caller rebuilds the
+    /// [`KernelPlan`], and the table with it. The next
+    /// [`LoweredCache::get_or_lower`] of a key seen before re-lowers from
+    /// scratch and is counted as a *re-miss* (`lower.script.cache_re_miss`).
     pub fn invalidate_plan(&mut self, plan_id: u64) -> usize {
-        let before = self.scripts.len();
-        self.scripts.retain(|&(pid, _), _| pid != plan_id);
-        self.fifo.retain(|&(pid, _)| pid != plan_id);
-        self.graphs.retain(|_, e| e.script_key.0 != plan_id);
-        let evicted = before - self.scripts.len();
+        let before = self.entries.len();
+        self.entries.retain(|_, e| e.artifact.plan_id != plan_id);
+        self.fifo.retain(|hash| self.entries.contains_key(hash));
+        let evicted = before - self.entries.len();
         if evicted > 0 {
-            self.script_evictions += evicted as u64;
+            self.stats.script_evictions += evicted as u64;
             vpps_obs::counter("lower.script.cache_evict").add(evicted as u64);
         }
         evicted
@@ -1731,12 +1685,12 @@ impl LoweredCache {
 
     /// Number of cached lowered scripts.
     pub fn len(&self) -> usize {
-        self.scripts.len()
+        self.entries.len()
     }
 
     /// `true` when no script has been lowered yet.
     pub fn is_empty(&self) -> bool {
-        self.scripts.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -1840,28 +1794,28 @@ mod tests {
 
     impl Fixture {
         /// One training dispatch the way `Handle::attempt` drives the cache;
-        /// returns whether the graph-level index served it.
+        /// returns whether the cache found it from the graph.
         fn dispatch(&mut self, graph: &Graph, root: NodeId) -> bool {
             self.pool.reset();
             let base = self.pool.used();
-            match self.cache.lookup_graph(&self.plan, graph, root, true, base) {
-                Ok(_) => {
-                    self.cache.note_graph_hit();
-                    true
-                }
-                Err(key) => {
-                    let gs =
-                        generate::generate(graph, root, &self.plan, &mut self.pool, &self.tables)
-                            .expect("fits");
-                    let art = self
-                        .cache
-                        .get_or_lower(&self.plan, &gs, self.gpu.cost_model());
-                    let pool_len = self.pool.used() - base;
-                    self.cache
-                        .install_graph(key, &art, &gs, graph, &self.tables, pool_len);
-                    false
-                }
+            let hit = self.cache.lookup_graph(&self.plan, graph, root, true, base);
+            if hit.is_some() {
+                self.cache.note_graph_hit();
+                return true;
             }
+            let gs = generate::generate(graph, root, &self.plan, &mut self.pool, &self.tables)
+                .expect("fits");
+            self.cache
+                .get_or_lower(&self.plan, &gs, self.gpu.cost_model());
+            let pool_len = self.pool.used() - base;
+            self.cache.install_graph(&gs, graph, &self.tables, pool_len);
+            false
+        }
+
+        /// Entries whose warm summary is filled in: the ones a graph finds.
+        fn indexed(&self) -> usize {
+            let entries = self.cache.entries.values();
+            entries.filter(|e| e.warm.is_some()).count()
         }
     }
 
@@ -2189,9 +2143,14 @@ mod tests {
         assert!(f.dispatch(&b, root_b));
         let stats = f.cache.stats();
         assert_eq!((stats.script_misses, stats.script_hits), (1, 1));
-        assert_eq!(stats.graph_hits, 1);
+        assert_eq!((stats.graph_hits, stats.unindexed), (1, 0));
+        assert_eq!((f.cache.len(), f.indexed()), (1, 1));
     }
 
+    /// Two keys forced into one bucket: the second is a miss on both paths,
+    /// re-lowers and takes the slot over — it never runs the first one's
+    /// artifact, as a cache keyed on a 64-bit hash of the scripts alone
+    /// would have.
     #[test]
     fn forged_equal_hash_with_different_encoding_is_a_miss() {
         let mut f = fixture();
@@ -2200,22 +2159,33 @@ mod tests {
         assert!(!f.dispatch(&a, root_a));
         f.pool.reset();
         let base = f.pool.used();
-        let key_b = f
-            .cache
-            .lookup_graph(&f.plan, &b, root_b, true, base)
-            .expect_err("b was never dispatched");
+        let gs_b = generate::generate(&b, root_b, &f.plan, &mut f.pool, &f.tables).expect("fits");
+        let hash_b = hash_words(&gs_b.key);
         // Forge a 64-bit collision: file a's entry under b's hash.
-        let (_, entry) = f.cache.graphs.drain().next().expect("a's entry");
-        f.cache.graphs.insert(key_b.hash, entry);
-        let again = f
-            .cache
-            .lookup_graph(&f.plan, &b, root_b, true, base)
-            .expect_err("equal hash, different encoding: a miss, never a's script");
-        assert_eq!(again.hash, key_b.hash);
-        // The miss path then lowers b and takes the slot over.
-        assert!(!f.dispatch(&b, root_b));
-        assert!(f.dispatch(&b, root_b));
-        assert_eq!(f.cache.stats().script_misses, 2);
+        let (_, entry) = f.cache.entries.drain().next().expect("a's entry");
+        let art_a = Arc::clone(&entry.artifact);
+        f.cache.entries.insert(hash_b, entry);
+        f.cache.fifo = VecDeque::from([hash_b]);
+        assert!(
+            f.cache
+                .lookup_graph(&f.plan, &b, root_b, true, base)
+                .is_none(),
+            "equal hash, different encoding: a miss, never a's warm summary"
+        );
+        let art_b = f.cache.get_or_lower(&f.plan, &gs_b, f.gpu.cost_model());
+        assert!(!Arc::ptr_eq(&art_a, &art_b), "b never gets a's artifact");
+        let stats = f.cache.stats();
+        assert_eq!((stats.script_misses, stats.script_hits), (2, 0));
+        // b took the slot over: one entry, b's words, no eviction.
+        assert_eq!((f.cache.len(), f.cache.fifo.len()), (1, 1));
+        assert_eq!(f.cache.entries[&hash_b].key, gs_b.key);
+        assert_eq!(stats.script_evictions, 0);
+        // And the slot is b's from its graph too, once installed.
+        let pool_len = f.pool.used() - base;
+        f.cache.install_graph(&gs_b, &b, &f.tables, pool_len);
+        let warm = f.cache.lookup_graph(&f.plan, &b, root_b, true, base);
+        assert!(Arc::ptr_eq(&warm.expect("installed").artifact, &art_b));
+        assert!(!f.dispatch(&a, root_a), "a lost its slot");
     }
 
     #[test]
@@ -2226,11 +2196,11 @@ mod tests {
         assert!(!f.dispatch(&a, root_a));
         assert!(!f.dispatch(&b, root_b));
         assert!(f.dispatch(&a, root_a));
-        assert_eq!(f.cache.graphs.len(), 2);
+        assert_eq!((f.cache.len(), f.indexed()), (2, 2));
 
         let plan_id = f.plan.signature().plan_id();
         assert_eq!(f.cache.invalidate_plan(plan_id), 2);
-        assert!(f.cache.graphs.is_empty(), "no entry outlives its artifact");
+        assert!(f.cache.is_empty() && f.cache.fifo.is_empty());
         assert!(!f.dispatch(&a, root_a), "a quarantined plan re-generates");
         assert_eq!(f.cache.stats().script_re_misses, 1);
     }
@@ -2243,8 +2213,7 @@ mod tests {
         for (g, root) in &graphs {
             assert!(!f.dispatch(g, *root));
         }
-        assert_eq!(f.cache.len(), 2);
-        assert_eq!(f.cache.graphs.len(), 2);
+        assert_eq!((f.cache.len(), f.indexed(), f.cache.fifo.len()), (2, 2, 2));
         // The first graph's script was the FIFO head: it misses (and
         // re-installs, evicting the second); the third still hits.
         assert!(f.dispatch(&graphs[2].0, graphs[2].1));

@@ -703,12 +703,14 @@ impl Handle {
         // structurally identical to an earlier one reserves the same pool
         // region with one allocation and skips script generation. Every
         // other backend (and every miss) generates.
-        let lookup = (backend == BackendKind::Lowered).then(|| {
-            self.lowered
-                .lookup_graph(plan, graph, root, train, pool_base)
-        });
-        let (prepared, graph_key) = match lookup {
-            Some(Ok(warm)) => {
+        let warm = (backend == BackendKind::Lowered)
+            .then(|| {
+                self.lowered
+                    .lookup_graph(plan, graph, root, train, pool_base)
+            })
+            .flatten();
+        let prepared = match warm {
+            Some(warm) => {
                 self.pool
                     .alloc(warm.pool_len)
                     .map_err(|_| VppsError::PoolExhausted {
@@ -716,9 +718,9 @@ impl Handle {
                         capacity: self.pool.capacity(),
                     })?;
                 warm.replay_generate_obs();
-                (Prepared::Warm(warm), None)
+                Prepared::Warm(warm)
             }
-            miss => {
+            None => {
                 let gs = if train {
                     generate::generate(graph, root, plan, &mut self.pool, &self.tables)?
                 } else {
@@ -730,10 +732,7 @@ impl Handle {
                         &self.tables,
                     )?
                 };
-                (
-                    Prepared::Generated(Box::new(gs)),
-                    miss.and_then(Result::err),
-                )
+                Prepared::Generated(Box::new(gs))
             }
         };
         let pool_len = self.pool.used() - pool_base;
@@ -794,10 +793,8 @@ impl Handle {
             }
             Prepared::Generated(gs) if backend == BackendKind::Lowered => {
                 let art = self.lowered.get_or_lower(plan, gs, self.gpu.cost_model());
-                if let Some(key) = graph_key {
-                    self.lowered
-                        .install_graph(key, &art, gs, graph, &self.tables, pool_len);
-                }
+                self.lowered
+                    .install_graph(gs, graph, &self.tables, pool_len);
                 engine::Session::from_lowered(plan, gs, cfg, self.gpu.cost_model(), art)
             }
             Prepared::Generated(gs) => {
@@ -1089,8 +1086,8 @@ impl Handle {
 
     /// Test hook: the handle's lowered-artifact cache, so a test can swap in
     /// a smaller one ([`engine::LoweredCache::with_capacity`]) or the
-    /// always-generating reference
-    /// ([`engine::LoweredCache::without_graph_index`]).
+    /// reference that never fills in warm summaries, so every batch
+    /// generates its scripts ([`engine::LoweredCache::without_graph_index`]).
     #[doc(hidden)]
     pub fn lowered_cache_mut(&mut self) -> &mut engine::LoweredCache {
         &mut self.lowered
@@ -1473,7 +1470,7 @@ mod tests {
         let (g, loss) = lookup_graph(&m, tables, cls, &[5, 1], 1);
         h.fb(&mut m, &g, loss);
         // Same residents, same floor, but room for nothing above it: the
-        // next structurally identical batch hits the graph index and must
+        // next structurally identical batch is a warm hit and must
         // fail reserving its region, exactly as generating would.
         h.pool = Pool::with_capacity(h.pool.floor() + 8);
         h.tables = TableLayout::install(&m, &mut h.pool).unwrap();

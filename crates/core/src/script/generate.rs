@@ -94,8 +94,8 @@ impl TableLayout {
     /// First pool offset above the batch-invariant residents: every offset
     /// strictly below this is an embedding-table row or the resident
     /// constant (the layout allocates tables first, then the constant, then
-    /// freezes the floor). Copies that read below this floor are the
-    /// per-request literals the structural script fingerprint masks out.
+    /// freezes the floor). Copies that read below this floor are per-request
+    /// literals, which lowering turns into patch points.
     pub fn persistent_floor(&self) -> u32 {
         self.const_one.raw() + 1
     }
@@ -154,9 +154,17 @@ pub struct GeneratedScript {
     pub vpp_loads: Vec<f64>,
     /// The table layout's [`TableLayout::persistent_floor`] at generation
     /// time: offsets below it are batch-invariant residents. Carried here so
-    /// downstream passes (structural fingerprinting, literal patching) don't
-    /// need the layout itself.
+    /// downstream passes (literal patching, lowering's bounds) don't need the
+    /// layout itself.
     pub persistent_floor: u32,
+    /// The words these scripts are a pure function of: plan id, pool base,
+    /// schedule policy, train|infer, root and the graph's
+    /// `Graph::encode_structure`, which leaves out the per-request literals
+    /// (input values, lookup rows, gold labels). Two batches with equal keys
+    /// get scripts that differ only in those literals. The one other input
+    /// of generation, the [`TableLayout`], is not in the key: it is fixed
+    /// for the lowered cache that compares keys (one per `Handle`).
+    pub key: Box<[u32]>,
 }
 
 /// Relative cost of matrix-chunk instructions in the load-balancing metric —
@@ -300,6 +308,35 @@ fn alloc(pool: &mut Pool, len: usize) -> Result<PoolOffset, VppsError> {
     })
 }
 
+/// Appends [`GeneratedScript::key`] for generating `graph` from `root` on
+/// `plan`, into a pool whose batch region starts at `pool_base`. The
+/// generator stamps its scripts with it, and the lowered cache builds the
+/// same words from a graph before generating, so the key it compares is the
+/// key the scripts were made from.
+pub(crate) fn dispatch_key(
+    graph: &Graph,
+    root: NodeId,
+    plan: &KernelPlan,
+    pool_base: usize,
+    policy: SchedulePolicy,
+    train: bool,
+    out: &mut Vec<u32>,
+) {
+    // Four words here, train|infer and root, then the encoding: counted
+    // first, so a fresh key is one allocation of the exact length.
+    let mut words = 6;
+    graph.encode_structure(|_| words += 1);
+    out.reserve(words);
+    let plan_id = plan.signature().plan_id();
+    out.extend([
+        plan_id as u32,
+        (plan_id >> 32) as u32,
+        u32::try_from(pool_base).expect("pool offsets are 4-byte"),
+        policy as u32,
+    ]);
+    graph.dispatch_key(root, train, out);
+}
+
 /// Generates the execution scripts for one batch super-graph.
 ///
 /// `loss` must be a scalar node of `graph`. The pool must already hold the
@@ -376,6 +413,8 @@ fn generate_inner(
         "loss must be a scalar node for backward generation"
     );
     let dist = plan.distribution();
+    let mut key = Vec::new();
+    dispatch_key(graph, loss, plan, pool.used(), policy, backward, &mut key);
 
     // ---- pool layout: values, then a contiguous derivative region.
     let mut value_off = Vec::with_capacity(graph.len());
@@ -909,6 +948,7 @@ fn generate_inner(
         backward_instructions,
         vpp_loads: emitter.loads,
         persistent_floor: tables.persistent_floor(),
+        key: key.into_boxed_slice(),
     })
 }
 

@@ -368,8 +368,9 @@ impl Instr {
     /// one: a `Copy` source below the pool's persistent floor (an
     /// embedding-table row or the resident constant, picked by the
     /// request's token ids) or the gold label of a `PickNls` /
-    /// `PickNlsBwd`. The structural fingerprint masks exactly these, and
-    /// lowering makes exactly these patch points.
+    /// `PickNlsBwd`. Lowering makes exactly these patch points: they are
+    /// where the literals that `GeneratedScript::key` leaves out land in the
+    /// scripts.
     pub(crate) fn request_literal(&self, persistent_floor: u32) -> Option<usize> {
         match self {
             Instr::Copy { src, .. } if src.raw() < persistent_floor => Some(0),
@@ -772,62 +773,6 @@ impl ScriptSet {
         set
     }
 
-    /// Structural fingerprint: a stable 64-bit hash over the logical
-    /// instruction stream (per-VPP boundaries included) with the per-request
-    /// literals masked out — `Copy` sources below the pool's persistent floor
-    /// (embedding-table rows and the resident constant, picked by the
-    /// request's token ids) and the gold-label operand of `PickNls` /
-    /// `PickNlsBwd` (`Instr::request_literal`). Combined with a plan id it
-    /// keys the lowered-script cache ([`crate::engine::lowered`]).
-    ///
-    /// Two script sets share a structural fingerprint exactly when they
-    /// differ only in those literals: same topology, same schedule, same
-    /// offsets for every batch-local tensor. A lowered artifact of one is
-    /// reusable for the other after patching the masked literals back in
-    /// ([`crate::engine::lowered::LoweredScript::extract_patches`]), which
-    /// is what lets a serving bucket's canonical super-graphs key one warm
-    /// cache entry instead of one per distinct request.
-    ///
-    /// Each maskable operand contributes a mask flag word *and* a value
-    /// word (zero when masked), so a masked stream can never collide with
-    /// an unmasked stream that happens to carry the sentinel value.
-    ///
-    /// The stream is consumed one `u32` word per mixing step, on two lanes
-    /// whose steps overlap in time: lane `a` takes the VPP count, the
-    /// opcodes and the mask flags, lane `b` the script lengths, the length
-    /// fields and the operand values. A step xors the word in, multiplies
-    /// by an odd constant and xors the high half down — a bijection of the
-    /// lane for a given word and of the word for a given lane — and the
-    /// result `a ^ b·M` is a bijection of either lane given the other. So
-    /// two script sets of one shape (VPP count, script lengths, opcodes)
-    /// that differ in exactly one other word always fingerprint apart; and
-    /// since the multiply carries each bit of a word into every higher bit
-    /// and the shift carries the high half into the low one, every input
-    /// bit reaches all 64 bits of its lane in the step that takes it in.
-    pub fn structural_fingerprint(&self, persistent_floor: u32) -> u64 {
-        const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-        const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
-        fn mix(lane: u64, word: u32) -> u64 {
-            let h = (lane ^ u64::from(word)).wrapping_mul(MULTIPLIER);
-            h ^ (h >> 32)
-        }
-        let (mut a, mut b) = (mix(SEED, self.scripts.len() as u32), SEED);
-        for script in &self.scripts {
-            b = mix(b, script.len() as u32);
-            for instr in script {
-                a = mix(a, u32::from(instr.opcode()));
-                b = mix(b, instr.len_field());
-                let (ops, n) = instr.operands();
-                for (i, op) in ops[..n].iter().enumerate() {
-                    let masked = instr.request_literal(persistent_floor) == Some(i);
-                    a = mix(a, u32::from(masked));
-                    b = mix(b, if masked { 0 } else { *op });
-                }
-            }
-        }
-        a ^ b.wrapping_mul(MULTIPLIER)
-    }
-
     /// Size of the encoded form in bytes (what the host-to-device copy of
     /// paper §III-B2 transfers).
     pub fn encoded_bytes(&self) -> usize {
@@ -1201,48 +1146,6 @@ mod proptests {
                 prop_assert_eq!(built.sync_instructions(), (signals, waits));
                 prop_assert_eq!(built.instr_mix(), counts.into_iter().collect::<Vec<_>>());
             }
-        }
-
-        /// Changing one operand changes the structural fingerprint, unless
-        /// the operand is a masked per-request literal before and after
-        /// (a `Copy` source stays masked only while it stays below the
-        /// floor); moving an instruction to another VPP changes it too.
-        #[test]
-        fn structural_fingerprint_sees_every_unmasked_operand(
-            instrs in prop::collection::vec(arb_instr(), 1..60),
-            num_vpps in 2usize..5,
-            pick in any::<usize>(),
-            bit in 0u32..32,
-        ) {
-            const FLOOR: u32 = 1 << 31;
-            let masked = |instr: &Instr, i: usize| match instr {
-                Instr::Copy { src, .. } => i == 0 && src.raw() < FLOOR,
-                Instr::PickNls { .. } => i == 2,
-                Instr::PickNlsBwd { .. } => i == 3,
-                _ => false,
-            };
-            let fingerprint = |instrs: &[Instr], first_vpp: usize| {
-                let mut set = ScriptSet::new(num_vpps);
-                for (k, instr) in instrs.iter().enumerate() {
-                    set.push(if k == 0 { first_vpp } else { k % num_vpps }, *instr);
-                }
-                set.structural_fingerprint(FLOOR)
-            };
-            let t = pick % instrs.len();
-            let i = (pick / instrs.len()) % instrs[t].operands().1;
-            let mut buf = Vec::new();
-            instrs[t].encode(&mut buf);
-            let word = 4 + 4 * i;
-            let flipped = u32::from_le_bytes(buf[word..word + 4].try_into().expect("4 bytes")) ^ (1 << bit);
-            buf[word..word + 4].copy_from_slice(&flipped.to_le_bytes());
-            let mut changed = instrs.clone();
-            changed[t] = Instr::decode(&buf, 0).0;
-            prop_assert_eq!(
-                fingerprint(&instrs, 0) == fingerprint(&changed, 0),
-                masked(&instrs[t], i) && masked(&changed[t], i),
-                "operand {} of {:?} became {:?}", i, instrs[t], changed[t]
-            );
-            prop_assert_ne!(fingerprint(&instrs, 0), fingerprint(&instrs, 1));
         }
 
         #[test]

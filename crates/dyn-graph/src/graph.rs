@@ -300,11 +300,13 @@ impl Graph {
     /// dimension and the argument edges — and leaves out the per-request
     /// literals (input values, lookup row indices, gold labels).
     ///
-    /// Two graphs with equal encodings generate scripts that are identical
-    /// up to exactly those literals (`ScriptSet::structural_fingerprint`
-    /// masks the same things). Both the serving layer's batching key
-    /// ([`Graph::structural_hash`]) and the lowered engine's graph-level
-    /// cache key are derived from this stream, so they cannot drift apart.
+    /// Two graphs with equal encodings, dispatched alike, generate scripts
+    /// that are identical up to exactly those literals (which lowering turns
+    /// into patch points). Both the serving layer's batching key
+    /// ([`Graph::structural_hash`]) and the lowered engine's cache key (the
+    /// `GeneratedScript::key` the script generator stamps, see
+    /// [`Graph::dispatch_key`]) are derived from this stream, so they cannot
+    /// drift apart.
     pub fn encode_structure(&self, mut eat: impl FnMut(u32)) {
         // Script operands address the pool with 4-byte offsets, so every
         // count, index and dimension of a dispatchable graph fits a word.
@@ -362,10 +364,12 @@ impl Graph {
 
     /// Appends the structural identity of *dispatching* this graph to `out`:
     /// whether the dispatch trains (forward + backward) or only infers, the
-    /// root it runs from, then [`Graph::encode_structure`]. Equal keys mean
-    /// the script generator emits the same scripts up to the per-request
-    /// literals, which is what lets the lowered engine look a batch's
-    /// artifact up from its graph without generating the scripts first.
+    /// root it runs from, then [`Graph::encode_structure`]. This is the
+    /// graph's part of the key the script generator stamps on its scripts,
+    /// behind the plan id, pool base and schedule policy: equal keys mean it
+    /// emits the same scripts up to the per-request literals, which is what
+    /// lets the lowered engine look a batch's artifact up from its graph
+    /// without generating the scripts first.
     pub fn dispatch_key(&self, root: NodeId, train: bool, out: &mut Vec<u32>) {
         out.push(u32::from(train));
         out.push(root.0);

@@ -13,6 +13,9 @@
 //! * **Caching** — `LoweredCache` returns the same `Arc` on a hit and never
 //!   re-lowers a seen script (re-miss counter stays zero) unless it was
 //!   evicted, by capacity or by plan quarantine, and both are counted.
+//! * **One key** — requests that differ only in their literals get equal
+//!   `GeneratedScript::key`s and lower to one artifact up to its patch
+//!   points; every structural input of the generator is in the key.
 //! * **Persistent arena** — a `Handle` keeping one register arena per plan
 //!   between batches computes exactly what a fresh arena per call computes,
 //!   across plan switches and through faulted, rolled-back attempts.
@@ -26,11 +29,13 @@ use std::collections::BTreeMap;
 use dyn_graph::{Graph, Model, NodeId, Op};
 use gpu_sim::{FaultConfig, GpuSim};
 use proptest::prelude::*;
-use vpps::engine::lowered::{self, Lowered, LoweredCache, LoweredCacheStats, LoweredScript};
+use vpps::engine::lowered::{
+    self, Lowered, LoweredCache, LoweredCacheStats, LoweredScript, MicroOp,
+};
 use vpps::engine::{self, Session};
 use vpps::exec::fallback::apply_gemm_fallback;
 use vpps::exec::interp::ExecConfig;
-use vpps::script::{generate, generate_forward_only, TableLayout};
+use vpps::script::{generate, generate_forward_only, SchedulePolicy, TableLayout};
 use vpps::{BackendKind, Handle, KernelPlan, RecoveryPolicy, RpwMode, VppsOptions};
 
 #[path = "support/graphgen.rs"]
@@ -45,8 +50,9 @@ fn test_model() -> Model {
     model
 }
 
-/// Builds and lowers one recipe from scratch (fresh model, plan, pool).
-fn lower_recipe(recipe: &GraphRecipe) -> LoweredScript {
+/// Builds and lowers one recipe from scratch (fresh model, plan, pool): the
+/// key the scripts were generated under, and the artifact.
+fn lower_recipe(recipe: &GraphRecipe) -> (Box<[u32]>, LoweredScript) {
     let model = test_model();
     let (g, loss) = build_from_recipe(&model, recipe);
     let plan = KernelPlan::build(&model, &small_device(), 1).expect("tiny model fits");
@@ -54,7 +60,8 @@ fn lower_recipe(recipe: &GraphRecipe) -> LoweredScript {
     let tables = TableLayout::install(&model, &mut pool).expect("pool big enough");
     let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).expect("fits");
     let gpu = GpuSim::new(small_device());
-    lowered::lower(&plan, &gs, gpu.cost_model())
+    let art = lowered::lower(&plan, &gs, gpu.cost_model());
+    (gs.key, art)
 }
 
 const LEARNING_RATE: f32 = 0.05;
@@ -391,6 +398,163 @@ proptest! {
     }
 }
 
+/// One structural change to a request, made by [`build_request`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Change {
+    None,
+    Edge,
+    Dim,
+    Param,
+    Table,
+    Root,
+}
+
+/// Request `variant` of `recipe` on [`lookup_model`] plus a second table
+/// `F`: an unused input of dim 2, then an input `x` and a row `e` of `E`
+/// feeding a mat-vec by `W1` and the recipe, and two losses — the recipe's,
+/// which is the root, and one on `x`. Input values, the row and both labels
+/// come from `variant`; `change` alters one structural fact: the recipe's
+/// frontier order (so the mat-vec's argument edge), the unused input's dim,
+/// `W2` for `W1`, `F` for `E`, or the loss on `x` as the root.
+fn build_request(
+    model: &Model,
+    recipe: &GraphRecipe,
+    variant: u8,
+    change: Change,
+) -> (Graph, NodeId) {
+    let table = model.lookups().nth(usize::from(change == Change::Table));
+    let v = usize::from(variant);
+    let mut g = Graph::new();
+    let pad = 2 + usize::from(change == Change::Dim);
+    g.input(vec![0.25 * (v % 5) as f32; pad]);
+    let x = g.input(
+        (0..DIM)
+            .map(|i| 0.1 * i as f32 - 0.05 * (v % 11) as f32)
+            .collect(),
+    );
+    let e = g.lookup(model, table.expect("two tables").0, v % 9);
+    let frontier = if change == Change::Edge {
+        vec![e, x]
+    } else {
+        vec![x, e]
+    };
+    let recipe = GraphRecipe {
+        ops: [u8::from(change == Change::Param)]
+            .into_iter()
+            .chain(recipe.ops.iter().copied())
+            .collect(),
+        ..recipe.clone()
+    };
+    let loss = grow_recipe(
+        &mut g,
+        model,
+        &recipe,
+        frontier,
+        (usize::from(recipe.label) + v) % 4,
+    );
+    let on_x = g.pick_neg_log_softmax(x, (v * 7) % DIM);
+    (g, if change == Change::Root { on_x } else { loss })
+}
+
+/// The per-request literal each patch point of `art` carries in its ops.
+fn literals(art: &LoweredScript) -> Vec<u32> {
+    let value = |op: &MicroOp| match *op {
+        MicroOp::Copy { src, .. } => src,
+        MicroOp::PickNls { label, .. } | MicroOp::PickNlsBwd { label, .. } => label,
+        other => panic!("patch point on {other:?}"),
+    };
+    art.patch_points
+        .iter()
+        .map(|p| value(&art.ops[p.op_index as usize]))
+        .collect()
+}
+
+/// `art`'s ops with every patched field zeroed.
+fn unpatched(art: &LoweredScript) -> Vec<MicroOp> {
+    let mut ops = art.ops.clone();
+    for p in &art.patch_points {
+        match &mut ops[p.op_index as usize] {
+            MicroOp::Copy { src, .. } => *src = 0,
+            MicroOp::PickNls { label, .. } | MicroOp::PickNlsBwd { label, .. } => *label = 0,
+            other => panic!("patch point on {other:?}"),
+        }
+    }
+    ops
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// What the lowered cache's one key rests on. Two requests that differ
+    /// only in their literals (input values, lookup rows, labels) get equal
+    /// `GeneratedScript::key`s and lower to one artifact: equal ops, patch
+    /// points, bounds and timeline, except the patched fields, which
+    /// `extract_patches` on either request's scripts reads back as that
+    /// request's own literals through either artifact. And every input the
+    /// scripts are a function of — an edge, a dim, a parameter id, a lookup
+    /// table, the root, train|infer, the schedule policy, the pool base —
+    /// changed on its own gives an unequal key.
+    #[test]
+    fn equal_dispatch_keys_lower_to_one_artifact(
+        recipe in arb_recipe(),
+        a in any::<u8>(),
+        b in any::<u8>(),
+    ) {
+        let mut model = lookup_model();
+        model.add_lookup("F", 9, DIM);
+        let plan = KernelPlan::build(&model, &small_device(), 1).expect("tiny model fits");
+        let gpu = GpuSim::new(small_device());
+        let mut pool = vpps_tensor::Pool::with_capacity(1 << 18);
+        let tables = TableLayout::install(&model, &mut pool).expect("pool big enough");
+        let mut generate_as = |(g, root): &(Graph, NodeId), train, policy, shift| {
+            pool.reset();
+            pool.alloc(shift).expect("room to shift the pool base");
+            let gs = if train {
+                generate::generate_with_policy(g, *root, &plan, &mut pool, &tables, policy)
+            } else {
+                generate_forward_only(g, *root, &plan, &mut pool, &tables)
+            };
+            gs.expect("fits")
+        };
+        let (min_load, round_robin) = (SchedulePolicy::MinLoad, SchedulePolicy::RoundRobin);
+
+        let request_a = build_request(&model, &recipe, a, Change::None);
+        let gs_a = generate_as(&request_a, true, min_load, 0);
+        let gs_b = generate_as(&build_request(&model, &recipe, b, Change::None), true, min_load, 0);
+        prop_assert_eq!(&gs_a.key, &gs_b.key, "literals are not in the key");
+        let art_a = lowered::lower(&plan, &gs_a, gpu.cost_model());
+        let art_b = lowered::lower(&plan, &gs_b, gpu.cost_model());
+        prop_assert_eq!(&art_a.patch_points, &art_b.patch_points);
+        prop_assert_eq!(unpatched(&art_a), unpatched(&art_b));
+        prop_assert_eq!((art_a.pool_end, art_a.scratch_len), (art_b.pool_end, art_b.scratch_len));
+        prop_assert_eq!(format!("{:?}", art_a.timeline), format!("{:?}", art_b.timeline));
+        for (own, gs) in [(&art_a, &gs_a), (&art_b, &gs_b)] {
+            prop_assert_eq!(art_a.extract_patches(gs), literals(own));
+            prop_assert_eq!(art_b.extract_patches(gs), literals(own));
+        }
+
+        let mut changed: Vec<(String, Box<[u32]>)> = [
+            Change::Edge,
+            Change::Dim,
+            Change::Param,
+            Change::Table,
+            Change::Root,
+        ]
+        .into_iter()
+        .map(|change| {
+            let request = build_request(&model, &recipe, a, change);
+            (format!("{change:?}"), generate_as(&request, true, min_load, 0).key)
+        })
+        .collect();
+        changed.push(("infer".into(), generate_as(&request_a, false, min_load, 0).key));
+        changed.push(("policy".into(), generate_as(&request_a, true, round_robin, 0).key));
+        changed.push(("pool base".into(), generate_as(&request_a, true, min_load, 1).key));
+        for (what, key) in &changed {
+            prop_assert!(*key != gs_a.key, "{} must change the key", what);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -398,10 +562,10 @@ proptest! {
     /// artifacts.
     #[test]
     fn lowering_is_deterministic(recipe in arb_recipe()) {
-        let a = lower_recipe(&recipe);
-        let b = lower_recipe(&recipe);
+        let (key_a, a) = lower_recipe(&recipe);
+        let (key_b, b) = lower_recipe(&recipe);
         prop_assert_eq!(a.plan_id, b.plan_id, "plan identity must be stable");
-        prop_assert_eq!(a.fingerprint, b.fingerprint, "script fingerprint must be stable");
+        prop_assert_eq!(key_a, key_b, "the dispatch key must be stable");
         prop_assert_eq!(&a.ops, &b.ops, "micro-op arrays must be identical");
         prop_assert_eq!(
             &a.timeline.instr_mix,
@@ -421,7 +585,7 @@ proptest! {
     /// histogram equals the script's static instruction mix.
     #[test]
     fn op_stream_matches_timeline(recipe in arb_recipe()) {
-        let art = lower_recipe(&recipe);
+        let (_, art) = lower_recipe(&recipe);
         prop_assert_eq!(
             art.ops.len(),
             art.timeline.instructions,
@@ -637,8 +801,9 @@ fn lowered_stream_is_pinned_across_commits() {
 }
 
 /// Through a `Handle` training a fixed shape, every batch after the first is
-/// a script-level cache hit served by the graph-level index — the stats the
-/// `lower.script.cache_hit` / `lower.graph.cache_hit` counters mirror.
+/// a cache hit found from its graph — the stats the `lower.script.cache_hit`
+/// / `lower.graph.cache_hit` counters mirror — and no batch is left
+/// unindexed.
 #[test]
 fn handle_warm_path_hits_after_first_batch() {
     use vpps::{BackendKind, Handle, RpwMode, VppsOptions};
@@ -665,7 +830,8 @@ fn handle_warm_path_hits_after_first_batch() {
     assert_eq!(stats.script_hits, 4, "every warm batch hits");
     assert_eq!(
         stats.graph_hits, stats.script_hits,
-        "every warm batch is served by the graph-level index (no script generated)"
+        "every warm batch is found from its graph (no script generated)"
     );
     assert_eq!(stats.script_re_misses, 0);
+    assert_eq!(stats.unindexed, 0, "every patch point has a graph node");
 }

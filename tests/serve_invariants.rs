@@ -369,6 +369,7 @@ proptest! {
             "the replayed batches must hit the script cache");
         prop_assert_eq!(warm.script_re_misses, 0, "structure-keyed buckets never re-miss");
         prop_assert_eq!(warm.script_evictions, 0, "a fault-free run far below capacity never evicts");
+        prop_assert_eq!(warm.unindexed, 0, "every patch point has a graph node");
     }
 
     /// Sharding changes placement, never numerics: an all-inference trace
