@@ -1726,13 +1726,20 @@ impl super::ExecutionBackend for Lowered {
             .lowered
             .as_ref()
             .expect("Lowered backend requires a session with a lowered artifact");
-        if vpps_obs::enabled() {
-            vpps_obs::counter(&format!("engine.kernels.{}", kernels::tier())).incr();
-        }
-        execute(art, &session.patches, pool, cache);
+        sweep(art, &session.patches, pool, cache);
         let loss = pool.slice(session.loss_offset(), 1)[0];
         session.outcome(loss)
     }
+}
+
+/// The backend's sweep — [`execute`], counted per kernel tier — shared by
+/// [`Lowered`]'s `run` and a sweep that runs away from its session
+/// ([`super::LoweredSweep`]).
+pub(crate) fn sweep(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cache: &mut RegCache) {
+    if vpps_obs::enabled() {
+        vpps_obs::counter(&format!("engine.kernels.{}", kernels::tier())).incr();
+    }
+    execute(art, patches, pool, cache);
 }
 
 #[cfg(test)]

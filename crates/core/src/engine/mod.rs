@@ -297,6 +297,32 @@ impl<'a> Session<'a> {
         self.layout.value_off[self.layout.loss.index()]
     }
 
+    /// `(learning rate, weight decay)` of the in-register update the run
+    /// ends with, or `None` when it ends without one (inference, or a plan
+    /// on the GEMM-fallback strategy).
+    fn in_register_update(&self) -> Option<(f32, f32)> {
+        (self.cfg.apply_update && self.plan.grad_strategy() == GradStrategy::InRegister)
+            .then_some((self.cfg.learning_rate, self.cfg.weight_decay))
+    }
+
+    /// Splits a session prepared for the [`Lowered`] backend into its
+    /// metrics — the batch's whole cost, fixed before any arithmetic — and
+    /// the owned value half of its run, which may then execute on any
+    /// thread.
+    pub(crate) fn into_lowered_sweep(self) -> (Metrics, LoweredSweep) {
+        let update = self.in_register_update();
+        // The mirror of `Lowered::run`'s `expect`: see `Session::gs`.
+        let artifact = self
+            .lowered
+            .expect("a lowered sweep needs a session with a lowered artifact");
+        let sweep = LoweredSweep {
+            artifact,
+            patches: self.patches,
+            update,
+        };
+        (self.metrics, sweep)
+    }
+
     /// Packages a finished run.
     pub fn outcome(&self, loss: f32) -> RunOutcome {
         RunOutcome {
@@ -439,21 +465,64 @@ pub fn run_prepared_in(
     gpu: &mut GpuSim,
     cache: &mut RegCache,
 ) -> RunOutcome {
-    let _span = vpps_obs::span("engine.run");
-    if vpps_obs::enabled() {
-        vpps_obs::counter(&format!("engine.batches.{}", backend.name())).incr();
-    }
     assert!(
         cache.laid_out_for(session.plan.distribution()),
         "register arena was laid out for another plan"
     );
-    cache.load_from_model(model);
-    let outcome = backend.run(session, pool, cache);
-    if session.cfg.apply_update && session.plan.grad_strategy() == GradStrategy::InRegister {
-        cache.apply_updates(model, session.cfg.learning_rate, session.cfg.weight_decay);
-    }
+    let outcome = compute(
+        backend.name(),
+        session.in_register_update(),
+        model,
+        cache,
+        |cache| backend.run(session, pool, cache),
+    );
     outcome.metrics.commit(gpu);
     outcome
+}
+
+/// The value half of every run, with no clock in reach: the prologue
+/// parameter load into `cache`, the backend's `sweep`, and the in-register
+/// update (`Some((learning rate, weight decay))`) of `model`.
+fn compute<T>(
+    backend: &str,
+    update: Option<(f32, f32)>,
+    model: &mut Model,
+    cache: &mut RegCache,
+    sweep: impl FnOnce(&mut RegCache) -> T,
+) -> T {
+    let _span = vpps_obs::span("engine.run");
+    if vpps_obs::enabled() {
+        vpps_obs::counter(&format!("engine.batches.{backend}")).incr();
+    }
+    cache.load_from_model(model);
+    let out = sweep(cache);
+    if let Some((learning_rate, weight_decay)) = update {
+        cache.apply_updates(model, learning_rate, weight_decay);
+    }
+    out
+}
+
+/// The value half of one [`Lowered`] run, owning what it reads — the
+/// artifact, the batch's patches, the update it ends with — so it can run
+/// on another thread than the one that charged the batch
+/// ([`Session::into_lowered_sweep`]). Its metrics are already committed:
+/// nothing it computes reaches the simulated clock.
+#[derive(Debug)]
+pub(crate) struct LoweredSweep {
+    artifact: Arc<LoweredScript>,
+    patches: Vec<u32>,
+    update: Option<(f32, f32)>,
+}
+
+impl LoweredSweep {
+    /// Loads `cache` from `model`, sweeps the artifact over `pool` and
+    /// applies the in-register update — [`run_prepared_in`] on the
+    /// [`Lowered`] backend, minus the commit.
+    pub(crate) fn run(&self, pool: &mut Pool, model: &mut Model, cache: &mut RegCache) {
+        compute(Lowered.name(), self.update, model, cache, |cache| {
+            lowered::sweep(&self.artifact, &self.patches, pool, cache)
+        });
+    }
 }
 
 /// A batch-level training system with unified measurement plumbing.

@@ -94,60 +94,40 @@ pub fn apply_gemm_fallback(
     if plan.grad_strategy() != GradStrategy::GemmFallback {
         return FallbackRun::default();
     }
+    gemm_fallback_values(layout, pool, model, cfg.learning_rate, cfg.weight_decay);
+    charge_gemm_fallback(plan, layout, gpu)
+}
 
+/// The simulated half of [`apply_gemm_fallback`] on a GEMM-fallback plan:
+/// one gradient kernel per staged parameter, then the update kernel. Each
+/// launch is priced from the layout alone, so it needs no value.
+pub(crate) fn charge_gemm_fallback(
+    plan: &KernelPlan,
+    layout: &BatchLayout,
+    gpu: &mut GpuSim,
+) -> FallbackRun {
     let mut run = FallbackRun::default();
-    for (pidx, stage) in layout.stages.iter().enumerate() {
-        let Some(stage) = stage else { continue };
-        let pid = plan
-            .shapes()
-            .iter()
-            .map(|s| s.id)
-            .find(|id| id.index() == pidx)
-            .unwrap_or_else(|| ParamId::from_index(pidx));
-        match stage.x_base {
-            Some(x_base) => {
-                // Matrix gradient: G += Σ_k dy_k ⊗ x_k, computed as one GEMM
-                // over the staged operands where they lie in the pool.
-                gemm_outer_acc(
-                    model.param_mut(pid).grad.as_mut_slice(),
-                    stage.rows,
-                    stage.cols,
-                    pool.slice(stage.dy_base, stage.uses * stage.rows),
-                    pool.slice(x_base, stage.uses * stage.cols),
-                );
-                let staged_bytes = (stage.uses * (stage.rows + stage.cols) * 4) as u64;
-                let grad_bytes = (stage.rows * stage.cols * 4) as u64;
-                run.time += gpu.launch(&KernelDesc {
-                    label: "gemm_grad",
-                    weight_bytes: 0,
-                    other_load_bytes: staged_bytes,
-                    store_bytes: grad_bytes,
-                    flops: (2 * stage.uses * stage.rows * stage.cols) as u64,
-                    ctas: gpu.config().num_sms,
-                });
-                run.gemm_kernels += 1;
-            }
-            None => {
-                // Bias gradient: a plain sum reduction of the staged dys.
-                let grad = model.param_mut(pid).grad.row_mut(0);
-                for dy in pool
-                    .slice(stage.dy_base, stage.uses * stage.cols)
-                    .chunks_exact(stage.cols)
-                {
-                    ops::axpy(1.0, dy, grad);
-                }
-                let staged_bytes = (stage.uses * stage.cols * 4) as u64;
-                run.time += gpu.launch(&KernelDesc {
-                    label: "bias_grad_reduce",
-                    weight_bytes: 0,
-                    other_load_bytes: staged_bytes,
-                    store_bytes: (stage.cols * 4) as u64,
-                    flops: (stage.uses * stage.cols) as u64,
-                    ctas: 1,
-                });
-                run.gemm_kernels += 1;
-            }
-        }
+    for stage in layout.stages.iter().flatten() {
+        let desc = match stage.x_base {
+            Some(_) => KernelDesc {
+                label: "gemm_grad",
+                weight_bytes: 0,
+                other_load_bytes: (stage.uses * (stage.rows + stage.cols) * 4) as u64,
+                store_bytes: (stage.rows * stage.cols * 4) as u64,
+                flops: (2 * stage.uses * stage.rows * stage.cols) as u64,
+                ctas: gpu.config().num_sms,
+            },
+            None => KernelDesc {
+                label: "bias_grad_reduce",
+                weight_bytes: 0,
+                other_load_bytes: (stage.uses * stage.cols * 4) as u64,
+                store_bytes: (stage.cols * 4) as u64,
+                flops: (stage.uses * stage.cols) as u64,
+                ctas: 1,
+            },
+        };
+        run.time += gpu.launch(&desc);
+        run.gemm_kernels += 1;
     }
 
     // One update kernel over all dense parameters: reads weights + grads,
@@ -162,17 +142,57 @@ pub fn apply_gemm_fallback(
         flops: 3 * (weight_bytes / 4),
         ctas: gpu.config().num_sms,
     });
+    run
+}
+
+/// The value half of [`apply_gemm_fallback`] on a GEMM-fallback plan:
+/// every staged parameter's gradient from its operand pairs in `pool`, then
+/// the SGD step (`learning_rate`, `weight_decay`) on every dense parameter of
+/// `model`. Touches no clock.
+pub(crate) fn gemm_fallback_values(
+    layout: &BatchLayout,
+    pool: &Pool,
+    model: &mut Model,
+    learning_rate: f32,
+    weight_decay: f32,
+) {
+    for (pidx, stage) in layout.stages.iter().enumerate() {
+        let Some(stage) = stage else { continue };
+        let pid = ParamId::from_index(pidx);
+        match stage.x_base {
+            Some(x_base) => {
+                // Matrix gradient: G += Σ_k dy_k ⊗ x_k, computed as one GEMM
+                // over the staged operands where they lie in the pool.
+                gemm_outer_acc(
+                    model.param_mut(pid).grad.as_mut_slice(),
+                    stage.rows,
+                    stage.cols,
+                    pool.slice(stage.dy_base, stage.uses * stage.rows),
+                    pool.slice(x_base, stage.uses * stage.cols),
+                );
+            }
+            None => {
+                // Bias gradient: a plain sum reduction of the staged dys.
+                let grad = model.param_mut(pid).grad.row_mut(0);
+                for dy in pool
+                    .slice(stage.dy_base, stage.uses * stage.cols)
+                    .chunks_exact(stage.cols)
+                {
+                    ops::axpy(1.0, dy, grad);
+                }
+            }
+        }
+    }
     for pidx in 0..model.num_params() {
         let p = model.param_mut(ParamId::from_index(pidx));
         ops::sgd_step(
             p.value.as_mut_slice(),
             p.grad.as_slice(),
-            cfg.learning_rate,
-            cfg.weight_decay,
+            learning_rate,
+            weight_decay,
         );
         p.grad.fill_zero();
     }
-    run
 }
 
 #[cfg(test)]

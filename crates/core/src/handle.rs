@@ -18,8 +18,16 @@
 //! inference batches share one dispatch path that ends in one charging
 //! step, errors included: it alone writes the [`PhaseBreakdown`], and it
 //! and [`Handle::sync_get_latest_loss`] alone move the clocks.
+//!
+//! Every simulated fact about a batch is fixed before its arithmetic runs,
+//! so the dispatch path is split at that boundary: [`Handle::dispatch`]
+//! charges the batch and returns its value half as a [`Compute`], which
+//! [`Compute::run`] computes — on any thread — and [`Handle::join`] takes
+//! back. [`Handle::try_fb`] and [`Handle::try_infer_many`] are the three in
+//! a row.
 
 use std::collections::{HashMap, HashSet};
+use std::mem;
 use std::sync::Arc;
 
 use dyn_graph::{Graph, Model, NodeId, Op, Trainer};
@@ -31,13 +39,13 @@ use vpps_tensor::ops::sgd_step;
 use vpps_tensor::Pool;
 
 use crate::engine::recovery::{self, RecoveryPolicy, RecoveryStats};
-use crate::engine::{self, BackendKind, Engine};
+use crate::engine::{self, BackendKind, Engine, LoweredSweep};
 use crate::error::VppsError;
-use crate::exec::fallback::apply_gemm_fallback;
+use crate::exec::fallback::{charge_gemm_fallback, gemm_fallback_values};
 use crate::exec::interp::ExecConfig;
 use crate::exec::regcache::RegCache;
 use crate::script::{generate, BatchLayout, TableLayout};
-use crate::specialize::{JitCost, KernelPlan};
+use crate::specialize::{GradStrategy, JitCost, KernelPlan};
 
 /// Rows-per-warp selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,6 +281,7 @@ enum Charge {
 /// What an attempt's host preparation produced: freshly generated scripts,
 /// or — when the lowered cache already knows the batch's graph — the cached
 /// summary that stands in for them.
+#[derive(Debug)]
 enum Prepared {
     Generated(Box<generate::GeneratedScript>),
     Warm(Arc<engine::WarmBatch>),
@@ -305,11 +314,179 @@ impl Prepared {
     }
 }
 
-/// One successful attempt's products.
+/// One successful attempt's products. Its cost is on the clock; only a
+/// clean lowered attempt still owes its sweep, every other one ran it.
 struct AttemptOk {
-    run: engine::RunOutcome,
+    metrics: Metrics,
     prepared: Prepared,
     kernel_total: SimTime,
+    owed: Option<OwedSweep>,
+}
+
+/// The sweep of a clean lowered attempt, with the register arena of plan
+/// `slot` it runs in, lent until [`Handle::join`].
+#[derive(Debug)]
+struct OwedSweep {
+    sweep: LoweredSweep,
+    arena: RegCache,
+    slot: usize,
+}
+
+/// What a batch computed: [`Handle::join`] returns it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Output {
+    /// A training batch's loss, which is now the handle's latest loss.
+    Loss(f32),
+    /// An inference batch's value of every root, in `roots` order.
+    Roots(Vec<Vec<f32>>),
+}
+
+/// The value half of one batch, returned by [`Handle::dispatch`] once the
+/// batch is on the clock: the sweep a clean lowered attempt still owes,
+/// then the epilogue — training's GEMM-fallback arithmetic and lookup-table
+/// update, or inference's root reads. It owns the handle's memory pool (and
+/// an owed sweep's register arena) until [`Handle::join`] takes them back,
+/// so it can be computed on another thread.
+#[derive(Debug)]
+pub struct Compute {
+    pool: Pool,
+    owed: Option<OwedSweep>,
+    epilogue: Epilogue,
+}
+
+/// What [`Compute::run`] does after the owed sweep.
+#[derive(Debug)]
+enum Epilogue {
+    /// Nothing: the baseline rung computed the output inline.
+    Done(Output),
+    /// Read the loss, step GEMM-fallback parameters (`gemm`) and the lookup
+    /// tables.
+    Train {
+        prepared: Prepared,
+        gemm: bool,
+        tables: Arc<TableLayout>,
+        learning_rate: f32,
+        weight_decay: f32,
+    },
+    /// Read the roots.
+    Infer(Prepared),
+}
+
+impl Compute {
+    /// Computes the batch's values. `model`, `graph` and `roots` must be
+    /// what the batch was dispatched with. Nothing here reads or moves a
+    /// clock.
+    pub fn run(self, model: &mut Model, graph: &Graph, roots: &[NodeId]) -> Computed {
+        let Compute {
+            mut pool,
+            mut owed,
+            epilogue,
+        } = self;
+        if let Some(owed) = &mut owed {
+            owed.sweep.run(&mut pool, model, &mut owed.arena);
+        }
+        let output = match epilogue {
+            Epilogue::Done(output) => output,
+            Epilogue::Train {
+                prepared,
+                gemm,
+                tables,
+                learning_rate,
+                weight_decay,
+            } => {
+                let layout = prepared.layout();
+                let loss = pool.slice(layout.value_off[layout.loss.index()], 1)[0];
+                if gemm {
+                    gemm_fallback_values(layout, &pool, model, learning_rate, weight_decay);
+                }
+                apply_lookup_updates(
+                    model,
+                    graph,
+                    layout,
+                    &mut pool,
+                    &tables,
+                    (learning_rate, weight_decay),
+                );
+                Output::Loss(loss)
+            }
+            Epilogue::Infer(prepared) => {
+                let layout = prepared.layout();
+                let value = |root: &NodeId| {
+                    let dim = graph.node(*root).dim;
+                    pool.slice(layout.value_off[root.index()], dim).to_vec()
+                };
+                Output::Roots(roots.iter().map(value).collect())
+            }
+        };
+        Computed {
+            pool,
+            arena: owed.map(|o| (o.slot, o.arena)),
+            output,
+        }
+    }
+}
+
+/// A computed batch on its way back to [`Handle::join`], with what its
+/// [`Compute`] borrowed from the handle.
+#[derive(Debug)]
+pub struct Computed {
+    pool: Pool,
+    arena: Option<(usize, RegCache)>,
+    output: Output,
+}
+
+/// Applies the batch's embedding gradients: accumulates each looked-up
+/// row's derivative into `LookupParameter::grad`, runs the SGD step
+/// (`(learning rate, weight decay)`) on the tables, zeroes the gradients and
+/// re-copies what changed to the pool-resident `tables`. Host-side: no
+/// device time.
+///
+/// Without weight decay a row this batch did not look up is a fixed point
+/// of the step — its gradient is zero (`LookupParameter::grad`: "rows
+/// untouched by a batch stay zero"), so `v - lr * (0 + 0 * v)` is `v` bit
+/// for bit — and only the looked-up rows are stepped, zeroed and re-copied.
+/// With weight decay every row moves, so the whole table is.
+fn apply_lookup_updates(
+    model: &mut Model,
+    graph: &Graph,
+    layout: &BatchLayout,
+    pool: &mut Pool,
+    tables: &TableLayout,
+    (lr, wd): (f32, f32),
+) {
+    let mut touched = Vec::new();
+    for (id, node) in graph.iter() {
+        if let Op::Lookup { table, index } = node.op {
+            let d = pool.slice(layout.deriv_off[id.index()], node.dim);
+            let row = model.lookup_mut(table).grad.row_mut(index);
+            for (g, v) in row.iter_mut().zip(d) {
+                *g += v;
+            }
+            touched.push((table, index));
+        }
+    }
+    if touched.is_empty() {
+        return;
+    }
+    if wd != 0.0 {
+        for lid in model.lookups().map(|(id, _)| id).collect::<Vec<_>>() {
+            let l = model.lookup_mut(lid);
+            sgd_step(l.table.as_mut_slice(), l.grad.as_slice(), lr, wd);
+            l.grad.fill_zero();
+        }
+        tables.refresh(model, pool);
+        return;
+    }
+    touched.sort_unstable();
+    touched.dedup();
+    for (table, index) in touched {
+        let l = model.lookup_mut(table);
+        let (row, grad) = (l.table.row_mut(index), l.grad.row_mut(index));
+        sgd_step(row, grad, lr, wd);
+        grad.fill(0.0);
+        pool.slice_mut(tables.row_offset(table, index), row.len())
+            .copy_from_slice(row);
+    }
 }
 
 /// One Bernoulli draw against an optional injector.
@@ -348,8 +525,12 @@ pub struct Handle {
     arenas: Vec<Option<RegCache>>,
     active: usize,
     gpu: GpuSim,
+    /// The device memory pool; an empty stand-in while `lent`.
     pool: Pool,
-    tables: TableLayout,
+    /// `true` between a [`Handle::dispatch`] and its [`Handle::join`], while
+    /// the batch's [`Compute`] holds the pool.
+    lent: bool,
+    tables: Arc<TableLayout>,
     host: HostCostModel,
     opts: VppsOptions,
     phases: PhaseBreakdown,
@@ -409,13 +590,14 @@ impl Handle {
             RpwMode::Profile => ProfileState::profiling(plans.len(), opts.profile_batches_per_rpw),
         };
         let mut pool = Pool::with_capacity(opts.pool_capacity);
-        let tables = TableLayout::install(model, &mut pool)?;
+        let tables = Arc::new(TableLayout::install(model, &mut pool)?);
         Ok(Self {
             arenas: vec![None; plans.len()],
             plans,
             active: 0,
             gpu: GpuSim::new(device),
             pool,
+            lent: false,
             tables,
             host: HostCostModel::default(),
             opts,
@@ -470,26 +652,46 @@ impl Handle {
         graph: &Graph,
         loss: NodeId,
     ) -> Result<f32, VppsError> {
-        let _span = vpps_obs::span("handle.fb");
         let stale = self.prev_loss;
-        self.dispatch(model, graph, &[loss], true)?;
+        let roots = [loss];
+        let done = self
+            .dispatch(model, graph, &roots, true)?
+            .run(model, graph, &roots);
+        self.join(done);
         Ok(stale)
     }
 
-    /// One batch, end to end: the graph-construction charge, the recovery
-    /// loop, then the epilogue — training's GEMM-fallback kernels and lookup
-    /// update, or reading inference's `roots` — or, when the loop exhausts
-    /// its retries and the ladder is on, the launch-per-op baseline rung.
-    /// Ends in [`Handle::charge`], errors included. A training batch's loss
-    /// becomes `prev_loss` and nothing is returned; an inference batch
-    /// returns the value of every root.
-    fn dispatch(
+    /// The charge half of one batch — a training batch (`train`, loss node
+    /// `roots[0]`) or an inference batch reading every node of `roots`: the
+    /// graph-construction charge, the recovery loop, and the epilogue's
+    /// GEMM-fallback launches — or, when the loop exhausts its retries and
+    /// the ladder is on, the launch-per-op baseline rung. Ends in the one
+    /// step that writes the clocks, errors included. What the batch still
+    /// has to compute comes back as a [`Compute`]; every simulated fact
+    /// about it — the clocks, the [`PhaseBreakdown`], the metrics, `Ok` or
+    /// `Err` — is already fixed, since no charge depends on a value. A clean
+    /// lowered attempt's sweep is left to the `Compute`; any other attempt
+    /// (another backend, a degraded rung, a faulted attempt) ran its sweep
+    /// inline.
+    ///
+    /// # Errors
+    ///
+    /// As [`Handle::try_fb`] / [`Handle::try_infer_many`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `roots` is empty, or if the previous batch's [`Compute`]
+    /// has not been joined yet: it holds the memory pool.
+    pub fn dispatch(
         &mut self,
         model: &mut Model,
         graph: &Graph,
         roots: &[NodeId],
         train: bool,
-    ) -> Result<Vec<Vec<f32>>, VppsError> {
+    ) -> Result<Compute, VppsError> {
+        assert!(!roots.is_empty(), "a batch needs at least one root");
+        assert!(!self.lent, "dispatch before the previous batch was joined");
+        let _span = vpps_obs::span(if train { "handle.fb" } else { "handle.infer" });
         let device_before = self.gpu.now();
         let mut cost = PhaseBreakdown {
             graph_construction: self.host.graph_construction(graph.len()),
@@ -504,50 +706,39 @@ impl Handle {
             }
         };
         let epilogue_before = self.gpu.now();
-        let out = match run {
+        let (owed, epilogue) = match run {
             Some(ok) => {
-                self.kernel_metrics.merge(&ok.run.metrics);
+                self.kernel_metrics.merge(&ok.metrics);
                 cost.kernel_exec = ok.kernel_total;
-                let layout = ok.prepared.layout();
-                if train {
-                    let cfg = ExecConfig {
+                let epilogue = if train {
+                    let plan = &self.plans[self.active];
+                    let gemm = plan.grad_strategy() == GradStrategy::GemmFallback;
+                    if gemm {
+                        charge_gemm_fallback(plan, ok.prepared.layout(), &mut self.gpu);
+                    }
+                    Epilogue::Train {
+                        prepared: ok.prepared,
+                        gemm,
+                        tables: Arc::clone(&self.tables),
                         learning_rate: self.opts.learning_rate,
                         weight_decay: self.opts.weight_decay,
-                        apply_update: true,
-                    };
-                    apply_gemm_fallback(
-                        &self.plans[self.active],
-                        layout,
-                        &self.pool,
-                        model,
-                        &mut self.gpu,
-                        cfg,
-                    );
-                    // Lookup-table gradients (sparse, outside the cached set;
-                    // host-side, no device time).
-                    self.apply_lookup_updates(model, graph, layout);
-                    self.prev_loss = ok.run.loss;
-                    Vec::new()
+                    }
                 } else {
-                    roots
-                        .iter()
-                        .map(|&root| {
-                            let dim = graph.node(root).dim;
-                            self.pool
-                                .slice(layout.value_off[root.index()], dim)
-                                .to_vec()
-                        })
-                        .collect()
-                }
+                    Epilogue::Infer(ok.prepared)
+                };
+                (ok.owed, epilogue)
             }
             // Bottom of the ladder: launch-per-op execution on the host
             // reference executor (deterministic; numerically — not bitwise
             // — equivalent to the persistent kernel).
             None if train => {
-                self.prev_loss = self.baseline_train(model, graph, roots[0]);
-                Vec::new()
+                let loss = self.baseline_train(model, graph, roots[0]);
+                (None, Epilogue::Done(Output::Loss(loss)))
             }
-            None => self.baseline_infer(model, graph, roots),
+            None => {
+                let values = self.baseline_infer(model, graph, roots);
+                (None, Epilogue::Done(Output::Roots(values)))
+            }
         };
         cost.fallback_exec = self.gpu.now() - epilogue_before;
         self.charge(
@@ -555,7 +746,32 @@ impl Handle {
             &cost,
             device_before,
         );
-        Ok(out)
+        self.lent = true;
+        Ok(Compute {
+            pool: mem::replace(&mut self.pool, Pool::with_capacity(0)),
+            owed,
+            epilogue,
+        })
+    }
+
+    /// Takes back what a batch's [`Compute`] borrowed and returns what it
+    /// computed; a training batch's loss becomes the latest loss. The
+    /// handle can dispatch again.
+    pub fn join(&mut self, done: Computed) -> Output {
+        let Computed {
+            pool,
+            arena,
+            output,
+        } = done;
+        self.pool = pool;
+        if let Some((slot, arena)) = arena {
+            self.arenas[slot] = Some(arena);
+        }
+        self.lent = false;
+        if let Output::Loss(loss) = output {
+            self.prev_loss = loss;
+        }
+        output
     }
 
     /// The one writer of [`Handle::phases`] and, with
@@ -817,8 +1033,23 @@ impl Handle {
         // A DRAM corruption is only detected by ECC *after* the run: the
         // full body time is paid and the caller must roll back.
         let dram_fault = draw_fault(&mut self.faults, FaultKind::DramCorruption, self.gpu.now());
-        let arena =
-            self.arenas[self.active].get_or_insert_with(|| RegCache::new(plan.distribution()));
+        let slot = self.active;
+        if backend == BackendKind::Lowered && !dram_fault {
+            // A clean lowered attempt: the session's metrics are its whole
+            // cost, so they go on the clock now and the sweep is owed.
+            let arena = self.arenas[slot]
+                .take()
+                .unwrap_or_else(|| RegCache::new(plan.distribution()));
+            let (metrics, sweep) = session.into_lowered_sweep();
+            metrics.commit(&mut self.gpu);
+            return Ok(AttemptOk {
+                metrics,
+                prepared,
+                kernel_total: self.gpu.now() - before,
+                owed: Some(OwedSweep { sweep, arena, slot }),
+            });
+        }
+        let arena = self.arenas[slot].get_or_insert_with(|| RegCache::new(plan.distribution()));
         let run = engine::run_prepared_in(
             backend.backend(),
             &session,
@@ -833,11 +1064,11 @@ impl Handle {
                 fault: FaultKind::DramCorruption,
             });
         }
-        let kernel_total = self.gpu.now() - before;
         Ok(AttemptOk {
-            run,
+            metrics: run.metrics,
             prepared,
-            kernel_total,
+            kernel_total: self.gpu.now() - before,
+            owed: None,
         })
     }
 
@@ -903,55 +1134,6 @@ impl Handle {
                 flops: (2 * node.dim * node.dim) as u64,
                 ctas: 1,
             });
-        }
-    }
-
-    /// Applies the batch's embedding gradients: accumulates each looked-up
-    /// row's derivative into `LookupParameter::grad`, runs the SGD step on
-    /// the tables, zeroes the gradients and re-copies what changed to the
-    /// pool-resident tables.
-    ///
-    /// Without weight decay a row this batch did not look up is a fixed
-    /// point of the step — its gradient is zero (`LookupParameter::grad`:
-    /// "rows untouched by a batch stay zero"), so `v - lr * (0 + 0 * v)` is
-    /// `v` bit for bit — and only the looked-up rows are stepped, zeroed and
-    /// re-copied. With weight decay every row moves, so the whole table is.
-    fn apply_lookup_updates(&mut self, model: &mut Model, graph: &Graph, layout: &BatchLayout) {
-        let lr = self.opts.learning_rate;
-        let wd = self.opts.weight_decay;
-        let mut touched = Vec::new();
-        for (id, node) in graph.iter() {
-            if let Op::Lookup { table, index } = node.op {
-                let d = self.pool.slice(layout.deriv_off[id.index()], node.dim);
-                let row = model.lookup_mut(table).grad.row_mut(index);
-                for (g, v) in row.iter_mut().zip(d) {
-                    *g += v;
-                }
-                touched.push((table, index));
-            }
-        }
-        if touched.is_empty() {
-            return;
-        }
-        if wd != 0.0 {
-            for lid in model.lookups().map(|(id, _)| id).collect::<Vec<_>>() {
-                let l = model.lookup_mut(lid);
-                sgd_step(l.table.as_mut_slice(), l.grad.as_slice(), lr, wd);
-                l.grad.fill_zero();
-            }
-            self.tables.refresh(model, &mut self.pool);
-            return;
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for (table, index) in touched {
-            let l = model.lookup_mut(table);
-            let (row, grad) = (l.table.row_mut(index), l.grad.row_mut(index));
-            sgd_step(row, grad, lr, wd);
-            grad.fill(0.0);
-            self.pool
-                .slice_mut(self.tables.row_offset(table, index), row.len())
-                .copy_from_slice(row);
         }
     }
 
@@ -1038,9 +1220,13 @@ impl Handle {
         graph: &Graph,
         roots: &[NodeId],
     ) -> Result<Vec<Vec<f32>>, VppsError> {
-        assert!(!roots.is_empty(), "inference batch needs at least one root");
-        let _span = vpps_obs::span("handle.infer");
-        self.dispatch(model, graph, roots, false)
+        let done = self
+            .dispatch(model, graph, roots, false)?
+            .run(model, graph, roots);
+        match self.join(done) {
+            Output::Roots(values) => Ok(values),
+            Output::Loss(_) => unreachable!("an inference dispatch computes its roots"),
+        }
     }
 
     /// Launch-per-op forward execution on the host reference — the
@@ -1428,7 +1614,9 @@ mod tests {
             .unwrap();
         let mut reference = m.clone();
         dense_lookup_reference(&h, &mut reference, &g, ok.prepared.layout());
-        h.apply_lookup_updates(&mut m, &g, ok.prepared.layout());
+        let rates = (h.opts.learning_rate, h.opts.weight_decay);
+        let layout = ok.prepared.layout();
+        apply_lookup_updates(&mut m, &g, layout, &mut h.pool, &h.tables, rates);
 
         for ((id, got), (_, want)) in m.lookups().zip(reference.lookups()) {
             assert_eq!(bits(&got.table), bits(&want.table), "table {}", got.name);
@@ -1473,7 +1661,7 @@ mod tests {
         // next structurally identical batch is a warm hit and must
         // fail reserving its region, exactly as generating would.
         h.pool = Pool::with_capacity(h.pool.floor() + 8);
-        h.tables = TableLayout::install(&m, &mut h.pool).unwrap();
+        h.tables = Arc::new(TableLayout::install(&m, &mut h.pool).unwrap());
         let (g2, loss2) = lookup_graph(&m, tables, cls, &[2, 6], 0);
         let err = h.try_fb(&mut m, &g2, loss2).unwrap_err();
         // One request for the whole region, not a node-sized one.

@@ -210,18 +210,27 @@ fn registry() -> std::sync::MutexGuard<'static, BTreeMap<String, Metric>> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
+/// The metric registered as `name`, registering `make()` first if there is
+/// none. A name seen before is looked up as the `&str` it is: the key is
+/// allocated only on first registration.
+fn resolve(name: &str, make: fn() -> Metric) -> Metric {
+    let mut reg = registry();
+    match reg.get(name) {
+        Some(metric) => metric.clone(),
+        None => reg.entry(name.to_owned()).or_insert_with(make).clone(),
+    }
+}
+
 /// Resolves (registering on first use) the counter named `name`.
 ///
 /// # Panics
 ///
 /// Panics if `name` is already registered as a different metric type.
 pub fn counter(name: &str) -> Counter {
-    let mut reg = registry();
-    let metric = reg
-        .entry(name.to_owned())
-        .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))));
-    match metric {
-        Metric::Counter(c) => c.clone(),
+    match resolve(name, || {
+        Metric::Counter(Counter(Arc::new(AtomicU64::new(0))))
+    }) {
+        Metric::Counter(c) => c,
         _ => panic!("metric {name:?} is not a counter"),
     }
 }
@@ -232,12 +241,10 @@ pub fn counter(name: &str) -> Counter {
 ///
 /// Panics if `name` is already registered as a different metric type.
 pub fn gauge(name: &str) -> Gauge {
-    let mut reg = registry();
-    let metric = reg
-        .entry(name.to_owned())
-        .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))));
-    match metric {
-        Metric::Gauge(g) => g.clone(),
+    match resolve(name, || {
+        Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
+    }) {
+        Metric::Gauge(g) => g,
         _ => panic!("metric {name:?} is not a gauge"),
     }
 }
@@ -248,15 +255,14 @@ pub fn gauge(name: &str) -> Gauge {
 ///
 /// Panics if `name` is already registered as a different metric type.
 pub fn histogram(name: &str) -> Histogram {
-    let mut reg = registry();
-    let metric = reg.entry(name.to_owned()).or_insert_with(|| {
+    let make = || {
         Metric::Histogram(Histogram(Arc::new(HistInner {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
         })))
-    });
-    match metric {
-        Metric::Histogram(h) => h.clone(),
+    };
+    match resolve(name, make) {
+        Metric::Histogram(h) => h,
         _ => panic!("metric {name:?} is not a histogram"),
     }
 }
@@ -394,6 +400,16 @@ mod tests {
         reset_metrics();
         assert_eq!(counter("test.metrics.reset_me").get(), 0);
         assert_eq!(gauge("test.metrics.gauge").get(), 0.0);
+    }
+
+    #[test]
+    fn resolving_a_name_again_returns_the_same_metric() {
+        let c = counter("test.metrics.again.counter");
+        assert!(Arc::ptr_eq(&c.0, &counter("test.metrics.again.counter").0));
+        let g = gauge("test.metrics.again.gauge");
+        assert!(Arc::ptr_eq(&g.0, &gauge("test.metrics.again.gauge").0));
+        let h = histogram("test.metrics.again.hist");
+        assert!(Arc::ptr_eq(&h.0, &histogram("test.metrics.again.hist").0));
     }
 
     #[test]

@@ -18,13 +18,15 @@
 //! device queue can ever hold more than the admission capacity.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::time::Instant;
 
-use dyn_graph::{Graph, Model};
+use dyn_graph::Model;
 use gpu_sim::SimTime;
-use vpps::{Handle, LoweredCacheStats, VppsError};
+use vpps::{Compute, Handle, LoweredCacheStats, Output};
 
 use crate::batcher::{BucketKey, Pending};
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
+use crate::compute::{Line, Scratch};
 use crate::policy::RecoveryConfig;
 use crate::request::{RequestId, RequestKind};
 
@@ -179,10 +181,12 @@ pub(crate) struct FailedAttempt {
     pub at: SimTime,
 }
 
-/// The attempt occupying a device. Its result is computed the moment the
+/// The attempt occupying a device. Its result is charged the moment the
 /// batch starts but *held* here until the virtual clock reaches
 /// `completed_at` — so a whole-device crash or hang can still abort the
-/// attempt and re-dispatch the members elsewhere.
+/// attempt and re-dispatch the members elsewhere. While the device's
+/// worker computes an executed batch, its `outputs` are empty; the join
+/// fills them in before the batch is reported finished.
 #[derive(Debug)]
 pub(crate) enum Running {
     Executed(Executed),
@@ -204,7 +208,9 @@ pub(crate) enum DeviceEvent {
 /// handle, plus the breaker guarding it.
 #[derive(Debug)]
 struct DeviceModel {
-    model: Model,
+    /// The replica; `None` while it is lent to the device's worker with a
+    /// batch.
+    model: Option<Model>,
     handle: Handle,
     breaker: CircuitBreaker,
 }
@@ -222,9 +228,20 @@ pub struct Device {
     busy_total: SimTime,
     executed: u64,
     failures: u64,
-    /// Scratch super-graph reused across batches: `clear()` keeps the node
-    /// allocation, so steady-state batch absorption does not allocate.
-    scratch: Graph,
+    /// Scratch super-graph and root list reused across batches: `clear()`
+    /// keeps their allocations, so steady-state batch absorption does not
+    /// allocate.
+    scratch: Scratch,
+    /// The line to this device's compute worker, when the server has one
+    /// for it; without one, batches compute inline.
+    line: Option<Line>,
+    /// The model whose batch is out on the worker, until the join.
+    computing: Option<usize>,
+    /// Host ns the event thread spends blocked at this device's joins.
+    wait_ns: vpps_obs::Counter,
+    /// `serve.device.<id>.queue_depth` and `serve.device.<id>.health`.
+    queue_gauge: String,
+    health_gauge: String,
     /// Buckets this device has executed at least one batch of — i.e. whose
     /// lowered scripts are warm in this device's caches. The router prefers
     /// stealing toward devices that appear here.
@@ -255,7 +272,14 @@ pub struct Device {
 }
 
 impl Device {
-    pub(crate) fn new(id: DeviceId, recovery: RecoveryConfig, watchdog_grace: SimTime) -> Self {
+    /// A device computing its batches on `line`'s worker, or inline
+    /// without one.
+    pub(crate) fn new(
+        id: DeviceId,
+        recovery: RecoveryConfig,
+        watchdog_grace: SimTime,
+        line: Option<Line>,
+    ) -> Self {
         Self {
             id,
             models: Vec::new(),
@@ -264,7 +288,12 @@ impl Device {
             busy_total: SimTime::ZERO,
             executed: 0,
             failures: 0,
-            scratch: Graph::new(),
+            scratch: Scratch::default(),
+            line,
+            computing: None,
+            wait_ns: vpps_obs::counter("serve.compute.wait_ns"),
+            queue_gauge: format!("serve.device.{}.queue_depth", id.0),
+            health_gauge: format!("serve.device.{}.health", id.0),
             seen: BTreeSet::new(),
             recovery,
             running: None,
@@ -287,7 +316,7 @@ impl Device {
     /// Registers one model replica behind a fresh warm handle.
     pub(crate) fn add_model(&mut self, model: Model, handle: Handle) {
         self.models.push(DeviceModel {
-            model,
+            model: Some(model),
             handle,
             breaker: CircuitBreaker::new(
                 self.recovery.breaker_threshold,
@@ -406,6 +435,12 @@ impl Device {
         &self.models[model].handle
     }
 
+    /// One model's replica, or `None` while a batch of it is out on the
+    /// worker.
+    pub(crate) fn replica(&self, model: usize) -> Option<&Model> {
+        self.models[model].model.as_ref()
+    }
+
     /// Current lifecycle state.
     pub fn health(&self) -> DeviceHealth {
         self.health
@@ -437,7 +472,7 @@ impl Device {
             to,
         });
         self.health = to;
-        vpps_obs::gauge(&format!("serve.device.{}.health", self.id.0)).set(to.as_gauge());
+        vpps_obs::gauge(&self.health_gauge).set(to.as_gauge());
     }
 
     /// Service-time multiplier for batches started from now on (brownout).
@@ -487,21 +522,26 @@ impl Device {
     /// running result. The server re-dispatches the jobs to survivors and
     /// unwinds the aborted attempt. `lose_warm` models a crash — resident
     /// lowered state is gone, so the revived device starts cold — while a
-    /// declared hang keeps its host-side caches.
+    /// declared hang keeps its host-side caches. An aborted batch is joined
+    /// first: its values are discarded, but a training batch has updated
+    /// its replica all the same.
     pub(crate) fn fail_over(
         &mut self,
         at: SimTime,
         lose_warm: bool,
     ) -> (Vec<BatchJob>, Option<Running>) {
+        let mut running = self.running.take();
+        if let Some(running) = &mut running {
+            self.join(running);
+        }
         let jobs: Vec<BatchJob> = self.queue.drain(..).collect();
-        let running = self.running.take();
         self.busy_until = at;
         self.frozen = false;
         self.watchdog = None;
         if lose_warm {
             self.seen.clear();
         }
-        vpps_obs::gauge(&format!("serve.device.{}.queue_depth", self.id.0)).set(0.0);
+        vpps_obs::gauge(&self.queue_gauge).set(0.0);
         (jobs, running)
     }
 
@@ -519,8 +559,7 @@ impl Device {
     pub(crate) fn enqueue(&mut self, job: BatchJob, now: SimTime) {
         self.queue.push_back(job);
         self.arm_watchdog(now);
-        vpps_obs::gauge(&format!("serve.device.{}.queue_depth", self.id.0))
-            .set(self.queued_members() as f64);
+        vpps_obs::gauge(&self.queue_gauge).set(self.queued_members() as f64);
     }
 
     /// Advances the device at `now` up to its next event: the held running
@@ -537,7 +576,9 @@ impl Device {
             return None;
         }
         while self.busy_until <= now {
-            if let Some(running) = self.running.take() {
+            if let Some(mut running) = self.running.take() {
+                // A held result is reported with its values.
+                self.join(&mut running);
                 if let (Running::Executed(e), DeviceHealth::Reviving) = (&running, self.health) {
                     // A completed batch counts toward probation; enough of
                     // them restore full routing eligibility.
@@ -558,8 +599,7 @@ impl Device {
                 return Some(shed);
             }
         }
-        vpps_obs::gauge(&format!("serve.device.{}.queue_depth", self.id.0))
-            .set(self.queued_members() as f64);
+        vpps_obs::gauge(&self.queue_gauge).set(self.queued_members() as f64);
         None
     }
 
@@ -579,8 +619,9 @@ impl Device {
 
     /// Executes one batch: breaker gate, absorb into the scratch
     /// super-graph, one persistent-kernel launch on the model's warm handle.
-    /// The result is held as [`Device::running`]; only a breaker refusal
-    /// comes back at once.
+    /// The launch is charged here; its values are computed inline, or on the
+    /// device's worker until the join. The result is held as
+    /// [`Device::running`]; only a breaker refusal comes back at once.
     fn run_job(
         &mut self,
         job: BatchJob,
@@ -604,27 +645,28 @@ impl Device {
 
         // Absorb the request graphs into one super-graph: one generated
         // script, one kernel launch, one prologue weight load for the lot.
-        // The scratch graph keeps its allocation across batches.
-        self.scratch.clear();
-        let sg = &mut self.scratch;
-        let roots: Vec<_> = batch.iter().map(|p| sg.absorb(&p.graph, p.root)).collect();
+        // A training batch reads one root, the loss over its members.
+        let Scratch { graph, roots } = &mut self.scratch;
+        graph.clear();
+        roots.clear();
+        roots.extend(batch.iter().map(|p| graph.absorb(&p.graph, p.root)));
+        let train = key.kind == RequestKind::Train;
+        if train && roots.len() > 1 {
+            let loss = graph.sum(roots);
+            roots.clear();
+            roots.push(loss);
+        }
         let start = now.max(self.busy_until);
         let wall_before = dm.handle.wall_time();
         let misses_before = dm.handle.lowered_cache_stats().script_misses;
-        let result: Result<Vec<Vec<f32>>, VppsError> = match key.kind {
-            RequestKind::Infer => dm.handle.try_infer_many(&mut dm.model, sg, &roots),
-            RequestKind::Train => {
-                let loss_root = if roots.len() == 1 {
-                    roots[0]
-                } else {
-                    sg.sum(&roots)
-                };
-                dm.handle.try_fb(&mut dm.model, sg, loss_root).map(|_| {
-                    let loss = dm.handle.sync_get_latest_loss();
-                    vec![vec![loss]; batch.len()]
-                })
-            }
-        };
+        // A device joins its batch before it starts the next one (`pump`
+        // and `fail_over` are the join points), so the replica is home.
+        let model = dm.model.as_mut().expect("the previous batch was joined");
+        let result = dm.handle.dispatch(model, graph, roots, train);
+        if train && result.is_ok() {
+            // The loss arrives with the join; the drain is a clock matter.
+            dm.handle.sync_get_latest_loss();
+        }
         // Service time is the wall delta: it includes a training batch's
         // drain in `sync_get_latest_loss`, and failed dispatches still
         // occupied the device (faulted attempts, watchdog waits, backoff).
@@ -641,12 +683,13 @@ impl Device {
         self.busy_total += service;
 
         self.running = Some(match result {
-            Ok(outputs) => {
+            Ok(compute) => {
                 dm.breaker.record_success(now);
                 self.executed += 1;
                 // Dispatch accounting happens here, when the device accepts
                 // the batch — not when it finishes.
                 vpps_obs::counter("serve.batches").incr();
+                let outputs = self.compute(key.model.0, compute, batch.len());
                 Running::Executed(Executed {
                     batch_id,
                     key,
@@ -700,5 +743,51 @@ impl Device {
             }
         });
         None
+    }
+
+    /// Computes the values of model `model`'s dispatched batch of
+    /// `members` requests: on the device's worker, returning no outputs yet
+    /// (the join fills them in), or inline without one.
+    fn compute(&mut self, model: usize, compute: Compute, members: usize) -> Vec<Vec<f32>> {
+        let dm = &mut self.models[model];
+        let Some(line) = &self.line else {
+            let replica = dm.model.as_mut().expect("the previous batch was joined");
+            let done = compute.run(replica, &self.scratch.graph, &self.scratch.roots);
+            return outputs(dm.handle.join(done), members);
+        };
+        let replica = dm.model.take().expect("the previous batch was joined");
+        line.send(compute, replica, std::mem::take(&mut self.scratch));
+        self.computing = Some(model);
+        Vec::new()
+    }
+
+    /// Waits for the batch out on the worker, if any — `running`'s — takes
+    /// back its replica and scratch, hands the handle what it borrowed, and
+    /// fills in `running`'s outputs. A panic on the worker re-raises here.
+    fn join(&mut self, running: &mut Running) {
+        let (Some(model), Some(line)) = (self.computing.take(), &self.line) else {
+            return;
+        };
+        let waiting = vpps_obs::enabled().then(Instant::now);
+        let (done, replica, scratch) = line.join();
+        if let Some(t) = waiting {
+            self.wait_ns.add(t.elapsed().as_nanos() as u64);
+        }
+        let dm = &mut self.models[model];
+        dm.model = Some(replica);
+        self.scratch = scratch;
+        let output = dm.handle.join(done);
+        if let Running::Executed(e) = running {
+            e.outputs = outputs(output, e.batch.len());
+        }
+    }
+}
+
+/// The per-member outputs of a batch of `members` requests: each inference
+/// request's root value, or the batch loss for every training request.
+fn outputs(output: Output, members: usize) -> Vec<Vec<f32>> {
+    match output {
+        Output::Roots(values) => values,
+        Output::Loss(loss) => vec![vec![loss]; members],
     }
 }

@@ -47,13 +47,16 @@
 //!   through a bounded probation ramp.
 //! * **Determinism**: the whole server is a discrete-event simulation on
 //!   [`gpu_sim::SimTime`]. Same request stream in, byte-identical outcome
-//!   stream out — for any device count — see [`Server`].
+//!   stream out — for any device count, and for any number of the host
+//!   threads a multi-device server computes batch values on — see
+//!   [`Server`].
 //! * **Reports** ([`ServeReport`]) with exact latency quantiles, goodput,
 //!   and batch-size distribution, plus the rows ([`ServeRecord`]) of the
 //!   versioned `BENCH_serve.json` trajectory.
 
 pub mod batcher;
 pub mod breaker;
+mod compute;
 pub mod device;
 pub mod policy;
 pub mod report;

@@ -41,6 +41,7 @@
 //! leaves through `Server::resolve`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::thread::JoinHandle;
 
 use dyn_graph::Model;
 use gpu_sim::{OutageKind, OutageWindow, SimTime};
@@ -49,6 +50,7 @@ use vpps_obs::{Resolution, TraceEvent, TraceSink};
 
 use crate::batcher::{shape_class, Bucket, BucketKey, Pending};
 use crate::breaker::{BreakerState, BreakerTransition};
+use crate::compute::{self, Line};
 use crate::device::{
     BatchJob, Device, DeviceEvent, DeviceHealth, DeviceId, DeviceStats, Executed, FailedAttempt,
     HealthTransition, Running,
@@ -203,20 +205,43 @@ pub struct Server {
     next_outage: usize,
     /// Batches taken off a failed device and re-dispatched to survivors.
     redispatched_batches: u64,
+    /// The compute workers the devices hand their batches' values to.
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Creates an empty server (no models registered) with
-    /// `cfg.shard.devices` virtual devices.
+    /// `cfg.shard.devices` virtual devices. A server of several devices on
+    /// a host of several cores computes batch values on background threads
+    /// while its event thread charges the next batches (DESIGN.md §10);
+    /// every simulated and computed value is the same as on one thread.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.batch.max_batch` or `cfg.shard.devices` is zero.
     pub fn new(cfg: ServeConfig) -> Self {
+        let workers = compute::default_workers(cfg.shard.devices);
+        Self::with_compute_workers(cfg, workers)
+    }
+
+    /// Test hook: [`Server::new`] with exactly `workers` background compute
+    /// threads, device `d` using worker `d mod workers` (none: every batch
+    /// computes on the event thread).
+    ///
+    /// # Panics
+    ///
+    /// As [`Server::new`].
+    #[doc(hidden)]
+    pub fn with_compute_workers(cfg: ServeConfig, workers: usize) -> Self {
         assert!(cfg.batch.max_batch > 0, "max_batch must be at least 1");
         assert!(cfg.shard.devices > 0, "need at least one device");
+        let (queues, workers) = compute::spawn(workers, cfg.shard.devices);
         let devices: Vec<Device> = (0..cfg.shard.devices)
-            .map(|i| Device::new(DeviceId(i), cfg.recovery, cfg.health.watchdog_grace))
+            .map(|i| {
+                let line =
+                    (!queues.is_empty()).then(|| Line::new(queues[i % queues.len()].clone()));
+                Device::new(DeviceId(i), cfg.recovery, cfg.health.watchdog_grace, line)
+            })
             .collect();
         // Pre-sort the outage schedule into edge events. Windows naming a
         // device the server does not have are ignored, so one schedule can
@@ -253,6 +278,7 @@ impl Server {
             outages,
             next_outage: 0,
             redispatched_batches: 0,
+            workers,
         }
     }
 
@@ -987,6 +1013,25 @@ impl Server {
     pub fn redispatched_batches(&self) -> u64 {
         self.redispatched_batches
     }
+
+    /// A registered model's replica on one device — `None` while a batch of
+    /// it is still computing, which [`Server::drain`] rules out.
+    pub fn replica(&self, id: ModelId, device: usize) -> Option<&Model> {
+        self.devices[device].replica(id.0)
+    }
+}
+
+impl Drop for Server {
+    /// Hangs up on the compute workers — each leaves its loop once every
+    /// device feeding it is gone, a batch still out included — and joins
+    /// them.
+    fn drop(&mut self) {
+        self.devices.clear();
+        for worker in self.workers.drain(..) {
+            // A worker catches its jobs' panics, so it cannot end in one.
+            let _ = worker.join();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1672,6 +1717,51 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 16);
+    }
+
+    #[test]
+    fn dropping_a_server_with_batches_out_joins_every_worker() {
+        use std::sync::mpsc;
+        use std::thread;
+        use std::time::Duration;
+
+        let (m, w, cls) = toy_model();
+        let mut cfg = small_config();
+        cfg.shard.devices = 2;
+        cfg.opts.backend = vpps::BackendKind::Lowered;
+        let mut srv = Server::with_compute_workers(cfg, 2);
+        let mid = srv.register_model("toy", m.clone()).unwrap();
+        for steps in [1usize, 2] {
+            for i in 0..4 {
+                srv.submit(infer_request(mid, &m, w, cls, i, steps, 1.0));
+            }
+        }
+        // Both buckets filled and went to a device each; neither batch has
+        // been joined, so both replicas are still out on the workers.
+        assert!(srv.replica(mid, 0).is_none() && srv.replica(mid, 1).is_none());
+        // A watcher in front of each worker: joining the watcher joins the
+        // worker, then reports.
+        let (exited, exits) = mpsc::channel();
+        let workers = std::mem::take(&mut srv.workers);
+        srv.workers = workers
+            .into_iter()
+            .map(|worker| {
+                let exited = exited.clone();
+                thread::spawn(move || {
+                    worker.join().expect("a worker does not panic");
+                    exited.send(()).expect("the test is listening");
+                })
+            })
+            .collect();
+        let (dropped, drops) = mpsc::channel();
+        thread::spawn(move || {
+            drop(srv);
+            dropped.send(()).expect("the test is listening");
+        });
+        drops
+            .recv_timeout(Duration::from_secs(60))
+            .expect("dropping the server returns");
+        assert_eq!(exits.try_iter().count(), 2, "the drop joined every worker");
     }
 
     #[test]

@@ -138,6 +138,19 @@ fn server_with(
     backend: BackendKind,
     tweak: impl FnOnce(&mut ServeConfig),
 ) -> (Server, [ModelId; 2]) {
+    server_on(spec, workload, devices, backend, None, tweak)
+}
+
+/// [`server_with`] on `workers` background compute threads, or on as many
+/// as [`Server::new`] picks for this host.
+fn server_on(
+    spec: &RunSpec,
+    workload: &TwoModelWorkload,
+    devices: usize,
+    backend: BackendKind,
+    workers: Option<usize>,
+    tweak: impl FnOnce(&mut ServeConfig),
+) -> (Server, [ModelId; 2]) {
     let mut cfg = ServeConfig {
         device: DeviceConfig::titan_v(),
         opts: vpps::VppsOptions {
@@ -162,7 +175,10 @@ fn server_with(
         health: vpps_serve::HealthPolicy::default(),
     };
     tweak(&mut cfg);
-    let mut server = Server::new(cfg);
+    let mut server = match workers {
+        Some(workers) => Server::with_compute_workers(cfg, workers),
+        None => Server::new(cfg),
+    };
     let m0 = server
         .register_model("small", workload.models[0].clone())
         .expect("small model fits");
@@ -751,16 +767,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `a55bec9` (the last one before the server became a single state machine).
 const PINNED_TIMELINE_HASH: u64 = 17_034_076_343_720_286_194;
 
-/// Cross-commit pin of the serving layer's virtual timeline: a fixed trace
-/// on three devices through a crash, a watchdog-declared hang, a sub-grace
-/// hang that thaws in place, a brownout, a fault profile with the handle's
-/// degradation ladder off (so batches really fail, split and trip breakers)
-/// and a 25 % train mix must resolve every request in the same order, on
-/// the same device, in the same batch, with the same health walks and
-/// routing tallies as it did when the constant was recorded. Same-commit
-/// rerun checks cannot see a change that moves both runs alike; this can.
-#[test]
-fn virtual_timeline_is_pinned_across_commits() {
+/// The chaos run [`virtual_timeline_is_pinned_across_commits`] pins, on
+/// `workers` background compute threads (or as many as the host gets),
+/// with `arm` applied to the server before the first submission. Drained.
+fn pinned_chaos_run(
+    backend: BackendKind,
+    workers: Option<usize>,
+    arm: impl FnOnce(&mut Server),
+) -> Server {
     let mut at_us = 0;
     let reqs = PINNED_TRACE
         .iter()
@@ -791,11 +805,12 @@ fn virtual_timeline_is_pinned_across_commits() {
         end: SimTime::from_us(end_us),
     };
     let workload = TwoModelWorkload::new();
-    let (mut server, mids) = server_with(
+    let (mut server, mids) = server_on(
         &spec,
         &workload,
         3,
-        BackendKind::default(),
+        backend,
+        workers,
         |cfg: &mut ServeConfig| {
             let mut faults = vpps::FaultConfig::uniform(5, 0.3);
             faults.jit_failure = 0.0;
@@ -811,9 +826,23 @@ fn virtual_timeline_is_pinned_across_commits() {
             }
         },
     );
+    arm(&mut server);
     submit_trace(&mut server, mids, &spec, &workload, SimTime::ZERO);
     server.drain();
+    server
+}
 
+/// Cross-commit pin of the serving layer's virtual timeline: a fixed trace
+/// on three devices through a crash, a watchdog-declared hang, a sub-grace
+/// hang that thaws in place, a brownout, a fault profile with the handle's
+/// degradation ladder off (so batches really fail, split and trip breakers)
+/// and a 25 % train mix must resolve every request in the same order, on
+/// the same device, in the same batch, with the same health walks and
+/// routing tallies as it did when the constant was recorded. Same-commit
+/// rerun checks cannot see a change that moves both runs alike; this can.
+#[test]
+fn virtual_timeline_is_pinned_across_commits() {
+    let server = pinned_chaos_run(BackendKind::default(), None, |_| {});
     let timeline = discrete_timeline(&server, 3);
     assert_eq!(server.outcomes().len(), PINNED_TRACE.len());
     assert_eq!(
@@ -821,6 +850,181 @@ fn virtual_timeline_is_pinned_across_commits() {
         PINNED_TIMELINE_HASH,
         "the virtual timeline moved; it now reads:\n{timeline}"
     );
+}
+
+/// A 4-device closed loop: 12 clients, each submitting its next request the
+/// instant its last one resolves (or one linger after a shed), 96 requests
+/// over both models with every fourth one training, and a crash on device
+/// 2 while batches are out. Drained, on `workers` background compute
+/// threads.
+fn closed_loop_crash_run(workers: usize) -> (Server, [ModelId; 2]) {
+    const CLIENTS: usize = 12;
+    const REQUESTS: u32 = 96;
+    let spec = RunSpec {
+        reqs: Vec::new(),
+        max_batch: 4,
+        linger_us: 40,
+        queue_capacity: 64,
+        tenant_quota: 64,
+        deadline_us: 0,
+    };
+    let crash = OutageWindow {
+        device: 2,
+        kind: OutageKind::Crash,
+        start: SimTime::from_us(120.0),
+        end: SimTime::from_us(900.0),
+    };
+    let workload = TwoModelWorkload::new();
+    let (mut server, mids) = server_on(
+        &spec,
+        &workload,
+        4,
+        BackendKind::Lowered,
+        Some(workers),
+        |cfg: &mut ServeConfig| cfg.opts.faults.push_outage(crash).expect("one window fits"),
+    );
+    server.enable_tracing(1 << 14, 1);
+    let linger = SimTime::from_us(f64::from(spec.linger_us));
+    let mut ready: Vec<(SimTime, usize)> = (0..CLIENTS).map(|c| (SimTime::ZERO, c)).collect();
+    let mut blocked: BTreeMap<vpps_serve::RequestId, usize> = BTreeMap::new();
+    let (mut sent, mut scanned) = (0u32, 0);
+    while sent < REQUESTS || !blocked.is_empty() {
+        ready.sort_by(|a, b| a.0.as_ns().total_cmp(&b.0.as_ns()).then(a.1.cmp(&b.1)));
+        if sent < REQUESTS && !ready.is_empty() {
+            let (at, client) = ready.remove(0);
+            let which = (sent % 2) as usize;
+            let (graph, root) = workload.graph(which, sent % 5);
+            let admission = server.submit(Request {
+                tenant: TenantId(client as u32 % 3),
+                model: mids[which],
+                kind: if sent % 4 == 3 {
+                    RequestKind::Train
+                } else {
+                    RequestKind::Infer
+                },
+                graph,
+                root,
+                arrival: at.max(server.now()),
+                deadline: None,
+            });
+            sent += 1;
+            match admission {
+                Admission::Queued(id) => {
+                    blocked.insert(id, client);
+                }
+                Admission::Shed(..) => ready.push((server.now() + linger, client)),
+            }
+        } else {
+            let t = server.now() + linger;
+            server.run_until(t);
+        }
+        while scanned < server.outcomes().len() {
+            let (id, at) = match &server.outcomes()[scanned] {
+                Outcome::Completed(c) => (c.id, c.completed_at),
+                Outcome::Shed(s) => (s.id, s.at),
+            };
+            if let Some(client) = blocked.remove(&id) {
+                ready.push((at, client));
+            }
+            scanned += 1;
+        }
+    }
+    server.drain();
+    (server, mids)
+}
+
+/// Everything a drained server computed and decided, as comparable values:
+/// the outcome stream (ids, times, devices, output bits), the request
+/// trace, per-device stats, lowered-cache and recovery tallies, and every
+/// replica's parameters as bits.
+fn run_fingerprint(server: &mut Server, mids: [ModelId; 2], devices: usize) -> String {
+    let bits = |t: SimTime| t.as_ns().to_bits();
+    let outcomes: Vec<String> = server
+        .outcomes()
+        .iter()
+        .map(|o| match o {
+            Outcome::Completed(c) => format!(
+                "{} d{} b{} {:x} {:x} {:x} {:?}",
+                c.id.0,
+                c.device,
+                c.batch_size,
+                bits(c.dispatched_at),
+                bits(c.started_at),
+                bits(c.completed_at),
+                c.output.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            ),
+            Outcome::Shed(s) => format!("{} shed {} {:x}", s.id.0, s.reason.name(), bits(s.at)),
+        })
+        .collect();
+    let mut replicas = Vec::new();
+    for mid in mids {
+        replicas.push(format!("{:?}", server.recovery_stats(mid)));
+        for d in 0..devices {
+            let replica = server
+                .replica(mid, d)
+                .expect("a drained server has every replica home");
+            let params: Vec<Vec<u32>> = replica
+                .params()
+                .map(|(_, p)| p.value.as_slice().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            replicas.push(format!("{params:?}"));
+        }
+    }
+    let trace = server.take_trace().expect("tracing was enabled");
+    format!(
+        "{outcomes:#?}\n{:?}\n{:?}\n{:?}\n{replicas:?}\n{:?}",
+        trace.events(),
+        server.device_stats(),
+        server.lowered_cache_stats(),
+        server.router_stats()
+    )
+}
+
+/// How many threads compute batch values changes no byte: the pinned chaos
+/// run and a 4-device closed-loop crash run with training, each on the
+/// lowered backend (whose clean sweeps leave the event thread) with 0, 1
+/// and 3 background compute workers, agree on every outcome, trace event,
+/// device and cache tally and replica parameter — and the pinned run keeps
+/// its pinned timeline.
+#[test]
+fn compute_worker_count_changes_no_byte() {
+    let pinned = |workers| {
+        let mut server = pinned_chaos_run(BackendKind::Lowered, Some(workers), |s| {
+            s.enable_tracing(1 << 14, 1)
+        });
+        let timeline = discrete_timeline(&server, 3);
+        assert_eq!(
+            fnv1a(timeline.as_bytes()),
+            PINNED_TIMELINE_HASH,
+            "{workers} workers moved the timeline:\n{timeline}"
+        );
+        let mids = [ModelId(0), ModelId(1)];
+        run_fingerprint(&mut server, mids, 3)
+    };
+    let closed = |workers| {
+        let (mut server, mids) = closed_loop_crash_run(workers);
+        assert!(server.redispatched_batches() > 0, "the crash aborted work");
+        assert!(
+            server
+                .outcomes()
+                .iter()
+                .filter_map(Outcome::completion)
+                .any(|c| c.kind == RequestKind::Train),
+            "training batches completed"
+        );
+        run_fingerprint(&mut server, mids, 4)
+    };
+    let (pinned_inline, closed_inline) = (pinned(0), closed(0));
+    for workers in [1, 3] {
+        assert!(
+            pinned(workers) == pinned_inline,
+            "pinned run on {workers} workers"
+        );
+        assert!(
+            closed(workers) == closed_inline,
+            "closed loop on {workers} workers"
+        );
+    }
 }
 
 /// The hand-timed trace of [`exact_tie_outage_placements_are_enumerated`]:
