@@ -422,7 +422,7 @@ fn table2() {
 }
 
 fn trace() {
-    use vpps::engine::{run_batch_traced, EventInterp};
+    use vpps::engine::run_batch_traced;
 
     println!("Exporting a per-VPP kernel timeline (Tree-LSTM, batch 4)...");
     let mut spec = AppSpec::paper(AppKind::TreeLstm);
@@ -437,7 +437,6 @@ fn trace() {
     let (gs, mut pool) = harness::staged(&model, &plan, (&g, loss), Default::default());
     let mut gpu = gpu_sim::GpuSim::new(device());
     let (run, trace) = run_batch_traced(
-        &EventInterp,
         &plan,
         &gs,
         &mut pool,

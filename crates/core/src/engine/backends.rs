@@ -1,5 +1,5 @@
-//! The interpreting [`ExecutionBackend`]: [`EventInterp`] replays the session
-//! timeline's serial order on one thread and is the reference semantics
+//! The interpreting [`ExecutionBackend`]: [`EventInterp`]'s sweep replays the
+//! session timeline's serial order on one thread and is the reference semantics
 //! every other backend is checked against. The concurrency its serial order
 //! stands for — every VPP running its level at once, ordered only by the
 //! barriers — is proven race-free by [`crate::script::validate_protocol`]
@@ -7,10 +7,11 @@
 
 use vpps_tensor::{Pool, PoolOffset};
 
-use crate::distribute::ChunkId;
-use crate::engine::{ExecutionBackend, RunOutcome, Session};
+use crate::distribute::{ChunkId, Distribution};
+use crate::engine::ExecutionBackend;
 use crate::exec::regcache::RegCache;
 use crate::exec::semantics::{execute_instr, ExecCtx};
+use crate::script::ScriptSet;
 
 /// Sequential execution context: direct pool + cache access.
 struct SeqCtx<'a> {
@@ -43,8 +44,9 @@ impl ExecCtx for SeqCtx<'_> {
     }
 }
 
-/// The deterministic single-thread reference backend: replays the session
-/// timeline's serial instruction order directly against the pool and cache.
+/// The deterministic single-thread reference backend: its sweep replays the
+/// session timeline's serial instruction order directly against the pool and
+/// cache.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EventInterp;
 
@@ -52,21 +54,19 @@ impl ExecutionBackend for EventInterp {
     fn name(&self) -> &'static str {
         "event-interp"
     }
+}
 
-    fn run(&self, session: &Session<'_>, pool: &mut Pool, cache: &mut RegCache) -> RunOutcome {
-        let dist = session.plan.distribution();
-        // A script-less session never reaches the interpreter: see `Session::gs`.
-        let gs = session
-            .gs
-            .expect("interpreting a session needs its scripts");
-        {
-            let mut ctx = SeqCtx { pool, cache };
-            for &(v, ip) in &session.timeline.order {
-                let instr = &gs.scripts.script(v as usize)[ip as usize];
-                execute_instr(instr, dist, &mut ctx);
-            }
-        }
-        let loss = pool.slice(session.loss_offset(), 1)[0];
-        session.outcome(loss)
+/// The interpreter's script phase: executes `scripts` in the serial `order`
+/// of their timeline.
+pub(crate) fn interpret(
+    scripts: &ScriptSet,
+    order: &[(u32, u32)],
+    dist: &Distribution,
+    pool: &mut Pool,
+    cache: &mut RegCache,
+) {
+    let mut ctx = SeqCtx { pool, cache };
+    for &(v, ip) in order {
+        execute_instr(&scripts.script(v as usize)[ip as usize], dist, &mut ctx);
     }
 }

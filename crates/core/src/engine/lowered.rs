@@ -1298,7 +1298,7 @@ pub struct WarmBatch {
     /// The cached artifact the batch executes.
     pub artifact: Arc<LoweredScript>,
     /// Pool layout of the batch ([`GeneratedScript::layout`]).
-    pub layout: BatchLayout,
+    pub layout: Arc<BatchLayout>,
     /// [`GeneratedScript::forward_instructions`].
     pub forward_instructions: usize,
     /// [`GeneratedScript::backward_instructions`].
@@ -1359,7 +1359,7 @@ impl WarmBatch {
         let (signal_instrs, wait_instrs) = gs.scripts.sync_instructions();
         let warm = Self {
             artifact: Arc::clone(artifact),
-            layout: gs.layout.clone(),
+            layout: Arc::clone(&gs.layout),
             forward_instructions: gs.forward_instructions,
             backward_instructions: gs.backward_instructions,
             encoded_bytes: gs.scripts.encoded_bytes(),
@@ -1704,37 +1704,20 @@ impl super::ExecutionBackend for Lowered {
         "lowered"
     }
 
-    fn prepare<'a>(
+    fn prepare(
         &self,
-        plan: &'a KernelPlan,
-        scripts: &'a GeneratedScript,
+        plan: &KernelPlan,
+        scripts: &GeneratedScript,
         cfg: crate::exec::interp::ExecConfig,
         cost: &CostModel,
-    ) -> super::Session<'a> {
+    ) -> super::Session {
         let art = Arc::new(lower(plan, scripts, cost));
         super::Session::from_lowered(plan, scripts, cfg, cost, art)
     }
-
-    fn run(
-        &self,
-        session: &super::Session<'_>,
-        pool: &mut Pool,
-        cache: &mut RegCache,
-    ) -> super::RunOutcome {
-        // The mirror of the interpreters' `expect`: see `Session::gs`.
-        let art = session
-            .lowered
-            .as_ref()
-            .expect("Lowered backend requires a session with a lowered artifact");
-        sweep(art, &session.patches, pool, cache);
-        let loss = pool.slice(session.loss_offset(), 1)[0];
-        session.outcome(loss)
-    }
 }
 
-/// The backend's sweep — [`execute`], counted per kernel tier — shared by
-/// [`Lowered`]'s `run` and a sweep that runs away from its session
-/// ([`super::LoweredSweep`]).
+/// The backend's sweep — [`execute`], counted per kernel tier — which
+/// [`super::Sweep::run`] runs on a lowered session.
 pub(crate) fn sweep(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cache: &mut RegCache) {
     if vpps_obs::enabled() {
         vpps_obs::counter(&format!("engine.kernels.{}", kernels::tier())).incr();

@@ -1,27 +1,27 @@
 //! The unified execution engine (backend abstraction layer).
 //!
-//! Every way of executing a batch's generated scripts implements one
-//! [`ExecutionBackend`] trait. Both are selectable through [`BackendKind`]
-//! and bit-identical to each other by construction — the lowered micro-op
-//! executor ([`Lowered`], the production path) and the event-driven
-//! interpreter ([`EventInterp`], the reference oracle). Neither runs the
-//! VPPs concurrently: that the signal/wait protocol would order them on the
-//! device is proven per script set by [`crate::script::validate_protocol`].
+//! A batch's generated scripts execute on one of two backends, selectable
+//! through [`BackendKind`] and bit-identical to each other by construction —
+//! the lowered micro-op executor ([`Lowered`], the production path) and the
+//! event-driven interpreter ([`EventInterp`], the reference oracle). Neither
+//! runs the VPPs concurrently: that the signal/wait protocol would order them
+//! on the device is proven per script set by
+//! [`crate::script::validate_protocol`].
 //!
-//! * [`ExecutionBackend::prepare`] analyzes the scripts once into a
-//!   [`Session`]: the full per-VPP timeline, the kernel body time and a
-//!   complete [`gpu_sim::Metrics`] record (DRAM traffic by tag, launch
-//!   count, barrier-stall time, load-imbalance histogram).
-//! * [`ExecutionBackend::run`] executes the script phase against the memory
-//!   pool and register cache and returns a [`RunOutcome`].
+//! * `Session::new` (or [`ExecutionBackend::prepare`]) analyzes the
+//!   scripts once into a [`Session`]: the full per-VPP timeline, the kernel
+//!   body time and a complete [`gpu_sim::Metrics`] record (DRAM traffic by
+//!   tag, launch count, barrier-stall time, load-imbalance histogram).
+//! * `Sweep::run` — the one place a batch's values are computed — loads
+//!   the register cache, executes the script phase against the memory pool
+//!   and applies the in-register update.
 //!
 //! Because timing and traffic are computed analytically in `prepare` (every
-//! instruction's cost is data-independent), all backends report **identical
-//! metrics by construction** — the backends differ only in how the
-//! arithmetic itself is carried out. [`run_batch`] is the shared driver:
-//! prologue (parameter load into the register cache), backend run, epilogue
-//! (gradient application), and the single [`gpu_sim::Metrics::commit`] that
-//! posts the batch to the simulated device.
+//! instruction's cost is data-independent), both backends report **identical
+//! metrics by construction** — they differ only in how the arithmetic itself
+//! is carried out. [`run_batch`] drives one batch: prepare, sweep, and the
+//! single [`gpu_sim::Metrics::commit`] that posts the batch to the simulated
+//! device.
 //!
 //! The batch-level [`Engine`] trait is the corresponding abstraction one
 //! level up: anything that can train a batch graph and report unified
@@ -42,9 +42,10 @@ use vpps_tensor::{Pool, PoolOffset};
 
 use vpps_obs::SimTrace;
 
+use crate::distribute::Distribution;
 use crate::exec::interp::ExecConfig;
 use crate::exec::regcache::RegCache;
-use crate::script::{BatchLayout, GeneratedScript};
+use crate::script::{BatchLayout, GeneratedScript, ScriptSet};
 use crate::specialize::{GradStrategy, KernelPlan};
 
 pub use backends::EventInterp;
@@ -96,151 +97,74 @@ impl FromStr for BackendKind {
     }
 }
 
-/// A prepared batch: plan + scripts + the analytic schedule and metrics.
-///
-/// Built once per batch by [`ExecutionBackend::prepare`] (or directly via
-/// [`Session::build`]); consumed read-only by [`ExecutionBackend::run`], so
-/// one session can be executed by several backends for cross-checking.
+/// How a [`Session`]'s sweep executes its batch: what [`Session::new`] is
+/// prepared from.
 #[derive(Debug)]
-pub struct Session<'a> {
-    /// The specialized kernel plan (register distribution, grad strategy).
-    pub plan: &'a KernelPlan,
-    /// The batch's generated scripts. `None` only for a
-    /// [`Session::from_warm`] session, which never generated them: only the
-    /// [`Lowered`] backend, which executes the artifact, can run such a
-    /// session.
-    ///
-    /// The interpreter ([`EventInterp`]) `expect`s the scripts, and
-    /// [`Lowered`] `expect`s [`Session::lowered`] the same way.
-    /// These stay panics because pairing a session with a backend it was not
-    /// prepared for is a programming error no input can cause: every
-    /// constructor but `from_warm` is handed the scripts; `from_warm` is
-    /// reached only from `Handle::attempt`'s graph-level cache hit, which
-    /// `attempt` looks for (`LoweredCache::lookup_graph`) only under
-    /// `backend == BackendKind::Lowered` and then runs on that backend; and a
-    /// degraded rung re-enters `attempt` with [`EventInterp`], which
-    /// generates. Likewise every session `attempt` hands to [`Lowered`] came
-    /// from `from_warm` or [`Session::from_lowered`], which both set the
-    /// artifact, as does [`Lowered`]'s own `prepare`.
-    pub gs: Option<&'a GeneratedScript>,
-    /// The batch's pool layout.
-    pub layout: &'a BatchLayout,
-    /// Training hyper-parameters for the epilogue.
-    pub cfg: ExecConfig,
+pub(crate) enum Script<'a> {
+    /// Interpret the generated scripts ([`EventInterp`]). `new` analyzes
+    /// the schedule, into the trace if one is given.
+    Interpreted(&'a GeneratedScript, Option<&'a mut SimTrace>),
+    /// Sweep a lowered artifact ([`Lowered`], fresh or from a
+    /// [`LoweredCache`]) with this batch's per-request literals for its
+    /// patch points ([`LoweredScript::extract_patches`],
+    /// [`WarmBatch::patches`]). The artifact's timeline is reused, so no
+    /// schedule is analyzed.
+    Lowered(Arc<LoweredScript>, Vec<u32>),
+}
+
+/// A prepared batch: the analytic schedule and metrics, and the owned
+/// `Sweep` that computes its values.
+///
+/// Built once per batch by `Session::new` (or [`ExecutionBackend::prepare`]).
+/// Every simulated fact about the batch is fixed here, before any
+/// arithmetic: [`run_prepared`] commits `metrics` and runs `sweep`, and a
+/// [`crate::Handle`] commits the one and hands the other to a
+/// [`crate::Compute`].
+#[derive(Debug)]
+pub struct Session {
     /// Event-driven schedule of the script phase (shared with the lowered
     /// artifact it came from, when there is one).
     pub timeline: Arc<TimelineReport>,
     /// The batch's complete metrics (timing + traffic), computed up front.
     pub metrics: Metrics,
-    /// The lowered artifact, when this session was prepared for the
-    /// [`Lowered`] backend (fresh or from a [`LoweredCache`]).
-    pub lowered: Option<Arc<LoweredScript>>,
-    /// Per-request literal values for the artifact's patch points
-    /// ([`LoweredScript::extract_patches`]): this batch's embedding-row copy
-    /// sources and pick labels, applied by the lowered executor on top of
-    /// the (possibly shared) cached op stream. Empty for non-lowered
-    /// sessions and for artifacts with no patchable ops.
-    pub patches: Vec<u32>,
+    /// The batch's value half.
+    pub(crate) sweep: Sweep,
 }
 
-impl<'a> Session<'a> {
-    /// Analyzes `gs` into a session: runs the timeline sweep and derives the
-    /// kernel body time and DRAM traffic exactly as the event-driven
-    /// interpreter would account them (prologue weight load, derivative
-    /// zero-init, per-VPP script fetch, per-instruction activation traffic,
-    /// and the in-register epilogue write-back).
-    pub fn build(
-        plan: &'a KernelPlan,
-        gs: &'a GeneratedScript,
+impl Session {
+    /// Prepares one batch of `plan` laid out by `layout`: the schedule
+    /// (analyzed, or the artifact's), the per-run obs, and the kernel body
+    /// time and DRAM traffic exactly as the event-driven interpreter would
+    /// account them (prologue weight load, derivative zero-init, per-VPP
+    /// script fetch, per-instruction activation traffic, and the in-register
+    /// epilogue write-back). Not cacheable: `cfg.apply_update` changes the
+    /// epilogue term between training and inference runs of one timeline.
+    pub(crate) fn new(
+        plan: &KernelPlan,
+        layout: Arc<BatchLayout>,
         cfg: ExecConfig,
         cost: &CostModel,
-        trace: Option<&mut SimTrace>,
+        script: Script<'_>,
     ) -> Self {
         let _span = vpps_obs::span("engine.prepare");
-        let timeline = timeline::analyze(plan, gs, cost, trace);
-        timeline.record_obs(gs.num_barriers);
-        Self::assemble(
-            plan,
-            Some(gs),
-            &gs.layout,
-            cfg,
-            cost,
-            Arc::new(timeline),
-            None,
-        )
-    }
+        let (timeline, barriers, body) = match script {
+            Script::Interpreted(gs, trace) => {
+                let timeline = Arc::new(timeline::analyze(plan, gs, cost, trace));
+                let body = Body::Interpreted {
+                    scripts: Arc::clone(&gs.scripts),
+                    timeline: Arc::clone(&timeline),
+                };
+                (timeline, gs.num_barriers, body)
+            }
+            Script::Lowered(artifact, patches) => (
+                Arc::clone(&artifact.timeline),
+                artifact.num_barriers,
+                Body::Lowered { artifact, patches },
+            ),
+        };
+        timeline.record_obs(barriers);
 
-    /// Builds a session around an already-lowered artifact: the cached
-    /// [`TimelineReport`] is reused instead of re-analyzing the scripts, so
-    /// warm-path prepares skip the whole event-driven sweep. The artifact
-    /// may have been lowered from a *different* (structurally identical)
-    /// script — this batch's per-request literals are extracted from `gs`
-    /// into the session's patch vector, which re-targets the shared ops at
-    /// run time. Per-run obs is recorded identically to [`Session::build`].
-    pub fn from_lowered(
-        plan: &'a KernelPlan,
-        gs: &'a GeneratedScript,
-        cfg: ExecConfig,
-        cost: &CostModel,
-        artifact: Arc<LoweredScript>,
-    ) -> Self {
-        let _span = vpps_obs::span("engine.prepare");
-        let patches = artifact.extract_patches(gs);
-        Self::around_artifact(plan, Some(gs), &gs.layout, cfg, cost, artifact, patches)
-    }
-
-    /// [`Session::from_lowered`] for a batch that skipped script generation:
-    /// layout and artifact come from the graph-level cache's [`WarmBatch`],
-    /// and `patches` ([`WarmBatch::patches`]) from the batch graph itself.
-    /// Metrics and per-run obs are those of the generating path, since both
-    /// derive from the artifact's timeline and the layout alone.
-    pub fn from_warm(
-        plan: &'a KernelPlan,
-        warm: &'a WarmBatch,
-        cfg: ExecConfig,
-        cost: &CostModel,
-        patches: Vec<u32>,
-    ) -> Self {
-        let _span = vpps_obs::span("engine.prepare");
-        let artifact = Arc::clone(&warm.artifact);
-        Self::around_artifact(plan, None, &warm.layout, cfg, cost, artifact, patches)
-    }
-
-    /// The prepare step shared by the two artifact-backed constructors
-    /// (inside their `engine.prepare` span): reuse the artifact's timeline,
-    /// record the per-run obs, assemble.
-    fn around_artifact(
-        plan: &'a KernelPlan,
-        gs: Option<&'a GeneratedScript>,
-        layout: &'a BatchLayout,
-        cfg: ExecConfig,
-        cost: &CostModel,
-        artifact: Arc<LoweredScript>,
-        patches: Vec<u32>,
-    ) -> Self {
-        let timeline = Arc::clone(&artifact.timeline);
-        timeline.record_obs(artifact.num_barriers);
-        let mut session = Self::assemble(plan, gs, layout, cfg, cost, timeline, Some(artifact));
-        session.patches = patches;
-        session
-    }
-
-    /// The metrics arithmetic shared by [`Session::build`] and
-    /// [`Session::from_lowered`]. Not cacheable: `cfg.apply_update` changes
-    /// the epilogue term between training and inference runs of the same
-    /// timeline.
-    fn assemble(
-        plan: &'a KernelPlan,
-        gs: Option<&'a GeneratedScript>,
-        layout: &'a BatchLayout,
-        cfg: ExecConfig,
-        cost: &CostModel,
-        timeline: Arc<TimelineReport>,
-        lowered: Option<Arc<LoweredScript>>,
-    ) -> Self {
-        let geo = plan.distribution().geometry();
-        let all_sms = geo.num_sms;
-
+        let all_sms = plan.distribution().geometry().num_sms;
         let mut metrics = Metrics::default();
 
         // Prologue: master copy -> registers (the *only* weight load of the
@@ -267,7 +191,9 @@ impl<'a> Session<'a> {
         body_time += timeline.max_vpp_time;
 
         // Epilogue: gradient application for the in-register strategy.
-        if cfg.apply_update && plan.grad_strategy() == GradStrategy::InRegister {
+        let update = (cfg.apply_update && plan.grad_strategy() == GradStrategy::InRegister)
+            .then_some((cfg.learning_rate, cfg.weight_decay));
+        if update.is_some() {
             metrics.dram.record_store(TrafficTag::Weight, weight_bytes);
             let update_flops = 3 * (weight_bytes / 4);
             body_time += cost
@@ -280,63 +206,36 @@ impl<'a> Session<'a> {
         metrics.barrier_stall = timeline.barrier_stall;
         metrics.imbalance = ImbalanceHistogram::from_times(&timeline.vpp_times);
 
-        Session {
-            plan,
-            gs,
+        let sweep = Sweep {
+            dist: plan.shared_distribution(),
             layout,
-            cfg,
-            timeline,
-            metrics,
-            lowered,
-            patches: Vec::new(),
-        }
-    }
-
-    /// Pool offset of the scalar loss value.
-    pub fn loss_offset(&self) -> PoolOffset {
-        self.layout.value_off[self.layout.loss.index()]
-    }
-
-    /// `(learning rate, weight decay)` of the in-register update the run
-    /// ends with, or `None` when it ends without one (inference, or a plan
-    /// on the GEMM-fallback strategy).
-    fn in_register_update(&self) -> Option<(f32, f32)> {
-        (self.cfg.apply_update && self.plan.grad_strategy() == GradStrategy::InRegister)
-            .then_some((self.cfg.learning_rate, self.cfg.weight_decay))
-    }
-
-    /// Splits a session prepared for the [`Lowered`] backend into its
-    /// metrics — the batch's whole cost, fixed before any arithmetic — and
-    /// the owned value half of its run, which may then execute on any
-    /// thread.
-    pub(crate) fn into_lowered_sweep(self) -> (Metrics, LoweredSweep) {
-        let update = self.in_register_update();
-        // The mirror of `Lowered::run`'s `expect`: see `Session::gs`.
-        let artifact = self
-            .lowered
-            .expect("a lowered sweep needs a session with a lowered artifact");
-        let sweep = LoweredSweep {
-            artifact,
-            patches: self.patches,
+            body,
             update,
         };
-        (self.metrics, sweep)
+        Session {
+            timeline,
+            metrics,
+            sweep,
+        }
     }
 
-    /// Packages a finished run.
-    pub fn outcome(&self, loss: f32) -> RunOutcome {
-        RunOutcome {
-            loss,
-            body_time: self.metrics.kernel_time,
-            instructions: self.timeline.instructions,
-            max_vpp_time: self.timeline.max_vpp_time,
-            mean_vpp_time: self.timeline.mean_vpp_time,
-            metrics: self.metrics.clone(),
-        }
+    /// `Session::new` around an already-lowered artifact, with this
+    /// batch's literals extracted from `gs` — which may differ from the
+    /// script the artifact was lowered from, as long as its key is equal.
+    pub fn from_lowered(
+        plan: &KernelPlan,
+        gs: &GeneratedScript,
+        cfg: ExecConfig,
+        cost: &CostModel,
+        artifact: Arc<LoweredScript>,
+    ) -> Self {
+        let patches = artifact.extract_patches(gs);
+        let layout = Arc::clone(&gs.layout);
+        Self::new(plan, layout, cfg, cost, Script::Lowered(artifact, patches))
     }
 }
 
-/// Result of executing one batch through an [`ExecutionBackend`].
+/// Result of executing one batch through [`run_prepared`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// Loss value (read back from the pool).
@@ -353,35 +252,25 @@ pub struct RunOutcome {
     pub metrics: Metrics,
 }
 
-/// One way of executing a prepared batch's scripts.
-///
-/// Implementations must be functionally equivalent: same pool contents, same
-/// register-cache contents, and — because the [`Session`] carries the
-/// analytics — the exact same [`RunOutcome::metrics`].
+/// One way of preparing a batch's scripts for execution. Both backends'
+/// sweeps compute the same pool contents, register-cache contents and
+/// parameters, and — because the [`Session`] carries the analytics — the
+/// exact same [`RunOutcome::metrics`].
 pub trait ExecutionBackend: Sync {
     /// Short stable name for reports, obs counters and CLI flags.
     fn name(&self) -> &'static str;
 
     /// Analyzes the batch's scripts into a [`Session`].
-    fn prepare<'a>(
+    fn prepare(
         &self,
-        plan: &'a KernelPlan,
-        scripts: &'a GeneratedScript,
+        plan: &KernelPlan,
+        scripts: &GeneratedScript,
         cfg: ExecConfig,
         cost: &CostModel,
-    ) -> Session<'a> {
-        Session::build(plan, scripts, cfg, cost, None)
+    ) -> Session {
+        let layout = Arc::clone(&scripts.layout);
+        Session::new(plan, layout, cfg, cost, Script::Interpreted(scripts, None))
     }
-
-    /// Executes the script phase of `session` against `pool` and the loaded
-    /// register `cache`. The prologue (parameter load) and epilogue
-    /// (gradient application) belong to the driver ([`run_batch`]), not the
-    /// backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a script references memory outside the pool.
-    fn run(&self, session: &Session<'_>, pool: &mut Pool, cache: &mut RegCache) -> RunOutcome;
 }
 
 /// Runs one batch end-to-end through `backend`: prologue parameter load,
@@ -406,14 +295,14 @@ pub fn run_batch(
     run_prepared(backend, &session, pool, model, gpu)
 }
 
-/// [`run_batch`] plus a full per-VPP instruction timeline for visualization
-/// (a [`SimTrace`], exportable via [`vpps_obs::ChromeTrace::add_sim_trace`]).
+/// [`run_batch`] on the interpreter plus a full per-VPP instruction timeline
+/// for visualization (a [`SimTrace`], exportable via
+/// [`vpps_obs::ChromeTrace::add_sim_trace`]).
 ///
 /// # Panics
 ///
 /// Same conditions as [`run_batch`].
 pub fn run_batch_traced(
-    backend: &dyn ExecutionBackend,
     plan: &KernelPlan,
     gs: &GeneratedScript,
     pool: &mut Pool,
@@ -422,106 +311,116 @@ pub fn run_batch_traced(
     cfg: ExecConfig,
 ) -> (RunOutcome, SimTrace) {
     let mut trace = SimTrace::default();
-    let session = Session::build(plan, gs, cfg, gpu.cost_model(), Some(&mut trace));
-    let outcome = run_prepared(backend, &session, pool, model, gpu);
+    let script = Script::Interpreted(gs, Some(&mut trace));
+    let session = Session::new(plan, Arc::clone(&gs.layout), cfg, gpu.cost_model(), script);
+    let outcome = run_prepared(&EventInterp, &session, pool, model, gpu);
     (outcome, trace)
 }
 
-/// Executes an already-prepared [`Session`]: prologue parameter load, script
-/// execution, in-register gradient epilogue, and the [`Metrics::commit`] that
-/// posts the batch to the simulated device. [`run_batch`] is `prepare` +
-/// `run_prepared`; it builds a throw-away register arena per call — warm
-/// paths that keep one per plan call [`run_prepared_in`].
+/// Executes an already-prepared [`Session`] on a throw-away register arena:
+/// its `Sweep`, then the [`Metrics::commit`] that posts the batch to the
+/// simulated device. `backend` is the one that prepared the session, whose
+/// sweep it already is.
 pub fn run_prepared(
-    backend: &dyn ExecutionBackend,
-    session: &Session<'_>,
+    _backend: &dyn ExecutionBackend,
+    session: &Session,
     pool: &mut Pool,
     model: &mut Model,
     gpu: &mut GpuSim,
 ) -> RunOutcome {
-    let mut cache = RegCache::new(session.plan.distribution());
-    run_prepared_in(backend, session, pool, model, gpu, &mut cache)
-}
-
-/// [`run_prepared`] in a caller-owned register arena, so a warm path pays
-/// the arena's allocation once per plan instead of once per batch. The
-/// recovery layer calls this directly because it needs the session's
-/// analytic body time *before* execution to arm the watchdog.
-///
-/// Whatever `cache` held is discarded: parameter values are re-loaded from
-/// `model` and the gradient half re-zeroed on every call, so an arena kept
-/// across batches can never go stale (after a rollback, a baseline fallback,
-/// an external `param_mut`) and never carries a failed attempt's gradients
-/// into a retry.
-///
-/// # Panics
-///
-/// Panics if `cache` was laid out for another plan's distribution.
-pub fn run_prepared_in(
-    backend: &dyn ExecutionBackend,
-    session: &Session<'_>,
-    pool: &mut Pool,
-    model: &mut Model,
-    gpu: &mut GpuSim,
-    cache: &mut RegCache,
-) -> RunOutcome {
-    assert!(
-        cache.laid_out_for(session.plan.distribution()),
-        "register arena was laid out for another plan"
-    );
-    let outcome = compute(
-        backend.name(),
-        session.in_register_update(),
-        model,
-        cache,
-        |cache| backend.run(session, pool, cache),
-    );
-    outcome.metrics.commit(gpu);
-    outcome
-}
-
-/// The value half of every run, with no clock in reach: the prologue
-/// parameter load into `cache`, the backend's `sweep`, and the in-register
-/// update (`Some((learning rate, weight decay))`) of `model`.
-fn compute<T>(
-    backend: &str,
-    update: Option<(f32, f32)>,
-    model: &mut Model,
-    cache: &mut RegCache,
-    sweep: impl FnOnce(&mut RegCache) -> T,
-) -> T {
-    let _span = vpps_obs::span("engine.run");
-    if vpps_obs::enabled() {
-        vpps_obs::counter(&format!("engine.batches.{backend}")).incr();
+    let (sweep, timeline) = (&session.sweep, &session.timeline);
+    sweep.run(pool, model, &mut RegCache::new(&sweep.dist));
+    session.metrics.commit(gpu);
+    RunOutcome {
+        loss: pool.slice(sweep.loss_offset(), 1)[0],
+        body_time: session.metrics.kernel_time,
+        instructions: timeline.instructions,
+        max_vpp_time: timeline.max_vpp_time,
+        mean_vpp_time: timeline.mean_vpp_time,
+        metrics: session.metrics.clone(),
     }
-    cache.load_from_model(model);
-    let out = sweep(cache);
-    if let Some((learning_rate, weight_decay)) = update {
-        cache.apply_updates(model, learning_rate, weight_decay);
-    }
-    out
 }
 
-/// The value half of one [`Lowered`] run, owning what it reads — the
-/// artifact, the batch's patches, the update it ends with — so it can run
-/// on another thread than the one that charged the batch
-/// ([`Session::into_lowered_sweep`]). Its metrics are already committed:
-/// nothing it computes reaches the simulated clock.
+/// What a [`Sweep`] executes.
 #[derive(Debug)]
-pub(crate) struct LoweredSweep {
-    artifact: Arc<LoweredScript>,
-    patches: Vec<u32>,
+enum Body {
+    /// The scripts, in the timeline's serial order.
+    Interpreted {
+        scripts: Arc<ScriptSet>,
+        timeline: Arc<TimelineReport>,
+    },
+    /// The lowered artifact, re-targeted by the batch's patches.
+    Lowered {
+        artifact: Arc<LoweredScript>,
+        patches: Vec<u32>,
+    },
+}
+
+/// The value half of one batch, owning what it reads so it can run on any
+/// thread: the prologue parameter load into the register arena, the script
+/// phase (lowered or interpreted), and the in-register update it ends with.
+/// Its cost is its [`Session`]'s metrics, fixed before it runs: nothing it
+/// computes reaches a clock.
+#[derive(Debug)]
+pub(crate) struct Sweep {
+    dist: Arc<Distribution>,
+    layout: Arc<BatchLayout>,
+    body: Body,
+    /// `(learning rate, weight decay)` of the in-register update, or `None`
+    /// (inference, or a plan on the GEMM-fallback strategy).
     update: Option<(f32, f32)>,
 }
 
-impl LoweredSweep {
-    /// Loads `cache` from `model`, sweeps the artifact over `pool` and
-    /// applies the in-register update — [`run_prepared_in`] on the
-    /// [`Lowered`] backend, minus the commit.
-    pub(crate) fn run(&self, pool: &mut Pool, model: &mut Model, cache: &mut RegCache) {
-        compute(Lowered.name(), self.update, model, cache, |cache| {
-            lowered::sweep(&self.artifact, &self.patches, pool, cache)
-        });
+impl Sweep {
+    /// The backend whose sweep this is.
+    fn backend(&self) -> BackendKind {
+        match self.body {
+            Body::Interpreted { .. } => BackendKind::EventInterp,
+            Body::Lowered { .. } => BackendKind::Lowered,
+        }
+    }
+
+    /// The batch's pool layout.
+    pub(crate) fn layout(&self) -> &BatchLayout {
+        &self.layout
+    }
+
+    /// Pool offset of the scalar loss value.
+    pub(crate) fn loss_offset(&self) -> PoolOffset {
+        self.layout.value_off[self.layout.loss.index()]
+    }
+
+    /// Computes the batch: loads `arena` from `model`, runs the script phase
+    /// over `pool` and applies the in-register update to `model`.
+    ///
+    /// Whatever `arena` held is discarded: parameter values are re-loaded
+    /// from `model` and the gradient half re-zeroed on every call, so an
+    /// arena kept across batches can never go stale (after a faulted
+    /// attempt, a baseline fallback, an external `param_mut`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arena` was laid out for another plan's distribution, or
+    /// if a script references memory outside the pool.
+    pub(crate) fn run(&self, pool: &mut Pool, model: &mut Model, arena: &mut RegCache) {
+        assert!(
+            arena.laid_out_for(&self.dist),
+            "register arena was laid out for another plan"
+        );
+        let _span = vpps_obs::span("engine.run");
+        if vpps_obs::enabled() {
+            vpps_obs::counter(&format!("engine.batches.{}", self.backend().name())).incr();
+        }
+        arena.load_from_model(model);
+        match &self.body {
+            Body::Interpreted { scripts, timeline } => {
+                backends::interpret(scripts, &timeline.order, &self.dist, pool, arena);
+            }
+            Body::Lowered { artifact, patches } => lowered::sweep(artifact, patches, pool, arena),
+        }
+        if let Some((learning_rate, weight_decay)) = self.update {
+            arena.apply_updates(model, learning_rate, weight_decay);
+        }
     }
 }
 

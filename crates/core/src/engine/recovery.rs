@@ -105,7 +105,9 @@ pub struct RecoveryStats {
     pub rejits: u64,
     /// Transient JIT failures absorbed by retrying specialization.
     pub jit_retries: u64,
-    /// Training-step rollbacks (checkpoint restores after a faulted `fb`).
+    /// Faulted attempts of training batches under an armed injector — each
+    /// an update that never reached the parameters, since a faulted attempt
+    /// computes nothing.
     pub rollbacks: u64,
 }
 

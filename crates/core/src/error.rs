@@ -36,7 +36,8 @@ pub enum VppsError {
     },
     /// A device-level fault was detected during one attempt (corrupted
     /// transfer, rejected launch, ECC-flagged pool word). Retryable: the
-    /// recovery layer re-executes the attempt from a checkpoint.
+    /// faulted attempt computed nothing, so the recovery layer re-executes
+    /// it from the untouched parameters.
     DeviceFault {
         /// The detected fault kind.
         fault: FaultKind,

@@ -2,9 +2,8 @@
 //! (paper §III-B2, Fig. 7).
 //!
 //! The executors themselves live in the unified engine layer
-//! ([`crate::engine`]), where every backend implements one
-//! `ExecutionBackend` trait over the shared instruction semantics
-//! ([`semantics::execute_instr`]) and static costs
+//! ([`crate::engine`]), whose one sweep runs either backend over the shared
+//! instruction semantics ([`semantics::execute_instr`]) and static costs
 //! ([`semantics::instr_cost`]). This module keeps the pieces the engine is
 //! built from:
 //!

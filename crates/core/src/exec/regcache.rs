@@ -326,8 +326,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "register arena was laid out for another plan")]
-    fn run_prepared_in_rejects_another_plans_arena() {
-        use crate::engine::{self, BackendKind};
+    fn a_sweep_rejects_another_plans_arena() {
+        use crate::engine::BackendKind;
         use crate::exec::interp::ExecConfig;
         use crate::script::{generate, TableLayout};
         use crate::specialize::KernelPlan;
@@ -346,10 +346,10 @@ mod tests {
         let y = g.matvec(&m, w, x);
         let loss = g.pick_neg_log_softmax(y, 0);
         let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).unwrap();
-        let mut gpu = gpu_sim::GpuSim::new(device);
+        let gpu = gpu_sim::GpuSim::new(device);
         let backend = BackendKind::Lowered.backend();
         let session = backend.prepare(&plan, &gs, ExecConfig::default(), gpu.cost_model());
         let mut arena = RegCache::new(other.distribution());
-        engine::run_prepared_in(backend, &session, &mut pool, &mut m, &mut gpu, &mut arena);
+        session.sweep.run(&mut pool, &mut m, &mut arena);
     }
 }

@@ -39,7 +39,7 @@ use vpps_tensor::ops::sgd_step;
 use vpps_tensor::Pool;
 
 use crate::engine::recovery::{self, RecoveryPolicy, RecoveryStats};
-use crate::engine::{self, BackendKind, Engine, LoweredSweep};
+use crate::engine::{self, BackendKind, Engine, Script, Session, Sweep};
 use crate::error::VppsError;
 use crate::exec::fallback::{charge_gemm_fallback, gemm_fallback_values};
 use crate::exec::interp::ExecConfig;
@@ -234,38 +234,6 @@ struct RecoveryTracker {
     rejitted: HashSet<u64>,
 }
 
-/// Snapshot of the dense master parameters, captured before a training batch
-/// when fault injection is armed so a faulted `fb` never leaves half-applied
-/// gradients: every faulted attempt restores this checkpoint before retrying.
-/// (Lookup tables need no snapshot — their sparse update runs only on the
-/// success path; the kernel epilogue mutates dense parameters only.)
-#[derive(Debug)]
-struct ParamCheckpoint {
-    params: Vec<Vec<f32>>,
-}
-
-impl ParamCheckpoint {
-    fn capture(model: &Model) -> Self {
-        Self {
-            params: model
-                .params()
-                .map(|(_, p)| p.value.as_slice().to_vec())
-                .collect(),
-        }
-    }
-
-    fn restore(&self, model: &mut Model) {
-        let ids: Vec<_> = model.params().map(|(id, _)| id).collect();
-        for (id, saved) in ids.into_iter().zip(&self.params) {
-            model
-                .param_mut(id)
-                .value
-                .as_mut_slice()
-                .copy_from_slice(saved);
-        }
-    }
-}
-
 /// What a dispatched batch was — all [`Handle::charge`] needs to know to
 /// put it on the clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,56 +246,11 @@ enum Charge {
     Failed,
 }
 
-/// What an attempt's host preparation produced: freshly generated scripts,
-/// or — when the lowered cache already knows the batch's graph — the cached
-/// summary that stands in for them.
-#[derive(Debug)]
-enum Prepared {
-    Generated(Box<generate::GeneratedScript>),
-    Warm(Arc<engine::WarmBatch>),
-}
-
-impl Prepared {
-    fn layout(&self) -> &BatchLayout {
-        match self {
-            Prepared::Generated(gs) => &gs.layout,
-            Prepared::Warm(warm) => &warm.layout,
-        }
-    }
-
-    /// `(forward instructions, backward instructions, encoded script bytes)`
-    /// — what the simulated host-scheduling and script-copy times are
-    /// charged from.
-    fn script_counts(&self) -> (usize, usize, usize) {
-        match self {
-            Prepared::Generated(gs) => (
-                gs.forward_instructions,
-                gs.backward_instructions,
-                gs.scripts.encoded_bytes(),
-            ),
-            Prepared::Warm(warm) => (
-                warm.forward_instructions,
-                warm.backward_instructions,
-                warm.encoded_bytes,
-            ),
-        }
-    }
-}
-
-/// One successful attempt's products. Its cost is on the clock; only a
-/// clean lowered attempt still owes its sweep, every other one ran it.
-struct AttemptOk {
-    metrics: Metrics,
-    prepared: Prepared,
-    kernel_total: SimTime,
-    owed: Option<OwedSweep>,
-}
-
-/// The sweep of a clean lowered attempt, with the register arena of plan
+/// A clean attempt, on the clock: its sweep, with the register arena of plan
 /// `slot` it runs in, lent until [`Handle::join`].
 #[derive(Debug)]
-struct OwedSweep {
-    sweep: LoweredSweep,
+struct Prepared {
+    sweep: Sweep,
     arena: RegCache,
     slot: usize,
 }
@@ -342,25 +265,24 @@ pub enum Output {
 }
 
 /// The value half of one batch, returned by [`Handle::dispatch`] once the
-/// batch is on the clock: the sweep a clean lowered attempt still owes,
-/// then the epilogue — training's GEMM-fallback arithmetic and lookup-table
-/// update, or inference's root reads. It owns the handle's memory pool (and
-/// an owed sweep's register arena) until [`Handle::join`] takes them back,
-/// so it can be computed on another thread.
+/// batch is on the clock: the sweep of its clean attempt, then the epilogue —
+/// training's GEMM-fallback arithmetic and lookup-table update, or
+/// inference's root reads. It owns the handle's memory pool (and the sweep's
+/// register arena) until [`Handle::join`] takes them back, so it can be
+/// computed on another thread.
 #[derive(Debug)]
 pub struct Compute {
     pool: Pool,
-    owed: Option<OwedSweep>,
     epilogue: Epilogue,
 }
 
-/// What [`Compute::run`] does after the owed sweep.
+/// What [`Compute::run`] does.
 #[derive(Debug)]
 enum Epilogue {
     /// Nothing: the baseline rung computed the output inline.
     Done(Output),
-    /// Read the loss, step GEMM-fallback parameters (`gemm`) and the lookup
-    /// tables.
+    /// Sweep, read the loss, step GEMM-fallback parameters (`gemm`) and the
+    /// lookup tables.
     Train {
         prepared: Prepared,
         gemm: bool,
@@ -368,7 +290,7 @@ enum Epilogue {
         learning_rate: f32,
         weight_decay: f32,
     },
-    /// Read the roots.
+    /// Sweep, read the roots.
     Infer(Prepared),
 }
 
@@ -377,25 +299,19 @@ impl Compute {
     /// what the batch was dispatched with. Nothing here reads or moves a
     /// clock.
     pub fn run(self, model: &mut Model, graph: &Graph, roots: &[NodeId]) -> Computed {
-        let Compute {
-            mut pool,
-            mut owed,
-            epilogue,
-        } = self;
-        if let Some(owed) = &mut owed {
-            owed.sweep.run(&mut pool, model, &mut owed.arena);
-        }
-        let output = match epilogue {
-            Epilogue::Done(output) => output,
+        let Compute { mut pool, epilogue } = self;
+        let (output, prepared) = match epilogue {
+            Epilogue::Done(output) => (output, None),
             Epilogue::Train {
-                prepared,
+                mut prepared,
                 gemm,
                 tables,
                 learning_rate,
                 weight_decay,
             } => {
-                let layout = prepared.layout();
-                let loss = pool.slice(layout.value_off[layout.loss.index()], 1)[0];
+                prepared.sweep.run(&mut pool, model, &mut prepared.arena);
+                let layout = prepared.sweep.layout();
+                let loss = pool.slice(prepared.sweep.loss_offset(), 1)[0];
                 if gemm {
                     gemm_fallback_values(layout, &pool, model, learning_rate, weight_decay);
                 }
@@ -407,20 +323,24 @@ impl Compute {
                     &tables,
                     (learning_rate, weight_decay),
                 );
-                Output::Loss(loss)
+                (Output::Loss(loss), Some(prepared))
             }
-            Epilogue::Infer(prepared) => {
-                let layout = prepared.layout();
+            Epilogue::Infer(mut prepared) => {
+                prepared.sweep.run(&mut pool, model, &mut prepared.arena);
+                let layout = prepared.sweep.layout();
                 let value = |root: &NodeId| {
                     let dim = graph.node(*root).dim;
                     pool.slice(layout.value_off[root.index()], dim).to_vec()
                 };
-                Output::Roots(roots.iter().map(value).collect())
+                (
+                    Output::Roots(roots.iter().map(value).collect()),
+                    Some(prepared),
+                )
             }
         };
         Computed {
             pool,
-            arena: owed.map(|o| (o.slot, o.arena)),
+            arena: prepared.map(|p| (p.slot, p.arena)),
             output,
         }
     }
@@ -521,7 +441,8 @@ fn simulate_jit(
 pub struct Handle {
     plans: Vec<KernelPlan>,
     /// One register arena per entry of `plans`, built on the plan's first
-    /// batch and dropped when the plan is re-JITted.
+    /// clean attempt, lent to each batch's [`Compute`], and dropped when the
+    /// plan is re-JITted.
     arenas: Vec<Option<RegCache>>,
     active: usize,
     gpu: GpuSim,
@@ -636,10 +557,10 @@ impl Handle {
     /// Fallible [`Handle::fb`]: same semantics (returns the *previous*
     /// batch's loss on success), but surfaces failures as typed
     /// [`VppsError`]s instead of panicking. With fault injection armed this
-    /// is the recovery entry point: faulted attempts roll the master
-    /// parameters back to a pre-batch checkpoint, retry with backoff,
-    /// degrade down the backend ladder, and only then report
-    /// [`VppsError::RetriesExhausted`].
+    /// is the recovery entry point: a faulted attempt computes nothing, so
+    /// it leaves the master parameters and lookup tables as they were; the
+    /// batch retries with backoff, degrades down the backend ladder, and
+    /// only then reports [`VppsError::RetriesExhausted`].
     ///
     /// # Errors
     ///
@@ -669,10 +590,10 @@ impl Handle {
     /// step that writes the clocks, errors included. What the batch still
     /// has to compute comes back as a [`Compute`]; every simulated fact
     /// about it — the clocks, the [`PhaseBreakdown`], the metrics, `Ok` or
-    /// `Err` — is already fixed, since no charge depends on a value. A clean
-    /// lowered attempt's sweep is left to the `Compute`; any other attempt
-    /// (another backend, a degraded rung, a faulted attempt) ran its sweep
-    /// inline.
+    /// `Err` — is already fixed, since no charge depends on a value. The
+    /// clean attempt's sweep, on either backend and any rung, is left to the
+    /// `Compute`; a faulted attempt computes nothing, and only the baseline
+    /// rung computes its output here.
     ///
     /// # Errors
     ///
@@ -706,39 +627,29 @@ impl Handle {
             }
         };
         let epilogue_before = self.gpu.now();
-        let (owed, epilogue) = match run {
-            Some(ok) => {
-                self.kernel_metrics.merge(&ok.metrics);
-                cost.kernel_exec = ok.kernel_total;
-                let epilogue = if train {
-                    let plan = &self.plans[self.active];
-                    let gemm = plan.grad_strategy() == GradStrategy::GemmFallback;
-                    if gemm {
-                        charge_gemm_fallback(plan, ok.prepared.layout(), &mut self.gpu);
-                    }
-                    Epilogue::Train {
-                        prepared: ok.prepared,
-                        gemm,
-                        tables: Arc::clone(&self.tables),
-                        learning_rate: self.opts.learning_rate,
-                        weight_decay: self.opts.weight_decay,
-                    }
-                } else {
-                    Epilogue::Infer(ok.prepared)
-                };
-                (ok.owed, epilogue)
+        let epilogue = match run {
+            Some(prepared) if train => {
+                let plan = &self.plans[self.active];
+                let gemm = plan.grad_strategy() == GradStrategy::GemmFallback;
+                if gemm {
+                    charge_gemm_fallback(plan, prepared.sweep.layout(), &mut self.gpu);
+                }
+                Epilogue::Train {
+                    prepared,
+                    gemm,
+                    tables: Arc::clone(&self.tables),
+                    learning_rate: self.opts.learning_rate,
+                    weight_decay: self.opts.weight_decay,
+                }
             }
+            Some(prepared) => Epilogue::Infer(prepared),
             // Bottom of the ladder: launch-per-op execution on the host
             // reference executor (deterministic; numerically — not bitwise
             // — equivalent to the persistent kernel).
             None if train => {
-                let loss = self.baseline_train(model, graph, roots[0]);
-                (None, Epilogue::Done(Output::Loss(loss)))
+                Epilogue::Done(Output::Loss(self.baseline_train(model, graph, roots[0])))
             }
-            None => {
-                let values = self.baseline_infer(model, graph, roots);
-                (None, Epilogue::Done(Output::Roots(values)))
-            }
+            None => Epilogue::Done(Output::Roots(self.baseline_infer(model, graph, roots))),
         };
         cost.fallback_exec = self.gpu.now() - epilogue_before;
         self.charge(
@@ -749,7 +660,6 @@ impl Handle {
         self.lent = true;
         Ok(Compute {
             pool: mem::replace(&mut self.pool, Pool::with_capacity(0)),
-            owed,
             epilogue,
         })
     }
@@ -822,33 +732,29 @@ impl Handle {
         }
     }
 
-    /// Executes one batch with bounded retry, backend degradation and plan
-    /// quarantine. `root` is the loss node (training) or the generation root
-    /// (inference). Restores the dense-parameter checkpoint after every
-    /// faulted training attempt so no retry ever observes half-applied
-    /// gradients. Host-schedule and copy time of *every* attempt accumulate
-    /// into `cost` (failed attempts redo script generation and transfers;
-    /// that work is real).
+    /// Prepares one batch with bounded retry, backend degradation and plan
+    /// quarantine, and returns its clean attempt. `root` is the loss node
+    /// (training) or the generation root (inference). A faulted attempt
+    /// computes nothing, so no retry can observe half-applied gradients;
+    /// each faulted attempt of a training batch counts as a rollback of the
+    /// update it never made. Host-schedule and copy time of *every* attempt
+    /// accumulate into `cost` (failed attempts redo script generation and
+    /// transfers; that work is real).
     fn run_with_recovery(
         &mut self,
-        model: &mut Model,
+        model: &Model,
         graph: &Graph,
         root: NodeId,
         train: bool,
         cost: &mut PhaseBreakdown,
-    ) -> Result<AttemptOk, VppsError> {
+    ) -> Result<Prepared, VppsError> {
         let policy = self.opts.recovery;
-        let checkpoint = if train && self.faults.is_some() {
-            Some(ParamCheckpoint::capture(model))
-        } else {
-            None
-        };
         let mut backend = self.opts.backend;
         let mut on_rung = 0u32;
         let mut total = 0u32;
         loop {
-            match self.attempt(model, graph, root, train, backend, cost) {
-                Ok(ok) => return Ok(ok),
+            match self.attempt(graph, root, train, backend, cost) {
+                Ok(prepared) => return Ok(prepared),
                 Err(e) if !e.is_retryable() => return Err(e),
                 Err(e) => {
                     total += 1;
@@ -856,8 +762,8 @@ impl Handle {
                     if matches!(e, VppsError::RunTimedOut { .. }) {
                         self.rec.stats.watchdog_timeouts += 1;
                     }
-                    if let Some(cp) = &checkpoint {
-                        cp.restore(model);
+                    // A retryable error is a drawn fault: the injector is armed.
+                    if train {
                         self.rec.stats.rollbacks += 1;
                     }
                     self.note_plan_fault(model)?;
@@ -880,10 +786,10 @@ impl Handle {
                             }
                         }
                     } else {
-                        let delay = match self.faults.as_mut() {
-                            Some(p) => policy.backoff_delay(on_rung - 1, p),
-                            None => SimTime::ZERO,
-                        };
+                        let delay = self
+                            .faults
+                            .as_mut()
+                            .map_or(SimTime::ZERO, |p| policy.backoff_delay(on_rung - 1, p));
                         self.gpu.advance(delay);
                         self.rec.stats.retries += 1;
                         self.rec.stats.backoff += delay;
@@ -900,32 +806,42 @@ impl Handle {
     /// One end-to-end attempt: host prep (script generation — or, on the
     /// lowered backend, a graph-keyed cache hit that stands in for it — and
     /// transfers), fault draws in fixed order (transfer, launch, hang, dram),
-    /// and the kernel run. Host and copy times accumulate into `cost`
+    /// and the kernel's charge. Host and copy times accumulate into `cost`
     /// whether or not the attempt survives; a cache hit charges the times of
-    /// the scripts it did not generate, from their cached counts.
+    /// the scripts it did not generate, from their cached counts. A faulted
+    /// attempt computes nothing; a clean one returns its sweep, computed by
+    /// the batch's [`Compute`].
     fn attempt(
         &mut self,
-        model: &mut Model,
         graph: &Graph,
         root: NodeId,
         train: bool,
         backend: BackendKind,
         cost: &mut PhaseBreakdown,
-    ) -> Result<AttemptOk, VppsError> {
-        let plan = &self.plans[self.active];
+    ) -> Result<Prepared, VppsError> {
+        let slot = self.active;
+        let plan = &self.plans[slot];
         self.pool.reset();
         let pool_base = self.pool.used();
+        let cfg = ExecConfig {
+            learning_rate: self.opts.learning_rate,
+            weight_decay: self.opts.weight_decay,
+            apply_update: train,
+        };
         // The lowered backend first asks its cache for the graph: a batch
         // structurally identical to an earlier one reserves the same pool
         // region with one allocation and skips script generation. Every
-        // other backend (and every miss) generates.
+        // other backend (and every miss) generates. The session is prepared
+        // after the transfer and launch draws, so only an attempt that
+        // launches counts a cache hit or lowers.
         let warm = (backend == BackendKind::Lowered)
             .then(|| {
                 self.lowered
                     .lookup_graph(plan, graph, root, train, pool_base)
             })
             .flatten();
-        let prepared = match warm {
+        let generated;
+        let (layout, script) = match warm {
             Some(warm) => {
                 self.pool
                     .alloc(warm.pool_len)
@@ -934,36 +850,103 @@ impl Handle {
                         capacity: self.pool.capacity(),
                     })?;
                 warm.replay_generate_obs();
-                Prepared::Warm(warm)
+                let counts = (
+                    warm.forward_instructions,
+                    warm.backward_instructions,
+                    warm.encoded_bytes,
+                );
+                self.stage(graph, train, &warm.layout, counts, cost)?;
+                self.lowered.note_graph_hit();
+                let patches = warm.patches(graph, &self.tables);
+                let artifact = Arc::clone(&warm.artifact);
+                (Arc::clone(&warm.layout), Script::Lowered(artifact, patches))
             }
             None => {
-                let gs = if train {
-                    generate::generate(graph, root, plan, &mut self.pool, &self.tables)?
+                let generate = if train {
+                    generate::generate
                 } else {
-                    generate::generate_forward_only(
-                        graph,
-                        root,
-                        plan,
-                        &mut self.pool,
-                        &self.tables,
-                    )?
+                    generate::generate_forward_only
                 };
-                Prepared::Generated(Box::new(gs))
+                generated = generate(graph, root, plan, &mut self.pool, &self.tables)?;
+                let gs = &generated;
+                let pool_len = self.pool.used() - pool_base;
+                let counts = (
+                    gs.forward_instructions,
+                    gs.backward_instructions,
+                    gs.scripts.encoded_bytes(),
+                );
+                self.stage(graph, train, &gs.layout, counts, cost)?;
+                let script = if backend == BackendKind::Lowered {
+                    // Repeated shapes skip lowering *and* the timeline sweep.
+                    let plan = &self.plans[slot];
+                    let art = self.lowered.get_or_lower(plan, gs, self.gpu.cost_model());
+                    self.lowered
+                        .install_graph(gs, graph, &self.tables, pool_len);
+                    let patches = art.extract_patches(gs);
+                    Script::Lowered(art, patches)
+                } else {
+                    Script::Interpreted(gs, None)
+                };
+                (Arc::clone(&gs.layout), script)
             }
         };
-        let pool_len = self.pool.used() - pool_base;
-        let (forward_instructions, backward_instructions, script_bytes) = prepared.script_counts();
-        cost.forward_schedule += self.host.schedule(graph.len(), forward_instructions);
-        if train {
-            cost.backward_schedule += self.host.schedule(graph.len(), backward_instructions);
+        let plan = &self.plans[slot];
+        let session = Session::new(plan, layout, cfg, self.gpu.cost_model(), script);
+        let before = self.gpu.now();
+        if draw_fault(&mut self.faults, FaultKind::VppHang, self.gpu.now()) {
+            // The kernel launches, one CTA stops advancing, and the watchdog
+            // kills it after its timeout elapses on the virtual clock.
+            let timeout = self
+                .opts
+                .recovery
+                .watchdog_timeout(session.metrics.kernel_time);
+            self.gpu.record_failed_launch();
+            self.gpu.advance(timeout);
+            return Err(VppsError::RunTimedOut { waited: timeout });
         }
+        // A DRAM corruption is only detected by ECC *after* the run: the
+        // full body time is paid, but nothing would read the values, so none
+        // are computed.
+        let dram_fault = draw_fault(&mut self.faults, FaultKind::DramCorruption, self.gpu.now());
+        session.metrics.commit(&mut self.gpu);
+        if dram_fault {
+            return Err(VppsError::DeviceFault {
+                fault: FaultKind::DramCorruption,
+            });
+        }
+        cost.kernel_exec = self.gpu.now() - before;
+        self.kernel_metrics.merge(&session.metrics);
+        let arena = self.arenas[slot]
+            .take()
+            .unwrap_or_else(|| RegCache::new(plan.distribution()));
+        Ok(Prepared {
+            sweep: session.sweep,
+            arena,
+            slot,
+        })
+    }
 
-        // --- input + script transfer.
+    /// The transfer half of an attempt: charges the host scheduling of
+    /// `forward` and `backward` instructions, copies the graph's inputs to
+    /// their `layout` offsets, charges those and the `script_bytes` as H2D
+    /// copies, and draws the transfer and launch faults, in that order.
+    fn stage(
+        &mut self,
+        graph: &Graph,
+        train: bool,
+        layout: &BatchLayout,
+        (forward, backward, script_bytes): (usize, usize, usize),
+        cost: &mut PhaseBreakdown,
+    ) -> Result<(), VppsError> {
+        cost.forward_schedule += self.host.schedule(graph.len(), forward);
+        if train {
+            cost.backward_schedule += self.host.schedule(graph.len(), backward);
+        }
         let mut input_bytes = 0u64;
         for (id, node) in graph.iter() {
             if let Op::Input { values } = &node.op {
                 self.pool
-                    .slice_mut(prepared.layout().value_off[id.index()], node.dim)
+                    .slice_mut(layout.value_off[id.index()], node.dim)
                     .copy_from_slice(values);
                 input_bytes += (node.dim * 4) as u64;
             }
@@ -972,8 +955,6 @@ impl Handle {
             cost.script_copy += self.gpu.h2d_copy(input_bytes, TrafficTag::Activation);
         }
         cost.script_copy += self.gpu.h2d_copy(script_bytes as u64, TrafficTag::Script);
-
-        // --- fault draws, in fixed order so the stream is stable.
         if draw_fault(
             &mut self.faults,
             FaultKind::TransferCorruption,
@@ -991,85 +972,7 @@ impl Handle {
                 fault: FaultKind::LaunchFailure,
             });
         }
-
-        let cfg = ExecConfig {
-            learning_rate: self.opts.learning_rate,
-            weight_decay: self.opts.weight_decay,
-            apply_update: train,
-        };
-        let before = self.gpu.now();
-        // Prepare first: the session's analytic body time arms the watchdog.
-        // The lowered backend goes through the handle's artifact cache so
-        // repeated shapes skip lowering *and* the timeline sweep entirely.
-        let session = match &prepared {
-            Prepared::Warm(warm) => {
-                self.lowered.note_graph_hit();
-                let patches = warm.patches(graph, &self.tables);
-                engine::Session::from_warm(plan, warm, cfg, self.gpu.cost_model(), patches)
-            }
-            Prepared::Generated(gs) if backend == BackendKind::Lowered => {
-                let art = self.lowered.get_or_lower(plan, gs, self.gpu.cost_model());
-                self.lowered
-                    .install_graph(gs, graph, &self.tables, pool_len);
-                engine::Session::from_lowered(plan, gs, cfg, self.gpu.cost_model(), art)
-            }
-            Prepared::Generated(gs) => {
-                backend
-                    .backend()
-                    .prepare(plan, gs, cfg, self.gpu.cost_model())
-            }
-        };
-        if draw_fault(&mut self.faults, FaultKind::VppHang, self.gpu.now()) {
-            // The kernel launches, one CTA stops advancing, and the watchdog
-            // kills it after its timeout elapses on the virtual clock.
-            let timeout = self
-                .opts
-                .recovery
-                .watchdog_timeout(session.metrics.kernel_time);
-            self.gpu.record_failed_launch();
-            self.gpu.advance(timeout);
-            return Err(VppsError::RunTimedOut { waited: timeout });
-        }
-        // A DRAM corruption is only detected by ECC *after* the run: the
-        // full body time is paid and the caller must roll back.
-        let dram_fault = draw_fault(&mut self.faults, FaultKind::DramCorruption, self.gpu.now());
-        let slot = self.active;
-        if backend == BackendKind::Lowered && !dram_fault {
-            // A clean lowered attempt: the session's metrics are its whole
-            // cost, so they go on the clock now and the sweep is owed.
-            let arena = self.arenas[slot]
-                .take()
-                .unwrap_or_else(|| RegCache::new(plan.distribution()));
-            let (metrics, sweep) = session.into_lowered_sweep();
-            metrics.commit(&mut self.gpu);
-            return Ok(AttemptOk {
-                metrics,
-                prepared,
-                kernel_total: self.gpu.now() - before,
-                owed: Some(OwedSweep { sweep, arena, slot }),
-            });
-        }
-        let arena = self.arenas[slot].get_or_insert_with(|| RegCache::new(plan.distribution()));
-        let run = engine::run_prepared_in(
-            backend.backend(),
-            &session,
-            &mut self.pool,
-            model,
-            &mut self.gpu,
-            arena,
-        );
-        drop(session);
-        if dram_fault {
-            return Err(VppsError::DeviceFault {
-                fault: FaultKind::DramCorruption,
-            });
-        }
-        Ok(AttemptOk {
-            metrics: run.metrics,
-            prepared,
-            kernel_total: self.gpu.now() - before,
-            owed: None,
-        })
+        Ok(())
     }
 
     /// Charges one fault to the active plan; at the quarantine threshold the
@@ -1201,8 +1104,7 @@ impl Handle {
     /// Fallible [`Handle::infer_many`]: identical batching and bit-identity
     /// semantics, but pool exhaustion and unrecoverable faults come back as
     /// typed [`VppsError`]s. With fault injection armed, faulted attempts
-    /// retry / degrade exactly like [`Handle::try_fb`] (no checkpoint is
-    /// needed — inference never mutates parameters); the final rung is
+    /// retry / degrade exactly like [`Handle::try_fb`]; the final rung is
     /// launch-per-op forward execution on the host reference.
     ///
     /// # Errors
@@ -1609,13 +1511,12 @@ mod tests {
         let (g, loss) = lookup_graph(&m, tables, cls, &[5, 1, 5, 2], 1);
         let before: Vec<_> = m.lookups().map(|(_, l)| bits(&l.table)).collect();
         let mut cost = PhaseBreakdown::default();
-        let ok = h
-            .run_with_recovery(&mut m, &g, loss, true, &mut cost)
-            .unwrap();
+        let mut ok = h.run_with_recovery(&m, &g, loss, true, &mut cost).unwrap();
+        ok.sweep.run(&mut h.pool, &mut m, &mut ok.arena);
+        let layout = ok.sweep.layout();
         let mut reference = m.clone();
-        dense_lookup_reference(&h, &mut reference, &g, ok.prepared.layout());
+        dense_lookup_reference(&h, &mut reference, &g, layout);
         let rates = (h.opts.learning_rate, h.opts.weight_decay);
-        let layout = ok.prepared.layout();
         apply_lookup_updates(&mut m, &g, layout, &mut h.pool, &h.tables, rates);
 
         for ((id, got), (_, want)) in m.lookups().zip(reference.lookups()) {

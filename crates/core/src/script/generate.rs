@@ -12,6 +12,7 @@
 //! producer-consumer chain the paper describes.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dyn_graph::{Graph, LookupId, NodeId, Op};
 use vpps_tensor::{Pool, PoolOffset};
@@ -140,10 +141,10 @@ pub struct BatchLayout {
 /// statistics.
 #[derive(Debug, Clone)]
 pub struct GeneratedScript {
-    /// Per-VPP instruction streams.
-    pub scripts: ScriptSet,
-    /// Pool layout for this batch.
-    pub layout: BatchLayout,
+    /// Per-VPP instruction streams, shared with the interpreter's sweep.
+    pub scripts: Arc<ScriptSet>,
+    /// Pool layout for this batch, shared with its sweep and warm summary.
+    pub layout: Arc<BatchLayout>,
     /// Barriers allocated.
     pub num_barriers: u32,
     /// Compute instructions emitted during forward traversal.
@@ -941,8 +942,8 @@ fn generate_inner(
         vpps_obs::counter("script.wait_instrs").add(waits);
     }
     Ok(GeneratedScript {
-        scripts,
-        layout,
+        scripts: Arc::new(scripts),
+        layout: Arc::new(layout),
         num_barriers: next_barrier,
         forward_instructions,
         backward_instructions,

@@ -397,6 +397,10 @@ impl Instr {
     }
 
     /// Appends the encoding to `out`.
+    ///
+    /// No simulated path calls this: [`Instr::encoded_len`] prices the copy.
+    /// It is kept as the reference that size is checked against (the
+    /// round-trip and encoded-size tests), with [`Instr::decode`].
     pub fn encode(&self, out: &mut Vec<u8>) {
         let len = self.len_field();
         assert!(
@@ -726,6 +730,12 @@ impl ScriptSet {
     }
 
     /// Encodes header + all scripts into one transferable buffer.
+    ///
+    /// No simulated path calls this: the script copy to the device is
+    /// charged from [`ScriptSet::encoded_bytes`], a running tally. This is
+    /// the byte-level reference that tally is tested against
+    /// (`encoded_size_matches_prediction`, the round-trip proptests), kept
+    /// with [`ScriptSet::decode`] for that reason.
     pub fn encode(&self) -> Vec<u8> {
         let header_len = 4 * (self.scripts.len() + 1);
         let mut body = Vec::new();

@@ -13,6 +13,8 @@ pub mod cache;
 pub mod jit;
 pub mod source;
 
+use std::sync::Arc;
+
 use dyn_graph::Model;
 use gpu_sim::DeviceConfig;
 
@@ -109,7 +111,7 @@ pub enum GradStrategy {
 /// device.
 #[derive(Debug, Clone)]
 pub struct KernelPlan {
-    distribution: Distribution,
+    distribution: Arc<Distribution>,
     shapes: Vec<ParamShape>,
     grad_strategy: GradStrategy,
     source: KernelSource,
@@ -203,7 +205,7 @@ impl KernelPlan {
                             .set(jit.program_compile.as_secs());
                     }
                     return Ok(Self {
-                        distribution,
+                        distribution: Arc::new(distribution),
                         shapes,
                         grad_strategy,
                         source,
@@ -257,6 +259,12 @@ impl KernelPlan {
     /// The register distribution.
     pub fn distribution(&self) -> &Distribution {
         &self.distribution
+    }
+
+    /// The register distribution, for a sweep that outlives the borrow of
+    /// its plan.
+    pub(crate) fn shared_distribution(&self) -> Arc<Distribution> {
+        Arc::clone(&self.distribution)
     }
 
     /// Shapes of the distributed parameters.

@@ -13,8 +13,9 @@
 //! corrupted transfer caught by a checksum, an ECC-flagged DRAM word, a
 //! launch the driver rejected, a CTA the watchdog declared hung), not the
 //! corrupted bits themselves. That keeps recovered results bit-identical to
-//! fault-free runs — the recovery layer re-executes from a checkpoint instead
-//! of propagating garbage — which is what makes chaos runs self-validating.
+//! fault-free runs — a faulted attempt computes nothing and the recovery
+//! layer re-executes it instead of propagating garbage — which is what makes
+//! chaos runs self-validating.
 //!
 //! The RNG is a self-contained splitmix64 stream, deliberately independent of
 //! the workspace `rand` shim: fault draws must never perturb (or be perturbed

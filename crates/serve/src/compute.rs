@@ -176,7 +176,7 @@ mod tests {
             .dispatch(&mut model, &graph, &roots, false)
             .expect("a clean batch charges");
         // A replica whose `W` lost half its rows: the prologue load the
-        // owed sweep starts with cannot fill the register arena.
+        // sweep starts with cannot fill the register arena.
         let mut wrong = Model::new(7);
         wrong.add_matrix("W", 8, 16);
 

@@ -204,6 +204,14 @@ pub(crate) enum DeviceEvent {
     BreakerShed { batch: Vec<Pending>, at: SimTime },
 }
 
+/// Why [`DeviceModel::model`] is `Some` wherever a device dispatches or
+/// computes a batch: only a batch sent to the device's worker takes the
+/// replica, a device runs one batch at a time, and it joins that batch —
+/// `pump` before reporting it finished, `fail_over` when aborting it — which
+/// puts the replica back before the next batch starts. Without a worker the
+/// replica never leaves.
+const JOINED: &str = "the previous batch was joined";
+
 /// Per-(device, model) execution state: a full model replica behind a warm
 /// handle, plus the breaker guarding it.
 #[derive(Debug)]
@@ -659,9 +667,7 @@ impl Device {
         let start = now.max(self.busy_until);
         let wall_before = dm.handle.wall_time();
         let misses_before = dm.handle.lowered_cache_stats().script_misses;
-        // A device joins its batch before it starts the next one (`pump`
-        // and `fail_over` are the join points), so the replica is home.
-        let model = dm.model.as_mut().expect("the previous batch was joined");
+        let model = dm.model.as_mut().expect(JOINED);
         let result = dm.handle.dispatch(model, graph, roots, train);
         if train && result.is_ok() {
             // The loss arrives with the join; the drain is a clock matter.
@@ -751,11 +757,11 @@ impl Device {
     fn compute(&mut self, model: usize, compute: Compute, members: usize) -> Vec<Vec<f32>> {
         let dm = &mut self.models[model];
         let Some(line) = &self.line else {
-            let replica = dm.model.as_mut().expect("the previous batch was joined");
+            let replica = dm.model.as_mut().expect(JOINED);
             let done = compute.run(replica, &self.scratch.graph, &self.scratch.roots);
             return outputs(dm.handle.join(done), members);
         };
-        let replica = dm.model.take().expect("the previous batch was joined");
+        let replica = dm.model.take().expect(JOINED);
         line.send(compute, replica, std::mem::take(&mut self.scratch));
         self.computing = Some(model);
         Vec::new()

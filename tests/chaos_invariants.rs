@@ -3,21 +3,22 @@
 //! * a faulted training step either recovers to a correct result or returns
 //!   a **typed** error — it never panics, and the virtual clock stays
 //!   finite and monotone either way;
-//! * the watchdog converts a hung VPP into [`vpps::VppsError::RunTimedOut`]
-//!   and every timed-out attempt is rolled back;
+//! * the watchdog converts a hung VPP into [`vpps::VppsError::RunTimedOut`],
+//!   and no faulted attempt — hung or ECC-flagged — changes a parameter or a
+//!   lookup table;
 //! * a plan whose fault count crosses the quarantine threshold is re-JITted
 //!   **exactly once**, no matter how many more batches fault afterwards;
 //! * when recovery succeeds without ever reaching the baseline
-//!   (launch-per-op) rung, the recovered losses are bit-identical to a
-//!   fault-free run of the same trace — retries and the interpreter rungs
-//!   of the ladder are bit-exact re-executions;
+//!   (launch-per-op) rung, the recovered losses and parameters are
+//!   bit-identical to a fault-free run of the same trace — retries and the
+//!   interpreter rungs of the ladder are bit-exact re-executions;
 //! * circuit-breaker transitions are always legal and contiguous under
 //!   arbitrary outcome sequences;
 //! * fault journals attribute every event to the device whose stream drew
 //!   it: per-device journals are disjoint, decorrelated, and seed-stable,
 //!   and device 0 reproduces the single-device stream exactly.
 
-use dyn_graph::Model;
+use dyn_graph::{Graph, Model};
 use gpu_sim::SimTime;
 use proptest::prelude::*;
 use vpps::{
@@ -28,7 +29,7 @@ use vpps_serve::{BreakerState, CircuitBreaker};
 #[path = "support/graphgen.rs"]
 #[allow(dead_code)] // `arb_recipe` is used by the sibling suites only.
 mod graphgen;
-use graphgen::{build_from_recipe, small_device, GraphRecipe, DIM};
+use graphgen::{build_from_recipe, grow_recipe, small_device, GraphRecipe, DIM};
 
 fn tiny_model() -> Model {
     let mut model = Model::new(987);
@@ -116,38 +117,56 @@ fn certain_faults_yield_typed_errors_never_panics() {
     }
 }
 
-/// Every hung attempt is detected by the watchdog, counted, and rolled
-/// back, so a timed-out training step leaves no half-applied gradients.
+/// Every faulted attempt is counted and leaves nothing behind, whether it
+/// hung and the watchdog killed it or it ran to the end and ECC flagged it:
+/// on either backend, a training step whose every attempt faults (ladder
+/// off) fails typed and leaves the parameters and lookup tables bit for bit
+/// as they were before the batch.
 #[test]
 fn watchdog_counts_and_rolls_back_every_hung_attempt() {
-    let mut model = tiny_model();
-    let params_before: Vec<u32> = model
-        .params()
-        .flat_map(|(_, p)| p.value.as_slice().iter().map(|v| v.to_bits()))
-        .collect();
-    let faults = FaultConfig::parse("seed=5,hang=1.0").expect("valid spec");
-    let recovery = RecoveryPolicy {
-        fallback: false,
-        ..RecoveryPolicy::default()
+    let bits = |model: &Model| -> Vec<u32> {
+        let params = model
+            .params()
+            .flat_map(|(_, p)| p.value.as_slice().to_vec());
+        let tables = model
+            .lookups()
+            .flat_map(|(_, l)| l.table.as_slice().to_vec());
+        params.chain(tables).map(f32::to_bits).collect()
     };
-    let mut handle = handle_on(&model, BackendKind::EventInterp, faults, recovery);
-    let (g, loss) = build_from_recipe(&model, &fixed_recipe(2));
-    handle
-        .try_fb(&mut model, &g, loss)
-        .expect_err("every attempt hangs");
-    let stats = handle.recovery_stats();
-    let attempts = u64::from(RecoveryPolicy::default().max_attempts);
-    assert_eq!(stats.watchdog_timeouts, attempts);
-    assert_eq!(stats.rollbacks, attempts);
-    assert_eq!(stats.retries, attempts.saturating_sub(1));
-    let params_after: Vec<u32> = model
-        .params()
-        .flat_map(|(_, p)| p.value.as_slice().iter().map(|v| v.to_bits()))
-        .collect();
-    assert_eq!(
-        params_before, params_after,
-        "rolled-back attempts must not touch parameters"
-    );
+    let attempts = RecoveryPolicy::default().max_attempts;
+    for (spec, timeouts) in [("seed=5,hang=1.0", attempts), ("seed=5,dram=1.0", 0)] {
+        for backend in BackendKind::ALL {
+            let case = format!("{spec} on {}", backend.name());
+            let mut model = tiny_model();
+            let table = model.add_lookup("E", 5, DIM);
+            let before = bits(&model);
+            let faults = FaultConfig::parse(spec).expect("valid spec");
+            let recovery = RecoveryPolicy {
+                fallback: false,
+                ..RecoveryPolicy::default()
+            };
+            let mut handle = handle_on(&model, backend, faults, recovery);
+            let mut g = Graph::new();
+            let x = g.input(vec![0.25; DIM]);
+            let e = g.lookup(&model, table, 3);
+            let loss = grow_recipe(&mut g, &model, &fixed_recipe(2), vec![x, e], 1);
+            let err = handle
+                .try_fb(&mut model, &g, loss)
+                .expect_err("every attempt faults");
+            assert!(
+                matches!(err, VppsError::RetriesExhausted { attempts: n, .. } if n == attempts),
+                "{case}: {err}"
+            );
+            let stats = handle.recovery_stats();
+            assert_eq!(stats.watchdog_timeouts, u64::from(timeouts), "{case}");
+            assert_eq!(stats.rollbacks, u64::from(attempts), "{case}");
+            assert_eq!(stats.retries, u64::from(attempts - 1), "{case}");
+            assert!(
+                bits(&model) == before,
+                "{case}: a faulted attempt changed a parameter or a table"
+            );
+        }
+    }
 }
 
 /// A quarantined plan is evicted and re-JITted exactly once: later faults on
@@ -185,11 +204,14 @@ fn quarantined_plan_is_rejitted_exactly_once() {
 }
 
 /// When the recovery ladder succeeds without ever touching the baseline
-/// rung, the recovered losses are bit-identical to a fault-free run: the
-/// retry and interpreter-fallback rungs re-execute exactly.
+/// rung, the recovered losses and final parameters are bit-identical to a
+/// fault-free run: the retry and interpreter-fallback rungs re-execute
+/// exactly. Two fault profiles: every kind at a moderate rate, and DRAM
+/// corruption alone — the fault detected only after a full run, whose
+/// attempt must compute nothing the retry could see.
 #[test]
 fn non_baseline_recovery_is_bit_identical_to_fault_free() {
-    let trace = |faults: FaultConfig| -> (Vec<u32>, vpps::RecoveryStats) {
+    let trace = |faults: FaultConfig| -> (Vec<u32>, Vec<u32>, Handle) {
         let mut model = tiny_model();
         // The Lowered backend gives two bit-exact rungs (Lowered, then
         // EventInterp) before the fp-close baseline, so a moderate fault
@@ -208,23 +230,43 @@ fn non_baseline_recovery_is_bit_identical_to_fault_free() {
                 .expect("ladder absorbs moderate fault rates");
             losses.push(handle.sync_get_latest_loss().to_bits());
         }
-        (losses, handle.recovery_stats())
+        let params = model
+            .params()
+            .flat_map(|(_, p)| p.value.as_slice().iter().map(|v| v.to_bits()))
+            .collect();
+        (losses, params, handle)
     };
-    let (clean, clean_stats) = trace(FaultConfig::disabled());
-    assert_eq!(clean_stats, vpps::RecoveryStats::default());
-    let mut faults = FaultConfig::uniform(23, 0.1);
-    faults.jit_failure = 0.0; // keep re-JIT deterministic in this trace
-    let (faulty, stats) = trace(faults);
-    assert!(stats.retries > 0, "the fault rate must actually bite");
-    assert_eq!(
-        stats.baseline_fallbacks, 0,
-        "premise: recovery stayed on bit-exact rungs (retune the seed/rate \
-         if this starts failing)"
-    );
-    assert_eq!(
-        clean, faulty,
-        "recovery via retries and interpreter rungs must be bit-exact"
-    );
+    let (clean_losses, clean_params, clean) = trace(FaultConfig::disabled());
+    assert_eq!(clean.recovery_stats(), vpps::RecoveryStats::default());
+    let mut every_kind = FaultConfig::uniform(23, 0.1);
+    every_kind.jit_failure = 0.0; // keep re-JIT deterministic in this trace
+    let dram_only = FaultConfig::parse("seed=7,dram=0.3").expect("valid spec");
+    for (faults, kind) in [
+        (every_kind, None),
+        (dram_only, Some(FaultKind::DramCorruption)),
+    ] {
+        let (losses, params, handle) = trace(faults);
+        let stats = handle.recovery_stats();
+        let profile = handle.fault_profile().expect("armed");
+        let injected = kind.map_or(profile.total_injected(), |k| profile.injected(k));
+        assert!(
+            stats.retries > 0 && injected > 0,
+            "premise: the fault rate must actually bite ({kind:?}): {stats:?}"
+        );
+        assert_eq!(
+            stats.baseline_fallbacks, 0,
+            "premise: recovery stayed on bit-exact rungs (retune the seed/rate \
+             if this starts failing)"
+        );
+        assert_eq!(
+            clean_losses, losses,
+            "recovery via retries and interpreter rungs must be bit-exact"
+        );
+        assert!(
+            clean_params == params,
+            "recovered training must end on the fault-free parameters"
+        );
+    }
 }
 
 /// Per-device fault journals are correctly attributed, mutually disjoint in

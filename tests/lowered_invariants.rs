@@ -18,7 +18,7 @@
 //!   points; every structural input of the generator is in the key.
 //! * **Persistent arena** — a `Handle` keeping one register arena per plan
 //!   between batches computes exactly what a fresh arena per call computes,
-//!   across plan switches and through faulted, rolled-back attempts.
+//!   across plan switches and through faulted attempts.
 //! * **Graph-keyed warm path** — a `Handle` whose cache finds a batch's
 //!   artifact from the batch graph (no script generation) is
 //!   indistinguishable, on both clocks' simulated side, from one that
@@ -164,16 +164,16 @@ proptest! {
     /// Any interleaving of `fb` and `infer` on one `Handle` gives the loss,
     /// output and parameter bits of the same calls made with a fresh arena
     /// each: under a fixed plan, while the rpw profiler switches plans (each
-    /// plan must get its own arena), and while certain-to-occur DRAM faults
-    /// force rollbacks and a quarantine re-JIT (the gradients a failed
-    /// attempt left in the arena must not reach the retry).
+    /// plan must get its own arena), and while frequent DRAM faults force
+    /// retries and a quarantine re-JIT (a faulted attempt must leave nothing
+    /// the retry reads).
     #[test]
     fn persistent_arena_matches_fresh_arena_per_call(
         first in arb_recipe(),
         rest in prop::collection::vec((arb_recipe(), any::<bool>()), 2..6),
     ) {
         // Every attempt draws a DRAM fault with p = 0.6, detected after the
-        // kernel ran and its epilogue updated the parameters. 32 attempts
+        // kernel's full run time, so the attempt computes nothing. 32 attempts
         // per rung and two bit-exact rungs (Lowered, EventInterp) keep the
         // launch-per-op baseline out of reach; threshold 1 re-JITs on the
         // first fault.
@@ -224,7 +224,7 @@ proptest! {
             let stats = handle.recovery_stats();
             prop_assert_eq!(stats.baseline_fallbacks, 0, "stayed on bit-exact rungs");
             if faults.enabled {
-                prop_assert!(stats.rollbacks > 0, "a faulted fb was rolled back");
+                prop_assert!(stats.rollbacks > 0, "an fb attempt faulted and was retried");
                 prop_assert_eq!(stats.rejits, 1, "the plan was quarantined and re-JITted");
             } else if rpw == RpwMode::Profile && calls.iter().filter(|c| c.1).count() > 1 {
                 prop_assert!(plans_used.len() > 1, "the profiler switched plans");
@@ -312,7 +312,7 @@ proptest! {
     /// recovery and cache tallies of a `Handle` that generates every batch:
     /// under a fixed plan, while the profiler switches plans, with a
     /// two-script cache (evict, miss, re-install), and while DRAM faults
-    /// force rollbacks and a quarantine re-JIT.
+    /// force retries and a quarantine re-JIT.
     #[test]
     fn graph_keyed_hit_is_bit_identical_to_generated_path(
         recipes in prop::collection::vec(arb_recipe(), 3),

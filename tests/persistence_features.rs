@@ -4,7 +4,7 @@
 
 use dyn_graph::{load_model, save_model, Graph, Model, NodeId, Trainer};
 use gpu_sim::{DeviceConfig, GpuSim};
-use vpps::engine::{run_batch_traced, EventInterp};
+use vpps::engine::run_batch_traced;
 use vpps::exec::interp::ExecConfig;
 use vpps::script::{generate, TableLayout};
 use vpps::{KernelPlan, PlanCache};
@@ -51,7 +51,6 @@ fn kernel_cache_amortizes_jit_across_sessions() {
     let gs = generate::generate(&g, loss, &plan2, &mut pool, &tables).unwrap();
     let mut gpu = GpuSim::new(device());
     let (run, _) = run_batch_traced(
-        &EventInterp,
         &plan2,
         &gs,
         &mut pool,
@@ -123,7 +122,6 @@ fn kernel_trace_captures_the_whole_timeline() {
 
     let mut gpu = GpuSim::new(device());
     let (run, trace) = run_batch_traced(
-        &EventInterp,
         &plan,
         &gs,
         &mut pool,

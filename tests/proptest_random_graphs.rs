@@ -111,6 +111,6 @@ proptest! {
         let gs = generate::generate(&g, loss, &plan, &mut pool, &tables).expect("fits");
         let encoded = gs.scripts.encode();
         let decoded = vpps::script::ScriptSet::decode(&encoded, gs.scripts.num_vpps());
-        prop_assert_eq!(decoded, gs.scripts);
+        prop_assert_eq!(&decoded, &*gs.scripts);
     }
 }

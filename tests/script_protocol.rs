@@ -7,6 +7,8 @@
 //! Also pins the loss-derivative seed for the six ops whose backward pass
 //! never seeded it: `Handle::fb` must train them like the reference.
 
+use std::sync::Arc;
+
 use dyn_graph::{Graph, Model, NodeId, Trainer};
 use gpu_sim::DeviceConfig;
 use vpps::script::{generate, validate_protocol, Instr, ProtocolError, ScriptSet, TableLayout};
@@ -30,7 +32,7 @@ fn scripts(
     root: NodeId,
     strategy: GradStrategy,
     train: bool,
-) -> (KernelPlan, ScriptSet) {
+) -> (KernelPlan, Arc<ScriptSet>) {
     let plan = KernelPlan::build_forced(model, &small_device(), 1, strategy).expect("fits");
     let mut pool = Pool::with_capacity(1 << 20);
     let tables = TableLayout::install(model, &mut pool).expect("fits");

@@ -852,12 +852,12 @@ fn virtual_timeline_is_pinned_across_commits() {
     );
 }
 
-/// A 4-device closed loop: 12 clients, each submitting its next request the
-/// instant its last one resolves (or one linger after a shed), 96 requests
-/// over both models with every fourth one training, and a crash on device
-/// 2 while batches are out. Drained, on `workers` background compute
-/// threads.
-fn closed_loop_crash_run(workers: usize) -> (Server, [ModelId; 2]) {
+/// A 4-device closed loop on the lowered backend: 12 clients, each
+/// submitting its next request the instant its last one resolves (or one
+/// linger after a shed), 96 requests over both models with every fourth one
+/// training, under what `tweak` adds to the configuration. Drained, on
+/// `workers` background compute threads.
+fn closed_loop_run(workers: usize, tweak: impl FnOnce(&mut ServeConfig)) -> (Server, [ModelId; 2]) {
     const CLIENTS: usize = 12;
     const REQUESTS: u32 = 96;
     let spec = RunSpec {
@@ -868,12 +868,6 @@ fn closed_loop_crash_run(workers: usize) -> (Server, [ModelId; 2]) {
         tenant_quota: 64,
         deadline_us: 0,
     };
-    let crash = OutageWindow {
-        device: 2,
-        kind: OutageKind::Crash,
-        start: SimTime::from_us(120.0),
-        end: SimTime::from_us(900.0),
-    };
     let workload = TwoModelWorkload::new();
     let (mut server, mids) = server_on(
         &spec,
@@ -881,7 +875,7 @@ fn closed_loop_crash_run(workers: usize) -> (Server, [ModelId; 2]) {
         4,
         BackendKind::Lowered,
         Some(workers),
-        |cfg: &mut ServeConfig| cfg.opts.faults.push_outage(crash).expect("one window fits"),
+        tweak,
     );
     server.enable_tracing(1 << 14, 1);
     let linger = SimTime::from_us(f64::from(spec.linger_us));
@@ -981,11 +975,12 @@ fn run_fingerprint(server: &mut Server, mids: [ModelId; 2], devices: usize) -> S
 }
 
 /// How many threads compute batch values changes no byte: the pinned chaos
-/// run and a 4-device closed-loop crash run with training, each on the
-/// lowered backend (whose clean sweeps leave the event thread) with 0, 1
-/// and 3 background compute workers, agree on every outcome, trace event,
-/// device and cache tally and replica parameter — and the pinned run keeps
-/// its pinned timeline.
+/// run, a 4-device closed-loop crash run with training, and the same closed
+/// loop under DRAM and hang faults with the degradation ladder on — whose
+/// batches also compute on the `EventInterp` rung — each on the lowered
+/// backend with 0, 1 and 3 background compute workers, agree on every
+/// outcome, trace event, device and cache tally and replica parameter — and
+/// the pinned run keeps its pinned timeline.
 #[test]
 fn compute_worker_count_changes_no_byte() {
     let pinned = |workers| {
@@ -1001,28 +996,55 @@ fn compute_worker_count_changes_no_byte() {
         let mids = [ModelId(0), ModelId(1)];
         run_fingerprint(&mut server, mids, 3)
     };
-    let closed = |workers| {
-        let (mut server, mids) = closed_loop_crash_run(workers);
+    let trained = |server: &Server| {
+        server
+            .outcomes()
+            .iter()
+            .filter_map(Outcome::completion)
+            .any(|c| c.kind == RequestKind::Train)
+    };
+    let crashed = |workers| {
+        let crash = OutageWindow {
+            device: 2,
+            kind: OutageKind::Crash,
+            start: SimTime::from_us(120.0),
+            end: SimTime::from_us(900.0),
+        };
+        let (mut server, mids) = closed_loop_run(workers, |cfg| {
+            cfg.opts.faults.push_outage(crash).expect("one window fits");
+        });
         assert!(server.redispatched_batches() > 0, "the crash aborted work");
-        assert!(
-            server
-                .outcomes()
-                .iter()
-                .filter_map(Outcome::completion)
-                .any(|c| c.kind == RequestKind::Train),
-            "training batches completed"
-        );
+        assert!(trained(&server), "training batches completed");
         run_fingerprint(&mut server, mids, 4)
     };
-    let (pinned_inline, closed_inline) = (pinned(0), closed(0));
+    let degraded = |workers| {
+        let (mut server, mids) = closed_loop_run(workers, |cfg| {
+            cfg.opts.faults = vpps::FaultConfig::parse("seed=7,dram=0.3,hang=0.2").expect("valid");
+        });
+        let fallbacks: u64 = mids
+            .iter()
+            .map(|&mid| server.recovery_stats(mid).backend_fallbacks)
+            .sum();
+        assert!(
+            fallbacks > 0,
+            "premise: batches degraded to the interpreter"
+        );
+        assert!(trained(&server), "training batches completed");
+        run_fingerprint(&mut server, mids, 4)
+    };
+    let inline = (pinned(0), crashed(0), degraded(0));
     for workers in [1, 3] {
         assert!(
-            pinned(workers) == pinned_inline,
+            pinned(workers) == inline.0,
             "pinned run on {workers} workers"
         );
         assert!(
-            closed(workers) == closed_inline,
-            "closed loop on {workers} workers"
+            crashed(workers) == inline.1,
+            "crash run on {workers} workers"
+        );
+        assert!(
+            degraded(workers) == inline.2,
+            "degraded run on {workers} workers"
         );
     }
 }
