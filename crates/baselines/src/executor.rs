@@ -2,7 +2,6 @@
 
 use dyn_graph::{exec as refexec, Graph, Model, NodeId, Trainer};
 use gpu_sim::{DeviceConfig, GpuSim, HostCostModel, Metrics, SimTime};
-use vpps::Engine;
 
 use crate::groups::{group_graph, Strategy};
 use crate::kernels;
@@ -68,11 +67,6 @@ impl BaselineExecutor {
             wall: SimTime::ZERO,
             batches: 0,
         }
-    }
-
-    /// Sets the weight decay (mirrors [`dyn_graph::Trainer`]).
-    pub fn set_weight_decay(&mut self, wd: f32) {
-        self.trainer = Trainer::new(self.trainer.learning_rate).with_weight_decay(wd);
     }
 
     /// Trains one batch super-graph: forward, backward, update. Returns the
@@ -163,28 +157,6 @@ impl BaselineExecutor {
 
     /// Batches trained.
     pub fn batches(&self) -> u64 {
-        self.batches
-    }
-}
-
-impl Engine for BaselineExecutor {
-    fn system(&self) -> String {
-        self.strategy.name().to_string()
-    }
-
-    fn train_batch(&mut self, model: &mut Model, graph: &Graph, loss: NodeId) -> f32 {
-        BaselineExecutor::train_batch(self, model, graph, loss)
-    }
-
-    fn metrics(&self) -> Metrics {
-        BaselineExecutor::metrics(self)
-    }
-
-    fn wall_time(&self) -> SimTime {
-        self.wall
-    }
-
-    fn batches(&self) -> u64 {
         self.batches
     }
 }
@@ -368,19 +340,5 @@ mod tests {
         // Baselines have no signal/wait protocol.
         assert_eq!(metrics.barrier_stall, SimTime::ZERO);
         assert_eq!(metrics.imbalance.total(), 0);
-    }
-
-    #[test]
-    fn engine_trait_reports_the_strategy_name() {
-        use vpps::Engine;
-        let (mut m, w, cls) = toy();
-        let mut exec = BaselineExecutor::new(DeviceConfig::titan_v(), Strategy::AgendaBased, 0.1);
-        let eng: &mut dyn Engine = &mut exec;
-        assert_eq!(eng.system(), "DyNet-AB");
-        let (g, l) = chain(&m, w, cls, 2);
-        let loss = eng.train_batch(&mut m, &g, l);
-        assert!(loss > 0.0);
-        assert_eq!(eng.batches(), 1);
-        assert!(eng.metrics().device_time() > SimTime::ZERO);
     }
 }

@@ -4,7 +4,7 @@
 use dyn_graph::{Graph, Model, NodeId, Op};
 use gpu_sim::{DeviceConfig, Metrics, SimTime};
 use vpps::script::{generate, GeneratedScript, SchedulePolicy, TableLayout};
-use vpps::{BackendKind, Engine, Handle, KernelPlan, PhaseBreakdown, RpwMode, VppsOptions};
+use vpps::{BackendKind, Handle, KernelPlan, PhaseBreakdown, RpwMode, VppsOptions};
 use vpps_baselines::{BaselineExecutor, Strategy};
 use vpps_obs::Json;
 use vpps_tensor::Pool;
@@ -218,7 +218,7 @@ pub fn run_baseline(
     for (g, l) in &app.batch_graphs(batch_size) {
         final_loss = exec.train_batch(&mut model, g, *l);
     }
-    let wall = Engine::wall_time(&exec);
+    let wall = exec.wall_time();
     let inputs = app.num_inputs();
     let metrics = exec.metrics();
     RunResult {

@@ -12,9 +12,10 @@
 //!   scripts once into a [`Session`]: the full per-VPP timeline, the kernel
 //!   body time and a complete [`gpu_sim::Metrics`] record (DRAM traffic by
 //!   tag, launch count, barrier-stall time, load-imbalance histogram).
-//! * `Sweep::run` — the one place a batch's values are computed — loads
-//!   the register cache, executes the script phase against the memory pool
-//!   and applies the in-register update.
+//! * `Sweep::run` computes a batch's values: it loads the register cache,
+//!   executes the script phase against the memory pool and applies the
+//!   in-register update. [`crate::Compute::run`] calls it on every rung of
+//!   the recovery ladder but the last, launch-per-op one.
 //!
 //! Because timing and traffic are computed analytically in `prepare` (every
 //! instruction's cost is data-independent), both backends report **identical
@@ -22,11 +23,6 @@
 //! is carried out. [`run_batch`] drives one batch: prepare, sweep, and the
 //! single [`gpu_sim::Metrics::commit`] that posts the batch to the simulated
 //! device.
-//!
-//! The batch-level [`Engine`] trait is the corresponding abstraction one
-//! level up: anything that can train a batch graph and report unified
-//! metrics — the VPPS [`crate::Handle`] or a DyNet-style baseline executor —
-//! so benchmark tables compare numbers produced by identical plumbing.
 
 pub mod backends;
 pub mod lowered;
@@ -36,7 +32,7 @@ pub mod timeline;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use dyn_graph::{Graph, Model, NodeId};
+use dyn_graph::Model;
 use gpu_sim::{CostModel, GpuSim, ImbalanceHistogram, Metrics, SimTime, TrafficTag};
 use vpps_tensor::{Pool, PoolOffset};
 
@@ -422,26 +418,4 @@ impl Sweep {
             arena.apply_updates(model, learning_rate, weight_decay);
         }
     }
-}
-
-/// A batch-level training system with unified measurement plumbing.
-///
-/// Implemented by the VPPS [`crate::Handle`] and by the DyNet-style baseline
-/// executors, so experiment harnesses extract throughput, traffic and launch
-/// counts the same way for every system they compare.
-pub trait Engine {
-    /// Display name of the system ("VPPS", "DyNet-AB", ...).
-    fn system(&self) -> String;
-
-    /// Trains one batch graph and returns its loss.
-    fn train_batch(&mut self, model: &mut Model, graph: &Graph, loss: NodeId) -> f32;
-
-    /// Cumulative unified metrics over all batches so far.
-    fn metrics(&self) -> Metrics;
-
-    /// Simulated wall time over all batches so far.
-    fn wall_time(&self) -> SimTime;
-
-    /// Batches processed so far.
-    fn batches(&self) -> u64;
 }

@@ -23,7 +23,8 @@
 //! so the dispatch path is split at that boundary: [`Handle::dispatch`]
 //! charges the batch and returns its value half as a [`Compute`], which
 //! [`Compute::run`] computes — on any thread — and [`Handle::join`] takes
-//! back. [`Handle::try_fb`] and [`Handle::try_infer_many`] are the three in
+//! back — on every rung of the recovery ladder, the launch-per-op baseline
+//! included. [`Handle::try_fb`] and [`Handle::infer_many`] are the three in
 //! a row.
 
 use std::collections::{HashMap, HashSet};
@@ -39,7 +40,7 @@ use vpps_tensor::ops::sgd_step;
 use vpps_tensor::Pool;
 
 use crate::engine::recovery::{self, RecoveryPolicy, RecoveryStats};
-use crate::engine::{self, BackendKind, Engine, Script, Session, Sweep};
+use crate::engine::{self, BackendKind, Script, Session, Sweep};
 use crate::error::VppsError;
 use crate::exec::fallback::{charge_gemm_fallback, gemm_fallback_values};
 use crate::exec::interp::ExecConfig;
@@ -265,33 +266,29 @@ pub enum Output {
 }
 
 /// The value half of one batch, returned by [`Handle::dispatch`] once the
-/// batch is on the clock: the sweep of its clean attempt, then the epilogue —
-/// training's GEMM-fallback arithmetic and lookup-table update, or
-/// inference's root reads. It owns the handle's memory pool (and the sweep's
-/// register arena) until [`Handle::join`] takes them back, so it can be
-/// computed on another thread.
+/// batch is on the clock: the sweep of its clean attempt — or, on the
+/// ladder's last rung, launch-per-op execution on the host reference — then
+/// the training step or the root reads. It owns the handle's memory pool
+/// (and the sweep's register arena) until [`Handle::join`] takes them back,
+/// so it can be computed on another thread.
 #[derive(Debug)]
 pub struct Compute {
     pool: Pool,
-    epilogue: Epilogue,
+    /// The clean attempt, or `None` on the baseline rung.
+    prepared: Option<Prepared>,
+    /// A training batch's step, or `None` for inference.
+    update: Option<Update>,
 }
 
-/// What [`Compute::run`] does.
+/// How a training batch steps what its sweep did not: GEMM-fallback
+/// parameters (`gemm`) and the lookup tables — or, on the baseline rung,
+/// every parameter.
 #[derive(Debug)]
-enum Epilogue {
-    /// Nothing: the baseline rung computed the output inline.
-    Done(Output),
-    /// Sweep, read the loss, step GEMM-fallback parameters (`gemm`) and the
-    /// lookup tables.
-    Train {
-        prepared: Prepared,
-        gemm: bool,
-        tables: Arc<TableLayout>,
-        learning_rate: f32,
-        weight_decay: f32,
-    },
-    /// Sweep, read the roots.
-    Infer(Prepared),
+struct Update {
+    gemm: bool,
+    tables: Arc<TableLayout>,
+    learning_rate: f32,
+    weight_decay: f32,
 }
 
 impl Compute {
@@ -299,43 +296,52 @@ impl Compute {
     /// what the batch was dispatched with. Nothing here reads or moves a
     /// clock.
     pub fn run(self, model: &mut Model, graph: &Graph, roots: &[NodeId]) -> Computed {
-        let Compute { mut pool, epilogue } = self;
-        let (output, prepared) = match epilogue {
-            Epilogue::Done(output) => (output, None),
-            Epilogue::Train {
-                mut prepared,
-                gemm,
-                tables,
-                learning_rate,
-                weight_decay,
-            } => {
-                prepared.sweep.run(&mut pool, model, &mut prepared.arena);
-                let layout = prepared.sweep.layout();
-                let loss = pool.slice(prepared.sweep.loss_offset(), 1)[0];
-                if gemm {
-                    gemm_fallback_values(layout, &pool, model, learning_rate, weight_decay);
+        let Compute {
+            mut pool,
+            mut prepared,
+            update,
+        } = self;
+        let output = match (&mut prepared, update) {
+            (Some(p), update) => {
+                p.sweep.run(&mut pool, model, &mut p.arena);
+                let layout = p.sweep.layout();
+                match update {
+                    Some(u) => {
+                        let loss = pool.slice(p.sweep.loss_offset(), 1)[0];
+                        let (lr, wd) = (u.learning_rate, u.weight_decay);
+                        if u.gemm {
+                            gemm_fallback_values(layout, &pool, model, lr, wd);
+                        }
+                        apply_lookup_updates(model, graph, layout, &mut pool, &u.tables, (lr, wd));
+                        Output::Loss(loss)
+                    }
+                    None => Output::Roots(
+                        roots
+                            .iter()
+                            .map(|r| {
+                                let dim = graph.node(*r).dim;
+                                pool.slice(layout.value_off[r.index()], dim).to_vec()
+                            })
+                            .collect(),
+                    ),
                 }
-                apply_lookup_updates(
-                    model,
-                    graph,
-                    layout,
-                    &mut pool,
-                    &tables,
-                    (learning_rate, weight_decay),
-                );
-                (Output::Loss(loss), Some(prepared))
             }
-            Epilogue::Infer(mut prepared) => {
-                prepared.sweep.run(&mut pool, model, &mut prepared.arena);
-                let layout = prepared.sweep.layout();
-                let value = |root: &NodeId| {
-                    let dim = graph.node(*root).dim;
-                    pool.slice(layout.value_off[root.index()], dim).to_vec()
-                };
-                (
-                    Output::Roots(roots.iter().map(value).collect()),
-                    Some(prepared),
-                )
+            // The ladder's last rung: DyNet-style launch-per-op execution on
+            // the host reference executor (deterministic; numerically — not
+            // bitwise — equivalent to the persistent kernel).
+            (None, Some(u)) => {
+                let loss = dyn_graph::exec::forward_backward(graph, model, roots[0]);
+                Trainer {
+                    learning_rate: u.learning_rate,
+                    weight_decay: u.weight_decay,
+                }
+                .update(model);
+                u.tables.refresh(model, &mut pool);
+                Output::Loss(loss)
+            }
+            (None, None) => {
+                let values = dyn_graph::exec::forward(graph, model);
+                Output::Roots(roots.iter().map(|r| values[r.index()].clone()).collect())
             }
         };
         Computed {
@@ -586,18 +592,17 @@ impl Handle {
     /// `roots[0]`) or an inference batch reading every node of `roots`: the
     /// graph-construction charge, the recovery loop, and the epilogue's
     /// GEMM-fallback launches — or, when the loop exhausts its retries and
-    /// the ladder is on, the launch-per-op baseline rung. Ends in the one
-    /// step that writes the clocks, errors included. What the batch still
-    /// has to compute comes back as a [`Compute`]; every simulated fact
-    /// about it — the clocks, the [`PhaseBreakdown`], the metrics, `Ok` or
-    /// `Err` — is already fixed, since no charge depends on a value. The
-    /// clean attempt's sweep, on either backend and any rung, is left to the
-    /// `Compute`; a faulted attempt computes nothing, and only the baseline
-    /// rung computes its output here.
+    /// the ladder is on, the launches of the launch-per-op baseline rung.
+    /// Ends in the one step that writes the clocks, errors included. What
+    /// the batch still has to compute comes back as a [`Compute`]; every
+    /// simulated fact about it — the clocks, the [`PhaseBreakdown`], the
+    /// metrics, `Ok` or `Err` — is already fixed, since no charge depends on
+    /// a value. Nothing here computes a value: a faulted attempt computes
+    /// nothing, and every rung's values are the `Compute`'s.
     ///
     /// # Errors
     ///
-    /// As [`Handle::try_fb`] / [`Handle::try_infer_many`].
+    /// As [`Handle::try_fb`].
     ///
     /// # Panics
     ///
@@ -605,7 +610,7 @@ impl Handle {
     /// has not been joined yet: it holds the memory pool.
     pub fn dispatch(
         &mut self,
-        model: &mut Model,
+        model: &Model,
         graph: &Graph,
         roots: &[NodeId],
         train: bool,
@@ -618,7 +623,7 @@ impl Handle {
             graph_construction: self.host.graph_construction(graph.len()),
             ..PhaseBreakdown::default()
         };
-        let run = match self.run_with_recovery(model, graph, roots[0], train, &mut cost) {
+        let prepared = match self.run_with_recovery(model, graph, roots[0], train, &mut cost) {
             Ok(ok) => Some(ok),
             Err(VppsError::RetriesExhausted { .. }) if self.opts.recovery.fallback => None,
             Err(e) => {
@@ -627,30 +632,15 @@ impl Handle {
             }
         };
         let epilogue_before = self.gpu.now();
-        let epilogue = match run {
-            Some(prepared) if train => {
-                let plan = &self.plans[self.active];
-                let gemm = plan.grad_strategy() == GradStrategy::GemmFallback;
-                if gemm {
-                    charge_gemm_fallback(plan, prepared.sweep.layout(), &mut self.gpu);
-                }
-                Epilogue::Train {
-                    prepared,
-                    gemm,
-                    tables: Arc::clone(&self.tables),
-                    learning_rate: self.opts.learning_rate,
-                    weight_decay: self.opts.weight_decay,
-                }
+        let plan = &self.plans[self.active];
+        let gemm = plan.grad_strategy() == GradStrategy::GemmFallback;
+        match &prepared {
+            Some(p) if train && gemm => {
+                charge_gemm_fallback(plan, p.sweep.layout(), &mut self.gpu);
             }
-            Some(prepared) => Epilogue::Infer(prepared),
-            // Bottom of the ladder: launch-per-op execution on the host
-            // reference executor (deterministic; numerically — not bitwise
-            // — equivalent to the persistent kernel).
-            None if train => {
-                Epilogue::Done(Output::Loss(self.baseline_train(model, graph, roots[0])))
-            }
-            None => Epilogue::Done(Output::Roots(self.baseline_infer(model, graph, roots))),
-        };
+            Some(_) => {}
+            None => self.charge_baseline(model, graph),
+        }
         cost.fallback_exec = self.gpu.now() - epilogue_before;
         self.charge(
             if train { Charge::Train } else { Charge::Infer },
@@ -660,7 +650,13 @@ impl Handle {
         self.lent = true;
         Ok(Compute {
             pool: mem::replace(&mut self.pool, Pool::with_capacity(0)),
-            epilogue,
+            prepared,
+            update: train.then(|| Update {
+                gemm,
+                tables: Arc::clone(&self.tables),
+                learning_rate: self.opts.learning_rate,
+                weight_decay: self.opts.weight_decay,
+            }),
         })
     }
 
@@ -1002,28 +998,16 @@ impl Handle {
         Ok(())
     }
 
-    /// The ladder's last rung: DyNet-style launch-per-op training on the
-    /// host reference executor. Per-op kernels hold no persistent register
-    /// state to poison, so this rung is modeled fault-free — it terminates
-    /// the recovery recursion by construction.
-    fn baseline_train(&mut self, model: &mut Model, graph: &Graph, loss: NodeId) -> f32 {
+    /// Charges the ladder's last rung: DyNet-style launch-per-op execution
+    /// of `graph` on the host reference executor, one kernel per node,
+    /// weights re-read from DRAM on every matvec — the §II cost structure
+    /// VPPS exists to avoid, acceptable as a last resort. Per-op kernels hold
+    /// no persistent register state to poison, so this rung is modeled
+    /// fault-free — it terminates the recovery recursion by construction.
+    /// [`Compute::run`] computes its values.
+    fn charge_baseline(&mut self, model: &Model, graph: &Graph) {
         self.rec.stats.baseline_fallbacks += 1;
         vpps_obs::counter("recover.fallback.baseline").incr();
-        let loss_val = dyn_graph::exec::forward_backward(graph, model, loss);
-        self.charge_baseline_launches(model, graph);
-        Trainer {
-            learning_rate: self.opts.learning_rate,
-            weight_decay: self.opts.weight_decay,
-        }
-        .update(model);
-        self.tables.refresh(model, &mut self.pool);
-        loss_val
-    }
-
-    /// Charges the launch-per-op cost of one baseline-executed graph: one
-    /// kernel per node, weights re-read from DRAM on every matvec — the §II
-    /// cost structure VPPS exists to avoid, acceptable as a last resort.
-    fn charge_baseline_launches(&mut self, model: &Model, graph: &Graph) {
         for (_, node) in graph.iter() {
             let weight_bytes = match node.op {
                 Op::MatVec { w } => (model.param(w).value.as_slice().len() * 4) as u64,
@@ -1055,24 +1039,6 @@ impl Handle {
             .expect("one root")
     }
 
-    /// Fallible [`Handle::infer`]; see [`Handle::try_infer_many`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Handle::try_infer_many`].
-    pub fn try_infer(
-        &mut self,
-        model: &mut Model,
-        graph: &Graph,
-        root: NodeId,
-    ) -> Result<Vec<f32>, VppsError> {
-        // Unreachable because `try_infer_many` returns one value per root.
-        Ok(self
-            .try_infer_many(model, graph, &[root])?
-            .pop()
-            .expect("one root"))
-    }
-
     /// Batch inference dispatch: executes `graph` (typically a super-graph
     /// absorbed from several independent request graphs) with **one**
     /// generated script and **one** persistent-kernel launch, then reads the
@@ -1084,67 +1050,30 @@ impl Handle {
     /// Because the script generator schedules the entire graph, every root's
     /// value is computed exactly as it would be for a single-graph
     /// [`Handle::infer`] call — batched and serial execution are
-    /// bit-identical per request.
+    /// bit-identical per request. With fault injection armed, faulted
+    /// attempts retry and degrade exactly like [`Handle::try_fb`]'s; the
+    /// final rung is launch-per-op forward execution on the host reference.
+    /// A caller that wants the typed error calls [`Handle::dispatch`],
+    /// [`Compute::run`] and [`Handle::join`] itself.
     ///
     /// # Panics
     ///
-    /// Panics if `roots` is empty or on any [`Handle::try_infer_many`] error.
+    /// Panics if `roots` is empty or on any [`Handle::dispatch`] error —
+    /// most commonly a batch exhausting the device memory pool.
     pub fn infer_many(
         &mut self,
         model: &mut Model,
         graph: &Graph,
         roots: &[NodeId],
     ) -> Vec<Vec<f32>> {
-        match self.try_infer_many(model, graph, roots) {
-            Ok(out) => out,
+        let done = match self.dispatch(model, graph, roots, false) {
+            Ok(compute) => compute.run(model, graph, roots),
             Err(e) => panic!("infer_many failed: {e}"),
-        }
-    }
-
-    /// Fallible [`Handle::infer_many`]: identical batching and bit-identity
-    /// semantics, but pool exhaustion and unrecoverable faults come back as
-    /// typed [`VppsError`]s. With fault injection armed, faulted attempts
-    /// retry / degrade exactly like [`Handle::try_fb`]; the final rung is
-    /// launch-per-op forward execution on the host reference.
-    ///
-    /// # Errors
-    ///
-    /// [`VppsError::PoolExhausted`] when the batch does not fit the pool;
-    /// with faults armed also [`VppsError::RetriesExhausted`] when the
-    /// ladder is disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `roots` is empty (programmer error, not input-dependent).
-    pub fn try_infer_many(
-        &mut self,
-        model: &mut Model,
-        graph: &Graph,
-        roots: &[NodeId],
-    ) -> Result<Vec<Vec<f32>>, VppsError> {
-        let done = self
-            .dispatch(model, graph, roots, false)?
-            .run(model, graph, roots);
+        };
         match self.join(done) {
-            Output::Roots(values) => Ok(values),
+            Output::Roots(values) => values,
             Output::Loss(_) => unreachable!("an inference dispatch computes its roots"),
         }
-    }
-
-    /// Launch-per-op forward execution on the host reference — the
-    /// inference side of the ladder's last rung. Numerically (not bitwise)
-    /// equivalent to the persistent kernel, and fault-free by construction.
-    fn baseline_infer(
-        &mut self,
-        model: &mut Model,
-        graph: &Graph,
-        roots: &[NodeId],
-    ) -> Vec<Vec<f32>> {
-        self.rec.stats.baseline_fallbacks += 1;
-        vpps_obs::counter("recover.fallback.baseline").incr();
-        let values = dyn_graph::exec::forward(graph, model);
-        self.charge_baseline_launches(model, graph);
-        roots.iter().map(|&r| values[r.index()].clone()).collect()
     }
 
     /// Waits for the in-flight device work and returns the most recent loss
@@ -1248,29 +1177,6 @@ impl Handle {
     /// `true` once the profile-guided search has settled.
     pub fn profile_settled(&self) -> bool {
         self.profile.done
-    }
-}
-
-impl Engine for Handle {
-    fn system(&self) -> String {
-        "VPPS".to_string()
-    }
-
-    fn train_batch(&mut self, model: &mut Model, graph: &Graph, loss: NodeId) -> f32 {
-        self.fb(model, graph, loss);
-        self.prev_loss
-    }
-
-    fn metrics(&self) -> Metrics {
-        Handle::metrics(self)
-    }
-
-    fn wall_time(&self) -> SimTime {
-        self.wall
-    }
-
-    fn batches(&self) -> u64 {
-        self.batches
     }
 }
 
@@ -1550,6 +1456,28 @@ mod tests {
         }
     }
 
+    /// The baseline rung steps the lookup tables on the host reference, so
+    /// its `Compute` must re-copy them to their pool-resident rows: the next
+    /// persistent kernel reads the tables from there.
+    #[test]
+    fn baseline_rung_refreshes_the_resident_tables() {
+        let (mut m, tables, cls) = lookup_model();
+        let o = VppsOptions {
+            faults: FaultConfig::parse("seed=7,launch=1.0").unwrap(),
+            ..opts()
+        };
+        let mut h = Handle::new(&m, small_device(), o).unwrap();
+        let (g, loss) = lookup_graph(&m, tables, cls, &[5, 1, 5, 2], 1);
+        let before = m.clone();
+        h.fb(&mut m, &g, loss);
+        assert_eq!(h.recovery_stats().baseline_fallbacks, 1);
+        for ((id, got), (_, old)) in m.lookups().zip(before.lookups()) {
+            assert_ne!(got.table, old.table, "the step moved {}", got.name);
+            let resident = h.pool.slice(h.tables.row_offset(id, 0), got.table.len());
+            assert_eq!(resident, got.table.as_slice(), "pool copy of {}", got.name);
+        }
+    }
+
     #[test]
     fn graph_hit_on_a_pool_too_small_is_a_typed_error() {
         let (mut m, tables, cls) = lookup_model();
@@ -1620,7 +1548,7 @@ mod tests {
             // (b) synchronous: fb, infer
             "40fc5a0a23413682 40fc5a0a23413682 409b580000000000 4092c12eb51645fc 4094a14cfa654cfb 40cf6cd555555556 40f7618589d89d8b 0000000000000000 0000000000000000",
             "41067670dea1c13c 41067670dea1c13c 40ab580000000000 40a2c12eb51645fc 4094a14cfa654cfb 40df5fc000000000 4101a8d189d89d8a 0000000000000000 0000000000000000",
-            // (c) launch=1.0, no ladder: try_fb Err, try_infer_many Err
+            // (c) launch=1.0, no ladder: try_fb Err, inference dispatch Err
             "40f38e3b2db7725e 40f38e3b2db7725e 409b580000000000 40ac21c60fa168fa 40aef1f37797f378 40e791a000000000 0000000000000000 0000000000000000 40d5fdb585f69dec",
             "41031d097078a6b6 41031d097078a6b6 40ab580000000000 40bc21c60fa168fa 40aef1f37797f378 40f787d000000000 0000000000000000 0000000000000000 40e63badc874ee84",
             // (d) launch=1.0, ladder on: fb and infer on the baseline rung
@@ -1698,7 +1626,10 @@ mod tests {
             let (g, l) = toy_graph(&m, w, cls, 2, 1);
             assert_eq!(h.try_fb(&mut m, &g, l).is_ok(), fallback);
             got.push(clock(&h));
-            assert_eq!(h.try_infer_many(&mut m, &g, &[l]).is_ok(), fallback);
+            let inferred = h
+                .dispatch(&m, &g, &[l], false)
+                .map(|c| h.join(c.run(&mut m, &g, &[l])));
+            assert_eq!(inferred.is_ok(), fallback);
             got.push(clock(&h));
         }
 
@@ -1771,19 +1702,6 @@ mod tests {
             "one histogram entry per VPP per batch"
         );
         assert!(metrics.device_time() > SimTime::ZERO);
-    }
-
-    #[test]
-    fn handle_implements_the_engine_trait() {
-        let (mut m, w, cls) = toy_model();
-        let mut h = Handle::new(&m, small_device(), opts()).unwrap();
-        let eng: &mut dyn Engine = &mut h;
-        assert_eq!(eng.system(), "VPPS");
-        let (g, l) = toy_graph(&m, w, cls, 2, 1);
-        let loss = eng.train_batch(&mut m, &g, l);
-        assert!(loss > 0.0);
-        assert_eq!(eng.batches(), 1);
-        assert_eq!(Engine::metrics(eng).launches, 1);
     }
 
     #[test]

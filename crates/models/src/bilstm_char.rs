@@ -125,13 +125,6 @@ impl DynamicModel<CharTaggedSentence> for BiLstmCharTagger {
     }
 }
 
-impl BiLstmCharTagger {
-    /// Word-embedding table id (for tests and host-side staging).
-    pub fn word_embedding(&self) -> LookupId {
-        self.base.embedding_table()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -405,8 +405,9 @@ impl RequestTimeline {
     }
 }
 
-/// Exact-rank latency quantiles over a sample set, in microseconds.
-/// Zero-filled when the sample set is empty.
+/// Exact-rank latency quantiles over a sample set, in microseconds — the
+/// one latency summary of both the trace analysis and `vpps-serve`'s
+/// reports. Zero-filled when the sample set is empty.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseStats {
     /// Number of samples.
@@ -424,7 +425,7 @@ pub struct PhaseStats {
 }
 
 /// The exact `q`-quantile of an ascending-sorted sample set (ceil-rank
-/// order statistic, the same convention as `vpps-serve`'s latency reports).
+/// order statistic).
 fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -1441,17 +1442,29 @@ mod tests {
 
     #[test]
     fn phase_stats_use_exact_rank_quantiles() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64 * 1e3).collect();
-        let s = PhaseStats::from_ns_samples(samples);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50_us, 50.0);
-        assert_eq!(s.p95_us, 95.0);
-        assert_eq!(s.p99_us, 99.0);
-        assert_eq!(s.max_us, 100.0);
-        assert_eq!(
-            PhaseStats::from_ns_samples(Vec::new()),
-            PhaseStats::default()
-        );
+        let ascending: Vec<f64> = (1..=100).map(|i| i as f64 * 1e3).collect();
+        let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+        // (samples in ns, [count, mean, p50, p95, p99, max] in µs): ranks are
+        // `ceil(q·n)` of the sorted samples, whatever order they came in.
+        let cases = [
+            (ascending, [100.0, 50.5, 50.0, 95.0, 99.0, 100.0]),
+            (descending, [100.0, 50.5, 50.0, 95.0, 99.0, 100.0]),
+            (vec![3e3, 1e3, 2e3], [3.0, 2.0, 2.0, 3.0, 3.0, 3.0]),
+            (vec![7e3], [1.0, 7.0, 7.0, 7.0, 7.0, 7.0]),
+            (Vec::new(), [0.0; 6]),
+        ];
+        for (samples, want) in cases {
+            let s = PhaseStats::from_ns_samples(samples);
+            let got = [
+                s.count as f64,
+                s.mean_us,
+                s.p50_us,
+                s.p95_us,
+                s.p99_us,
+                s.max_us,
+            ];
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -173,7 +173,7 @@ mod tests {
         };
         let mut handle = Handle::new(&model, device, opts).expect("tiny model fits");
         let compute = handle
-            .dispatch(&mut model, &graph, &roots, false)
+            .dispatch(&model, &graph, &roots, false)
             .expect("a clean batch charges");
         // A replica whose `W` lost half its rows: the prologue load the
         // sweep starts with cannot fill the register arena.

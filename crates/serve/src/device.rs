@@ -667,7 +667,7 @@ impl Device {
         let start = now.max(self.busy_until);
         let wall_before = dm.handle.wall_time();
         let misses_before = dm.handle.lowered_cache_stats().script_misses;
-        let model = dm.model.as_mut().expect(JOINED);
+        let model = dm.model.as_ref().expect(JOINED);
         let result = dm.handle.dispatch(model, graph, roots, train);
         if train && result.is_ok() {
             // The loss arrives with the join; the drain is a clock matter.

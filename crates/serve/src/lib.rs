@@ -70,7 +70,7 @@ pub use device::{Device, DeviceHealth, DeviceId, DeviceStats, HealthTransition};
 pub use policy::{
     AdmissionPolicy, BatchPolicy, HealthPolicy, RecoveryConfig, ServeConfig, ShardPolicy,
 };
-pub use report::{DeviceRow, LatencyStats, ServeRecord, ServeReport};
+pub use report::{DeviceRow, ServeRecord, ServeReport};
 pub use request::{
     Completion, ModelId, Outcome, Request, RequestId, RequestKind, Shed, ShedReason, TenantId,
 };

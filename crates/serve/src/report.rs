@@ -9,57 +9,21 @@
 //! other `BENCH_*.json` in `vpps_bench::trajectory`.
 
 use gpu_sim::SimTime;
-use vpps_obs::Json;
+use vpps_obs::{Json, PhaseStats};
 
 use crate::device::DeviceStats;
 use crate::request::{Outcome, ShedReason};
 
-/// Exact latency quantiles over one stage, in microseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LatencyStats {
-    /// Median.
-    pub p50_us: f64,
-    /// 95th percentile.
-    pub p95_us: f64,
-    /// 99th percentile.
-    pub p99_us: f64,
-    /// Maximum.
-    pub max_us: f64,
-    /// Mean.
-    pub mean_us: f64,
-}
-
-impl LatencyStats {
-    /// Exact quantiles of `samples` (nanoseconds), by sorted rank
-    /// (`ceil(q·n)`), converted to microseconds.
-    pub fn from_ns_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let rank = |q: f64| {
-            let idx = (q * sorted.len() as f64).ceil().max(1.0) as usize - 1;
-            sorted[idx.min(sorted.len() - 1)] / 1e3
-        };
-        Self {
-            p50_us: rank(0.50),
-            p95_us: rank(0.95),
-            p99_us: rank(0.99),
-            max_us: sorted[sorted.len() - 1] / 1e3,
-            mean_us: sorted.iter().sum::<f64>() / sorted.len() as f64 / 1e3,
-        }
-    }
-
-    fn to_json(self) -> Json {
-        let mut o = Json::obj();
-        o.set("p50_us", Json::Num(self.p50_us));
-        o.set("p95_us", Json::Num(self.p95_us));
-        o.set("p99_us", Json::Num(self.p99_us));
-        o.set("max_us", Json::Num(self.max_us));
-        o.set("mean_us", Json::Num(self.mean_us));
-        o
-    }
+/// One stage's latency stats as a trajectory object: the five keys of
+/// `BENCH_serve*.json`, in their recorded order (no sample count).
+fn latency_json(s: &PhaseStats) -> Json {
+    let mut o = Json::obj();
+    o.set("p50_us", Json::Num(s.p50_us));
+    o.set("p95_us", Json::Num(s.p95_us));
+    o.set("p99_us", Json::Num(s.p99_us));
+    o.set("max_us", Json::Num(s.max_us));
+    o.set("mean_us", Json::Num(s.mean_us));
+    o
 }
 
 /// Headline serving numbers for one run (one outcome stream).
@@ -87,11 +51,11 @@ pub struct ServeReport {
     /// All completions per simulated second of makespan.
     pub throughput_rps: f64,
     /// End-to-end latency (arrival → completion).
-    pub e2e: LatencyStats,
+    pub e2e: PhaseStats,
     /// Queueing/batching delay (arrival → dispatch).
-    pub queue_wait: LatencyStats,
+    pub queue_wait: PhaseStats,
     /// Device execution time (start of the final attempt → completion).
-    pub execute: LatencyStats,
+    pub execute: PhaseStats,
 }
 
 impl ServeReport {
@@ -156,9 +120,9 @@ impl ServeReport {
                 r.throughput_rps = r.completed as f64 / makespan;
             }
         }
-        r.e2e = LatencyStats::from_ns_samples(&e2e_ns);
-        r.queue_wait = LatencyStats::from_ns_samples(&wait_ns);
-        r.execute = LatencyStats::from_ns_samples(&exec_ns);
+        r.e2e = PhaseStats::from_ns_samples(e2e_ns);
+        r.queue_wait = PhaseStats::from_ns_samples(wait_ns);
+        r.execute = PhaseStats::from_ns_samples(exec_ns);
         r
     }
 
@@ -192,9 +156,9 @@ impl ServeReport {
         o.set("makespan_s", Json::Num(self.makespan_s));
         o.set("goodput_rps", Json::Num(self.goodput_rps));
         o.set("throughput_rps", Json::Num(self.throughput_rps));
-        o.set("e2e", self.e2e.to_json());
-        o.set("queue_wait", self.queue_wait.to_json());
-        o.set("execute", self.execute.to_json());
+        o.set("e2e", latency_json(&self.e2e));
+        o.set("queue_wait", latency_json(&self.queue_wait));
+        o.set("execute", latency_json(&self.execute));
         o
     }
 }
@@ -364,17 +328,7 @@ mod tests {
         let r = ServeReport::from_outcomes(&[]);
         assert_eq!(r.offered, 0);
         assert_eq!(r.goodput_rps, 0.0);
-        assert_eq!(r.e2e, LatencyStats::default());
-    }
-
-    #[test]
-    fn exact_quantiles_use_sorted_ranks() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64 * 1000.0).collect();
-        let l = LatencyStats::from_ns_samples(&samples);
-        assert_eq!(l.p50_us, 50.0);
-        assert_eq!(l.p95_us, 95.0);
-        assert_eq!(l.p99_us, 99.0);
-        assert_eq!(l.max_us, 100.0);
+        assert_eq!(r.e2e, PhaseStats::default());
     }
 
     #[test]

@@ -860,10 +860,9 @@ impl Server {
             });
         }
         for (p, output) in batch.into_iter().zip(outputs) {
-            let linger_ns = (dispatched_at - p.arrival).as_ns() as u64;
-            vpps_obs::histogram("serve.queue_wait_ns").record(linger_ns);
             vpps_obs::histogram("serve.e2e_ns").record((completed_at - p.arrival).as_ns() as u64);
-            vpps_obs::histogram("serve.phase.linger_ns").record(linger_ns);
+            vpps_obs::histogram("serve.phase.linger_ns")
+                .record((dispatched_at - p.arrival).as_ns() as u64);
             vpps_obs::histogram("serve.phase.queue_ns")
                 .record((started_at - dispatched_at).as_ns() as u64);
             vpps_obs::histogram("serve.phase.execute_ns")

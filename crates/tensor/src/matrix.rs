@@ -148,11 +148,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Sets every element to zero (gradient reset between updates).
     pub fn fill_zero(&mut self) {
         self.data.fill(0.0);

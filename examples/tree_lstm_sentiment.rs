@@ -10,7 +10,7 @@
 //! ```
 
 use gpu_sim::DeviceConfig;
-use vpps::{Engine, Handle, RpwMode, VppsOptions};
+use vpps::{Handle, RpwMode, VppsOptions};
 use vpps_baselines::{BaselineExecutor, Strategy};
 use vpps_datasets::{Treebank, TreebankConfig};
 use vpps_models::{build_batch, TreeLstm};
@@ -75,29 +75,38 @@ fn main() -> Result<(), vpps::VppsError> {
         println!("DyNet-AB epoch {epoch}: total loss {epoch_loss:8.3}");
     }
 
-    // --- Compare simulated cost through the unified `Engine` trait: both
-    //     systems expose the same `metrics()` plumbing, so the comparison
-    //     reads identically for VPPS and every baseline.
-    let engines: [&dyn Engine; 2] = [&handle, &baseline];
+    // --- Compare simulated cost: both systems expose the same `metrics()`
+    //     plumbing, so the comparison reads identically for VPPS and every
+    //     baseline.
     let inputs = (train.len() * epochs) as f64;
-    let tputs: Vec<f64> = engines
-        .iter()
-        .map(|e| inputs / e.wall_time().as_secs())
-        .collect();
+    let rows = [
+        (
+            "VPPS",
+            handle.wall_time(),
+            handle.batches(),
+            handle.metrics(),
+        ),
+        (
+            baseline.strategy().name(),
+            baseline.wall_time(),
+            baseline.batches(),
+            baseline.metrics(),
+        ),
+    ];
+    let tputs = rows.each_ref().map(|r| inputs / r.1.as_secs());
     println!(
         "\nsimulated throughput: {} {:.0} inputs/s, {} {:.0} inputs/s ({:.2}x)",
-        engines[0].system(),
+        rows[0].0,
         tputs[0],
-        engines[1].system(),
+        rows[1].0,
         tputs[1],
         tputs[0] / tputs[1]
     );
-    for e in engines {
-        let m = e.metrics();
+    for (system, _, batches, m) in &rows {
         println!(
             "{:8} over {} batches: {:.2} MB weight loads, {} kernel launches",
-            e.system(),
-            e.batches(),
+            system,
+            batches,
             m.weight_loads_mb(),
             m.launches
         );

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use dyn_graph::Model;
 use gpu_sim::{DeviceConfig, OutageKind, OutageWindow, SimTime};
 use proptest::prelude::*;
-use vpps::BackendKind;
+use vpps::{BackendKind, RecoveryStats};
 use vpps_datasets::{Treebank, TreebankConfig};
 use vpps_models::{DynamicModel, TreeLstm};
 use vpps_serve::{
@@ -976,8 +976,9 @@ fn run_fingerprint(server: &mut Server, mids: [ModelId; 2], devices: usize) -> S
 
 /// How many threads compute batch values changes no byte: the pinned chaos
 /// run, a 4-device closed-loop crash run with training, and the same closed
-/// loop under DRAM and hang faults with the degradation ladder on — whose
-/// batches also compute on the `EventInterp` rung — each on the lowered
+/// loop under two fault profiles with the degradation ladder on — whose
+/// batches also compute on the `EventInterp` rung and, under the second,
+/// on the launch-per-op baseline rung — each on the lowered
 /// backend with 0, 1 and 3 background compute workers, agree on every
 /// outcome, trace event, device and cache tally and replica parameter — and
 /// the pinned run keeps its pinned timeline.
@@ -1017,22 +1018,30 @@ fn compute_worker_count_changes_no_byte() {
         assert!(trained(&server), "training batches completed");
         run_fingerprint(&mut server, mids, 4)
     };
-    let degraded = |workers| {
+    // The closed loop under faults with the ladder on, and the tally of the
+    // rung its premise needs batches to reach.
+    type Tally = fn(RecoveryStats) -> u64;
+    let degraded = |workers, spec: &str, rung: Tally| {
         let (mut server, mids) = closed_loop_run(workers, |cfg| {
-            cfg.opts.faults = vpps::FaultConfig::parse("seed=7,dram=0.3,hang=0.2").expect("valid");
+            cfg.opts.faults = vpps::FaultConfig::parse(spec).expect("valid");
         });
-        let fallbacks: u64 = mids
+        let reached: u64 = mids
             .iter()
-            .map(|&mid| server.recovery_stats(mid).backend_fallbacks)
+            .map(|&mid| rung(server.recovery_stats(mid)))
             .sum();
-        assert!(
-            fallbacks > 0,
-            "premise: batches degraded to the interpreter"
-        );
+        assert!(reached > 0, "premise: {spec} degraded batches to the rung");
         assert!(trained(&server), "training batches completed");
         run_fingerprint(&mut server, mids, 4)
     };
-    let inline = (pinned(0), crashed(0), degraded(0));
+    let profiles: [(&str, Tally); 2] = [
+        ("seed=7,dram=0.3,hang=0.2", |s| s.backend_fallbacks),
+        ("seed=7,dram=0.7", |s| s.baseline_fallbacks),
+    ];
+    let inline = (
+        pinned(0),
+        crashed(0),
+        profiles.map(|(spec, rung)| degraded(0, spec, rung)),
+    );
     for workers in [1, 3] {
         assert!(
             pinned(workers) == inline.0,
@@ -1042,10 +1051,12 @@ fn compute_worker_count_changes_no_byte() {
             crashed(workers) == inline.1,
             "crash run on {workers} workers"
         );
-        assert!(
-            degraded(workers) == inline.2,
-            "degraded run on {workers} workers"
-        );
+        for ((spec, rung), want) in profiles.into_iter().zip(&inline.2) {
+            assert!(
+                degraded(workers, spec, rung) == *want,
+                "{spec} run on {workers} workers"
+            );
+        }
     }
 }
 
