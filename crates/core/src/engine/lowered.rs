@@ -73,10 +73,13 @@
 //! never just an equal hash.
 //!
 //! The cache builds the same key from the batch *graph*
-//! ([`LoweredCache::lookup_graph`]), so a batch seen before finds its entry
-//! without generating its scripts at all; the entry then also holds a
-//! [`WarmBatch`] — the few things a batch otherwise reads from its
-//! [`GeneratedScript`]. The generating path stays the only producer of both.
+//! ([`LoweredCache::lookup_graph`]), so a batch seen before finds its
+//! artifact without generating its scripts at all. The artifact is its own
+//! warm summary: it also holds the few things a batch otherwise reads from
+//! its [`GeneratedScript`] — the pool layout, the counts the simulated
+//! host/copy charges come from, and the graph node behind every patch point,
+//! which the generator recorded as it emitted the literal
+//! ([`GeneratedScript::literals`]). Nothing is inferred after lowering.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -84,13 +87,13 @@ use std::time::Instant;
 
 use dyn_graph::{Graph, NodeId, Op};
 use gpu_sim::CostModel;
-use vpps_tensor::{Pool, PoolOffset};
+use vpps_tensor::Pool;
 
 use crate::distribute::{Chunk, Distribution};
 use crate::exec::kernels::{self, MAX_BLOCK};
 use crate::exec::regcache::RegCache;
 use crate::script::generate::dispatch_key;
-use crate::script::{BatchLayout, GeneratedScript, Instr, SchedulePolicy, TableLayout};
+use crate::script::{BatchLayout, GeneratedScript, Instr, Literal, SchedulePolicy, TableLayout};
 use crate::specialize::KernelPlan;
 #[allow(unused_imports)] // doc links
 use crate::{script::ScriptSet, specialize::PlanSignature};
@@ -409,8 +412,10 @@ pub struct PatchPoint {
 
 /// A fully lowered script: the compiled artifact one plan + one script set
 /// produce, reusable across every run of that identical script — and, via
-/// [`LoweredScript::extract_patches`], across every batch with the same
-/// [`GeneratedScript::key`].
+/// [`LoweredScript::extract_patches`] or [`LoweredScript::patches`], across
+/// every batch with the same [`GeneratedScript::key`]. It carries what such
+/// a batch reads from its [`GeneratedScript`], so a batch found from its
+/// graph needs nothing else.
 #[derive(Debug, Clone)]
 pub struct LoweredScript {
     /// The owning plan's id ([`PlanSignature::plan_id`]).
@@ -436,6 +441,21 @@ pub struct LoweredScript {
     /// resident-region `Copy` sources (embedding rows, the loss-seed
     /// constant) and `PickNls`/`PickNlsBwd` labels.
     pub patch_points: Vec<PatchPoint>,
+    /// Pool layout of the batch ([`GeneratedScript::layout`]).
+    pub layout: Arc<BatchLayout>,
+    /// [`GeneratedScript::forward_instructions`].
+    pub forward_instructions: usize,
+    /// [`GeneratedScript::backward_instructions`].
+    pub backward_instructions: usize,
+    /// [`ScriptSet::encoded_bytes`] of the scripts (the H2D script copy).
+    pub encoded_bytes: usize,
+    /// [`GeneratedScript::pool_len`].
+    pub pool_len: usize,
+    signal_instrs: u64,
+    wait_instrs: u64,
+    /// The source of each patch point's literal, parallel to
+    /// `patch_points`.
+    sources: Vec<Literal>,
 }
 
 impl LoweredScript {
@@ -478,6 +498,47 @@ impl LoweredScript {
                 }
             })
             .collect()
+    }
+
+    /// The patch vector of a batch built as `graph`, read from the graph
+    /// nodes the generator named as the literals' sources — equal to
+    /// [`LoweredScript::extract_patches`] on the scripts `graph` would
+    /// generate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not structurally identical to the graph this
+    /// artifact was lowered from ([`LoweredCache::lookup_graph`] only
+    /// returns it to graphs that are).
+    pub fn patches(&self, graph: &Graph, tables: &TableLayout) -> Vec<u32> {
+        self.sources
+            .iter()
+            .map(|source| match *source {
+                Literal::Resident(offset) => offset,
+                Literal::Row(n) => match graph.node(n).op {
+                    Op::Lookup { table, index } => tables.row_offset(table, index).raw(),
+                    ref op => panic!("patch source {n} is {op:?}, not a lookup"),
+                },
+                Literal::Label(n) => match graph.node(n).op {
+                    Op::PickNegLogSoftmax { label } => label as u32,
+                    ref op => panic!("patch source {n} is {op:?}, not a pick"),
+                },
+            })
+            .collect()
+    }
+
+    /// Adds to the `script.*` obs counters what generating a batch's scripts
+    /// would have added, so a snapshot reads the same with and without the
+    /// graph-keyed shortcut.
+    pub fn replay_generate_obs(&self) {
+        if !vpps_obs::enabled() {
+            return;
+        }
+        vpps_obs::counter("script.instructions")
+            .add((self.forward_instructions + self.backward_instructions) as u64);
+        vpps_obs::counter("script.barriers").add(u64::from(self.num_barriers));
+        vpps_obs::counter("script.signal_instrs").add(self.signal_instrs);
+        vpps_obs::counter("script.wait_instrs").add(self.wait_instrs);
     }
 }
 
@@ -776,6 +837,8 @@ type Home = (u32, Blocks);
 struct Lowering {
     ops: Vec<MicroOp>,
     patch_points: Vec<PatchPoint>,
+    /// The source of each patch point's literal.
+    sources: Vec<Literal>,
     /// One past the highest pool index an op touches.
     pool_end: usize,
     /// Largest scratch buffer an op needs.
@@ -796,19 +859,26 @@ struct Lowering {
 
 impl Lowering {
     /// The one pass over [`TimelineReport::order`] that lowering makes:
-    /// `ops` yields, for each `(vpp, ip)` of `order`, its micro-op and
-    /// whether it carries a per-request literal. Each op's ranges are
-    /// computed once, for the overlap proof, the bounds and the grouping
-    /// summary (only the exact check behind a summary that may conflict
-    /// derives two ops' ranges again). Each segment — a run `(v, ip),
-    /// (v, ip + 1), …` of `order`, the part of the stream the barrier
-    /// protocol lets nothing else observe half-done, so only orderings
-    /// inside it are free — is put in its final order as soon as it ends.
-    fn run(order: &[(u32, u32)], ops: impl Iterator<Item = (MicroOp, bool)>) -> Self {
+    /// `ops` yields, for each `(vpp, ip)` of `order`, its micro-op and the
+    /// source of its per-request literal if it carries one (`literals` of
+    /// them do). Each op's ranges are computed once, for the overlap proof,
+    /// the bounds and the grouping summary (only the exact check behind a
+    /// summary that may conflict derives two ops' ranges again). Each
+    /// segment — a run `(v, ip), (v, ip + 1), …` of `order`, the part of
+    /// the stream the barrier protocol lets nothing else observe half-done,
+    /// so only orderings inside it are free — is put in its final order as
+    /// soon as it ends.
+    fn run(
+        order: &[(u32, u32)],
+        literals: usize,
+        ops: impl Iterator<Item = (MicroOp, Option<Literal>)>,
+    ) -> Self {
         let mut out = Lowering::default();
         out.ops.reserve(order.len());
+        out.patch_points.reserve(literals);
+        out.sources.reserve(literals);
         let mut next = None;
-        for (&(vpp, ip), (op, patchable)) in order.iter().zip(ops) {
+        for (&(vpp, ip), (op, literal)) in order.iter().zip(ops) {
             if next != Some((vpp, ip)) {
                 out.end_segment();
             }
@@ -825,9 +895,10 @@ impl Lowering {
             if let MicroOp::TMatVec { len, .. } | MicroOp::PickNlsBwd { len, .. } = op {
                 out.scratch_len = out.scratch_len.max(len as usize);
             }
-            if patchable {
+            if let Some(source) = literal {
                 let op_index = out.ops.len() as u32;
                 out.patch_points.push(PatchPoint { vpp, ip, op_index });
+                out.sources.push(source);
             }
             let key = op.chunk_key().map(|key| {
                 let keys = &mut out.keys;
@@ -926,12 +997,15 @@ impl Lowering {
 }
 
 /// Lowers `gs` from scratch, under span `engine.lower`: the schedule (span
-/// `lower.analyze`), then one pass over its order (span `lower.order`).
-/// Cached callers should go through [`LoweredCache::get_or_lower`] instead.
+/// `lower.analyze`), then one pass over its order (span `lower.order`), in
+/// which the instructions [`GeneratedScript::literals`] names become the
+/// patch points. Cached callers should go through
+/// [`LoweredCache::get_or_lower`] instead.
 ///
 /// # Panics
 ///
-/// Panics if the scripts deadlock, or if any op's written pool range
+/// Panics if a recorded literal names no compute instruction of the
+/// schedule, if the scripts deadlock, or if any op's written pool range
 /// overlaps one of its read ranges — the script generator never emits such
 /// ops (each destination is a fresh allocation), and the raw-pointer
 /// executor depends on that disjointness, so lowering checks it once
@@ -944,17 +1018,37 @@ pub fn lower(plan: &KernelPlan, gs: &GeneratedScript, cost: &CostModel) -> Lower
         timeline::analyze(plan, gs, cost, None)
     };
     let _span = vpps_obs::span("lower.order");
+    // Per-request literals, which the key leaves out, become patch points:
+    // each VPP's cursor into `gs.literals` (sorted by `(vpp, ip)`) meets its
+    // literals in the order the schedule runs that VPP's instructions.
+    let literals = &gs.literals;
+    let mut cursors: Vec<usize> = (0..gs.scripts.num_vpps() as u32)
+        .map(|v| literals.partition_point(|&(lv, _, _)| lv < v))
+        .collect();
     let stream = Lowering::run(
         &tl.order,
+        literals.len(),
         tl.order.iter().map(|&(v, ip)| {
             let instr = &gs.scripts.script(v as usize)[ip as usize];
             let op = lower_instr(instr, dist).expect("timeline order names a sync instruction");
-            // Per-request literals, which the key leaves out, become patch
-            // points.
-            (op, instr.request_literal(gs.persistent_floor).is_some())
+            let cursor = &mut cursors[v as usize];
+            let literal = literals
+                .get(*cursor)
+                .filter(|&&(lv, lip, _)| (lv, lip) == (v, ip))
+                .map(|&(_, _, source)| {
+                    *cursor += 1;
+                    source
+                });
+            (op, literal)
         }),
     );
+    assert_eq!(
+        stream.patch_points.len(),
+        literals.len(),
+        "lowering: a recorded literal names no compute instruction"
+    );
 
+    let (signal_instrs, wait_instrs) = gs.scripts.sync_instructions();
     LoweredScript {
         plan_id: plan.signature().plan_id(),
         num_barriers: gs.num_barriers,
@@ -966,6 +1060,14 @@ pub fn lower(plan: &KernelPlan, gs: &GeneratedScript, cost: &CostModel) -> Lower
         pool_end: stream.pool_end.max(gs.persistent_floor as usize),
         scratch_len: stream.scratch_len,
         patch_points: stream.patch_points,
+        layout: Arc::clone(&gs.layout),
+        forward_instructions: gs.forward_instructions,
+        backward_instructions: gs.backward_instructions,
+        encoded_bytes: gs.scripts.encoded_bytes(),
+        pool_len: gs.pool_len,
+        signal_instrs,
+        wait_instrs,
+        sources: stream.sources,
     }
 }
 
@@ -1275,152 +1377,13 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
     );
 }
 
-/// Where a warm batch reads one [`PatchPoint`]'s literal from, without the
-/// script that carried it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PatchSource {
-    /// The pool offset of the table row this `Lookup` node copies.
-    Row(NodeId),
-    /// The gold label of this `PickNegLogSoftmax` node.
-    Label(NodeId),
-    /// A batch-invariant resident offset (the loss-seed constant).
-    Resident(u32),
-}
-
-/// What a batch needs from its [`GeneratedScript`] once the artifact is
-/// cached — a few KB instead of the scripts: the pool layout, the counts the
-/// simulated host/copy charges are computed from, the length of the batch's
-/// pool region, and the graph node (or resident constant) behind every patch
-/// point. Captured on the generating path, handed back by
-/// [`LoweredCache::lookup_graph`] to batches with the same dispatch key.
-#[derive(Debug)]
-pub struct WarmBatch {
-    /// The cached artifact the batch executes.
-    pub artifact: Arc<LoweredScript>,
-    /// Pool layout of the batch ([`GeneratedScript::layout`]).
-    pub layout: Arc<BatchLayout>,
-    /// [`GeneratedScript::forward_instructions`].
-    pub forward_instructions: usize,
-    /// [`GeneratedScript::backward_instructions`].
-    pub backward_instructions: usize,
-    /// [`ScriptSet::encoded_bytes`] of the scripts (the H2D script copy).
-    pub encoded_bytes: usize,
-    /// Elements script generation allocated above the pool base: one
-    /// `alloc` of this length reserves (and zeroes) the same region.
-    pub pool_len: usize,
-    signal_instrs: u64,
-    wait_instrs: u64,
-    sources: Vec<PatchSource>,
-}
-
-impl WarmBatch {
-    /// Captures `gs`'s warm-path summary, attributing every patch point of
-    /// `artifact` to the node of `graph` that supplies its literal. `None`
-    /// when a patch point has no such node or the attributed literals differ
-    /// from the ones `gs` carries — the batch then simply stays on the
-    /// generating path.
-    fn capture(
-        artifact: &Arc<LoweredScript>,
-        gs: &GeneratedScript,
-        graph: &Graph,
-        tables: &TableLayout,
-        pool_len: usize,
-    ) -> Option<Self> {
-        // Every node owns its value (and, training, derivative) allocation,
-        // laid out in node order, so an instruction's destination names its
-        // node: the one of kind `is` whose offset in `offsets` it is.
-        let node_at = |offsets: &[PoolOffset], at: PoolOffset, is: fn(&Op) -> bool| {
-            let first = offsets.partition_point(|o| *o < at);
-            (first..offsets.len())
-                .take_while(|&i| offsets[i] == at)
-                .map(NodeId::from_index)
-                .find(|&id| is(&graph.node(id).op))
-        };
-        let lookup = |op: &Op| matches!(op, Op::Lookup { .. });
-        let pick = |op: &Op| matches!(op, Op::PickNegLogSoftmax { .. });
-        let (values, derivs) = (&gs.layout.value_off, &gs.layout.deriv_off);
-        let sources = artifact
-            .patch_points
-            .iter()
-            .map(|p| {
-                Some(match gs.scripts.script(p.vpp as usize)[p.ip as usize] {
-                    Instr::Copy { src, .. } if src == tables.const_one() => {
-                        PatchSource::Resident(src.raw())
-                    }
-                    Instr::Copy { dst, .. } => PatchSource::Row(node_at(values, dst, lookup)?),
-                    Instr::PickNls { out, .. } => PatchSource::Label(node_at(values, out, pick)?),
-                    Instr::PickNlsBwd { dloss, .. } => {
-                        PatchSource::Label(node_at(derivs, dloss, pick)?)
-                    }
-                    _ => return None,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let (signal_instrs, wait_instrs) = gs.scripts.sync_instructions();
-        let warm = Self {
-            artifact: Arc::clone(artifact),
-            layout: Arc::clone(&gs.layout),
-            forward_instructions: gs.forward_instructions,
-            backward_instructions: gs.backward_instructions,
-            encoded_bytes: gs.scripts.encoded_bytes(),
-            pool_len,
-            signal_instrs,
-            wait_instrs,
-            sources,
-        };
-        (warm.patches(graph, tables) == artifact.extract_patches(gs)).then_some(warm)
-    }
-
-    /// This batch's patch vector, read straight from `graph` — equal to
-    /// [`LoweredScript::extract_patches`] on the scripts `graph` would
-    /// generate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` is not structurally identical to the graph this
-    /// summary was captured from ([`LoweredCache::lookup_graph`] only
-    /// returns it to graphs that are).
-    pub fn patches(&self, graph: &Graph, tables: &TableLayout) -> Vec<u32> {
-        self.sources
-            .iter()
-            .map(|source| match *source {
-                PatchSource::Resident(offset) => offset,
-                PatchSource::Row(n) => match graph.node(n).op {
-                    Op::Lookup { table, index } => tables.row_offset(table, index).raw(),
-                    ref op => panic!("patch source {n} is {op:?}, not a lookup"),
-                },
-                PatchSource::Label(n) => match graph.node(n).op {
-                    Op::PickNegLogSoftmax { label } => label as u32,
-                    ref op => panic!("patch source {n} is {op:?}, not a pick"),
-                },
-            })
-            .collect()
-    }
-
-    /// Adds to the `script.*` obs counters what generating this batch's
-    /// scripts would have added, so a snapshot reads the same with and
-    /// without the shortcut.
-    pub fn replay_generate_obs(&self) {
-        if !vpps_obs::enabled() {
-            return;
-        }
-        vpps_obs::counter("script.instructions")
-            .add((self.forward_instructions + self.backward_instructions) as u64);
-        vpps_obs::counter("script.barriers").add(u64::from(self.artifact.num_barriers));
-        vpps_obs::counter("script.signal_instrs").add(self.signal_instrs);
-        vpps_obs::counter("script.wait_instrs").add(self.wait_instrs);
-    }
-}
-
-/// One cached dispatch: its artifact, and the warm-path summary once
-/// [`LoweredCache::install_graph`] has captured it.
+/// One cached dispatch: the artifact lowered under `key`.
 #[derive(Debug)]
 struct Entry {
     /// The full key the entry was lowered under; a lookup is a hit only when
     /// this compares equal, never on the 64-bit hash alone.
     key: Box<[u32]>,
     artifact: Arc<LoweredScript>,
-    warm: Option<Arc<WarmBatch>>,
 }
 
 /// Word-wise FNV-1a: the cache's bucket hash (equality of the key words
@@ -1447,10 +1410,6 @@ pub struct LoweredCacheStats {
     /// The subset of `script_hits` found from the batch graph, i.e. without
     /// generating the batch's scripts.
     pub graph_hits: u64,
-    /// Generated batches whose warm summary could not be captured, because
-    /// a patch point has no graph node behind it: their dispatches keep
-    /// generating.
-    pub unindexed: u64,
 }
 
 impl std::ops::AddAssign for LoweredCacheStats {
@@ -1460,14 +1419,12 @@ impl std::ops::AddAssign for LoweredCacheStats {
         self.script_re_misses += other.script_re_misses;
         self.script_evictions += other.script_evictions;
         self.graph_hits += other.graph_hits;
-        self.unindexed += other.unindexed;
     }
 }
 
 /// Cache of lowered artifacts, owned by warm paths ([`crate::Handle`], and
 /// through it `vpps-serve`): one bounded FIFO map from a dispatch key
-/// ([`GeneratedScript::key`]) to the [`LoweredScript`] lowered under it and,
-/// once captured, its [`WarmBatch`].
+/// ([`GeneratedScript::key`]) to the [`LoweredScript`] lowered under it.
 ///
 /// [`LoweredCache::get_or_lower`] finds an entry from generated scripts,
 /// [`LoweredCache::lookup_graph`] from the batch graph before generating —
@@ -1475,8 +1432,7 @@ impl std::ops::AddAssign for LoweredCacheStats {
 /// Entries are bucketed by a 64-bit hash of the key words, and a lookup hits
 /// only when the stored words compare equal: a colliding key is a miss,
 /// which lowers and takes the slot over. One capacity bounds the map and the
-/// oldest entry leaves first, artifact and warm summary together — obs
-/// counters `lower.script.cache_hit` / `lower.script.cache_miss` /
+/// oldest entry leaves first — obs counters `lower.script.cache_hit` / `lower.script.cache_miss` /
 /// `lower.script.cache_re_miss` / `lower.script.cache_evict`, plus
 /// `lower.graph.cache_hit` for the hits found from the graph. Time spent
 /// lowering accumulates in the `lower.ns` counter and lowered micro-ops per
@@ -1494,7 +1450,8 @@ pub struct LoweredCache {
     /// Scratch for the key words of [`LoweredCache::lookup_graph`].
     key_words: Vec<u32>,
     capacity: usize,
-    /// `false` for the reference cache that never fills in warm summaries.
+    /// `false` for the reference cache whose [`LoweredCache::lookup_graph`]
+    /// always misses.
     indexes_graphs: bool,
     stats: LoweredCacheStats,
 }
@@ -1522,8 +1479,8 @@ impl LoweredCache {
         }
     }
 
-    /// Test reference: a cache that never fills in warm summaries, so
-    /// [`LoweredCache::lookup_graph`] always misses and every dispatch
+    /// Test reference: a cache whose [`LoweredCache::lookup_graph`] always
+    /// misses, so every dispatch
     /// through it generates its scripts and finds its artifact by
     /// [`LoweredCache::get_or_lower`] — what the warm path is checked
     /// against, bit for bit.
@@ -1544,8 +1501,7 @@ impl LoweredCache {
     /// the key the generator would stamp on them (same plan, pool base, root
     /// and train|infer, and the [`SchedulePolicy::MinLoad`] that
     /// `generate` and `generate_forward_only` schedule with) and returns the
-    /// warm-path summary cached under it, if [`LoweredCache::install_graph`]
-    /// filled one in.
+    /// artifact cached under it.
     ///
     /// A hit is not counted here but by [`LoweredCache::note_graph_hit`],
     /// which the caller invokes where it would have called
@@ -1558,7 +1514,10 @@ impl LoweredCache {
         root: NodeId,
         train: bool,
         pool_base: usize,
-    ) -> Option<Arc<WarmBatch>> {
+    ) -> Option<Arc<LoweredScript>> {
+        if !self.indexes_graphs {
+            return None;
+        }
         self.key_words.clear();
         let policy = SchedulePolicy::MinLoad;
         dispatch_key(
@@ -1571,7 +1530,8 @@ impl LoweredCache {
             &mut self.key_words,
         );
         let hash = hash_words(&self.key_words);
-        self.entry(hash, &self.key_words)?.warm.clone()
+        let entry = self.entry(hash, &self.key_words)?;
+        Some(Arc::clone(&entry.artifact))
     }
 
     /// Counts one batch found from its graph exactly as
@@ -1582,33 +1542,6 @@ impl LoweredCache {
         self.stats.graph_hits += 1;
         vpps_obs::counter("lower.script.cache_hit").incr();
         vpps_obs::counter("lower.graph.cache_hit").incr();
-    }
-
-    /// Fills in the warm-path summary of the entry
-    /// [`LoweredCache::get_or_lower`] returned for `gs`, the scripts
-    /// generated from `graph`; `pool_len` is the pool elements generating
-    /// them allocated. From then on [`LoweredCache::lookup_graph`] finds the
-    /// entry from the graph. A batch with a patch point that cannot be
-    /// attributed to a graph node is counted in
-    /// [`LoweredCacheStats::unindexed`] and its dispatch keeps generating.
-    pub fn install_graph(
-        &mut self,
-        gs: &GeneratedScript,
-        graph: &Graph,
-        tables: &TableLayout,
-        pool_len: usize,
-    ) {
-        if !self.indexes_graphs {
-            return;
-        }
-        let hash = hash_words(&gs.key);
-        let Some(entry) = self.entries.get_mut(&hash).filter(|e| *e.key == *gs.key) else {
-            return;
-        };
-        entry.warm = WarmBatch::capture(&entry.artifact, gs, graph, tables, pool_len).map(Arc::new);
-        if entry.warm.is_none() {
-            self.stats.unindexed += 1;
-        }
     }
 
     /// Returns the artifact cached under `gs.key`, lowering `gs` on a miss
@@ -1650,7 +1583,6 @@ impl LoweredCache {
         let entry = Entry {
             key: gs.key.clone(),
             artifact: Arc::clone(&artifact),
-            warm: None,
         };
         // A colliding key takes the slot over, and its place in the FIFO.
         if self.entries.insert(hash, entry).is_none() {
@@ -1664,8 +1596,8 @@ impl LoweredCache {
         self.stats
     }
 
-    /// Quarantines one plan: evicts every entry lowered from it, artifact
-    /// and warm summary together, so nothing cached can outlive a plan the
+    /// Quarantines one plan: evicts every entry lowered from it, so nothing
+    /// cached can outlive a plan the
     /// recovery layer has condemned. Returns the number of entries evicted.
     /// The plan's chunk table needs no eviction — the caller rebuilds the
     /// [`KernelPlan`], and the table with it. The next
@@ -1797,15 +1729,7 @@ mod tests {
                 .expect("fits");
             self.cache
                 .get_or_lower(&self.plan, &gs, self.gpu.cost_model());
-            let pool_len = self.pool.used() - base;
-            self.cache.install_graph(&gs, graph, &self.tables, pool_len);
             false
-        }
-
-        /// Entries whose warm summary is filled in: the ones a graph finds.
-        fn indexed(&self) -> usize {
-            let entries = self.cache.entries.values();
-            entries.filter(|e| e.warm.is_some()).count()
         }
     }
 
@@ -1889,11 +1813,15 @@ mod tests {
         order: &[(u32, u32)],
         patchable: &[usize],
     ) -> (Vec<MicroOp>, Vec<PatchPoint>) {
+        let literal = |j: usize| {
+            patchable
+                .contains(&j)
+                .then_some(Literal::Resident(j as u32))
+        };
         let stream = Lowering::run(
             order,
-            ops.iter()
-                .enumerate()
-                .map(|(j, op)| (*op, patchable.contains(&j))),
+            patchable.len(),
+            ops.iter().enumerate().map(|(j, op)| (*op, literal(j))),
         );
         (stream.ops, stream.patch_points)
     }
@@ -2020,7 +1948,7 @@ mod tests {
     /// On a real batch: regrouping happens, every segment keeps its ops, no
     /// two conflicting ops change their relative order, and the patch
     /// points — moved — still name patchable ops whose literals the graph
-    /// supplies.
+    /// nodes the generator recorded supply.
     #[test]
     fn regrouped_artifact_is_a_conflict_preserving_permutation() {
         // One SM, two matrices: every VPP holds several chunks, so the
@@ -2028,7 +1956,6 @@ mod tests {
         let mut f = fixture_on(1, 2);
         let (g, root) = fan(&f.model, &[1, 4, 7, 2, 5], 3);
         f.pool.reset();
-        let base = f.pool.used();
         let gs = generate::generate(&g, root, &f.plan, &mut f.pool, &f.tables).expect("fits");
         let art = lower(&f.plan, &gs, f.gpu.cost_model());
         let dist = f.plan.distribution();
@@ -2075,16 +2002,13 @@ mod tests {
                 MicroOp::Copy { .. } | MicroOp::PickNls { .. } | MicroOp::PickNlsBwd { .. }
             ));
         }
-        let art = Arc::new(art);
-        let warm = WarmBatch::capture(&art, &gs, &g, &f.tables, f.pool.used() - base)
-            .expect("every patch point has a graph node behind it");
-        assert_eq!(warm.patches(&g, &f.tables), art.extract_patches(&gs));
+        assert_eq!(art.patches(&g, &f.tables), art.extract_patches(&gs));
         // Same structure, other rows and labels: still what the scripts say.
         let (other, other_root) = fan(&f.model, &[8, 0, 3, 6, 1], 7);
         f.pool.reset();
         let gs =
             generate::generate(&other, other_root, &f.plan, &mut f.pool, &f.tables).expect("fits");
-        assert_eq!(warm.patches(&other, &f.tables), art.extract_patches(&gs));
+        assert_eq!(art.patches(&other, &f.tables), art.extract_patches(&gs));
     }
 
     #[test]
@@ -2097,17 +2021,14 @@ mod tests {
         let (b, root_b) = chain(&f.model, 2, 7, 3);
         f.pool.reset();
         let base = f.pool.used();
-        let warm = f
+        let art = f
             .cache
             .lookup_graph(&f.plan, &b, root_b, true, base)
             .expect("structurally identical graph hits");
         let gs = generate::generate(&b, root_b, &f.plan, &mut f.pool, &f.tables).expect("fits");
-        assert_eq!(
-            warm.patches(&b, &f.tables),
-            warm.artifact.extract_patches(&gs)
-        );
-        assert_eq!(warm.pool_len, f.pool.used() - base);
-        assert_eq!(warm.encoded_bytes, gs.scripts.encoded_bytes());
+        assert_eq!(art.patches(&b, &f.tables), art.extract_patches(&gs));
+        assert_eq!(art.pool_len, f.pool.used() - base);
+        assert_eq!(art.encoded_bytes, gs.scripts.encoded_bytes());
         // What `replay_generate_obs` adds to `script.*` for the skipped
         // generation is what generating `b` adds.
         let count = |pick: fn(&Instr) -> bool| {
@@ -2118,10 +2039,10 @@ mod tests {
         };
         assert_eq!(
             (
-                warm.forward_instructions + warm.backward_instructions,
-                warm.artifact.num_barriers,
-                warm.signal_instrs,
-                warm.wait_instrs,
+                art.forward_instructions + art.backward_instructions,
+                art.num_barriers,
+                art.signal_instrs,
+                art.wait_instrs,
             ),
             (
                 gs.forward_instructions + gs.backward_instructions,
@@ -2133,8 +2054,7 @@ mod tests {
         assert!(f.dispatch(&b, root_b));
         let stats = f.cache.stats();
         assert_eq!((stats.script_misses, stats.script_hits), (1, 1));
-        assert_eq!((stats.graph_hits, stats.unindexed), (1, 0));
-        assert_eq!((f.cache.len(), f.indexed()), (1, 1));
+        assert_eq!((stats.graph_hits, f.cache.len()), (1, 1));
     }
 
     /// Two keys forced into one bucket: the second is a miss on both paths,
@@ -2160,7 +2080,7 @@ mod tests {
             f.cache
                 .lookup_graph(&f.plan, &b, root_b, true, base)
                 .is_none(),
-            "equal hash, different encoding: a miss, never a's warm summary"
+            "equal hash, different encoding: a miss, never a's artifact"
         );
         let art_b = f.cache.get_or_lower(&f.plan, &gs_b, f.gpu.cost_model());
         assert!(!Arc::ptr_eq(&art_a, &art_b), "b never gets a's artifact");
@@ -2170,11 +2090,9 @@ mod tests {
         assert_eq!((f.cache.len(), f.cache.fifo.len()), (1, 1));
         assert_eq!(f.cache.entries[&hash_b].key, gs_b.key);
         assert_eq!(stats.script_evictions, 0);
-        // And the slot is b's from its graph too, once installed.
-        let pool_len = f.pool.used() - base;
-        f.cache.install_graph(&gs_b, &b, &f.tables, pool_len);
-        let warm = f.cache.lookup_graph(&f.plan, &b, root_b, true, base);
-        assert!(Arc::ptr_eq(&warm.expect("installed").artifact, &art_b));
+        // And the slot is b's from its graph too.
+        let found = f.cache.lookup_graph(&f.plan, &b, root_b, true, base);
+        assert!(Arc::ptr_eq(&found.expect("b's entry"), &art_b));
         assert!(!f.dispatch(&a, root_a), "a lost its slot");
     }
 
@@ -2186,7 +2104,7 @@ mod tests {
         assert!(!f.dispatch(&a, root_a));
         assert!(!f.dispatch(&b, root_b));
         assert!(f.dispatch(&a, root_a));
-        assert_eq!((f.cache.len(), f.indexed()), (2, 2));
+        assert_eq!(f.cache.len(), 2);
 
         let plan_id = f.plan.signature().plan_id();
         assert_eq!(f.cache.invalidate_plan(plan_id), 2);
@@ -2203,9 +2121,9 @@ mod tests {
         for (g, root) in &graphs {
             assert!(!f.dispatch(g, *root));
         }
-        assert_eq!((f.cache.len(), f.indexed(), f.cache.fifo.len()), (2, 2, 2));
+        assert_eq!((f.cache.len(), f.cache.fifo.len()), (2, 2));
         // The first graph's script was the FIFO head: it misses (and
-        // re-installs, evicting the second); the third still hits.
+        // re-lowers, evicting the second); the third still hits.
         assert!(f.dispatch(&graphs[2].0, graphs[2].1));
         assert!(!f.dispatch(&graphs[0].0, graphs[0].1));
         assert!(f.dispatch(&graphs[0].0, graphs[0].1));

@@ -45,9 +45,7 @@ use crate::script::{BatchLayout, GeneratedScript, ScriptSet};
 use crate::specialize::{GradStrategy, KernelPlan};
 
 pub use backends::EventInterp;
-pub use lowered::{
-    Lowered, LoweredCache, LoweredCacheStats, LoweredScript, MicroOp, PatchPoint, WarmBatch,
-};
+pub use lowered::{Lowered, LoweredCache, LoweredCacheStats, LoweredScript, MicroOp, PatchPoint};
 pub use recovery::{RecoveryPolicy, RecoveryStats};
 pub use timeline::TimelineReport;
 
@@ -103,8 +101,8 @@ pub(crate) enum Script<'a> {
     /// Sweep a lowered artifact ([`Lowered`], fresh or from a
     /// [`LoweredCache`]) with this batch's per-request literals for its
     /// patch points ([`LoweredScript::extract_patches`],
-    /// [`WarmBatch::patches`]). The artifact's timeline is reused, so no
-    /// schedule is analyzed.
+    /// [`LoweredScript::patches`]). The artifact's timeline and layout are
+    /// reused, so no schedule is analyzed.
     Lowered(Arc<LoweredScript>, Vec<u32>),
 }
 
@@ -128,31 +126,32 @@ pub struct Session {
 }
 
 impl Session {
-    /// Prepares one batch of `plan` laid out by `layout`: the schedule
-    /// (analyzed, or the artifact's), the per-run obs, and the kernel body
-    /// time and DRAM traffic exactly as the event-driven interpreter would
-    /// account them (prologue weight load, derivative zero-init, per-VPP
-    /// script fetch, per-instruction activation traffic, and the in-register
-    /// epilogue write-back). Not cacheable: `cfg.apply_update` changes the
+    /// Prepares one batch of `plan` from `script`: its pool layout and
+    /// schedule (the scripts' or the artifact's; a schedule is analyzed only
+    /// for scripts), the per-run obs, and the kernel body time and DRAM
+    /// traffic exactly as the event-driven interpreter would account them
+    /// (prologue weight load, derivative zero-init, per-VPP script fetch,
+    /// per-instruction activation traffic, and the in-register epilogue
+    /// write-back). Not cacheable: `cfg.apply_update` changes the
     /// epilogue term between training and inference runs of one timeline.
     pub(crate) fn new(
         plan: &KernelPlan,
-        layout: Arc<BatchLayout>,
         cfg: ExecConfig,
         cost: &CostModel,
         script: Script<'_>,
     ) -> Self {
         let _span = vpps_obs::span("engine.prepare");
-        let (timeline, barriers, body) = match script {
+        let (layout, timeline, barriers, body) = match script {
             Script::Interpreted(gs, trace) => {
                 let timeline = Arc::new(timeline::analyze(plan, gs, cost, trace));
                 let body = Body::Interpreted {
                     scripts: Arc::clone(&gs.scripts),
                     timeline: Arc::clone(&timeline),
                 };
-                (timeline, gs.num_barriers, body)
+                (Arc::clone(&gs.layout), timeline, gs.num_barriers, body)
             }
             Script::Lowered(artifact, patches) => (
+                Arc::clone(&artifact.layout),
                 Arc::clone(&artifact.timeline),
                 artifact.num_barriers,
                 Body::Lowered { artifact, patches },
@@ -226,8 +225,7 @@ impl Session {
         artifact: Arc<LoweredScript>,
     ) -> Self {
         let patches = artifact.extract_patches(gs);
-        let layout = Arc::clone(&gs.layout);
-        Self::new(plan, layout, cfg, cost, Script::Lowered(artifact, patches))
+        Self::new(plan, cfg, cost, Script::Lowered(artifact, patches))
     }
 }
 
@@ -264,8 +262,7 @@ pub trait ExecutionBackend: Sync {
         cfg: ExecConfig,
         cost: &CostModel,
     ) -> Session {
-        let layout = Arc::clone(&scripts.layout);
-        Session::new(plan, layout, cfg, cost, Script::Interpreted(scripts, None))
+        Session::new(plan, cfg, cost, Script::Interpreted(scripts, None))
     }
 }
 
@@ -308,7 +305,7 @@ pub fn run_batch_traced(
 ) -> (RunOutcome, SimTrace) {
     let mut trace = SimTrace::default();
     let script = Script::Interpreted(gs, Some(&mut trace));
-    let session = Session::new(plan, Arc::clone(&gs.layout), cfg, gpu.cost_model(), script);
+    let session = Session::new(plan, cfg, gpu.cost_model(), script);
     let outcome = run_prepared(&EventInterp, &session, pool, model, gpu);
     (outcome, trace)
 }

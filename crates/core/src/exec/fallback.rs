@@ -203,7 +203,6 @@ mod tests {
     use crate::specialize::KernelPlan;
     use dyn_graph::{exec as refexec, Graph, Model, Trainer};
     use gpu_sim::DeviceConfig;
-    use vpps_tensor::PoolOffset;
 
     /// A device so small that gradients cannot be cached.
     fn tiny_device() -> DeviceConfig {
@@ -352,7 +351,6 @@ mod tests {
         let layout = BatchLayout {
             value_off: Vec::new(),
             deriv_off: Vec::new(),
-            deriv_base: PoolOffset(0),
             deriv_len: 0,
             loss: dyn_graph::NodeId::from_index(0),
             stages: Vec::new(),

@@ -837,25 +837,24 @@ impl Handle {
             })
             .flatten();
         let generated;
-        let (layout, script) = match warm {
-            Some(warm) => {
+        let script = match warm {
+            Some(art) => {
                 self.pool
-                    .alloc(warm.pool_len)
+                    .alloc(art.pool_len)
                     .map_err(|_| VppsError::PoolExhausted {
-                        requested: warm.pool_len,
+                        requested: art.pool_len,
                         capacity: self.pool.capacity(),
                     })?;
-                warm.replay_generate_obs();
+                art.replay_generate_obs();
                 let counts = (
-                    warm.forward_instructions,
-                    warm.backward_instructions,
-                    warm.encoded_bytes,
+                    art.forward_instructions,
+                    art.backward_instructions,
+                    art.encoded_bytes,
                 );
-                self.stage(graph, train, &warm.layout, counts, cost)?;
+                self.stage(graph, train, &art.layout, counts, cost)?;
                 self.lowered.note_graph_hit();
-                let patches = warm.patches(graph, &self.tables);
-                let artifact = Arc::clone(&warm.artifact);
-                (Arc::clone(&warm.layout), Script::Lowered(artifact, patches))
+                let patches = art.patches(graph, &self.tables);
+                Script::Lowered(art, patches)
             }
             None => {
                 let generate = if train {
@@ -865,29 +864,25 @@ impl Handle {
                 };
                 generated = generate(graph, root, plan, &mut self.pool, &self.tables)?;
                 let gs = &generated;
-                let pool_len = self.pool.used() - pool_base;
                 let counts = (
                     gs.forward_instructions,
                     gs.backward_instructions,
                     gs.scripts.encoded_bytes(),
                 );
                 self.stage(graph, train, &gs.layout, counts, cost)?;
-                let script = if backend == BackendKind::Lowered {
+                if backend == BackendKind::Lowered {
                     // Repeated shapes skip lowering *and* the timeline sweep.
                     let plan = &self.plans[slot];
                     let art = self.lowered.get_or_lower(plan, gs, self.gpu.cost_model());
-                    self.lowered
-                        .install_graph(gs, graph, &self.tables, pool_len);
                     let patches = art.extract_patches(gs);
                     Script::Lowered(art, patches)
                 } else {
                     Script::Interpreted(gs, None)
-                };
-                (Arc::clone(&gs.layout), script)
+                }
             }
         };
         let plan = &self.plans[slot];
-        let session = Session::new(plan, layout, cfg, self.gpu.cost_model(), script);
+        let session = Session::new(plan, cfg, self.gpu.cost_model(), script);
         let before = self.gpu.now();
         if draw_fault(&mut self.faults, FaultKind::VppHang, self.gpu.now()) {
             // The kernel launches, one CTA stops advancing, and the watchdog

@@ -95,8 +95,7 @@ impl TableLayout {
     /// First pool offset above the batch-invariant residents: every offset
     /// strictly below this is an embedding-table row or the resident
     /// constant (the layout allocates tables first, then the constant, then
-    /// freezes the floor). Copies that read below this floor are per-request
-    /// literals, which lowering turns into patch points.
+    /// freezes the floor).
     pub fn persistent_floor(&self) -> u32 {
         self.const_one.raw() + 1
     }
@@ -127,8 +126,6 @@ pub struct BatchLayout {
     pub value_off: Vec<PoolOffset>,
     /// Derivative offset of every node.
     pub deriv_off: Vec<PoolOffset>,
-    /// Start of the contiguous derivative region (memset target).
-    pub deriv_base: PoolOffset,
     /// Length of the derivative region in elements.
     pub deriv_len: usize,
     /// The loss node this batch backpropagates from.
@@ -137,13 +134,31 @@ pub struct BatchLayout {
     pub stages: Vec<Option<ParamStage>>,
 }
 
+/// Where one per-request literal of the scripts comes from: the graph node
+/// that supplies it, or a batch-invariant resident offset. The generator
+/// records one for every literal it emits ([`GeneratedScript::literals`]),
+/// and lowering makes exactly those instructions patch points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Literal {
+    /// A `Copy` source: the pool offset of the table row this `Lookup` node
+    /// reads.
+    Row(NodeId),
+    /// The gold label of this `PickNegLogSoftmax` node, in its `PickNls` or
+    /// `PickNlsBwd`.
+    Label(NodeId),
+    /// A `Copy` source at a batch-invariant resident offset (the loss-seed
+    /// constant).
+    Resident(u32),
+}
+
 /// The generated per-batch artifact: scripts plus layout plus scheduling
 /// statistics.
 #[derive(Debug, Clone)]
 pub struct GeneratedScript {
     /// Per-VPP instruction streams, shared with the interpreter's sweep.
     pub scripts: Arc<ScriptSet>,
-    /// Pool layout for this batch, shared with its sweep and warm summary.
+    /// Pool layout for this batch, shared with its sweep and lowered
+    /// artifact.
     pub layout: Arc<BatchLayout>,
     /// Barriers allocated.
     pub num_barriers: u32,
@@ -151,12 +166,16 @@ pub struct GeneratedScript {
     pub forward_instructions: usize,
     /// Compute instructions emitted during backward traversal.
     pub backward_instructions: usize,
-    /// Final accumulated load metric per VPP (load-balance diagnostics).
-    pub vpp_loads: Vec<f64>,
+    /// Every per-request literal the scripts carry, as `(vpp, ip, source)`
+    /// sorted by `(vpp, ip)`: a lookup's `Copy`, a `PickNls` / `PickNlsBwd`
+    /// and the loss-seed `Copy`.
+    pub literals: Vec<(u32, u32, Literal)>,
+    /// Pool elements generation allocated above the pool base: one `alloc`
+    /// of this length reserves (and zeroes) the same region.
+    pub pool_len: usize,
     /// The table layout's [`TableLayout::persistent_floor`] at generation
     /// time: offsets below it are batch-invariant residents. Carried here so
-    /// downstream passes (literal patching, lowering's bounds) don't need the
-    /// layout itself.
+    /// lowering's bounds don't need the layout itself.
     pub persistent_floor: u32,
     /// The words these scripts are a pure function of: plan id, pool base,
     /// schedule policy, train|infer, root and the graph's
@@ -198,10 +217,15 @@ struct Emitter<'a> {
     touched: Vec<usize>,
     policy: SchedulePolicy,
     rr_next: usize,
+    /// [`GeneratedScript::literals`] so far; those of the open level, from
+    /// `open` on, hold their index in the level's body as `ip` until
+    /// [`Emitter::flush_level`].
+    literals: Vec<(u32, u32, Literal)>,
+    open: usize,
 }
 
 impl<'a> Emitter<'a> {
-    fn new(dist: &'a Distribution, policy: SchedulePolicy) -> Self {
+    fn new(dist: &'a Distribution, policy: SchedulePolicy, literals: usize) -> Self {
         let vpps = dist.geometry().total_vpps();
         Self {
             dist,
@@ -210,6 +234,8 @@ impl<'a> Emitter<'a> {
             touched: Vec::new(),
             policy,
             rr_next: 0,
+            literals: Vec::with_capacity(literals),
+            open: 0,
         }
     }
 
@@ -271,6 +297,26 @@ impl<'a> Emitter<'a> {
         vpp
     }
 
+    /// Records `source` for the literal of the instruction just emitted to
+    /// `vpp`.
+    fn literal(&mut self, vpp: usize, source: Literal) {
+        let at = self.level[vpp].len() - 1;
+        self.literals.push((vpp as u32, at as u32, source));
+    }
+
+    /// Emits the loss-derivative seed, a copy of the resident constant `one`
+    /// to `dloss`, to the VPP the scheduling policy picks, returning it.
+    fn emit_seed(&mut self, one: PoolOffset, dloss: PoolOffset) -> usize {
+        let seed = Instr::Copy {
+            len: 1,
+            src: one,
+            dst: dloss,
+        };
+        let vpp = self.emit_balanced(seed);
+        self.literal(vpp, Literal::Resident(one.raw()));
+        vpp
+    }
+
     /// Closes the current level: flushes its per-VPP bodies into `scripts`
     /// with the barrier protocol. Returns the updated `(last_barrier,
     /// participants)` state.
@@ -283,6 +329,12 @@ impl<'a> Emitter<'a> {
         if self.touched.is_empty() {
             return last;
         }
+        // A body lands after the VPP's script so far and its `Wait`.
+        let wait = u32::from(last.is_some());
+        for (vpp, ip, _) in &mut self.literals[self.open..] {
+            *ip += scripts.script(*vpp as usize).len() as u32 + wait;
+        }
+        self.open = self.literals.len();
         let barrier = *next_barrier;
         *next_barrier += 1;
         let participants = self.touched.len() as u32;
@@ -414,12 +466,21 @@ fn generate_inner(
         "loss must be a scalar node for backward generation"
     );
     let dist = plan.distribution();
+    let pool_base = pool.used();
     let mut key = Vec::new();
-    dispatch_key(graph, loss, plan, pool.used(), policy, backward, &mut key);
+    dispatch_key(graph, loss, plan, pool_base, policy, backward, &mut key);
 
-    // ---- pool layout: values, then a contiguous derivative region.
+    // ---- pool layout: values, then a contiguous derivative region. The
+    // literals are counted on the way: a lookup's row, a pick's label
+    // (twice, training) and, training, the loss seed.
+    let mut literals = usize::from(backward);
     let mut value_off = Vec::with_capacity(graph.len());
     for (_, node) in graph.iter() {
+        literals += match node.op {
+            Op::Lookup { .. } => 1,
+            Op::PickNegLogSoftmax { .. } => 1 + usize::from(backward),
+            _ => 0,
+        };
         value_off.push(alloc(pool, node.dim)?);
     }
     let deriv_start = pool.used();
@@ -431,7 +492,6 @@ fn generate_inner(
     } else {
         deriv_off = vec![PoolOffset(deriv_start as u32); graph.len()];
     }
-    let deriv_base = PoolOffset(deriv_start as u32);
     let deriv_len = pool.used() - deriv_start;
 
     // ---- GEMM-fallback staging layout (backward only).
@@ -486,7 +546,8 @@ fn generate_inner(
 
     // ---- traversal.
     let levels = dyn_graph::levels::level_sort(graph);
-    let mut emitter = Emitter::new(dist, policy);
+    let mut emitter = Emitter::new(dist, policy, literals);
+    let one = tables.const_one();
     let mut scripts = ScriptSet::new(dist.geometry().total_vpps());
     let mut next_barrier = 0u32;
     let mut last: Option<(u32, u32)> = None;
@@ -514,11 +575,12 @@ fn generate_inner(
             match &node.op {
                 Op::Input { .. } => {} // pre-copied host-to-device
                 Op::Lookup { table, index } => {
-                    emitter.emit_balanced(Instr::Copy {
+                    let vpp = emitter.emit_balanced(Instr::Copy {
                         len: node.dim as u32,
                         src: tables.row_offset(*table, *index),
                         dst: y,
                     });
+                    emitter.literal(vpp, Literal::Row(id));
                     forward_instructions += 1;
                 }
                 Op::MatVec { w } => {
@@ -659,21 +721,18 @@ fn generate_inner(
                     forward_instructions += node.args.len();
                 }
                 Op::PickNegLogSoftmax { label } => {
-                    emitter.emit_balanced(Instr::PickNls {
+                    let vpp = emitter.emit_balanced(Instr::PickNls {
                         len: graph.node(node.args[0]).dim as u32,
                         x: value_off[node.args[0].index()],
                         out: y,
                         label: *label as u32,
                     });
+                    emitter.literal(vpp, Literal::Label(id));
                     forward_instructions += 1;
                 }
             }
             if seed_in_forward && id == loss {
-                emitter.emit_balanced(Instr::Copy {
-                    len: 1,
-                    src: tables.const_one(),
-                    dst: deriv_off[id.index()],
-                });
+                emitter.emit_seed(one, deriv_off[id.index()]);
                 backward_instructions += 1;
             }
         }
@@ -692,28 +751,21 @@ fn generate_inner(
             let dy = deriv_off[id.index()];
             // Seed the loss derivative on whichever VPP handles the loss
             // node's backward instructions; emit it first for that node.
-            let seed = if id == loss {
-                Some(Instr::Copy {
-                    len: 1,
-                    src: tables.const_one(),
-                    dst: dy,
-                })
-            } else {
-                None
-            };
+            let seed = id == loss;
             let mut seeded_home: Option<usize> = None;
-            let mut emit_seeded = |em: &mut Emitter, instr: Instr| match seeded_home {
-                Some(v) => em.emit_pinned(v, instr),
-                None => {
-                    let v = if let Some(seed_instr) = seed {
-                        let v = em.emit_balanced(seed_instr);
+            let mut emit_seeded = |em: &mut Emitter, instr: Instr| {
+                if seed && seeded_home.is_none() {
+                    seeded_home = Some(em.emit_seed(one, dy));
+                }
+                let v = match seeded_home {
+                    Some(v) => {
                         em.emit_pinned(v, instr);
                         v
-                    } else {
-                        em.emit_balanced(instr)
-                    };
-                    seeded_home = Some(v);
-                }
+                    }
+                    None => em.emit_balanced(instr),
+                };
+                seeded_home = Some(v);
+                v
             };
 
             match &node.op {
@@ -721,8 +773,8 @@ fn generate_inner(
                     // Inputs need no derivative; lookup-table gradients are
                     // applied host-side from the deriv region after the
                     // kernel (sparse update outside the cached set).
-                    if let Some(seed_instr) = seed {
-                        emitter.emit_balanced(seed_instr);
+                    if seed {
+                        emitter.emit_seed(one, dy);
                         backward_instructions += 1;
                     }
                 }
@@ -905,7 +957,7 @@ fn generate_inner(
                     }
                 }
                 Op::PickNegLogSoftmax { label } => {
-                    emit_seeded(
+                    let vpp = emit_seeded(
                         &mut emitter,
                         Instr::PickNlsBwd {
                             len: graph.node(node.args[0]).dim as u32,
@@ -915,10 +967,11 @@ fn generate_inner(
                             label: *label as u32,
                         },
                     );
+                    emitter.literal(vpp, Literal::Label(id));
                     backward_instructions += 1;
                 }
             }
-            if seed.is_some() && seeded_home.is_some() {
+            if seed && seeded_home.is_some() {
                 backward_instructions += 1; // the seed copy itself
             }
         }
@@ -928,11 +981,12 @@ fn generate_inner(
     let layout = BatchLayout {
         value_off,
         deriv_off,
-        deriv_base,
         deriv_len,
         loss,
         stages,
     };
+    let mut literals = emitter.literals;
+    literals.sort_unstable_by_key(|&(vpp, ip, _)| (vpp, ip));
     if vpps_obs::enabled() {
         vpps_obs::counter("script.instructions")
             .add((forward_instructions + backward_instructions) as u64);
@@ -947,7 +1001,8 @@ fn generate_inner(
         num_barriers: next_barrier,
         forward_instructions,
         backward_instructions,
-        vpp_loads: emitter.loads,
+        literals,
+        pool_len: pool.used() - pool_base,
         persistent_floor: tables.persistent_floor(),
         key: key.into_boxed_slice(),
     })
@@ -1126,11 +1181,16 @@ mod tests {
         let cat = g.concat(&outs);
         let loss = g.pick_neg_log_softmax(cat, 0);
         let gs = generate(&g, loss, &plan, &mut pool, &tables).unwrap();
-        let busy = gs.vpp_loads.iter().filter(|&&l| l > 0.0).count();
+        let busy = (0..gs.scripts.num_vpps())
+            .filter(|&v| {
+                let script = gs.scripts.script(v);
+                script.iter().any(|i| matches!(i, Instr::Tanh { .. }))
+            })
+            .count();
         assert!(
             busy >= 4,
             "independent work should use all {} VPPs, used {busy}",
-            gs.vpp_loads.len()
+            gs.scripts.num_vpps()
         );
         let _ = m;
     }

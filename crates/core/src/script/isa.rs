@@ -364,22 +364,6 @@ impl Instr {
         }
     }
 
-    /// Operand index of this instruction's per-request literal, if it has
-    /// one: a `Copy` source below the pool's persistent floor (an
-    /// embedding-table row or the resident constant, picked by the
-    /// request's token ids) or the gold label of a `PickNls` /
-    /// `PickNlsBwd`. Lowering makes exactly these patch points: they are
-    /// where the literals that `GeneratedScript::key` leaves out land in the
-    /// scripts.
-    pub(crate) fn request_literal(&self, persistent_floor: u32) -> Option<usize> {
-        match self {
-            Instr::Copy { src, .. } if src.raw() < persistent_floor => Some(0),
-            Instr::PickNls { .. } => Some(2),
-            Instr::PickNlsBwd { .. } => Some(3),
-            _ => None,
-        }
-    }
-
     /// Short mnemonic for traces and diagnostics.
     pub fn mnemonic(&self) -> &'static str {
         MNEMONICS[usize::from(self.opcode())]

@@ -10,6 +10,8 @@ pub mod isa;
 pub mod validate;
 
 pub use generate::generate_forward_only;
-pub use generate::{BatchLayout, GeneratedScript, ParamStage, SchedulePolicy, TableLayout};
+pub use generate::{
+    BatchLayout, GeneratedScript, Literal, ParamStage, SchedulePolicy, TableLayout,
+};
 pub use isa::{Instr, ScriptSet, MAX_TENSOR_LEN};
 pub use validate::{validate_protocol, ProtocolError};

@@ -286,14 +286,6 @@ impl Graph {
         self.nodes.iter().map(|n| n.dim).sum()
     }
 
-    /// Counts nodes that multiply by a weight matrix.
-    pub fn matvec_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.op.uses_weight_matrix())
-            .count()
-    }
-
     /// The one definition of "graph structure": feeds `eat` the graph's
     /// structural encoding word by word — node count, then per node the
     /// operation kind, its parameter identity or lookup *table*, the output
@@ -553,16 +545,6 @@ mod tests {
         assert_eq!(remapped.index(), 3);
         assert_eq!(g1.node(remapped).args[0].index(), 2);
         let _ = t1; // silence unused
-    }
-
-    #[test]
-    fn matvec_count_counts_weight_uses() {
-        let (m, w, b) = toy_model();
-        let mut g = Graph::new();
-        let x = g.input(vec![0.0; 2]);
-        let h = g.affine(&m, w, b, x);
-        let _ = g.tanh(h);
-        assert_eq!(g.matvec_count(), 1);
     }
 
     #[test]

@@ -107,16 +107,6 @@ impl Op {
         }
     }
 
-    /// `true` for leaves (no graph arguments).
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Op::Input { .. } | Op::Lookup { .. })
-    }
-
-    /// `true` if the op multiplies by a register-cacheable weight matrix.
-    pub fn uses_weight_matrix(&self) -> bool {
-        matches!(self, Op::MatVec { .. })
-    }
-
     /// The dense parameter this op reads, if any.
     pub fn param(&self) -> Option<ParamId> {
         match self {
@@ -163,23 +153,6 @@ mod tests {
         let a = Op::PickNegLogSoftmax { label: 0 };
         let b = Op::PickNegLogSoftmax { label: 3 };
         assert_eq!(a.kind(), b.kind());
-    }
-
-    #[test]
-    fn leaf_classification() {
-        assert!(Op::Input { values: vec![1.0] }.is_leaf());
-        assert!(Op::Lookup {
-            table: LookupId(0),
-            index: 5
-        }
-        .is_leaf());
-        assert!(!Op::Tanh.is_leaf());
-    }
-
-    #[test]
-    fn weight_matrix_detection() {
-        assert!(Op::MatVec { w: ParamId(0) }.uses_weight_matrix());
-        assert!(!Op::AddBias { b: ParamId(0) }.uses_weight_matrix());
     }
 
     #[test]

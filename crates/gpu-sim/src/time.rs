@@ -27,13 +27,13 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime { ns: 0.0 };
 
     /// Constructs from nanoseconds.
-    pub fn from_ns(ns: f64) -> Self {
+    pub const fn from_ns(ns: f64) -> Self {
         debug_assert!(ns.is_finite(), "SimTime must be finite");
         Self { ns }
     }
 
     /// Constructs from microseconds.
-    pub fn from_us(us: f64) -> Self {
+    pub const fn from_us(us: f64) -> Self {
         Self::from_ns(us * 1e3)
     }
 

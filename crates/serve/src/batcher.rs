@@ -73,7 +73,7 @@ pub(crate) struct Pending {
     /// Hard flush bound: `arrival + max_linger`.
     pub linger_deadline: SimTime,
     /// Batch failures survived so far (bounded by
-    /// [`crate::RecoveryConfig::retry_budget`]).
+    /// [`crate::RETRY_BUDGET`]).
     pub retries: u32,
 }
 

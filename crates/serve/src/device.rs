@@ -27,7 +27,7 @@ use vpps::{Compute, Handle, LoweredCacheStats, Output};
 use crate::batcher::{BucketKey, Pending};
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::compute::{Line, Scratch};
-use crate::policy::RecoveryConfig;
+use crate::policy::{RecoveryConfig, BREAKER_COOLDOWN, RETRY_BUDGET, WATCHDOG_GRACE};
 use crate::request::{RequestId, RequestKind};
 
 /// Identifier of one virtual device (shard) inside a server.
@@ -270,10 +270,9 @@ pub struct Device {
     /// When the current freeze began (valid while `frozen`).
     frozen_at: SimTime,
     /// Liveness timer: `Some(due)` while a frozen device owes work. A hang
-    /// is silent, so only a completion overdue by `watchdog_grace` can
+    /// is silent, so only a completion overdue by [`WATCHDOG_GRACE`] can
     /// expose it; the server declares the device down when `due` passes.
     watchdog: Option<SimTime>,
-    watchdog_grace: SimTime,
     /// Successful batches still required to clear revival probation
     /// (meaningful while `health == Reviving`).
     probation_left: u32,
@@ -282,12 +281,7 @@ pub struct Device {
 impl Device {
     /// A device computing its batches on `line`'s worker, or inline
     /// without one.
-    pub(crate) fn new(
-        id: DeviceId,
-        recovery: RecoveryConfig,
-        watchdog_grace: SimTime,
-        line: Option<Line>,
-    ) -> Self {
+    pub(crate) fn new(id: DeviceId, recovery: RecoveryConfig, line: Option<Line>) -> Self {
         Self {
             id,
             models: Vec::new(),
@@ -311,7 +305,6 @@ impl Device {
             frozen: false,
             frozen_at: SimTime::ZERO,
             watchdog: None,
-            watchdog_grace,
             probation_left: 0,
         }
     }
@@ -326,10 +319,7 @@ impl Device {
         self.models.push(DeviceModel {
             model: Some(model),
             handle,
-            breaker: CircuitBreaker::new(
-                self.recovery.breaker_threshold,
-                self.recovery.breaker_cooldown,
-            ),
+            breaker: CircuitBreaker::new(self.recovery.breaker_threshold, BREAKER_COOLDOWN),
         });
     }
 
@@ -502,7 +492,7 @@ impl Device {
     /// the grace.
     fn arm_watchdog(&mut self, now: SimTime) {
         if self.watchdog.is_none() && self.frozen && !self.is_idle() {
-            self.watchdog = Some(self.busy_until.max(now) + self.watchdog_grace);
+            self.watchdog = Some(self.busy_until.max(now) + WATCHDOG_GRACE);
         }
     }
 
@@ -712,12 +702,11 @@ impl Device {
                 dm.breaker.record_failure(now);
                 self.failures += 1;
                 vpps_obs::counter("serve.batch_failures").incr();
-                let budget = self.recovery.retry_budget;
                 let mut dropped = Vec::new();
                 let mut retried = Vec::new();
                 for mut p in batch {
                     p.retries += 1;
-                    if p.retries > budget {
+                    if p.retries > RETRY_BUDGET {
                         dropped.push(p);
                     } else {
                         // Singleton re-execution: a multi-request batch that

@@ -69,6 +69,7 @@ pub use breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 pub use device::{Device, DeviceHealth, DeviceId, DeviceStats, HealthTransition};
 pub use policy::{
     AdmissionPolicy, BatchPolicy, HealthPolicy, RecoveryConfig, ServeConfig, ShardPolicy,
+    BREAKER_COOLDOWN, RETRY_BUDGET, WATCHDOG_GRACE,
 };
 pub use report::{DeviceRow, ServeRecord, ServeReport};
 pub use request::{

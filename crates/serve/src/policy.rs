@@ -66,32 +66,36 @@ impl Default for AdmissionPolicy {
     }
 }
 
-/// Serving-side recovery policy: the circuit breaker and per-request retry
-/// budget that sit *above* the handle's own retry/fallback ladder
-/// ([`vpps::RecoveryPolicy`]). The handle absorbs transient faults; this
-/// layer decides what to do when a whole batch still comes back with a
-/// typed error.
+/// Virtual time an open breaker sheds before allowing a half-open probe.
+pub const BREAKER_COOLDOWN: SimTime = SimTime::from_us(500.0);
+
+/// Batch failures one request may survive (being requeued as a singleton)
+/// before it is shed with [`crate::ShedReason::RetryBudget`]. This bounds
+/// the blast radius of a poisoned graph: it can burn at most
+/// `RETRY_BUDGET + 1` dispatches, and after its first failure it never
+/// co-batches with healthy requests again.
+pub const RETRY_BUDGET: u32 = 2;
+
+/// Slack past a device's promised completion time (or past enqueue for an
+/// idle-frozen device) before the watchdog declares it down.
+pub const WATCHDOG_GRACE: SimTime = SimTime::from_us(200.0);
+
+/// Serving-side recovery policy: the circuit breaker (and, fixed, the
+/// per-request [`RETRY_BUDGET`]) that sit *above* the handle's own
+/// retry/fallback ladder ([`vpps::RecoveryPolicy`]). The handle absorbs
+/// transient faults; this layer decides what to do when a whole batch
+/// still comes back with a typed error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
-    /// Consecutive failed batches on one model before its breaker opens.
+    /// Consecutive failed batches on one model before its breaker opens
+    /// (and then sheds for [`BREAKER_COOLDOWN`]).
     pub breaker_threshold: u32,
-    /// Virtual time an open breaker sheds before allowing a half-open probe.
-    pub breaker_cooldown: SimTime,
-    /// Batch failures one request may survive (being requeued as a
-    /// singleton) before it is shed with
-    /// [`crate::ShedReason::RetryBudget`]. This bounds the blast radius of a
-    /// poisoned graph: it can burn at most `retry_budget + 1` dispatches,
-    /// and after its first failure it never co-batches with healthy
-    /// requests again.
-    pub retry_budget: u32,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         Self {
             breaker_threshold: 3,
-            breaker_cooldown: SimTime::from_us(500.0),
-            retry_budget: 2,
         }
     }
 }
@@ -130,13 +134,10 @@ impl Default for ShardPolicy {
 /// A crash is announced by the outage schedule itself, but a *hang* is
 /// silent — the device simply stops completing batches. The watchdog
 /// declares a device down when a completion it promised is overdue by
-/// [`HealthPolicy::watchdog_grace`] on the virtual clock, then drains and
+/// [`WATCHDOG_GRACE`] on the virtual clock, then drains and
 /// re-dispatches its queued and in-flight work to survivors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthPolicy {
-    /// Slack past a device's promised completion time (or past enqueue for
-    /// an idle-frozen device) before the watchdog declares it down.
-    pub watchdog_grace: SimTime,
     /// Warm batches a reviving device must complete under probation (one
     /// queued batch at a time, placement only when idle) before it is
     /// declared `Healthy` again and may reclaim affinity freely.
@@ -146,7 +147,6 @@ pub struct HealthPolicy {
 impl Default for HealthPolicy {
     fn default() -> Self {
         Self {
-            watchdog_grace: SimTime::from_us(200.0),
             probation_warm_batches: 2,
         }
     }

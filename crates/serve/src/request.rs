@@ -80,7 +80,7 @@ pub enum ShedReason {
     /// of queued behind a failing handle.
     BreakerOpen,
     /// The request's batch faulted and the request exhausted its per-request
-    /// retry budget ([`crate::RecoveryConfig::retry_budget`]).
+    /// retry budget ([`crate::RETRY_BUDGET`]).
     RetryBudget,
     /// The request named a model that was never registered.
     UnknownModel,

@@ -240,7 +240,7 @@ impl Server {
             .map(|i| {
                 let line =
                     (!queues.is_empty()).then(|| Line::new(queues[i % queues.len()].clone()));
-                Device::new(DeviceId(i), cfg.recovery, cfg.health.watchdog_grace, line)
+                Device::new(DeviceId(i), cfg.recovery, line)
             })
             .collect();
         // Pre-sort the outage schedule into edge events. Windows naming a

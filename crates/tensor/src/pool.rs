@@ -157,38 +157,6 @@ impl Pool {
         &mut self.data[start..start + len]
     }
 
-    /// Mutably borrows two **disjoint** regions at once (needed by operations
-    /// reading one tensor while writing another).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the regions overlap or extend past the allocated region.
-    pub fn two_slices_mut(
-        &mut self,
-        a: PoolOffset,
-        a_len: usize,
-        b: PoolOffset,
-        b_len: usize,
-    ) -> (&mut [f32], &mut [f32]) {
-        let (a0, b0) = (a.0 as usize, b.0 as usize);
-        assert!(
-            a0 + a_len <= self.used && b0 + b_len <= self.used,
-            "pool access out of range"
-        );
-        assert!(
-            a0 + a_len <= b0 || b0 + b_len <= a0,
-            "pool regions must be disjoint"
-        );
-        if a0 < b0 {
-            let (lo, hi) = self.data.split_at_mut(b0);
-            (&mut lo[a0..a0 + a_len], &mut hi[..b_len])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a0);
-            let blo = &mut lo[b0..b0 + b_len];
-            (&mut hi[..a_len], blo)
-        }
-    }
-
     /// Number of elements currently allocated.
     pub fn used(&self) -> usize {
         self.used
@@ -301,40 +269,6 @@ mod tests {
         assert_eq!(p.raw().len(), 80);
         assert_eq!(p.capacity(), 100);
         assert!(p.alloc(21).is_err());
-    }
-
-    #[test]
-    fn two_slices_mut_gives_disjoint_views() {
-        let mut p = Pool::with_capacity(8);
-        let a = p.alloc(4).unwrap();
-        let b = p.alloc(4).unwrap();
-        {
-            let (sa, sb) = p.two_slices_mut(a, 4, b, 4);
-            sa.fill(1.0);
-            sb.fill(2.0);
-        }
-        assert_eq!(p.slice(a, 4), &[1.0; 4]);
-        assert_eq!(p.slice(b, 4), &[2.0; 4]);
-    }
-
-    #[test]
-    fn two_slices_mut_order_independent() {
-        let mut p = Pool::with_capacity(8);
-        let a = p.alloc(4).unwrap();
-        let b = p.alloc(4).unwrap();
-        let (sb, sa) = p.two_slices_mut(b, 4, a, 4);
-        sb.fill(5.0);
-        sa.fill(6.0);
-        assert_eq!(p.slice(b, 4), &[5.0; 4]);
-        assert_eq!(p.slice(a, 4), &[6.0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn overlapping_two_slices_rejected() {
-        let mut p = Pool::with_capacity(8);
-        let a = p.alloc(8).unwrap();
-        let _ = p.two_slices_mut(a, 8, PoolOffset(4), 4);
     }
 
     #[test]

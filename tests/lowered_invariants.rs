@@ -490,7 +490,9 @@ proptest! {
     /// `GeneratedScript::key`s and lower to one artifact: equal ops, patch
     /// points, bounds and timeline, except the patched fields, which
     /// `extract_patches` on either request's scripts reads back as that
-    /// request's own literals through either artifact. And every input the
+    /// request's own literals through either artifact — and so does
+    /// `patches` on either request's graph, from the literal sources the
+    /// generator recorded. And every input the
     /// scripts are a function of — an edge, a dim, a parameter id, a lookup
     /// table, the root, train|infer, the schedule policy, the pool base —
     /// changed on its own gives an unequal key.
@@ -519,8 +521,9 @@ proptest! {
         let (min_load, round_robin) = (SchedulePolicy::MinLoad, SchedulePolicy::RoundRobin);
 
         let request_a = build_request(&model, &recipe, a, Change::None);
+        let request_b = build_request(&model, &recipe, b, Change::None);
         let gs_a = generate_as(&request_a, true, min_load, 0);
-        let gs_b = generate_as(&build_request(&model, &recipe, b, Change::None), true, min_load, 0);
+        let gs_b = generate_as(&request_b, true, min_load, 0);
         prop_assert_eq!(&gs_a.key, &gs_b.key, "literals are not in the key");
         let art_a = lowered::lower(&plan, &gs_a, gpu.cost_model());
         let art_b = lowered::lower(&plan, &gs_b, gpu.cost_model());
@@ -528,9 +531,11 @@ proptest! {
         prop_assert_eq!(unpatched(&art_a), unpatched(&art_b));
         prop_assert_eq!((art_a.pool_end, art_a.scratch_len), (art_b.pool_end, art_b.scratch_len));
         prop_assert_eq!(format!("{:?}", art_a.timeline), format!("{:?}", art_b.timeline));
-        for (own, gs) in [(&art_a, &gs_a), (&art_b, &gs_b)] {
-            prop_assert_eq!(art_a.extract_patches(gs), literals(own));
-            prop_assert_eq!(art_b.extract_patches(gs), literals(own));
+        for (own, gs, (graph, _)) in [(&art_a, &gs_a, &request_a), (&art_b, &gs_b, &request_b)] {
+            for art in [&art_a, &art_b] {
+                prop_assert_eq!(art.extract_patches(gs), literals(own));
+                prop_assert_eq!(art.patches(graph, &tables), art.extract_patches(gs));
+            }
         }
 
         let mut changed: Vec<(String, Box<[u32]>)> = [
@@ -802,8 +807,7 @@ fn lowered_stream_is_pinned_across_commits() {
 
 /// Through a `Handle` training a fixed shape, every batch after the first is
 /// a cache hit found from its graph — the stats the `lower.script.cache_hit`
-/// / `lower.graph.cache_hit` counters mirror — and no batch is left
-/// unindexed.
+/// / `lower.graph.cache_hit` counters mirror.
 #[test]
 fn handle_warm_path_hits_after_first_batch() {
     use vpps::{BackendKind, Handle, RpwMode, VppsOptions};
@@ -833,5 +837,4 @@ fn handle_warm_path_hits_after_first_batch() {
         "every warm batch is found from its graph (no script generated)"
     );
     assert_eq!(stats.script_re_misses, 0);
-    assert_eq!(stats.unindexed, 0, "every patch point has a graph node");
 }
