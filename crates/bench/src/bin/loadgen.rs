@@ -42,8 +42,6 @@
 //!   in-flight work on a crashed or hung device is re-dispatched to
 //!   survivors exactly once; the run reports the re-dispatch and terminal
 //!   per-device health.
-//! * `--no-fallback` — disable the handle's backend degradation ladder, so
-//!   exhausted retries surface as typed errors (breaker/shed territory).
 //! * `--expect-recovery` — exit non-zero unless the run injected faults,
 //!   some handle in the fleet retried or fell back, and requests completed:
 //!   proves the recovery path actually ran.
@@ -63,8 +61,8 @@ fn usage() -> ! {
          \x20              [--backend event-interp|lowered]\n\
          \x20              [--label S] [--emit FILE|-] [--fail-on-shed]\n\
          \x20              [--verify-determinism] [--fault-profile SPEC]\n\
-         \x20              [--outage DEV@START..END[:kind]] [--no-fallback]\n\
-         \x20              [--expect-recovery] [--trace-sample N] [--emit-trace FILE]"
+         \x20              [--outage DEV@START..END[:kind]] [--expect-recovery]\n\
+         \x20              [--trace-sample N] [--emit-trace FILE]"
     );
     std::process::exit(2);
 }
@@ -157,7 +155,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 });
             }
-            "--no-fallback" => sc.fallback = false,
             "--trace-sample" => {
                 sc.trace_sample = Some((parse_num(value(&mut i, &arg)) as u64).max(1));
             }
@@ -280,7 +277,7 @@ fn main() {
         let health = rec
             .devices
             .iter()
-            .map(|d| format!("{}:{}", d.device, d.health))
+            .map(|d| format!("{}:{}", d.id, d.health))
             .collect::<Vec<_>>()
             .join(" ");
         println!(

@@ -107,8 +107,6 @@ pub struct ChaosScenario {
     /// Uniform per-kind fault rates to sweep (`0.0` rows double as the
     /// armed-vs-disabled bit-identity check).
     pub rates: Vec<f64>,
-    /// Handle-level degradation ladder on/off.
-    pub fallback: bool,
     /// Execution backend for the warm handles (the top of the ladder).
     pub backend: vpps::BackendKind,
 }
@@ -122,7 +120,6 @@ impl Default for ChaosScenario {
             max_batch: 8,
             hidden: 32,
             rates: vec![0.0, 0.02, 0.05, 0.10],
-            fallback: true,
             backend: vpps::BackendKind::default(),
         }
     }
@@ -169,7 +166,6 @@ fn serve_scenario(sc: &ChaosScenario, rate: f64, faults: FaultConfig) -> ServeSc
         max_batch: sc.max_batch,
         hidden: sc.hidden,
         faults,
-        fallback: sc.fallback,
         backend: sc.backend,
         ..ServeScenario::default()
     }
@@ -300,7 +296,7 @@ mod tests {
             panic!("one record per rate");
         };
         assert!(faulty.faults_total > 0 && faulty.recovery.retries > 0);
-        // With the ladder on, goodput survives: everything still completes.
+        // The ladder absorbs every device fault: everything still completes.
         let (clean, faulty) = (&clean.record.report, &faulty.record.report);
         assert_eq!(faulty.completed, faulty.offered);
         assert!(

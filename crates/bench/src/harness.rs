@@ -141,7 +141,6 @@ pub fn profiled_rpw(app: &AppInstance, device: &DeviceConfig, batch: usize) -> u
     let warm_batch = batch.clamp(1, 32).min(app.num_inputs());
     let opts = VppsOptions {
         rpw: RpwMode::Profile,
-        profile_batches_per_rpw: 1,
         pool_capacity: pool_capacity_for(app, warm_batch),
         ..VppsOptions::default()
     };

@@ -30,8 +30,8 @@ use vpps_datasets::{RequestCorpus, RequestCorpusConfig, Treebank, TreebankConfig
 use vpps_models::{DynamicModel, TreeLstm};
 use vpps_obs::Json;
 use vpps_serve::{
-    Admission, AdmissionPolicy, BatchPolicy, DeviceRow, ModelId, Outcome, Request, RequestKind,
-    ServeConfig, ServeRecord, ServeReport, Server, ShedReason, TenantId,
+    Admission, AdmissionPolicy, BatchPolicy, ModelId, Outcome, Request, RequestKind, ServeConfig,
+    ServeRecord, ServeReport, Server, ShedReason, TenantId,
 };
 
 use crate::trajectory::{records, text, uint, Facts, Field, Schema, Ty};
@@ -163,10 +163,6 @@ pub struct ServeScenario {
     /// by default). Arming this turns the scenario into a chaos run: the
     /// same seeded trace, with deterministic faults layered on top.
     pub faults: vpps::FaultConfig,
-    /// Handle-level recovery: enables the backend degradation ladder. Set
-    /// `false` to let batches fail with typed errors and exercise the
-    /// serving-side breaker/retry-budget path instead.
-    pub fallback: bool,
     /// `Some(n)`: enable per-request tracing, recording every `n`-th
     /// request id (1 traces everything). Tracing is pure observation: the
     /// virtual timeline is bit-identical with tracing on or off.
@@ -194,7 +190,6 @@ impl Default for ServeScenario {
             steal_margin_us: 50.0,
             hidden: 64,
             faults: vpps::FaultConfig::disabled(),
-            fallback: true,
             trace_sample: None,
         }
     }
@@ -246,10 +241,6 @@ pub(crate) fn server_for(sc: &ServeScenario) -> (Server, ModelId, ServeWorkload)
             pool_capacity: 1 << 22,
             backend: sc.backend,
             faults: sc.faults,
-            recovery: vpps::RecoveryPolicy {
-                fallback: sc.fallback,
-                ..vpps::RecoveryPolicy::default()
-            },
             ..vpps::VppsOptions::default()
         },
         batch: BatchPolicy {
@@ -295,11 +286,7 @@ pub fn record_of(sc: &ServeScenario, server: &Server, offered_rps: f64) -> Serve
         script_hits: cache.script_hits,
         script_misses: cache.script_misses,
         script_re_misses: cache.script_re_misses,
-        devices: server
-            .device_stats()
-            .iter()
-            .map(DeviceRow::from_stats)
-            .collect(),
+        devices: server.device_stats(),
         report: ServeReport::from_outcomes(server.outcomes()),
     }
 }

@@ -46,7 +46,7 @@ use crate::specialize::{GradStrategy, KernelPlan};
 
 pub use backends::EventInterp;
 pub use lowered::{Lowered, LoweredCache, LoweredCacheStats, LoweredScript, MicroOp, PatchPoint};
-pub use recovery::{RecoveryPolicy, RecoveryStats};
+pub use recovery::RecoveryStats;
 pub use timeline::TimelineReport;
 
 /// Which execution backend a [`crate::Handle`] (or test) should use. Every

@@ -14,7 +14,8 @@
 //! fallback yields the exact same result), and finally to launch-per-op
 //! baseline execution on the host reference — the DyNet-style execution
 //! model the paper argues against, kept as the last resort precisely
-//! because per-op kernels hold no persistent register state to poison.
+//! because per-op kernels hold no persistent register state to poison. That
+//! rung cannot fault, so the ladder always ends in a value.
 
 use gpu_sim::{FaultProfile, SimTime};
 
@@ -30,49 +31,28 @@ const WATCHDOG_MULTIPLIER: f64 = 4.0;
 /// grace period.
 const WATCHDOG_MIN_NS: f64 = 1e4;
 
-/// Retry / quarantine / fallback configuration, carried in
-/// [`crate::VppsOptions`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Attempts per backend rung before degrading (>= 1).
-    pub max_attempts: u32,
-    /// Faults charged to one plan before it is quarantined (evicted from the
-    /// specialize/lowered memos and re-JITted).
-    pub quarantine_threshold: u32,
-    /// Enables the degradation ladder; when `false` exhausted retries return
-    /// [`crate::VppsError::RetriesExhausted`] instead of falling back.
-    pub fallback: bool,
+/// Attempts per backend rung before the batch degrades to the next one.
+pub const MAX_ATTEMPTS: u32 = 3;
+/// Faults charged to one plan before it is quarantined (evicted from the
+/// specialize/lowered memos and re-JITted).
+pub const QUARANTINE_THRESHOLD: u32 = 3;
+
+/// The watchdog timeout for a run whose analytic body time is `expected`:
+/// `max(10 µs, 4 × expected)`. A hung run occupies exactly this much virtual
+/// time before the watchdog kills it.
+pub fn watchdog_timeout(expected: SimTime) -> SimTime {
+    SimTime::from_ns(WATCHDOG_MIN_NS).max(SimTime::from_ns(expected.as_ns() * WATCHDOG_MULTIPLIER))
 }
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            quarantine_threshold: 3,
-            fallback: true,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// The watchdog timeout for a run whose analytic body time is
-    /// `expected`: `max(10 µs, 4 × expected)`. A hung run occupies exactly
-    /// this much virtual time before the watchdog kills it.
-    pub fn watchdog_timeout(&self, expected: SimTime) -> SimTime {
-        SimTime::from_ns(WATCHDOG_MIN_NS)
-            .max(SimTime::from_ns(expected.as_ns() * WATCHDOG_MULTIPLIER))
-    }
-
-    /// Backoff before retry number `retry` (0-based): exponential from 2 µs,
-    /// capped at 1 ms, plus jitter uniform in `[0, delay/2]` drawn from the
-    /// fault profile's seeded stream — so the delays decorrelate retries
-    /// without breaking reproducibility.
-    pub fn backoff_delay(&self, retry: u32, profile: &mut FaultProfile) -> SimTime {
-        let factor = 2.0f64.powi(retry.min(40) as i32);
-        let capped = (BACKOFF_BASE_NS * factor).min(BACKOFF_CAP_NS);
-        let jitter = profile.jitter_ns(capped * 0.5);
-        SimTime::from_ns(capped + jitter)
-    }
+/// Backoff before retry number `retry` (0-based): exponential from 2 µs,
+/// capped at 1 ms, plus jitter uniform in `[0, delay/2]` drawn from the fault
+/// profile's seeded stream — so the delays decorrelate retries without
+/// breaking reproducibility.
+pub fn backoff_delay(retry: u32, profile: &mut FaultProfile) -> SimTime {
+    let factor = 2.0f64.powi(retry.min(40) as i32);
+    let capped = (BACKOFF_BASE_NS * factor).min(BACKOFF_CAP_NS);
+    let jitter = profile.jitter_ns(capped * 0.5);
+    SimTime::from_ns(capped + jitter)
 }
 
 /// The next rung down the degradation ladder, or `None` from the bottom
@@ -132,29 +112,27 @@ mod tests {
 
     #[test]
     fn watchdog_scales_with_expected_time_and_has_floor() {
-        let p = RecoveryPolicy::default();
         assert_eq!(
-            p.watchdog_timeout(SimTime::ZERO),
+            watchdog_timeout(SimTime::ZERO),
             SimTime::from_ns(WATCHDOG_MIN_NS)
         );
-        let t = p.watchdog_timeout(SimTime::from_us(100.0));
+        let t = watchdog_timeout(SimTime::from_us(100.0));
         assert_eq!(t, SimTime::from_us(400.0));
     }
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RecoveryPolicy::default();
         // Jitter-free comparison: rates 0 still draw jitter, so compare two
         // identically-seeded profiles instead of tuning to the stream.
         let mut a = FaultProfile::new(FaultConfig::uniform(1, 0.0));
         let mut b = FaultProfile::new(FaultConfig::uniform(1, 0.0));
-        let d0 = p.backoff_delay(0, &mut a);
-        let d0b = p.backoff_delay(0, &mut b);
+        let d0 = backoff_delay(0, &mut a);
+        let d0b = backoff_delay(0, &mut b);
         assert_eq!(d0, d0b, "same seed, same delay");
         // Bounds: delay in [base * 2^k, 1.5 * cap].
         assert!(d0.as_ns() >= BACKOFF_BASE_NS);
         assert!(d0.as_ns() <= BACKOFF_BASE_NS * 1.5);
-        let d_huge = p.backoff_delay(30, &mut a);
+        let d_huge = backoff_delay(30, &mut a);
         assert!(d_huge.as_ns() <= BACKOFF_CAP_NS * 1.5);
         assert!(d_huge.as_ns() >= BACKOFF_CAP_NS);
     }

@@ -39,7 +39,7 @@ use gpu_sim::{
 use vpps_tensor::ops::sgd_step;
 use vpps_tensor::Pool;
 
-use crate::engine::recovery::{self, RecoveryPolicy, RecoveryStats};
+use crate::engine::recovery::{self, RecoveryStats, MAX_ATTEMPTS, QUARANTINE_THRESHOLD};
 use crate::engine::{self, BackendKind, Script, Session, Sweep};
 use crate::error::VppsError;
 use crate::exec::fallback::{charge_gemm_fallback, gemm_fallback_values};
@@ -70,8 +70,6 @@ pub struct VppsOptions {
     pub weight_decay: f32,
     /// Device memory-pool capacity in `f32` elements.
     pub pool_capacity: usize,
-    /// Batches measured per candidate `rpw` during profiling.
-    pub profile_batches_per_rpw: usize,
     /// Disable the §III-C1 host/device pipelining: the host blocks on every
     /// batch (the asynchrony ablation). `fb` then effectively behaves like
     /// `fb` + `sync_get_latest_loss`.
@@ -85,9 +83,6 @@ pub struct VppsOptions {
     /// from it; an armed profile with all rates zero is bit-identical to the
     /// disabled configuration.
     pub faults: FaultConfig,
-    /// Watchdog / retry / quarantine / fallback policy (see
-    /// [`RecoveryPolicy`]). Only consulted when an attempt faults.
-    pub recovery: RecoveryPolicy,
 }
 
 impl Default for VppsOptions {
@@ -97,11 +92,9 @@ impl Default for VppsOptions {
             learning_rate: 0.1,
             weight_decay: 0.0,
             pool_capacity: 1 << 24,
-            profile_batches_per_rpw: 2,
             synchronous: false,
             backend: BackendKind::default(),
             faults: FaultConfig::disabled(),
-            recovery: RecoveryPolicy::default(),
         }
     }
 }
@@ -154,6 +147,9 @@ impl PhaseBreakdown {
     }
 }
 
+/// Batches measured per candidate `rpw` during profiling.
+const PROFILE_BATCHES_PER_RPW: usize = 1;
+
 #[derive(Debug)]
 struct ProfileState {
     current: usize,
@@ -162,7 +158,6 @@ struct ProfileState {
     counts: Vec<usize>,
     best: usize,
     done: bool,
-    batches_per_rpw: usize,
 }
 
 impl ProfileState {
@@ -174,11 +169,10 @@ impl ProfileState {
             counts: vec![0],
             best: 0,
             done: true,
-            batches_per_rpw: 0,
         }
     }
 
-    fn profiling(plans: usize, batches_per_rpw: usize) -> Self {
+    fn profiling(plans: usize) -> Self {
         Self {
             current: 0,
             batches_in_current: 0,
@@ -186,7 +180,6 @@ impl ProfileState {
             counts: vec![0; plans],
             best: 0,
             done: plans <= 1,
-            batches_per_rpw,
         }
     }
 
@@ -203,7 +196,7 @@ impl ProfileState {
         self.sums[self.current] += kernel_ns;
         self.counts[self.current] += 1;
         self.batches_in_current += 1;
-        if self.batches_in_current >= self.batches_per_rpw {
+        if self.batches_in_current >= PROFILE_BATCHES_PER_RPW {
             if self.current == 0 || self.avg(self.current) < self.avg(self.best) {
                 self.best = self.current;
                 if self.current + 1 < self.sums.len() {
@@ -421,24 +414,21 @@ fn draw_fault(faults: &mut Option<FaultProfile>, kind: FaultKind, now: SimTime) 
 }
 
 /// Models transient JIT/specialization failures: draws [`FaultKind::JitFailure`]
-/// per compile attempt, retrying up to the policy budget. Returns the number
-/// of failed attempts absorbed.
-fn simulate_jit(
-    faults: &mut Option<FaultProfile>,
-    policy: &RecoveryPolicy,
-    now: SimTime,
-) -> Result<u32, VppsError> {
+/// per compile attempt, up to [`MAX_ATTEMPTS`]. Returns the number of failed
+/// attempts absorbed.
+fn simulate_jit(faults: &mut Option<FaultProfile>, now: SimTime) -> Result<u32, VppsError> {
     let Some(p) = faults.as_mut() else {
         return Ok(0);
     };
-    let budget = policy.max_attempts.max(1);
-    for attempt in 0..budget {
+    for attempt in 0..MAX_ATTEMPTS {
         if !p.draw(FaultKind::JitFailure, now) {
             return Ok(attempt);
         }
         vpps_obs::counter("recover.retry").incr();
     }
-    Err(VppsError::JitFailed { attempts: budget })
+    Err(VppsError::JitFailed {
+        attempts: MAX_ATTEMPTS,
+    })
 }
 
 /// The VPPS training handle: owns the specialized kernel plans, the simulated
@@ -509,12 +499,11 @@ impl Handle {
         // Transient JIT failures at specialization time: one simulated
         // NVRTC compile (with retries) per plan.
         for _ in &plans {
-            rec.stats.jit_retries +=
-                simulate_jit(&mut faults, &opts.recovery, SimTime::ZERO)? as u64;
+            rec.stats.jit_retries += simulate_jit(&mut faults, SimTime::ZERO)? as u64;
         }
         let profile = match opts.rpw {
             RpwMode::Fixed(_) => ProfileState::fixed(),
-            RpwMode::Profile => ProfileState::profiling(plans.len(), opts.profile_batches_per_rpw),
+            RpwMode::Profile => ProfileState::profiling(plans.len()),
         };
         let mut pool = Pool::with_capacity(opts.pool_capacity);
         let tables = Arc::new(TableLayout::install(model, &mut pool)?);
@@ -566,13 +555,15 @@ impl Handle {
     /// is the recovery entry point: a faulted attempt computes nothing, so
     /// it leaves the master parameters and lookup tables as they were; the
     /// batch retries with backoff, degrades down the backend ladder, and
-    /// only then reports [`VppsError::RetriesExhausted`].
+    /// ends on the launch-per-op baseline rung, which cannot fault. No
+    /// transfer, launch, hang or DRAM fault reaches the caller.
     ///
     /// # Errors
     ///
-    /// [`VppsError::PoolExhausted`] when the batch does not fit the pool;
-    /// with faults armed also [`VppsError::RetriesExhausted`] (fallback
-    /// disabled) and [`VppsError::JitFailed`] (quarantine re-JIT failed).
+    /// Only errors no retry can fix: [`VppsError::PoolExhausted`] when the
+    /// batch does not fit the pool; with faults armed also
+    /// [`VppsError::JitFailed`] and the plan errors of [`Handle::new`] when
+    /// a quarantine re-JIT fails.
     pub fn try_fb(
         &mut self,
         model: &mut Model,
@@ -591,18 +582,20 @@ impl Handle {
     /// The charge half of one batch — a training batch (`train`, loss node
     /// `roots[0]`) or an inference batch reading every node of `roots`: the
     /// graph-construction charge, the recovery loop, and the epilogue's
-    /// GEMM-fallback launches — or, when the loop exhausts its retries and
-    /// the ladder is on, the launches of the launch-per-op baseline rung.
-    /// Ends in the one step that writes the clocks, errors included. What
-    /// the batch still has to compute comes back as a [`Compute`]; every
-    /// simulated fact about it — the clocks, the [`PhaseBreakdown`], the
-    /// metrics, `Ok` or `Err` — is already fixed, since no charge depends on
-    /// a value. Nothing here computes a value: a faulted attempt computes
-    /// nothing, and every rung's values are the `Compute`'s.
+    /// GEMM-fallback launches — or, when every rung faulted, the launches of
+    /// the launch-per-op baseline rung. Ends in the one step that writes the
+    /// clocks, errors included. What the batch still has to compute comes
+    /// back as a [`Compute`]; every simulated fact about it — the clocks,
+    /// the [`PhaseBreakdown`], the metrics, `Ok` or `Err` — is already
+    /// fixed, since no charge depends on a value. Nothing here computes a
+    /// value: a faulted attempt computes nothing, and every rung's values
+    /// are the `Compute`'s.
     ///
     /// # Errors
     ///
-    /// As [`Handle::try_fb`].
+    /// As [`Handle::try_fb`]: a batch that does not fit the pool, or a
+    /// failed quarantine re-JIT. An injected device fault never surfaces
+    /// here.
     ///
     /// # Panics
     ///
@@ -624,8 +617,7 @@ impl Handle {
             ..PhaseBreakdown::default()
         };
         let prepared = match self.run_with_recovery(model, graph, roots[0], train, &mut cost) {
-            Ok(ok) => Some(ok),
-            Err(VppsError::RetriesExhausted { .. }) if self.opts.recovery.fallback => None,
+            Ok(prepared) => prepared,
             Err(e) => {
                 self.charge(Charge::Failed, &cost, device_before);
                 return Err(e);
@@ -729,13 +721,14 @@ impl Handle {
     }
 
     /// Prepares one batch with bounded retry, backend degradation and plan
-    /// quarantine, and returns its clean attempt. `root` is the loss node
-    /// (training) or the generation root (inference). A faulted attempt
-    /// computes nothing, so no retry can observe half-applied gradients;
-    /// each faulted attempt of a training batch counts as a rollback of the
-    /// update it never made. Host-schedule and copy time of *every* attempt
-    /// accumulate into `cost` (failed attempts redo script generation and
-    /// transfers; that work is real).
+    /// quarantine, and returns its clean attempt — or `None` when every rung
+    /// faulted [`MAX_ATTEMPTS`] times, for the baseline rung. `root` is the
+    /// loss node (training) or the generation root (inference). A faulted
+    /// attempt computes nothing, so no retry can observe half-applied
+    /// gradients; each faulted attempt of a training batch counts as a
+    /// rollback of the update it never made. Host-schedule and copy time of
+    /// *every* attempt accumulate into `cost` (failed attempts redo script
+    /// generation and transfers; that work is real).
     fn run_with_recovery(
         &mut self,
         model: &Model,
@@ -743,59 +736,42 @@ impl Handle {
         root: NodeId,
         train: bool,
         cost: &mut PhaseBreakdown,
-    ) -> Result<Prepared, VppsError> {
-        let policy = self.opts.recovery;
+    ) -> Result<Option<Prepared>, VppsError> {
         let mut backend = self.opts.backend;
         let mut on_rung = 0u32;
-        let mut total = 0u32;
         loop {
-            match self.attempt(graph, root, train, backend, cost) {
-                Ok(prepared) => return Ok(prepared),
-                Err(e) if !e.is_retryable() => return Err(e),
-                Err(e) => {
-                    total += 1;
-                    on_rung += 1;
-                    if matches!(e, VppsError::RunTimedOut { .. }) {
-                        self.rec.stats.watchdog_timeouts += 1;
-                    }
-                    // A retryable error is a drawn fault: the injector is armed.
-                    if train {
-                        self.rec.stats.rollbacks += 1;
-                    }
-                    self.note_plan_fault(model)?;
-                    if on_rung >= policy.max_attempts.max(1) {
-                        match recovery::degraded(backend).filter(|_| policy.fallback) {
-                            Some(next) => {
-                                self.rec.stats.backend_fallbacks += 1;
-                                if vpps_obs::enabled() {
-                                    vpps_obs::counter(&format!("recover.fallback.{}", next.name()))
-                                        .incr();
-                                }
-                                backend = next;
-                                on_rung = 0;
-                            }
-                            None => {
-                                return Err(VppsError::RetriesExhausted {
-                                    attempts: total,
-                                    last: Box::new(e),
-                                });
-                            }
-                        }
-                    } else {
-                        let delay = self
-                            .faults
-                            .as_mut()
-                            .map_or(SimTime::ZERO, |p| policy.backoff_delay(on_rung - 1, p));
-                        self.gpu.advance(delay);
-                        self.rec.stats.retries += 1;
-                        self.rec.stats.backoff += delay;
-                        if vpps_obs::enabled() {
-                            vpps_obs::counter("recover.retry").incr();
-                            vpps_obs::counter("recover.backoff_ns").add(delay.as_ns() as u64);
-                        }
-                    }
-                }
+            if let Some(prepared) = self.attempt(graph, root, train, backend, cost)? {
+                return Ok(Some(prepared));
             }
+            on_rung += 1;
+            // A faulted attempt is a drawn fault: the injector is armed.
+            if train {
+                self.rec.stats.rollbacks += 1;
+            }
+            self.note_plan_fault(model)?;
+            if on_rung < MAX_ATTEMPTS {
+                let delay = self
+                    .faults
+                    .as_mut()
+                    .map_or(SimTime::ZERO, |p| recovery::backoff_delay(on_rung - 1, p));
+                self.gpu.advance(delay);
+                self.rec.stats.retries += 1;
+                self.rec.stats.backoff += delay;
+                if vpps_obs::enabled() {
+                    vpps_obs::counter("recover.retry").incr();
+                    vpps_obs::counter("recover.backoff_ns").add(delay.as_ns() as u64);
+                }
+                continue;
+            }
+            let Some(next) = recovery::degraded(backend) else {
+                return Ok(None);
+            };
+            self.rec.stats.backend_fallbacks += 1;
+            if vpps_obs::enabled() {
+                vpps_obs::counter(&format!("recover.fallback.{}", next.name())).incr();
+            }
+            backend = next;
+            on_rung = 0;
         }
     }
 
@@ -805,8 +781,8 @@ impl Handle {
     /// and the kernel's charge. Host and copy times accumulate into `cost`
     /// whether or not the attempt survives; a cache hit charges the times of
     /// the scripts it did not generate, from their cached counts. A faulted
-    /// attempt computes nothing; a clean one returns its sweep, computed by
-    /// the batch's [`Compute`].
+    /// attempt computes nothing and returns `None`; a clean one returns its
+    /// sweep, computed by the batch's [`Compute`].
     fn attempt(
         &mut self,
         graph: &Graph,
@@ -814,7 +790,7 @@ impl Handle {
         train: bool,
         backend: BackendKind,
         cost: &mut PhaseBreakdown,
-    ) -> Result<Prepared, VppsError> {
+    ) -> Result<Option<Prepared>, VppsError> {
         let slot = self.active;
         let plan = &self.plans[slot];
         self.pool.reset();
@@ -851,7 +827,9 @@ impl Handle {
                     art.backward_instructions,
                     art.encoded_bytes,
                 );
-                self.stage(graph, train, &art.layout, counts, cost)?;
+                if !self.stage(graph, train, &art.layout, counts, cost) {
+                    return Ok(None);
+                }
                 self.lowered.note_graph_hit();
                 let patches = art.patches(graph, &self.tables);
                 Script::Lowered(art, patches)
@@ -869,7 +847,9 @@ impl Handle {
                     gs.backward_instructions,
                     gs.scripts.encoded_bytes(),
                 );
-                self.stage(graph, train, &gs.layout, counts, cost)?;
+                if !self.stage(graph, train, &gs.layout, counts, cost) {
+                    return Ok(None);
+                }
                 if backend == BackendKind::Lowered {
                     // Repeated shapes skip lowering *and* the timeline sweep.
                     let plan = &self.plans[slot];
@@ -887,13 +867,11 @@ impl Handle {
         if draw_fault(&mut self.faults, FaultKind::VppHang, self.gpu.now()) {
             // The kernel launches, one CTA stops advancing, and the watchdog
             // kills it after its timeout elapses on the virtual clock.
-            let timeout = self
-                .opts
-                .recovery
-                .watchdog_timeout(session.metrics.kernel_time);
             self.gpu.record_failed_launch();
-            self.gpu.advance(timeout);
-            return Err(VppsError::RunTimedOut { waited: timeout });
+            self.gpu
+                .advance(recovery::watchdog_timeout(session.metrics.kernel_time));
+            self.rec.stats.watchdog_timeouts += 1;
+            return Ok(None);
         }
         // A DRAM corruption is only detected by ECC *after* the run: the
         // full body time is paid, but nothing would read the values, so none
@@ -901,26 +879,25 @@ impl Handle {
         let dram_fault = draw_fault(&mut self.faults, FaultKind::DramCorruption, self.gpu.now());
         session.metrics.commit(&mut self.gpu);
         if dram_fault {
-            return Err(VppsError::DeviceFault {
-                fault: FaultKind::DramCorruption,
-            });
+            return Ok(None);
         }
         cost.kernel_exec = self.gpu.now() - before;
         self.kernel_metrics.merge(&session.metrics);
         let arena = self.arenas[slot]
             .take()
             .unwrap_or_else(|| RegCache::new(plan.distribution()));
-        Ok(Prepared {
+        Ok(Some(Prepared {
             sweep: session.sweep,
             arena,
             slot,
-        })
+        }))
     }
 
     /// The transfer half of an attempt: charges the host scheduling of
     /// `forward` and `backward` instructions, copies the graph's inputs to
     /// their `layout` offsets, charges those and the `script_bytes` as H2D
     /// copies, and draws the transfer and launch faults, in that order.
+    /// Returns `false` if one of them fired.
     fn stage(
         &mut self,
         graph: &Graph,
@@ -928,7 +905,7 @@ impl Handle {
         layout: &BatchLayout,
         (forward, backward, script_bytes): (usize, usize, usize),
         cost: &mut PhaseBreakdown,
-    ) -> Result<(), VppsError> {
+    ) -> bool {
         cost.forward_schedule += self.host.schedule(graph.len(), forward);
         if train {
             cost.backward_schedule += self.host.schedule(graph.len(), backward);
@@ -953,39 +930,32 @@ impl Handle {
         ) {
             // Caught by the end-to-end transfer checksum before launch; the
             // copy time above is already paid.
-            return Err(VppsError::DeviceFault {
-                fault: FaultKind::TransferCorruption,
-            });
+            return false;
         }
         if draw_fault(&mut self.faults, FaultKind::LaunchFailure, self.gpu.now()) {
             self.gpu.record_failed_launch();
-            return Err(VppsError::DeviceFault {
-                fault: FaultKind::LaunchFailure,
-            });
+            return false;
         }
-        Ok(())
+        true
     }
 
     /// Charges one fault to the active plan; at the quarantine threshold the
     /// plan's lowered artifacts and memo entries are invalidated together and
     /// the plan is re-JITted — exactly once per plan (a plan that keeps
-    /// faulting after its re-JIT is not rebuilt again; retry/fallback handle
-    /// it from there).
+    /// faulting after its re-JIT is not rebuilt again; retry and fallback
+    /// handle it from there).
     fn note_plan_fault(&mut self, model: &Model) -> Result<(), VppsError> {
         let plan_id = self.plans[self.active].signature().plan_id();
         let count = self.rec.fault_counts.entry(plan_id).or_insert(0);
         *count += 1;
-        if *count >= self.opts.recovery.quarantine_threshold
-            && !self.rec.rejitted.contains(&plan_id)
-        {
+        if *count >= QUARANTINE_THRESHOLD && !self.rec.rejitted.contains(&plan_id) {
             self.rec.rejitted.insert(plan_id);
             self.rec.stats.quarantines += 1;
             vpps_obs::counter("recover.quarantine").incr();
             self.lowered.invalidate_plan(plan_id);
             let rpw = self.plans[self.active].rpw();
             let device = self.gpu.config().clone();
-            self.rec.stats.jit_retries +=
-                simulate_jit(&mut self.faults, &self.opts.recovery, self.gpu.now())? as u64;
+            self.rec.stats.jit_retries += simulate_jit(&mut self.faults, self.gpu.now())? as u64;
             self.plans[self.active] = KernelPlan::build(model, &device, rpw)?;
             self.arenas[self.active] = None;
             self.rec.stats.rejits += 1;
@@ -1295,7 +1265,6 @@ mod tests {
         let (mut m, w, cls) = toy_model();
         let mut o = opts();
         o.rpw = RpwMode::Profile;
-        o.profile_batches_per_rpw = 1;
         let mut h = Handle::new(&m, small_device(), o).unwrap();
         assert!(
             h.plans().len() > 1,
@@ -1412,7 +1381,8 @@ mod tests {
         let (g, loss) = lookup_graph(&m, tables, cls, &[5, 1, 5, 2], 1);
         let before: Vec<_> = m.lookups().map(|(_, l)| bits(&l.table)).collect();
         let mut cost = PhaseBreakdown::default();
-        let mut ok = h.run_with_recovery(&m, &g, loss, true, &mut cost).unwrap();
+        let recovered = h.run_with_recovery(&m, &g, loss, true, &mut cost).unwrap();
+        let mut ok = recovered.expect("no fault is armed");
         ok.sweep.run(&mut h.pool, &mut m, &mut ok.arena);
         let layout = ok.sweep.layout();
         let mut reference = m.clone();
@@ -1529,7 +1499,8 @@ mod tests {
     /// `phases()` fields as `to_bits()` hex after every step of four
     /// sessions — pipelined training with an unsynced inference in the
     /// pipeline, synchronous training, typed errors, and the baseline rung —
-    /// recorded at commit `c1d8e9e`, where three hand-kept copies wrote them.
+    /// recorded at commit `c1d8e9e`, where three hand-kept copies wrote them
+    /// (the typed-error rows, a pool too small for the graph, at `644d7cf`).
     #[test]
     fn accounting_is_pinned_across_commits() {
         const PINNED: [&str; 12] = [
@@ -1543,10 +1514,10 @@ mod tests {
             // (b) synchronous: fb, infer
             "40fc5a0a23413682 40fc5a0a23413682 409b580000000000 4092c12eb51645fc 4094a14cfa654cfb 40cf6cd555555556 40f7618589d89d8b 0000000000000000 0000000000000000",
             "41067670dea1c13c 41067670dea1c13c 40ab580000000000 40a2c12eb51645fc 4094a14cfa654cfb 40df5fc000000000 4101a8d189d89d8a 0000000000000000 0000000000000000",
-            // (c) launch=1.0, no ladder: try_fb Err, inference dispatch Err
-            "40f38e3b2db7725e 40f38e3b2db7725e 409b580000000000 40ac21c60fa168fa 40aef1f37797f378 40e791a000000000 0000000000000000 0000000000000000 40d5fdb585f69dec",
-            "41031d097078a6b6 41031d097078a6b6 40ab580000000000 40bc21c60fa168fa 40aef1f37797f378 40f787d000000000 0000000000000000 0000000000000000 40e63badc874ee84",
-            // (d) launch=1.0, ladder on: fb and infer on the baseline rung
+            // (c) a pool too small for the graph: try_fb Err, inference dispatch Err
+            "409b580000000000 409b580000000000 409b580000000000 0000000000000000 0000000000000000 0000000000000000 0000000000000000 0000000000000000 0000000000000000",
+            "40ab580000000000 40ab580000000000 40ab580000000000 0000000000000000 0000000000000000 0000000000000000 0000000000000000 0000000000000000 0000000000000000",
+            // (d) launch=1.0: fb and infer on the baseline rung
             "40c22fee61ce571c 40fa9124c3f3cedc 409b580000000000 40ac21c60fa168fa 40aef1f37797f378 40e791a000000000 0000000000000000 40e291cec4ec4ec2 40d5fdb585f69dec",
             "40fe3abce1e9cd5a 410b42f1ecd1e8a9 40ab580000000000 40bc21c60fa168fa 40aef1f37797f378 40f787d000000000 0000000000000000 40f291cec4ec4ec5 40e63badc874ee8a",
         ];
@@ -1604,29 +1575,37 @@ mod tests {
         h.infer(&mut m, &g, l);
         got.push(clock(&h));
 
-        // (c) Every launch fails and the ladder is off: typed errors, charged
-        // synchronously with no kernel or fallback term; (d) the ladder on:
-        // both batches are served by the baseline rung.
-        for fallback in [false, true] {
-            let (mut m, w, cls) = toy_model();
-            let o = VppsOptions {
-                faults: FaultConfig::parse("seed=7,launch=1.0").unwrap(),
-                recovery: RecoveryPolicy {
-                    fallback,
-                    ..RecoveryPolicy::default()
-                },
-                ..opts()
-            };
-            let mut h = Handle::new(&m, small_device(), o).unwrap();
-            let (g, l) = toy_graph(&m, w, cls, 2, 1);
-            assert_eq!(h.try_fb(&mut m, &g, l).is_ok(), fallback);
-            got.push(clock(&h));
-            let inferred = h
-                .dispatch(&m, &g, &[l], false)
-                .map(|c| h.join(c.run(&mut m, &g, &[l])));
-            assert_eq!(inferred.is_ok(), fallback);
-            got.push(clock(&h));
-        }
+        // (c) A pool too small for the graph: typed errors, charged
+        // synchronously with no kernel or fallback term.
+        let (mut m, w, cls) = toy_model();
+        let o = VppsOptions {
+            pool_capacity: 64,
+            ..opts()
+        };
+        let mut h = Handle::new(&m, small_device(), o).unwrap();
+        let (g, l) = toy_graph(&m, w, cls, 2, 1);
+        let trained = h.try_fb(&mut m, &g, l);
+        assert!(matches!(trained, Err(VppsError::PoolExhausted { .. })));
+        got.push(clock(&h));
+        let inferred = h
+            .dispatch(&m, &g, &[l], false)
+            .map(|c| h.join(c.run(&mut m, &g, &[l])));
+        assert!(matches!(inferred, Err(VppsError::PoolExhausted { .. })));
+        got.push(clock(&h));
+
+        // (d) Every launch fails: both batches are served by the baseline
+        // rung.
+        let (mut m, w, cls) = toy_model();
+        let o = VppsOptions {
+            faults: FaultConfig::parse("seed=7,launch=1.0").unwrap(),
+            ..opts()
+        };
+        let mut h = Handle::new(&m, small_device(), o).unwrap();
+        let (g, l) = toy_graph(&m, w, cls, 2, 1);
+        h.try_fb(&mut m, &g, l).unwrap();
+        got.push(clock(&h));
+        h.infer(&mut m, &g, l);
+        got.push(clock(&h));
 
         assert_eq!(
             got, PINNED,

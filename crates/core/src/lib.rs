@@ -62,8 +62,8 @@ pub mod script;
 pub mod specialize;
 
 pub use engine::{
-    BackendKind, ExecutionBackend, LoweredCache, LoweredCacheStats, LoweredScript, RecoveryPolicy,
-    RecoveryStats, RunOutcome, Session,
+    BackendKind, ExecutionBackend, LoweredCache, LoweredCacheStats, LoweredScript, RecoveryStats,
+    RunOutcome, Session,
 };
 pub use error::VppsError;
 pub use gpu_sim::{FaultConfig, FaultEvent, FaultKind, FaultProfile, OutageKind, OutageWindow};

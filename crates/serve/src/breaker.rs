@@ -1,14 +1,14 @@
 //! Per-model circuit breaker on the virtual clock.
 //!
 //! Every registered model gets one [`CircuitBreaker`]. Batch failures (a
-//! typed [`vpps::VppsError`] from the model's handle after the handle's own
-//! retry/fallback ladder gave up) count against a consecutive-failure
-//! threshold; at the threshold the breaker **opens** and the server sheds
-//! that model's work with [`crate::ShedReason::BreakerOpen`] instead of
-//! queueing it behind a failing handle. After a cooldown on the virtual
-//! clock the breaker goes **half-open**: exactly one probe batch is let
-//! through, and its outcome decides between closing (recovered) and
-//! re-opening (still failing).
+//! typed [`vpps::VppsError`] from the model's handle that no retry fixes —
+//! its own ladder absorbs every injected device fault) count against a
+//! consecutive-failure threshold; at the threshold the breaker **opens** and
+//! the server sheds that model's work with
+//! [`crate::ShedReason::BreakerOpen`] instead of queueing it behind a
+//! failing handle. After a cooldown on the virtual clock the breaker goes
+//! **half-open**: exactly one probe batch is let through, and its outcome
+//! decides between closing (recovered) and re-opening (still failing).
 //!
 //! Like everything else in the server, transitions are driven purely by
 //! [`SimTime`] and recorded in order, so breaker behaviour is byte-

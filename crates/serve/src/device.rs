@@ -710,7 +710,7 @@ impl Device {
                         dropped.push(p);
                     } else {
                         // Singleton re-execution: a multi-request batch that
-                        // faulted may contain one poisoned graph; isolating
+                        // failed may contain one poisoned graph; isolating
                         // members means at most that one keeps failing while
                         // the rest complete.
                         let retry_id = *next_batch;

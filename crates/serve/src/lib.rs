@@ -23,12 +23,13 @@
 //!   the batch — the serving-side analogue of the paper's §III-D concurrent
 //!   training of multiple computation graphs.
 //! * **Degraded-mode serving** ([`RecoveryConfig`], [`CircuitBreaker`]) —
-//!   when batches fault (under `gpu_sim` fault injection), per-model
-//!   circuit breakers shed instead of queueing behind a failing handle,
-//!   failed batches are split and retried as singletons under a per-request
-//!   retry budget, and the handle's own recovery ladder keeps the common
-//!   case invisible. One poisoned tenant graph cannot starve the batch
-//!   loop.
+//!   the handle's own recovery ladder absorbs every injected device fault
+//!   (under `gpu_sim` fault injection), so a batch fails only with an error
+//!   no retry fixes, such as a graph too large for the memory pool. Then
+//!   per-model circuit breakers shed instead of queueing behind a failing
+//!   handle, and failed batches are split and retried as singletons under a
+//!   per-request retry budget. One poisoned tenant graph cannot starve the
+//!   batch loop.
 //! * **Sharded serving** ([`ShardPolicy`], [`Device`], [`Router`]) — the
 //!   server scales across N virtual devices, each owning warm per-model
 //!   handles (and therefore its own lowered-artifact caches), a bounded
@@ -71,7 +72,7 @@ pub use policy::{
     AdmissionPolicy, BatchPolicy, HealthPolicy, RecoveryConfig, ServeConfig, ShardPolicy,
     BREAKER_COOLDOWN, RETRY_BUDGET, WATCHDOG_GRACE,
 };
-pub use report::{DeviceRow, ServeRecord, ServeReport};
+pub use report::{ServeRecord, ServeReport};
 pub use request::{
     Completion, ModelId, Outcome, Request, RequestId, RequestKind, Shed, ShedReason, TenantId,
 };

@@ -82,9 +82,10 @@ pub const WATCHDOG_GRACE: SimTime = SimTime::from_us(200.0);
 
 /// Serving-side recovery policy: the circuit breaker (and, fixed, the
 /// per-request [`RETRY_BUDGET`]) that sit *above* the handle's own
-/// retry/fallback ladder ([`vpps::RecoveryPolicy`]). The handle absorbs
-/// transient faults; this layer decides what to do when a whole batch
-/// still comes back with a typed error.
+/// retry/fallback ladder. The handle absorbs every injected device fault;
+/// this layer decides what to do when a whole batch still comes back with a
+/// typed error no retry fixes (a graph too large for the memory pool, a
+/// failed re-JIT).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Consecutive failed batches on one model before its breaker opens

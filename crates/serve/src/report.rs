@@ -163,47 +163,18 @@ impl ServeReport {
     }
 }
 
-/// Terminal per-device snapshot carried in a serve trajectory row: where
-/// each device's lifecycle and circuit breakers ended up after the run.
-#[derive(Debug, Clone)]
-pub struct DeviceRow {
-    /// Device index.
-    pub device: usize,
-    /// Terminal lifecycle state ([`crate::DeviceHealth::name`]).
-    pub health: String,
-    /// Model replicas on this device whose breaker ended open.
-    pub breaker_open: u64,
-    /// Model replicas on this device whose breaker ended half-open.
-    pub breaker_half_open: u64,
-    /// Batches executed successfully on this device.
-    pub batches: u64,
-    /// Batches whose dispatch returned a typed error on this device.
-    pub failures: u64,
-}
-
-impl DeviceRow {
-    /// Snapshot from the live [`DeviceStats`] of one device.
-    pub fn from_stats(s: &DeviceStats) -> Self {
-        Self {
-            device: s.id,
-            health: s.health.name().to_owned(),
-            breaker_open: s.breaker_open as u64,
-            breaker_half_open: s.breaker_half_open as u64,
-            batches: s.batches,
-            failures: s.failures,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("device", Json::from(self.device as u64));
-        o.set("health", Json::from(self.health.as_str()));
-        o.set("breaker_open", Json::from(self.breaker_open));
-        o.set("breaker_half_open", Json::from(self.breaker_half_open));
-        o.set("batches", Json::from(self.batches));
-        o.set("failures", Json::from(self.failures));
-        o
-    }
+/// One device's terminal snapshot as a serve trajectory entry: where its
+/// lifecycle and circuit breakers ended up after the run, and the batches
+/// it ran and failed.
+fn device_json(s: &DeviceStats) -> Json {
+    let mut o = Json::obj();
+    o.set("device", Json::from(s.id as u64));
+    o.set("health", Json::from(s.health.name()));
+    o.set("breaker_open", Json::from(s.breaker_open as u64));
+    o.set("breaker_half_open", Json::from(s.breaker_half_open as u64));
+    o.set("batches", Json::from(s.batches));
+    o.set("failures", Json::from(s.failures));
+    o
 }
 
 /// One labelled report row in a serve trajectory (e.g. one point of an
@@ -226,7 +197,7 @@ pub struct ServeRecord {
     pub script_re_misses: u64,
     /// Terminal per-device snapshots, in device order (one entry for a
     /// single-device server; empty only for legacy non-device rows).
-    pub devices: Vec<DeviceRow>,
+    pub devices: Vec<DeviceStats>,
     /// The measured numbers.
     pub report: ServeReport,
 }
@@ -243,7 +214,7 @@ impl ServeRecord {
         o.set("script_re_misses", Json::from(self.script_re_misses));
         o.set(
             "devices",
-            Json::Arr(self.devices.iter().map(DeviceRow::to_json).collect()),
+            Json::Arr(self.devices.iter().map(device_json).collect()),
         );
         o.set("report", self.report.to_json());
         o
@@ -341,13 +312,11 @@ mod tests {
             script_hits: 12,
             script_misses: 3,
             script_re_misses: 0,
-            devices: vec![DeviceRow {
-                device: 0,
-                health: "healthy".into(),
-                breaker_open: 0,
+            devices: vec![DeviceStats {
                 breaker_half_open: 1,
                 batches: 7,
                 failures: 2,
+                ..DeviceStats::default()
             }],
             report: ServeReport::from_outcomes(&outcomes),
         };

@@ -417,8 +417,8 @@ impl Server {
         self.devices.iter().map(|d| d.stats().batches).sum()
     }
 
-    /// Batches whose dispatch came back with a typed error (after the
-    /// handle's own retry/fallback ladder gave up).
+    /// Batches whose dispatch came back with a typed error no retry fixes
+    /// (the handle's own ladder absorbs every injected device fault).
     pub fn batch_failures(&self) -> u64 {
         self.devices.iter().map(|d| d.stats().failures).sum()
     }
@@ -1036,7 +1036,9 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{AdmissionPolicy, BatchPolicy, ShardPolicy};
+    use crate::policy::{
+        AdmissionPolicy, BatchPolicy, ShardPolicy, BREAKER_COOLDOWN, RETRY_BUDGET,
+    };
     use crate::request::RequestKind;
     use dyn_graph::{Graph, NodeId};
     use gpu_sim::DeviceConfig;
@@ -1459,43 +1461,48 @@ mod tests {
         assert_eq!(srv.breaker_state_on(mid, 0), BreakerState::Closed);
     }
 
+    /// A pool that holds one small request graph but not four of them
+    /// absorbed into one batch, nor one long graph: the batch of four fails
+    /// with `PoolExhausted` and its members complete as singletons; the
+    /// long graph (never co-batched: its structure differs) burns exactly
+    /// `RETRY_BUDGET + 1` dispatches and is shed. Its three failures in a
+    /// row open the breaker, and a request after the cooldown closes it
+    /// again through a half-open probe.
     #[test]
-    fn fallback_disabled_faults_trip_the_breaker_and_shed_typed() {
+    fn a_poisoned_graph_is_isolated_by_a_real_error() {
         let (m, w, cls) = toy_model();
         let mut cfg = small_config();
-        // Every batch faults and the handle may not degrade: dispatches
-        // fail, the breaker opens, and every request ends in a typed shed.
-        // (JIT rate stays 0 so registration itself succeeds.)
-        let mut faults = vpps::FaultConfig::uniform(5, 1.0);
-        faults.jit_failure = 0.0;
-        cfg.opts.faults = faults;
-        cfg.opts.recovery.fallback = false;
-        cfg.recovery.breaker_threshold = 2;
+        cfg.opts.pool_capacity = 200;
         let mut srv = Server::new(cfg);
         let mid = srv.register_model("toy", m.clone()).unwrap();
-        for i in 0..8 {
-            srv.submit(infer_request(mid, &m, w, cls, i % 2, 2, i as f64));
+        for (i, steps) in [2, 2, 2, 2, 40].into_iter().enumerate() {
+            srv.submit(infer_request(mid, &m, w, cls, i as u32, steps, i as f64));
         }
         srv.drain();
-        assert!(srv.batch_failures() > 0);
-        assert_eq!(srv.breaker_state_on(mid, 0), BreakerState::Open);
-        // Exactly one outcome per request, all shed with recovery reasons.
-        assert_eq!(srv.outcomes().len(), 8);
+        let late = (srv.now() + BREAKER_COOLDOWN).as_us();
+        srv.submit(infer_request(mid, &m, w, cls, 0, 2, late));
+        srv.drain();
+
+        assert_eq!(srv.outcomes().len(), 6);
         for o in srv.outcomes() {
-            let s = o.shed().expect("all-fault run completes nothing");
-            assert!(
-                matches!(s.reason, ShedReason::RetryBudget | ShedReason::BreakerOpen),
-                "unexpected shed reason {:?}",
-                s.reason
-            );
+            match o {
+                Outcome::Completed(c) => assert_ne!(c.id, RequestId(4), "the long graph ran"),
+                Outcome::Shed(s) => {
+                    assert_eq!(s.id, RequestId(4), "a small graph was shed: {s:?}");
+                    assert_eq!(s.reason, ShedReason::RetryBudget);
+                }
+            }
         }
-        // Breaker transitions are legal: Closed→Open first, then only
-        // Open→HalfOpen→{Open,Closed} moves.
+        assert_eq!(srv.batch_failures(), 1 + u64::from(RETRY_BUDGET) + 1);
         let trs = srv.breaker_transitions_on(mid, 0);
-        assert!(!trs.is_empty());
+        let walk: Vec<_> = trs.iter().map(|t| (t.from, t.to)).collect();
         assert_eq!(
-            (trs[0].from, trs[0].to),
-            (BreakerState::Closed, BreakerState::Open)
+            walk,
+            [
+                (BreakerState::Closed, BreakerState::Open),
+                (BreakerState::Open, BreakerState::HalfOpen),
+                (BreakerState::HalfOpen, BreakerState::Closed),
+            ]
         );
         for w in trs.windows(2) {
             assert_eq!(w[0].to, w[1].from, "transition chain must be contiguous");

@@ -38,7 +38,6 @@ fn main() -> Result<(), vpps::VppsError> {
     // --- VPPS training.
     let opts = VppsOptions {
         rpw: RpwMode::Profile,
-        profile_batches_per_rpw: 1,
         learning_rate: 0.05,
         pool_capacity: 1 << 22,
         ..VppsOptions::default()

@@ -1,11 +1,11 @@
 //! Invariants of the fault-injection and recovery layer:
 //!
-//! * a faulted training step either recovers to a correct result or returns
-//!   a **typed** error — it never panics, and the virtual clock stays
-//!   finite and monotone either way;
-//! * the watchdog converts a hung VPP into [`vpps::VppsError::RunTimedOut`],
-//!   and no faulted attempt — hung or ECC-flagged — changes a parameter or a
-//!   lookup table;
+//! * a faulted batch always ends in a value: certain faults of any kind walk
+//!   the whole ladder down to the launch-per-op baseline rung, which cannot
+//!   fault — no panic, no error, and the virtual clock stays finite and
+//!   monotone;
+//! * the watchdog kills every hung attempt, and no faulted attempt — hung or
+//!   ECC-flagged — changes a parameter or a lookup table;
 //! * a plan whose fault count crosses the quarantine threshold is re-JITted
 //!   **exactly once**, no matter how many more batches fault afterwards;
 //! * when recovery succeeds without ever reaching the baseline
@@ -18,12 +18,11 @@
 //!   it: per-device journals are disjoint, decorrelated, and seed-stable,
 //!   and device 0 reproduces the single-device stream exactly.
 
-use dyn_graph::{Graph, Model};
+use dyn_graph::{Graph, Model, Trainer};
 use gpu_sim::SimTime;
 use proptest::prelude::*;
-use vpps::{
-    BackendKind, FaultConfig, FaultKind, Handle, RecoveryPolicy, RpwMode, VppsError, VppsOptions,
-};
+use vpps::engine::recovery::{degraded, MAX_ATTEMPTS};
+use vpps::{BackendKind, FaultConfig, FaultKind, Handle, RpwMode, VppsOptions};
 use vpps_serve::{BreakerState, CircuitBreaker};
 
 #[path = "support/graphgen.rs"]
@@ -49,30 +48,34 @@ fn fixed_recipe(variant: u8) -> GraphRecipe {
     }
 }
 
-fn handle_on(
-    model: &Model,
-    backend: BackendKind,
-    faults: FaultConfig,
-    recovery: RecoveryPolicy,
-) -> Handle {
+/// Learning rate of every [`handle_on`] handle.
+const LEARNING_RATE: f32 = 0.05;
+
+fn handle_on(model: &Model, backend: BackendKind, faults: FaultConfig) -> Handle {
     let opts = VppsOptions {
         rpw: RpwMode::Fixed(1),
-        learning_rate: 0.05,
+        learning_rate: LEARNING_RATE,
         weight_decay: 0.0,
         pool_capacity: 1 << 18,
         backend,
         faults,
-        recovery,
         ..VppsOptions::default()
     };
     Handle::new(model, small_device(), opts).expect("tiny model fits")
 }
 
-/// With the degradation ladder disabled, every certain-fault configuration
-/// surfaces as `RetriesExhausted` wrapping the expected typed cause — never
-/// a panic — and the virtual clock still advances finitely.
+/// The backend rungs of the ladder a handle on `backend` walks before the
+/// baseline rung.
+fn rungs(backend: BackendKind) -> u64 {
+    std::iter::successors(Some(backend), |&b| degraded(b)).count() as u64
+}
+
+/// Every certain-fault configuration, on either backend, ends on the
+/// launch-per-op baseline rung: a training step and an inference dispatch
+/// both return `Ok` after `MAX_ATTEMPTS` faulted attempts per backend rung,
+/// and the virtual clock advances finitely.
 #[test]
-fn certain_faults_yield_typed_errors_never_panics() {
+fn certain_faults_end_on_the_baseline_rung() {
     let cases: [(&str, FaultKind); 4] = [
         ("transfer=1.0", FaultKind::TransferCorruption),
         ("launch=1.0", FaultKind::LaunchFailure),
@@ -80,48 +83,41 @@ fn certain_faults_yield_typed_errors_never_panics() {
         ("dram=1.0", FaultKind::DramCorruption),
     ];
     for (spec, kind) in cases {
-        let mut model = tiny_model();
-        let faults = FaultConfig::parse(&format!("seed=3,{spec}")).expect("valid spec");
-        let recovery = RecoveryPolicy {
-            fallback: false,
-            ..RecoveryPolicy::default()
-        };
-        let mut handle = handle_on(&model, BackendKind::EventInterp, faults, recovery);
-        let before = handle.wall_time();
-        let (g, loss) = build_from_recipe(&model, &fixed_recipe(1));
-        let err = handle
-            .try_fb(&mut model, &g, loss)
-            .expect_err("certain faults with no fallback must fail");
-        match err {
-            VppsError::RetriesExhausted { attempts, last } => {
-                assert_eq!(attempts, RecoveryPolicy::default().max_attempts);
-                match (*last, kind) {
-                    (VppsError::RunTimedOut { waited }, FaultKind::VppHang) => {
-                        assert!(waited > SimTime::ZERO, "watchdog waited nonzero time");
-                    }
-                    (VppsError::DeviceFault { fault }, expected) => {
-                        assert_eq!(fault, expected, "{spec}: wrong detected fault");
-                    }
-                    (other, _) => panic!("{spec}: unexpected cause {other:?}"),
-                }
+        for backend in BackendKind::ALL {
+            let case = format!("{spec} on {}", backend.name());
+            let mut model = tiny_model();
+            let faults = FaultConfig::parse(&format!("seed=3,{spec}")).expect("valid spec");
+            let mut handle = handle_on(&model, backend, faults);
+            let per_batch = u64::from(MAX_ATTEMPTS) * rungs(backend);
+            let (g, loss) = build_from_recipe(&model, &fixed_recipe(1));
+            let mut clock = handle.wall_time();
+            for (batch, train) in [(1, true), (2, false)] {
+                let result = if train {
+                    handle.try_fb(&mut model, &g, loss).map(drop)
+                } else {
+                    handle
+                        .dispatch(&model, &g, &[loss], false)
+                        .map(|c| drop(handle.join(c.run(&mut model, &g, &[loss]))))
+                };
+                assert!(result.is_ok(), "{case}: batch {batch}: {result:?}");
+                let stats = handle.recovery_stats();
+                assert_eq!(stats.baseline_fallbacks, batch, "{case}");
+                let injected = handle.fault_profile().expect("armed").injected(kind);
+                assert_eq!(injected, batch * per_batch, "{case}");
+                let now = handle.wall_time();
+                assert!(now > clock, "{case}: a faulted batch must consume time");
+                assert!(now.as_ns().is_finite(), "{case}: clock stays finite");
+                clock = now;
             }
-            other => panic!("{spec}: expected RetriesExhausted, got {other:?}"),
         }
-        let after = handle.wall_time();
-        assert!(after > before, "{spec}: failed batch must consume time");
-        assert!(after.as_ns().is_finite(), "{spec}: clock stays finite");
-        assert!(
-            handle.fault_profile().expect("armed").total_injected() > 0,
-            "{spec}: injections are journaled"
-        );
     }
 }
 
 /// Every faulted attempt is counted and leaves nothing behind, whether it
 /// hung and the watchdog killed it or it ran to the end and ECC flagged it:
-/// on either backend, a training step whose every attempt faults (ladder
-/// off) fails typed and leaves the parameters and lookup tables bit for bit
-/// as they were before the batch.
+/// on either backend, a training step whose every attempt faults ends on
+/// the baseline rung with the parameters and lookup tables bit for bit
+/// those of one host-reference step from where they were before the batch.
 #[test]
 fn watchdog_counts_and_rolls_back_every_hung_attempt() {
     let bits = |model: &Model| -> Vec<u32> {
@@ -133,36 +129,36 @@ fn watchdog_counts_and_rolls_back_every_hung_attempt() {
             .flat_map(|(_, l)| l.table.as_slice().to_vec());
         params.chain(tables).map(f32::to_bits).collect()
     };
-    let attempts = RecoveryPolicy::default().max_attempts;
-    for (spec, timeouts) in [("seed=5,hang=1.0", attempts), ("seed=5,dram=1.0", 0)] {
+    for (spec, hangs) in [("seed=5,hang=1.0", true), ("seed=5,dram=1.0", false)] {
         for backend in BackendKind::ALL {
             let case = format!("{spec} on {}", backend.name());
             let mut model = tiny_model();
             let table = model.add_lookup("E", 5, DIM);
-            let before = bits(&model);
+            let mut reference = model.clone();
             let faults = FaultConfig::parse(spec).expect("valid spec");
-            let recovery = RecoveryPolicy {
-                fallback: false,
-                ..RecoveryPolicy::default()
-            };
-            let mut handle = handle_on(&model, backend, faults, recovery);
+            let mut handle = handle_on(&model, backend, faults);
             let mut g = Graph::new();
             let x = g.input(vec![0.25; DIM]);
             let e = g.lookup(&model, table, 3);
             let loss = grow_recipe(&mut g, &model, &fixed_recipe(2), vec![x, e], 1);
-            let err = handle
+            handle
                 .try_fb(&mut model, &g, loss)
-                .expect_err("every attempt faults");
-            assert!(
-                matches!(err, VppsError::RetriesExhausted { attempts: n, .. } if n == attempts),
-                "{case}: {err}"
-            );
+                .expect("the baseline rung absorbs certain faults");
+            dyn_graph::exec::forward_backward(&g, &mut reference, loss);
+            Trainer::new(LEARNING_RATE).update(&mut reference);
+            let attempts = u64::from(MAX_ATTEMPTS) * rungs(backend);
             let stats = handle.recovery_stats();
-            assert_eq!(stats.watchdog_timeouts, u64::from(timeouts), "{case}");
-            assert_eq!(stats.rollbacks, u64::from(attempts), "{case}");
-            assert_eq!(stats.retries, u64::from(attempts - 1), "{case}");
+            assert_eq!(stats.baseline_fallbacks, 1, "{case}");
+            let timeouts = if hangs { attempts } else { 0 };
+            assert_eq!(stats.watchdog_timeouts, timeouts, "{case}");
+            assert_eq!(stats.rollbacks, attempts, "{case}");
+            assert_eq!(
+                stats.retries,
+                u64::from(MAX_ATTEMPTS - 1) * rungs(backend),
+                "{case}"
+            );
             assert!(
-                bits(&model) == before,
+                bits(&model) == bits(&reference),
                 "{case}: a faulted attempt changed a parameter or a table"
             );
         }
@@ -175,16 +171,11 @@ fn watchdog_counts_and_rolls_back_every_hung_attempt() {
 fn quarantined_plan_is_rejitted_exactly_once() {
     let mut model = tiny_model();
     let faults = FaultConfig::parse("seed=11,dram=1.0").expect("valid spec");
-    let mut handle = handle_on(
-        &model,
-        BackendKind::EventInterp,
-        faults,
-        RecoveryPolicy::default(),
-    );
+    let mut handle = handle_on(&model, BackendKind::EventInterp, faults);
     for variant in 0..3u8 {
         let (g, loss) = build_from_recipe(&model, &fixed_recipe(variant));
-        // With the ladder on, even a certain fault rate recovers: the
-        // baseline launch-per-op rung is fault-free by construction.
+        // Even a certain fault rate recovers: the baseline launch-per-op
+        // rung is fault-free by construction.
         handle
             .try_fb(&mut model, &g, loss)
             .expect("baseline rung absorbs certain faults");
@@ -216,12 +207,7 @@ fn non_baseline_recovery_is_bit_identical_to_fault_free() {
         // The Lowered backend gives two bit-exact rungs (Lowered, then
         // EventInterp) before the fp-close baseline, so a moderate fault
         // rate recovers without ever leaving bit-exact territory.
-        let mut handle = handle_on(
-            &model,
-            BackendKind::Lowered,
-            faults,
-            RecoveryPolicy::default(),
-        );
+        let mut handle = handle_on(&model, BackendKind::Lowered, faults);
         let mut losses = Vec::new();
         for variant in 0..6u8 {
             let (g, loss) = build_from_recipe(&model, &fixed_recipe(variant));

@@ -365,14 +365,17 @@ fn design_catalogue() -> (Vec<CatalogueEntry>, Vec<CatalogueEntry>) {
 
 /// DESIGN.md §5c is the catalogue of what the process registers: after a
 /// training batch on every backend, a batch that walks the whole recovery
-/// ladder and a traced two-device serve run through injected faults (ladder
-/// off, so batches fail) and a device crash, every registered metric and
-/// every recorded span is a row of the tables — under the documented kind —
-/// and every row that names one metric outright was registered.
+/// ladder, a traced two-device serve run through injected faults and a
+/// device crash, and a serve run whose pool is too small for its graphs
+/// (so batches fail, retry and trip the breaker), every registered metric
+/// and every recorded span is a row of the tables — under the documented
+/// kind — and every row that names one metric outright was registered.
 #[test]
 fn registered_names_are_the_design_catalogue() {
-    use vpps::{FaultConfig, Handle, RecoveryPolicy, RpwMode, VppsOptions};
+    use gpu_sim::SimTime;
+    use vpps::{FaultConfig, Handle, RpwMode, VppsOptions};
     use vpps_bench::{run_scenario_server, ServeScenario};
+    use vpps_serve::{Request, RequestKind, ServeConfig, Server, TenantId};
 
     let _obs = obs_lock();
     vpps_obs::clear_spans();
@@ -382,9 +385,10 @@ fn registered_names_are_the_design_catalogue() {
         picks: vec![5; 30],
         label: 1,
     };
-    // Every run is corrupted, so every attempt of the third batch is rolled
-    // back: the first fault quarantines the plan, the retry re-lowers what
-    // the quarantine evicted, and the ladder degrades down to the baseline.
+    // Every run of the third handle is corrupted, so every attempt of its
+    // batches is rolled back: the third fault quarantines the plan, the
+    // ladder degrades down to the baseline, and the second batch re-lowers
+    // what the quarantine evicted.
     let always_failing = FaultConfig::parse("seed=1,dram=1").expect("valid spec");
     for (backend, faults) in [
         (BackendKind::EventInterp, FaultConfig::disabled()),
@@ -397,15 +401,13 @@ fn registered_names_are_the_design_catalogue() {
             pool_capacity: 1 << 18,
             backend,
             faults,
-            recovery: RecoveryPolicy {
-                quarantine_threshold: 1,
-                ..RecoveryPolicy::default()
-            },
             ..VppsOptions::default()
         };
         let mut handle = Handle::new(&model, small_device(), opts).expect("tiny model fits");
         let (g, loss) = build_from_recipe(&model, &recipe);
-        handle.fb(&mut model, &g, loss);
+        for _ in 0..2 {
+            handle.fb(&mut model, &g, loss);
+        }
     }
     let faults = FaultConfig::parse(
         "seed=5,transfer=0.3,launch=0.3,hang=0.3,dram=0.3,outage=1@1500..3000:crash",
@@ -419,12 +421,33 @@ fn registered_names_are_the_design_catalogue() {
         queue_capacity: 24,
         backend: BackendKind::Lowered,
         faults,
-        fallback: false,
         trace_sample: Some(1),
         ..ServeScenario::default()
     });
-    vpps_obs::set_enabled(false);
     assert_eq!(server.outcomes().len(), 240, "every request resolved");
+    let model = test_model();
+    let mut cfg = ServeConfig {
+        device: small_device(),
+        ..ServeConfig::default()
+    };
+    cfg.opts.pool_capacity = 64;
+    let mut server = Server::new(cfg);
+    let mid = server.register_model("tiny", model.clone()).expect("fits");
+    for at in 0..4 {
+        let (graph, root) = build_from_recipe(&model, &recipe);
+        server.submit(Request {
+            tenant: TenantId(0),
+            model: mid,
+            kind: RequestKind::Infer,
+            graph,
+            root,
+            arrival: SimTime::from_us(f64::from(at)),
+            deadline: None,
+        });
+    }
+    server.drain();
+    vpps_obs::set_enabled(false);
+    assert!(server.batch_failures() > 0, "the pool fits no batch");
 
     let (spans, metrics) = design_catalogue();
     let registry = vpps_obs::registry_snapshot();

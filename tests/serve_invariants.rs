@@ -29,7 +29,7 @@ use vpps_datasets::{Treebank, TreebankConfig};
 use vpps_models::{DynamicModel, TreeLstm};
 use vpps_serve::{
     Admission, AdmissionPolicy, BatchPolicy, DeviceHealth, ModelId, Outcome, Request, RequestKind,
-    ServeConfig, Server, TenantId,
+    ServeConfig, Server, ShedReason, TenantId,
 };
 
 /// One randomly generated request, before materialization into a graph.
@@ -763,17 +763,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a of [`discrete_timeline`] over [`PINNED_TRACE`], computed at commit
-/// `a55bec9` (the last one before the server became a single state machine).
-const PINNED_TIMELINE_HASH: u64 = 17_034_076_343_720_286_194;
+/// `644d7cf`.
+const PINNED_TIMELINE_HASH: u64 = 8_924_471_552_644_543_197;
+
+/// Memory pool of every handle in [`pinned_chaos_run`], in elements: room
+/// for the resident tables and every request graph of [`PINNED_TRACE`]
+/// alone but the larger model's training graph of parse tree 4, and not
+/// for three of the smaller model's largest inference graphs in one batch.
+const PINNED_POOL: usize = 10_000;
 
 /// The chaos run [`virtual_timeline_is_pinned_across_commits`] pins, on
-/// `workers` background compute threads (or as many as the host gets),
-/// with `arm` applied to the server before the first submission. Drained.
-fn pinned_chaos_run(
-    backend: BackendKind,
-    workers: Option<usize>,
-    arm: impl FnOnce(&mut Server),
-) -> Server {
+/// the lowered backend (whose ladder has two backend rungs above the
+/// baseline) and `workers` background compute threads (or as many as the
+/// host gets), with `arm` applied to the server before the first
+/// submission. Drained.
+fn pinned_chaos_run(workers: Option<usize>, arm: impl FnOnce(&mut Server)) -> Server {
     let mut at_us = 0;
     let reqs = PINNED_TRACE
         .iter()
@@ -808,13 +812,13 @@ fn pinned_chaos_run(
         &spec,
         &workload,
         3,
-        backend,
+        BackendKind::Lowered,
         workers,
         |cfg: &mut ServeConfig| {
             let mut faults = vpps::FaultConfig::uniform(5, 0.3);
             faults.jit_failure = 0.0;
             cfg.opts.faults = faults;
-            cfg.opts.recovery.fallback = false;
+            cfg.opts.pool_capacity = PINNED_POOL;
             for w in [
                 window(0, OutageKind::Crash, 2500.0, 12000.0),
                 window(2, OutageKind::Hang, 16000.0, 32000.0),
@@ -833,17 +837,48 @@ fn pinned_chaos_run(
 
 /// Cross-commit pin of the serving layer's virtual timeline: a fixed trace
 /// on three devices through a crash, a watchdog-declared hang, a sub-grace
-/// hang that thaws in place, a brownout, a fault profile with the handle's
-/// degradation ladder off (so batches really fail, split and trip breakers)
-/// and a 25 % train mix must resolve every request in the same order, on
-/// the same device, in the same batch, with the same health walks and
-/// routing tallies as it did when the constant was recorded. Same-commit
+/// hang that thaws in place, a brownout, a fault profile the handle's
+/// ladder absorbs (down to the baseline rung), a pool too small for some
+/// batches and one request graph (so batches really fail, split and trip
+/// breakers) and a 25 % train mix must resolve every request in the same
+/// order, on the same device, in the same batch, with the same health walks
+/// and routing tallies as it did when the constant was recorded. Same-commit
 /// rerun checks cannot see a change that moves both runs alike; this can.
 #[test]
 fn virtual_timeline_is_pinned_across_commits() {
-    let server = pinned_chaos_run(BackendKind::default(), None, |_| {});
+    let server = pinned_chaos_run(None, |_| {});
     let timeline = discrete_timeline(&server, 3);
     assert_eq!(server.outcomes().len(), PINNED_TRACE.len());
+    let mids = [ModelId(0), ModelId(1)];
+    let retry_budget_sheds = server
+        .outcomes()
+        .iter()
+        .filter_map(Outcome::shed)
+        .filter(|s| s.reason == ShedReason::RetryBudget)
+        .count();
+    let breaker_transitions: usize = mids
+        .iter()
+        .flat_map(|&mid| (0..3).map(move |d| (mid, d)))
+        .map(|(mid, d)| server.breaker_transitions_on(mid, d).len())
+        .sum();
+    let baseline: u64 = mids
+        .iter()
+        .map(|&mid| server.recovery_stats(mid).baseline_fallbacks)
+        .sum();
+    assert!(server.batch_failures() > 0, "premise: batches fail");
+    assert!(
+        retry_budget_sheds > 0,
+        "premise: a graph exhausts its retries"
+    );
+    assert!(breaker_transitions > 0, "premise: a breaker trips");
+    assert!(
+        baseline > 0,
+        "premise: the ladder reaches the baseline rung"
+    );
+    assert!(
+        server.redispatched_batches() > 0,
+        "premise: the crash aborts work"
+    );
     assert_eq!(
         fnv1a(timeline.as_bytes()),
         PINNED_TIMELINE_HASH,
@@ -984,9 +1019,7 @@ fn run_fingerprint(server: &mut Server, mids: [ModelId; 2], devices: usize) -> S
 #[test]
 fn compute_worker_count_changes_no_byte() {
     let pinned = |workers| {
-        let mut server = pinned_chaos_run(BackendKind::Lowered, Some(workers), |s| {
-            s.enable_tracing(1 << 14, 1)
-        });
+        let mut server = pinned_chaos_run(Some(workers), |s| s.enable_tracing(1 << 14, 1));
         let timeline = discrete_timeline(&server, 3);
         assert_eq!(
             fnv1a(timeline.as_bytes()),

@@ -6,22 +6,25 @@
 //!   in exact expansion arithmetic, on any device count;
 //! * **one terminal per request** — the trace's completed/dropped id sets
 //!   equal the outcome stream's, so no admitted request ever vanishes from
-//!   (or is double-counted by) the attribution, even under fault injection
-//!   with the backend fallback ladder disabled;
+//!   (or is double-counted by) the attribution, even when batches fail
+//!   into the serving-side retry and breaker path;
 //! * **deterministic sampling** — `trace_sample = n` traces exactly the
 //!   request ids divisible by `n`, nothing else;
 //! * **byte-identical reruns** — the same seed produces a byte-identical
 //!   `BENCH_serve_trace.json` summary, run to run.
 //!
 //! The traffic generator is the bench harness's [`ServeScenario`], so these
-//! invariants cover the exact code path `repro serve-trace` measures.
+//! invariants cover the exact code path `repro serve-trace` measures; the
+//! failing runs serve its workload from a memory pool too small for some of
+//! its graphs.
 
 use std::collections::BTreeSet;
 
+use gpu_sim::SimTime;
 use proptest::prelude::*;
-use vpps_bench::{run_scenario_server, ServeScenario};
+use vpps_bench::{run_scenario_server, ServeScenario, ServeWorkload};
 use vpps_obs::{Resolution, TraceAnalysis};
-use vpps_serve::Outcome;
+use vpps_serve::{Outcome, Request, RequestKind, ServeConfig, Server, TenantId};
 
 /// A randomized scenario with tracing armed for every request. Dimensions
 /// are scaled down (and `hidden` shrunk) so a proptest case stays cheap.
@@ -78,7 +81,13 @@ fn run_traced(sc: &ServeScenario, devices: usize) -> (TraceAnalysis, BTreeSet<u6
     // The host-span ring is process-global: start clean so dropped-span
     // accounting reflects this run alone.
     vpps_obs::clear_spans();
-    let (mut server, _mid, _offered) = run_scenario_server(&sc);
+    let (server, _mid, _offered) = run_scenario_server(&sc);
+    analyzed(server)
+}
+
+/// The trace analysis of a drained, traced server, plus the outcome
+/// stream's completed/dropped id sets.
+fn analyzed(mut server: Server) -> (TraceAnalysis, BTreeSet<u64>, BTreeSet<u64>) {
     let sink = server.take_trace().expect("scenario arms tracing");
     let mut completed = BTreeSet::new();
     let mut dropped = BTreeSet::new();
@@ -151,25 +160,47 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// With deterministic faults armed and the backend fallback ladder
-    /// disabled, batches fail into the serving-side retry/breaker path —
-    /// and still every admitted request's trace ends in exactly one
-    /// terminal span that agrees with the outcome stream, tiling intact.
+    /// With deterministic faults armed (the handle's ladder absorbs them)
+    /// and a memory pool of 20 000 elements — room for the resident tables
+    /// and most single inference graphs, but not for the larger ones, most
+    /// training graphs or batches of several — batches fail into the
+    /// serving-side retry/breaker path, and still every admitted request's
+    /// trace ends in exactly one terminal span that agrees with the outcome
+    /// stream, tiling intact.
     #[test]
     fn faulty_runs_still_terminate_every_trace(seed in any::<u64>(), devices in 1usize..4) {
-        let sc = ServeScenario {
-            label: "trace-chaos".to_owned(),
-            requests: 48,
-            seed,
-            hidden: 24,
-            faults: vpps::FaultConfig::uniform(seed ^ 0x0DD5EED, 0.1),
-            fallback: false,
-            trace_sample: Some(1),
-            ..ServeScenario::default()
+        const REQUESTS: u64 = 48;
+        vpps_obs::clear_spans();
+        let workload = ServeWorkload::new(seed, 24);
+        let mut cfg = ServeConfig::default();
+        cfg.opts.pool_capacity = 20_000;
+        cfg.opts.faults = vpps::FaultConfig {
+            jit_failure: 0.0, // registration must succeed
+            ..vpps::FaultConfig::uniform(seed ^ 0x0DD5EED, 0.1)
         };
-        let (analysis, out_completed, out_dropped) = run_traced(&sc, devices);
+        cfg.shard.devices = devices;
+        let mut server = Server::new(cfg);
+        server.enable_tracing(1 << 20, 1);
+        let mid = server
+            .register_model("tree-lstm", workload.model().clone())
+            .expect("the workload model fits");
+        for i in 0..REQUESTS {
+            let (graph, root) = workload.request_graph(seed.wrapping_add(i % 16));
+            server.submit(Request {
+                tenant: TenantId((i % 4) as u32),
+                model: mid,
+                kind: if i % 5 == 0 { RequestKind::Train } else { RequestKind::Infer },
+                graph,
+                root,
+                arrival: SimTime::from_us(20.0 * i as f64),
+                deadline: None,
+            });
+        }
+        server.drain();
+        prop_assert!(server.batch_failures() > 0, "premise: batches fail");
+        let (analysis, out_completed, out_dropped) = analyzed(server);
         prop_assert!(analysis.errors.is_empty(), "analyzer errors: {:?}", analysis.errors);
-        prop_assert_eq!(analysis.timelines.len(), sc.requests,
+        prop_assert_eq!(analysis.timelines.len() as u64, REQUESTS,
             "every admitted request must have a timeline");
         for t in &analysis.timelines {
             if let Err(e) = t.check_tiling() {

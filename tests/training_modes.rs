@@ -109,7 +109,6 @@ fn profile_mode_trains_identically_to_fixed_rpw() {
         let mut m = model.clone();
         let opts = VppsOptions {
             rpw,
-            profile_batches_per_rpw: 1,
             pool_capacity: 1 << 20,
             ..VppsOptions::default()
         };
