@@ -334,30 +334,60 @@ pub enum MicroOp {
 }
 
 impl MicroOp {
+    /// Every op class's mnemonic, indexed by [`MicroOp::class`].
+    const MNEMONICS: [&'static str; 20] = [
+        "matvec",
+        "tmatvec",
+        "outer",
+        "add_bias",
+        "bias_grad",
+        "tanh",
+        "sigmoid",
+        "relu",
+        "tanh_bwd",
+        "sigmoid_bwd",
+        "relu_bwd",
+        "sub",
+        "acc_sub",
+        "add",
+        "acc_add",
+        "mul_acc",
+        "cwise_mult",
+        "copy",
+        "pick_nls",
+        "pick_nls_bwd",
+    ];
+
+    /// The op's class: its variant, as an index into
+    /// [`MicroOp::MNEMONICS`].
+    fn class(&self) -> usize {
+        match self {
+            MicroOp::MatVec { .. } => 0,
+            MicroOp::TMatVec { .. } => 1,
+            MicroOp::Outer { .. } => 2,
+            MicroOp::AddBias { .. } => 3,
+            MicroOp::BiasGrad { .. } => 4,
+            MicroOp::Tanh { .. } => 5,
+            MicroOp::Sigmoid { .. } => 6,
+            MicroOp::Relu { .. } => 7,
+            MicroOp::TanhBwd { .. } => 8,
+            MicroOp::SigmoidBwd { .. } => 9,
+            MicroOp::ReluBwd { .. } => 10,
+            MicroOp::Sub { .. } => 11,
+            MicroOp::AccSub { .. } => 12,
+            MicroOp::Add { .. } => 13,
+            MicroOp::AccAdd { .. } => 14,
+            MicroOp::MulAcc { .. } => 15,
+            MicroOp::CwiseMult { .. } => 16,
+            MicroOp::Copy { .. } => 17,
+            MicroOp::PickNls { .. } => 18,
+            MicroOp::PickNlsBwd { .. } => 19,
+        }
+    }
+
     /// Mnemonic, identical to the source [`Instr::mnemonic`] string.
     pub fn mnemonic(&self) -> &'static str {
-        match self {
-            MicroOp::MatVec { .. } => "matvec",
-            MicroOp::TMatVec { .. } => "tmatvec",
-            MicroOp::Outer { .. } => "outer",
-            MicroOp::AddBias { .. } => "add_bias",
-            MicroOp::BiasGrad { .. } => "bias_grad",
-            MicroOp::Tanh { .. } => "tanh",
-            MicroOp::Sigmoid { .. } => "sigmoid",
-            MicroOp::Relu { .. } => "relu",
-            MicroOp::TanhBwd { .. } => "tanh_bwd",
-            MicroOp::SigmoidBwd { .. } => "sigmoid_bwd",
-            MicroOp::ReluBwd { .. } => "relu_bwd",
-            MicroOp::Sub { .. } => "sub",
-            MicroOp::AccSub { .. } => "acc_sub",
-            MicroOp::Add { .. } => "add",
-            MicroOp::AccAdd { .. } => "acc_add",
-            MicroOp::MulAcc { .. } => "mul_acc",
-            MicroOp::CwiseMult { .. } => "cwise_mult",
-            MicroOp::Copy { .. } => "copy",
-            MicroOp::PickNls { .. } => "pick_nls",
-            MicroOp::PickNlsBwd { .. } => "pick_nls_bwd",
-        }
+        Self::MNEMONICS[self.class()]
     }
 
     /// `[kind, reg, len, rows, cols]` of a matrix-chunk op, `None` for every
@@ -1146,12 +1176,20 @@ fn outer_block_len(ops: &[MicroOp]) -> usize {
 /// [`super::EventInterp`] replaying the reference serial order. Patch points
 /// are ascending in op index, so patching costs one cursor compare per op.
 ///
+/// `TIMED` adds host time per op class ([`OpClock`]) and returns it; the
+/// untimed instantiation reads no clock and returns `None`.
+///
 /// # Panics
 ///
 /// Panics if the artifact references pool memory beyond `pool`'s capacity,
 /// if a chunk operand lies outside `cache`'s arena (an arena laid out for
 /// another plan), or if `patches` does not match the artifact's patch points.
-pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cache: &mut RegCache) {
+pub(crate) fn execute<const TIMED: bool>(
+    art: &LoweredScript,
+    patches: &[u32],
+    pool: &mut Pool,
+    cache: &mut RegCache,
+) -> Option<OpNs> {
     let raw = pool.raw_mut();
     assert!(
         art.pool_end <= raw.len(),
@@ -1167,6 +1205,7 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
     let base = raw.as_mut_ptr();
     let (arena, scratch) = cache.arena_and_scratch(art.scratch_len);
     let mut next_patch = 0usize;
+    let mut clock = TIMED.then(|| OpClock::start(art.ops.first().map_or(0, MicroOp::class)));
     // SAFETY: `base` comes from a unique `&mut` borrow of the pool held for
     // the whole loop; execution is single-threaded; and lowering asserted
     // that every op's written range is disjoint from its read ranges, so
@@ -1181,6 +1220,9 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
         let mut i = 0;
         while i < art.ops.len() {
             let mut op = art.ops[i];
+            if let Some(clock) = &mut clock {
+                clock.enter(op.class());
+            }
             if next_patch < art.patch_points.len()
                 && art.patch_points[next_patch].op_index as usize == i
             {
@@ -1264,16 +1306,10 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
                     kernels::add_assign(chunk_rows(arena, reg, 1, len), view(base, dy, len));
                 }
                 MicroOp::Tanh { x, y, len } => {
-                    let xv = view(base, x, len);
-                    for (o, v) in view_mut(base, y, len).iter_mut().zip(xv) {
-                        *o = v.tanh();
-                    }
+                    kernels::tanh_into(view(base, x, len), view_mut(base, y, len));
                 }
                 MicroOp::Sigmoid { x, y, len } => {
-                    let xv = view(base, x, len);
-                    for (o, v) in view_mut(base, y, len).iter_mut().zip(xv) {
-                        *o = 1.0 / (1.0 + (-v).exp());
-                    }
+                    kernels::sigmoid_into(view(base, x, len), view_mut(base, y, len));
                 }
                 MicroOp::Relu { x, y, len } => {
                     let xv = view(base, x, len);
@@ -1375,6 +1411,77 @@ pub(crate) fn execute(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cac
         patches.len(),
         "a patch point names a chunk op inside a block"
     );
+    clock.map(OpClock::stop)
+}
+
+/// Host nanoseconds per op class ([`MicroOp::class`]).
+pub(crate) type OpNs = [u64; MicroOp::MNEMONICS.len()];
+
+/// The clock of a timed sweep. It reads a tick counter only where the op
+/// class changes and charges the interval to the class that ran, so a run
+/// of same-class ops (a mat-vec block, a chain of element-wise ops) costs
+/// one read and the classes' ticks tile the sweep; [`OpClock::stop`] scales
+/// them to the sweep's `Instant` duration.
+struct OpClock {
+    ticks: OpNs,
+    class: usize,
+    since: u64,
+    started: (Instant, u64),
+}
+
+impl OpClock {
+    /// A clock whose first op is of `class`.
+    fn start(class: usize) -> Self {
+        let now = Self::now();
+        Self {
+            ticks: [0; MicroOp::MNEMONICS.len()],
+            class,
+            since: now,
+            started: (Instant::now(), now),
+        }
+    }
+
+    /// The tick counter: the time-stamp counter on x86-64, where one read
+    /// costs a fraction of an `Instant::now`, nanoseconds elsewhere.
+    #[inline]
+    fn now() -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: `rdtsc` exists on every x86-64 processor and only
+            // reads the time-stamp counter.
+            unsafe { core::arch::x86_64::_rdtsc() }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
+            EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+        }
+    }
+
+    /// An op of `class` starts.
+    #[inline]
+    fn enter(&mut self, class: usize) {
+        if class != self.class {
+            self.charge();
+            self.class = class;
+        }
+    }
+
+    fn charge(&mut self) {
+        let now = Self::now();
+        self.ticks[self.class] += now.wrapping_sub(self.since);
+        self.since = now;
+    }
+
+    /// Nanoseconds per class: each class's share of the sweep's ticks, of
+    /// its `Instant` duration.
+    fn stop(mut self) -> OpNs {
+        self.charge();
+        let ns = self.started.0.elapsed().as_nanos();
+        let ticks = u128::from(self.since.wrapping_sub(self.started.1)).max(1);
+        self.ticks
+            .map(|t| (u128::from(t) * ns / ticks).try_into().unwrap_or(u64::MAX))
+    }
 }
 
 /// One cached dispatch: the artifact lowered under `key`.
@@ -1648,13 +1755,21 @@ impl super::ExecutionBackend for Lowered {
     }
 }
 
-/// The backend's sweep — [`execute`], counted per kernel tier — which
-/// [`super::Sweep::run`] runs on a lowered session.
+/// The backend's sweep, which [`super::Sweep::run`] runs on a lowered
+/// session: [`execute`]. With obs on, it is counted per kernel tier and runs
+/// timed, adding its op-class times to `engine.op_ns.<mnemonic>`.
 pub(crate) fn sweep(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cache: &mut RegCache) {
-    if vpps_obs::enabled() {
-        vpps_obs::counter(&format!("engine.kernels.{}", kernels::tier())).incr();
+    if !vpps_obs::enabled() {
+        execute::<false>(art, patches, pool, cache);
+        return;
     }
-    execute(art, patches, pool, cache);
+    vpps_obs::counter(&format!("engine.kernels.{}", kernels::tier())).incr();
+    let op_ns = execute::<true>(art, patches, pool, cache).expect("a timed sweep times");
+    for (mnemonic, ns) in MicroOp::MNEMONICS.iter().zip(op_ns) {
+        if ns > 0 {
+            vpps_obs::counter(&format!("engine.op_ns.{mnemonic}")).add(ns);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -387,9 +387,13 @@ impl Sweep {
     /// over `pool` and applies the in-register update to `model`.
     ///
     /// Whatever `arena` held is discarded: parameter values are re-loaded
-    /// from `model` and the gradient half re-zeroed on every call, so an
-    /// arena kept across batches can never go stale (after a faulted
-    /// attempt, a baseline fallback, an external `param_mut`).
+    /// from `model` on every call, so an arena kept across batches can never
+    /// go stale (after a faulted attempt, a baseline fallback, an external
+    /// `param_mut`). The gradient half is re-zeroed only by a sweep that
+    /// applies the update (a training sweep on an in-register plan): its
+    /// epilogue is the one reader of the gradient chunks. An inference
+    /// script touches none, and a plan on the GEMM-fallback strategy has
+    /// none.
     ///
     /// # Panics
     ///
@@ -405,6 +409,9 @@ impl Sweep {
             vpps_obs::counter(&format!("engine.batches.{}", self.backend().name())).incr();
         }
         arena.load_from_model(model);
+        if self.update.is_some() {
+            arena.zero_grads();
+        }
         match &self.body {
             Body::Interpreted { scripts, timeline } => {
                 backends::interpret(scripts, &timeline.order, &self.dist, pool, arena);

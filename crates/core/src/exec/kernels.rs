@@ -19,14 +19,19 @@
 //! element still receives exactly the per-row kernels' operations in exactly
 //! their order, so the two forms agree to the bit.
 //!
-//! The blocked forms are explicit SIMD in *tiers* (`Lanes`): 256-bit AVX
-//! registers where the host's CPUID reports them ([`tier`]), two 128-bit
-//! SSE2 registers on any other x86-64 host, a plain array elsewhere. Each
-//! entry point picks once per call. Register width is free; lane count,
-//! association and the two roundings are not, so the tiers agree with each
-//! other and with the per-row loops to the bit, on any host and under any
-//! build flags — the proptests below hold every tier the host can run to
-//! that, NaN, infinities and signed zeros included.
+//! Both backends also compute tanh and sigmoid here ([`tanh_into`],
+//! [`sigmoid_into`]): one fixed rational with its own roundings rather than
+//! the host's libm, whose `tanhf` / `expf` differ between C libraries and
+//! cost a call per element.
+//!
+//! The blocked forms and the activations are explicit SIMD in *tiers*
+//! (`Lanes`): 256-bit AVX registers where the host's CPUID reports them
+//! ([`tier`]), two 128-bit SSE2 registers on any other x86-64 host, a plain
+//! array elsewhere. Each entry point picks once per call. Register width is
+//! free; lane count, association and the roundings are not, so the tiers
+//! agree with each other and with the per-row loops to the bit, on any host
+//! and under any build flags — the proptests below hold every tier the host
+//! can run to that, NaN, infinities and signed zeros included.
 
 /// Number of independent accumulator lanes in the chunked reduction.
 ///
@@ -100,19 +105,20 @@ pub fn add_assign(acc: &mut [f32], x: &[f32]) {
 /// 2.1x of the per-row loop for the same source.
 ///
 /// A tier chooses the register *width* and nothing else. Every tier holds the
-/// same [`LANES`] lanes, and `mul_acc` is a lane-wise IEEE multiply, rounded,
-/// followed by a lane-wise add, rounded — never a fused multiply-add, whose
-/// single rounding would diverge from [`dot`] / [`axpy`] and so from the
-/// interpreter. The tiers therefore agree with each other and with the
-/// scalar kernels to the bit, and which one runs is not observable in any
-/// result.
+/// same [`LANES`] lanes, and every method is one lane-wise IEEE operation,
+/// rounded: `mul_acc` is a multiply, rounded, then an add, rounded — never a
+/// fused multiply-add, whose single rounding would diverge from [`dot`] /
+/// [`axpy`] and so from the interpreter — and `min`, `max` and `lt_select`
+/// follow the SSE rules on every tier, NaN and signed zeros included. The
+/// tiers therefore agree with each other and with the scalar kernels to the
+/// bit, and which one runs is not observable in any result.
 ///
 /// The methods are safe to call only where the tier's instructions exist:
 /// `Portable` and `Sse2` wherever they compile, `Avx` only after
 /// `is_x86_feature_detected!("avx")`. The trait, the tiers and every generic
 /// body over them are private to this module so that each instantiation is
-/// here to audit: the baseline tier in the three public entry points, `Avx`
-/// in the three `*_avx` wrappers they dispatch to.
+/// here to audit: the baseline tier in the five public entry points, `Avx`
+/// in the five `*_avx` wrappers they dispatch to.
 ///
 /// Every function between an `*_avx` wrapper and the intrinsics is
 /// `#[inline(always)]`: an `__m256` that crossed a call out of the
@@ -122,15 +128,40 @@ trait Lanes: Copy {
     fn splat(s: f32) -> Self;
     fn load(v: &[f32; LANES]) -> Self;
     fn store(self, out: &mut [f32; LANES]);
+    /// `self + b` per lane, rounded.
+    fn add(self, b: Self) -> Self;
+    /// `self * b` per lane, rounded.
+    fn mul(self, b: Self) -> Self;
+    /// `self / b` per lane, IEEE-rounded.
+    fn div(self, b: Self) -> Self;
+    /// `if self < b { self } else { b }` per lane: `minps`'s rule, which
+    /// returns `b` when either is NaN or the two are equal (`±0.0`).
+    fn min(self, b: Self) -> Self;
+    /// `if self > b { self } else { b }` per lane: `maxps`'s rule.
+    fn max(self, b: Self) -> Self;
+    /// `if self < b { t } else { f }` per lane (`f` where either is NaN).
+    fn lt_select(self, b: Self, t: Self, f: Self) -> Self;
+
     /// `self + a * b` per lane: product rounded, then sum rounded.
-    fn mul_acc(self, a: Self, b: Self) -> Self;
+    #[inline(always)]
+    fn mul_acc(self, a: Self, b: Self) -> Self {
+        self.add(a.mul(b))
+    }
 }
 
-/// A plain array, one scalar multiply and add per lane: the only tier off
-/// x86-64, and the reference the tests hold the others to everywhere.
+/// A plain array, one scalar operation per lane: the only tier off x86-64,
+/// and the reference the tests hold the others to everywhere.
 #[cfg(any(test, not(target_arch = "x86_64")))]
 #[derive(Clone, Copy)]
 struct Portable([f32; LANES]);
+
+#[cfg(any(test, not(target_arch = "x86_64")))]
+impl Portable {
+    #[inline(always)]
+    fn zip(self, b: Self, f: impl Fn(f32, f32) -> f32) -> Self {
+        Self(std::array::from_fn(|l| f(self.0[l], b.0[l])))
+    }
+}
 
 #[cfg(any(test, not(target_arch = "x86_64")))]
 impl Lanes for Portable {
@@ -155,20 +186,50 @@ impl Lanes for Portable {
     }
 
     #[inline(always)]
-    fn mul_acc(mut self, a: Self, b: Self) -> Self {
-        for l in 0..LANES {
-            self.0[l] += a.0[l] * b.0[l];
-        }
-        self
+    fn add(self, b: Self) -> Self {
+        self.zip(b, |a, b| a + b)
+    }
+
+    #[inline(always)]
+    fn mul(self, b: Self) -> Self {
+        self.zip(b, |a, b| a * b)
+    }
+
+    #[inline(always)]
+    fn div(self, b: Self) -> Self {
+        self.zip(b, |a, b| a / b)
+    }
+
+    #[inline(always)]
+    fn min(self, b: Self) -> Self {
+        self.zip(b, |a, b| if a < b { a } else { b })
+    }
+
+    #[inline(always)]
+    fn max(self, b: Self) -> Self {
+        self.zip(b, |a, b| if a > b { a } else { b })
+    }
+
+    #[inline(always)]
+    fn lt_select(self, b: Self, t: Self, f: Self) -> Self {
+        Self(std::array::from_fn(|l| {
+            if self.0[l] < b.0[l] {
+                t.0[l]
+            } else {
+                f.0[l]
+            }
+        }))
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
-        __m128, __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_storeu_ps, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps,
-        _mm_setzero_ps, _mm_storeu_ps,
+        __m128, __m256, _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_div_ps,
+        _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps, _mm_add_ps, _mm_and_ps, _mm_andnot_ps, _mm_cmplt_ps,
+        _mm_div_ps, _mm_loadu_ps, _mm_max_ps, _mm_min_ps, _mm_mul_ps, _mm_or_ps, _mm_set1_ps,
+        _mm_setzero_ps, _mm_storeu_ps, _CMP_LT_OQ,
     };
 
     use super::{Lanes, LANES};
@@ -177,6 +238,14 @@ mod x86 {
     /// tier needs no detection and is the one a host without AVX runs.
     #[derive(Clone, Copy)]
     pub(super) struct Sse2(__m128, __m128);
+
+    impl Sse2 {
+        /// `op` on both halves.
+        #[inline(always)]
+        fn zip(self, b: Self, op: impl Fn(__m128, __m128) -> __m128) -> Self {
+            Self(op(self.0, b.0), op(self.1, b.1))
+        }
+    }
 
     impl Lanes for Sse2 {
         #[inline(always)]
@@ -209,20 +278,51 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn mul_acc(self, a: Self, b: Self) -> Self {
+        fn add(self, b: Self) -> Self {
             // SAFETY: SSE2 is always available on x86-64.
-            unsafe {
-                Self(
-                    _mm_add_ps(self.0, _mm_mul_ps(a.0, b.0)),
-                    _mm_add_ps(self.1, _mm_mul_ps(a.1, b.1)),
-                )
-            }
+            self.zip(b, |a, b| unsafe { _mm_add_ps(a, b) })
+        }
+
+        #[inline(always)]
+        fn mul(self, b: Self) -> Self {
+            // SAFETY: SSE2 is always available on x86-64.
+            self.zip(b, |a, b| unsafe { _mm_mul_ps(a, b) })
+        }
+
+        #[inline(always)]
+        fn div(self, b: Self) -> Self {
+            // SAFETY: SSE2 is always available on x86-64.
+            self.zip(b, |a, b| unsafe { _mm_div_ps(a, b) })
+        }
+
+        #[inline(always)]
+        fn min(self, b: Self) -> Self {
+            // SAFETY: SSE2 is always available on x86-64.
+            self.zip(b, |a, b| unsafe { _mm_min_ps(a, b) })
+        }
+
+        #[inline(always)]
+        fn max(self, b: Self) -> Self {
+            // SAFETY: SSE2 is always available on x86-64.
+            self.zip(b, |a, b| unsafe { _mm_max_ps(a, b) })
+        }
+
+        #[inline(always)]
+        fn lt_select(self, b: Self, t: Self, f: Self) -> Self {
+            // No blend before SSE4.1: `(mask & t) | (!mask & f)`.
+            // SAFETY: SSE2 is always available on x86-64.
+            let pick = |a, b, t, f| unsafe {
+                let mask = _mm_cmplt_ps(a, b);
+                _mm_or_ps(_mm_and_ps(mask, t), _mm_andnot_ps(mask, f))
+            };
+            Self(pick(self.0, b.0, t.0, f.0), pick(self.1, b.1, t.1, f.1))
         }
     }
 
     /// One 256-bit register. Instantiated only behind a passed
     /// `is_x86_feature_detected!("avx")` (see [`Lanes`]), which is what every
-    /// `SAFETY` comment below relies on.
+    /// `SAFETY` comment below relies on. One intrinsic per operation, so one
+    /// rounding each: the `mul_acc` they make is never an `fmadd`.
     #[derive(Clone, Copy)]
     pub(super) struct Avx(__m256);
 
@@ -254,10 +354,43 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn mul_acc(self, a: Self, b: Self) -> Self {
-            // SAFETY: the host has AVX. Two intrinsics, two roundings: an
-            // `fmadd` here would break bit identity with `dot` / `axpy`.
-            unsafe { Self(_mm256_add_ps(self.0, _mm256_mul_ps(a.0, b.0))) }
+        fn add(self, b: Self) -> Self {
+            // SAFETY: the host has AVX.
+            unsafe { Self(_mm256_add_ps(self.0, b.0)) }
+        }
+
+        #[inline(always)]
+        fn mul(self, b: Self) -> Self {
+            // SAFETY: the host has AVX.
+            unsafe { Self(_mm256_mul_ps(self.0, b.0)) }
+        }
+
+        #[inline(always)]
+        fn div(self, b: Self) -> Self {
+            // SAFETY: the host has AVX.
+            unsafe { Self(_mm256_div_ps(self.0, b.0)) }
+        }
+
+        #[inline(always)]
+        fn min(self, b: Self) -> Self {
+            // SAFETY: the host has AVX.
+            unsafe { Self(_mm256_min_ps(self.0, b.0)) }
+        }
+
+        #[inline(always)]
+        fn max(self, b: Self) -> Self {
+            // SAFETY: the host has AVX.
+            unsafe { Self(_mm256_max_ps(self.0, b.0)) }
+        }
+
+        #[inline(always)]
+        fn lt_select(self, b: Self, t: Self, f: Self) -> Self {
+            // SAFETY: the host has AVX. `LT_OQ` is the ordered, quiet `<`:
+            // false on NaN, like Rust's.
+            unsafe {
+                let mask = _mm256_cmp_ps::<_CMP_LT_OQ>(self.0, b.0);
+                Self(_mm256_blendv_ps(f.0, t.0, mask))
+            }
         }
     }
 }
@@ -267,7 +400,7 @@ use x86::{Avx, Sse2 as Baseline};
 #[cfg(not(target_arch = "x86_64"))]
 use Portable as Baseline;
 
-/// The tier the blocked kernels run on this host: `"avx"` where CPUID reports
+/// The tier the blocked kernels and the activations run on this host: `"avx"` where CPUID reports
 /// it, else `"sse2"` on x86-64, `"portable"` on every other architecture.
 /// Chosen by the host alone — there is no option, flag or build setting — and
 /// never visible in a result (the private `Lanes` trait says why); exported so
@@ -540,6 +673,154 @@ pub fn outer_block(chunk: &mut [f32], cols: usize, xs: &[&[f32]], dys: &[&[f32]]
     outer_body::<Baseline>(chunk, cols, xs, dys);
 }
 
+/// Past this magnitude the tanh rational rounds to ±1, so inputs are clamped
+/// to it (and ±inf become ±1).
+const TANH_CLAMP: f32 = 7.905_311;
+/// Below this magnitude tanh(x) is x to within f32 precision.
+const TANH_TINY: f32 = 4.0e-4;
+/// Numerator `P` of `tanh(x) ≈ x·P(x²)/Q(x²)`, highest power first (Horner
+/// order): the float coefficients of Eigen's `generic_fast_tanh_float`.
+const TANH_P: [f32; 7] = [
+    -2.760_768_4e-16,
+    2.000_188e-13,
+    -8.604_672e-11,
+    5.122_297_3e-8,
+    1.485_722_4e-5,
+    6.372_619_5e-4,
+    4.893_524_6e-3,
+];
+/// Denominator `Q` of the tanh rational, highest power first.
+const TANH_Q: [f32; 4] = [1.198_258_4e-6, 1.185_347_1e-4, 2.268_434_7e-3, 4.893_525e-3];
+
+/// `Σ coeffs[i]·x2^(n-1-i)` by Horner, a rounded multiply then a rounded add
+/// per step.
+#[inline(always)]
+fn horner<L: Lanes>(x2: L, coeffs: &[f32]) -> L {
+    let (&first, rest) = coeffs
+        .split_first()
+        .expect("a polynomial has a coefficient");
+    rest.iter()
+        .fold(L::splat(first), |acc, &c| acc.mul(x2).add(L::splat(c)))
+}
+
+/// tanh per lane: the clamped odd rational `x·P(x²)/Q(x²)`, or `x` itself
+/// below [`TANH_TINY`]. Odd to the bit (`x²` and `Q` do not see the sign,
+/// and `x` multiplies `P` last); NaN in, NaN out.
+#[inline(always)]
+fn tanh_lanes<L: Lanes>(x: L) -> L {
+    // `x` is the second operand of both: `minps` / `maxps` return that one
+    // when either is NaN, so a NaN input stays NaN.
+    let clamped = L::splat(-TANH_CLAMP).max(L::splat(TANH_CLAMP).min(x));
+    let x2 = clamped.mul(clamped);
+    let ratio = clamped.mul(horner(x2, &TANH_P)).div(horner(x2, &TANH_Q));
+    let magnitude = x.max(x.mul(L::splat(-1.0)));
+    magnitude.lt_select(L::splat(TANH_TINY), x, ratio)
+}
+
+/// The logistic sigmoid per lane, as `0.5·tanh(0.5·x) + 0.5` on
+/// [`tanh_lanes`]: within `[0, 1]` because that tanh is within `[-1, 1]`.
+#[inline(always)]
+fn sigmoid_lanes<L: Lanes>(x: L) -> L {
+    let half = L::splat(0.5);
+    half.mul(tanh_lanes(half.mul(x))).add(half)
+}
+
+/// `y[i] = sigmoid(x[i])` with `SIGMOID`, else `tanh(x[i])`, [`LANES`]
+/// elements at a time; the tail goes through the same lanes zero-padded, so
+/// every element gets the same operations wherever it sits. (A const
+/// rather than a function argument: a call through `Fn` would not inline
+/// into the `*_avx` wrappers.)
+#[inline(always)]
+fn activation_body<L: Lanes, const SIGMOID: bool>(x: &[f32], y: &mut [f32]) {
+    let (xs, x_tail) = x.as_chunks::<LANES>();
+    let (ys, y_tail) = y.as_chunks_mut::<LANES>();
+    for (x, y) in xs.iter().zip(ys) {
+        activation::<L, SIGMOID>(L::load(x)).store(y);
+    }
+    if !x_tail.is_empty() {
+        let mut lanes = [0.0f32; LANES];
+        lanes[..x_tail.len()].copy_from_slice(x_tail);
+        activation::<L, SIGMOID>(L::load(&lanes)).store(&mut lanes);
+        y_tail.copy_from_slice(&lanes[..x_tail.len()]);
+    }
+}
+
+#[inline(always)]
+fn activation<L: Lanes, const SIGMOID: bool>(x: L) -> L {
+    if SIGMOID {
+        sigmoid_lanes(x)
+    } else {
+        tanh_lanes(x)
+    }
+}
+
+/// [`tanh_into`] past its assert, on tier `L`.
+#[inline(always)]
+fn tanh_body<L: Lanes>(x: &[f32], y: &mut [f32]) {
+    activation_body::<L, false>(x, y);
+}
+
+/// [`sigmoid_into`] past its assert, on tier `L`.
+#[inline(always)]
+fn sigmoid_body<L: Lanes>(x: &[f32], y: &mut [f32]) {
+    activation_body::<L, true>(x, y);
+}
+
+/// # Safety
+///
+/// The host must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn tanh_into_avx(x: &[f32], y: &mut [f32]) {
+    tanh_body::<Avx>(x, y);
+}
+
+/// # Safety
+///
+/// The host must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn sigmoid_into_avx(x: &[f32], y: &mut [f32]) {
+    sigmoid_body::<Avx>(x, y);
+}
+
+/// `y[i] = tanh(x[i])`: a clamped odd rational of degree 13/6 (Eigen's
+/// float coefficients), evaluated by Horner with separately rounded
+/// multiplies and adds and one IEEE division, so the bits depend on the
+/// input alone — not on the tier, the build flags or the host's libm. Max
+/// abs error against f64 tanh ≈ 4e-7 (at most 7 ulp); `tanh(±inf) = ±1`,
+/// `tanh(-0) = -0`, NaN stays NaN.
+///
+/// # Panics
+///
+/// Panics if `x` and `y` differ in length.
+pub fn tanh_into(x: &[f32], y: &mut [f32]) {
+    assert_eq!(x.len(), y.len(), "tanh_into: one output per input");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX was just detected.
+        return unsafe { tanh_into_avx(x, y) };
+    }
+    tanh_body::<Baseline>(x, y);
+}
+
+/// `y[i] = 1 / (1 + exp(-x[i]))`, computed as `0.5·tanh(0.5·x) + 0.5` on
+/// [`tanh_into`]'s rational: as deterministic, max abs error ≈ 2.5e-7, and
+/// always within `[0, 1]`.
+///
+/// # Panics
+///
+/// Panics if `x` and `y` differ in length.
+pub fn sigmoid_into(x: &[f32], y: &mut [f32]) {
+    assert_eq!(x.len(), y.len(), "sigmoid_into: one output per input");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX was just detected.
+        return unsafe { sigmoid_into_avx(x, y) };
+    }
+    sigmoid_body::<Baseline>(x, y);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,6 +857,80 @@ mod tests {
         assert_eq!(acc, vec![3.0, 5.0, 7.0, 9.0, 11.0]);
         add_assign(&mut acc, &[1.0; 5]);
         assert_eq!(acc, vec![4.0, 6.0, 8.0, 10.0, 12.0]);
+    }
+
+    fn tanh_of(x: f32) -> f32 {
+        let mut y = [0.0];
+        tanh_into(&[x], &mut y);
+        y[0]
+    }
+
+    fn sigmoid_of(x: f32) -> f32 {
+        let mut y = [0.0];
+        sigmoid_into(&[x], &mut y);
+        y[0]
+    }
+
+    /// Distance in representable f32 steps from `got` to `want`.
+    fn ulps(got: f32, want: f64) -> f64 {
+        let want32 = want as f32;
+        let step = f64::from(want32.abs().next_up() - want32.abs());
+        (f64::from(got) - want).abs() / step
+    }
+
+    /// On a dense grid of [-30, 30] (step 2^-13), the
+    /// activations stay within their documented error of the f64 functions;
+    /// tanh is odd to the bit and sigmoid never leaves [0, 1].
+    #[test]
+    fn activations_meet_their_accuracy_bounds() {
+        const STEPS_PER_UNIT: i32 = 1 << 13;
+        let xs: Vec<f32> = (-30 * STEPS_PER_UNIT..=30 * STEPS_PER_UNIT)
+            .map(|i| (f64::from(i) / f64::from(STEPS_PER_UNIT)) as f32)
+            .collect();
+        let neg: Vec<f32> = xs.iter().map(|x| -x).collect();
+        let (mut t, mut t_neg, mut s) = (
+            vec![0.0; xs.len()],
+            vec![0.0; xs.len()],
+            vec![0.0; xs.len()],
+        );
+        tanh_into(&xs, &mut t);
+        tanh_into(&neg, &mut t_neg);
+        sigmoid_into(&xs, &mut s);
+        let (mut tanh_abs, mut tanh_ulps, mut sigmoid_abs) = (0.0f64, 0.0f64, 0.0f64);
+        for (i, &x) in xs.iter().enumerate() {
+            let want = f64::from(x).tanh();
+            tanh_abs = tanh_abs.max((f64::from(t[i]) - want).abs());
+            tanh_ulps = tanh_ulps.max(ulps(t[i], want));
+            let want = 1.0 / (1.0 + (-f64::from(x)).exp());
+            sigmoid_abs = sigmoid_abs.max((f64::from(s[i]) - want).abs());
+            assert_eq!(t_neg[i].to_bits(), (-t[i]).to_bits(), "tanh is odd at {x}");
+            assert!((0.0..=1.0).contains(&s[i]), "sigmoid({x}) = {}", s[i]);
+        }
+        assert!(tanh_abs <= 4.3e-7, "tanh max abs error {tanh_abs:e}");
+        assert!(tanh_ulps <= 7.0, "tanh max error {tanh_ulps} ulp");
+        assert!(
+            sigmoid_abs <= 2.5e-7,
+            "sigmoid max abs error {sigmoid_abs:e}"
+        );
+    }
+
+    #[test]
+    fn activations_keep_their_special_values() {
+        assert_eq!(tanh_of(f32::INFINITY), 1.0);
+        assert_eq!(tanh_of(f32::NEG_INFINITY), -1.0);
+        assert_eq!(tanh_of(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(tanh_of(0.0).to_bits(), 0.0f32.to_bits());
+        assert!(tanh_of(f32::NAN).is_nan());
+        assert_eq!(sigmoid_of(f32::INFINITY), 1.0);
+        assert_eq!(sigmoid_of(f32::NEG_INFINITY), 0.0);
+        assert_eq!(sigmoid_of(0.0), 0.5);
+        assert!(sigmoid_of(f32::NAN).is_nan());
+    }
+
+    #[test]
+    #[should_panic(expected = "one output per input")]
+    fn activations_reject_mismatched_lengths() {
+        tanh_into(&[0.0; 3], &mut [0.0; 2]);
     }
 }
 
@@ -660,22 +1015,27 @@ mod proptests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The three kernels on one tier, past the entry points' asserts — or
+    /// The five kernels on one tier, past the entry points' asserts — or
     /// the dispatching entry points themselves.
     struct Tier {
         name: &'static str,
         matvec: MatVecFn,
         tmatvec: fn(&[f32], usize, &[f32], &mut [f32]),
         outer: OuterFn,
+        tanh: MapFn,
+        sigmoid: MapFn,
     }
     type MatVecFn = fn(&[f32], usize, &[&[f32]], &mut [&mut [f32]]);
     type OuterFn = fn(&mut [f32], usize, &[&[f32]], &[&[f32]]);
+    type MapFn = fn(&[f32], &mut [f32]);
 
     const PORTABLE: Tier = Tier {
         name: "portable",
         matvec: matvec_body::<Portable>,
         tmatvec: tmatvec_body::<Portable>,
         outer: outer_body::<Portable>,
+        tanh: tanh_body::<Portable>,
+        sigmoid: sigmoid_body::<Portable>,
     };
 
     /// Whichever tier this host dispatches to, through the public functions.
@@ -684,6 +1044,8 @@ mod proptests {
         matvec: matvec_block,
         tmatvec: tmatvec_contrib,
         outer: outer_block,
+        tanh: tanh_into,
+        sigmoid: sigmoid_into,
     };
 
     /// Every tier this host can run, narrowest first, so that the last one
@@ -699,14 +1061,18 @@ mod proptests {
                 matvec: matvec_body::<x86::Sse2>,
                 tmatvec: tmatvec_body::<x86::Sse2>,
                 outer: outer_body::<x86::Sse2>,
+                tanh: tanh_body::<x86::Sse2>,
+                sigmoid: sigmoid_body::<x86::Sse2>,
             });
             if std::arch::is_x86_feature_detected!("avx") {
-                // SAFETY (all three): AVX was just detected.
+                // SAFETY (all five): AVX was just detected.
                 tiers.push(Tier {
                     name: "avx",
                     matvec: |c, n, xs, ys| unsafe { matvec_block_avx(c, n, xs, ys) },
                     tmatvec: |c, n, dy, out| unsafe { tmatvec_contrib_avx(c, n, dy, out) },
                     outer: |c, n, xs, dys| unsafe { outer_block_avx(c, n, xs, dys) },
+                    tanh: |x, y| unsafe { tanh_into_avx(x, y) },
+                    sigmoid: |x, y| unsafe { sigmoid_into_avx(x, y) },
                 });
             } else {
                 static SKIP: std::sync::Once = std::sync::Once::new();
@@ -748,6 +1114,37 @@ mod proptests {
             (tier.outer)(&mut got, case.cols, &xs, &dys);
         }
         got
+    }
+
+    /// `(tanh, sigmoid)` of `x` on `tier`, as bits.
+    fn run_activations(tier: &Tier, x: &[f32]) -> (Vec<u32>, Vec<u32>) {
+        let mut y = vec![7.0f32; x.len()];
+        (tier.tanh)(x, &mut y);
+        let tanh = bits(&y);
+        (tier.sigmoid)(x, &mut y);
+        (tanh, bits(&y))
+    }
+
+    /// Inputs an activation could get wrong: signed zeros, infinities, NaN,
+    /// subnormals, and one ulp either side of the clamp and the tiny
+    /// threshold — for sigmoid, which takes tanh of `x/2`, of twice those.
+    fn activation_edges() -> Vec<f32> {
+        let mut edges = vec![
+            0.0,
+            f32::INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 2.0,
+            f32::from_bits(1),
+            1.0,
+            f32::MAX,
+        ];
+        for t in [TANH_CLAMP, TANH_TINY, 2.0 * TANH_CLAMP, 2.0 * TANH_TINY] {
+            edges.extend([t.next_down(), t, t.next_up()]);
+        }
+        let negated: Vec<f32> = edges.iter().map(|x| -x).collect();
+        edges.extend(negated);
+        edges
     }
 
     proptest! {
@@ -813,6 +1210,32 @@ mod proptests {
             }
         }
 
+        /// On every tier and through the entry points, tanh and sigmoid ≡ the
+        /// `Portable` tier, bit for bit: ordinary values, values around the
+        /// clamp and the tiny threshold, and the edge values mixed in, at
+        /// every length up to past two registers.
+        #[test]
+        fn activations_equal_the_portable_tier(
+            draws in prop::collection::vec(
+                (any::<u8>(), -40.0f32..40.0, -1e-3f32..1e-3, any::<usize>()),
+                0..40,
+            ),
+        ) {
+            let edges = activation_edges();
+            let x: Vec<f32> = draws
+                .into_iter()
+                .map(|(dice, wide, small, edge)| match dice % 4 {
+                    0 => small,
+                    1 => edges[edge % edges.len()],
+                    _ => wide,
+                })
+                .collect();
+            let want = run_activations(&PORTABLE, &x);
+            for tier in tiers().iter().chain([&DISPATCH]) {
+                prop_assert_eq!(&run_activations(tier, &x), &want, "tier {}", tier.name);
+            }
+        }
+
         /// The public entry points ≡ the `Portable` tier, whichever tier this
         /// host makes them dispatch to.
         #[test]
@@ -851,6 +1274,34 @@ mod proptests {
             let mut grad = vec![-0.0f32; 2 * cols];
             (tier.outer)(&mut grad, cols, &[&x, &x], &[&[0.0, -0.0], &[-0.0, 0.0]]);
             assert_eq!(bits(&grad), bits(&vec![-0.0; 2 * cols]), "{}", tier.name);
+        }
+    }
+
+    /// Every edge value, at every position of every length 0–17 (so in the
+    /// full registers and in the zero-padded tail), comes out of every tier
+    /// as it does out of `Portable`.
+    #[test]
+    fn activation_edges_are_the_same_on_every_tier() {
+        let edges = activation_edges();
+        for len in 0..=17 {
+            for start in 0..edges.len() {
+                let x: Vec<f32> = edges
+                    .iter()
+                    .cycle()
+                    .skip(start)
+                    .take(len)
+                    .copied()
+                    .collect();
+                let want = run_activations(&PORTABLE, &x);
+                for tier in tiers().iter().chain([&DISPATCH]) {
+                    assert_eq!(
+                        run_activations(tier, &x),
+                        want,
+                        "tier {} on {x:?}",
+                        tier.name
+                    );
+                }
+            }
         }
     }
 

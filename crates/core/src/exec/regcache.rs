@@ -30,8 +30,9 @@ struct ParamSpan {
 ///
 /// The arena is a per-batch working set, not a coherent copy: holders that
 /// keep one between batches must still [`RegCache::load_from_model`] before
-/// every run (which also zeroes the gradient half) and must never read
-/// parameter values back out of it.
+/// every run, and [`RegCache::zero_grads`] before every run that
+/// accumulates gradients, and must never read parameter values back out of
+/// it.
 #[derive(Debug, Clone)]
 pub struct RegCache {
     data: Vec<f32>,
@@ -111,9 +112,7 @@ impl RegCache {
     }
 
     /// Kernel prologue: copies every parameter's master value from `model`
-    /// into the value half and zeroes the gradient half (paper §III-A2's
-    /// "parameter load" and "in-register gradient matrix initialization"
-    /// routines).
+    /// into the value half (paper §III-A2's "parameter load" routine).
     ///
     /// # Panics
     ///
@@ -124,6 +123,11 @@ impl RegCache {
             self.data[p.offset..p.offset + p.len]
                 .copy_from_slice(model.param(p.param).value.as_slice());
         }
+    }
+
+    /// Kernel prologue of a training run: zeroes the gradient half (paper
+    /// §III-A2's "in-register gradient matrix initialization" routine).
+    pub fn zero_grads(&mut self) {
         let grad_start = self.grad_start();
         self.data[grad_start..].fill(0.0);
     }
@@ -233,6 +237,13 @@ mod tests {
         for cid in dist.grad_chunks_of(w) {
             assert!(cache.chunk(*cid).iter().all(|&v| v == 0.0));
         }
+        for cid in dist.grad_chunks_of(w).to_vec() {
+            cache.chunk_mut(cid).fill(1.0);
+        }
+        cache.zero_grads();
+        for cid in dist.grad_chunks_of(w) {
+            assert!(cache.chunk(*cid).iter().all(|&v| v == 0.0));
+        }
     }
 
     #[test]
@@ -322,6 +333,82 @@ mod tests {
         let (_, _, other) = setup();
         assert!(!RegCache::new(&other).laid_out_for(&dist));
         assert!(!RegCache::new(&dist).laid_out_for(&other));
+    }
+
+    /// One arena kept across train → infer → train gives the loss and
+    /// parameter bits of a fresh arena per sweep, on both backends: the
+    /// inference sweep skips the gradient zero-fill and the first sweep's
+    /// gradients are still in the arena, so the second training sweep's
+    /// zero-fill is what keeps them out of its update.
+    #[test]
+    fn a_persistent_arena_across_train_infer_train_matches_fresh_arenas() {
+        use crate::engine::BackendKind;
+        use crate::exec::interp::ExecConfig;
+        use crate::script::{generate, TableLayout};
+        use crate::specialize::KernelPlan;
+
+        let mut model = Model::new(4);
+        let w = model.add_matrix("W", 24, 24);
+        let b = model.add_bias("b", 24);
+        let mut device = DeviceConfig::titan_v();
+        device.num_sms = 2;
+        let plan = KernelPlan::build(&model, &device, 1).unwrap();
+        let mut g = dyn_graph::Graph::new();
+        let x = g.input((0..24).map(|i| (i as f32 * 0.3).sin()).collect());
+        let h = g.matvec(&model, w, x);
+        let h = g.add_bias(&model, b, h);
+        let h = g.tanh(h);
+        let loss = g.pick_neg_log_softmax(h, 3);
+
+        // One sweep on `arena`, returning the loss bits and the parameters.
+        let step = |model: &mut Model, train: bool, backend: BackendKind, arena: &mut RegCache| {
+            let mut pool = vpps_tensor::Pool::with_capacity(1 << 16);
+            let tables = TableLayout::install(model, &mut pool).unwrap();
+            let gen = if train {
+                generate::generate
+            } else {
+                generate::generate_forward_only
+            };
+            let gs = gen(&g, loss, &plan, &mut pool, &tables).unwrap();
+            let cfg = ExecConfig {
+                apply_update: train,
+                ..ExecConfig::default()
+            };
+            let gpu = gpu_sim::GpuSim::new(device.clone());
+            let session = backend.backend().prepare(&plan, &gs, cfg, gpu.cost_model());
+            session.sweep.run(&mut pool, model, arena);
+            pool.slice(session.sweep.loss_offset(), 1)[0].to_bits()
+        };
+        let param_bits = |model: &Model| -> Vec<u32> {
+            model
+                .params()
+                .flat_map(|(_, p)| p.value.as_slice().iter().map(|v| v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for backend in [BackendKind::EventInterp, BackendKind::Lowered] {
+            let (mut kept, mut fresh) = (model.clone(), model.clone());
+            let mut arena = RegCache::new(plan.distribution());
+            for train in [true, false, true] {
+                let got = step(&mut kept, train, backend, &mut arena);
+                let want = step(
+                    &mut fresh,
+                    train,
+                    backend,
+                    &mut RegCache::new(plan.distribution()),
+                );
+                assert_eq!(got, want, "{backend:?} loss, train={train}");
+                assert_eq!(
+                    param_bits(&kept),
+                    param_bits(&fresh),
+                    "{backend:?} parameters"
+                );
+            }
+            assert_ne!(
+                param_bits(&kept),
+                param_bits(&model),
+                "training moved the parameters"
+            );
+        }
     }
 
     #[test]

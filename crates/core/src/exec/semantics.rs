@@ -229,9 +229,13 @@ pub fn execute_instr(instr: &Instr, dist: &Distribution, ctx: &mut impl ExecCtx)
             let data = ctx.chunk_mut(chunk);
             kernels::add_assign(data, &dyv);
         }
-        Instr::Tanh { len, x, y } => unary(ctx, len, x, y, |v| v.tanh()),
-        Instr::Sigmoid { len, x, y } => unary(ctx, len, x, y, |v| 1.0 / (1.0 + (-v).exp())),
-        Instr::Relu { len, x, y } => unary(ctx, len, x, y, |v| v.max(0.0)),
+        Instr::Tanh { len, x, y } => unary(ctx, len, x, y, kernels::tanh_into),
+        Instr::Sigmoid { len, x, y } => unary(ctx, len, x, y, kernels::sigmoid_into),
+        Instr::Relu { len, x, y } => unary(ctx, len, x, y, |xv, yv| {
+            for (o, v) in yv.iter_mut().zip(xv) {
+                *o = v.max(0.0);
+            }
+        }),
         Instr::TanhBwd { len, y, dy, dx } => {
             act_bwd(ctx, len, y, dy, dx, |yv, dyv| dyv * (1.0 - yv * yv))
         }
@@ -340,13 +344,20 @@ pub fn execute_instr(instr: &Instr, dist: &Distribution, ctx: &mut impl ExecCtx)
     instr_cost(instr, dist)
 }
 
-fn unary(ctx: &mut impl ExecCtx, len: u32, x: PoolOffset, y: PoolOffset, f: impl Fn(f32) -> f32) {
-    let mut v = vec![0.0; len as usize];
-    ctx.read(x, &mut v);
-    for e in v.iter_mut() {
-        *e = f(*e);
-    }
-    ctx.write(y, &v);
+/// `y = f(x)` for an element-wise `f` that writes its second slice.
+fn unary(
+    ctx: &mut impl ExecCtx,
+    len: u32,
+    x: PoolOffset,
+    y: PoolOffset,
+    f: impl Fn(&[f32], &mut [f32]),
+) {
+    let n = len as usize;
+    let mut buf = vec![0.0; 2 * n];
+    let (xv, yv) = buf.split_at_mut(n);
+    ctx.read(x, xv);
+    f(xv, yv);
+    ctx.write(y, yv);
 }
 
 fn act_bwd(

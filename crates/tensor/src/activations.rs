@@ -3,6 +3,15 @@
 //! These correspond to the static "typical operations" section of the paper's
 //! specialized kernel source (Fig. 5, lines 10–13): forward and backward
 //! device functions shared across all model specifications.
+//!
+//! They are the host reference's activations (`dyn_graph::exec`, and so the
+//! DyNet-style baselines and the launch-per-op fallback), and they call the
+//! platform libm (`f32::tanh`, `f32::exp`) on purpose. The VPPS backends
+//! compute tanh and sigmoid with their own fixed rational instead
+//! (`vpps::exec::kernels::{tanh_into, sigmoid_into}`), bit-identical on every
+//! host and CPU tier; keeping libm here keeps this module an independent
+//! oracle for the tolerance tests that compare the two, which agree to
+//! within a few 1e-7 per activation.
 
 /// Hyperbolic tangent forward: `out[i] = tanh(x[i])`.
 ///

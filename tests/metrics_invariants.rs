@@ -288,6 +288,69 @@ fn lowered_runs_name_their_kernel_tier() {
     assert_eq!(counted_tiers(), vec![(tier, batches)]);
 }
 
+/// Timing the lowered sweep per op class changes no output: the same
+/// training and inference calls give the same loss, output and parameter
+/// bits with obs on (every lowered sweep timed) as with obs off, and the
+/// timed sweeps count host time under the mnemonics of the ops they ran.
+#[test]
+fn op_class_timing_changes_no_output() {
+    use vpps::{Handle, RpwMode, VppsOptions};
+
+    let _obs = obs_lock();
+    let recipe = GraphRecipe {
+        ops: vec![0, 3, 1, 4, 2, 6, 7],
+        picks: vec![5; 30],
+        label: 1,
+    };
+    let run = |observed: bool| -> Vec<u32> {
+        let mut model = test_model();
+        let opts = VppsOptions {
+            rpw: RpwMode::Fixed(1),
+            pool_capacity: 1 << 18,
+            backend: BackendKind::Lowered,
+            ..VppsOptions::default()
+        };
+        let mut handle = Handle::new(&model, small_device(), opts).expect("tiny model fits");
+        let (g, loss) = build_from_recipe(&model, &recipe);
+        vpps_obs::set_enabled(observed);
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            handle.fb(&mut model, &g, loss);
+            out.push(handle.sync_get_latest_loss());
+            out.extend(handle.infer(&mut model, &g, loss));
+        }
+        vpps_obs::set_enabled(false);
+        out.extend(
+            model
+                .params()
+                .flat_map(|(_, p)| p.value.as_slice().to_vec()),
+        );
+        out.iter().map(|v| v.to_bits()).collect()
+    };
+    vpps_obs::reset_metrics();
+    let plain = run(false);
+    let timed = run(true);
+    assert_eq!(
+        timed, plain,
+        "obs on changed a loss, output or parameter bit"
+    );
+    let timed_classes: Vec<String> = vpps_obs::registry_snapshot()
+        .into_iter()
+        .filter_map(|(name, value)| match value {
+            vpps_obs::MetricValue::Counter(n) if n > 0 => {
+                name.strip_prefix("engine.op_ns.").map(str::to_owned)
+            }
+            _ => None,
+        })
+        .collect();
+    for class in ["matvec", "tmatvec", "outer", "tanh", "sigmoid", "pick_nls"] {
+        assert!(
+            timed_classes.iter().any(|c| c == class),
+            "no engine.op_ns.{class} among {timed_classes:?}"
+        );
+    }
+}
+
 /// One §5c table row's name, `{a,b}` groups already expanded: its segments
 /// (`<…>` is a placeholder for any one dot-free segment), the metric kind
 /// (empty for a span) and whether only a `PlanCache` user registers it.
