@@ -82,14 +82,15 @@
 //! ([`GeneratedScript::literals`]). Nothing is inferred after lowering.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dyn_graph::{Graph, NodeId, Op};
 use gpu_sim::CostModel;
+use vpps_obs::Counter;
 use vpps_tensor::Pool;
 
-use crate::distribute::{Chunk, Distribution};
+use crate::distribute::{Chunk, ChunkId, Distribution};
 use crate::exec::kernels::{self, MAX_BLOCK};
 use crate::exec::regcache::RegCache;
 use crate::script::generate::dispatch_key;
@@ -584,12 +585,25 @@ fn bias_reg(c: &Chunk, len: u32) -> u32 {
     c.offset
 }
 
+/// `chunk`'s entry in the plan, checked to be a gradient chunk when `op`
+/// writes it and a value chunk when it reads it. The value half of the
+/// arena stays resident across sweeps (`RegCache`), so an op that wrote a
+/// value chunk would corrupt every later batch: refuse it at lower time.
+fn checked_chunk<'d>(dist: &'d Distribution, chunk: ChunkId, op: &str, writes: bool) -> &'d Chunk {
+    let c = dist.chunk(chunk);
+    let want = if writes { "gradient" } else { "value" };
+    assert!(
+        c.is_grad == writes,
+        "lowering: {op} must use a {want} chunk"
+    );
+    c
+}
+
 fn lower_instr(instr: &Instr, dist: &Distribution) -> Option<MicroOp> {
     Some(match *instr {
         Instr::Signal { .. } | Instr::Wait { .. } => return None,
         Instr::MatVecChunk { chunk, len, x, y } => {
-            let c = dist.chunk(chunk);
-            debug_assert!(!c.is_grad, "matvec must use a value chunk");
+            let c = checked_chunk(dist, chunk, "matvec", false);
             MicroOp::MatVec {
                 reg: c.offset,
                 x: x.raw(),
@@ -600,8 +614,7 @@ fn lower_instr(instr: &Instr, dist: &Distribution) -> Option<MicroOp> {
             }
         }
         Instr::TMatVecChunk { chunk, len, dy, dx } => {
-            let c = dist.chunk(chunk);
-            debug_assert!(!c.is_grad, "t-matvec must use a value chunk");
+            let c = checked_chunk(dist, chunk, "t-matvec", false);
             MicroOp::TMatVec {
                 reg: c.offset,
                 dy: dy.raw() + c.row_start as u32,
@@ -612,8 +625,7 @@ fn lower_instr(instr: &Instr, dist: &Distribution) -> Option<MicroOp> {
             }
         }
         Instr::OuterChunk { chunk, len, x, dy } => {
-            let c = dist.chunk(chunk);
-            debug_assert!(c.is_grad, "outer product must target a gradient chunk");
+            let c = checked_chunk(dist, chunk, "outer product", true);
             MicroOp::Outer {
                 reg: c.offset,
                 x: x.raw(),
@@ -624,13 +636,13 @@ fn lower_instr(instr: &Instr, dist: &Distribution) -> Option<MicroOp> {
             }
         }
         Instr::AddBiasChunk { chunk, len, x, y } => MicroOp::AddBias {
-            reg: bias_reg(dist.chunk(chunk), len),
+            reg: bias_reg(checked_chunk(dist, chunk, "add-bias", false), len),
             x: x.raw(),
             y: y.raw(),
             len,
         },
         Instr::BiasGradChunk { chunk, len, dy } => MicroOp::BiasGrad {
-            reg: bias_reg(dist.chunk(chunk), len),
+            reg: bias_reg(checked_chunk(dist, chunk, "bias-grad", true), len),
             dy: dy.raw(),
             len,
         },
@@ -1763,11 +1775,20 @@ pub(crate) fn sweep(art: &LoweredScript, patches: &[u32], pool: &mut Pool, cache
         execute::<false>(art, patches, pool, cache);
         return;
     }
-    vpps_obs::counter(&format!("engine.kernels.{}", kernels::tier())).incr();
+    // Each name is formatted and resolved once, on its first use, so the
+    // set of registered names is what it would be without the caching.
+    static KERNELS: OnceLock<Counter> = OnceLock::new();
+    static OP_NS: [OnceLock<Counter>; MicroOp::MNEMONICS.len()] =
+        [const { OnceLock::new() }; MicroOp::MNEMONICS.len()];
+    KERNELS
+        .get_or_init(|| vpps_obs::counter(&format!("engine.kernels.{}", kernels::tier())))
+        .incr();
     let op_ns = execute::<true>(art, patches, pool, cache).expect("a timed sweep times");
-    for (mnemonic, ns) in MicroOp::MNEMONICS.iter().zip(op_ns) {
+    for ((mnemonic, counter), ns) in MicroOp::MNEMONICS.iter().zip(&OP_NS).zip(op_ns) {
         if ns > 0 {
-            vpps_obs::counter(&format!("engine.op_ns.{mnemonic}")).add(ns);
+            counter
+                .get_or_init(|| vpps_obs::counter(&format!("engine.op_ns.{mnemonic}")))
+                .add(ns);
         }
     }
 }
@@ -1939,6 +1960,71 @@ mod tests {
             ops.iter().enumerate().map(|(j, op)| (*op, literal(j))),
         );
         (stream.ops, stream.patch_points)
+    }
+
+    /// Each chunk op lowers only against the half of the arena it may
+    /// touch. A read of a gradient chunk, and above all a write to a value
+    /// chunk — which stays resident across sweeps — is refused, in release
+    /// builds too.
+    #[test]
+    fn chunk_ops_on_the_wrong_half_of_the_arena_are_refused() {
+        use vpps_tensor::PoolOffset;
+        let mut model = Model::new(3);
+        let w = model.add_matrix("W", 12, 12);
+        let b = model.add_bias("b", 12);
+        let mut device = DeviceConfig::titan_v();
+        device.num_sms = 2;
+        let plan = KernelPlan::build(&model, &device, 1).expect("tiny model fits");
+        let dist = plan.distribution();
+        let (w_value, w_grad) = (dist.value_chunks_of(w)[0], dist.grad_chunks_of(w)[0]);
+        let (b_value, b_grad) = (dist.value_chunks_of(b)[0], dist.grad_chunks_of(b)[0]);
+        // The five chunk ops: two reading `w`, one reading `b`, one writing
+        // `w_out`, one writing `b_out`.
+        let ops = |w, b, w_out, b_out| {
+            let (x, y, len) = (PoolOffset(0), PoolOffset(100), 12);
+            [
+                Instr::MatVecChunk {
+                    chunk: w,
+                    len,
+                    x,
+                    y,
+                },
+                Instr::TMatVecChunk {
+                    chunk: w,
+                    len,
+                    dy: x,
+                    dx: y,
+                },
+                Instr::AddBiasChunk {
+                    chunk: b,
+                    len,
+                    x,
+                    y,
+                },
+                Instr::OuterChunk {
+                    chunk: w_out,
+                    len,
+                    x,
+                    dy: y,
+                },
+                Instr::BiasGradChunk {
+                    chunk: b_out,
+                    len,
+                    dy: x,
+                },
+            ]
+        };
+        for instr in ops(w_grad, b_grad, w_value, b_value) {
+            let refused = std::panic::catch_unwind(|| lower_instr(&instr, dist))
+                .expect_err("lowered a chunk op on the wrong half");
+            let message = refused
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(message.starts_with("lowering: "), "{instr:?}: {message}");
+        }
+        for instr in ops(w_value, b_value, w_grad, b_grad) {
+            assert!(lower_instr(&instr, dist).is_some(), "{instr:?}");
+        }
     }
 
     #[test]

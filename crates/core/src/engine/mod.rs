@@ -12,10 +12,11 @@
 //!   scripts once into a [`Session`]: the full per-VPP timeline, the kernel
 //!   body time and a complete [`gpu_sim::Metrics`] record (DRAM traffic by
 //!   tag, launch count, barrier-stall time, load-imbalance histogram).
-//! * `Sweep::run` computes a batch's values: it loads the register cache,
-//!   executes the script phase against the memory pool and applies the
-//!   in-register update. [`crate::Compute::run`] calls it on every rung of
-//!   the recovery ladder but the last, launch-per-op one.
+//! * `Sweep::run` computes a batch's values: it loads the register cache
+//!   (unless it already holds the model's values), executes the script
+//!   phase against the memory pool and applies the in-register update.
+//!   [`crate::Compute::run`] calls it on every rung of the recovery ladder
+//!   but the last, launch-per-op one.
 //!
 //! Because timing and traffic are computed analytically in `prepare` (every
 //! instruction's cost is data-independent), both backends report **identical
@@ -30,13 +31,13 @@ pub mod recovery;
 pub mod timeline;
 
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dyn_graph::Model;
 use gpu_sim::{CostModel, GpuSim, ImbalanceHistogram, Metrics, SimTime, TrafficTag};
 use vpps_tensor::{Pool, PoolOffset};
 
-use vpps_obs::SimTrace;
+use vpps_obs::{Counter, SimTrace};
 
 use crate::distribute::Distribution;
 use crate::exec::interp::ExecConfig;
@@ -386,14 +387,19 @@ impl Sweep {
     /// Computes the batch: loads `arena` from `model`, runs the script phase
     /// over `pool` and applies the in-register update to `model`.
     ///
-    /// Whatever `arena` held is discarded: parameter values are re-loaded
-    /// from `model` on every call, so an arena kept across batches can never
-    /// go stale (after a faulted attempt, a baseline fallback, an external
-    /// `param_mut`). The gradient half is re-zeroed only by a sweep that
-    /// applies the update (a training sweep on an in-register plan): its
-    /// epilogue is the one reader of the gradient chunks. An inference
-    /// script touches none, and a plan on the GEMM-fallback strategy has
-    /// none.
+    /// The value half of an arena kept across batches stays resident:
+    /// [`RegCache::load_from_model`] copies parameters only when `model`'s
+    /// stamp differs from the one the arena last loaded, so back-to-back
+    /// inference sweeps of one unchanged model copy nothing. It cannot go
+    /// stale: every writer of master values — this sweep's own update, the
+    /// GEMM-fallback epilogue, the baseline rung's `Trainer` step, an
+    /// external `param_mut` — draws a new stamp, and a faulted attempt
+    /// computes nothing. The virtual clock charges the prologue load all
+    /// the same ([`Session::new`]): residency saves host time only. The
+    /// gradient half is re-zeroed only by a sweep that applies the update
+    /// (a training sweep on an in-register plan): its epilogue is the one
+    /// reader of the gradient chunks. An inference script touches none, and
+    /// a plan on the GEMM-fallback strategy has none.
     ///
     /// # Panics
     ///
@@ -405,10 +411,22 @@ impl Sweep {
             "register arena was laid out for another plan"
         );
         let _span = vpps_obs::span("engine.run");
+        let backend = self.backend();
+        let loaded = arena.load_from_model(model);
         if vpps_obs::enabled() {
-            vpps_obs::counter(&format!("engine.batches.{}", self.backend().name())).incr();
+            // Each name is formatted and resolved once, on its first use.
+            static BATCHES: [OnceLock<Counter>; BackendKind::ALL.len()] =
+                [const { OnceLock::new() }; BackendKind::ALL.len()];
+            static LOADS: OnceLock<Counter> = OnceLock::new();
+            BATCHES[backend as usize]
+                .get_or_init(|| vpps_obs::counter(&format!("engine.batches.{}", backend.name())))
+                .incr();
+            if loaded {
+                LOADS
+                    .get_or_init(|| vpps_obs::counter("engine.prologue.loads"))
+                    .incr();
+            }
         }
-        arena.load_from_model(model);
         if self.update.is_some() {
             arena.zero_grads();
         }

@@ -13,11 +13,11 @@
 //! The interpreter runs one [`dot`] / [`axpy`] per chunk row, plain loops
 //! that LLVM autovectorizes. The lowered sweep runs whole chunk ops through
 //! the *register-blocked* forms ([`matvec_block`], [`tmatvec_contrib`],
-//! [`outer_block`]), which keep more in registers between loads — a chunk row
-//! against several operands, a tile of the contribution across all rows, a
-//! tile of a gradient row across several operands — while every output
-//! element still receives exactly the per-row kernels' operations in exactly
-//! their order, so the two forms agree to the bit.
+//! [`outer_block`]), which keep more in registers between loads — a group
+//! of chunk rows against several operands, a tile of the contribution
+//! across all rows, a tile of a gradient row across several operands —
+//! while every output element still receives exactly the per-row kernels'
+//! operations in exactly their order, so the two forms agree to the bit.
 //!
 //! Both backends also compute tanh and sigmoid here ([`tanh_into`],
 //! [`sigmoid_into`]): one fixed rational with its own roundings rather than
@@ -141,6 +141,10 @@ trait Lanes: Copy {
     fn max(self, b: Self) -> Self;
     /// `if self < b { t } else { f }` per lane (`f` where either is NaN).
     fn lt_select(self, b: Self, t: Self, f: Self) -> Self;
+    /// Lane `j` is [`lane_tree`] of `acc[j]`'s lanes: eight dot products'
+    /// reductions in one, each add with `lane_tree`'s operands in
+    /// `lane_tree`'s order.
+    fn tree8(acc: [Self; LANES]) -> Self;
 
     /// `self + a * b` per lane: product rounded, then sum rounded.
     #[inline(always)]
@@ -220,19 +224,34 @@ impl Lanes for Portable {
             }
         }))
     }
+
+    #[inline(always)]
+    fn tree8(acc: [Self; LANES]) -> Self {
+        Self(acc.map(|a| lane_tree(&a.0)))
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
         __m128, __m256, _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_div_ps,
-        _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_storeu_ps, _mm_add_ps, _mm_and_ps, _mm_andnot_ps, _mm_cmplt_ps,
-        _mm_div_ps, _mm_loadu_ps, _mm_max_ps, _mm_min_ps, _mm_mul_ps, _mm_or_ps, _mm_set1_ps,
-        _mm_setzero_ps, _mm_storeu_ps, _CMP_LT_OQ,
+        _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_permute2f128_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm_add_ps,
+        _mm_and_ps, _mm_andnot_ps, _mm_cmplt_ps, _mm_div_ps, _mm_loadu_ps, _mm_max_ps, _mm_min_ps,
+        _mm_mul_ps, _mm_or_ps, _mm_set1_ps, _mm_setzero_ps, _mm_shuffle_ps, _mm_storeu_ps,
+        _CMP_LT_OQ,
     };
 
     use super::{Lanes, LANES};
+
+    /// `shuffle_ps` immediates, each picking two lanes of the first operand
+    /// and the same two of the second per 128-bit half: with `PAIRS_0` and
+    /// `PAIRS_1`, [`shuffle_sums`] makes `[x0+x2, x1+x3, y0+y2, y1+y3]`;
+    /// with the `ADJACENT` pair, `[x0+x1, x2+x3, y0+y1, y2+y3]`.
+    const PAIRS_0: i32 = 0b01_00_01_00;
+    const PAIRS_1: i32 = 0b11_10_11_10;
+    const ADJACENT_0: i32 = 0b10_00_10_00;
+    const ADJACENT_1: i32 = 0b11_01_11_01;
 
     /// Two 128-bit registers: SSE2 is part of the x86-64 baseline, so this
     /// tier needs no detection and is the one a host without AVX runs.
@@ -317,6 +336,54 @@ mod x86 {
             };
             Self(pick(self.0, b.0, t.0, f.0), pick(self.1, b.1, t.1, f.1))
         }
+
+        #[inline(always)]
+        fn tree8(acc: [Self; LANES]) -> Self {
+            // SAFETY: SSE2 is always available on x86-64.
+            let h = acc.map(|a| unsafe { _mm_add_ps(a.0, a.1) });
+            // `lane_tree` of four inputs, from their `[0+4, 1+5, 2+6, 3+7]`.
+            let quad = |a, b, c, d| {
+                let pairs = shuffle_sums::<PAIRS_0, PAIRS_1>;
+                shuffle_sums::<ADJACENT_0, ADJACENT_1>(pairs(a, b), pairs(c, d))
+            };
+            Self(quad(h[0], h[1], h[2], h[3]), quad(h[4], h[5], h[6], h[7]))
+        }
+    }
+
+    /// `shuffle_ps::<A>(x, y) + shuffle_ps::<B>(x, y)` on each 128-bit half.
+    #[inline(always)]
+    fn shuffle_sums<const A: i32, const B: i32>(x: __m128, y: __m128) -> __m128 {
+        // SAFETY: SSE2 is always available on x86-64.
+        unsafe { _mm_add_ps(_mm_shuffle_ps::<A>(x, y), _mm_shuffle_ps::<B>(x, y)) }
+    }
+
+    /// [`shuffle_sums`] on 256-bit registers.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX.
+    #[inline(always)]
+    unsafe fn shuffle_sums_256<const A: i32, const B: i32>(x: __m256, y: __m256) -> __m256 {
+        // SAFETY: the caller guarantees AVX.
+        unsafe { _mm256_add_ps(_mm256_shuffle_ps::<A>(x, y), _mm256_shuffle_ps::<B>(x, y)) }
+    }
+
+    /// `[x0+x4, x1+x5, x2+x6, x3+x7]` in the low half, the same of `y` in
+    /// the high half.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX.
+    #[inline(always)]
+    unsafe fn fold_halves(x: __m256, y: __m256) -> __m256 {
+        // SAFETY: the caller guarantees AVX.
+        unsafe {
+            let (lows, highs) = (
+                _mm256_permute2f128_ps::<0x20>(x, y),
+                _mm256_permute2f128_ps::<0x31>(x, y),
+            );
+            _mm256_add_ps(lows, highs)
+        }
     }
 
     /// One 256-bit register. Instantiated only behind a passed
@@ -392,6 +459,24 @@ mod x86 {
                 Self(_mm256_blendv_ps(f.0, t.0, mask))
             }
         }
+
+        #[inline(always)]
+        fn tree8(acc: [Self; LANES]) -> Self {
+            // No intrinsic in a closure: one without the AVX feature
+            // between the wrapper and an intrinsic keeps it from inlining.
+            // SAFETY: the host has AVX. Input `j` sits in the low half and
+            // `j + 4` in the high half from the first step on, so the
+            // result comes out in input order.
+            unsafe {
+                let h0 = fold_halves(acc[0].0, acc[4].0);
+                let h1 = fold_halves(acc[1].0, acc[5].0);
+                let h2 = fold_halves(acc[2].0, acc[6].0);
+                let h3 = fold_halves(acc[3].0, acc[7].0);
+                let pairs = shuffle_sums_256::<PAIRS_0, PAIRS_1>;
+                let adjacent = shuffle_sums_256::<ADJACENT_0, ADJACENT_1>;
+                Self(adjacent(pairs(h0, h1), pairs(h2, h3)))
+            }
+        }
     }
 }
 
@@ -420,67 +505,119 @@ pub fn tier() -> &'static str {
     }
 }
 
-/// `K` dot products of one chunk row: `out[j]` is [`dot`]`(row, xs[j])` bit
-/// for bit, for operands of one common length.
-///
-/// Each `(row, operand)` pair keeps `dot`'s association — its own [`LANES`]
-/// accumulators, the same tree, the same in-order tail. The row is loaded
-/// once per `K` multiply-adds and the `K` accumulators are independent
-/// dependency chains, where `dot` alone has two loads per multiply-add and
-/// one chain per SIMD register.
-#[inline(always)]
-fn dot_block<L: Lanes, const K: usize>(row: &[f32], xs: [&[f32]; K]) -> [f32; K] {
-    let n = row.len().min(xs[0].len());
-    let (row, row_tail) = row[..n].as_chunks::<LANES>();
-    let xs = xs.map(|x| x[..n].as_chunks::<LANES>());
-    let mut acc = [L::zero(); K];
-    for (k, r) in row.iter().enumerate() {
-        let r = L::load(r);
-        for (a, (x, _)) in acc.iter_mut().zip(&xs) {
-            *a = a.mul_acc(r, L::load(&x[k]));
-        }
-    }
-    let mut out = [0.0f32; K];
-    for ((o, a), (_, x_tail)) in out.iter_mut().zip(acc).zip(xs) {
-        let mut lanes = [0.0f32; LANES];
-        a.store(&mut lanes);
-        *o = lane_tree(&lanes);
-        for (r, v) in row_tail.iter().zip(x_tail) {
-            *o += r * v;
-        }
-    }
-    out
-}
-
-/// Most operands one blocked kernel call takes: with [`LANES`] lanes each,
-/// four accumulators are half the register file on the SSE2 tier. The AVX
-/// tier would have room for eight, but eight measured slower there
-/// (DESIGN.md §8), so the value is the same on every tier.
+/// Most operands (mat-vec) or operand pairs (outer product) one blocked
+/// kernel call takes. A mat-vec block of four holds four operand registers,
+/// eight accumulators and a row: 13 of the AVX tier's 16 registers. Eight
+/// operands measured slower there (DESIGN.md §8), so the value is the same
+/// on every tier.
 pub const MAX_BLOCK: usize = 4;
 
+/// A row's or an operand's whole [`LANES`]-wide lanes, its tail left off.
+type WholeLanes<'a> = &'a [[f32; LANES]];
+
+/// Rows `first..rows` of a `cols`-wide `chunk` against `K` operands, `R`
+/// rows at a time for as many whole groups of `R` as fit; returns the first
+/// row left over. `ys[j][r]` becomes [`dot`]`(row_r, xs[j])` bit for bit;
+/// `lanes[j]` is `xs[j]`'s first `n / LANES` whole lanes, `n` the common
+/// length.
+///
+/// Each `(row, operand)` pair keeps `dot`'s association: its own
+/// [`LANES`] accumulators, [`lane_tree`] (all `R · K ≤ LANES` of a group at
+/// once, through [`Lanes::tree8`]) and the in-order tail. The accumulators
+/// are `R · K` independent dependency chains, where `dot` alone has one,
+/// and each operand register is loaded once per `R` rows.
 #[inline(always)]
-fn matvec_sweep<L: Lanes, const K: usize>(
+fn matvec_rows<L: Lanes, const K: usize, const R: usize>(
+    (chunk, cols, rows): (&[f32], usize, usize),
+    (xs, lanes, n): (&[&[f32]], &[WholeLanes<'_>; K], usize),
+    ys: &mut [&mut [f32]],
+    first: usize,
+) -> usize {
+    let mut r0 = first;
+    while r0 + R <= rows {
+        let group = &chunk[r0 * cols..(r0 + R) * cols];
+        let mut rest = group;
+        let w: [WholeLanes<'_>; R] = std::array::from_fn(|_| {
+            let (row, next) = rest.split_at(cols);
+            rest = next;
+            row[..n].as_chunks().0
+        });
+        // Loops rather than `array::from_fn`: a closure holding an `L`
+        // would stand between an `*_avx` wrapper and its intrinsics.
+        let mut acc = [[L::zero(); K]; R];
+        for c in 0..n / LANES {
+            let mut x = [L::zero(); K];
+            for (x, lanes) in x.iter_mut().zip(lanes) {
+                *x = L::load(&lanes[c]);
+            }
+            for (a, w) in acc.iter_mut().zip(&w) {
+                let w = L::load(&w[c]);
+                for (a, x) in a.iter_mut().zip(x) {
+                    *a = a.mul_acc(w, x);
+                }
+            }
+        }
+        // Operand-major, so that operand `j`'s `R` sums are its outputs.
+        let mut all = [L::zero(); LANES];
+        for (i, a) in acc.iter().enumerate() {
+            for (j, a) in a.iter().enumerate() {
+                all[j * R + i] = *a;
+            }
+        }
+        let mut sums = [0.0f32; LANES];
+        L::tree8(all).store(&mut sums);
+        for (y, sums) in ys.iter_mut().zip(sums.chunks_exact(R)) {
+            y[r0..r0 + R].copy_from_slice(sums);
+        }
+        if n % LANES != 0 {
+            fold_tails(group, cols, n, xs, ys, r0);
+        }
+        r0 += R;
+    }
+    r0
+}
+
+/// `ys[j][r0 + i] += row_i[t] * xs[j][t]` for the columns `t` past the
+/// whole lanes of `n`, in order, for every `cols`-wide row `i` of `w`:
+/// [`dot`]'s scalar tail. Out of line, as no width the models use has one.
+#[cold]
+#[inline(never)]
+fn fold_tails(w: &[f32], cols: usize, n: usize, xs: &[&[f32]], ys: &mut [&mut [f32]], r0: usize) {
+    let start = n - n % LANES;
+    for (y, x) in ys.iter_mut().zip(xs) {
+        for (o, row) in y[r0..].iter_mut().zip(w.chunks_exact(cols)) {
+            for (r, v) in row[start..n].iter().zip(&x[start..n]) {
+                *o += r * v;
+            }
+        }
+    }
+}
+
+/// [`matvec_block`] on `K` operands: whole groups of `R` rows, then the
+/// rows left over one at a time.
+#[inline(always)]
+fn matvec_k<L: Lanes, const K: usize, const R: usize>(
     chunk: &[f32],
     cols: usize,
     xs: &[&[f32]],
     ys: &mut [&mut [f32]],
 ) {
-    let xs: [&[f32]; K] = xs.try_into().expect("dispatched on the operand count");
-    for (r, row) in chunk.chunks_exact(cols).enumerate() {
-        for (y, o) in ys.iter_mut().zip(dot_block::<L, K>(row, xs)) {
-            y[r] = o;
-        }
-    }
+    let operands: [&[f32]; K] = xs.try_into().expect("dispatched on the operand count");
+    let n = cols.min(operands[0].len());
+    let lanes = operands.map(|x| x[..n].as_chunks().0);
+    let chunk = (chunk, cols, chunk.len() / cols);
+    let r = matvec_rows::<L, K, R>(chunk, (xs, &lanes, n), ys, 0);
+    matvec_rows::<L, K, 1>(chunk, (xs, &lanes, n), ys, r);
 }
 
-/// [`matvec_block`] past its asserts, on tier `L`.
+/// [`matvec_block`] past its asserts, on tier `L`: `8 / K` rows at a time.
 #[inline(always)]
 fn matvec_body<L: Lanes>(chunk: &[f32], cols: usize, xs: &[&[f32]], ys: &mut [&mut [f32]]) {
     match xs.len() {
-        1 => matvec_sweep::<L, 1>(chunk, cols, xs, ys),
-        2 => matvec_sweep::<L, 2>(chunk, cols, xs, ys),
-        3 => matvec_sweep::<L, 3>(chunk, cols, xs, ys),
-        MAX_BLOCK => matvec_sweep::<L, MAX_BLOCK>(chunk, cols, xs, ys),
+        1 => matvec_k::<L, 1, 8>(chunk, cols, xs, ys),
+        2 => matvec_k::<L, 2, 4>(chunk, cols, xs, ys),
+        3 => matvec_k::<L, 3, 2>(chunk, cols, xs, ys),
+        MAX_BLOCK => matvec_k::<L, MAX_BLOCK, 2>(chunk, cols, xs, ys),
         n => panic!("a block holds 1..={MAX_BLOCK} operands, not {n}"),
     }
 }
@@ -497,7 +634,8 @@ unsafe fn matvec_block_avx(chunk: &[f32], cols: usize, xs: &[&[f32]], ys: &mut [
 /// Mat-vecs of up to [`MAX_BLOCK`] operands against one register chunk:
 /// `ys[j][r] = dot(row_r, xs[j])` for every `cols`-wide row of `chunk`,
 /// bit-identical to one sweep of [`dot`] per operand and reading each row
-/// once for all of them.
+/// once for all of them. `K` operands run `8 / K` rows at a time, so eight
+/// (six for three operands) dot products are in flight.
 ///
 /// # Panics
 ///
@@ -1300,6 +1438,171 @@ mod proptests {
                         "tier {} on {x:?}",
                         tier.name
                     );
+                }
+            }
+        }
+    }
+
+    /// Eight inputs of eight lanes.
+    type Lanes8 = [[f32; LANES]; LANES];
+    type Tree8Fn = fn(&Lanes8) -> [f32; LANES];
+
+    /// [`Lanes::tree8`] on tier `L`, from and to arrays.
+    #[inline(always)]
+    fn tree8_body<L: Lanes>(acc: &Lanes8) -> [f32; LANES] {
+        let mut out = [0.0; LANES];
+        L::tree8(acc.each_ref().map(L::load)).store(&mut out);
+        out
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    unsafe fn tree8_avx(acc: &Lanes8) -> [f32; LANES] {
+        tree8_body::<x86::Avx>(acc)
+    }
+
+    /// `tree8` on every tier this host can run, as [`tiers`] lists them.
+    fn tree8_tiers() -> Vec<(&'static str, Tree8Fn)> {
+        #[allow(unused_mut)]
+        let mut tiers: Vec<(&'static str, Tree8Fn)> = vec![("portable", tree8_body::<Portable>)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            tiers.push(("sse2", tree8_body::<x86::Sse2>));
+            if std::arch::is_x86_feature_detected!("avx") {
+                // SAFETY: AVX was just detected.
+                tiers.push(("avx", |acc| unsafe { tree8_avx(acc) }));
+            }
+        }
+        tiers
+    }
+
+    /// NaNs of three payloads (one negative, one signalling) beside signed
+    /// zeros and infinities.
+    const TREE_SPECIALS: [u32; 7] = [
+        0x0000_0000,
+        0x8000_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7fc0_0001,
+        0xffc0_0abc,
+        0x7f80_0123,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On every tier, lane `j` of `tree8` is `lane_tree` of input `j`:
+        /// bit for bit, except that a NaN matches any NaN. `tree8` keeps
+        /// `lane_tree`'s operand order, but which payload an add of two
+        /// NaNs returns is not specified for Rust floats, and LLVM does
+        /// commute the scalar adds of `lane_tree` (this test saw a NaN
+        /// payload from the second operand there and from the first on the
+        /// AVX tier).
+        #[test]
+        fn tree8_equals_lane_tree_of_each_input(
+            draws in prop::collection::vec((any::<u8>(), any::<usize>(), -2.0f32..2.0), LANES * LANES),
+        ) {
+            let mut acc: Lanes8 = [[0.0; LANES]; LANES];
+            for (v, (dice, which, ordinary)) in acc.as_flattened_mut().iter_mut().zip(draws) {
+                *v = if dice < 64 {
+                    f32::from_bits(TREE_SPECIALS[which % TREE_SPECIALS.len()])
+                } else {
+                    ordinary
+                };
+            }
+            let want: Vec<u32> = acc.iter().map(|a| nan_as_one(lane_tree(a))).collect();
+            for (name, tree8) in tree8_tiers() {
+                let got: Vec<u32> = tree8(&acc).into_iter().map(nan_as_one).collect();
+                prop_assert_eq!(got, want.clone(), "tier {}", name);
+            }
+        }
+    }
+
+    /// `v`'s bits, every NaN as one pattern.
+    fn nan_as_one(v: f32) -> u32 {
+        if v.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// Every special value against every other, in each pair of lanes
+    /// `lane_tree` adds first, on every tier (a NaN matches any NaN).
+    #[test]
+    fn tree8_handles_every_pair_of_special_values() {
+        let specials = TREE_SPECIALS.map(f32::from_bits);
+        for (i, &a) in specials.iter().enumerate() {
+            let mut acc: Lanes8 = [[1.0; LANES]; LANES];
+            for (j, input) in acc.iter_mut().enumerate() {
+                let b = specials[(i + j) % specials.len()];
+                // Input j meets `b` at lane pair (j % 4, j % 4 + 4).
+                input[j % 4] = a;
+                input[j % 4 + 4] = b;
+            }
+            let want: Vec<u32> = acc.iter().map(|a| nan_as_one(lane_tree(a))).collect();
+            for (name, tree8) in tree8_tiers() {
+                let got: Vec<u32> = tree8(&acc).into_iter().map(nan_as_one).collect();
+                assert_eq!(got, want, "tier {name}, {a:?} first");
+            }
+        }
+    }
+
+    /// Every shape a blocked mat-vec can take on one chunk — rows 1–17 (so
+    /// every leftover after whole groups of `8 / K` rows), 1–4 operands and
+    /// widths 1–70 (every tail behind the lanes) — on every tier and
+    /// through the entry point ≡ one `dot` per (row, operand).
+    #[test]
+    fn matvec_block_equals_dots_on_every_shape() {
+        // A fixed stream of values, with a signed zero or an infinity
+        // every 97th: an LCG, so the test needs no strategy.
+        let mut state = 0x2545_f491_u32;
+        let mut next = move || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            match state % 97 {
+                0 => -0.0,
+                1 => f32::INFINITY,
+                _ => (state >> 8) as f32 / (1u32 << 23) as f32 - 1.0,
+            }
+        };
+        for rows in 1..=17 {
+            for cols in 1..=70 {
+                let chunk: Vec<f32> = (0..rows * cols).map(|_| next()).collect();
+                for k in 1..=MAX_BLOCK {
+                    let xs: Vec<Vec<f32>> = (0..k)
+                        .map(|_| (0..cols).map(|_| next()).collect())
+                        .collect();
+                    let want: Vec<Vec<u32>> = xs
+                        .iter()
+                        .map(|x| {
+                            bits(
+                                &chunk
+                                    .chunks_exact(cols)
+                                    .map(|row| dot(row, x))
+                                    .collect::<Vec<_>>(),
+                            )
+                        })
+                        .collect();
+                    let case = Case {
+                        rows,
+                        cols,
+                        chunk: chunk.clone(),
+                        grad: Vec::new(),
+                        xs,
+                        dys: Vec::new(),
+                    };
+                    for tier in tiers().iter().chain([&DISPATCH]) {
+                        let got: Vec<Vec<u32>> =
+                            run_matvec(tier, &case).iter().map(|y| bits(y)).collect();
+                        assert_eq!(
+                            got, want,
+                            "tier {} at {rows} x {cols}, {k} operands",
+                            tier.name
+                        );
+                    }
                 }
             }
         }

@@ -28,17 +28,24 @@ struct ParamSpan {
 /// ([`RegCache::new`] asserts this). The prologue and epilogue therefore work
 /// on whole parameters, not on chunks.
 ///
-/// The arena is a per-batch working set, not a coherent copy: holders that
-/// keep one between batches must still [`RegCache::load_from_model`] before
-/// every run, and [`RegCache::zero_grads`] before every run that
-/// accumulates gradients, and must never read parameter values back out of
-/// it.
+/// The value half stays resident between batches, as the paper's weights
+/// stay in registers between invocations: it records the [`Model::stamp`]
+/// it last loaded, and [`RegCache::load_from_model`] copies nothing while
+/// the model still carries that stamp. Every change to a master value draws
+/// a new stamp (`Model::param_mut`), and nothing but the load writes the
+/// value half — [`RegCache::chunk_mut`] hands out gradient chunks only and
+/// lowering refuses a chunk op that writes a value chunk — so a resident
+/// value is always the model's. Holders still call `load_from_model` before
+/// every run, [`RegCache::zero_grads`] before every run that accumulates
+/// gradients, and never read parameter values back out of it.
 #[derive(Debug, Clone)]
 pub struct RegCache {
     data: Vec<f32>,
     spans: Vec<(usize, usize)>,
     values: Vec<ParamSpan>,
     grads: Vec<ParamSpan>,
+    /// Stamp of the model the value half was last loaded from.
+    loaded: Option<u64>,
     /// Contribution buffer of the lowered executor, kept with the arena so a
     /// persistent arena also stops the per-run allocation.
     scratch: Vec<f32>,
@@ -92,6 +99,7 @@ impl RegCache {
             spans,
             values,
             grads,
+            loaded: None,
             scratch: Vec::new(),
         }
     }
@@ -112,17 +120,24 @@ impl RegCache {
     }
 
     /// Kernel prologue: copies every parameter's master value from `model`
-    /// into the value half (paper §III-A2's "parameter load" routine).
+    /// into the value half (paper §III-A2's "parameter load" routine),
+    /// unless the value half already holds them — it was last loaded from a
+    /// model with `model`'s [`Model::stamp`]. Returns whether it copied.
     ///
     /// # Panics
     ///
     /// Panics if a parameter of `model` does not have the shape the arena
     /// was laid out for.
-    pub fn load_from_model(&mut self, model: &Model) {
+    pub fn load_from_model(&mut self, model: &Model) -> bool {
+        if self.loaded == Some(model.stamp()) {
+            return false;
+        }
         for p in &self.values {
             self.data[p.offset..p.offset + p.len]
                 .copy_from_slice(model.param(p.param).value.as_slice());
         }
+        self.loaded = Some(model.stamp());
+        true
     }
 
     /// Kernel prologue of a training run: zeroes the gradient half (paper
@@ -159,13 +174,19 @@ impl RegCache {
         &self.data[offset..offset + len]
     }
 
-    /// Mutably borrows one chunk's data.
+    /// Mutably borrows one gradient chunk's data. Value chunks are written
+    /// by [`RegCache::load_from_model`] alone.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range.
+    /// Panics if `id` is out of range or names a value chunk.
     pub fn chunk_mut(&mut self, id: ChunkId) -> &mut [f32] {
         let (offset, len) = self.spans[id.index()];
+        assert!(
+            offset >= self.grad_start(),
+            "chunk {} holds parameter values, which only the prologue writes",
+            id.index()
+        );
         &mut self.data[offset..offset + len]
     }
 
@@ -244,6 +265,27 @@ mod tests {
         for cid in dist.grad_chunks_of(w) {
             assert!(cache.chunk(*cid).iter().all(|&v| v == 0.0));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "holds parameter values, which only the prologue writes")]
+    fn value_chunks_are_not_lent_mutably() {
+        let (_, w, dist) = setup();
+        RegCache::new(&dist).chunk_mut(dist.value_chunks_of(w)[0]);
+    }
+
+    /// The value half is copied when the model's stamp differs from the one
+    /// it last loaded, and only then.
+    #[test]
+    fn loads_copy_only_when_the_stamp_changes() {
+        let (mut m, w, dist) = setup();
+        let mut cache = RegCache::new(&dist);
+        assert!(cache.load_from_model(&m), "a fresh arena loads");
+        assert!(!cache.load_from_model(&m), "an unchanged model does not");
+        assert!(!cache.load_from_model(&m.clone()), "nor does a clone of it");
+        m.param_mut(w).value.as_mut_slice()[0] = 42.0;
+        assert!(cache.load_from_model(&m), "a changed model does");
+        assert_eq!(cache.chunk(dist.value_chunks_of(w)[0])[0], 42.0);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Model parameter collection.
 
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use rand::rngs::StdRng;
 
 use vpps_tensor::{init, Matrix};
@@ -68,11 +71,32 @@ pub struct LookupParameter {
 /// DyNet's `ParameterCollection`.
 ///
 /// Construction is seeded and deterministic; see [`Model::new`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Model {
     params: Vec<Parameter>,
     lookups: Vec<LookupParameter>,
     rng: StdRng,
+    stamp: u64,
+}
+
+/// A new stamp: one counter for the whole process, so no two draws agree.
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    // Relaxed: a stamp publishes no other data, and every order keeps the
+    // read-modify-writes of one atomic distinct.
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Every field but the stamp, which names a state of this process rather
+/// than a value.
+impl fmt::Debug for Model {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Model")
+            .field("params", &self.params)
+            .field("lookups", &self.lookups)
+            .field("rng", &self.rng)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Model {
@@ -82,7 +106,19 @@ impl Model {
             params: Vec::new(),
             lookups: Vec::new(),
             rng: init::seeded_rng(seed),
+            stamp: fresh_stamp(),
         }
+    }
+
+    /// Names the current dense parameter values: two models with one stamp
+    /// hold equal [`Parameter::value`]s. [`Model::new`], [`Model::add_matrix`],
+    /// [`Model::add_bias`] and [`Model::param_mut`] — every way to create or
+    /// change a dense value — draw a fresh stamp, unique in the process; a
+    /// clone keeps its source's, as its values are equal. A cache of the
+    /// values (the VPPS register arena) compares stamps to skip a copy. The
+    /// stamp is not part of any value, output or saved model.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Adds a Glorot-initialized `rows × cols` weight matrix.
@@ -93,6 +129,7 @@ impl Model {
     pub fn add_matrix(&mut self, name: &str, rows: usize, cols: usize) -> ParamId {
         let value = init::glorot_uniform(rows, cols, &mut self.rng);
         let grad = Matrix::zeros(rows, cols);
+        self.stamp = fresh_stamp();
         self.params.push(Parameter {
             name: name.to_owned(),
             value,
@@ -109,6 +146,7 @@ impl Model {
     pub fn add_bias(&mut self, name: &str, len: usize) -> ParamId {
         let value = Matrix::zeros(1, len);
         let grad = Matrix::zeros(1, len);
+        self.stamp = fresh_stamp();
         self.params.push(Parameter {
             name: name.to_owned(),
             value,
@@ -142,12 +180,13 @@ impl Model {
         &self.params[id.index()]
     }
 
-    /// Mutably borrows a dense parameter.
+    /// Mutably borrows a dense parameter, drawing a fresh [`Model::stamp`].
     ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this model.
     pub fn param_mut(&mut self, id: ParamId) -> &mut Parameter {
+        self.stamp = fresh_stamp();
         &mut self.params[id.index()]
     }
 
@@ -285,6 +324,44 @@ mod tests {
         m.zero_grads();
         assert!(m.param(w).grad.as_slice().iter().all(|&v| v == 0.0));
         assert!(m.lookup(e).grad.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn adding_or_borrowing_a_parameter_mutably_draws_a_fresh_stamp() {
+        let mut m = Model::new(0);
+        let mut seen = vec![m.stamp()];
+        let w = m.add_matrix("W", 2, 2);
+        seen.push(m.stamp());
+        m.add_bias("b", 2);
+        seen.push(m.stamp());
+        m.param_mut(w);
+        seen.push(m.stamp());
+        m.param(w);
+        let e = m.add_lookup("E", 3, 2);
+        m.lookup_mut(e);
+        seen.push(m.stamp());
+        assert_eq!(seen[4], seen[3], "reads and lookups keep the stamp");
+        seen.pop();
+        let mut unique = seen.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), seen.len(), "{seen:?}");
+    }
+
+    #[test]
+    fn a_clone_keeps_the_stamp_and_two_models_never_share_one() {
+        let mut m = Model::new(0);
+        m.add_matrix("W", 2, 2);
+        let copy = m.clone();
+        assert_eq!(copy.stamp(), m.stamp());
+        // Same seed, same values: still two models.
+        let stamps: Vec<u64> = (0..64).map(|_| Model::new(0).stamp()).collect();
+        let mut unique = stamps.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), stamps.len());
+        assert!(!stamps.contains(&m.stamp()));
+        assert!(!format!("{m:?}").contains("stamp"));
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! * **Persistent arena** — a `Handle` keeping one register arena per plan
 //!   between batches computes exactly what a fresh arena per call computes,
 //!   across plan switches and through faulted attempts.
+//! * **Resident parameters** — the arena's value half, which is copied only
+//!   when the model's stamp changed, never serves stale values: after an
+//!   external `param_mut`, a training step, on a clone and back, on both
+//!   bit-exact backends, every call equals the same call on a fresh
+//!   `Handle`.
 //! * **Graph-keyed warm path** — a `Handle` whose cache finds a batch's
 //!   artifact from the batch graph (no script generation) is
 //!   indistinguishable, on both clocks' simulated side, from one that
@@ -228,6 +233,67 @@ proptest! {
             } else if rpw == RpwMode::Profile && calls.iter().filter(|c| c.1).count() > 1 {
                 prop_assert!(plans_used.len() > 1, "the profiler switched plans");
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// One persistent `Handle` per backend through infer → external
+    /// `param_mut` → infer, train → infer → infer, infer on a clone, a
+    /// write to the clone and infer on each again: every result and every
+    /// parameter bit equals the same call on a fresh `Handle` (whose arena
+    /// loads everything) and a copy of the model. A step that skipped a
+    /// reload it needed would compute with the previous values.
+    #[test]
+    fn resident_parameters_are_reloaded_whenever_the_model_changed(recipe in arb_recipe()) {
+        for backend in BackendKind::ALL {
+            let opts = VppsOptions {
+                rpw: RpwMode::Fixed(1),
+                learning_rate: LEARNING_RATE,
+                pool_capacity: 1 << 18,
+                backend,
+                ..VppsOptions::default()
+            };
+            let mut model = test_model();
+            let w = model.params().next().expect("a matrix").0;
+            let (g, root) = build_from_recipe(&model, &recipe);
+            let mut handle = Handle::new(&model, small_device(), opts).expect("tiny model fits");
+            let mut step = |model: &mut Model, train: bool, what: &str| {
+                let mut fresh_model = model.clone();
+                let mut fresh =
+                    Handle::new(&fresh_model, small_device(), opts).expect("tiny model fits");
+                let (got, want) = if train {
+                    handle.fb(model, &g, root);
+                    fresh.fb(&mut fresh_model, &g, root);
+                    (vec![handle.sync_get_latest_loss()], vec![fresh.sync_get_latest_loss()])
+                } else {
+                    (handle.infer(model, &g, root), fresh.infer(&mut fresh_model, &g, root))
+                };
+                prop_assert_eq!(bits(&got), bits(&want), "{:?}: {}", backend, what);
+                prop_assert_eq!(
+                    param_bits(model), param_bits(&fresh_model),
+                    "{:?}: parameters after {}", backend, what
+                );
+                Ok(())
+            };
+            let rescale = |model: &mut Model, by: f32| {
+                for v in model.param_mut(w).value.as_mut_slice() {
+                    *v *= by;
+                }
+            };
+            step(&mut model, false, "the first infer")?;
+            rescale(&mut model, -1.5);
+            step(&mut model, false, "an infer after an external param_mut")?;
+            step(&mut model, true, "a training step")?;
+            step(&mut model, false, "an infer after training")?;
+            step(&mut model, false, "a second infer of an unchanged model")?;
+            let mut copy = model.clone();
+            step(&mut copy, false, "an infer on a clone")?;
+            rescale(&mut copy, 0.5);
+            step(&mut copy, false, "an infer on the changed clone")?;
+            step(&mut model, false, "an infer back on the original")?;
         }
     }
 }

@@ -292,6 +292,9 @@ fn lowered_runs_name_their_kernel_tier() {
 /// training and inference calls give the same loss, output and parameter
 /// bits with obs on (every lowered sweep timed) as with obs off, and the
 /// timed sweeps count host time under the mnemonics of the ops they ran.
+/// Of the four sweeps, the prologue copies parameters in three: the first,
+/// and each one after a training step changed them; the second training
+/// step follows an inference, which changed nothing.
 #[test]
 fn op_class_timing_changes_no_output() {
     use vpps::{Handle, RpwMode, VppsOptions};
@@ -349,6 +352,8 @@ fn op_class_timing_changes_no_output() {
             "no engine.op_ns.{class} among {timed_classes:?}"
         );
     }
+    assert_eq!(vpps_obs::counter("engine.batches.lowered").get(), 4);
+    assert_eq!(vpps_obs::counter("engine.prologue.loads").get(), 3);
 }
 
 /// One §5c table row's name, `{a,b}` groups already expanded: its segments
