@@ -16,6 +16,7 @@
 //!  (CostModel for the timeline)      │            compiled away: the reference
 //!                                    │            serial order, same-chunk ops
 //!                                    │            regrouped inside segments
+//!                                    ├─ blocks:   the ops each kernel call runs
 //!                                    └─ timeline: the cached TimelineReport
 //! ```
 //!
@@ -46,7 +47,9 @@
 //!   per segment and hands adjacent same-chunk ops to the register-blocked
 //!   kernels. This happens in the same single pass over the order that
 //!   resolves the literals, one segment at a time; a segment in which no
-//!   chunk key repeats is appended as it is.
+//!   chunk key repeats is appended as it is. A last pass over the final
+//!   stream records which adjacent ops share one kernel call
+//!   ([`LoweredScript::blocks`]), so the sweep forms no block.
 //! * **Schedule resolved once** — lowering runs the one timeline sweep
 //!   ([`timeline::analyze`], which prices each instruction as it walks) and
 //!   the artifact caches the resulting [`TimelineReport`], so re-running an
@@ -94,6 +97,7 @@ use crate::distribute::{Chunk, ChunkId, Distribution};
 use crate::exec::kernels::{self, MAX_BLOCK};
 use crate::exec::regcache::RegCache;
 use crate::script::generate::dispatch_key;
+use crate::script::isa::OPCODES;
 use crate::script::{BatchLayout, GeneratedScript, Instr, Literal, SchedulePolicy, TableLayout};
 use crate::specialize::KernelPlan;
 #[allow(unused_imports)] // doc links
@@ -394,8 +398,8 @@ impl MicroOp {
     /// `[kind, reg, len, rows, cols]` of a matrix-chunk op, `None` for every
     /// other op. Ops with equal keys do the same work against the same
     /// register chunk with different operands: lowering makes them adjacent
-    /// ([`Segment::group`]) and the sweep runs adjacent ones through one
-    /// blocked kernel.
+    /// (`Lowering::group`) and records runs of them as blocks
+    /// ([`block_lens`]), which the sweep runs through one blocked kernel.
     fn chunk_key(&self) -> Option<[u32; 5]> {
         match *self {
             MicroOp::MatVec {
@@ -487,19 +491,17 @@ pub struct LoweredScript {
     /// The source of each patch point's literal, parallel to
     /// `patch_points`.
     sources: Vec<Literal>,
+    /// Parallel to `ops`: how many ops one kernel call starting at the op
+    /// runs ([`block_lens`]), `0` inside a block.
+    block_len: Vec<u8>,
 }
 
 impl LoweredScript {
-    /// Ops that sit next to another op of their [`MicroOp::chunk_key`]: the
-    /// share of the stream the sweep runs weight-stationary.
-    fn blocked_ops(&self) -> usize {
-        let same = |a: usize, b: usize| {
-            let key = self.ops[a].chunk_key();
-            key.is_some() && key == self.ops[b].chunk_key()
-        };
-        (0..self.ops.len())
-            .filter(|&i| (i > 0 && same(i - 1, i)) || (i + 1 < self.ops.len() && same(i, i + 1)))
-            .count()
+    /// The op ranges the sweep runs one kernel call each, in stream order:
+    /// the blocks lowering recorded, and every other op on its own.
+    pub fn blocks(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let starts = self.block_len.iter().enumerate().filter(|(_, &n)| n > 0);
+        starts.map(|(i, &n)| i..i + usize::from(n))
     }
 
     /// Reads the per-request literal values out of `gs` at this artifact's
@@ -808,17 +810,23 @@ impl Access {
         }
     }
 
-    /// `true` when executing the two ops in either order could give
-    /// different results: one writes a pool or arena range the other reads
-    /// or writes. Two accumulations into one target conflict too — f32
-    /// addition does not commute across roundings.
-    fn conflicts_with(&self, other: &Access) -> bool {
+    /// `true` when one of the two ops writes a pool range the other reads
+    /// or writes.
+    fn pool_conflicts_with(&self, other: &Access) -> bool {
         let hits = |w: Option<(u32, u32)>, reader: &Access| {
             w.is_some_and(|w| reader.reads.iter().any(|r| overlaps(*r, w)))
         };
         hits(self.write, other)
             || hits(other.write, self)
             || matches!((self.write, other.write), (Some(a), Some(b)) if overlaps(a, b))
+    }
+
+    /// `true` when executing the two ops in either order could give
+    /// different results: one writes a pool or arena range the other reads
+    /// or writes. Two accumulations into one target conflict too — f32
+    /// addition does not commute across roundings.
+    fn conflicts_with(&self, other: &Access) -> bool {
+        self.pool_conflicts_with(other)
             || match (self.arena, other.arena) {
                 (Some((a, a_writes)), Some((b, b_writes))) => {
                     (a_writes || b_writes) && overlaps(a, b)
@@ -1038,10 +1046,38 @@ impl Lowering {
     }
 }
 
+/// The kernel calls of the final stream `ops`: per op, how many ops one call
+/// starting there runs, `0` inside a block. One walk goes front to back over
+/// the whole stream, across segment boundaries, and at each op takes the
+/// longest block it can: up to [`MAX_BLOCK`] `MatVec`s, or `Outer`s, with
+/// the head's [`MicroOp::chunk_key`], no member writing a pool range another
+/// member reads or writes. The blocked kernels interleave the members' rows,
+/// take every output at once and give each element the members' operations
+/// in order, so a block computes what its ops do one by one. `Outer`s write
+/// no pool memory, so equal keys are all they need; a `TMatVec`, like every
+/// op without a key, runs alone.
+fn block_lens(ops: &[MicroOp]) -> Vec<u8> {
+    let mut lens = vec![0; ops.len()];
+    let mut i = 0;
+    while i < ops.len() {
+        let blocks = matches!(ops[i], MicroOp::MatVec { .. } | MicroOp::Outer { .. });
+        let joins = |&j: &usize| {
+            let apart = |m: &MicroOp| !Access::of(m).pool_conflicts_with(&Access::of(&ops[j]));
+            ops[j].chunk_key() == ops[i].chunk_key() && ops[i..j].iter().all(apart)
+        };
+        let end = ops.len().min(i + if blocks { MAX_BLOCK } else { 1 });
+        let n = 1 + (i + 1..end).take_while(joins).count();
+        lens[i] = n as u8;
+        i += n;
+    }
+    lens
+}
+
 /// Lowers `gs` from scratch, under span `engine.lower`: the schedule (span
 /// `lower.analyze`), then one pass over its order (span `lower.order`), in
 /// which the instructions [`GeneratedScript::literals`] names become the
-/// patch points. Cached callers should go through
+/// patch points, and one over the stream it emits, which records the kernel
+/// calls ([`LoweredScript::blocks`]). Cached callers should go through
 /// [`LoweredCache::get_or_lower`] instead.
 ///
 /// # Panics
@@ -1094,7 +1130,6 @@ pub fn lower(plan: &KernelPlan, gs: &GeneratedScript, cost: &CostModel) -> Lower
     LoweredScript {
         plan_id: plan.signature().plan_id(),
         num_barriers: gs.num_barriers,
-        ops: stream.ops,
         timeline: Arc::new(tl),
         // Patched copy sources can land on any resident row, so the
         // executor's single bounds check must cover the whole resident
@@ -1110,6 +1145,8 @@ pub fn lower(plan: &KernelPlan, gs: &GeneratedScript, cost: &CostModel) -> Lower
         signal_instrs,
         wait_instrs,
         sources: stream.sources,
+        block_len: block_lens(&stream.ops),
+        ops: stream.ops,
     }
 }
 
@@ -1131,46 +1168,6 @@ fn chunk_rows(arena: &mut [f32], reg: u32, rows: u32, cols: u32) -> &mut [f32] {
     &mut arena[start..start + rows as usize * cols as usize]
 }
 
-/// Length (`1..=MAX_BLOCK`) of the block of `MatVec`s at the head of `ops`
-/// that one [`kernels::matvec_block`] call may run together: they share
-/// `ops[0]`'s chunk and operand length, and no member writes a pool range
-/// another member reads or writes (the kernel interleaves their rows, and
-/// takes all outputs as `&mut` at once).
-fn matvec_block_len(ops: &[MicroOp]) -> usize {
-    let operand = |op: &MicroOp| match *op {
-        MicroOp::MatVec {
-            x, y, len, rows, ..
-        } => ((x, len), (y, rows)),
-        ref other => unreachable!("equal chunk keys, yet {other:?} is no mat-vec"),
-    };
-    let key = ops[0].chunk_key();
-    let mut n = 1;
-    while n < MAX_BLOCK.min(ops.len()) && ops[n].chunk_key() == key {
-        let (x, y) = operand(&ops[n]);
-        let independent = ops[..n].iter().all(|member| {
-            let (mx, my) = operand(member);
-            !overlaps(my, x) && !overlaps(y, mx) && !overlaps(y, my)
-        });
-        if !independent {
-            break;
-        }
-        n += 1;
-    }
-    n
-}
-
-/// Length (`1..=MAX_BLOCK`) of the block of `Outer`s at the head of `ops`
-/// that accumulate into `ops[0]`'s gradient chunk from operands of its
-/// length. They write no pool memory and [`kernels::outer_block`] applies
-/// them to every element in op order, so equal keys are all it takes.
-fn outer_block_len(ops: &[MicroOp]) -> usize {
-    let key = ops[0].chunk_key();
-    ops.iter()
-        .take(MAX_BLOCK)
-        .take_while(|op| op.chunk_key() == key)
-        .count()
-}
-
 /// Executes a lowered artifact serially against `pool` and `cache`,
 /// applying `patches` — the per-request literal values from
 /// [`LoweredScript::extract_patches`], parallel to
@@ -1180,11 +1177,12 @@ fn outer_block_len(ops: &[MicroOp]) -> usize {
 /// scratch buffer lives with the arena and is reused across ops and runs),
 /// no sync arms, chunk operands sliced straight out of the register arena at
 /// the op's literal offset. It is *weight-stationary* where lowering made it
-/// possible: adjacent `MatVec`s (and `Outer`s) of one chunk — one key
-/// compare per op finds them — go through one register-blocked kernel call,
-/// up to [`MAX_BLOCK`] at a time, so each chunk row is loaded once for all
-/// of them. The blocked [`kernels`] give every output element the per-row
-/// kernels' operations in their order, so results are bit-identical to
+/// possible: each block lowering recorded ([`block_lens`]) — adjacent
+/// `MatVec`s (or `Outer`s) of one chunk, up to [`MAX_BLOCK`] — goes through
+/// one register-blocked kernel call, so each chunk row is loaded once for
+/// all of them; the sweep reads each call's length and forms no block. The
+/// blocked [`kernels`] give every output element the per-row kernels'
+/// operations in their order, so results are bit-identical to
 /// [`super::EventInterp`] replaying the reference serial order. Patch points
 /// are ascending in op index, so patching costs one cursor compare per op.
 ///
@@ -1219,19 +1217,23 @@ pub(crate) fn execute<const TIMED: bool>(
     let mut next_patch = 0usize;
     let mut clock = TIMED.then(|| OpClock::start(art.ops.first().map_or(0, MicroOp::class)));
     // SAFETY: `base` comes from a unique `&mut` borrow of the pool held for
-    // the whole loop; execution is single-threaded; and lowering asserted
-    // that every op's written range is disjoint from its read ranges, so
-    // each iteration's shared/mutable views never alias (a blocked mat-vec
-    // checks the same across its members, see `matvec_block_len`). Patching
-    // preserves both bounds and disjointness: a patched copy source stays
-    // below the persistent floor (covered by `pool_end`, and every write
-    // lands above the floor), and a patched label changes no pool range.
-    // Register chunks live in `cache`'s arena, a separate allocation reached
-    // only through bounds-checked slicing, and can never alias the pool.
+    // the whole loop, and execution is single-threaded. The rest are facts
+    // lowering established once: every op's written range is disjoint from
+    // its read ranges, and every recorded block's members write pool ranges
+    // no other member reads or writes (`block_lens`), so each iteration's
+    // shared/mutable views never alias. Patching preserves both bounds and
+    // disjointness: a patched copy source stays below the persistent floor
+    // (covered by `pool_end`, and every write lands above the floor), a
+    // patched label changes no pool range, and no patch point lies inside a
+    // block. Register chunks live in `cache`'s arena, a separate allocation
+    // reached only through bounds-checked slicing, and can never alias the
+    // pool.
     unsafe {
         let mut i = 0;
         while i < art.ops.len() {
             let mut op = art.ops[i];
+            // Ops this iteration executes: more than one for a block.
+            let taken = usize::from(art.block_len[i]);
             if let Some(clock) = &mut clock {
                 clock.enter(op.class());
             }
@@ -1248,13 +1250,10 @@ pub(crate) fn execute<const TIMED: bool>(
                     other => panic!("patch point targets unpatchable op {other:?}"),
                 }
             }
-            // Ops this iteration executes: more than one for a block.
-            let mut taken = 1;
             match op {
                 MicroOp::MatVec {
                     reg, rows, cols, ..
                 } => {
-                    taken = matvec_block_len(&art.ops[i..]);
                     let mut xs: [&[f32]; MAX_BLOCK] = [&[]; MAX_BLOCK];
                     let mut ys: [&mut [f32]; MAX_BLOCK] = [(); MAX_BLOCK].map(|()| &mut [][..]);
                     for (j, member) in art.ops[i..i + taken].iter().enumerate() {
@@ -1290,7 +1289,6 @@ pub(crate) fn execute<const TIMED: bool>(
                 MicroOp::Outer {
                     reg, rows, cols, ..
                 } => {
-                    taken = outer_block_len(&art.ops[i..]);
                     let mut xs: [&[f32]; MAX_BLOCK] = [&[]; MAX_BLOCK];
                     let mut dys: [&[f32]; MAX_BLOCK] = [&[]; MAX_BLOCK];
                     for (j, member) in art.ops[i..i + taken].iter().enumerate() {
@@ -1671,7 +1669,6 @@ impl LoweredCache {
         gs: &GeneratedScript,
         cost: &CostModel,
     ) -> Arc<LoweredScript> {
-        let t0 = Instant::now();
         let hash = hash_words(&gs.key);
         if let Some(artifact) = self.entry(hash, &gs.key).map(|e| Arc::clone(&e.artifact)) {
             self.stats.script_hits += 1;
@@ -1684,13 +1681,14 @@ impl LoweredCache {
             self.stats.script_re_misses += 1;
             vpps_obs::counter("lower.script.cache_re_miss").incr();
         }
+        let t0 = vpps_obs::enabled().then(Instant::now);
         let artifact = Arc::new(lower(plan, gs, cost));
-        if vpps_obs::enabled() {
+        if let Some(t0) = t0 {
+            static OPS: [OnceLock<Counter>; OPCODES] = [const { OnceLock::new() }; OPCODES];
             vpps_obs::counter("lower.ns").add(t0.elapsed().as_nanos() as u64);
-            for (mnemonic, n) in &artifact.timeline.instr_mix {
-                vpps_obs::counter(&format!("lower.ops.{mnemonic}")).add(*n);
-            }
-            vpps_obs::counter("lower.blocked_ops").add(artifact.blocked_ops() as u64);
+            artifact.timeline.count_mix("lower.ops", &OPS);
+            let blocked = artifact.block_len.iter().filter(|&&n| n > 1);
+            vpps_obs::counter("lower.blocked_ops").add(blocked.map(|&n| u64::from(n)).sum());
         }
         if self.entries.len() == self.capacity && !self.entries.contains_key(&hash) {
             if let Some(oldest) = self.fifo.pop_front() {
@@ -2146,6 +2144,78 @@ mod tests {
         assert_eq!(regroup(&stream, &order, &[]).0, stream);
     }
 
+    #[test]
+    fn a_block_holds_at_most_max_block_ops() {
+        let ops: Vec<_> = (0..5).map(|k| matvec(0, 100, 200 + 10 * k)).collect();
+        assert_eq!(block_lens(&ops), [4, 0, 0, 0, 1]);
+        let ops: Vec<_> = (0..5).map(|k| outer(0, 100, 200 + 10 * k)).collect();
+        assert_eq!(block_lens(&ops), [4, 0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn a_mat_vec_that_touches_a_members_output_ends_the_block() {
+        let (a, b) = (0, 16);
+        // Reads the first member's `y`.
+        let reads = [
+            matvec(a, 100, 200),
+            matvec(a, 110, 210),
+            matvec(a, 200, 220),
+        ];
+        assert_eq!(block_lens(&reads), [2, 0, 1]);
+        // Writes the first member's `y`.
+        let writes = [
+            matvec(a, 100, 200),
+            matvec(a, 110, 210),
+            matvec(a, 120, 201),
+        ];
+        assert_eq!(block_lens(&writes), [2, 0, 1]);
+        // Writes the first member's `x`.
+        let clobbers = [
+            matvec(a, 100, 200),
+            matvec(a, 110, 104),
+            matvec(a, 120, 220),
+        ];
+        assert_eq!(block_lens(&clobbers), [1, 2, 0]);
+        // Another chunk ends it too.
+        let other = [
+            matvec(a, 100, 200),
+            matvec(b, 100, 210),
+            matvec(b, 110, 220),
+        ];
+        assert_eq!(block_lens(&other), [1, 2, 0]);
+    }
+
+    #[test]
+    fn same_key_outer_products_block_whatever_their_pool_operands() {
+        let ops = [outer(0, 100, 200), outer(0, 200, 100), outer(0, 100, 100)];
+        assert_eq!(block_lens(&ops), [3, 0, 0]);
+    }
+
+    #[test]
+    fn a_transposed_mat_vec_runs_alone() {
+        let ops = [
+            tmatvec(0, 100, 300),
+            tmatvec(0, 110, 310),
+            tmatvec(0, 120, 320),
+        ];
+        assert_eq!(block_lens(&ops), [1, 1, 1]);
+    }
+
+    /// Blocks are recorded on the final stream, not per segment: two
+    /// same-key mat-vecs of different VPPs that end up adjacent share a call.
+    #[test]
+    fn a_block_spans_a_segment_boundary() {
+        let (a, b) = (0, 16);
+        let ops = [
+            matvec(b, 100, 200),
+            matvec(a, 100, 210),
+            matvec(a, 110, 220),
+        ];
+        let (stream, _) = regroup(&ops, &[(0, 0), (0, 1), (1, 0)], &[]);
+        assert_eq!(stream, ops);
+        assert_eq!(block_lens(&stream), [1, 2, 0]);
+    }
+
     /// On a real batch: regrouping happens, every segment keeps its ops, no
     /// two conflicting ops change their relative order, and the patch
     /// points — moved — still name patchable ops whose literals the graph
@@ -2168,7 +2238,7 @@ mod tests {
             })
             .collect();
         assert_ne!(art.ops, reference, "this batch has ops to regroup");
-        assert!(art.blocked_ops() > 0);
+        assert!(art.blocks().any(|block| block.len() > 1));
 
         for segment in segments(order) {
             let (was, is) = (&reference[segment.clone()], &art.ops[segment]);

@@ -16,10 +16,13 @@
 //! resulting [`TimelineReport`] with its micro-ops, so re-running an identical
 //! script repeats neither.
 
+use std::sync::OnceLock;
+
 use gpu_sim::{CostModel, SimTime};
-use vpps_obs::SimTrace;
+use vpps_obs::{Counter, SimTrace};
 
 use crate::exec::semantics::instr_cost;
+use crate::script::isa::{MNEMONICS, OPCODES};
 use crate::script::{GeneratedScript, Instr};
 use crate::specialize::KernelPlan;
 
@@ -66,13 +69,25 @@ impl TimelineReport {
         if !vpps_obs::enabled() {
             return;
         }
-        for (mnemonic, n) in &self.instr_mix {
-            vpps_obs::counter(&format!("engine.instr.{mnemonic}")).add(*n);
-        }
+        static INSTR: [OnceLock<Counter>; OPCODES] = [const { OnceLock::new() }; OPCODES];
+        self.count_mix("engine.instr", &INSTR);
         vpps_obs::counter("engine.barriers").add(u64::from(num_barriers));
         let stall_hist = vpps_obs::histogram("engine.vpp_stall_ns");
         for s in &self.vpp_stall {
             stall_hist.record(s.as_ns() as u64);
+        }
+    }
+
+    /// Adds each count of [`TimelineReport::instr_mix`] to the obs counter
+    /// `{prefix}.{mnemonic}`. `names` keeps each counter by opcode once it is
+    /// resolved, so a name is formatted and looked up once per process and
+    /// the set of registered names is what it would be without the caching.
+    pub(crate) fn count_mix(&self, prefix: &str, names: &[OnceLock<Counter>; OPCODES]) {
+        for &(mnemonic, n) in &self.instr_mix {
+            let opcode = MNEMONICS.iter().position(|&m| m == mnemonic);
+            names[opcode.expect("a mnemonic of the instruction set")]
+                .get_or_init(|| vpps_obs::counter(&format!("{prefix}.{mnemonic}")))
+                .add(n);
         }
     }
 }

@@ -813,7 +813,7 @@ impl Handle {
             })
             .flatten();
         let generated;
-        let script = match warm {
+        let mut script = match warm {
             Some(art) => {
                 self.pool
                     .alloc(art.pool_len)
@@ -831,8 +831,7 @@ impl Handle {
                     return Ok(None);
                 }
                 self.lowered.note_graph_hit();
-                let patches = art.patches(graph, &self.tables);
-                Script::Lowered(art, patches)
+                Script::Lowered(art, Vec::new())
             }
             None => {
                 let generate = if train {
@@ -854,13 +853,17 @@ impl Handle {
                     // Repeated shapes skip lowering *and* the timeline sweep.
                     let plan = &self.plans[slot];
                     let art = self.lowered.get_or_lower(plan, gs, self.gpu.cost_model());
-                    let patches = art.extract_patches(gs);
-                    Script::Lowered(art, patches)
+                    Script::Lowered(art, Vec::new())
                 } else {
                     Script::Interpreted(gs, None)
                 }
             }
         };
+        // Hit or miss, the batch's literals come from its graph, at the
+        // sources the generator recorded.
+        if let Script::Lowered(art, patches) = &mut script {
+            *patches = art.patches(graph, &self.tables);
+        }
         let plan = &self.plans[slot];
         let session = Session::new(plan, cfg, self.gpu.cost_model(), script);
         let before = self.gpu.now();

@@ -248,7 +248,7 @@ pub enum Instr {
 }
 
 /// Mnemonic of every opcode, indexed by [`Instr::opcode`].
-const MNEMONICS: [&str; 22] = [
+pub(crate) const MNEMONICS: [&str; 22] = [
     "signal",
     "wait",
     "matvec",
@@ -276,6 +276,9 @@ const MNEMONICS: [&str; 22] = [
 /// Opcodes of the two barrier instructions; every opcode above them computes.
 const SIGNAL: usize = 0;
 const WAIT: usize = 1;
+
+/// Entries of a table indexed by opcode.
+pub(crate) const OPCODES: usize = MNEMONICS.len();
 
 impl Instr {
     fn opcode(&self) -> u8 {

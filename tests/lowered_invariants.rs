@@ -40,6 +40,7 @@ use vpps::engine::lowered::{
 use vpps::engine::{self, Session};
 use vpps::exec::fallback::apply_gemm_fallback;
 use vpps::exec::interp::ExecConfig;
+use vpps::exec::kernels::MAX_BLOCK;
 use vpps::script::{generate, generate_forward_only, SchedulePolicy, TableLayout};
 use vpps::{BackendKind, Handle, KernelPlan, RpwMode, VppsOptions};
 
@@ -665,6 +666,41 @@ proptest! {
         prop_assert_eq!(counts, mix, "lowered op histogram must equal the static mix");
     }
 
+    /// The kernel calls lowering records tile the stream in order. Each
+    /// block is sound — one chunk key, at most `MAX_BLOCK` mat-vecs or outer
+    /// products of which no member writes a pool range another reads or
+    /// writes, no patch point inside — and maximal: a block shorter than
+    /// `MAX_BLOCK` ends where the next op has another key or conflicts with
+    /// a member. Blocks that tile the stream from the front and are sound
+    /// and maximal are the only partition the rule allows.
+    #[test]
+    fn recorded_blocks_are_sound_and_maximal(recipe in arb_recipe()) {
+        let (_, art) = lower_recipe(&recipe);
+        let key = |op: &MicroOp| blockable(op).map(|(key, ..)| key);
+        let mut next = 0;
+        for block in art.blocks() {
+            prop_assert_eq!(block.start, next, "the calls tile the stream");
+            next = block.end;
+            let members = &art.ops[block.clone()];
+            let head = key(&members[0]);
+            prop_assert!(block.len() == 1 || head.is_some() && block.len() <= MAX_BLOCK);
+            for (j, op) in members.iter().enumerate().skip(1) {
+                prop_assert_eq!(key(op), head, "one key per block");
+                prop_assert!(members[..j].iter().all(|m| !pool_conflict(m, op)));
+            }
+            let inside = |p: &lowered::PatchPoint| block.contains(&(p.op_index as usize));
+            prop_assert!(block.len() == 1 || !art.patch_points.iter().any(inside));
+            match art.ops.get(block.end) {
+                Some(after) if head.is_some() && block.len() < MAX_BLOCK => prop_assert!(
+                    key(after) != head || members.iter().any(|m| pool_conflict(m, after)),
+                    "the block at op {} could take op {}", block.start, block.end
+                ),
+                _ => {}
+            }
+        }
+        prop_assert_eq!(next, art.ops.len());
+    }
+
     /// Re-lowering through the cache hits (same `Arc`), and a seen script is
     /// never re-lowered (re-miss counters stay zero).
     #[test]
@@ -692,6 +728,50 @@ proptest! {
         prop_assert_eq!(stats.script_re_misses, 0, "a seen script must not re-lower");
         prop_assert_eq!(cache.len(), 1);
     }
+}
+
+/// What a blocked kernel call needs to know of an op that may join one —
+/// a `MatVec` or an `Outer`: the chunk and shape its members share, the
+/// pool ranges it reads and the one it writes (an `Outer` writes none).
+/// `None` for every op that runs alone.
+type Blockable = ([u32; 5], [(u32, u32); 2], Option<(u32, u32)>);
+
+fn blockable(op: &MicroOp) -> Option<Blockable> {
+    match *op {
+        MicroOp::MatVec {
+            reg,
+            x,
+            y,
+            len,
+            rows,
+            cols,
+        } => Some(([0, reg, len, rows, cols], [(x, len); 2], Some((y, rows)))),
+        MicroOp::Outer {
+            reg,
+            x,
+            dy,
+            len,
+            rows,
+            cols,
+        } => Some(([2, reg, len, rows, cols], [(x, len), (dy, rows)], None)),
+        _ => None,
+    }
+}
+
+/// `true` when one of two blockable ops writes a pool range the other reads
+/// or writes.
+fn pool_conflict(a: &MicroOp, b: &MicroOp) -> bool {
+    let overlap = |a: (u32, u32), b: (u32, u32)| a.0 < b.0 + b.1 && b.0 < a.0 + a.1;
+    let ((_, reads_a, write_a), (_, reads_b, write_b)) = (
+        blockable(a).expect("a block member"),
+        blockable(b).expect("a block member"),
+    );
+    let hits = |write: Option<(u32, u32)>, reads: [(u32, u32); 2]| {
+        write.is_some_and(|w| reads.iter().any(|&r| overlap(r, w)))
+    };
+    hits(write_a, reads_b)
+        || hits(write_b, reads_a)
+        || matches!((write_a, write_b), (Some(a), Some(b)) if overlap(a, b))
 }
 
 /// FIFO capacity pressure and plan quarantine are the only two ways a
@@ -798,15 +878,10 @@ fn lower_on_titan_v(model: &Model, g: &Graph, root: NodeId, train: bool) -> Lowe
     lowered::lower(&plan, &gs, GpuSim::new(device).cost_model())
 }
 
-/// The lowered stream of three seeded batches — a Tree-LSTM h = 256 batch-1
-/// training tree, a BiLSTM-tagger batch-8 training super-graph and a
-/// Tree-LSTM h = 64 inference super-graph of four trees — hashed field by
-/// field, against the digests recorded at commit `6cbde97`. Lowering may
-/// change how it finds the order; the micro-ops, their order, the patch
-/// points and the bounds it emits may not: swapping one conflicting pair or
-/// leaving one same-key op out of its group changes a digest.
-#[test]
-fn lowered_stream_is_pinned_across_commits() {
+/// The three seeded batches the pins below lower: a Tree-LSTM h = 256
+/// batch-1 training tree, a BiLSTM-tagger batch-8 training super-graph and a
+/// Tree-LSTM h = 64 inference super-graph of four trees.
+fn pinned_artifacts() -> [LoweredScript; 3] {
     use vpps_datasets::{TaggedCorpus, TaggedCorpusConfig, Treebank, TreebankConfig};
     use vpps_models::{build_batch, BiLstmTagger, DynamicModel, TreeLstm};
 
@@ -849,7 +924,17 @@ fn lowered_stream_is_pinned_across_commits() {
         })
         .collect();
     let tree_infer = lower_on_titan_v(&model, &sg, roots[0], false);
+    [tree_train, bilstm_train, tree_infer]
+}
 
+/// The lowered stream of the three [`pinned_artifacts`], hashed field by
+/// field, against the digests recorded at commit `6cbde97`. Lowering may
+/// change how it finds the order; the micro-ops, their order, the patch
+/// points and the bounds it emits may not: swapping one conflicting pair or
+/// leaving one same-key op out of its group changes a digest.
+#[test]
+fn lowered_stream_is_pinned_across_commits() {
+    let [tree_train, bilstm_train, tree_infer] = pinned_artifacts();
     let got = [&tree_train, &bilstm_train, &tree_infer].map(stream_digest);
     assert_eq!(
         got,
@@ -862,6 +947,41 @@ fn lowered_stream_is_pinned_across_commits() {
         tree_train.ops.len(),
         bilstm_train.ops.len(),
         tree_infer.ops.len()
+    );
+}
+
+/// FNV-1a over the debug rendering of an artifact's kernel calls: how many
+/// ops each runs, in stream order.
+fn blocks_digest(art: &LoweredScript) -> u64 {
+    let calls: Vec<usize> = art.blocks().map(|block| block.len()).collect();
+    format!("{calls:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The kernel calls of the three [`pinned_artifacts`] (whose streams the
+/// test above pins), against digests recorded at commit `5b1960f`, where the
+/// sweep still formed every block itself: the digests were computed there
+/// by walking each stream with that sweep's own formation
+/// (`matvec_block_len` / `outer_block_len`, one call per op otherwise). So
+/// lowering records exactly the calls the sweep used to make.
+#[test]
+fn lowered_blocks_are_pinned_across_commits() {
+    let artifacts = pinned_artifacts();
+    let blocked = artifacts.each_ref().map(|art| {
+        let blocks = art.blocks().filter(|block| block.len() > 1);
+        blocks.map(|block| block.len()).sum::<usize>()
+    });
+    assert_eq!(
+        artifacts.each_ref().map(blocks_digest),
+        [
+            89_667_008_120_414_488,
+            3_630_193_916_924_831_290,
+            12_867_760_289_617_602_825
+        ],
+        "kernel calls moved (ops in blocks: {blocked:?})"
     );
 }
 
