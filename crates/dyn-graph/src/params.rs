@@ -112,11 +112,12 @@ impl Model {
 
     /// Names the current dense parameter values: two models with one stamp
     /// hold equal [`Parameter::value`]s. [`Model::new`], [`Model::add_matrix`],
-    /// [`Model::add_bias`] and [`Model::param_mut`] — every way to create or
-    /// change a dense value — draw a fresh stamp, unique in the process; a
-    /// clone keeps its source's, as its values are equal. A cache of the
-    /// values (the VPPS register arena) compares stamps to skip a copy. The
-    /// stamp is not part of any value, output or saved model.
+    /// [`Model::add_bias`], [`Model::param_mut`] and [`Model::params_mut`] —
+    /// every way to create or change a dense value — draw a fresh stamp,
+    /// unique in the process; a clone keeps its source's, as its values are
+    /// equal. A cache of the values (the VPPS register arena) compares
+    /// stamps to skip a copy. The stamp is not part of any value, output or
+    /// saved model.
     pub fn stamp(&self) -> u64 {
         self.stamp
     }
@@ -188,6 +189,13 @@ impl Model {
     pub fn param_mut(&mut self, id: ParamId) -> &mut Parameter {
         self.stamp = fresh_stamp();
         &mut self.params[id.index()]
+    }
+
+    /// Mutably borrows every dense parameter at once, indexed by
+    /// [`ParamId::index`], drawing a fresh [`Model::stamp`].
+    pub fn params_mut(&mut self) -> &mut [Parameter] {
+        self.stamp = fresh_stamp();
+        &mut self.params
     }
 
     /// Borrows a lookup table.
