@@ -95,6 +95,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::mem;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
@@ -408,12 +409,12 @@ impl MicroOp {
         Self::MNEMONICS[self.class()]
     }
 
-    /// `[kind, reg, len, rows, cols]` of a matrix-chunk op, `None` for every
+    /// `(kind, reg, len, rows, cols)` of a matrix-chunk op, `None` for every
     /// other op. Ops with equal keys do the same work against the same
     /// register chunk with different operands: lowering makes them adjacent
     /// (`Lowering::group`) and records runs of them as blocks
     /// ([`block_lens`]), which the sweep runs through one blocked kernel.
-    fn chunk_key(&self) -> Option<[u32; 5]> {
+    fn chunk_key(&self) -> Option<ChunkKey> {
         match *self {
             MicroOp::MatVec {
                 reg,
@@ -421,21 +422,21 @@ impl MicroOp {
                 rows,
                 cols,
                 ..
-            } => Some([0, reg, len, rows, cols]),
+            } => Some((0, reg, len, rows, cols)),
             MicroOp::TMatVec {
                 reg,
                 len,
                 rows,
                 cols,
                 ..
-            } => Some([1, reg, len, rows, cols]),
+            } => Some((1, reg, len, rows, cols)),
             MicroOp::Outer {
                 reg,
                 len,
                 rows,
                 cols,
                 ..
-            } => Some([2, reg, len, rows, cols]),
+            } => Some((2, reg, len, rows, cols)),
             _ => None,
         }
     }
@@ -576,6 +577,23 @@ impl LoweredScript {
                 },
             })
             .collect()
+    }
+
+    /// Each planned wave's op range and the piece of each of its ops. Only
+    /// the tests read it, to check the plan against every pair of ops.
+    #[doc(hidden)]
+    pub fn wave_pieces(&self) -> impl Iterator<Item = (std::ops::Range<usize>, &[u8])> {
+        let waves = self.waves.waves.iter();
+        waves.map(|w| (w.start as usize..w.end as usize, self.waves.pieces(w)))
+    }
+
+    /// FNV-1a over the debug rendering of the wave plan: every planned
+    /// wave and every op's piece. Only the tests read it, to pin the plan
+    /// across commits.
+    #[doc(hidden)]
+    pub fn wave_plan_digest(&self) -> u64 {
+        let text = format!("{:?}", self.waves);
+        hash_words(&text.bytes().map(u32::from).collect::<Vec<_>>())
     }
 
     /// Adds to the `script.*` obs counters what generating a batch's scripts
@@ -905,18 +923,40 @@ impl Blocks {
     }
 }
 
-/// While a segment is grouped: a chunk key's latest group, and the
-/// [`Blocks`] of every op placed in a later group so far — what an op
-/// joining that group would end up in front of.
-type Home = (u32, Blocks);
+/// A [`MicroOp::chunk_key`]: a tuple, which compares field by field.
+type ChunkKey = (u32, u32, u32, u32, u32);
 
-/// The stream the lowering pass emits, plus the segment in hand — one VPP's
-/// run of compute ops with no `Signal`/`Wait` between them, the last
-/// `touched.len()` of `ops` — and the buffers grouping it needs, reused from
-/// segment to segment.
+/// While a segment is grouped: a chunk key's latest group, the op that
+/// opened it, and the [`Blocks`] of every op placed in a later group so far
+/// — what an op joining that group would end up in front of.
+type Home = (u32, u32, Blocks);
+
+/// One barrier level of the stream, as the lowering pass records it where
+/// its segments meet their `Signal`: where its ops start — they end where
+/// the next level's start — and the elements its chunk ops process
+/// (`None`: it has none).
+#[derive(Clone, Copy)]
+struct Level {
+    barrier: u32,
+    start: u32,
+    work: Option<u64>,
+}
+
+/// What names a segment's barrier level from its last `(vpp, ip)`, when the
+/// lowering pass records levels.
+type LevelOf<'a> = Option<&'a dyn Fn((u32, u32)) -> u32>;
+
+/// The lowering pass: the stream it emits, the segment in hand — one VPP's
+/// run of compute ops with no `Signal`/`Wait` between them, held apart until
+/// it ends — with the buffers grouping it needs, and the levels the wave
+/// planner reads. One per thread (`LOWERING`), its buffers reused from
+/// segment to segment and from artifact to artifact.
 #[derive(Default)]
 struct Lowering {
     ops: Vec<MicroOp>,
+    /// Parallel to `ops`: what each op touches, derived once, as the op is
+    /// lowered; [`block_lens`] and the wave planner read it.
+    access: Vec<Access>,
     patch_points: Vec<PatchPoint>,
     /// The source of each patch point's literal.
     sources: Vec<Literal>,
@@ -928,58 +968,88 @@ struct Lowering {
     arena_end: usize,
     /// The lowest pool index an op writes.
     write_floor: usize,
-    /// Per op of the segment: its index into `keys` (`None`: no chunk key)
-    /// and what it touches.
-    touched: Vec<(Option<usize>, Blocks)>,
+    /// The segment's ops in their original order, each with its index into
+    /// `keys` (`None`: no chunk key) and what it touches.
+    segment: Vec<(MicroOp, Option<usize>, Access)>,
     /// The segment's distinct chunk keys, each with its [`Home`] once it has
     /// one.
-    keys: Vec<([u32; 5], Option<Home>)>,
-    /// The segment's ops in their original order, while grouping.
-    moved: Vec<MicroOp>,
-    /// Per op: its group, then its index in the grouped order.
+    keys: Vec<(ChunkKey, Option<Home>)>,
+    /// `true` once an op of the segment has a key that an op before it
+    /// has, but not the op just before it: only then can grouping move an
+    /// op.
+    apart: bool,
+    /// The elements the segment's chunk ops process (`None`: it has none).
+    work: Option<u64>,
+    /// While grouping, per op of the segment: what it touches, summarised.
+    summaries: Vec<Blocks>,
+    /// While grouping, per op: its group, then its index in the grouped
+    /// order; then per index, the op there.
     slot: Vec<u32>,
-    /// Per group: its size, then its offset in the grouped order.
+    placed: Vec<u32>,
+    /// While grouping, per group: its size, then its offset in the grouped
+    /// order.
     sizes: Vec<u32>,
+    /// The levels of the stream, in stream order, when recorded.
+    levels: Vec<Level>,
+    planner: Planner,
+}
+
+thread_local! {
+    static LOWERING: RefCell<Lowering> = RefCell::default();
 }
 
 impl Lowering {
     /// The one pass over [`TimelineReport::order`] that lowering makes:
     /// `ops` yields, for each `(vpp, ip)` of `order`, its micro-op and the
     /// source of its per-request literal if it carries one (`literals` of
-    /// them do). Each op's ranges are computed once, for the overlap proof,
-    /// the bounds and the grouping summary (only the exact check behind a
-    /// summary that may conflict derives two ops' ranges again). Each
-    /// segment — a run `(v, ip), (v, ip + 1), …` of `order`, the part of
-    /// the stream the barrier protocol lets nothing else observe half-done,
-    /// so only orderings inside it are free — is put in its final order as
-    /// soon as it ends.
+    /// them do). Each op's [`Access`] is derived once and kept, for the
+    /// overlap proof, the bounds, the grouping, the kernel calls and the
+    /// wave plan. Each segment — a run `(v, ip), (v, ip + 1), …` of `order`,
+    /// the part of the stream the barrier protocol lets nothing else
+    /// observe half-done, so only orderings inside it are free — joins the
+    /// stream in its final order as soon as it ends, and, given `level`,
+    /// which names a segment's barrier level from its last `(vpp, ip)`, its
+    /// level is recorded ([`Lowering::plan`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an op's written pool range overlaps one of its read ranges,
+    /// or, given `level`, if a level's segments are not contiguous in the
+    /// stream.
     fn run(
+        &mut self,
         order: &[(u32, u32)],
         literals: usize,
         ops: impl Iterator<Item = (MicroOp, Option<Literal>)>,
-    ) -> Self {
-        let mut out = Lowering {
-            write_floor: usize::MAX,
-            ..Lowering::default()
-        };
-        out.ops.reserve(order.len());
-        out.patch_points.reserve(literals);
-        out.sources.reserve(literals);
+        level: LevelOf,
+    ) {
+        // Everything per artifact starts empty, also after a pass that
+        // panicked.
+        self.ops = Vec::with_capacity(order.len());
+        self.patch_points = Vec::with_capacity(literals);
+        self.sources = Vec::with_capacity(literals);
+        (self.pool_end, self.scratch_len, self.arena_end) = (0, 0, 0);
+        self.write_floor = usize::MAX;
+        self.access.clear();
+        self.segment.clear();
+        self.keys.clear();
+        (self.apart, self.work) = (false, None);
+        self.levels.clear();
         let mut next = None;
         for (&(vpp, ip), (op, literal)) in order.iter().zip(ops) {
             if next != Some((vpp, ip)) {
-                out.end_segment();
+                self.end_segment(next, level);
             }
             next = Some((vpp, ip + 1));
             let access = Access::of(&op);
             for r in access.reads.iter().chain(&access.write) {
-                out.pool_end = out.pool_end.max(r.0 as usize + r.1 as usize);
+                self.pool_end = self.pool_end.max(r.0 as usize + r.1 as usize);
             }
             if let Some(((reg, len), _)) = access.arena {
-                out.arena_end = out.arena_end.max(reg as usize + len as usize);
+                self.arena_end = self.arena_end.max(reg as usize + len as usize);
             }
             if let Some((at, _)) = access.write {
-                out.write_floor = out.write_floor.min(at as usize);
+                self.write_floor = self.write_floor.min(at as usize);
             }
             let disjoint = |w| access.reads.iter().all(|r| !overlaps(*r, w));
             assert!(
@@ -987,30 +1057,34 @@ impl Lowering {
                 "lowering: op {op:?} writes a pool range overlapping its input"
             );
             if let MicroOp::TMatVec { len, .. } | MicroOp::PickNlsBwd { len, .. } = op {
-                out.scratch_len = out.scratch_len.max(len as usize);
+                self.scratch_len = self.scratch_len.max(len as usize);
             }
             if let Some(source) = literal {
-                let op_index = out.ops.len() as u32;
-                out.patch_points.push(PatchPoint { vpp, ip, op_index });
-                out.sources.push(source);
+                let op_index = (self.ops.len() + self.segment.len()) as u32;
+                self.patch_points.push(PatchPoint { vpp, ip, op_index });
+                self.sources.push(source);
             }
             let key = op.chunk_key().map(|key| {
-                let keys = &mut out.keys;
-                keys.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+                let (.., rows, cols) = key;
+                self.work = Some(self.work.unwrap_or(0) + u64::from(rows) * u64::from(cols));
+                let keys = &mut self.keys;
+                let seen = keys.iter().position(|(k, _)| *k == key);
+                self.apart |= seen.is_some() && seen != self.segment.last().and_then(|op| op.1);
+                seen.unwrap_or_else(|| {
                     keys.push((key, None));
                     keys.len() - 1
                 })
             });
-            out.touched.push((key, Blocks::of(&access)));
-            out.ops.push(op);
+            self.segment.push((op, key, access));
         }
-        out.end_segment();
-        out
+        self.end_segment(next, level);
     }
 
-    /// Puts the segment in its final order and starts the next one. A
-    /// segment stays as it is unless some chunk key occurs in it twice (else
-    /// no op can move); then it is grouped by chunk key, and its patch
+    /// Ends the segment whose next `(vpp, ip)` would have been `next`
+    /// (`None`: none has begun): appends it to the stream in its final order
+    /// and, given `level`, adds it to its level. A segment stays as it is
+    /// unless some chunk key occurs in it twice with another op between
+    /// (else no op can move); then it is grouped by chunk key, and its patch
     /// points — the tail of `patch_points` — move with their ops.
     ///
     /// The rule: an op joins the latest group of its key unless it
@@ -1027,44 +1101,72 @@ impl Lowering {
     /// Each key keeps the union of what its later groups touch, so a joining
     /// op is tested against one summary; only when that may conflict are the
     /// ops behind it checked one by one.
-    fn end_segment(&mut self) {
-        if self.touched.iter().filter(|(key, _)| key.is_some()).count() > self.keys.len() {
+    fn end_segment(&mut self, next: Option<(u32, u32)>, level: LevelOf) {
+        let start = self.ops.len() as u32;
+        if self.apart {
             self.group();
+        } else {
+            self.ops.extend(self.segment.iter().map(|&(op, ..)| op));
+            self.access
+                .extend(self.segment.iter().map(|&(.., access)| access));
         }
-        self.touched.clear();
+        if let (Some((vpp, ip)), Some(level)) = (next, level) {
+            let barrier = level((vpp, ip - 1));
+            match self.levels.last_mut() {
+                Some(open) if open.barrier == barrier => {
+                    open.work = open
+                        .work
+                        .map_or(self.work, |w| Some(w + self.work.unwrap_or(0)));
+                }
+                open => {
+                    assert!(
+                        open.map(|l| l.barrier) < Some(barrier),
+                        "lowering: the segments of level {barrier} are not contiguous in the stream"
+                    );
+                    self.levels.push(Level {
+                        barrier,
+                        start,
+                        work: self.work,
+                    });
+                }
+            }
+        }
+        self.segment.clear();
         self.keys.clear();
+        (self.apart, self.work) = (false, None);
     }
 
     fn group(&mut self) {
-        let base = self.ops.len() - self.touched.len();
-        let ops = &mut self.ops[base..];
-        self.moved.clear();
-        self.moved.extend_from_slice(ops);
+        let base = self.ops.len();
+        self.summaries.clear();
+        self.summaries
+            .extend(self.segment.iter().map(|(.., access)| Blocks::of(access)));
         self.slot.clear();
         self.sizes.clear();
-        for (j, (key, summary)) in self.touched.iter().enumerate() {
-            let joins = |home: u32, behind: &Blocks| {
+        for (j, &(_, key, access)) in self.segment.iter().enumerate() {
+            let summary = self.summaries[j];
+            // Only ops after the group's opener can be in a later group.
+            let joins = |home: u32, opener: u32, behind: &Blocks| {
                 !summary.may_conflict(behind)
-                    || (0..j).all(|i| {
+                    || (opener as usize..j).all(|i| {
                         self.slot[i] <= home
-                            || !self.touched[i].1.may_conflict(summary)
-                            || !Access::of(&self.moved[i])
-                                .conflicts_with(&Access::of(&self.moved[j]))
+                            || !self.summaries[i].may_conflict(&summary)
+                            || !self.segment[i].2.conflicts_with(&access)
                     })
             };
             let group = match key.map(|k| &mut self.keys[k].1) {
-                Some(Some((home, behind))) if joins(*home, behind) => *home,
+                Some(Some((home, opener, behind))) if joins(*home, *opener, behind) => *home,
                 home => {
                     let group = self.sizes.len() as u32;
                     self.sizes.push(0);
                     if let Some(home) = home {
-                        *home = Some((group, Blocks::default()));
+                        *home = Some((group, j as u32, Blocks::default()));
                     }
                     group
                 }
             };
             for (_, home) in &mut self.keys {
-                if let Some((_, behind)) = home.as_mut().filter(|(home, _)| *home < group) {
+                if let Some((.., behind)) = home.as_mut().filter(|(home, ..)| *home < group) {
                     behind.read |= summary.read;
                     behind.write |= summary.write;
                 }
@@ -1072,42 +1174,67 @@ impl Lowering {
             self.sizes[group as usize] += 1;
             self.slot.push(group);
         }
-        // Stable counting sort by group: sizes to offsets, then scatter in
-        // the original order.
+        // Stable counting sort by group: sizes to offsets, each op's index,
+        // then the ops index by index.
         let mut offset = 0;
         for size in &mut self.sizes {
             offset += std::mem::replace(size, offset);
         }
-        for (op, slot) in self.moved.iter().zip(&mut self.slot) {
+        self.placed.resize(self.segment.len(), 0);
+        for (j, slot) in self.slot.iter_mut().enumerate() {
             let at = &mut self.sizes[*slot as usize];
-            (ops[*at as usize], *slot) = (*op, *at);
+            (*slot, self.placed[*at as usize]) = (*at, j as u32);
             *at += 1;
         }
+        let placed = self.placed.iter().map(|&j| &self.segment[j as usize]);
+        self.ops.extend(placed.clone().map(|&(op, ..)| op));
+        self.access.extend(placed.map(|&(.., access)| access));
         let tail = self.patch_points.iter_mut().rev();
         for patch in tail.take_while(|p| p.op_index as usize >= base) {
             patch.op_index = (base + self.slot[patch.op_index as usize - base] as usize) as u32;
         }
     }
+
+    /// Plans the levels [`Lowering::run`] recorded over `order` whose chunk
+    /// ops process at least `floor` elements, from the accesses it kept.
+    fn plan(&mut self, order: &[(u32, u32)], floor: u64) -> WavePlan {
+        let planner = &mut self.planner;
+        planner.plan.waves.clear();
+        planner.plan.piece.clear();
+        let ends = self.levels.iter().skip(1).map(|l| l.start);
+        let ends = ends.chain([self.access.len() as u32]);
+        for (level, end) in self.levels.iter().zip(ends) {
+            if let Some(work) = level.work.filter(|&work| work >= floor) {
+                planner.plan_wave(&self.access, order, level.start..end, work);
+            }
+        }
+        // Exact-size copies: the buffers stay with the planner.
+        WavePlan {
+            waves: planner.plan.waves.to_vec(),
+            piece: planner.plan.piece.to_vec(),
+        }
+    }
 }
 
-/// The kernel calls of the final stream `ops`: per op, how many ops one call
-/// starting there runs, `0` inside a block. One walk goes front to back over
-/// the whole stream, across segment boundaries, and at each op takes the
-/// longest block it can: up to [`MAX_BLOCK`] `MatVec`s, or `Outer`s, with
-/// the head's [`MicroOp::chunk_key`], no member writing a pool range another
-/// member reads or writes. The blocked kernels interleave the members' rows,
-/// take every output at once and give each element the members' operations
-/// in order, so a block computes what its ops do one by one. `Outer`s write
-/// no pool memory, so equal keys are all they need; a `TMatVec`, like every
-/// op without a key, runs alone.
-fn block_lens(ops: &[MicroOp]) -> Vec<u8> {
+/// The kernel calls of the final stream `ops`, whose accesses are `access`:
+/// per op, how many ops one call starting there runs, `0` inside a block.
+/// One walk goes front to back over the whole stream, across segment
+/// boundaries, and at each op takes the longest block it can: up to
+/// [`MAX_BLOCK`] `MatVec`s, or `Outer`s, with the head's
+/// [`MicroOp::chunk_key`], no member writing a pool range another member
+/// reads or writes. The blocked kernels interleave the members' rows, take
+/// every output at once and give each element the members' operations in
+/// order, so a block computes what its ops do one by one. `Outer`s write no
+/// pool memory, so equal keys are all they need; a `TMatVec`, like every op
+/// without a key, runs alone.
+fn block_lens(ops: &[MicroOp], access: &[Access]) -> Vec<u8> {
     let mut lens = vec![0; ops.len()];
     let mut i = 0;
     while i < ops.len() {
         let blocks = matches!(ops[i], MicroOp::MatVec { .. } | MicroOp::Outer { .. });
         let joins = |&j: &usize| {
-            let apart = |m: &MicroOp| !Access::of(m).pool_conflicts_with(&Access::of(&ops[j]));
-            ops[j].chunk_key() == ops[i].chunk_key() && ops[i..j].iter().all(apart)
+            let apart = |m: &Access| !m.pool_conflicts_with(&access[j]);
+            ops[j].chunk_key() == ops[i].chunk_key() && access[i..j].iter().all(apart)
         };
         let end = ops.len().min(i + if blocks { MAX_BLOCK } else { 1 });
         let n = 1 + (i + 1..end).take_while(joins).count();
@@ -1176,27 +1303,6 @@ impl WavePlan {
     }
 }
 
-/// The segments of `order[range]` — runs `(v, ip), (v, ip + 1), …`, which
-/// the stream keeps in place — as op ranges.
-fn segments(
-    order: &[(u32, u32)],
-    range: std::ops::Range<usize>,
-) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let end = range.end;
-    let mut at = range.start;
-    std::iter::from_fn(move || {
-        let start = at;
-        if start == end {
-            return None;
-        }
-        at += 1;
-        while at < end && order[at] == (order[at - 1].0, order[at - 1].1 + 1) {
-            at += 1;
-        }
-        Some((start, at))
-    })
-}
-
 /// Buffers the wave planner reuses from wave to wave, and from plan to plan
 /// on one thread.
 #[derive(Default)]
@@ -1209,52 +1315,20 @@ struct Planner {
     /// component's; then its piece.
     work: Vec<u64>,
     /// Per pool write of the wave: its start, then the op, packed
-    /// `start << 32 | op` to sort by start.
+    /// `start << 32 | op` to sort by start; and the buffer sorting them
+    /// swaps with.
     writes: Vec<u64>,
-    /// Per op: one past the end of its pool write (`0`: none).
-    write_end: Vec<u32>,
+    spare: Vec<u64>,
     /// The disjoint regions the writes merge into, `(start, end, writer)`.
     regions: Vec<(u32, u32, u32)>,
-    /// One bit per [`Planner::BLOCK`] pool elements, set where a region
-    /// lies: a read of no set bit needs no search.
-    written: Vec<u64>,
-    /// Where each level of the stream ends.
-    level_ends: Vec<u32>,
+    /// Per bucket of pool elements: the first region a read starting there
+    /// may overlap.
+    first: Vec<u32>,
     /// The plan so far.
     plan: WavePlan,
 }
 
 impl Planner {
-    /// Pool elements per bit of [`Planner::written`].
-    const BLOCK: u32 = 16;
-
-    /// Records where each level of the final stream ends, in stream order.
-    /// `order` is the reference order, whose segments the stream keeps in
-    /// place; `level` names a segment's barrier level from its last
-    /// `(vpp, ip)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a level's segments are not contiguous in the stream.
-    fn levels(&mut self, order: &[(u32, u32)], level: impl Fn((u32, u32)) -> u32) {
-        let (ends, mut previous) = (&mut self.level_ends, None);
-        ends.clear();
-        for (_, end) in segments(order, 0..order.len()) {
-            let this = level(order[end - 1]);
-            match (previous, ends.last_mut()) {
-                (Some(open), Some(last)) if open == this => *last = end as u32,
-                _ => {
-                    assert!(
-                        previous < Some(this),
-                        "lowering: the segments of level {this} are not contiguous in the stream"
-                    );
-                    ends.push(end as u32);
-                    previous = Some(this);
-                }
-            }
-        }
-    }
-
     fn find(&mut self, mut i: u32) -> u32 {
         while self.parent[i as usize] != i {
             let up = self.parent[self.parent[i as usize] as usize];
@@ -1264,144 +1338,144 @@ impl Planner {
         i
     }
 
-    /// Ties ops `a` and `b`; the smaller root stays the root.
+    /// Ties ops `a` and `b`: the smaller root stays the root and takes
+    /// over the other's work.
     fn tie(&mut self, a: u32, b: u32) {
         let (a, b) = (self.find(a), self.find(b));
-        self.parent[a.max(b) as usize] = a.min(b);
-    }
-
-    /// Applies `op` to each word of `written` the non-empty pool range
-    /// `start..end` covers, with the mask of its bits there; returns
-    /// whether any of those bits was set before.
-    fn bits(written: &mut [u64], start: u32, end: u32, op: fn(&mut u64, u64)) -> bool {
-        let (first, last) = (start / Self::BLOCK, (end - 1) / Self::BLOCK);
-        let mut any = false;
-        for w in first / 64..=last / 64 {
-            let lo = first.max(w * 64) - w * 64;
-            let hi = last.min(w * 64 + 63) - w * 64;
-            let mask = (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
-            any |= written[w as usize] & mask != 0;
-            op(&mut written[w as usize], mask);
+        if a != b {
+            let (root, other) = (a.min(b), a.max(b) as usize);
+            self.parent[other] = root;
+            self.work[root as usize] += self.work[other];
         }
-        any
     }
 
-    /// Ties the ops of the wave `wave`, whose segments start at the wave
-    /// indices `firsts`, and records each op's work.
-    fn tie_wave(&mut self, wave: &[MicroOp], mut firsts: impl Iterator<Item = usize>) {
+    /// Sorts `writes` — `start << 32 | op`, in ascending `op` order — as
+    /// `u64`s without comparing them: one stable counting pass per ten bits
+    /// of the starts' offsets from the lowest, lowest bits first.
+    fn sort_writes(writes: &mut Vec<u64>, spare: &mut Vec<u64>) {
+        let lo = writes.iter().map(|&w| w >> 32).min().unwrap_or(0);
+        let span = writes.iter().map(|&w| (w >> 32) - lo).max().unwrap_or(0);
+        for shift in (0..u64::BITS - span.leading_zeros()).step_by(10) {
+            let digit = |w: u64| (((w >> 32) - lo) >> shift & 0x3ff) as usize;
+            let mut at = [0u32; 1 << 10];
+            for &w in writes.iter() {
+                at[digit(w)] += 1;
+            }
+            let mut sum = 0;
+            for n in &mut at {
+                sum += mem::replace(n, sum);
+            }
+            spare.resize(writes.len(), 0);
+            for &w in writes.iter() {
+                let to = &mut at[digit(w)];
+                spare[*to as usize] = w;
+                *to += 1;
+            }
+            mem::swap(writes, spare);
+        }
+    }
+
+    /// Ties the ops of the wave whose accesses are `wave` and whose reference
+    /// order is `order`, each root holding its component's work; returns the
+    /// wave's work.
+    fn tie_wave(&mut self, wave: &[Access], order: &[(u32, u32)]) -> u64 {
         let n = wave.len() as u32;
         self.parent.clear();
-        self.parent.extend(0..n);
         self.work.clear();
         self.writes.clear();
-        self.write_end.clear();
         // Arena: lowering checked that each chunk op addresses its own
         // VPP's chunks, reading values and writing gradients, so only the
-        // ops of one segment can write one chunk: tie them.
-        let (mut next, mut writer) = (firsts.next(), None);
-        for (i, op) in (0..n).zip(wave) {
-            if next == Some(i as usize) {
-                (next, writer) = (firsts.next(), None);
+        // ops of one segment can write one chunk: tie them to its first.
+        let (mut next, mut writer, mut total) = (None, None, 0);
+        for ((i, access), &(vpp, ip)) in (0..n).zip(wave).zip(order) {
+            if next != Some((vpp, ip)) {
+                writer = None;
             }
-            let access = Access::of(op);
+            next = Some((vpp, ip + 1));
             let (at, len) = access.write.unwrap_or_default();
             if len > 0 {
                 self.writes.push(u64::from(at) << 32 | u64::from(i));
             }
-            self.write_end.push(at + len);
-            let arena = access.arena.map(|((_, len), writes)| {
-                if writes {
-                    if let Some(w) = writer {
-                        self.tie(w, i);
-                    }
-                    writer = Some(i);
-                }
-                len
-            });
-            let reads = access.reads.map(|r| r.1);
-            self.work
-                .push(u64::from(arena.unwrap_or(len.max(reads[0]).max(reads[1]))));
+            let (root, work) = match access.arena {
+                Some(((_, len), true)) => (*writer.get_or_insert(i), len),
+                Some(((_, len), false)) => (i, len),
+                None => (i, len.max(access.reads[0].1).max(access.reads[1].1)),
+            };
+            self.parent.push(root);
+            self.work.push(0);
+            self.work[root as usize] += u64::from(work);
+            total += u64::from(work);
         }
         // Pool: writers of overlapping ranges, and every reader with the
         // writers of what it reads.
-        self.writes.sort_unstable();
+        Self::sort_writes(&mut self.writes, &mut self.spare);
         self.regions.clear();
         for k in 0..self.writes.len() {
-            let (at, op) = ((self.writes[k] >> 32) as u32, self.writes[k] as u32);
-            let end = self.write_end[op as usize];
+            let op = self.writes[k] as u32;
+            let (at, len) = wave[op as usize].write.unwrap_or_default();
             match self.regions.last_mut() {
                 Some(region) if at < region.1 => {
-                    region.1 = region.1.max(end);
+                    region.1 = region.1.max(at + len);
                     let writer = region.2;
                     self.tie(writer, op);
                 }
-                _ => self.regions.push((at, end, op)),
+                _ => self.regions.push((at, at + len, op)),
             }
         }
         let (Some(&(lo, ..)), Some(&(_, hi, _))) = (self.regions.first(), self.regions.last())
         else {
-            return;
+            return total;
         };
-        let (mut written, regions) = (mem::take(&mut self.written), mem::take(&mut self.regions));
-        let words = hi.div_ceil(Self::BLOCK * 64) as usize;
-        if written.len() < words {
-            written.resize(words, 0);
+        // Per bucket of `width` pool elements from `lo`, about one region
+        // each: the first region that ends past the bucket's start, then the
+        // number of regions. A read's search starts at its bucket's entry
+        // and ends at the next one.
+        let regions = mem::take(&mut self.regions);
+        let width = u64::from(hi - lo).div_ceil(regions.len() as u64);
+        let width = width.next_power_of_two();
+        self.first.clear();
+        let mut k = 0;
+        for start in (lo..hi).step_by(width as usize) {
+            while regions[k].1 <= start {
+                k += 1;
+            }
+            self.first.push(k as u32);
         }
-        for &(at, end, _) in &regions {
-            Self::bits(&mut written, at, end, |w, mask| *w |= mask);
-        }
-        for (i, op) in (0..n).zip(wave) {
-            let reads = Access::of(op).reads;
+        self.first.push(regions.len() as u32);
+        for (i, access) in (0..n).zip(wave) {
+            let reads = access.reads;
             let once = if reads[0] == reads[1] { 1 } else { 2 };
             for &(at, len) in &reads[..once] {
                 let end = at + len;
-                if len == 0
-                    || end <= lo
-                    || at >= hi
-                    || !Self::bits(&mut written, at, end, |_, _| {})
-                {
+                if len == 0 || end <= lo || at >= hi {
                     continue;
                 }
-                let mut k = regions.partition_point(|r| r.1 <= at);
+                let bucket = (u64::from(at.max(lo) - lo) / width) as usize;
+                let (from, to) = (self.first[bucket] as usize, self.first[bucket + 1] as usize);
+                let mut k = from + regions[from..to].partition_point(|r| r.1 <= at);
                 while k < regions.len() && regions[k].0 < end {
                     self.tie(regions[k].2, i);
                     k += 1;
                 }
             }
         }
-        for &(at, end, _) in &regions {
-            Self::bits(&mut written, at, end, |w, mask| *w &= !mask);
-        }
-        (self.written, self.regions) = (written, regions);
+        self.regions = regions;
+        total
     }
 
-    /// Plans the wave `ops[range]` of the final stream, whose reference
-    /// order is `order`, into [`Planner::plan`]; its chunk ops hold `work`
-    /// elements.
-    fn plan_wave(
-        &mut self,
-        ops: &[MicroOp],
-        order: &[(u32, u32)],
-        range: std::ops::Range<usize>,
-        work: u64,
-    ) {
-        let (start, wave) = (range.start, &ops[range.clone()]);
-        self.tie_wave(wave, segments(order, range.clone()).map(|(s, _)| s - start));
+    /// Plans the level `wave`, whose chunk ops hold `work` elements, of the
+    /// stream whose ops' accesses are `access` and whose reference order is
+    /// `order`, into [`Planner::plan`].
+    fn plan_wave(&mut self, access: &[Access], order: &[(u32, u32)], wave: Range<u32>, work: u64) {
+        let ops = wave.start as usize..wave.end as usize;
+        let total = self.tie_wave(&access[ops.clone()], &order[ops.clone()]);
         // Pieces: components in stream order of their first op, a new
         // piece once the last holds its share of the work.
-        let total: u64 = self.work.iter().sum();
-        for i in 0..wave.len() as u32 {
-            let root = self.find(i);
-            if root != i {
-                self.parent[i as usize] = root;
-                self.work[root as usize] += self.work[i as usize];
-            }
-        }
         let share = total.div_ceil(PIECES).max(1);
         let (mut pieces, mut filled) = (0, share);
         let at = self.plan.piece.len() as u32;
-        for i in 0..wave.len() {
-            let root = self.parent[i] as usize;
+        for i in 0..ops.len() {
+            let root = self.find(i as u32) as usize;
             let piece = if root == i {
                 if filled >= share {
                     (pieces, filled) = (pieces + 1, 0);
@@ -1415,8 +1489,8 @@ impl Planner {
             self.plan.piece.push(piece as u8);
         }
         self.plan.waves.push(Wave {
-            start: start as u32,
-            end: range.end as u32,
+            start: wave.start,
+            end: wave.end,
             work,
             pieces: pieces as u8,
             at,
@@ -1424,60 +1498,12 @@ impl Planner {
     }
 }
 
-impl WavePlan {
-    /// Plans the levels of the final stream `ops` (see [`Planner::levels`])
-    /// that hold chunk ops of at least `floor` elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a level's segments are not contiguous in the stream.
-    fn build(
-        ops: &[MicroOp],
-        order: &[(u32, u32)],
-        floor: u64,
-        level: impl Fn((u32, u32)) -> u32,
-    ) -> Self {
-        thread_local! {
-            static PLANNER: RefCell<Planner> = RefCell::default();
-        }
-        PLANNER.with_borrow_mut(|planner| {
-            planner.levels(order, level);
-            let ends = mem::take(&mut planner.level_ends);
-            let starts = std::iter::once(0).chain(ends.iter().copied());
-            for range in starts.zip(&ends).map(|(a, &b)| a as usize..b as usize) {
-                let mut keys = ops[range.clone()]
-                    .iter()
-                    .filter_map(MicroOp::chunk_key)
-                    .peekable();
-                if keys.peek().is_none() {
-                    continue;
-                }
-                let work = keys
-                    .map(|[.., rows, cols]| u64::from(rows) * u64::from(cols))
-                    .sum();
-                if work >= floor {
-                    planner.plan_wave(ops, order, range, work);
-                }
-            }
-            planner.level_ends = ends;
-            // Exact-size copies: the buffers stay with the planner.
-            let plan = &mut planner.plan;
-            let copy = WavePlan {
-                waves: plan.waves.to_vec(),
-                piece: plan.piece.to_vec(),
-            };
-            plan.waves.clear();
-            plan.piece.clear();
-            copy
-        })
-    }
-}
-
 /// Lowers `gs` from scratch, under span `engine.lower`: the schedule (span
 /// `lower.analyze`), then one pass over its order (span `lower.order`), in
 /// which the instructions [`GeneratedScript::literals`] names become the
 /// patch points, and one over the stream it emits, which records the kernel
-/// calls ([`LoweredScript::blocks`]). Cached callers should go through
+/// calls ([`LoweredScript::blocks`]), then the wave plan, from what the pass
+/// kept (span `lower.plan`). Cached callers should go through
 /// [`LoweredCache::get_or_lower`] instead.
 ///
 /// # Panics
@@ -1507,76 +1533,80 @@ pub fn lower_for(
         let _span = vpps_obs::span("lower.analyze");
         timeline::analyze(plan, gs, cost, None)
     };
-    let _span = vpps_obs::span("lower.order");
-    // Per-request literals, which the key leaves out, become patch points:
-    // each VPP's cursor into `gs.literals` (sorted by `(vpp, ip)`) meets its
-    // literals in the order the schedule runs that VPP's instructions.
-    let literals = &gs.literals;
-    let mut cursors: Vec<usize> = (0..gs.scripts.num_vpps() as u32)
-        .map(|v| literals.partition_point(|&(lv, _, _)| lv < v))
-        .collect();
-    let stream = Lowering::run(
-        &tl.order,
-        literals.len(),
-        tl.order.iter().map(|&(v, ip)| {
-            let instr = &gs.scripts.script(v as usize)[ip as usize];
-            let op = lower_instr(instr, dist, v).expect("timeline order names a sync instruction");
-            let cursor = &mut cursors[v as usize];
-            let literal = literals
-                .get(*cursor)
-                .filter(|&&(lv, lip, _)| (lv, lip) == (v, ip))
-                .map(|&(_, _, source)| {
-                    *cursor += 1;
-                    source
-                });
-            (op, literal)
-        }),
-    );
-    assert_eq!(
-        stream.patch_points.len(),
-        literals.len(),
-        "lowering: a recorded literal names no compute instruction"
-    );
-    let block_len = block_lens(&stream.ops);
-    let pool_end = stream.pool_end.max(gs.persistent_floor as usize);
     // A segment's last instruction is followed by the `Signal` of its level.
     let level = |(v, ip): (u32, u32)| match gs.scripts.script(v as usize)[ip as usize + 1] {
         Instr::Signal { barrier } => barrier,
         ref other => panic!("lowering: a segment ends on {other:?}, not a signal"),
     };
-    // A patched copy source is a resident row, below the persistent floor:
-    // a wave plan holds for every patch only if no op writes there.
-    let waves = match helpers.floor() {
-        Some(floor) if stream.write_floor >= gs.persistent_floor as usize => {
-            WavePlan::build(&stream.ops, &tl.order, floor, level)
+    let floor = helpers.floor();
+    LOWERING.with_borrow_mut(|stream| {
+        let block_len = {
+            let _span = vpps_obs::span("lower.order");
+            // Per-request literals, which the key leaves out, become patch
+            // points: each VPP's cursor into `gs.literals` (sorted by
+            // `(vpp, ip)`) meets its literals in the order the schedule runs
+            // that VPP's instructions.
+            let literals = &gs.literals;
+            let mut cursors: Vec<usize> = (0..gs.scripts.num_vpps() as u32)
+                .map(|v| literals.partition_point(|&(lv, _, _)| lv < v))
+                .collect();
+            let ops = tl.order.iter().map(|&(v, ip)| {
+                let instr = &gs.scripts.script(v as usize)[ip as usize];
+                let op =
+                    lower_instr(instr, dist, v).expect("timeline order names a sync instruction");
+                let cursor = &mut cursors[v as usize];
+                let literal = literals
+                    .get(*cursor)
+                    .filter(|&&(lv, lip, _)| (lv, lip) == (v, ip))
+                    .map(|&(_, _, source)| {
+                        *cursor += 1;
+                        source
+                    });
+                (op, literal)
+            });
+            let levels = floor.map(|_| &level as &dyn Fn((u32, u32)) -> u32);
+            stream.run(&tl.order, literals.len(), ops, levels);
+            assert_eq!(
+                stream.patch_points.len(),
+                literals.len(),
+                "lowering: a recorded literal names no compute instruction"
+            );
+            block_lens(&stream.ops, &stream.access)
+        };
+        // A patched copy source is a resident row, below the persistent
+        // floor: a wave plan holds for every patch only if no op writes
+        // there.
+        let waves = {
+            let _span = vpps_obs::span("lower.plan");
+            let floor = floor.filter(|_| stream.write_floor >= gs.persistent_floor as usize);
+            floor.map_or_else(WavePlan::default, |floor| stream.plan(&tl.order, floor))
+        };
+        let (signal_instrs, wait_instrs) = gs.scripts.sync_instructions();
+        LoweredScript {
+            plan_id: plan.signature().plan_id(),
+            num_barriers: gs.num_barriers,
+            timeline: Arc::new(tl),
+            // Patched copy sources can land on any resident row, so the
+            // executor's single bounds check must cover the whole resident
+            // region, not just the rows this particular script happened to
+            // read.
+            pool_end: stream.pool_end.max(gs.persistent_floor as usize),
+            arena_end: stream.arena_end,
+            scratch_len: stream.scratch_len,
+            patch_points: mem::take(&mut stream.patch_points),
+            layout: Arc::clone(&gs.layout),
+            forward_instructions: gs.forward_instructions,
+            backward_instructions: gs.backward_instructions,
+            encoded_bytes: gs.scripts.encoded_bytes(),
+            pool_len: gs.pool_len,
+            signal_instrs,
+            wait_instrs,
+            sources: mem::take(&mut stream.sources),
+            block_len,
+            waves,
+            ops: mem::take(&mut stream.ops),
         }
-        _ => WavePlan::default(),
-    };
-    let (signal_instrs, wait_instrs) = gs.scripts.sync_instructions();
-
-    LoweredScript {
-        plan_id: plan.signature().plan_id(),
-        num_barriers: gs.num_barriers,
-        timeline: Arc::new(tl),
-        // Patched copy sources can land on any resident row, so the
-        // executor's single bounds check must cover the whole resident
-        // region, not just the rows this particular script happened to read.
-        pool_end,
-        arena_end: stream.arena_end,
-        scratch_len: stream.scratch_len,
-        patch_points: stream.patch_points,
-        layout: Arc::clone(&gs.layout),
-        forward_instructions: gs.forward_instructions,
-        backward_instructions: gs.backward_instructions,
-        encoded_bytes: gs.scripts.encoded_bytes(),
-        pool_len: gs.pool_len,
-        signal_instrs,
-        wait_instrs,
-        sources: stream.sources,
-        block_len,
-        waves,
-        ops: stream.ops,
-    }
+    })
 }
 
 #[inline]
@@ -2946,12 +2976,25 @@ mod tests {
                 .contains(&j)
                 .then_some(Literal::Resident(j as u32))
         };
-        let stream = Lowering::run(
-            order,
-            patchable.len(),
-            ops.iter().enumerate().map(|(j, op)| (*op, literal(j))),
-        );
+        let mut stream = Lowering::default();
+        let ops = ops.iter().enumerate().map(|(j, op)| (*op, literal(j)));
+        stream.run(order, patchable.len(), ops, None);
         (stream.ops, stream.patch_points)
+    }
+
+    /// [`block_lens`] of hand-built `ops`.
+    fn calls(ops: &[MicroOp]) -> Vec<u8> {
+        let access: Vec<Access> = ops.iter().map(Access::of).collect();
+        block_lens(ops, &access)
+    }
+
+    /// The wave plan of hand-built `ops`, the instructions `order` names,
+    /// all of one level, every level planned.
+    fn wave_plan(ops: &[MicroOp], order: &[(u32, u32)]) -> WavePlan {
+        let mut stream = Lowering::default();
+        let ops = ops.iter().map(|op| (*op, None));
+        stream.run(order, 0, ops, Some(&|_| 0));
+        stream.plan(order, 0)
     }
 
     /// Each chunk op lowers only against the half of the arena it may
@@ -3139,6 +3182,22 @@ mod tests {
         assert_eq!(regroup(&chained, &one_segment(3), &[]).0, chained);
     }
 
+    /// One key, with an op of none between two of its ops: the later one
+    /// moves up to the first, in front of the op between.
+    #[test]
+    fn regroup_moves_an_op_of_the_only_key_past_an_op_without_one() {
+        let copy = MicroOp::Copy {
+            src: 3,
+            dst: 500,
+            len: 8,
+        };
+        let ops = [matvec(0, 100, 200), copy, matvec(0, 110, 220)];
+        assert_eq!(
+            regroup(&ops, &one_segment(3), &[]).0,
+            [ops[0], ops[2], ops[1]]
+        );
+    }
+
     #[test]
     fn regroup_stops_at_sync_points() {
         let (a, b) = (0, 16);
@@ -3158,9 +3217,9 @@ mod tests {
     #[test]
     fn a_block_holds_at_most_max_block_ops() {
         let ops: Vec<_> = (0..5).map(|k| matvec(0, 100, 200 + 10 * k)).collect();
-        assert_eq!(block_lens(&ops), [4, 0, 0, 0, 1]);
+        assert_eq!(calls(&ops), [4, 0, 0, 0, 1]);
         let ops: Vec<_> = (0..5).map(|k| outer(0, 100, 200 + 10 * k)).collect();
-        assert_eq!(block_lens(&ops), [4, 0, 0, 0, 1]);
+        assert_eq!(calls(&ops), [4, 0, 0, 0, 1]);
     }
 
     #[test]
@@ -3172,34 +3231,34 @@ mod tests {
             matvec(a, 110, 210),
             matvec(a, 200, 220),
         ];
-        assert_eq!(block_lens(&reads), [2, 0, 1]);
+        assert_eq!(calls(&reads), [2, 0, 1]);
         // Writes the first member's `y`.
         let writes = [
             matvec(a, 100, 200),
             matvec(a, 110, 210),
             matvec(a, 120, 201),
         ];
-        assert_eq!(block_lens(&writes), [2, 0, 1]);
+        assert_eq!(calls(&writes), [2, 0, 1]);
         // Writes the first member's `x`.
         let clobbers = [
             matvec(a, 100, 200),
             matvec(a, 110, 104),
             matvec(a, 120, 220),
         ];
-        assert_eq!(block_lens(&clobbers), [1, 2, 0]);
+        assert_eq!(calls(&clobbers), [1, 2, 0]);
         // Another chunk ends it too.
         let other = [
             matvec(a, 100, 200),
             matvec(b, 100, 210),
             matvec(b, 110, 220),
         ];
-        assert_eq!(block_lens(&other), [1, 2, 0]);
+        assert_eq!(calls(&other), [1, 2, 0]);
     }
 
     #[test]
     fn same_key_outer_products_block_whatever_their_pool_operands() {
         let ops = [outer(0, 100, 200), outer(0, 200, 100), outer(0, 100, 100)];
-        assert_eq!(block_lens(&ops), [3, 0, 0]);
+        assert_eq!(calls(&ops), [3, 0, 0]);
     }
 
     #[test]
@@ -3209,7 +3268,7 @@ mod tests {
             tmatvec(0, 110, 310),
             tmatvec(0, 120, 320),
         ];
-        assert_eq!(block_lens(&ops), [1, 1, 1]);
+        assert_eq!(calls(&ops), [1, 1, 1]);
     }
 
     /// Blocks are recorded on the final stream, not per segment: two
@@ -3224,7 +3283,7 @@ mod tests {
         ];
         let (stream, _) = regroup(&ops, &[(0, 0), (0, 1), (1, 0)], &[]);
         assert_eq!(stream, ops);
-        assert_eq!(block_lens(&stream), [1, 2, 0]);
+        assert_eq!(calls(&stream), [1, 2, 0]);
     }
 
     /// On a real batch: regrouping happens, every segment keeps its ops, no
@@ -3353,7 +3412,7 @@ mod tests {
     #[test]
     fn conflicting_ops_are_tied_to_one_piece() {
         let two_vpps = [(0, 0), (1, 0)];
-        let plan = |ops: &[MicroOp]| WavePlan::build(ops, &two_vpps, 0, |_| 0);
+        let plan = |ops: &[MicroOp]| wave_plan(ops, &two_vpps);
         let tanh = MicroOp::Tanh {
             x: 200,
             y: 300,
@@ -3368,7 +3427,7 @@ mod tests {
             assert!(plan.waves[0].tied(), "{ops:?}");
         }
         let outers = [outer(0, 100, 200), outer(0, 110, 210)];
-        assert!(WavePlan::build(&outers, &one_segment(2), 0, |_| 0).waves[0].tied());
+        assert!(wave_plan(&outers, &one_segment(2)).waves[0].tied());
         let plan = plan(&[matvec(0, 100, 200), matvec(16, 100, 210)]);
         assert_eq!(plan.waves[0].pieces, 2);
         assert_eq!(plan.pieces(&plan.waves[0]), [0, 1]);

@@ -782,6 +782,142 @@ proptest! {
     }
 }
 
+/// What an op touches, derived here from its fields, independently of
+/// lowering: the pool ranges it reads and writes (an accumulation counts as
+/// a write), and the register-arena range it reads or, flagged `true`,
+/// writes.
+type Touches = (
+    Vec<(u32, u32)>,
+    Option<(u32, u32)>,
+    Option<((u32, u32), bool)>,
+);
+
+fn touches(op: &MicroOp) -> Touches {
+    use MicroOp::*;
+    match *op {
+        MatVec {
+            reg,
+            x,
+            y,
+            len,
+            rows,
+            cols,
+        } => (
+            vec![(x, len)],
+            Some((y, rows)),
+            Some(((reg, rows * cols), false)),
+        ),
+        TMatVec {
+            reg,
+            dy,
+            dx,
+            len,
+            rows,
+            cols,
+        } => (
+            vec![(dy, rows)],
+            Some((dx, len)),
+            Some(((reg, rows * cols), false)),
+        ),
+        Outer {
+            reg,
+            x,
+            dy,
+            len,
+            rows,
+            cols,
+        } => (
+            vec![(x, len), (dy, rows)],
+            None,
+            Some(((reg, rows * cols), true)),
+        ),
+        AddBias { reg, x, y, len } => (vec![(x, len)], Some((y, len)), Some(((reg, len), false))),
+        BiasGrad { reg, dy, len } => (vec![(dy, len)], None, Some(((reg, len), true))),
+        Tanh { x, y, len }
+        | Sigmoid { x, y, len }
+        | Relu { x, y, len }
+        | AccSub { x, y, len }
+        | AccAdd { x, y, len } => (vec![(x, len)], Some((y, len)), None),
+        TanhBwd { y, dy, dx, len } | SigmoidBwd { y, dy, dx, len } | ReluBwd { y, dy, dx, len } => {
+            (vec![(y, len), (dy, len)], Some((dx, len)), None)
+        }
+        Sub { a, b, y, len }
+        | Add { a, b, y, len }
+        | CwiseMult { a, b, y, len }
+        | MulAcc { a, b, y, len } => (vec![(a, len), (b, len)], Some((y, len)), None),
+        Copy { src, dst, len } => (vec![(src, len)], Some((dst, len)), None),
+        PickNls { x, out, len, .. } => (vec![(x, len)], Some((out, 1)), None),
+        PickNlsBwd {
+            x, dloss, dx, len, ..
+        } => (vec![(x, len), (dloss, 1)], Some((dx, len)), None),
+    }
+}
+
+/// `true` when running `a` and `b` in either order could give different
+/// bits: one writes a pool or arena range the other reads or writes.
+fn conflict(a: &MicroOp, b: &MicroOp) -> bool {
+    let overlap = |a: (u32, u32), b: (u32, u32)| a.0 < b.0 + b.1 && b.0 < a.0 + a.1;
+    let ((reads_a, write_a, arena_a), (reads_b, write_b, arena_b)) = (touches(a), touches(b));
+    let hits = |write: Option<(u32, u32)>, reads: &[(u32, u32)]| {
+        write.is_some_and(|w| reads.iter().any(|&r| overlap(r, w)))
+    };
+    hits(write_a, &reads_b)
+        || hits(write_b, &reads_a)
+        || matches!((write_a, write_b), (Some(a), Some(b)) if overlap(a, b))
+        || matches!((arena_a, arena_b), (Some((a, wa)), Some((b, wb))) if (wa || wb) && overlap(a, b))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The wave plan against a brute-force oracle, on random graphs,
+    /// training and inference, lowered for sweeps with the helper forced
+    /// onto every wave with chunk work: no two ops in different pieces of
+    /// one wave conflict, and the ops of one segment that write register
+    /// chunks share a piece. A race can leave equal bits by luck, so the
+    /// bit-equality test above cannot show this.
+    #[test]
+    fn wave_parallel_plan_ties_every_conflict(recipe in arb_recipe(), train in any::<bool>()) {
+        let model = test_model();
+        let (g, root) = build_from_recipe(&model, &recipe);
+        let plan = KernelPlan::build(&model, &small_device(), 1).expect("tiny model fits");
+        let mut pool = vpps_tensor::Pool::with_capacity(1 << 18);
+        let tables = TableLayout::install(&model, &mut pool).expect("pool big enough");
+        let gs = if train {
+            generate::generate(&g, root, &plan, &mut pool, &tables)
+        } else {
+            generate_forward_only(&g, root, &plan, &mut pool, &tables)
+        }
+        .expect("fits");
+        let cost = GpuSim::new(small_device());
+        let art = lowered::lower_for(&plan, &gs, cost.cost_model(), Helpers::Forced);
+        let order = &art.timeline.order;
+        for (range, pieces) in art.wave_pieces() {
+            let ops = &art.ops[range.clone()];
+            for (i, a) in ops.iter().enumerate() {
+                for (j, b) in ops.iter().enumerate().skip(i + 1) {
+                    prop_assert!(
+                        pieces[i] == pieces[j] || !conflict(a, b),
+                        "ops {} and {} conflict in pieces {} and {}",
+                        range.start + i, range.start + j, pieces[i], pieces[j]
+                    );
+                }
+            }
+            let mut writer = None;
+            for (i, op) in ops.iter().enumerate() {
+                let k = range.start + i;
+                if i == 0 || order[k] != (order[k - 1].0, order[k - 1].1 + 1) {
+                    writer = None;
+                }
+                if matches!(touches(op).2, Some((_, true))) {
+                    let first = *writer.get_or_insert(i);
+                    prop_assert_eq!(pieces[first], pieces[i], "chunk writers of one segment");
+                }
+            }
+        }
+    }
+}
+
 /// A `Handle` whose sweeps use no helper and one whose sweeps put the helper
 /// on every wave with chunk work train and infer a BiLSTM tagger to the same
 /// losses, outputs and parameters, bit for bit, over several batches. Obs is
@@ -967,7 +1103,13 @@ fn stream_digest(art: &LoweredScript) -> u64 {
 
 /// Lowers `(g, root)` on a fresh rpw-1 plan of `model` for a Titan V:
 /// training scripts, or forward-only ones.
-fn lower_on_titan_v(model: &Model, g: &Graph, root: NodeId, train: bool) -> LoweredScript {
+fn lower_on_titan_v(
+    model: &Model,
+    g: &Graph,
+    root: NodeId,
+    train: bool,
+    helpers: Helpers,
+) -> LoweredScript {
     let device = gpu_sim::DeviceConfig::titan_v();
     let plan = KernelPlan::build(model, &device, 1).expect("model fits a Titan V");
     let mut pool = vpps_tensor::Pool::with_capacity(1 << 22);
@@ -978,13 +1120,18 @@ fn lower_on_titan_v(model: &Model, g: &Graph, root: NodeId, train: bool) -> Lowe
         generate_forward_only(g, root, &plan, &mut pool, &tables)
     }
     .expect("fits");
-    lowered::lower(&plan, &gs, GpuSim::new(device).cost_model())
+    lowered::lower_for(&plan, &gs, GpuSim::new(device).cost_model(), helpers)
 }
 
 /// The three seeded batches the pins below lower: a Tree-LSTM h = 256
 /// batch-1 training tree, a BiLSTM-tagger batch-8 training super-graph and a
 /// Tree-LSTM h = 64 inference super-graph of four trees.
 fn pinned_artifacts() -> [LoweredScript; 3] {
+    pinned_artifacts_for(Helpers::Auto)
+}
+
+/// [`pinned_artifacts`], lowered for sweeps under `helpers`.
+fn pinned_artifacts_for(helpers: Helpers) -> [LoweredScript; 3] {
     use vpps_datasets::{TaggedCorpus, TaggedCorpusConfig, Treebank, TreebankConfig};
     use vpps_models::{build_batch, BiLstmTagger, DynamicModel, TreeLstm};
 
@@ -1002,7 +1149,7 @@ fn pinned_artifacts() -> [LoweredScript; 3] {
     };
     let (model, arch, samples) = trees(256, 1);
     let (g, loss) = build_batch(&arch, &model, &samples);
-    let tree_train = lower_on_titan_v(&model, &g, loss, true);
+    let tree_train = lower_on_titan_v(&model, &g, loss, true, helpers);
 
     let mut model = Model::new(8);
     let arch = BiLstmTagger::register(&mut model, 300, 64, 64, 64, 9);
@@ -1015,7 +1162,7 @@ fn pinned_artifacts() -> [LoweredScript; 3] {
         ..TaggedCorpusConfig::default()
     });
     let (g, loss) = build_batch(&arch, &model, corpus.sentences());
-    let bilstm_train = lower_on_titan_v(&model, &g, loss, true);
+    let bilstm_train = lower_on_titan_v(&model, &g, loss, true, helpers);
 
     let (model, arch, samples) = trees(64, 4);
     let mut sg = Graph::new();
@@ -1026,7 +1173,7 @@ fn pinned_artifacts() -> [LoweredScript; 3] {
             sg.absorb(&g, root)
         })
         .collect();
-    let tree_infer = lower_on_titan_v(&model, &sg, roots[0], false);
+    let tree_infer = lower_on_titan_v(&model, &sg, roots[0], false, helpers);
     [tree_train, bilstm_train, tree_infer]
 }
 
@@ -1085,6 +1232,26 @@ fn lowered_blocks_are_pinned_across_commits() {
             12_867_760_289_617_602_825
         ],
         "kernel calls moved (ops in blocks: {blocked:?})"
+    );
+}
+
+/// The wave plans of the three [`pinned_artifacts`], lowered for sweeps
+/// under `Helpers::Forced` — every level with chunk work planned, on any
+/// number of cores — against digests recorded at commit `3e2c482`. How
+/// lowering finds the plan may change; the waves, their work and each op's
+/// piece may not.
+#[test]
+fn wave_parallel_plans_are_pinned_across_commits() {
+    let artifacts = pinned_artifacts_for(Helpers::Forced);
+    let waves = artifacts.each_ref().map(|art| art.wave_plan_digest());
+    assert_eq!(
+        waves,
+        [
+            9_115_553_206_795_236_682,
+            7_269_334_449_591_159_432,
+            7_192_523_457_943_978_855
+        ],
+        "wave plans moved"
     );
 }
 
