@@ -110,7 +110,7 @@ use vpps_tensor::Pool;
 use crate::distribute::{Chunk, ChunkId, Distribution};
 use crate::exec::kernels::{self, MAX_BLOCK};
 use crate::exec::regcache::RegCache;
-use crate::script::generate::dispatch_key;
+use crate::script::generate::{count_scripts, dispatch_key};
 use crate::script::isa::OPCODES;
 use crate::script::{BatchLayout, GeneratedScript, Instr, Literal, SchedulePolicy, TableLayout};
 use crate::specialize::KernelPlan;
@@ -600,14 +600,11 @@ impl LoweredScript {
     /// would have added, so a snapshot reads the same with and without the
     /// graph-keyed shortcut.
     pub fn replay_generate_obs(&self) {
-        if !vpps_obs::enabled() {
-            return;
+        if vpps_obs::enabled() {
+            let instructions = self.forward_instructions + self.backward_instructions;
+            let sync = (self.signal_instrs, self.wait_instrs);
+            count_scripts(instructions as u64, self.num_barriers, sync);
         }
-        vpps_obs::counter("script.instructions")
-            .add((self.forward_instructions + self.backward_instructions) as u64);
-        vpps_obs::counter("script.barriers").add(u64::from(self.num_barriers));
-        vpps_obs::counter("script.signal_instrs").add(self.signal_instrs);
-        vpps_obs::counter("script.wait_instrs").add(self.wait_instrs);
     }
 }
 
@@ -795,79 +792,101 @@ fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
     a.0 < b.0 + b.1 && b.0 < a.0 + a.1
 }
 
-/// What one op touches, as `(start, len)` ranges: the pool ranges it reads
-/// (the one range twice for an op that reads one) and writes, and the
-/// register-arena span it reads — or, flagged `true`, writes; `None` for an
-/// op that only touches the pool.
+/// The pool ranges one op touches, as `(start, len)`: the two it reads (the
+/// one range twice for an op that reads one) and the one it writes,
+/// [`NO_WRITE`] for an op that writes none — 24 bytes, what the lowering
+/// pass keeps for every op of the stream ([`block_lens`] and the wave
+/// planner read the rest off the op itself).
 #[derive(Clone, Copy)]
-struct Access {
+struct Ranges {
     reads: [(u32, u32); 2],
-    write: Option<(u32, u32)>,
-    arena: Option<((u32, u32), bool)>,
+    write: (u32, u32),
 }
 
-impl Access {
+/// [`Ranges::write`] of an op that writes no pool memory: a range no
+/// range overlaps.
+const NO_WRITE: (u32, u32) = (u32::MAX, 0);
+
+impl Ranges {
     fn of(op: &MicroOp) -> Self {
         let (reads, write) = match *op {
             MicroOp::MatVec {
                 x, y, len, rows, ..
-            } => ([(x, len); 2], Some((y, rows))),
+            } => ([(x, len); 2], (y, rows)),
             MicroOp::TMatVec {
                 dy, dx, len, rows, ..
-            } => ([(dy, rows); 2], Some((dx, len))),
+            } => ([(dy, rows); 2], (dx, len)),
             MicroOp::Outer {
                 x, dy, len, rows, ..
-            } => ([(x, len), (dy, rows)], None),
-            MicroOp::BiasGrad { dy, len, .. } => ([(dy, len); 2], None),
+            } => ([(x, len), (dy, rows)], NO_WRITE),
+            MicroOp::BiasGrad { dy, len, .. } => ([(dy, len); 2], NO_WRITE),
             MicroOp::AddBias { x, y, len, .. }
             | MicroOp::Tanh { x, y, len }
             | MicroOp::Sigmoid { x, y, len }
             | MicroOp::Relu { x, y, len }
             | MicroOp::AccSub { x, y, len }
-            | MicroOp::AccAdd { x, y, len } => ([(x, len); 2], Some((y, len))),
+            | MicroOp::AccAdd { x, y, len } => ([(x, len); 2], (y, len)),
             MicroOp::TanhBwd { y, dy, dx, len }
             | MicroOp::SigmoidBwd { y, dy, dx, len }
-            | MicroOp::ReluBwd { y, dy, dx, len } => ([(y, len), (dy, len)], Some((dx, len))),
+            | MicroOp::ReluBwd { y, dy, dx, len } => ([(y, len), (dy, len)], (dx, len)),
             MicroOp::Sub { a, b, y, len }
             | MicroOp::Add { a, b, y, len }
             | MicroOp::CwiseMult { a, b, y, len }
-            | MicroOp::MulAcc { a, b, y, len } => ([(a, len), (b, len)], Some((y, len))),
-            MicroOp::Copy { src, dst, len } => ([(src, len); 2], Some((dst, len))),
-            MicroOp::PickNls { x, out, len, .. } => ([(x, len); 2], Some((out, 1))),
+            | MicroOp::MulAcc { a, b, y, len } => ([(a, len), (b, len)], (y, len)),
+            MicroOp::Copy { src, dst, len } => ([(src, len); 2], (dst, len)),
+            MicroOp::PickNls { x, out, len, .. } => ([(x, len); 2], (out, 1)),
             MicroOp::PickNlsBwd {
                 x, dloss, dx, len, ..
-            } => ([(x, len), (dloss, 1)], Some((dx, len))),
+            } => ([(x, len), (dloss, 1)], (dx, len)),
         };
-        let arena = match *op {
-            MicroOp::MatVec {
-                reg, rows, cols, ..
-            }
-            | MicroOp::TMatVec {
-                reg, rows, cols, ..
-            } => Some(((reg, rows * cols), false)),
-            MicroOp::Outer {
-                reg, rows, cols, ..
-            } => Some(((reg, rows * cols), true)),
-            MicroOp::AddBias { reg, len, .. } => Some(((reg, len), false)),
-            MicroOp::BiasGrad { reg, len, .. } => Some(((reg, len), true)),
-            _ => None,
-        };
-        Access {
-            reads,
-            write,
-            arena,
-        }
+        Ranges { reads, write }
+    }
+
+    /// The range the op writes, if it writes one.
+    fn write(&self) -> Option<(u32, u32)> {
+        (self.write != NO_WRITE).then_some(self.write)
     }
 
     /// `true` when one of the two ops writes a pool range the other reads
     /// or writes.
-    fn pool_conflicts_with(&self, other: &Access) -> bool {
-        let hits = |w: Option<(u32, u32)>, reader: &Access| {
-            w.is_some_and(|w| reader.reads.iter().any(|r| overlaps(*r, w)))
-        };
-        hits(self.write, other)
-            || hits(other.write, self)
-            || matches!((self.write, other.write), (Some(a), Some(b)) if overlaps(a, b))
+    fn conflicts_with(&self, other: &Ranges) -> bool {
+        let hits = |w: (u32, u32), reader: &Ranges| reader.reads.iter().any(|r| overlaps(*r, w));
+        hits(self.write, other) || hits(other.write, self) || overlaps(self.write, other.write)
+    }
+}
+
+/// The register-arena span one op reads — or, flagged `true`, writes;
+/// `None` for an op that only touches the pool.
+fn arena_span(op: &MicroOp) -> Option<((u32, u32), bool)> {
+    match *op {
+        MicroOp::MatVec {
+            reg, rows, cols, ..
+        }
+        | MicroOp::TMatVec {
+            reg, rows, cols, ..
+        } => Some(((reg, rows * cols), false)),
+        MicroOp::Outer {
+            reg, rows, cols, ..
+        } => Some(((reg, rows * cols), true)),
+        MicroOp::AddBias { reg, len, .. } => Some(((reg, len), false)),
+        MicroOp::BiasGrad { reg, len, .. } => Some(((reg, len), true)),
+        _ => None,
+    }
+}
+
+/// What one op touches: its pool [`Ranges`] and its [`arena_span`].
+#[derive(Clone, Copy)]
+struct Access {
+    pool: Ranges,
+    arena: Option<((u32, u32), bool)>,
+}
+
+impl Access {
+    fn of(op: &MicroOp) -> Self {
+        Access {
+            pool: Ranges::of(op),
+            arena: arena_span(op),
+        }
     }
 
     /// `true` when executing the two ops in either order could give
@@ -875,7 +894,7 @@ impl Access {
     /// or writes. Two accumulations into one target conflict too — f32
     /// addition does not commute across roundings.
     fn conflicts_with(&self, other: &Access) -> bool {
-        self.pool_conflicts_with(other)
+        self.pool.conflicts_with(&other.pool)
             || match (self.arena, other.arena) {
                 (Some((a, a_writes)), Some((b, b_writes))) => {
                     (a_writes || b_writes) && overlaps(a, b)
@@ -905,8 +924,8 @@ impl Blocks {
             run.rotate_left(first).into()
         }
         let mut blocks = Blocks {
-            read: bits(8, access.reads[0]) | bits(8, access.reads[1]),
-            write: access.write.map_or(0, |w| bits(8, w)),
+            read: bits(8, access.pool.reads[0]) | bits(8, access.pool.reads[1]),
+            write: access.pool.write().map_or(0, |w| bits(8, w)),
         };
         match access.arena {
             Some((span, true)) => blocks.write |= bits(11, span) << 64,
@@ -954,9 +973,10 @@ type LevelOf<'a> = Option<&'a dyn Fn((u32, u32)) -> u32>;
 #[derive(Default)]
 struct Lowering {
     ops: Vec<MicroOp>,
-    /// Parallel to `ops`: what each op touches, derived once, as the op is
-    /// lowered; [`block_lens`] and the wave planner read it.
-    access: Vec<Access>,
+    /// Parallel to `ops`: the pool ranges each op touches, derived once, as
+    /// the op is lowered; [`block_lens`] and the wave planner read them.
+    /// Reserved to the stream's length, never grown by doubling.
+    ranges: Vec<Ranges>,
     patch_points: Vec<PatchPoint>,
     /// The source of each patch point's literal.
     sources: Vec<Literal>,
@@ -1002,9 +1022,9 @@ impl Lowering {
     /// The one pass over [`TimelineReport::order`] that lowering makes:
     /// `ops` yields, for each `(vpp, ip)` of `order`, its micro-op and the
     /// source of its per-request literal if it carries one (`literals` of
-    /// them do). Each op's [`Access`] is derived once and kept, for the
-    /// overlap proof, the bounds, the grouping, the kernel calls and the
-    /// wave plan. Each segment — a run `(v, ip), (v, ip + 1), …` of `order`,
+    /// them do). Each op's [`Access`] is derived once, for the overlap
+    /// proof, the bounds and the grouping, and its pool [`Ranges`] are kept
+    /// for the kernel calls and the wave plan. Each segment — a run `(v, ip), (v, ip + 1), …` of `order`,
     /// the part of the stream the barrier protocol lets nothing else
     /// observe half-done, so only orderings inside it are free — joins the
     /// stream in its final order as soon as it ends, and, given `level`,
@@ -1030,7 +1050,8 @@ impl Lowering {
         self.sources = Vec::with_capacity(literals);
         (self.pool_end, self.scratch_len, self.arena_end) = (0, 0, 0);
         self.write_floor = usize::MAX;
-        self.access.clear();
+        self.ranges.clear();
+        self.ranges.reserve_exact(order.len());
         self.segment.clear();
         self.keys.clear();
         (self.apart, self.work) = (false, None);
@@ -1042,18 +1063,19 @@ impl Lowering {
             }
             next = Some((vpp, ip + 1));
             let access = Access::of(&op);
-            for r in access.reads.iter().chain(&access.write) {
+            let (reads, write) = (access.pool.reads, access.pool.write());
+            for r in reads.iter().chain(&write) {
                 self.pool_end = self.pool_end.max(r.0 as usize + r.1 as usize);
             }
             if let Some(((reg, len), _)) = access.arena {
                 self.arena_end = self.arena_end.max(reg as usize + len as usize);
             }
-            if let Some((at, _)) = access.write {
+            if let Some((at, _)) = write {
                 self.write_floor = self.write_floor.min(at as usize);
             }
-            let disjoint = |w| access.reads.iter().all(|r| !overlaps(*r, w));
+            let disjoint = |w| reads.iter().all(|r| !overlaps(*r, w));
             assert!(
-                access.write.is_none_or(disjoint),
+                write.is_none_or(disjoint),
                 "lowering: op {op:?} writes a pool range overlapping its input"
             );
             if let MicroOp::TMatVec { len, .. } | MicroOp::PickNlsBwd { len, .. } = op {
@@ -1107,8 +1129,8 @@ impl Lowering {
             self.group();
         } else {
             self.ops.extend(self.segment.iter().map(|&(op, ..)| op));
-            self.access
-                .extend(self.segment.iter().map(|&(.., access)| access));
+            self.ranges
+                .extend(self.segment.iter().map(|&(.., access)| access.pool));
         }
         if let (Some((vpp, ip)), Some(level)) = (next, level) {
             let barrier = level((vpp, ip - 1));
@@ -1188,7 +1210,7 @@ impl Lowering {
         }
         let placed = self.placed.iter().map(|&j| &self.segment[j as usize]);
         self.ops.extend(placed.clone().map(|&(op, ..)| op));
-        self.access.extend(placed.map(|&(.., access)| access));
+        self.ranges.extend(placed.map(|&(.., access)| access.pool));
         let tail = self.patch_points.iter_mut().rev();
         for patch in tail.take_while(|p| p.op_index as usize >= base) {
             patch.op_index = (base + self.slot[patch.op_index as usize - base] as usize) as u32;
@@ -1196,16 +1218,17 @@ impl Lowering {
     }
 
     /// Plans the levels [`Lowering::run`] recorded over `order` whose chunk
-    /// ops process at least `floor` elements, from the accesses it kept.
+    /// ops process at least `floor` elements, from the ops and the pool
+    /// ranges it kept.
     fn plan(&mut self, order: &[(u32, u32)], floor: u64) -> WavePlan {
         let planner = &mut self.planner;
         planner.plan.waves.clear();
         planner.plan.piece.clear();
         let ends = self.levels.iter().skip(1).map(|l| l.start);
-        let ends = ends.chain([self.access.len() as u32]);
+        let ends = ends.chain([self.ops.len() as u32]);
         for (level, end) in self.levels.iter().zip(ends) {
             if let Some(work) = level.work.filter(|&work| work >= floor) {
-                planner.plan_wave(&self.access, order, level.start..end, work);
+                planner.plan_wave(&self.ops, &self.ranges, order, level.start..end, work);
             }
         }
         // Exact-size copies: the buffers stay with the planner.
@@ -1216,7 +1239,8 @@ impl Lowering {
     }
 }
 
-/// The kernel calls of the final stream `ops`, whose accesses are `access`:
+/// The kernel calls of the final stream `ops`, whose pool ranges are
+/// `ranges`:
 /// per op, how many ops one call starting there runs, `0` inside a block.
 /// One walk goes front to back over the whole stream, across segment
 /// boundaries, and at each op takes the longest block it can: up to
@@ -1227,14 +1251,14 @@ impl Lowering {
 /// order, so a block computes what its ops do one by one. `Outer`s write no
 /// pool memory, so equal keys are all they need; a `TMatVec`, like every op
 /// without a key, runs alone.
-fn block_lens(ops: &[MicroOp], access: &[Access]) -> Vec<u8> {
+fn block_lens(ops: &[MicroOp], ranges: &[Ranges]) -> Vec<u8> {
     let mut lens = vec![0; ops.len()];
     let mut i = 0;
     while i < ops.len() {
         let blocks = matches!(ops[i], MicroOp::MatVec { .. } | MicroOp::Outer { .. });
         let joins = |&j: &usize| {
-            let apart = |m: &Access| !m.pool_conflicts_with(&access[j]);
-            ops[j].chunk_key() == ops[i].chunk_key() && access[i..j].iter().all(apart)
+            let apart = |m: &Ranges| !m.conflicts_with(&ranges[j]);
+            ops[j].chunk_key() == ops[i].chunk_key() && ranges[i..j].iter().all(apart)
         };
         let end = ops.len().min(i + if blocks { MAX_BLOCK } else { 1 });
         let n = 1 + (i + 1..end).take_while(joins).count();
@@ -1375,10 +1399,10 @@ impl Planner {
         }
     }
 
-    /// Ties the ops of the wave whose accesses are `wave` and whose reference
-    /// order is `order`, each root holding its component's work; returns the
-    /// wave's work.
-    fn tie_wave(&mut self, wave: &[Access], order: &[(u32, u32)]) -> u64 {
+    /// Ties the ops of the wave `ops`, whose pool ranges are `wave` and whose
+    /// reference order is `order`, each root holding its component's work;
+    /// returns the wave's work.
+    fn tie_wave(&mut self, ops: &[MicroOp], wave: &[Ranges], order: &[(u32, u32)]) -> u64 {
         let n = wave.len() as u32;
         self.parent.clear();
         self.work.clear();
@@ -1387,19 +1411,19 @@ impl Planner {
         // VPP's chunks, reading values and writing gradients, so only the
         // ops of one segment can write one chunk: tie them to its first.
         let (mut next, mut writer, mut total) = (None, None, 0);
-        for ((i, access), &(vpp, ip)) in (0..n).zip(wave).zip(order) {
+        for (((i, op), ranges), &(vpp, ip)) in (0..n).zip(ops).zip(wave).zip(order) {
             if next != Some((vpp, ip)) {
                 writer = None;
             }
             next = Some((vpp, ip + 1));
-            let (at, len) = access.write.unwrap_or_default();
+            let (at, len) = ranges.write().unwrap_or_default();
             if len > 0 {
                 self.writes.push(u64::from(at) << 32 | u64::from(i));
             }
-            let (root, work) = match access.arena {
+            let (root, work) = match arena_span(op) {
                 Some(((_, len), true)) => (*writer.get_or_insert(i), len),
                 Some(((_, len), false)) => (i, len),
-                None => (i, len.max(access.reads[0].1).max(access.reads[1].1)),
+                None => (i, len.max(ranges.reads[0].1).max(ranges.reads[1].1)),
             };
             self.parent.push(root);
             self.work.push(0);
@@ -1412,7 +1436,7 @@ impl Planner {
         self.regions.clear();
         for k in 0..self.writes.len() {
             let op = self.writes[k] as u32;
-            let (at, len) = wave[op as usize].write.unwrap_or_default();
+            let (at, len) = wave[op as usize].write().unwrap_or_default();
             match self.regions.last_mut() {
                 Some(region) if at < region.1 => {
                     region.1 = region.1.max(at + len);
@@ -1442,8 +1466,8 @@ impl Planner {
             self.first.push(k as u32);
         }
         self.first.push(regions.len() as u32);
-        for (i, access) in (0..n).zip(wave) {
-            let reads = access.reads;
+        for (i, ranges) in (0..n).zip(wave) {
+            let reads = ranges.reads;
             let once = if reads[0] == reads[1] { 1 } else { 2 };
             for &(at, len) in &reads[..once] {
                 let end = at + len;
@@ -1464,11 +1488,22 @@ impl Planner {
     }
 
     /// Plans the level `wave`, whose chunk ops hold `work` elements, of the
-    /// stream whose ops' accesses are `access` and whose reference order is
-    /// `order`, into [`Planner::plan`].
-    fn plan_wave(&mut self, access: &[Access], order: &[(u32, u32)], wave: Range<u32>, work: u64) {
+    /// stream `stream`, whose pool ranges are `ranges` and whose reference
+    /// order is `order`, into [`Planner::plan`].
+    fn plan_wave(
+        &mut self,
+        stream: &[MicroOp],
+        ranges: &[Ranges],
+        order: &[(u32, u32)],
+        wave: Range<u32>,
+        work: u64,
+    ) {
         let ops = wave.start as usize..wave.end as usize;
-        let total = self.tie_wave(&access[ops.clone()], &order[ops.clone()]);
+        let total = self.tie_wave(
+            &stream[ops.clone()],
+            &ranges[ops.clone()],
+            &order[ops.clone()],
+        );
         // Pieces: components in stream order of their first op, a new
         // piece once the last holds its share of the work.
         let share = total.div_ceil(PIECES).max(1);
@@ -1571,7 +1606,7 @@ pub fn lower_for(
                 literals.len(),
                 "lowering: a recorded literal names no compute instruction"
             );
-            block_lens(&stream.ops, &stream.access)
+            block_lens(&stream.ops, &stream.ranges)
         };
         // A patched copy source is a resident row, below the persistent
         // floor: a wave plan holds for every patch only if no op writes
@@ -2663,6 +2698,18 @@ impl LoweredCache {
         cache_counter(GRAPH_HIT).incr();
     }
 
+    /// `true` when `key` is the key [`LoweredCache::lookup_graph`] built
+    /// last, the key of the batch it looked up.
+    pub(crate) fn looked_up(&self, key: &[u32]) -> bool {
+        self.indexes_graphs && *self.key_words == *key
+    }
+
+    /// `true` unless this is the reference cache whose
+    /// [`LoweredCache::lookup_graph`] always misses.
+    pub(crate) fn indexes_graphs(&self) -> bool {
+        self.indexes_graphs
+    }
+
     /// Returns the artifact cached under `gs.key`, lowering `gs` on a miss
     /// (and evicting the oldest entry when the cache is full).
     pub fn get_or_lower(
@@ -2670,6 +2717,23 @@ impl LoweredCache {
         plan: &KernelPlan,
         gs: &GeneratedScript,
         cost: &CostModel,
+    ) -> Arc<LoweredScript> {
+        self.get_or_insert(gs, |helpers| {
+            let t0 = vpps_obs::enabled().then(Instant::now);
+            let artifact = lower_for(plan, gs, cost, helpers);
+            (artifact, t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64))
+        })
+    }
+
+    /// [`LoweredCache::get_or_lower`] with the lowering pass in `lower`,
+    /// which returns the artifact `gs` lowers to under the cache's
+    /// [`Helpers`] and the host ns it took (read with obs on): on a miss,
+    /// the artifact is counted and inserted as one this cache lowered,
+    /// however it was made.
+    pub(crate) fn get_or_insert(
+        &mut self,
+        gs: &GeneratedScript,
+        lower: impl FnOnce(Helpers) -> (LoweredScript, u64),
     ) -> Arc<LoweredScript> {
         let hash = hash_words(&gs.key);
         if let Some(artifact) = self.entry(hash, &gs.key).map(|e| Arc::clone(&e.artifact)) {
@@ -2683,11 +2747,11 @@ impl LoweredCache {
             self.stats.script_re_misses += 1;
             cache_counter(RE_MISS).incr();
         }
-        let t0 = vpps_obs::enabled().then(Instant::now);
-        let artifact = Arc::new(lower_for(plan, gs, cost, self.helpers));
-        if let Some(t0) = t0 {
+        let (artifact, lower_ns) = lower(self.helpers);
+        let artifact = Arc::new(artifact);
+        if vpps_obs::enabled() {
             static OPS: [OnceLock<Counter>; OPCODES] = [const { OnceLock::new() }; OPCODES];
-            vpps_obs::counter("lower.ns").add(t0.elapsed().as_nanos() as u64);
+            vpps_obs::counter("lower.ns").add(lower_ns);
             artifact.timeline.count_mix("lower.ops", &OPS);
             let blocked = artifact.block_len.iter().filter(|&&n| n > 1);
             vpps_obs::counter("lower.blocked_ops").add(blocked.map(|&n| u64::from(n)).sum());
@@ -2984,8 +3048,8 @@ mod tests {
 
     /// [`block_lens`] of hand-built `ops`.
     fn calls(ops: &[MicroOp]) -> Vec<u8> {
-        let access: Vec<Access> = ops.iter().map(Access::of).collect();
-        block_lens(ops, &access)
+        let ranges: Vec<Ranges> = ops.iter().map(Ranges::of).collect();
+        block_lens(ops, &ranges)
     }
 
     /// The wave plan of hand-built `ops`, the instructions `order` names,

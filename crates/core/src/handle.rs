@@ -30,22 +30,24 @@
 use std::collections::{HashMap, HashSet};
 use std::mem;
 use std::sync::Arc;
+use std::time::Instant;
 
 use dyn_graph::{Graph, Model, NodeId, Op, Trainer};
 use gpu_sim::{
-    DeviceConfig, FaultConfig, FaultKind, FaultProfile, GpuSim, HostCostModel, KernelDesc, Metrics,
-    SimTime, TrafficTag,
+    CostModel, DeviceConfig, FaultConfig, FaultKind, FaultProfile, GpuSim, HostCostModel,
+    KernelDesc, Metrics, SimTime, TrafficTag,
 };
 use vpps_tensor::ops::sgd_step;
 use vpps_tensor::Pool;
 
+use crate::engine::lowered::{lower_for, Helpers};
 use crate::engine::recovery::{self, RecoveryStats, MAX_ATTEMPTS, QUARANTINE_THRESHOLD};
-use crate::engine::{self, BackendKind, Script, Session, Sweep};
+use crate::engine::{self, BackendKind, LoweredScript, Script, Session, Sweep};
 use crate::error::VppsError;
 use crate::exec::fallback::{charge_gemm_fallback, gemm_fallback_values};
 use crate::exec::interp::ExecConfig;
 use crate::exec::regcache::RegCache;
-use crate::script::{generate, BatchLayout, TableLayout};
+use crate::script::{generate, BatchLayout, GeneratedScript, TableLayout};
 use crate::specialize::{GradStrategy, JitCost, KernelPlan};
 
 /// Rows-per-warp selection policy.
@@ -355,6 +357,86 @@ pub struct Computed {
     output: Output,
 }
 
+/// The miss half of one batch's charge — script generation and lowering —
+/// to run before its dispatch, on another thread: what
+/// [`Handle::prepare_ahead`] hands out for a batch that misses the
+/// handle's lowered cache. It holds what the handle would generate and
+/// lower the batch with; [`Preparer::run`] is a pure function of it and the
+/// batch graph, which touches neither the cache nor the pool.
+#[derive(Debug)]
+pub struct Preparer {
+    plan: Arc<KernelPlan>,
+    tables: Arc<TableLayout>,
+    cost: CostModel,
+    helpers: Helpers,
+    /// The pool's batch region: its base and the pool's capacity.
+    pool: (usize, usize),
+    root: NodeId,
+    train: bool,
+}
+
+impl Preparer {
+    /// Generates and lowers the batch `graph`, the graph it was handed out
+    /// for, into the artifact its dispatch takes in place of doing both;
+    /// `None` if the batch does not fit the pool (the dispatch then fails
+    /// as it would have). Counts no obs counter: the dispatch that uses the
+    /// artifact does.
+    pub fn run(self, graph: &Graph) -> Option<Ahead> {
+        let Preparer {
+            plan,
+            tables,
+            cost,
+            helpers,
+            pool,
+            root,
+            train,
+        } = self;
+        let gs = generate::generate_detached(graph, root, &plan, train, pool, &tables).ok()?;
+        let t0 = vpps_obs::enabled().then(Instant::now);
+        let lowered = lower_for(&plan, &gs, &cost, helpers);
+        Some(Ahead {
+            lower_ns: t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
+            plan,
+            tables,
+            helpers,
+            gs,
+            lowered,
+        })
+    }
+}
+
+/// A batch's scripts and lowered artifact, made ahead of its dispatch by
+/// [`Preparer::run`]. [`Handle::dispatch_prepared`] takes them in place of
+/// generating and lowering if they were made for this handle's active plan
+/// under its [`Helpers`], and their [`GeneratedScript::key`] is the
+/// dispatch's; the dispatch is then the cache miss it would have been.
+#[derive(Debug)]
+pub struct Ahead {
+    plan: Arc<KernelPlan>,
+    tables: Arc<TableLayout>,
+    helpers: Helpers,
+    gs: GeneratedScript,
+    lowered: LoweredScript,
+    /// Host ns the lowering took, read with obs on.
+    lower_ns: u64,
+}
+
+impl Ahead {
+    /// Copies the artifact the cache would keep onto the calling thread's
+    /// heap. A cache entry lives long and is freed by the thread that
+    /// dispatches, so one another thread allocated holds memory in that
+    /// thread's allocator arena, which the dispatching thread cannot reuse:
+    /// with a worker preparing about half its misses and nothing copied,
+    /// `serve_closed_4dev_mixed` peaked ≈ 9 % higher in RSS on a 2-core
+    /// host.
+    pub fn adopt(&mut self) {
+        let mut lowered = self.lowered.clone();
+        lowered.timeline = Arc::new((*self.lowered.timeline).clone());
+        lowered.layout = Arc::new((*self.lowered.layout).clone());
+        self.lowered = lowered;
+    }
+}
+
 /// Applies the batch's embedding gradients: accumulates each looked-up
 /// row's derivative into `LookupParameter::grad`, runs the SGD step
 /// (`(learning rate, weight decay)`) on the tables, zeroes the gradients and
@@ -436,7 +518,8 @@ fn simulate_jit(faults: &mut Option<FaultProfile>, now: SimTime) -> Result<u32, 
 /// device, and the tensor memory pool.
 #[derive(Debug)]
 pub struct Handle {
-    plans: Vec<KernelPlan>,
+    /// Shared with the [`Preparer`]s handed out for them.
+    plans: Vec<Arc<KernelPlan>>,
     /// One register arena per entry of `plans`, built on the plan's first
     /// clean attempt, lent to each batch's [`Compute`], and dropped when the
     /// plan is re-JITted.
@@ -483,7 +566,7 @@ impl Handle {
             None
         };
         let mut rec = RecoveryTracker::default();
-        let plans = match opts.rpw {
+        let plans: Vec<KernelPlan> = match opts.rpw {
             RpwMode::Fixed(rpw) => vec![KernelPlan::build(model, &device, rpw)?],
             RpwMode::Profile => {
                 let rpws = KernelPlan::candidate_rpws(model, &device);
@@ -510,7 +593,7 @@ impl Handle {
         let tables = Arc::new(TableLayout::install(model, &mut pool)?);
         Ok(Self {
             arenas: vec![None; plans.len()],
-            plans,
+            plans: plans.into_iter().map(Arc::new).collect(),
             active: 0,
             gpu: GpuSim::new(device),
             pool,
@@ -609,6 +692,68 @@ impl Handle {
         roots: &[NodeId],
         train: bool,
     ) -> Result<Compute, VppsError> {
+        self.dispatch_prepared(model, graph, roots, train, &mut None)
+    }
+
+    /// Hands out the miss half of a batch's charge to run ahead of its
+    /// [`Handle::dispatch_prepared`]: `Some` when the batch — `graph` and
+    /// `roots`, `train` as that dispatch will get them — would miss the
+    /// lowered cache now. The cache changes only at this handle's own
+    /// dispatches, so for the batch this handle dispatches next the answer
+    /// holds. `None` on a hit, off the lowered backend, and with the
+    /// reference cache that never looks a graph up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `roots` is empty.
+    pub fn prepare_ahead(
+        &mut self,
+        graph: &Graph,
+        roots: &[NodeId],
+        train: bool,
+    ) -> Option<Preparer> {
+        if self.opts.backend != BackendKind::Lowered || !self.lowered.indexes_graphs() {
+            return None;
+        }
+        let plan = &self.plans[self.active];
+        let pool_base = self.tables.persistent_floor() as usize;
+        let hit = self
+            .lowered
+            .lookup_graph(plan, graph, roots[0], train, pool_base);
+        hit.is_none().then(|| Preparer {
+            plan: Arc::clone(plan),
+            tables: Arc::clone(&self.tables),
+            cost: self.gpu.cost_model().clone(),
+            helpers: self.lowered.helpers(),
+            pool: (pool_base, self.opts.pool_capacity),
+            root: roots[0],
+            train,
+        })
+    }
+
+    /// [`Handle::dispatch`] with a batch prepared ahead
+    /// ([`Handle::prepare_ahead`]): an attempt that misses the lowered cache
+    /// takes `ahead` out and uses its scripts and artifact instead of
+    /// generating and lowering — the same insert, tallies, charges and
+    /// values — if it was made for this handle's active plan and this
+    /// batch's key; otherwise it generates as `dispatch` does. What is left
+    /// in `ahead` was not used.
+    ///
+    /// # Errors
+    ///
+    /// As [`Handle::dispatch`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Handle::dispatch`].
+    pub fn dispatch_prepared(
+        &mut self,
+        model: &Model,
+        graph: &Graph,
+        roots: &[NodeId],
+        train: bool,
+        ahead: &mut Option<Ahead>,
+    ) -> Result<Compute, VppsError> {
         assert!(!roots.is_empty(), "a batch needs at least one root");
         assert!(!self.lent, "dispatch before the previous batch was joined");
         let _span = vpps_obs::span(if train { "handle.fb" } else { "handle.infer" });
@@ -617,7 +762,8 @@ impl Handle {
             graph_construction: self.host.graph_construction(graph.len()),
             ..PhaseBreakdown::default()
         };
-        let prepared = match self.run_with_recovery(model, graph, roots[0], train, &mut cost) {
+        let recovered = self.run_with_recovery(model, graph, roots[0], train, ahead, &mut cost);
+        let prepared = match recovered {
             Ok(prepared) => prepared,
             Err(e) => {
                 self.charge(Charge::Failed, &cost, device_before);
@@ -736,12 +882,13 @@ impl Handle {
         graph: &Graph,
         root: NodeId,
         train: bool,
+        ahead: &mut Option<Ahead>,
         cost: &mut PhaseBreakdown,
     ) -> Result<Option<Prepared>, VppsError> {
         let mut backend = self.opts.backend;
         let mut on_rung = 0u32;
         loop {
-            if let Some(prepared) = self.attempt(graph, root, train, backend, cost)? {
+            if let Some(prepared) = self.attempt(graph, root, train, backend, ahead, cost)? {
                 return Ok(Some(prepared));
             }
             on_rung += 1;
@@ -781,7 +928,10 @@ impl Handle {
     /// transfers), fault draws in fixed order (transfer, launch, hang, dram),
     /// and the kernel's charge. Host and copy times accumulate into `cost`
     /// whether or not the attempt survives; a cache hit charges the times of
-    /// the scripts it did not generate, from their cached counts. A faulted
+    /// the scripts it did not generate, from their cached counts. A miss
+    /// takes `ahead` in place of generating and lowering when it fits
+    /// ([`Handle::dispatch_prepared`]), and leaves it there for the next
+    /// attempt if a transfer or launch fault ends this one first. A faulted
     /// attempt computes nothing and returns `None`; a clean one returns its
     /// sweep, computed by the batch's [`Compute`].
     fn attempt(
@@ -790,6 +940,7 @@ impl Handle {
         root: NodeId,
         train: bool,
         backend: BackendKind,
+        ahead: &mut Option<Ahead>,
         cost: &mut PhaseBreakdown,
     ) -> Result<Option<Prepared>, VppsError> {
         let slot = self.active;
@@ -813,7 +964,7 @@ impl Handle {
                     .lookup_graph(plan, graph, root, train, pool_base)
             })
             .flatten();
-        let generated;
+        let (generated, ready);
         let mut script = match warm {
             Some(art) => {
                 self.pool
@@ -835,25 +986,53 @@ impl Handle {
                 Script::Lowered(art, Vec::new())
             }
             None => {
-                let generate = if train {
-                    generate::generate
-                } else {
-                    generate::generate_forward_only
+                // `lookup_graph` built this batch's key: a batch prepared
+                // ahead for it stands in for generating and lowering.
+                ready = ahead.take_if(|a| {
+                    backend == BackendKind::Lowered
+                        && Arc::ptr_eq(&a.plan, plan)
+                        && Arc::ptr_eq(&a.tables, &self.tables)
+                        && a.helpers == self.lowered.helpers()
+                        && self.lowered.looked_up(&a.gs.key)
+                });
+                let gs = match &ready {
+                    Some(ready) => &ready.gs,
+                    None => {
+                        let pool = (pool_base, self.pool.capacity());
+                        let tables = &self.tables;
+                        generated =
+                            generate::generate_detached(graph, root, plan, train, pool, tables)?;
+                        &generated
+                    }
                 };
-                generated = generate(graph, root, plan, &mut self.pool, &self.tables)?;
-                let gs = &generated;
+                gs.record_obs();
+                self.pool
+                    .alloc(gs.pool_len)
+                    .map_err(|_| VppsError::PoolExhausted {
+                        requested: gs.pool_len,
+                        capacity: self.pool.capacity(),
+                    })?;
                 let counts = (
                     gs.forward_instructions,
                     gs.backward_instructions,
                     gs.scripts.encoded_bytes(),
                 );
                 if !self.stage(graph, train, &gs.layout, counts, cost) {
+                    *ahead = ready;
                     return Ok(None);
                 }
                 if backend == BackendKind::Lowered {
                     // Repeated shapes skip lowering *and* the timeline sweep.
                     let plan = &self.plans[slot];
-                    let art = self.lowered.get_or_lower(plan, gs, self.gpu.cost_model());
+                    let art = match ready {
+                        Some(Ahead {
+                            gs,
+                            lowered,
+                            lower_ns,
+                            ..
+                        }) => self.lowered.get_or_insert(&gs, |_| (lowered, lower_ns)),
+                        None => self.lowered.get_or_lower(plan, gs, self.gpu.cost_model()),
+                    };
                     Script::Lowered(art, Vec::new())
                 } else {
                     Script::Interpreted(gs, None)
@@ -958,7 +1137,7 @@ impl Handle {
             let rpw = self.plans[self.active].rpw();
             let device = self.gpu.config().clone();
             self.rec.stats.jit_retries += simulate_jit(&mut self.faults, self.gpu.now())? as u64;
-            self.plans[self.active] = KernelPlan::build(model, &device, rpw)?;
+            self.plans[self.active] = Arc::new(KernelPlan::build(model, &device, rpw)?);
             self.arenas[self.active] = None;
             self.rec.stats.rejits += 1;
         }
@@ -1058,7 +1237,7 @@ impl Handle {
 
     /// All compiled plans (one per candidate `rpw` under
     /// [`RpwMode::Profile`]).
-    pub fn plans(&self) -> &[KernelPlan] {
+    pub fn plans(&self) -> &[Arc<KernelPlan>] {
         &self.plans
     }
 
@@ -1208,6 +1387,158 @@ mod tests {
             learning_rate: 0.05,
             ..VppsOptions::default()
         }
+    }
+
+    /// A handle on the lowered backend whose cache holds `capacity`
+    /// artifacts, planned with `rpw`.
+    fn lowered_handle(m: &Model, rpw: RpwMode, capacity: usize) -> Handle {
+        let o = VppsOptions {
+            rpw,
+            backend: BackendKind::Lowered,
+            ..opts()
+        };
+        let mut h = Handle::new(m, small_device(), o).unwrap();
+        *h.lowered_cache_mut() = engine::LoweredCache::with_capacity(capacity);
+        h
+    }
+
+    /// What a dispatch fixed and computed, as text that compares bits: the
+    /// output, the clocks and phases, the metrics and the cache tallies.
+    fn footprint(h: &Handle, out: &Output) -> String {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let out = match out {
+            Output::Loss(loss) => vec![vec![loss.to_bits()]],
+            Output::Roots(roots) => roots.iter().map(|r| bits(r)).collect(),
+        };
+        format!(
+            "{out:?} {:x} {:x} {:?} {:?} {:?}",
+            h.wall_time().as_ns().to_bits(),
+            h.steady_state_time().as_ns().to_bits(),
+            h.phases(),
+            h.metrics(),
+            h.lowered_cache_stats()
+        )
+    }
+
+    /// A batch prepared ahead — on another thread, while the batch before
+    /// it holds the handle's pool — dispatches exactly like the miss it
+    /// stands in for: the same values, clocks, phases, metrics and cache
+    /// tallies, along a sequence of training and inference batches that
+    /// evicts from a two-entry cache and misses keys it lowered before.
+    #[test]
+    fn a_prepared_miss_dispatches_like_an_inline_miss() {
+        let (m, w, cls) = toy_model();
+        let (mut ma, mut mb) = (m.clone(), m.clone());
+        let mut inline = lowered_handle(&m, RpwMode::Fixed(1), 2);
+        let mut prepared = lowered_handle(&m, RpwMode::Fixed(1), 2);
+        let seq = [1, 2, 3, 1, 2, 2, 3, 1].map(|steps| {
+            let train = steps != 2;
+            let (g, l) = toy_graph(&m, w, cls, steps, steps);
+            (g, [l], train)
+        });
+        let mut offered = 0;
+        let mut ahead = None;
+        for (i, (g, roots, train)) in seq.iter().enumerate() {
+            let done = inline.dispatch(&ma, g, roots, *train).unwrap();
+            let a = inline.join(done.run(&mut ma, g, roots));
+            let compute = prepared
+                .dispatch_prepared(&mb, g, roots, *train, &mut ahead)
+                .unwrap();
+            assert!(
+                ahead.is_none(),
+                "batch {i}: a miss takes the artifact made for it"
+            );
+            // The next batch is prepared while this one holds the pool.
+            if let Some((g, roots, train)) = seq.get(i + 1) {
+                let preparer = prepared.prepare_ahead(g, roots, *train);
+                ahead = std::thread::scope(|s| {
+                    s.spawn(|| preparer.and_then(|p| p.run(g))).join().unwrap()
+                });
+                offered += u64::from(ahead.is_some());
+            }
+            let b = prepared.join(compute.run(&mut mb, g, roots));
+            assert_eq!(
+                footprint(&inline, &a),
+                footprint(&prepared, &b),
+                "batch {i}"
+            );
+        }
+        let stats = prepared.lowered_cache_stats();
+        assert!(
+            stats.script_evictions > 0 && stats.script_re_misses > 0,
+            "{stats:?}"
+        );
+        assert_eq!(
+            offered + 1,
+            stats.script_misses,
+            "every miss after the first prepared"
+        );
+        let params = |m: &Model| {
+            m.params()
+                .flat_map(|(_, p)| p.value.as_slice().iter().map(|v| v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(params(&ma), params(&mb));
+    }
+
+    /// An artifact made for another handle, another plan slot, another
+    /// train flag or another pool base is refused — left where it was — and
+    /// the batch generates and lowers as if none had been offered.
+    #[test]
+    fn a_foreign_artifact_is_refused_and_regenerated() {
+        let (m, w, cls) = toy_model();
+        let (g, l) = toy_graph(&m, w, cls, 2, 1);
+        let roots = [l];
+        let dispatch = |h: &mut Handle, train, ahead: Option<Ahead>| {
+            let mut ahead = ahead;
+            let offered = ahead.is_some();
+            let mut replica = m.clone();
+            let compute = h
+                .dispatch_prepared(&replica, &g, &roots, train, &mut ahead)
+                .unwrap();
+            assert!(!offered || ahead.is_some(), "the artifact is refused");
+            let out = h.join(compute.run(&mut replica, &g, &roots));
+            footprint(h, &out)
+        };
+        let fixed = || lowered_handle(&m, RpwMode::Fixed(1), 8);
+        let made = |h: &mut Handle, train| h.prepare_ahead(&g, &roots, train)?.run(&g);
+
+        // Another handle's, on the same model and device.
+        let ahead = made(&mut fixed(), false);
+        assert_eq!(
+            dispatch(&mut fixed(), false, ahead),
+            dispatch(&mut fixed(), false, None)
+        );
+        // Made for inference, dispatched for training.
+        let mut h = fixed();
+        let ahead = made(&mut h, false);
+        assert_eq!(
+            dispatch(&mut h, true, ahead),
+            dispatch(&mut fixed(), true, None)
+        );
+        // Laid out from another pool base.
+        let mut h = fixed();
+        let mut preparer = h.prepare_ahead(&g, &roots, false).unwrap();
+        preparer.pool.0 += 8;
+        let ahead = preparer.run(&g);
+        assert_eq!(
+            dispatch(&mut h, false, ahead),
+            dispatch(&mut fixed(), false, None)
+        );
+        // Made under plan slot 0, dispatched under slot 1.
+        let profiled = |active| {
+            let mut h = lowered_handle(&m, RpwMode::Profile, 8);
+            assert!(h.plans().len() > 1, "profile mode compiles several plans");
+            h.active = active;
+            h
+        };
+        let mut h = profiled(0);
+        let ahead = made(&mut h, false);
+        h.active = 1;
+        assert_eq!(
+            dispatch(&mut h, false, ahead),
+            dispatch(&mut profiled(1), false, None)
+        );
     }
 
     #[test]
@@ -1400,7 +1731,8 @@ mod tests {
         let (g, loss) = lookup_graph(&m, tables, cls, &[5, 1, 5, 2], 1);
         let before: Vec<_> = m.lookups().map(|(_, l)| bits(&l.table)).collect();
         let mut cost = PhaseBreakdown::default();
-        let recovered = h.run_with_recovery(&m, &g, loss, true, &mut cost).unwrap();
+        let recovered = h.run_with_recovery(&m, &g, loss, true, &mut None, &mut cost);
+        let recovered = recovered.unwrap();
         let mut ok = recovered.expect("no fault is armed");
         ok.sweep.run(&mut h.pool, &mut m, &mut ok.arena);
         let layout = ok.sweep.layout();

@@ -67,5 +67,7 @@ pub use engine::{
 };
 pub use error::VppsError;
 pub use gpu_sim::{FaultConfig, FaultEvent, FaultKind, FaultProfile, OutageKind, OutageWindow};
-pub use handle::{Compute, Computed, Handle, Output, PhaseBreakdown, RpwMode, VppsOptions};
+pub use handle::{
+    Ahead, Compute, Computed, Handle, Output, PhaseBreakdown, Preparer, RpwMode, VppsOptions,
+};
 pub use specialize::{GradStrategy, KernelPlan, PlanCache, PlanSignature};

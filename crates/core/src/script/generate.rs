@@ -170,8 +170,8 @@ pub struct GeneratedScript {
     /// sorted by `(vpp, ip)`: a lookup's `Copy`, a `PickNls` / `PickNlsBwd`
     /// and the loss-seed `Copy`.
     pub literals: Vec<(u32, u32, Literal)>,
-    /// Pool elements generation allocated above the pool base: one `alloc`
-    /// of this length reserves (and zeroes) the same region.
+    /// Pool elements the batch lays out above the pool base: one `alloc`
+    /// of this length there reserves (and zeroes) its region.
     pub pool_len: usize,
     /// The table layout's [`TableLayout::persistent_floor`] at generation
     /// time: offsets below it are batch-invariant residents. Carried here so
@@ -185,6 +185,28 @@ pub struct GeneratedScript {
     /// of generation, the [`TableLayout`], is not in the key: it is fixed
     /// for the lowered cache that compares keys (one per `Handle`).
     pub key: Box<[u32]>,
+}
+
+impl GeneratedScript {
+    /// Adds these scripts to the `script.*` obs counters: where a batch
+    /// uses them, once per attempt that does, however they were made.
+    pub fn record_obs(&self) {
+        if vpps_obs::enabled() {
+            let instructions = self.forward_instructions + self.backward_instructions;
+            let sync = self.scripts.sync_instructions();
+            count_scripts(instructions as u64, self.num_barriers, sync);
+        }
+    }
+}
+
+/// Adds one batch's scripts to the `script.*` obs counters: `instructions`
+/// compute instructions, `barriers` barriers and `(signals, waits)` sync
+/// instructions.
+pub(crate) fn count_scripts(instructions: u64, barriers: u32, (signals, waits): (u64, u64)) {
+    vpps_obs::counter("script.instructions").add(instructions);
+    vpps_obs::counter("script.barriers").add(u64::from(barriers));
+    vpps_obs::counter("script.signal_instrs").add(signals);
+    vpps_obs::counter("script.wait_instrs").add(waits);
 }
 
 /// Relative cost of matrix-chunk instructions in the load-balancing metric —
@@ -354,11 +376,27 @@ impl<'a> Emitter<'a> {
     }
 }
 
-fn alloc(pool: &mut Pool, len: usize) -> Result<PoolOffset, VppsError> {
-    pool.alloc(len).map_err(|_| VppsError::PoolExhausted {
-        requested: len,
-        capacity: pool.capacity(),
-    })
+/// Generation's view of the pool: a bump cursor over the batch region from
+/// the pool base up to the capacity, which lays the batch out without
+/// touching the pool, with the errors [`Pool::alloc`] would give.
+struct Cursor {
+    used: usize,
+    capacity: usize,
+}
+
+impl Cursor {
+    fn alloc(&mut self, len: usize) -> Result<PoolOffset, VppsError> {
+        let end = self.used + len;
+        if end > self.capacity {
+            return Err(VppsError::PoolExhausted {
+                requested: len,
+                capacity: self.capacity,
+            });
+        }
+        let off = PoolOffset(self.used as u32);
+        self.used = end;
+        Ok(off)
+    }
 }
 
 /// Appends [`GeneratedScript::key`] for generating `graph` from `root` on
@@ -408,6 +446,60 @@ pub fn generate(
     generate_with_policy(graph, loss, plan, pool, tables, SchedulePolicy::MinLoad)
 }
 
+/// Generates the scripts of one batch without a pool: the training
+/// scripts of [`generate`] (`train`, `root` the loss) or the forward-only
+/// ones of [`generate_forward_only`], laid out from `pool_base` within a
+/// pool of `capacity` elements, for a caller that reserves
+/// [`GeneratedScript::pool_len`] elements there with one `alloc`. A pure
+/// function of its arguments, so it runs on any thread: it writes no pool
+/// and counts no `script.*` obs counter ([`GeneratedScript::record_obs`]
+/// does, where the scripts are used).
+///
+/// # Errors
+///
+/// Returns [`VppsError::PoolExhausted`] if the batch does not fit the pool,
+/// with the values [`generate`] would give.
+pub(crate) fn generate_detached(
+    graph: &Graph,
+    root: NodeId,
+    plan: &KernelPlan,
+    train: bool,
+    (pool_base, capacity): (usize, usize),
+    tables: &TableLayout,
+) -> Result<GeneratedScript, VppsError> {
+    let mut cursor = Cursor {
+        used: pool_base,
+        capacity,
+    };
+    let policy = SchedulePolicy::MinLoad;
+    generate_inner(graph, root, plan, &mut cursor, tables, policy, train)
+}
+
+/// [`generate_detached`] into `pool`: reserves the batch region there and
+/// counts the scripts.
+fn generate_in(
+    graph: &Graph,
+    root: NodeId,
+    plan: &KernelPlan,
+    pool: &mut Pool,
+    tables: &TableLayout,
+    policy: SchedulePolicy,
+    backward: bool,
+) -> Result<GeneratedScript, VppsError> {
+    let mut cursor = Cursor {
+        used: pool.used(),
+        capacity: pool.capacity(),
+    };
+    let gs = generate_inner(graph, root, plan, &mut cursor, tables, policy, backward)?;
+    pool.alloc(gs.pool_len)
+        .map_err(|_| VppsError::PoolExhausted {
+            requested: gs.pool_len,
+            capacity: pool.capacity(),
+        })?;
+    gs.record_obs();
+    Ok(gs)
+}
+
 /// [`generate`] with an explicit unpinned-instruction scheduling policy
 /// (the min-load vs round-robin ablation).
 ///
@@ -422,7 +514,7 @@ pub fn generate_with_policy(
     tables: &TableLayout,
     policy: SchedulePolicy,
 ) -> Result<GeneratedScript, VppsError> {
-    generate_inner(graph, loss, plan, pool, tables, policy, true)
+    generate_in(graph, loss, plan, pool, tables, policy, true)
 }
 
 /// Generates a *forward-only* script: no derivative work, no gradient
@@ -440,7 +532,7 @@ pub fn generate_forward_only(
     pool: &mut Pool,
     tables: &TableLayout,
 ) -> Result<GeneratedScript, VppsError> {
-    generate_inner(
+    generate_in(
         graph,
         root,
         plan,
@@ -455,7 +547,7 @@ fn generate_inner(
     graph: &Graph,
     loss: NodeId,
     plan: &KernelPlan,
-    pool: &mut Pool,
+    pool: &mut Cursor,
     tables: &TableLayout,
     policy: SchedulePolicy,
     backward: bool,
@@ -466,7 +558,7 @@ fn generate_inner(
         "loss must be a scalar node for backward generation"
     );
     let dist = plan.distribution();
-    let pool_base = pool.used();
+    let pool_base = pool.used;
     let mut key = Vec::new();
     dispatch_key(graph, loss, plan, pool_base, policy, backward, &mut key);
 
@@ -481,18 +573,18 @@ fn generate_inner(
             Op::PickNegLogSoftmax { .. } => 1 + usize::from(backward),
             _ => 0,
         };
-        value_off.push(alloc(pool, node.dim)?);
+        value_off.push(pool.alloc(node.dim)?);
     }
-    let deriv_start = pool.used();
+    let deriv_start = pool.used;
     let mut deriv_off = Vec::with_capacity(graph.len());
     if backward {
         for (_, node) in graph.iter() {
-            deriv_off.push(alloc(pool, node.dim)?);
+            deriv_off.push(pool.alloc(node.dim)?);
         }
     } else {
         deriv_off = vec![PoolOffset(deriv_start as u32); graph.len()];
     }
-    let deriv_len = pool.used() - deriv_start;
+    let deriv_len = pool.used - deriv_start;
 
     // ---- GEMM-fallback staging layout (backward only).
     let fallback = backward && plan.grad_strategy() == GradStrategy::GemmFallback;
@@ -530,10 +622,10 @@ fn generate_inner(
             let x_base = if is_bias {
                 None
             } else {
-                Some(alloc(pool, cols * count)?)
+                Some(pool.alloc(cols * count)?)
             };
             let dy_len = if is_bias { cols * count } else { rows * count };
-            let dy_base = alloc(pool, dy_len)?;
+            let dy_base = pool.alloc(dy_len)?;
             stages[pidx] = Some(ParamStage {
                 x_base,
                 dy_base,
@@ -987,14 +1079,6 @@ fn generate_inner(
     };
     let mut literals = emitter.literals;
     literals.sort_unstable_by_key(|&(vpp, ip, _)| (vpp, ip));
-    if vpps_obs::enabled() {
-        vpps_obs::counter("script.instructions")
-            .add((forward_instructions + backward_instructions) as u64);
-        vpps_obs::counter("script.barriers").add(next_barrier as u64);
-        let (signals, waits) = scripts.sync_instructions();
-        vpps_obs::counter("script.signal_instrs").add(signals);
-        vpps_obs::counter("script.wait_instrs").add(waits);
-    }
     Ok(GeneratedScript {
         scripts: Arc::new(scripts),
         layout: Arc::new(layout),
@@ -1002,7 +1086,7 @@ fn generate_inner(
         forward_instructions,
         backward_instructions,
         literals,
-        pool_len: pool.used() - pool_base,
+        pool_len: pool.used - pool_base,
         persistent_floor: tables.persistent_floor(),
         key: key.into_boxed_slice(),
     })

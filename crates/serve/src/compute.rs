@@ -1,25 +1,45 @@
 //! Compute workers: where a multi-device [`crate::Server`] computes batch
-//! values while its event thread moves on.
+//! values, and prepares its devices' next batches, while its event thread
+//! moves on.
 //!
 //! A batch is charged on the event thread ([`vpps::Handle::dispatch`]):
 //! its completion time, `Ok` / `Err`, phases and metrics are fixed there,
 //! because no charge depends on a value. Its [`vpps::Compute`] then travels
 //! to the worker its device always uses, with the model replica and the
 //! scratch graph it reads, and comes back when the device joins it — before
-//! the batch is reported finished, or when a fail-over aborts it. Ownership
-//! moves to the worker and back; nothing is shared, so nothing is locked.
-//! Channels are made once per device and worker, and a job moves buffers
-//! its batch already owns, so a handoff allocates nothing.
+//! the batch is reported finished, or when a fail-over aborts it.
+//!
+//! The miss half of a charge — script generation and lowering — moves too
+//! (DESIGN.md §10 "Prepare ahead"): when a device sends a compute, it can
+//! hand the same worker a [`vpps::Preparer`] for the batch it will dispatch
+//! next, absorbed into its second scratch graph. The worker runs computes
+//! first, oldest first, then the newest prepare: the one whose dispatch is
+//! furthest away. The event thread never idles while a task it waits for
+//! has not started: at a join or a dispatch it takes its own task back and
+//! runs it; while the worker runs that task, it runs the oldest queued
+//! prepare — the next one some dispatch will need — and then waits, never
+//! longer than the worker's remaining part of a task already under way.
+//! Values are a pure function of each task, so who runs it changes no byte.
+//!
+//! Ownership moves to the worker and back: a worker's board — one mutex, one
+//! condition variable each way — holds the queued computes, and per device
+//! its prepare slot and its computed batch. Queues are made once per
+//! worker, and a handoff moves buffers its batch already owns, so it
+//! allocates nothing.
 
+use std::collections::VecDeque;
+use std::mem;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
+use std::time::Instant;
 
 use dyn_graph::{Graph, Model, NodeId};
-use vpps::{Compute, Computed};
+use vpps::{Ahead, Compute, Computed, Preparer};
+use vpps_obs::Counter;
 
-/// The super-graph a device absorbs its batch into, and the nodes the batch
+/// The super-graph a device absorbs a batch into, and the nodes the batch
 /// reads (its request roots, or a training batch's loss). Kept across
 /// batches, so absorbing does not allocate, and lent to the worker with the
 /// batch.
@@ -31,16 +51,139 @@ pub(crate) struct Scratch {
 
 /// One batch's value half on its way to a worker.
 #[derive(Debug)]
-pub(crate) struct Job {
+struct Job {
+    /// The lane of the device it came from.
+    lane: usize,
     compute: Compute,
     model: Model,
     scratch: Scratch,
-    reply: SyncSender<Reply>,
 }
 
-/// A worker's answer: the computed batch with what its job borrowed, or
-/// the payload of the panic that stopped it.
+/// A computed batch with what its job borrowed, or the payload of the panic
+/// that stopped it.
 type Reply = thread::Result<(Computed, Model, Scratch)>;
+
+/// One queued batch's generate + lower: batch `batch`, absorbed into
+/// `scratch`.
+#[derive(Debug)]
+pub(crate) struct Prepare {
+    pub batch: u64,
+    pub scratch: Scratch,
+    pub preparer: Preparer,
+}
+
+/// A finished prepare, as the device takes it back: batch `batch`'s
+/// scratch and artifact — `None` if the batch does not fit the pool, or the
+/// prepare was never run — and whether the event thread made it.
+#[derive(Debug)]
+pub(crate) struct Prepared {
+    pub batch: u64,
+    pub scratch: Scratch,
+    pub ahead: Option<Ahead>,
+    pub here: bool,
+}
+
+/// What a device's prepare slot holds.
+#[derive(Debug, Default)]
+enum Slot {
+    #[default]
+    Idle,
+    /// Waiting to be run.
+    Queued(Prepare),
+    /// Being run, on the worker or by the event thread.
+    Running,
+    Done(Prepared),
+}
+
+/// One device's place on a board.
+#[derive(Debug, Default)]
+struct Lane {
+    prepare: Slot,
+    /// The batch the worker computed, until the device joins it.
+    computed: Option<Reply>,
+}
+
+/// What one worker shares with the devices it serves.
+#[derive(Debug)]
+pub(crate) struct Board {
+    tasks: Mutex<Tasks>,
+    /// Signals the worker: a task, or a hold released.
+    ready: Condvar,
+    /// Signals the event thread: a task finished.
+    done: Condvar,
+}
+
+#[derive(Debug)]
+struct Tasks {
+    /// Computes, in arrival order: at most one per device.
+    computes: VecDeque<Job>,
+    /// The lanes whose slot holds a queued prepare, oldest first.
+    queued: VecDeque<usize>,
+    lanes: Vec<Lane>,
+    /// Holds on the worker: the server's, until [`Board::release`], and
+    /// one per line not yet dropped. The worker leaves once none is left
+    /// and no compute is.
+    open: usize,
+}
+
+impl Tasks {
+    /// Starts lane `lane`'s queued prepare, if it has one: its slot says
+    /// it runs.
+    fn start(&mut self, lane: usize) -> Option<Prepare> {
+        self.queued.retain(|&queued| queued != lane);
+        let slot = &mut self.lanes[lane].prepare;
+        match mem::replace(slot, Slot::Running) {
+            Slot::Queued(prepare) => Some(prepare),
+            other => {
+                *slot = other;
+                None
+            }
+        }
+    }
+}
+
+impl Board {
+    fn lock(&self) -> MutexGuard<'_, Tasks> {
+        // Nothing panics while holding the lock: a poisoned one holds
+        // consistent tasks.
+        self.tasks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Drops one hold on the worker: the server's, once its devices are
+    /// gone, or a line's.
+    pub(crate) fn release(&self) {
+        self.lock().open -= 1;
+        self.ready.notify_one();
+    }
+
+    /// What the event thread does while a task of its own runs on the
+    /// worker: the oldest queued prepare, if one is, or else waits for a
+    /// task to finish — counting that wait in `wait_ns`.
+    fn help<'a>(
+        &'a self,
+        mut tasks: MutexGuard<'a, Tasks>,
+        wait_ns: &Counter,
+    ) -> MutexGuard<'a, Tasks> {
+        if let Some(lane) = tasks.queued.front().copied() {
+            if let Some(prepare) = tasks.start(lane) {
+                drop(tasks);
+                let prepared = prepare_now(prepare, true);
+                tasks = self.lock();
+                tasks.lanes[lane].prepare = Slot::Done(prepared);
+            }
+            return tasks;
+        }
+        let waiting = vpps_obs::enabled().then(Instant::now);
+        tasks = self
+            .done
+            .wait(tasks)
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = waiting {
+            wait_ns.add(t.elapsed().as_nanos() as u64);
+        }
+        tasks
+    }
+}
 
 /// Background compute threads a server of `devices` devices starts: one
 /// per available core up to one per device, minus the event thread, which
@@ -54,69 +197,125 @@ pub(crate) fn default_workers(devices: usize) -> usize {
     cores.min(devices) - 1
 }
 
-/// Starts `workers` compute threads, each with a job queue of `capacity`
-/// slots — one per device it serves, since a device has at most one batch
-/// out. Returns the queues and the threads. A thread the OS refuses ends
-/// the list early: fewer workers only means more computing on the event
+/// Starts `workers` compute threads, each with room for `capacity`
+/// devices' tasks. Returns their boards, each held until
+/// [`Board::release`], and the threads. A thread the OS refuses ends the
+/// list early: fewer workers only means more computing on the event
 /// thread, never other values.
-pub(crate) fn spawn(
-    workers: usize,
-    capacity: usize,
-) -> (Vec<SyncSender<Job>>, Vec<JoinHandle<()>>) {
-    let mut queues = Vec::with_capacity(workers);
+pub(crate) fn spawn(workers: usize, capacity: usize) -> (Vec<Arc<Board>>, Vec<JoinHandle<()>>) {
+    let mut boards = Vec::with_capacity(workers);
     let mut threads = Vec::with_capacity(workers);
     for w in 0..workers {
-        let (queue, jobs) = mpsc::sync_channel(capacity);
+        let board = Arc::new(Board {
+            tasks: Mutex::new(Tasks {
+                computes: VecDeque::with_capacity(capacity),
+                queued: VecDeque::with_capacity(capacity),
+                lanes: Vec::with_capacity(capacity),
+                open: 1,
+            }),
+            ready: Condvar::new(),
+            done: Condvar::new(),
+        });
+        let mine = Arc::clone(&board);
         let Ok(thread) = thread::Builder::new()
             .name(format!("vpps-compute-{w}"))
-            .spawn(move || work(&jobs))
+            .spawn(move || work(&mine))
         else {
             break;
         };
-        queues.push(queue);
+        boards.push(board);
         threads.push(thread);
     }
-    (queues, threads)
+    (boards, threads)
 }
 
-/// A worker's life: compute jobs in arrival order until every device
-/// feeding it is gone. A job that panics is answered with its payload, so
-/// the panic re-raises where the device joins, and the worker serves on.
-fn work(jobs: &Receiver<Job>) {
-    for job in jobs {
-        let Job {
-            compute,
-            mut model,
-            scratch,
-            reply,
-        } = job;
-        let done = panic::catch_unwind(AssertUnwindSafe(move || {
-            let _span = vpps_obs::span("serve.compute");
-            let computed = compute.run(&mut model, &scratch.graph, &scratch.roots);
-            (computed, model, scratch)
-        }));
-        // An error means the device is gone — its server was dropped with
-        // the batch out — and nobody wants the values.
-        let _ = reply.send(done);
+/// A worker's life: computes in arrival order, ahead of any prepare, then
+/// the newest queued prepare, until every device feeding it is gone. A
+/// compute that panics is answered with its payload, so the panic re-raises
+/// where the device joins, and the worker serves on; a prepare that panics
+/// prepares nothing, and the dispatch generates its batch.
+fn work(board: &Board) {
+    let mut tasks = board.lock();
+    loop {
+        if let Some(job) = tasks.computes.pop_front() {
+            drop(tasks);
+            let lane = job.lane;
+            let reply = compute(job);
+            tasks = board.lock();
+            tasks.lanes[lane].computed = Some(reply);
+        } else if let Some(lane) = tasks.queued.back().copied() {
+            let Some(prepare) = tasks.start(lane) else {
+                continue;
+            };
+            drop(tasks);
+            let prepared = prepare_now(prepare, false);
+            tasks = board.lock();
+            tasks.lanes[lane].prepare = Slot::Done(prepared);
+        } else if tasks.open == 0 {
+            return;
+        } else {
+            tasks = board
+                .ready
+                .wait(tasks)
+                .unwrap_or_else(PoisonError::into_inner);
+            continue;
+        }
+        board.done.notify_one();
     }
 }
 
-/// A device's line to the worker it always uses, with the one result slot
-/// it needs: a device has at most one batch out.
+/// Computes one job.
+fn compute(job: Job) -> Reply {
+    let Job {
+        compute,
+        mut model,
+        scratch,
+        ..
+    } = job;
+    panic::catch_unwind(AssertUnwindSafe(move || {
+        let _span = vpps_obs::span("serve.compute");
+        let computed = compute.run(&mut model, &scratch.graph, &scratch.roots);
+        (computed, model, scratch)
+    }))
+}
+
+/// Runs one prepare, on the worker or (`here`) on the event thread.
+fn prepare_now(prepare: Prepare, here: bool) -> Prepared {
+    let Prepare {
+        batch,
+        scratch,
+        preparer,
+    } = prepare;
+    let ahead = panic::catch_unwind(AssertUnwindSafe(|| {
+        let _span = vpps_obs::span("serve.prepare");
+        preparer.run(&scratch.graph)
+    }));
+    Prepared {
+        batch,
+        scratch,
+        ahead: ahead.ok().flatten(),
+        here,
+    }
+}
+
+/// A device's line to the worker it always uses: its lane on the worker's
+/// board.
 #[derive(Debug)]
 pub(crate) struct Line {
-    jobs: SyncSender<Job>,
-    reply: SyncSender<Reply>,
-    replies: Receiver<Reply>,
+    board: Arc<Board>,
+    lane: usize,
 }
 
 impl Line {
-    pub(crate) fn new(jobs: SyncSender<Job>) -> Self {
-        let (reply, replies) = mpsc::sync_channel(1);
+    pub(crate) fn new(board: &Arc<Board>) -> Self {
+        let mut tasks = board.lock();
+        tasks.lanes.push(Lane::default());
+        tasks.open += 1;
+        let lane = tasks.lanes.len() - 1;
+        drop(tasks);
         Self {
-            jobs,
-            reply,
-            replies,
+            board: Arc::clone(board),
+            lane,
         }
     }
 
@@ -124,28 +323,85 @@ impl Line {
     /// reads.
     pub(crate) fn send(&self, compute: Compute, model: Model, scratch: Scratch) {
         let job = Job {
+            lane: self.lane,
             compute,
             model,
             scratch,
-            reply: self.reply.clone(),
         };
-        // The worker leaves its loop only once every queue feeding it is
-        // dropped, and this line holds one.
-        self.jobs
-            .send(job)
-            .expect("a compute worker outlives the devices it serves");
+        self.board.lock().computes.push_back(job);
+        self.board.ready.notify_one();
     }
 
-    /// Waits for the batch out on this line and takes back what it
-    /// borrowed; a panic on the worker re-raises here.
-    pub(crate) fn join(&self) -> (Computed, Model, Scratch) {
-        // This line holds a reply sender, so `recv` cannot see a hang-up;
-        // and the worker answers every job, panicked or not.
-        let reply = self
-            .replies
-            .recv()
-            .expect("a compute worker answers every job it takes");
-        reply.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    /// Takes back the batch out on this line, computed — by the worker, or
+    /// here if the worker has not started it — with what it borrowed; a
+    /// panic on the worker re-raises here. While the worker computes it,
+    /// the event thread helps ([`Board::help`]).
+    pub(crate) fn join(&self, wait_ns: &Counter) -> (Computed, Model, Scratch) {
+        let mut tasks = self.board.lock();
+        loop {
+            if let Some(reply) = tasks.lanes[self.lane].computed.take() {
+                return reply.unwrap_or_else(|payload| panic::resume_unwind(payload));
+            }
+            let mine = tasks.computes.iter().position(|job| job.lane == self.lane);
+            if let Some(job) = mine.and_then(|at| tasks.computes.remove(at)) {
+                drop(tasks);
+                let Job {
+                    compute,
+                    mut model,
+                    scratch,
+                    ..
+                } = job;
+                let computed = compute.run(&mut model, &scratch.graph, &scratch.roots);
+                return (computed, model, scratch);
+            }
+            tasks = self.board.help(tasks, wait_ns);
+        }
+    }
+
+    /// Queues `prepare` behind the worker's computes. The slot must be
+    /// empty: [`Line::claim`] emptied it.
+    pub(crate) fn prepare(&self, prepare: Prepare) {
+        let mut tasks = self.board.lock();
+        tasks.lanes[self.lane].prepare = Slot::Queued(prepare);
+        tasks.queued.push_back(self.lane);
+        drop(tasks);
+        self.board.ready.notify_one();
+    }
+
+    /// Empties the prepare slot at the dispatch of batch `batch`: returns
+    /// what it held, the prepare run — here if the worker had not started
+    /// it, unless it was for another batch. While the worker runs it, the
+    /// event thread helps ([`Board::help`]).
+    pub(crate) fn claim(&self, batch: u64, wait_ns: &Counter) -> Option<Prepared> {
+        let mut tasks = self.board.lock();
+        while let Slot::Running = tasks.lanes[self.lane].prepare {
+            tasks = self.board.help(tasks, wait_ns);
+        }
+        let lane = self.lane;
+        tasks.queued.retain(|&queued| queued != lane);
+        let slot = mem::take(&mut tasks.lanes[lane].prepare);
+        drop(tasks);
+        match slot {
+            Slot::Queued(prepare) if prepare.batch == batch => Some(prepare_now(prepare, true)),
+            Slot::Queued(Prepare { batch, scratch, .. }) => Some(Prepared {
+                batch,
+                scratch,
+                ahead: None,
+                here: true,
+            }),
+            Slot::Done(prepared) => Some(prepared),
+            Slot::Idle | Slot::Running => None,
+        }
+    }
+}
+
+impl Drop for Line {
+    /// Closes the line: its queued prepare leaves the queue, and its hold
+    /// on the worker is released.
+    fn drop(&mut self) {
+        let lane = self.lane;
+        self.board.lock().queued.retain(|&queued| queued != lane);
+        self.board.release();
     }
 }
 
@@ -180,10 +436,17 @@ mod tests {
         let mut wrong = Model::new(7);
         wrong.add_matrix("W", 8, 16);
 
-        let (mut queues, threads) = spawn(1, 1);
-        let line = Line::new(queues.remove(0));
+        let (boards, threads) = spawn(1, 1);
+        let line = Line::new(&boards[0]);
+        boards[0].release();
         line.send(compute, wrong, Scratch { graph, roots });
-        let payload = panic::catch_unwind(AssertUnwindSafe(|| line.join()))
+        // The join takes back a compute the worker has not started: let
+        // the worker take this one first.
+        while !boards[0].lock().computes.is_empty() {
+            thread::yield_now();
+        }
+        let wait_ns = vpps_obs::counter("serve.compute.wait_ns");
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| line.join(&wait_ns)))
             .expect_err("the worker's panic re-raises at the join");
         let message = payload
             .downcast_ref::<String>()

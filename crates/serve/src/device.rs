@@ -18,15 +18,15 @@
 //! device queue can ever hold more than the admission capacity.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::time::Instant;
+use std::mem;
 
 use dyn_graph::Model;
 use gpu_sim::SimTime;
-use vpps::{Compute, Handle, LoweredCacheStats, Output};
+use vpps::{Ahead, Compute, Handle, LoweredCacheStats, Output};
 
 use crate::batcher::{BucketKey, Pending};
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-use crate::compute::{Line, Scratch};
+use crate::compute::{Line, Prepare, Prepared, Scratch};
 use crate::policy::{RecoveryConfig, BREAKER_COOLDOWN, RETRY_BUDGET, WATCHDOG_GRACE};
 use crate::request::{RequestId, RequestKind};
 
@@ -121,6 +121,39 @@ pub struct DeviceStats {
     pub breaker_half_open: usize,
 }
 
+/// What became of the batches a device queued to be prepared ahead
+/// (DESIGN.md §10 "Prepare ahead"), summed over devices by
+/// [`crate::Server::prepare_stats`]. Host work only: no simulated or
+/// computed value depends on it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrepareStats {
+    /// Artifacts the worker prepared that their batch's dispatch used.
+    pub ahead: u64,
+    /// Artifacts the event thread prepared itself, having taken the prepare
+    /// back before the worker started it, that their batch's dispatch used.
+    pub inline: u64,
+    /// Prepares whose artifact no dispatch used: their batch was not the
+    /// one the device dispatched next (re-routed, reordered by deadline,
+    /// shed), it did not fit the pool, or the dispatch refused it.
+    pub discarded: u64,
+}
+
+impl std::ops::AddAssign for PrepareStats {
+    fn add_assign(&mut self, other: Self) {
+        self.ahead += other.ahead;
+        self.inline += other.inline;
+        self.discarded += other.discarded;
+    }
+}
+
+/// What became of one prepare: a [`PrepareStats`] field.
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    Ahead,
+    Inline,
+    Discarded,
+}
+
 /// A formed batch waiting for (or being handed to) a device.
 #[derive(Debug)]
 pub(crate) struct BatchJob {
@@ -145,6 +178,25 @@ impl BatchJob {
             .iter()
             .filter_map(|p| p.deadline.map(|t| t.as_ns()))
             .fold(f64::INFINITY, f64::min)
+    }
+
+    fn train(&self) -> bool {
+        self.key.kind == RequestKind::Train
+    }
+}
+
+/// Absorbs `batch`'s request graphs into `scratch`, one super-graph: one
+/// generated script, one kernel launch, one prologue weight load for the
+/// lot. A training batch reads one root, the loss over its members.
+fn absorb(scratch: &mut Scratch, batch: &[Pending], train: bool) {
+    let Scratch { graph, roots } = scratch;
+    graph.clear();
+    roots.clear();
+    roots.extend(batch.iter().map(|p| graph.absorb(&p.graph, p.root)));
+    if train && roots.len() > 1 {
+        let loss = graph.sum(roots);
+        roots.clear();
+        roots.push(loss);
     }
 }
 
@@ -243,6 +295,14 @@ pub struct Device {
     /// The line to this device's compute worker, when the server has one
     /// for it; without one, batches compute inline.
     line: Option<Line>,
+    /// With a line, the second scratch: the next batch is absorbed into it
+    /// to be prepared ahead. `None` while a prepare holds it; `spare_for`
+    /// names the batch whose graph it holds.
+    spare: Option<Scratch>,
+    spare_for: Option<u64>,
+    prepared: PrepareStats,
+    /// `serve.prepare.{ahead,inline,discarded}`.
+    prepare_counters: [vpps_obs::Counter; 3],
     /// The model whose batch is out on the worker, until the join.
     computing: Option<usize>,
     /// Host ns the event thread spends blocked at this device's joins.
@@ -291,6 +351,11 @@ impl Device {
             executed: 0,
             failures: 0,
             scratch: Scratch::default(),
+            spare: line.as_ref().map(|_| Scratch::default()),
+            spare_for: None,
+            prepared: PrepareStats::default(),
+            prepare_counters: ["ahead", "inline", "discarded"]
+                .map(|fate| vpps_obs::counter(&format!("serve.prepare.{fate}"))),
             line,
             computing: None,
             wait_ns: vpps_obs::counter("serve.compute.wait_ns"),
@@ -408,6 +473,11 @@ impl Device {
             breaker_open,
             breaker_half_open,
         }
+    }
+
+    /// What became of the batches this device's worker prepared ahead.
+    pub(crate) fn prepare_stats(&self) -> PrepareStats {
+        self.prepared
     }
 
     /// Aggregated lowered-cache tallies across this device's warm handles.
@@ -605,6 +675,12 @@ impl Device {
     /// The queue is in enqueue order, so among equally urgent jobs (all the
     /// deadline-free ones, at infinity) the first found is the oldest.
     fn take_most_urgent(&mut self) -> Option<BatchJob> {
+        let next = self.most_urgent()?;
+        self.queue.remove(next)
+    }
+
+    /// The index of the queued job [`Device::take_most_urgent`] would take.
+    fn most_urgent(&self) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (i, job) in self.queue.iter().enumerate() {
             let urgency = job.urgency_ns();
@@ -612,7 +688,7 @@ impl Device {
                 best = Some((i, urgency));
             }
         }
-        self.queue.remove(best?.0)
+        Some(best?.0)
     }
 
     /// Executes one batch: breaker gate, absorb into the scratch
@@ -641,24 +717,29 @@ impl Device {
         // so the bucket counts as warm here from now on.
         self.seen.insert(key);
 
-        // Absorb the request graphs into one super-graph: one generated
-        // script, one kernel launch, one prologue weight load for the lot.
-        // A training batch reads one root, the loss over its members.
-        let Scratch { graph, roots } = &mut self.scratch;
-        graph.clear();
-        roots.clear();
-        roots.extend(batch.iter().map(|p| graph.absorb(&p.graph, p.root)));
         let train = key.kind == RequestKind::Train;
-        if train && roots.len() > 1 {
-            let loss = graph.sum(roots);
-            roots.clear();
-            roots.push(loss);
+        let (mut ahead, used) = self.claim(batch_id).unzip();
+        match self.spare.as_mut() {
+            // Absorbed when the batch was prepared for.
+            Some(spare) if self.spare_for == Some(batch_id) => {
+                self.spare_for = None;
+                mem::swap(&mut self.scratch, spare);
+            }
+            _ => absorb(&mut self.scratch, &batch, train),
         }
+        let dm = &mut self.models[key.model.0];
+        let Scratch { graph, roots } = &self.scratch;
         let start = now.max(self.busy_until);
         let wall_before = dm.handle.wall_time();
         let misses_before = dm.handle.lowered_cache_stats().script_misses;
         let model = dm.model.as_ref().expect(JOINED);
-        let result = dm.handle.dispatch(model, graph, roots, train);
+        let result = dm
+            .handle
+            .dispatch_prepared(model, graph, roots, train, &mut ahead);
+        let fate = used.map(|used| match ahead {
+            None => used,
+            Some(_) => Fate::Discarded,
+        });
         if train && result.is_ok() {
             // The loss arrives with the join; the drain is a clock matter.
             dm.handle.sync_get_latest_loss();
@@ -686,6 +767,7 @@ impl Device {
                 // the batch — not when it finishes.
                 vpps_obs::counter("serve.batches").incr();
                 let outputs = self.compute(key.model.0, compute, batch.len());
+                self.prepare_next();
                 Running::Executed(Executed {
                     batch_id,
                     key,
@@ -737,6 +819,9 @@ impl Device {
                 })
             }
         });
+        if let Some(fate) = fate {
+            self.count(fate);
+        }
         None
     }
 
@@ -756,6 +841,77 @@ impl Device {
         Vec::new()
     }
 
+    /// Empties this device's prepare slot at the dispatch of batch
+    /// `batch_id` ([`Line::claim`]), and returns the artifact prepared for
+    /// it, if one was, with the fate to count if the dispatch uses it. The
+    /// spare scratch comes home with whatever the slot held; when that was
+    /// this batch's prepare, it holds the batch's graph (`spare_for`).
+    fn claim(&mut self, batch_id: u64) -> Option<(Ahead, Fate)> {
+        let Prepared {
+            batch,
+            scratch,
+            ahead,
+            here,
+        } = self.line.as_ref()?.claim(batch_id, &self.wait_ns)?;
+        self.spare = Some(scratch);
+        let mine = batch == batch_id;
+        self.spare_for = mine.then_some(batch);
+        match ahead.filter(|_| mine) {
+            Some(ahead) if here => Some((ahead, Fate::Inline)),
+            Some(mut ahead) => {
+                ahead.adopt();
+                Some((ahead, Fate::Ahead))
+            }
+            None => {
+                self.count(Fate::Discarded);
+                None
+            }
+        }
+    }
+
+    /// Counts one prepare's fate, in [`Device::prepare_stats`] and in
+    /// `serve.prepare.<fate>`.
+    fn count(&mut self, fate: Fate) {
+        let (tally, counter) = match fate {
+            Fate::Ahead => (&mut self.prepared.ahead, &self.prepare_counters[0]),
+            Fate::Inline => (&mut self.prepared.inline, &self.prepare_counters[1]),
+            Fate::Discarded => (&mut self.prepared.discarded, &self.prepare_counters[2]),
+        };
+        *tally += 1;
+        counter.incr();
+    }
+
+    /// After a batch's compute went to the worker: absorbs the batch this
+    /// device would dispatch next into the spare scratch and, if it misses
+    /// its handle's lowered cache, queues its generate + lower for the
+    /// worker. Without a line or with nothing queued, does nothing.
+    fn prepare_next(&mut self) {
+        let (Some(line), Some(next)) = (&self.line, self.most_urgent()) else {
+            return;
+        };
+        let Some(mut scratch) = self.spare.take() else {
+            return;
+        };
+        let job = &self.queue[next];
+        let train = job.train();
+        absorb(&mut scratch, &job.batch, train);
+        let handle = &mut self.models[job.key.model.0].handle;
+        match handle.prepare_ahead(&scratch.graph, &scratch.roots, train) {
+            Some(preparer) => {
+                self.spare_for = None;
+                line.prepare(Prepare {
+                    batch: job.id,
+                    scratch,
+                    preparer,
+                });
+            }
+            None => {
+                self.spare = Some(scratch);
+                self.spare_for = Some(job.id);
+            }
+        }
+    }
+
     /// Waits for the batch out on the worker, if any — `running`'s — takes
     /// back its replica and scratch, hands the handle what it borrowed, and
     /// fills in `running`'s outputs. A panic on the worker re-raises here.
@@ -763,11 +919,7 @@ impl Device {
         let (Some(model), Some(line)) = (self.computing.take(), &self.line) else {
             return;
         };
-        let waiting = vpps_obs::enabled().then(Instant::now);
-        let (done, replica, scratch) = line.join();
-        if let Some(t) = waiting {
-            self.wait_ns.add(t.elapsed().as_nanos() as u64);
-        }
+        let (done, replica, scratch) = line.join(&self.wait_ns);
         let dm = &mut self.models[model];
         dm.model = Some(replica);
         self.scratch = scratch;

@@ -41,6 +41,7 @@
 //! leaves through `Server::resolve`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use dyn_graph::Model;
@@ -50,10 +51,10 @@ use vpps_obs::{Resolution, TraceEvent, TraceSink};
 
 use crate::batcher::{shape_class, Bucket, BucketKey, Pending};
 use crate::breaker::{BreakerState, BreakerTransition};
-use crate::compute::{self, Line};
+use crate::compute::{self, Board, Line};
 use crate::device::{
     BatchJob, Device, DeviceEvent, DeviceHealth, DeviceId, DeviceStats, Executed, FailedAttempt,
-    HealthTransition, Running,
+    HealthTransition, PrepareStats, Running,
 };
 use crate::policy::ServeConfig;
 use crate::request::{
@@ -205,8 +206,10 @@ pub struct Server {
     next_outage: usize,
     /// Batches taken off a failed device and re-dispatched to survivors.
     redispatched_batches: u64,
-    /// The compute workers the devices hand their batches' values to.
+    /// The compute workers the devices hand their batches' values to, and
+    /// the boards they share with them.
     workers: Vec<JoinHandle<()>>,
+    boards: Vec<Arc<Board>>,
 }
 
 impl Server {
@@ -235,11 +238,10 @@ impl Server {
     pub fn with_compute_workers(cfg: ServeConfig, workers: usize) -> Self {
         assert!(cfg.batch.max_batch > 0, "max_batch must be at least 1");
         assert!(cfg.shard.devices > 0, "need at least one device");
-        let (queues, workers) = compute::spawn(workers, cfg.shard.devices);
+        let (boards, workers) = compute::spawn(workers, cfg.shard.devices);
         let devices: Vec<Device> = (0..cfg.shard.devices)
             .map(|i| {
-                let line =
-                    (!queues.is_empty()).then(|| Line::new(queues[i % queues.len()].clone()));
+                let line = (!boards.is_empty()).then(|| Line::new(&boards[i % boards.len()]));
                 Device::new(DeviceId(i), cfg.recovery, line)
             })
             .collect();
@@ -279,6 +281,7 @@ impl Server {
             next_outage: 0,
             redispatched_batches: 0,
             workers,
+            boards,
         }
     }
 
@@ -451,6 +454,7 @@ impl Server {
     /// unregistered model is shed with [`ShedReason::UnknownModel`] — client
     /// input never panics the server.
     pub fn submit(&mut self, req: Request) -> Admission {
+        let _span = vpps_obs::span("serve.submit");
         self.run_until(req.arrival);
         let arrival = req.arrival.max(self.now);
         let id = RequestId(self.next_id);
@@ -782,7 +786,10 @@ impl Server {
     fn dispatch(&mut self, mut job: BatchJob, from: Option<usize>) {
         let now = self.now;
         let margin = self.cfg.shard.steal_margin;
-        let (target, decision) = self.router.route(job.key, now, margin, &self.devices);
+        let (target, decision) = {
+            let _span = vpps_obs::span("serve.route");
+            self.router.route(job.key, now, margin, &self.devices)
+        };
         match from {
             None => {
                 if job.batch.iter().any(|p| self.trace_sampled(p.id)) {
@@ -1013,6 +1020,19 @@ impl Server {
         self.redispatched_batches
     }
 
+    /// Test hook: what became of the batches the compute workers were
+    /// asked to prepare ahead, summed over devices (all zero without a
+    /// worker). Host timing decides the split, so it differs from run to
+    /// run; nothing else does.
+    #[doc(hidden)]
+    pub fn prepare_stats(&self) -> PrepareStats {
+        let mut total = PrepareStats::default();
+        for d in &self.devices {
+            total += d.prepare_stats();
+        }
+        total
+    }
+
     /// A registered model's replica on one device — `None` while a batch of
     /// it is still computing, which [`Server::drain`] rules out.
     pub fn replica(&self, id: ModelId, device: usize) -> Option<&Model> {
@@ -1026,6 +1046,9 @@ impl Drop for Server {
     /// them.
     fn drop(&mut self) {
         self.devices.clear();
+        for board in &self.boards {
+            board.release();
+        }
         for worker in self.workers.drain(..) {
             // A worker catches its jobs' panics, so it cannot end in one.
             let _ = worker.join();

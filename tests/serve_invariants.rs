@@ -1092,6 +1092,43 @@ fn compute_worker_count_changes_no_byte() {
     }
 }
 
+/// The 4-device closed loop on one background worker prepares batches
+/// ahead: the worker generates and lowers some batch that its dispatch then
+/// uses (`ahead`), so the pipeline is exercised, not just compiled; every
+/// prepare is accounted for; and the run is the inline run, byte for byte.
+/// Host timing decides how the prepares split between the worker and the
+/// event thread, so a run on a loaded core may leave every one to the event
+/// thread: the test gives the worker a few runs to use one.
+#[test]
+fn prepared_batches_dispatch_ahead() {
+    let (mut inline, mids) = closed_loop_run(0, |_| {});
+    assert_eq!(
+        inline.prepare_stats(),
+        Default::default(),
+        "no worker, no prepare"
+    );
+    let want = run_fingerprint(&mut inline, mids, 4);
+    let mut ahead = 0;
+    for _ in 0..5 {
+        let (mut server, mids) = closed_loop_run(1, |_| {});
+        let stats = server.prepare_stats();
+        let misses = server.lowered_cache_stats().script_misses;
+        assert!(
+            stats.ahead + stats.inline + stats.discarded <= misses,
+            "one prepare per miss at most: {stats:?} against {misses} misses"
+        );
+        assert!(
+            run_fingerprint(&mut server, mids, 4) == want,
+            "prepared run"
+        );
+        ahead = stats.ahead;
+        if ahead > 0 {
+            break;
+        }
+    }
+    assert!(ahead > 0, "the worker prepared a batch its dispatch used");
+}
+
 /// The hand-timed trace of [`exact_tie_outage_placements_are_enumerated`]:
 /// `(arrival µs, second model)`, every request an inference over one fixed
 /// parse tree per model — so two buckets. Pairs arrive in the same instant,
