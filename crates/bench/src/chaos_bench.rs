@@ -26,10 +26,11 @@ use crate::serve_bench::{record_of, run_scenario_server, ServeScenario, REPORT};
 use crate::trajectory::{num, records, uint, Facts, Schema, Ty};
 
 /// `BENCH_chaos.json`: one [`ChaosRecord`] per swept fault rate, under the
-/// sweep's two determinism flags.
+/// sweep's two determinism flags. v2 dropped the transition count of the
+/// per-model shedding gate the server no longer has.
 pub static SCHEMA: Schema = Schema {
     name: "vpps-chaos-trajectory",
-    version: 1,
+    version: 2,
     header: &[
         ("zero_rate_identical", Ty::Bool),
         ("same_seed_identical", Ty::Bool),
@@ -62,7 +63,6 @@ pub static SCHEMA: Schema = Schema {
             ]),
         ),
         ("batch_failures", Ty::U64),
-        ("breaker_transitions", Ty::U64),
     ],
     facts,
 };
@@ -140,8 +140,6 @@ pub struct ChaosRecord {
     pub recovery: RecoveryStats,
     /// Batches whose dispatch returned a typed error to the server.
     pub batch_failures: u64,
-    /// Breaker state changes on the served model.
-    pub breaker_transitions: u64,
 }
 
 /// A full sweep plus its self-checked invariants.
@@ -193,7 +191,6 @@ fn run_point(sc: &ChaosScenario, rate: f64, faults: FaultConfig) -> ChaosRecord 
         faults_total,
         recovery: server.recovery_stats(mid),
         batch_failures: server.batch_failures(),
-        breaker_transitions: server.breaker_transitions_on(mid, 0).len() as u64,
     }
 }
 
@@ -264,7 +261,6 @@ impl ChaosRecord {
         rec.set("rollbacks", Json::from(r.rollbacks));
         o.set("recovery", rec);
         o.set("batch_failures", Json::from(self.batch_failures));
-        o.set("breaker_transitions", Json::from(self.breaker_transitions));
         o
     }
 }

@@ -47,8 +47,6 @@ const LATENCY: &[Field] = &[
 const DEVICE_ROW: &[Field] = &[
     ("device", Ty::U64),
     ("health", Ty::Str),
-    ("breaker_open", Ty::U64),
-    ("breaker_half_open", Ty::U64),
     ("batches", Ty::U64),
     ("failures", Ty::U64),
 ];
@@ -78,10 +76,11 @@ pub(crate) const REPORT: &[Field] = &[
 /// scenario. v2 added the lowered script-cache counters (`script_hits` /
 /// `script_misses` / `script_re_misses`); v3 the `execute` latency stage
 /// (device start → completion); v4 the per-device `devices` array (terminal
-/// health, circuit-breaker occupancy, batch/failure tallies).
+/// health, batch/failure tallies); v5 dropped the two device-row counts and
+/// the shed reason of the per-model shedding gate the server no longer has.
 pub static SCHEMA: Schema = Schema {
     name: "vpps-serve-trajectory",
-    version: 4,
+    version: 5,
     header: &[],
     record: &[
         ("label", Ty::Str),
@@ -252,7 +251,7 @@ pub(crate) fn server_for(sc: &ServeScenario) -> (Server, ModelId, ServeWorkload)
             queue_capacity: sc.queue_capacity,
             tenant_quota: sc.tenant_quota,
         },
-        recovery: vpps_serve::RecoveryConfig::default(),
+        recovery: vpps_serve::RecoveryConfig,
         shard: vpps_serve::ShardPolicy {
             devices: sc.devices.max(1),
             steal_margin: SimTime::from_us(sc.steal_margin_us),
@@ -293,8 +292,7 @@ pub fn record_of(sc: &ServeScenario, server: &Server, offered_rps: f64) -> Serve
 
 /// Runs one scenario and returns the finished server (plus the served
 /// model's id and the offered load) for callers that need more than the
-/// condensed record — fault journals, recovery statistics, breaker
-/// transitions.
+/// condensed record — fault journals, recovery statistics.
 pub fn run_scenario_server(sc: &ServeScenario) -> (Server, ModelId, f64) {
     match sc.closed_clients {
         None => run_open_loop(sc),

@@ -33,7 +33,7 @@ use crate::chrome::ChromeTrace;
 pub enum Resolution {
     /// The request executed and produced output.
     Completed,
-    /// Admission control, a deadline, or a breaker shed the request.
+    /// Admission control or a deadline shed the request.
     Shed,
     /// The request exhausted its retry budget after repeated batch faults.
     Failed,
@@ -836,8 +836,8 @@ impl TraceAnalysis {
                     }
                     if at_ns.to_bits() != st.boundary_ns.to_bits() {
                         // Fill the open wait phase up to the terminal: a
-                        // bucket-expire shed ends a linger, a breaker shed or
-                        // drain ends a queue wait.
+                        // bucket-expire shed ends a linger, a shed off a
+                        // device queue ends a queue wait.
                         let phase = match st.stage {
                             Stage::Lingering => Phase::Linger,
                             Stage::Queued => Phase::Queue,

@@ -2,14 +2,14 @@
 //! queue, and serial execution on the virtual clock.
 //!
 //! A [`Device`] is the execution half of the sharded server. It owns one
-//! warm [`Handle`] (and therefore one lowered-artifact cache and one
-//! circuit breaker) per registered model, a scratch super-graph reused
-//! across batches, and a queue of formed batches. The device is serially
-//! occupied: a batch starts at `max(now, busy_until)`, and while the device
-//! is busy newly routed batches wait in the queue. When the device frees
-//! up, the *most deadline-urgent* queued batch runs next (FIFO among
-//! batches without deadlines), so a latency-constrained batch is never
-//! stuck behind best-effort work that happened to be formed first.
+//! warm [`Handle`] (and therefore one lowered-artifact cache) per
+//! registered model, a scratch super-graph reused across batches, and a
+//! queue of formed batches. The device is serially occupied: a batch
+//! starts at `max(now, busy_until)`, and while the device is busy newly
+//! routed batches wait in the queue. When the device frees up, the *most
+//! deadline-urgent* queued batch runs next (FIFO among batches without
+//! deadlines), so a latency-constrained batch is never stuck behind
+//! best-effort work that happened to be formed first.
 //!
 //! Everything is deterministic: queue order is (earliest member deadline,
 //! enqueue sequence), and all timing comes from the simulated device inside
@@ -25,9 +25,8 @@ use gpu_sim::SimTime;
 use vpps::{Ahead, Compute, Handle, LoweredCacheStats, Output};
 
 use crate::batcher::{BucketKey, Pending};
-use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::compute::{Line, Prepare, Prepared, Scratch};
-use crate::policy::{RecoveryConfig, BREAKER_COOLDOWN, RETRY_BUDGET, WATCHDOG_GRACE};
+use crate::policy::{RETRY_BUDGET, WATCHDOG_GRACE};
 use crate::request::{RequestId, RequestKind};
 
 /// Identifier of one virtual device (shard) inside a server.
@@ -115,10 +114,6 @@ pub struct DeviceStats {
     pub queued_members: usize,
     /// Current lifecycle state.
     pub health: DeviceHealth,
-    /// Model replicas on this device whose breaker is currently open.
-    pub breaker_open: usize,
-    /// Model replicas on this device whose breaker is currently half-open.
-    pub breaker_half_open: usize,
 }
 
 /// What became of the batches a device queued to be prepared ahead
@@ -245,17 +240,6 @@ pub(crate) enum Running {
     Failed(FailedAttempt),
 }
 
-/// What one [`Device::pump`] step produced. The server translates these
-/// into outcomes and accounting; the device itself never touches the
-/// outcome stream.
-#[derive(Debug)]
-pub(crate) enum DeviceEvent {
-    /// The held attempt reached its completion time.
-    Finished(Running),
-    /// The model's breaker was open: every member is shed.
-    BreakerShed { batch: Vec<Pending>, at: SimTime },
-}
-
 /// Why [`DeviceModel::model`] is `Some` wherever a device dispatches or
 /// computes a batch: only a batch sent to the device's worker takes the
 /// replica, a device runs one batch at a time, and it joins that batch —
@@ -265,14 +249,13 @@ pub(crate) enum DeviceEvent {
 const JOINED: &str = "the previous batch was joined";
 
 /// Per-(device, model) execution state: a full model replica behind a warm
-/// handle, plus the breaker guarding it.
+/// handle.
 #[derive(Debug)]
 struct DeviceModel {
     /// The replica; `None` while it is lent to the device's worker with a
     /// batch.
     model: Option<Model>,
     handle: Handle,
-    breaker: CircuitBreaker,
 }
 
 /// One virtual device shard. See the module docs.
@@ -314,7 +297,6 @@ pub struct Device {
     /// lowered scripts are warm in this device's caches. The router prefers
     /// stealing toward devices that appear here.
     seen: BTreeSet<BucketKey>,
-    recovery: RecoveryConfig,
     /// The held result of the batch currently occupying the device, emitted
     /// by [`Device::pump`] once the clock reaches `busy_until`.
     running: Option<Running>,
@@ -341,7 +323,7 @@ pub struct Device {
 impl Device {
     /// A device computing its batches on `line`'s worker, or inline
     /// without one.
-    pub(crate) fn new(id: DeviceId, recovery: RecoveryConfig, line: Option<Line>) -> Self {
+    pub(crate) fn new(id: DeviceId, line: Option<Line>) -> Self {
         Self {
             id,
             models: Vec::new(),
@@ -362,7 +344,6 @@ impl Device {
             queue_gauge: format!("serve.device.{}.queue_depth", id.0),
             health_gauge: format!("serve.device.{}.health", id.0),
             seen: BTreeSet::new(),
-            recovery,
             running: None,
             health: DeviceHealth::Healthy,
             health_log: Vec::new(),
@@ -384,7 +365,6 @@ impl Device {
         self.models.push(DeviceModel {
             model: Some(model),
             handle,
-            breaker: CircuitBreaker::new(self.recovery.breaker_threshold, BREAKER_COOLDOWN),
         });
     }
 
@@ -454,15 +434,6 @@ impl Device {
 
     /// Point-in-time stats for reports.
     pub fn stats(&self) -> DeviceStats {
-        let mut breaker_open = 0;
-        let mut breaker_half_open = 0;
-        for m in &self.models {
-            match m.breaker.state() {
-                BreakerState::Open => breaker_open += 1,
-                BreakerState::HalfOpen => breaker_half_open += 1,
-                BreakerState::Closed => {}
-            }
-        }
         DeviceStats {
             id: self.id.0,
             batches: self.executed,
@@ -470,8 +441,6 @@ impl Device {
             busy: self.busy_total,
             queued_members: self.queued_members(),
             health: self.health,
-            breaker_open,
-            breaker_half_open,
         }
     }
 
@@ -487,16 +456,6 @@ impl Device {
             total += m.handle.lowered_cache_stats();
         }
         total
-    }
-
-    /// Breaker state of one model replica on this device.
-    pub fn breaker_state(&self, model: usize) -> BreakerState {
-        self.models[model].breaker.state()
-    }
-
-    /// Breaker transitions of one model replica on this device.
-    pub fn breaker_transitions(&self, model: usize) -> &[BreakerTransition] {
-        self.models[model].breaker.transitions()
     }
 
     pub(crate) fn handle(&self, model: usize) -> &Handle {
@@ -630,16 +589,15 @@ impl Device {
         vpps_obs::gauge(&self.queue_gauge).set(self.queued_members() as f64);
     }
 
-    /// Advances the device at `now` up to its next event: the held running
-    /// result once the clock reaches its completion, or a breaker shed —
-    /// starting queued batches (most deadline-urgent first) while the device
-    /// is free. The server calls this until it returns `None`. Retry
-    /// singletons from a failed batch re-enter the queue (drawing fresh ids
-    /// from the server's `next_batch` counter) and run at later pumps (the
-    /// failed attempt occupied the device, so `busy_until` has moved past
-    /// `now`). Frozen devices make no progress at all; down devices emit
+    /// Advances the device at `now` up to its next event — the held running
+    /// result once the clock reaches its completion — starting queued
+    /// batches (most deadline-urgent first) while the device is free. The
+    /// server calls this until it returns `None`. Retry singletons from a
+    /// failed batch re-enter the queue (drawing fresh ids from the server's
+    /// `next_batch` counter) and run at later pumps (the failed attempt
+    /// occupied the device, so `busy_until` has moved past `now`). Frozen devices make no progress at all; down devices emit
     /// nothing (fail-over already took their work) and start nothing.
-    pub(crate) fn pump(&mut self, now: SimTime, next_batch: &mut u64) -> Option<DeviceEvent> {
+    pub(crate) fn pump(&mut self, now: SimTime, next_batch: &mut u64) -> Option<Running> {
         if self.frozen {
             return None;
         }
@@ -655,7 +613,7 @@ impl Device {
                         self.set_health(DeviceHealth::Healthy, e.completed_at);
                     }
                 }
-                return Some(DeviceEvent::Finished(running));
+                return Some(running);
             }
             if matches!(self.health, DeviceHealth::Draining | DeviceHealth::Down) {
                 break;
@@ -663,9 +621,7 @@ impl Device {
             let Some(job) = self.take_most_urgent() else {
                 break;
             };
-            if let Some(shed) = self.run_job(job, now, next_batch) {
-                return Some(shed);
-            }
+            self.run_job(job, now, next_batch);
         }
         vpps_obs::gauge(&self.queue_gauge).set(self.queued_members() as f64);
         None
@@ -691,28 +647,19 @@ impl Device {
         Some(best?.0)
     }
 
-    /// Executes one batch: breaker gate, absorb into the scratch
-    /// super-graph, one persistent-kernel launch on the model's warm handle.
-    /// The launch is charged here; its values are computed inline, or on the
-    /// device's worker until the join. The result is held as
-    /// [`Device::running`]; only a breaker refusal comes back at once.
-    fn run_job(
-        &mut self,
-        job: BatchJob,
-        now: SimTime,
-        next_batch: &mut u64,
-    ) -> Option<DeviceEvent> {
+    /// Executes one batch: absorb into the scratch super-graph, one
+    /// persistent-kernel launch on the model's warm handle. The launch is
+    /// charged here; its values are computed inline, or on the device's
+    /// worker until the join. The result is held as [`Device::running`].
+    /// A failed batch is split: each member that has retries left is
+    /// queued again as a singleton, the rest are dropped.
+    fn run_job(&mut self, job: BatchJob, now: SimTime, next_batch: &mut u64) {
         let BatchJob {
             id: batch_id,
             key,
             batch,
             formed_at,
         } = job;
-        let dm = &mut self.models[key.model.0];
-        if !dm.breaker.allow(now) {
-            return Some(DeviceEvent::BreakerShed { batch, at: now });
-        }
-
         // The attempt lowers (or reuses) the bucket's scripts either way,
         // so the bucket counts as warm here from now on.
         self.seen.insert(key);
@@ -761,7 +708,6 @@ impl Device {
 
         self.running = Some(match result {
             Ok(compute) => {
-                dm.breaker.record_success(now);
                 self.executed += 1;
                 // Dispatch accounting happens here, when the device accepts
                 // the batch — not when it finishes.
@@ -781,7 +727,6 @@ impl Device {
                 })
             }
             Err(_) => {
-                dm.breaker.record_failure(now);
                 self.failures += 1;
                 vpps_obs::counter("serve.batch_failures").incr();
                 let mut dropped = Vec::new();
@@ -822,7 +767,6 @@ impl Device {
         if let Some(fate) = fate {
             self.count(fate);
         }
-        None
     }
 
     /// Computes the values of model `model`'s dispatched batch of

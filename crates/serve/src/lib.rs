@@ -22,14 +22,16 @@
 //!   weight load (the dominant cost of small graphs) is amortized across
 //!   the batch — the serving-side analogue of the paper's §III-D concurrent
 //!   training of multiple computation graphs.
-//! * **Degraded-mode serving** ([`RecoveryConfig`], [`CircuitBreaker`]) —
-//!   the handle's own recovery ladder absorbs every injected device fault
-//!   (under `gpu_sim` fault injection), so a batch fails only with an error
-//!   no retry fixes, such as a graph too large for the memory pool. Then
-//!   per-model circuit breakers shed instead of queueing behind a failing
-//!   handle, and failed batches are split and retried as singletons under a
-//!   per-request retry budget. One poisoned tenant graph cannot starve the
-//!   batch loop.
+//! * **Degraded-mode serving** ([`RETRY_BUDGET`]) — the handle's own
+//!   recovery ladder absorbs every injected device fault (under `gpu_sim`
+//!   fault injection), so a batch fails only with an error no retry fixes,
+//!   such as a graph too large for the memory pool. Then the failed batch
+//!   is split and its members retried as singletons under a per-request
+//!   retry budget: one poisoned tenant graph burns its own retries and is
+//!   shed, while its batch-mates and every later request of the model run.
+//!   One owner per failure class: the ladder for device faults, the
+//!   singleton split for failed batches, the device lifecycle for
+//!   outages.
 //! * **Sharded serving** ([`ShardPolicy`], [`Device`], [`Router`]) — the
 //!   server scales across N virtual devices, each owning warm per-model
 //!   handles (and therefore its own lowered-artifact caches), a bounded
@@ -56,7 +58,6 @@
 //!   versioned `BENCH_serve.json` trajectory.
 
 pub mod batcher;
-pub mod breaker;
 mod compute;
 pub mod device;
 pub mod policy;
@@ -66,11 +67,10 @@ pub mod router;
 pub mod server;
 
 pub use batcher::{shape_class, BucketKey};
-pub use breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 pub use device::{Device, DeviceHealth, DeviceId, DeviceStats, HealthTransition};
 pub use policy::{
     AdmissionPolicy, BatchPolicy, HealthPolicy, RecoveryConfig, ServeConfig, ShardPolicy,
-    BREAKER_COOLDOWN, RETRY_BUDGET, WATCHDOG_GRACE,
+    RETRY_BUDGET, WATCHDOG_GRACE,
 };
 pub use report::{ServeRecord, ServeReport};
 pub use request::{

@@ -66,9 +66,6 @@ impl Default for AdmissionPolicy {
     }
 }
 
-/// Virtual time an open breaker sheds before allowing a half-open probe.
-pub const BREAKER_COOLDOWN: SimTime = SimTime::from_us(500.0);
-
 /// Batch failures one request may survive (being requeued as a singleton)
 /// before it is shed with [`crate::ShedReason::RetryBudget`]. This bounds
 /// the blast radius of a poisoned graph: it can burn at most
@@ -80,26 +77,14 @@ pub const RETRY_BUDGET: u32 = 2;
 /// idle-frozen device) before the watchdog declares it down.
 pub const WATCHDOG_GRACE: SimTime = SimTime::from_us(200.0);
 
-/// Serving-side recovery policy: the circuit breaker (and, fixed, the
-/// per-request [`RETRY_BUDGET`]) that sit *above* the handle's own
-/// retry/fallback ladder. The handle absorbs every injected device fault;
-/// this layer decides what to do when a whole batch still comes back with a
-/// typed error no retry fixes (a graph too large for the memory pool, a
-/// failed re-JIT).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryConfig {
-    /// Consecutive failed batches on one model before its breaker opens
-    /// (and then sheds for [`BREAKER_COOLDOWN`]).
-    pub breaker_threshold: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        Self {
-            breaker_threshold: 3,
-        }
-    }
-}
+/// Serving-side recovery policy. It has no settings: the handle's ladder
+/// absorbs every injected device fault, and a batch that still fails is
+/// split into singletons under the fixed per-request [`RETRY_BUDGET`]. The
+/// type held the threshold of the per-model circuit breaker that split
+/// replaced, and stays only until the benchmark harness stops naming it
+/// (ROADMAP item 1B).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RecoveryConfig;
 
 /// Sharding policy: how many virtual devices the server runs and when the
 /// router moves a batch off its cache-affine device.
@@ -164,7 +149,8 @@ pub struct ServeConfig {
     pub batch: BatchPolicy,
     /// Admission-control policy.
     pub admission: AdmissionPolicy,
-    /// Serving-side recovery policy (breaker + retry budgets).
+    /// Serving-side recovery policy; it has no settings (see
+    /// [`RecoveryConfig`]).
     pub recovery: RecoveryConfig,
     /// Sharding policy (device count + work-stealing margin).
     pub shard: ShardPolicy,
@@ -179,7 +165,7 @@ impl Default for ServeConfig {
             opts: VppsOptions::default(),
             batch: BatchPolicy::default(),
             admission: AdmissionPolicy::default(),
-            recovery: RecoveryConfig::default(),
+            recovery: RecoveryConfig,
             shard: ShardPolicy::default(),
             health: HealthPolicy::default(),
         }

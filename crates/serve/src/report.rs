@@ -164,14 +164,11 @@ impl ServeReport {
 }
 
 /// One device's terminal snapshot as a serve trajectory entry: where its
-/// lifecycle and circuit breakers ended up after the run, and the batches
-/// it ran and failed.
+/// lifecycle ended up after the run, and the batches it ran and failed.
 fn device_json(s: &DeviceStats) -> Json {
     let mut o = Json::obj();
     o.set("device", Json::from(s.id as u64));
     o.set("health", Json::from(s.health.name()));
-    o.set("breaker_open", Json::from(s.breaker_open as u64));
-    o.set("breaker_half_open", Json::from(s.breaker_half_open as u64));
     o.set("batches", Json::from(s.batches));
     o.set("failures", Json::from(s.failures));
     o
@@ -313,7 +310,6 @@ mod tests {
             script_misses: 3,
             script_re_misses: 0,
             devices: vec![DeviceStats {
-                breaker_half_open: 1,
                 batches: 7,
                 failures: 2,
                 ..DeviceStats::default()
@@ -325,7 +321,7 @@ mod tests {
         assert!(json.contains("\"goodput_rps\""));
         assert!(json.contains("\"script_hits\":12"));
         assert!(json.contains("\"health\":\"healthy\""));
-        assert!(json.contains("\"breaker_half_open\":1"));
+        assert!(json.contains("\"failures\":2"));
         for reason in ShedReason::ALL {
             assert!(json.contains(&format!("\"{}\":", reason.name())));
         }

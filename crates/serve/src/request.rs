@@ -75,10 +75,6 @@ pub enum ShedReason {
     TenantQuota,
     /// The request's deadline passed while it was still queued.
     DeadlineExpired,
-    /// The target model's circuit breaker was open (degraded mode): recent
-    /// batches faulted past the breaker threshold, so work is shed instead
-    /// of queued behind a failing handle.
-    BreakerOpen,
     /// The request's batch faulted and the request exhausted its per-request
     /// retry budget ([`crate::RETRY_BUDGET`]).
     RetryBudget,
@@ -93,18 +89,16 @@ impl ShedReason {
             ShedReason::QueueFull => "queue_full",
             ShedReason::TenantQuota => "tenant_quota",
             ShedReason::DeadlineExpired => "deadline_expired",
-            ShedReason::BreakerOpen => "breaker_open",
             ShedReason::RetryBudget => "retry_budget",
             ShedReason::UnknownModel => "unknown_model",
         }
     }
 
     /// All reasons, in report order.
-    pub const ALL: [ShedReason; 6] = [
+    pub const ALL: [ShedReason; 5] = [
         ShedReason::QueueFull,
         ShedReason::TenantQuota,
         ShedReason::DeadlineExpired,
-        ShedReason::BreakerOpen,
         ShedReason::RetryBudget,
         ShedReason::UnknownModel,
     ];

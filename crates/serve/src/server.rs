@@ -50,10 +50,9 @@ use vpps::{Handle, LoweredCacheStats, PlanSignature, RecoveryStats, VppsError};
 use vpps_obs::{Resolution, TraceEvent, TraceSink};
 
 use crate::batcher::{shape_class, Bucket, BucketKey, Pending};
-use crate::breaker::{BreakerState, BreakerTransition};
 use crate::compute::{self, Board, Line};
 use crate::device::{
-    BatchJob, Device, DeviceEvent, DeviceHealth, DeviceId, DeviceStats, Executed, FailedAttempt,
+    BatchJob, Device, DeviceHealth, DeviceId, DeviceStats, Executed, FailedAttempt,
     HealthTransition, PrepareStats, Running,
 };
 use crate::policy::ServeConfig;
@@ -88,7 +87,7 @@ impl Admission {
 }
 
 /// Registration-time facts about a model; execution state (replica weights,
-/// warm handles, breakers) lives per device.
+/// warm handles) lives per device.
 #[derive(Debug)]
 struct RegisteredModel {
     name: String,
@@ -242,7 +241,7 @@ impl Server {
         let devices: Vec<Device> = (0..cfg.shard.devices)
             .map(|i| {
                 let line = (!boards.is_empty()).then(|| Line::new(&boards[i % boards.len()]));
-                Device::new(DeviceId(i), cfg.recovery, line)
+                Device::new(DeviceId(i), line)
             })
             .collect();
         // Pre-sort the outage schedule into edge events. Windows naming a
@@ -827,15 +826,10 @@ impl Server {
     /// and folds what it reports into outcomes and accounting.
     fn pump_device(&mut self, idx: usize) {
         let now = self.now;
-        while let Some(event) = self.devices[idx].pump(now, &mut self.next_batch) {
-            match event {
-                DeviceEvent::Finished(Running::Executed(done)) => self.complete(idx, done),
-                DeviceEvent::Finished(Running::Failed(failed)) => self.fold_failed(idx, failed),
-                DeviceEvent::BreakerShed { batch, at } => {
-                    for p in batch {
-                        self.resolve(shed(&p, at, ShedReason::BreakerOpen), at);
-                    }
-                }
+        while let Some(running) = self.devices[idx].pump(now, &mut self.next_batch) {
+            match running {
+                Running::Executed(done) => self.complete(idx, done),
+                Running::Failed(failed) => self.fold_failed(idx, failed),
             }
         }
     }
@@ -964,12 +958,6 @@ impl Server {
         self.outcomes.push(outcome);
     }
 
-    /// Every breaker transition of a registered model on one device, in
-    /// order.
-    pub fn breaker_transitions_on(&self, id: ModelId, device: usize) -> &[BreakerTransition] {
-        self.devices[device].breaker_transitions(id.0)
-    }
-
     /// Cumulative handle-level recovery activity of a registered model,
     /// summed over every device's handle.
     pub fn recovery_stats(&self, id: ModelId) -> RecoveryStats {
@@ -1008,11 +996,6 @@ impl Server {
     /// Every health transition of one device, in order.
     pub fn device_health_log(&self, device: usize) -> &[HealthTransition] {
         self.devices[device].health_log()
-    }
-
-    /// Current breaker state of a registered model on one device.
-    pub fn breaker_state_on(&self, id: ModelId, device: usize) -> BreakerState {
-        self.devices[device].breaker_state(id.0)
     }
 
     /// Batches taken off failed devices and re-dispatched to survivors.
@@ -1059,9 +1042,7 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{
-        AdmissionPolicy, BatchPolicy, ShardPolicy, BREAKER_COOLDOWN, RETRY_BUDGET,
-    };
+    use crate::policy::{AdmissionPolicy, BatchPolicy, ShardPolicy, RETRY_BUDGET};
     use crate::request::RequestKind;
     use dyn_graph::{Graph, NodeId};
     use gpu_sim::DeviceConfig;
@@ -1106,7 +1087,7 @@ mod tests {
                 deadline_aware: true,
             },
             admission: AdmissionPolicy::default(),
-            recovery: crate::policy::RecoveryConfig::default(),
+            recovery: crate::policy::RecoveryConfig,
             shard: ShardPolicy::default(),
             health: crate::policy::HealthPolicy::default(),
         }
@@ -1481,16 +1462,15 @@ mod tests {
         assert_eq!(completed, 8, "the recovery ladder absorbs every fault");
         assert_eq!(srv.batch_failures(), 0);
         assert!(srv.faults_injected(mid) > 0, "faults were actually drawn");
-        assert_eq!(srv.breaker_state_on(mid, 0), BreakerState::Closed);
     }
 
     /// A pool that holds one small request graph but not four of them
     /// absorbed into one batch, nor one long graph: the batch of four fails
     /// with `PoolExhausted` and its members complete as singletons; the
     /// long graph (never co-batched: its structure differs) burns exactly
-    /// `RETRY_BUDGET + 1` dispatches and is shed. Its three failures in a
-    /// row open the breaker, and a request after the cooldown closes it
-    /// again through a half-open probe.
+    /// `RETRY_BUDGET + 1` dispatches and is shed. Its failures cost the
+    /// model nothing more: a small graph submitted within 500 µs of the
+    /// long graph's last failure completes.
     #[test]
     fn a_poisoned_graph_is_isolated_by_a_real_error() {
         let (m, w, cls) = toy_model();
@@ -1502,14 +1482,22 @@ mod tests {
             srv.submit(infer_request(mid, &m, w, cls, i as u32, steps, i as f64));
         }
         srv.drain();
-        let late = (srv.now() + BREAKER_COOLDOWN).as_us();
-        srv.submit(infer_request(mid, &m, w, cls, 0, 2, late));
+        let last_failure = srv.outcomes().iter().find_map(Outcome::shed).unwrap().at;
+        let soon = srv.now();
+        assert!(
+            soon - last_failure < SimTime::from_us(500.0),
+            "premise: the small graph arrives right after the last failure"
+        );
+        srv.submit(infer_request(mid, &m, w, cls, 0, 2, soon.as_us()));
         srv.drain();
 
         assert_eq!(srv.outcomes().len(), 6);
         for o in srv.outcomes() {
             match o {
-                Outcome::Completed(c) => assert_ne!(c.id, RequestId(4), "the long graph ran"),
+                Outcome::Completed(c) => {
+                    assert_ne!(c.id, RequestId(4), "the long graph ran");
+                    assert_eq!(c.batch_size, 1, "{:?} was not a singleton", c.id);
+                }
                 Outcome::Shed(s) => {
                     assert_eq!(s.id, RequestId(4), "a small graph was shed: {s:?}");
                     assert_eq!(s.reason, ShedReason::RetryBudget);
@@ -1517,19 +1505,6 @@ mod tests {
             }
         }
         assert_eq!(srv.batch_failures(), 1 + u64::from(RETRY_BUDGET) + 1);
-        let trs = srv.breaker_transitions_on(mid, 0);
-        let walk: Vec<_> = trs.iter().map(|t| (t.from, t.to)).collect();
-        assert_eq!(
-            walk,
-            [
-                (BreakerState::Closed, BreakerState::Open),
-                (BreakerState::Open, BreakerState::HalfOpen),
-                (BreakerState::HalfOpen, BreakerState::Closed),
-            ]
-        );
-        for w in trs.windows(2) {
-            assert_eq!(w[0].to, w[1].from, "transition chain must be contiguous");
-        }
     }
 
     #[test]

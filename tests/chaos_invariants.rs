@@ -12,18 +12,14 @@
 //!   (launch-per-op) rung, the recovered losses and parameters are
 //!   bit-identical to a fault-free run of the same trace — retries and the
 //!   interpreter rungs of the ladder are bit-exact re-executions;
-//! * circuit-breaker transitions are always legal and contiguous under
-//!   arbitrary outcome sequences;
 //! * fault journals attribute every event to the device whose stream drew
 //!   it: per-device journals are disjoint, decorrelated, and seed-stable,
 //!   and device 0 reproduces the single-device stream exactly.
 
 use dyn_graph::{Graph, Model, Trainer};
 use gpu_sim::SimTime;
-use proptest::prelude::*;
 use vpps::engine::recovery::{degraded, MAX_ATTEMPTS};
 use vpps::{BackendKind, FaultConfig, FaultKind, Handle, RpwMode, VppsOptions};
-use vpps_serve::{BreakerState, CircuitBreaker};
 
 #[path = "support/graphgen.rs"]
 #[allow(dead_code)] // `arb_recipe` is used by the sibling suites only.
@@ -406,53 +402,4 @@ fn sharded_fault_journals_stay_attributed_and_reproducible() {
         recovery.retries + recovery.backend_fallbacks + recovery.baseline_fallbacks > 0,
         "faults were injected but the fleet reports no recovery: {recovery:?}"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Under any outcome sequence the breaker's recorded transitions form a
-    /// contiguous chain of legal edges with non-decreasing timestamps, and
-    /// dispatch is never allowed while the breaker is open mid-cooldown.
-    #[test]
-    fn breaker_transitions_are_always_legal(
-        threshold in 1u32..5,
-        cooldown_us in 1.0f64..500.0,
-        ops in prop::collection::vec((0u32..300, any::<bool>()), 1..60),
-    ) {
-        let mut b = CircuitBreaker::new(threshold, SimTime::from_us(cooldown_us));
-        let mut now = SimTime::ZERO;
-        for (gap_us, fail) in ops {
-            now += SimTime::from_us(f64::from(gap_us));
-            // Server-realistic protocol: outcomes are only recorded for
-            // batches the breaker let through.
-            if b.allow(now) {
-                if fail {
-                    b.record_failure(now);
-                } else {
-                    b.record_success(now);
-                }
-            }
-        }
-        let legal = [
-            (BreakerState::Closed, BreakerState::Open),
-            (BreakerState::Open, BreakerState::HalfOpen),
-            (BreakerState::HalfOpen, BreakerState::Open),
-            (BreakerState::HalfOpen, BreakerState::Closed),
-        ];
-        let ts = b.transitions();
-        for w in ts.windows(2) {
-            prop_assert_eq!(w[1].from, w[0].to, "chain must be contiguous");
-            prop_assert!(w[0].at.as_ns() <= w[1].at.as_ns(), "time goes forward");
-        }
-        if let Some(first) = ts.first() {
-            prop_assert_eq!(first.from, BreakerState::Closed, "breakers start closed");
-        }
-        for t in ts {
-            prop_assert!(
-                legal.contains(&(t.from, t.to)),
-                "illegal transition {:?} -> {:?}", t.from, t.to
-            );
-        }
-    }
 }

@@ -435,9 +435,10 @@ fn design_catalogue() -> (Vec<CatalogueEntry>, Vec<CatalogueEntry>) {
 /// training batch on every backend, a batch that walks the whole recovery
 /// ladder, a traced two-device serve run through injected faults and a
 /// device crash, and a serve run whose pool is too small for its graphs
-/// (so batches fail, retry and trip the breaker), every registered metric
-/// and every recorded span is a row of the tables — under the documented
-/// kind — and every row that names one metric outright was registered.
+/// (so batches fail and their members retry as singletons), every
+/// registered metric and every recorded span is a row of the tables —
+/// under the documented kind — and every row that names one metric
+/// outright was registered.
 #[test]
 fn registered_names_are_the_design_catalogue() {
     use gpu_sim::SimTime;

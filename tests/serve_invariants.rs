@@ -167,7 +167,7 @@ fn server_on(
             queue_capacity: spec.queue_capacity,
             tenant_quota: spec.tenant_quota,
         },
-        recovery: vpps_serve::RecoveryConfig::default(),
+        recovery: vpps_serve::RecoveryConfig,
         shard: vpps_serve::ShardPolicy {
             devices,
             ..vpps_serve::ShardPolicy::default()
@@ -839,8 +839,8 @@ fn pinned_chaos_run(workers: Option<usize>, arm: impl FnOnce(&mut Server)) -> Se
 /// on three devices through a crash, a watchdog-declared hang, a sub-grace
 /// hang that thaws in place, a brownout, a fault profile the handle's
 /// ladder absorbs (down to the baseline rung), a pool too small for some
-/// batches and one request graph (so batches really fail, split and trip
-/// breakers) and a 25 % train mix must resolve every request in the same
+/// batches and one request graph (so batches really fail and split) and a
+/// 25 % train mix must resolve every request in the same
 /// order, on the same device, in the same batch, with the same health walks
 /// and routing tallies as it did when the constant was recorded. Same-commit
 /// rerun checks cannot see a change that moves both runs alike; this can.
@@ -856,11 +856,6 @@ fn virtual_timeline_is_pinned_across_commits() {
         .filter_map(Outcome::shed)
         .filter(|s| s.reason == ShedReason::RetryBudget)
         .count();
-    let breaker_transitions: usize = mids
-        .iter()
-        .flat_map(|&mid| (0..3).map(move |d| (mid, d)))
-        .map(|(mid, d)| server.breaker_transitions_on(mid, d).len())
-        .sum();
     let baseline: u64 = mids
         .iter()
         .map(|&mid| server.recovery_stats(mid).baseline_fallbacks)
@@ -870,7 +865,6 @@ fn virtual_timeline_is_pinned_across_commits() {
         retry_budget_sheds > 0,
         "premise: a graph exhausts its retries"
     );
-    assert!(breaker_transitions > 0, "premise: a breaker trips");
     assert!(
         baseline > 0,
         "premise: the ladder reaches the baseline rung"

@@ -7,7 +7,7 @@
 //! * **one terminal per request** — the trace's completed/dropped id sets
 //!   equal the outcome stream's, so no admitted request ever vanishes from
 //!   (or is double-counted by) the attribution, even when batches fail
-//!   into the serving-side retry and breaker path;
+//!   into the serving-side singleton split and retry budget;
 //! * **deterministic sampling** — `trace_sample = n` traces exactly the
 //!   request ids divisible by `n`, nothing else;
 //! * **byte-identical reruns** — the same seed produces a byte-identical
@@ -164,7 +164,7 @@ proptest! {
     /// and a memory pool of 20 000 elements — room for the resident tables
     /// and most single inference graphs, but not for the larger ones, most
     /// training graphs or batches of several — batches fail into the
-    /// serving-side retry/breaker path, and still every admitted request's
+    /// serving-side singleton split, and still every admitted request's
     /// trace ends in exactly one terminal span that agrees with the outcome
     /// stream, tiling intact.
     #[test]
