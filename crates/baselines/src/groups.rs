@@ -107,17 +107,17 @@ fn depth_based(graph: &Graph) -> Vec<KernelGroup> {
 
 fn agenda_based(graph: &Graph) -> Vec<KernelGroup> {
     // Consumers and remaining-dependency counts.
-    let mut pending: Vec<usize> = graph.iter().map(|(_, n)| n.args.len()).collect();
+    let mut pending: Vec<usize> = graph.iter().map(|(id, _)| graph.args(id).len()).collect();
     let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); graph.len()];
-    for (id, node) in graph.iter() {
-        for arg in &node.args {
+    for (id, _) in graph.iter() {
+        for arg in graph.args(id) {
             consumers[arg.index()].push(id);
         }
     }
 
     let mut ready: HashMap<OpKind, Vec<NodeId>> = HashMap::new();
     for (id, node) in graph.iter() {
-        if node.args.is_empty() {
+        if graph.args(id).is_empty() {
             ready.entry(node.op.kind()).or_default().push(id);
         }
     }
@@ -175,7 +175,7 @@ mod tests {
         let mut done = vec![false; graph.len()];
         for group in groups {
             for &id in &group.nodes {
-                for arg in &graph.node(id).args {
+                for arg in graph.args(id) {
                     assert!(done[arg.index()], "group order violates dependencies");
                 }
             }

@@ -79,7 +79,7 @@ pub fn forward_kernels(graph: &Graph, model: &Model, group: &KernelGroup) -> Vec
             let total_in: usize = group
                 .nodes
                 .iter()
-                .flat_map(|id| graph.node(*id).args.iter())
+                .flat_map(|id| graph.args(*id))
                 .map(|a| graph.node(*a).dim)
                 .sum();
             vec![KernelDesc {
@@ -103,7 +103,7 @@ pub fn forward_kernels(graph: &Graph, model: &Model, group: &KernelGroup) -> Vec
             let total_in: usize = group
                 .nodes
                 .iter()
-                .map(|id| graph.node(graph.node(*id).args[0]).dim)
+                .map(|id| graph.node(graph.args(*id)[0]).dim)
                 .sum();
             vec![KernelDesc {
                 label: "pick_nls_batch",
@@ -171,7 +171,7 @@ pub fn backward_kernels(graph: &Graph, model: &Model, group: &KernelGroup) -> Ve
             let fan: usize = group
                 .nodes
                 .iter()
-                .flat_map(|id| graph.node(*id).args.iter())
+                .flat_map(|id| graph.args(*id))
                 .map(|a| graph.node(*a).dim)
                 .sum();
             vec![KernelDesc {
@@ -203,7 +203,7 @@ pub fn backward_kernels(graph: &Graph, model: &Model, group: &KernelGroup) -> Ve
             let total_in: usize = group
                 .nodes
                 .iter()
-                .map(|id| graph.node(graph.node(*id).args[0]).dim)
+                .map(|id| graph.node(graph.args(*id)[0]).dim)
                 .sum();
             vec![KernelDesc {
                 label: "pick_nls_bwd",
@@ -222,7 +222,7 @@ pub fn gather_kernel(graph: &Graph, group: &KernelGroup) -> KernelDesc {
     let total_in: usize = group
         .nodes
         .iter()
-        .flat_map(|id| graph.node(*id).args.iter())
+        .flat_map(|id| graph.args(*id))
         .map(|a| graph.node(*a).dim)
         .sum();
     let bytes = (total_in.max(1) * 4) as u64;

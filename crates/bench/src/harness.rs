@@ -135,13 +135,16 @@ fn pool_capacity_for(app: &AppInstance, batch_size: usize) -> usize {
 /// Runs the profile-guided rows-per-warp search (paper §III-A1) on warm-up
 /// batches at (close to) the training batch size and returns the selected
 /// `rpw`. The profile batch is capped at 32 — the host/device balance that
-/// drives the choice is stable beyond that.
+/// drives the choice is stable beyond that. The search runs on the lowered
+/// backend, the faster host path: every backend charges the same simulated
+/// times, so the choice is the same on any of them.
 pub fn profiled_rpw(app: &AppInstance, device: &DeviceConfig, batch: usize) -> usize {
     let mut model = app.fresh_model();
     let warm_batch = batch.clamp(1, 32).min(app.num_inputs());
     let opts = VppsOptions {
         rpw: RpwMode::Profile,
         pool_capacity: pool_capacity_for(app, warm_batch),
+        backend: BackendKind::Lowered,
         ..VppsOptions::default()
     };
     let mut handle =

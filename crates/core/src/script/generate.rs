@@ -663,6 +663,7 @@ fn generate_inner(
     for level in levels.iter() {
         for &id in level {
             let node = graph.node(id);
+            let args = graph.args(id);
             let y = value_off[id.index()];
             match &node.op {
                 Op::Input { .. } => {} // pre-copied host-to-device
@@ -676,7 +677,7 @@ fn generate_inner(
                     forward_instructions += 1;
                 }
                 Op::MatVec { w } => {
-                    let x = value_off[node.args[0].index()];
+                    let x = value_off[args[0].index()];
                     for cid in dist.value_chunks_of(*w) {
                         let c = dist.chunk(*cid);
                         emitter.emit_pinned(
@@ -707,7 +708,7 @@ fn generate_inner(
                     }
                 }
                 Op::AddBias { b } => {
-                    let x = value_off[node.args[0].index()];
+                    let x = value_off[args[0].index()];
                     let cid = dist.value_chunks_of(*b)[0];
                     let c = dist.chunk(cid);
                     emitter.emit_pinned(
@@ -724,8 +725,8 @@ fn generate_inner(
                 Op::Add => {
                     emitter.emit_balanced(Instr::Add {
                         len: node.dim as u32,
-                        a: value_off[node.args[0].index()],
-                        b: value_off[node.args[1].index()],
+                        a: value_off[args[0].index()],
+                        b: value_off[args[1].index()],
                         y,
                     });
                     forward_instructions += 1;
@@ -733,8 +734,8 @@ fn generate_inner(
                 Op::Sub => {
                     emitter.emit_balanced(Instr::Sub {
                         len: node.dim as u32,
-                        a: value_off[node.args[0].index()],
-                        b: value_off[node.args[1].index()],
+                        a: value_off[args[0].index()],
+                        b: value_off[args[1].index()],
                         y,
                     });
                     forward_instructions += 1;
@@ -744,10 +745,10 @@ fn generate_inner(
                     // zeroed by the pool).
                     let first = emitter.emit_balanced(Instr::AccAdd {
                         len: node.dim as u32,
-                        x: value_off[node.args[0].index()],
+                        x: value_off[args[0].index()],
                         y,
                     });
-                    for arg in &node.args[1..] {
+                    for arg in &args[1..] {
                         emitter.emit_pinned(
                             first,
                             Instr::AccAdd {
@@ -757,13 +758,13 @@ fn generate_inner(
                             },
                         );
                     }
-                    forward_instructions += node.args.len();
+                    forward_instructions += args.len();
                 }
                 Op::CwiseMult => {
                     emitter.emit_balanced(Instr::CwiseMult {
                         len: node.dim as u32,
-                        a: value_off[node.args[0].index()],
-                        b: value_off[node.args[1].index()],
+                        a: value_off[args[0].index()],
+                        b: value_off[args[1].index()],
                         y,
                     });
                     forward_instructions += 1;
@@ -771,7 +772,7 @@ fn generate_inner(
                 Op::Tanh => {
                     emitter.emit_balanced(Instr::Tanh {
                         len: node.dim as u32,
-                        x: value_off[node.args[0].index()],
+                        x: value_off[args[0].index()],
                         y,
                     });
                     forward_instructions += 1;
@@ -779,7 +780,7 @@ fn generate_inner(
                 Op::Sigmoid => {
                     emitter.emit_balanced(Instr::Sigmoid {
                         len: node.dim as u32,
-                        x: value_off[node.args[0].index()],
+                        x: value_off[args[0].index()],
                         y,
                     });
                     forward_instructions += 1;
@@ -787,7 +788,7 @@ fn generate_inner(
                 Op::Relu => {
                     emitter.emit_balanced(Instr::Relu {
                         len: node.dim as u32,
-                        x: value_off[node.args[0].index()],
+                        x: value_off[args[0].index()],
                         y,
                     });
                     forward_instructions += 1;
@@ -797,7 +798,7 @@ fn generate_inner(
                     // so a single barrier covers them.
                     let mut off = 0u32;
                     let mut home = None;
-                    for arg in &node.args {
+                    for arg in args {
                         let alen = graph.node(*arg).dim as u32;
                         let instr = Instr::Copy {
                             len: alen,
@@ -810,12 +811,12 @@ fn generate_inner(
                         }
                         off += alen;
                     }
-                    forward_instructions += node.args.len();
+                    forward_instructions += args.len();
                 }
                 Op::PickNegLogSoftmax { label } => {
                     let vpp = emitter.emit_balanced(Instr::PickNls {
-                        len: graph.node(node.args[0]).dim as u32,
-                        x: value_off[node.args[0].index()],
+                        len: graph.node(args[0]).dim as u32,
+                        x: value_off[args[0].index()],
                         out: y,
                         label: *label as u32,
                     });
@@ -840,6 +841,7 @@ fn generate_inner(
     for level in backward_levels {
         for &id in level {
             let node = graph.node(id);
+            let args = graph.args(id);
             let dy = deriv_off[id.index()];
             // Seed the loss derivative on whichever VPP handles the loss
             // node's backward instructions; emit it first for that node.
@@ -871,7 +873,7 @@ fn generate_inner(
                     }
                 }
                 Op::MatVec { w } => {
-                    let x_id = node.args[0];
+                    let x_id = args[0];
                     let dx = deriv_off[x_id.index()];
                     for cid in dist.value_chunks_of(*w) {
                         let c = dist.chunk(*cid);
@@ -914,7 +916,7 @@ fn generate_inner(
                     }
                 }
                 Op::AddBias { b } => {
-                    let dx = deriv_off[node.args[0].index()];
+                    let dx = deriv_off[args[0].index()];
                     emitter.emit_balanced(Instr::AccAdd {
                         len: node.dim as u32,
                         x: dy,
@@ -945,7 +947,7 @@ fn generate_inner(
                     }
                 }
                 Op::Add => {
-                    for arg in &node.args {
+                    for arg in args {
                         emit_seeded(
                             &mut emitter,
                             Instr::AccAdd {
@@ -963,7 +965,7 @@ fn generate_inner(
                         Instr::AccAdd {
                             len: node.dim as u32,
                             x: dy,
-                            y: deriv_off[node.args[0].index()],
+                            y: deriv_off[args[0].index()],
                         },
                     );
                     emit_seeded(
@@ -971,13 +973,13 @@ fn generate_inner(
                         Instr::AccSub {
                             len: node.dim as u32,
                             x: dy,
-                            y: deriv_off[node.args[1].index()],
+                            y: deriv_off[args[1].index()],
                         },
                     );
                     backward_instructions += 2;
                 }
                 Op::Sum => {
-                    for arg in &node.args {
+                    for arg in args {
                         emit_seeded(
                             &mut emitter,
                             Instr::AccAdd {
@@ -990,7 +992,7 @@ fn generate_inner(
                     }
                 }
                 Op::CwiseMult => {
-                    let (a, b) = (node.args[0], node.args[1]);
+                    let (a, b) = (args[0], args[1]);
                     emitter.emit_balanced(Instr::MulAcc {
                         len: node.dim as u32,
                         a: dy,
@@ -1010,7 +1012,7 @@ fn generate_inner(
                         len: node.dim as u32,
                         y: value_off[id.index()],
                         dy,
-                        dx: deriv_off[node.args[0].index()],
+                        dx: deriv_off[args[0].index()],
                     });
                     backward_instructions += 1;
                 }
@@ -1019,7 +1021,7 @@ fn generate_inner(
                         len: node.dim as u32,
                         y: value_off[id.index()],
                         dy,
-                        dx: deriv_off[node.args[0].index()],
+                        dx: deriv_off[args[0].index()],
                     });
                     backward_instructions += 1;
                 }
@@ -1028,13 +1030,13 @@ fn generate_inner(
                         len: node.dim as u32,
                         y: value_off[id.index()],
                         dy,
-                        dx: deriv_off[node.args[0].index()],
+                        dx: deriv_off[args[0].index()],
                     });
                     backward_instructions += 1;
                 }
                 Op::Concat => {
                     let mut off = 0u32;
-                    for arg in &node.args {
+                    for arg in args {
                         let alen = graph.node(*arg).dim as u32;
                         emit_seeded(
                             &mut emitter,
@@ -1052,10 +1054,10 @@ fn generate_inner(
                     let vpp = emit_seeded(
                         &mut emitter,
                         Instr::PickNlsBwd {
-                            len: graph.node(node.args[0]).dim as u32,
-                            x: value_off[node.args[0].index()],
+                            len: graph.node(args[0]).dim as u32,
+                            x: value_off[args[0].index()],
                             dloss: dy,
-                            dx: deriv_off[node.args[0].index()],
+                            dx: deriv_off[args[0].index()],
                             label: *label as u32,
                         },
                     );

@@ -21,33 +21,34 @@ use crate::params::Model;
 /// validate shapes at construction, so this indicates a model mismatch).
 pub fn forward(graph: &Graph, model: &Model) -> Vec<Vec<f32>> {
     let mut values: Vec<Vec<f32>> = Vec::with_capacity(graph.len());
-    for (_, node) in graph.iter() {
+    for (id, node) in graph.iter() {
+        let args = graph.args(id);
         let out = match &node.op {
             Op::Input { values: v } => v.clone(),
             Op::Lookup { table, index } => model.lookup(*table).table.row(*index).to_vec(),
             Op::MatVec { w } => {
-                let x = &values[node.args[0].index()];
+                let x = &values[args[0].index()];
                 let mut y = vec![0.0; node.dim];
                 ops::gemv(&model.param(*w).value, x, &mut y);
                 y
             }
             Op::AddBias { b } => {
-                let x = &values[node.args[0].index()];
+                let x = &values[args[0].index()];
                 let bias = model.param(*b).value.row(0);
                 let mut y = vec![0.0; node.dim];
                 ops::cwise_add(x, bias, &mut y);
                 y
             }
             Op::Add => {
-                let a = &values[node.args[0].index()];
-                let b = &values[node.args[1].index()];
+                let a = &values[args[0].index()];
+                let b = &values[args[1].index()];
                 let mut y = vec![0.0; node.dim];
                 ops::cwise_add(a, b, &mut y);
                 y
             }
             Op::Sub => {
-                let a = &values[node.args[0].index()];
-                let b = &values[node.args[1].index()];
+                let a = &values[args[0].index()];
+                let b = &values[args[1].index()];
                 let mut y = vec![0.0; node.dim];
                 for i in 0..node.dim {
                     y[i] = a[i] - b[i];
@@ -56,45 +57,45 @@ pub fn forward(graph: &Graph, model: &Model) -> Vec<Vec<f32>> {
             }
             Op::Sum => {
                 let mut y = vec![0.0; node.dim];
-                for arg in &node.args {
+                for arg in args {
                     ops::axpy(1.0, &values[arg.index()], &mut y);
                 }
                 y
             }
             Op::CwiseMult => {
-                let a = &values[node.args[0].index()];
-                let b = &values[node.args[1].index()];
+                let a = &values[args[0].index()];
+                let b = &values[args[1].index()];
                 let mut y = vec![0.0; node.dim];
                 ops::cwise_mult(a, b, &mut y);
                 y
             }
             Op::Tanh => {
-                let x = &values[node.args[0].index()];
+                let x = &values[args[0].index()];
                 let mut y = vec![0.0; node.dim];
                 activations::tanh_forward(x, &mut y);
                 y
             }
             Op::Sigmoid => {
-                let x = &values[node.args[0].index()];
+                let x = &values[args[0].index()];
                 let mut y = vec![0.0; node.dim];
                 activations::sigmoid_forward(x, &mut y);
                 y
             }
             Op::Relu => {
-                let x = &values[node.args[0].index()];
+                let x = &values[args[0].index()];
                 let mut y = vec![0.0; node.dim];
                 activations::relu_forward(x, &mut y);
                 y
             }
             Op::Concat => {
                 let mut y = Vec::with_capacity(node.dim);
-                for arg in &node.args {
+                for arg in args {
                     y.extend_from_slice(&values[arg.index()]);
                 }
                 y
             }
             Op::PickNegLogSoftmax { label } => {
-                let x = &values[node.args[0].index()];
+                let x = &values[args[0].index()];
                 vec![softmax::pick_neg_log_softmax(x, *label)]
             }
         };
@@ -125,6 +126,7 @@ pub fn backward(graph: &Graph, model: &mut Model, values: &[Vec<f32>], loss: Nod
     for idx in (0..graph.len()).rev() {
         let id = NodeId(idx as u32);
         let node = graph.node(id);
+        let args = graph.args(id);
         let dy = std::mem::take(&mut deriv[idx]);
         match &node.op {
             Op::Input { .. } => {}
@@ -133,7 +135,7 @@ pub fn backward(graph: &Graph, model: &mut Model, values: &[Vec<f32>], loss: Nod
                 ops::axpy(1.0, &dy, grad_row);
             }
             Op::MatVec { w } => {
-                let x_id = node.args[0];
+                let x_id = args[0];
                 // dW += dy ⊗ x
                 {
                     let x = &values[x_id.index()];
@@ -145,23 +147,23 @@ pub fn backward(graph: &Graph, model: &mut Model, values: &[Vec<f32>], loss: Nod
             }
             Op::AddBias { b } => {
                 ops::axpy(1.0, &dy, model.param_mut(*b).grad.row_mut(0));
-                ops::axpy(1.0, &dy, &mut deriv[node.args[0].index()]);
+                ops::axpy(1.0, &dy, &mut deriv[args[0].index()]);
             }
             Op::Add => {
-                ops::axpy(1.0, &dy, &mut deriv[node.args[0].index()]);
-                ops::axpy(1.0, &dy, &mut deriv[node.args[1].index()]);
+                ops::axpy(1.0, &dy, &mut deriv[args[0].index()]);
+                ops::axpy(1.0, &dy, &mut deriv[args[1].index()]);
             }
             Op::Sub => {
-                ops::axpy(1.0, &dy, &mut deriv[node.args[0].index()]);
-                ops::axpy(-1.0, &dy, &mut deriv[node.args[1].index()]);
+                ops::axpy(1.0, &dy, &mut deriv[args[0].index()]);
+                ops::axpy(-1.0, &dy, &mut deriv[args[1].index()]);
             }
             Op::Sum => {
-                for arg in &node.args {
+                for arg in args {
                     ops::axpy(1.0, &dy, &mut deriv[arg.index()]);
                 }
             }
             Op::CwiseMult => {
-                let (a_id, b_id) = (node.args[0], node.args[1]);
+                let (a_id, b_id) = (args[0], args[1]);
                 {
                     let b_val = &values[b_id.index()];
                     let da = &mut deriv[a_id.index()];
@@ -177,31 +179,31 @@ pub fn backward(graph: &Graph, model: &mut Model, values: &[Vec<f32>], loss: Nod
             }
             Op::Tanh => {
                 let y = &values[idx];
-                activations::tanh_backward(y, &dy, &mut deriv[node.args[0].index()]);
+                activations::tanh_backward(y, &dy, &mut deriv[args[0].index()]);
             }
             Op::Sigmoid => {
                 let y = &values[idx];
-                activations::sigmoid_backward(y, &dy, &mut deriv[node.args[0].index()]);
+                activations::sigmoid_backward(y, &dy, &mut deriv[args[0].index()]);
             }
             Op::Relu => {
                 let y = &values[idx];
-                activations::relu_backward(y, &dy, &mut deriv[node.args[0].index()]);
+                activations::relu_backward(y, &dy, &mut deriv[args[0].index()]);
             }
             Op::Concat => {
                 let mut off = 0;
-                for arg in &node.args {
+                for arg in args {
                     let alen = graph.node(*arg).dim;
                     ops::axpy(1.0, &dy[off..off + alen], &mut deriv[arg.index()]);
                     off += alen;
                 }
             }
             Op::PickNegLogSoftmax { label } => {
-                let x = &values[node.args[0].index()];
+                let x = &values[args[0].index()];
                 softmax::pick_neg_log_softmax_backward(
                     x,
                     *label,
                     dy[0],
-                    &mut deriv[node.args[0].index()],
+                    &mut deriv[args[0].index()],
                 );
             }
         }

@@ -28,13 +28,12 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// One node: an operation, its graph arguments and its output length.
+/// One node: an operation and its output length. Its argument nodes are
+/// [`Graph::args`].
 #[derive(Debug, Clone)]
 pub struct Node {
     /// The operation.
     pub op: Op,
-    /// Argument nodes (empty for leaves).
-    pub args: Vec<NodeId>,
     /// Output vector length.
     pub dim: usize,
 }
@@ -45,9 +44,17 @@ pub struct Node {
 /// Nodes are append-only and arguments always precede their consumers, so the
 /// node order is already a valid topological order — the property DyNet's
 /// executor and the paper's script generator both exploit.
+///
+/// The graph is three flat arrays, so adding a node allocates nothing of its
+/// own (the arrays grow by doubling): the nodes, every node's arguments back
+/// to back in construction order, and per node the end of its run of
+/// arguments (compressed sparse rows; a run starts where the previous node's
+/// ends, so the ends only grow).
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    args: Vec<NodeId>,
+    ends: Vec<u32>,
 }
 
 impl Graph {
@@ -66,11 +73,13 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Removes every node while keeping the node list's allocation, so a
-    /// scratch graph (e.g. a serving bucket's batch super-graph) can be
-    /// rebuilt every batch without reallocating.
+    /// Removes every node while keeping every array's allocation, so a
+    /// scratch graph (e.g. a device's batch super-graph) can be rebuilt
+    /// every batch without reallocating.
     pub fn clear(&mut self) {
         self.nodes.clear();
+        self.args.clear();
+        self.ends.clear();
     }
 
     /// Borrows a node.
@@ -82,6 +91,17 @@ impl Graph {
         &self.nodes[id.index()]
     }
 
+    /// The argument nodes of `id`, in order (empty for leaves).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a node of this graph.
+    pub fn args(&self, id: NodeId) -> &[NodeId] {
+        let i = id.index();
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.args[start as usize..self.ends[i] as usize]
+    }
+
     /// Iterates over `(id, node)` in topological (construction) order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Node)> {
         self.nodes
@@ -90,9 +110,9 @@ impl Graph {
             .map(|(i, n)| (NodeId(i as u32), n))
     }
 
-    fn push(&mut self, op: Op, args: Vec<NodeId>, dim: usize) -> NodeId {
+    fn push(&mut self, op: Op, args: &[NodeId], dim: usize) -> NodeId {
         assert!(dim > 0, "node output dimension must be non-zero");
-        for a in &args {
+        for a in args {
             assert!(
                 a.index() < self.nodes.len(),
                 "argument {a} does not exist yet (graphs are append-only)"
@@ -104,8 +124,24 @@ impl Graph {
                 .get_or_init(|| vpps_obs::counter("graph.nodes"))
                 .incr();
         }
-        self.nodes.push(Node { op, args, dim });
+        self.args.extend_from_slice(args);
+        self.ends.push(self.args.len() as u32);
+        self.nodes.push(Node { op, dim });
         NodeId((self.nodes.len() - 1) as u32)
+    }
+
+    /// Adds `op` over `args`, which must all have the result's length.
+    fn elementwise(&mut self, op: Op, args: &[NodeId]) -> NodeId {
+        let dim = self.node(args[0]).dim;
+        for a in args {
+            assert_eq!(
+                self.node(*a).dim,
+                dim,
+                "{}: operand lengths differ",
+                op.mnemonic()
+            );
+        }
+        self.push(op, args, dim)
     }
 
     /// Adds an input leaf holding `values`.
@@ -115,7 +151,7 @@ impl Graph {
     /// Panics if `values` is empty.
     pub fn input(&mut self, values: Vec<f32>) -> NodeId {
         let dim = values.len();
-        self.push(Op::Input { values }, Vec::new(), dim)
+        self.push(Op::Input { values }, &[], dim)
     }
 
     /// Adds an embedding-lookup leaf: row `index` of `table`.
@@ -131,7 +167,7 @@ impl Graph {
             t.table.rows()
         );
         let dim = t.table.cols();
-        self.push(Op::Lookup { table, index }, Vec::new(), dim)
+        self.push(Op::Lookup { table, index }, &[], dim)
     }
 
     /// Adds `y = W x`.
@@ -148,7 +184,7 @@ impl Graph {
             p.name
         );
         let dim = p.value.rows();
-        self.push(Op::MatVec { w }, vec![x], dim)
+        self.push(Op::MatVec { w }, &[x], dim)
     }
 
     /// Adds `y = x + b` for a bias row `b`.
@@ -169,8 +205,7 @@ impl Graph {
             "add_bias: length mismatch for {}",
             p.name
         );
-        let dim = self.node(x).dim;
-        self.push(Op::AddBias { b }, vec![x], dim)
+        self.push(Op::AddBias { b }, &[x], p.value.cols())
     }
 
     /// Adds `y = a + b` (element-wise).
@@ -179,13 +214,7 @@ impl Graph {
     ///
     /// Panics if lengths differ.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        assert_eq!(
-            self.node(a).dim,
-            self.node(b).dim,
-            "add: operand lengths differ"
-        );
-        let dim = self.node(a).dim;
-        self.push(Op::Add, vec![a, b], dim)
+        self.elementwise(Op::Add, &[a, b])
     }
 
     /// Adds `y = a - b` (element-wise).
@@ -194,13 +223,7 @@ impl Graph {
     ///
     /// Panics if lengths differ.
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        assert_eq!(
-            self.node(a).dim,
-            self.node(b).dim,
-            "sub: operand lengths differ"
-        );
-        let dim = self.node(a).dim;
-        self.push(Op::Sub, vec![a, b], dim)
+        self.elementwise(Op::Sub, &[a, b])
     }
 
     /// Adds `y = Σ args` (element-wise over ≥1 arguments).
@@ -210,11 +233,7 @@ impl Graph {
     /// Panics if `args` is empty or lengths differ.
     pub fn sum(&mut self, args: &[NodeId]) -> NodeId {
         assert!(!args.is_empty(), "sum: needs at least one argument");
-        let dim = self.node(args[0]).dim;
-        for a in args {
-            assert_eq!(self.node(*a).dim, dim, "sum: operand lengths differ");
-        }
-        self.push(Op::Sum, args.to_vec(), dim)
+        self.elementwise(Op::Sum, args)
     }
 
     /// Adds `y = a ⊙ b` (element-wise product).
@@ -223,31 +242,22 @@ impl Graph {
     ///
     /// Panics if lengths differ.
     pub fn cwise_mult(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        assert_eq!(
-            self.node(a).dim,
-            self.node(b).dim,
-            "cwise_mult: operand lengths differ"
-        );
-        let dim = self.node(a).dim;
-        self.push(Op::CwiseMult, vec![a, b], dim)
+        self.elementwise(Op::CwiseMult, &[a, b])
     }
 
     /// Adds `y = tanh(x)`.
     pub fn tanh(&mut self, x: NodeId) -> NodeId {
-        let dim = self.node(x).dim;
-        self.push(Op::Tanh, vec![x], dim)
+        self.elementwise(Op::Tanh, &[x])
     }
 
     /// Adds `y = σ(x)`.
     pub fn sigmoid(&mut self, x: NodeId) -> NodeId {
-        let dim = self.node(x).dim;
-        self.push(Op::Sigmoid, vec![x], dim)
+        self.elementwise(Op::Sigmoid, &[x])
     }
 
     /// Adds `y = max(0, x)`.
     pub fn relu(&mut self, x: NodeId) -> NodeId {
-        let dim = self.node(x).dim;
-        self.push(Op::Relu, vec![x], dim)
+        self.elementwise(Op::Relu, &[x])
     }
 
     /// Adds the concatenation of `args` in order.
@@ -258,7 +268,7 @@ impl Graph {
     pub fn concat(&mut self, args: &[NodeId]) -> NodeId {
         assert!(!args.is_empty(), "concat: needs at least one argument");
         let dim = args.iter().map(|a| self.node(*a).dim).sum();
-        self.push(Op::Concat, args.to_vec(), dim)
+        self.push(Op::Concat, args, dim)
     }
 
     /// Adds the scalar classification loss `-log softmax(x)[label]`.
@@ -271,7 +281,7 @@ impl Graph {
             label < self.node(x).dim,
             "pick_neg_log_softmax: label out of range"
         );
-        self.push(Op::PickNegLogSoftmax { label }, vec![x], 1)
+        self.push(Op::PickNegLogSoftmax { label }, &[x], 1)
     }
 
     /// Convenience: an affine layer `W x + b` (matvec then bias add).
@@ -304,7 +314,7 @@ impl Graph {
         // count, index and dimension of a dispatchable graph fits a word.
         let word = |v: usize| u32::try_from(v).expect("graph sizes fit 4-byte script operands");
         eat(word(self.nodes.len()));
-        for node in &self.nodes {
+        for (id, node) in self.iter() {
             match &node.op {
                 Op::Input { .. } => eat(0),
                 Op::Lookup { table, .. } => {
@@ -329,9 +339,10 @@ impl Graph {
                 Op::Concat => eat(11),
                 Op::PickNegLogSoftmax { .. } => eat(12),
             }
+            let args = self.args(id);
             eat(word(node.dim));
-            eat(word(node.args.len()));
-            for a in &node.args {
+            eat(word(args.len()));
+            for a in args {
                 eat(a.0);
             }
         }
@@ -368,19 +379,20 @@ impl Graph {
         self.encode_structure(|word| out.push(word));
     }
 
-    /// Merges the node list of `other` into `self`, returning the remapped id
-    /// of `other_root`. Used to build batch super-graphs from independently
-    /// constructed per-input graphs.
+    /// Appends the nodes of `other` to `self`, returning the remapped id of
+    /// `other_root`. Used to build batch super-graphs from independently
+    /// constructed per-input graphs: three array copies, the argument ids and
+    /// ends shifted by `self`'s node and argument counts. Into arrays with
+    /// room (a cleared scratch) it allocates only for `Op::Input` values.
     pub fn absorb(&mut self, other: &Graph, other_root: NodeId) -> NodeId {
         let _span = vpps_obs::span("graph.absorb");
         let base = self.nodes.len() as u32;
-        for node in &other.nodes {
-            let mut n = node.clone();
-            for a in &mut n.args {
-                *a = NodeId(a.0 + base);
-            }
-            self.nodes.push(n);
-        }
+        let arg_base = self.args.len() as u32;
+        self.nodes.extend_from_slice(&other.nodes);
+        self.args
+            .extend(other.args.iter().map(|a| NodeId(a.0 + base)));
+        self.ends
+            .extend(other.ends.iter().map(|end| end + arg_base));
         NodeId(other_root.0 + base)
     }
 }
@@ -403,8 +415,8 @@ mod tests {
         let x = g.input(vec![1.0, 2.0]);
         let h = g.affine(&m, w, b, x);
         let y = g.tanh(h);
-        for (id, node) in g.iter() {
-            for a in &node.args {
+        for (id, _) in g.iter() {
+            for a in g.args(id) {
                 assert!(a.index() < id.index());
             }
         }
@@ -543,7 +555,7 @@ mod tests {
         let remapped = g1.absorb(&g2, t2);
         assert_eq!(g1.len(), 4);
         assert_eq!(remapped.index(), 3);
-        assert_eq!(g1.node(remapped).args[0].index(), 2);
+        assert_eq!(g1.args(remapped)[0].index(), 2);
         let _ = t1; // silence unused
     }
 

@@ -61,9 +61,9 @@ pub fn level_sort(graph: &Graph) -> Levels {
     let _span = vpps_obs::span("graph.level_sort");
     let mut depth_of = vec![0u32; graph.len()];
     let mut max_depth = 0u32;
-    for (id, node) in graph.iter() {
-        let d = node
-            .args
+    for (id, _) in graph.iter() {
+        let d = graph
+            .args(id)
             .iter()
             .map(|a| depth_of[a.index()] + 1)
             .max()
@@ -135,8 +135,8 @@ mod tests {
             h = g.tanh(z);
         }
         let l = level_sort(&g);
-        for (id, node) in g.iter() {
-            for arg in &node.args {
+        for (id, _) in g.iter() {
+            for arg in g.args(id) {
                 assert!(l.depth(*arg) < l.depth(id));
             }
         }
@@ -210,14 +210,14 @@ mod proptests {
             let lv = level_sort(&g);
             let total: usize = lv.levels().iter().map(Vec::len).sum();
             prop_assert_eq!(total, g.len());
-            for (id, node) in g.iter() {
-                for arg in &node.args {
+            for (id, _) in g.iter() {
+                for arg in g.args(id) {
                     prop_assert!(lv.depth(*arg) < lv.depth(id));
                 }
             }
             // Depth is exactly 1 + max over args.
-            for (id, node) in g.iter() {
-                if let Some(max_arg) = node.args.iter().map(|a| lv.depth(*a)).max() {
+            for (id, _) in g.iter() {
+                if let Some(max_arg) = g.args(id).iter().map(|a| lv.depth(*a)).max() {
                     prop_assert_eq!(lv.depth(id), max_arg + 1);
                 } else {
                     prop_assert_eq!(lv.depth(id), 0);

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nserving {} requests:", requests.len());
     for (i, req) in requests.iter().enumerate() {
         let (g, loss) = arch.build(&deployed, req);
-        let logits_node = g.node(loss).args[0]; // classifier output feeding the loss
+        let logits_node = g.args(loss)[0]; // classifier output feeding the loss
         let logits = server.infer(&mut deployed, &g, logits_node);
         let (pred, score) = logits
             .iter()

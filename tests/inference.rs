@@ -117,7 +117,7 @@ fn tree_lstm_classification_via_infer() {
     for s in bank.samples(4) {
         let (g, loss) = arch.build(&model, &s);
         // The logits node is the loss node's argument.
-        let logits = g.node(loss).args[0];
+        let logits = g.args(loss)[0];
         let out = handle.infer(&mut model, &g, logits);
         assert_eq!(out.len(), 5);
         let want = &refexec::forward(&g, &model)[logits.index()];

@@ -10,6 +10,9 @@
 //! * **Pinned stream** — the ops, their order, the patch points and the
 //!   bounds lowering emits for three seeded real batches hash to digests
 //!   recorded at an earlier commit.
+//! * **Pinned keys** — `structural_hash` and `dispatch_key` of seeded
+//!   graphs of every model, and of an absorbed serving super-graph, hash to
+//!   a digest recorded at an earlier commit.
 //! * **Caching** — `LoweredCache` returns the same `Arc` on a hit and never
 //!   re-lowers a seen script (re-miss counter stays zero) unless it was
 //!   evicted, by capacity or by plan quarantine, and both are counted.
@@ -1197,6 +1200,144 @@ fn lowered_stream_is_pinned_across_commits() {
         tree_train.ops.len(),
         bilstm_train.ops.len(),
         tree_infer.ops.len()
+    );
+}
+
+/// Seeded graphs of every model in `vpps_models`, one and two samples per
+/// graph (the pair folded by `build_batch`), plus an 8-request Tree-LSTM
+/// serving super-graph absorbed the way a device does it: into a reused
+/// scratch that last held another batch, inferring from the first request's
+/// root or training from the sum of all eight.
+fn keyed_graphs() -> Vec<(Graph, NodeId)> {
+    use vpps_datasets::{TaggedCorpus, TaggedCorpusConfig, Treebank, TreebankConfig};
+    use vpps_models::{
+        bilstm_char::CharTaggedSentence, build_batch, BiLstmCharTagger, BiLstmTagger, DynamicModel,
+        GruCell, LstmCell, Rvnn, TdLstm, TdRnn, TreeLstm,
+    };
+
+    fn one_and_two<S, M: DynamicModel<S>>(
+        arch: &M,
+        model: &Model,
+        samples: &[S],
+        out: &mut Vec<(Graph, NodeId)>,
+    ) {
+        out.push(arch.build(model, &samples[0]));
+        out.push(build_batch(arch, model, &samples[1..3]));
+    }
+
+    let bank = |seed: u64| {
+        Treebank::new(TreebankConfig {
+            vocab: 120,
+            min_len: 2,
+            max_len: 9,
+            classes: 5,
+            seed,
+        })
+        .samples(3)
+    };
+    let corpus = TaggedCorpus::generate(TaggedCorpusConfig {
+        vocab: 120,
+        sentences: 16,
+        min_len: 3,
+        max_len: 7,
+        seed: 41,
+        ..TaggedCorpusConfig::default()
+    });
+    let mut out = Vec::new();
+
+    let mut model = Model::new(41);
+    let tree = TreeLstm::register(&mut model, 120, 12, 16, 5);
+    one_and_two(&tree, &model, &bank(41), &mut out);
+    let rvnn = Rvnn::register(&mut model, 120, 12, 5);
+    one_and_two(&rvnn, &model, &bank(42), &mut out);
+    let td_rnn = TdRnn::register(&mut model, 120, 12, 10, 5);
+    one_and_two(&td_rnn, &model, &bank(43), &mut out);
+    let td_lstm = TdLstm::register(&mut model, 120, 12, 10, 5);
+    one_and_two(&td_lstm, &model, &bank(44), &mut out);
+    let bilstm = BiLstmTagger::register(&mut model, 120, 10, 12, 10, 9);
+    one_and_two(&bilstm, &model, corpus.sentences(), &mut out);
+    let chars = BiLstmCharTagger::register(&mut model, 120, 40, 12, 6, 10, 10, 9);
+    let annotated: Vec<CharTaggedSentence> = corpus.sentences()[3..6]
+        .iter()
+        .map(|s| CharTaggedSentence::annotate(s.clone(), &corpus))
+        .collect();
+    one_and_two(&chars, &model, &annotated, &mut out);
+
+    // The recurrent cells over a lookup sequence, each with a loss.
+    let emb = model.add_lookup("keys.emb", 120, 8);
+    let gru = GruCell::register(&mut model, "keys.gru", 8, 8);
+    let lstm = LstmCell::register(&mut model, "keys.lstm", 8, 8);
+    let words = |g: &mut Graph| -> Vec<NodeId> {
+        [3, 17, 5, 99]
+            .iter()
+            .map(|&w| g.lookup(&model, emb, w))
+            .collect()
+    };
+    let mut g = Graph::new();
+    let xs = words(&mut g);
+    let h = *gru.run(&model, &mut g, &xs).last().expect("four steps");
+    let loss = g.pick_neg_log_softmax(h, 2);
+    out.push((g, loss));
+    let mut g = Graph::new();
+    let xs = words(&mut g);
+    let mut state = lstm.initial_state(&mut g);
+    for &x in &xs {
+        state = lstm.step(&model, &mut g, x, state);
+    }
+    let loss = g.pick_neg_log_softmax(state.0, 6);
+    out.push((g, loss));
+
+    let mut scratch = Graph::new();
+    let requests = bank(45)
+        .into_iter()
+        .chain(bank(46))
+        .chain(bank(47))
+        .map(|s| tree.build(&model, &s))
+        .collect::<Vec<_>>();
+    for (g, root) in &requests[..3] {
+        scratch.absorb(g, *root);
+    }
+    scratch.clear();
+    let roots: Vec<NodeId> = requests[1..9]
+        .iter()
+        .map(|(g, root)| scratch.absorb(g, *root))
+        .collect();
+    out.push((scratch.clone(), roots[0]));
+    let loss = scratch.sum(&roots);
+    out.push((scratch, loss));
+    out
+}
+
+/// `structural_hash` and `dispatch_key` — the batching key and the graph's
+/// part of the lowered cache key — of every [`keyed_graphs`] graph, both
+/// inferring and training, against a digest recorded at commit `5f75efa`,
+/// where every node still owned its argument list. A change to how a graph
+/// stores its nodes may not move one word of either key.
+#[test]
+fn graph_keys_are_pinned_across_commits() {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let graphs = keyed_graphs();
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+    };
+    let mut key = Vec::new();
+    for (g, root) in &graphs {
+        eat(g.structural_hash());
+        for train in [false, true] {
+            key.clear();
+            g.dispatch_key(*root, train, &mut key);
+            eat(key.len() as u64);
+            key.iter().for_each(|&w| eat(u64::from(w)));
+        }
+    }
+    let nodes: usize = graphs.iter().map(|(g, _)| g.len()).sum();
+    assert_eq!(
+        (graphs.len(), nodes, digest),
+        (16, 9_147, 8_100_526_705_740_397_628),
+        "graph keys moved"
     );
 }
 
