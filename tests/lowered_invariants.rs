@@ -1104,15 +1104,14 @@ fn stream_digest(art: &LoweredScript) -> u64 {
     })
 }
 
-/// Lowers `(g, root)` on a fresh rpw-1 plan of `model` for a Titan V:
-/// training scripts, or forward-only ones.
-fn lower_on_titan_v(
+/// Generates the scripts of `(g, root)` on a fresh rpw-1 plan of `model`
+/// for a Titan V: training scripts, or forward-only ones.
+fn generate_on_titan_v(
     model: &Model,
     g: &Graph,
     root: NodeId,
     train: bool,
-    helpers: Helpers,
-) -> LoweredScript {
+) -> (KernelPlan, vpps::script::GeneratedScript) {
     let device = gpu_sim::DeviceConfig::titan_v();
     let plan = KernelPlan::build(model, &device, 1).expect("model fits a Titan V");
     let mut pool = vpps_tensor::Pool::with_capacity(1 << 22);
@@ -1123,18 +1122,14 @@ fn lower_on_titan_v(
         generate_forward_only(g, root, &plan, &mut pool, &tables)
     }
     .expect("fits");
-    lowered::lower_for(&plan, &gs, GpuSim::new(device).cost_model(), helpers)
+    (plan, gs)
 }
 
-/// The three seeded batches the pins below lower: a Tree-LSTM h = 256
-/// batch-1 training tree, a BiLSTM-tagger batch-8 training super-graph and a
-/// Tree-LSTM h = 64 inference super-graph of four trees.
-fn pinned_artifacts() -> [LoweredScript; 3] {
-    pinned_artifacts_for(Helpers::Auto)
-}
-
-/// [`pinned_artifacts`], lowered for sweeps under `helpers`.
-fn pinned_artifacts_for(helpers: Helpers) -> [LoweredScript; 3] {
+/// The three seeded batches the pins below lower, as `(model, graph, root,
+/// train)`: a Tree-LSTM h = 256 batch-1 training tree, a BiLSTM-tagger
+/// batch-8 training super-graph and a Tree-LSTM h = 64 inference
+/// super-graph of four trees.
+fn pinned_batches() -> [(Model, Graph, NodeId, bool); 3] {
     use vpps_datasets::{TaggedCorpus, TaggedCorpusConfig, Treebank, TreebankConfig};
     use vpps_models::{build_batch, BiLstmTagger, DynamicModel, TreeLstm};
 
@@ -1152,7 +1147,7 @@ fn pinned_artifacts_for(helpers: Helpers) -> [LoweredScript; 3] {
     };
     let (model, arch, samples) = trees(256, 1);
     let (g, loss) = build_batch(&arch, &model, &samples);
-    let tree_train = lower_on_titan_v(&model, &g, loss, true, helpers);
+    let tree_train = (model, g, loss, true);
 
     let mut model = Model::new(8);
     let arch = BiLstmTagger::register(&mut model, 300, 64, 64, 64, 9);
@@ -1165,7 +1160,7 @@ fn pinned_artifacts_for(helpers: Helpers) -> [LoweredScript; 3] {
         ..TaggedCorpusConfig::default()
     });
     let (g, loss) = build_batch(&arch, &model, corpus.sentences());
-    let bilstm_train = lower_on_titan_v(&model, &g, loss, true, helpers);
+    let bilstm_train = (model, g, loss, true);
 
     let (model, arch, samples) = trees(64, 4);
     let mut sg = Graph::new();
@@ -1176,8 +1171,100 @@ fn pinned_artifacts_for(helpers: Helpers) -> [LoweredScript; 3] {
             sg.absorb(&g, root)
         })
         .collect();
-    let tree_infer = lower_on_titan_v(&model, &sg, roots[0], false, helpers);
+    let tree_infer = (model, sg, roots[0], false);
     [tree_train, bilstm_train, tree_infer]
+}
+
+/// The three seeded batches the pins below lower: see [`pinned_batches`].
+fn pinned_artifacts() -> [LoweredScript; 3] {
+    pinned_artifacts_for(Helpers::Auto)
+}
+
+/// [`pinned_artifacts`], lowered for sweeps under `helpers`.
+fn pinned_artifacts_for(helpers: Helpers) -> [LoweredScript; 3] {
+    pinned_batches().map(|(model, g, root, train)| {
+        let (plan, gs) = generate_on_titan_v(&model, &g, root, train);
+        let device = gpu_sim::DeviceConfig::titan_v();
+        lowered::lower_for(&plan, &gs, GpuSim::new(device).cost_model(), helpers)
+    })
+}
+
+/// FNV-1a over what the generator hands on: the encoded scripts
+/// (`ScriptSet::encode`), then the debug rendering of the literals, the
+/// barrier count, the forward and backward instruction counts, the pool
+/// length, the key and the value and derivative offsets.
+fn script_digest(gs: &vpps::script::GeneratedScript) -> u64 {
+    let rest = format!(
+        "{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}",
+        gs.literals,
+        gs.num_barriers,
+        gs.forward_instructions,
+        gs.backward_instructions,
+        gs.pool_len,
+        gs.key,
+        gs.layout.value_off,
+        gs.layout.deriv_off
+    );
+    let bytes = gs.scripts.encode().into_iter().chain(rest.into_bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The generated scripts of the three [`pinned_batches`] and of a
+/// forward-only serving super-graph — four Tree-LSTM h = 64 requests
+/// absorbed into a reused scratch the way a device does it, inferring from
+/// the first request's root — against digests recorded at commit `09589b9`.
+/// The generator may change how it places and collects instructions; the
+/// scripts, literals, counts, pool layout and key it hands on may not.
+#[test]
+fn generated_scripts_are_pinned_across_commits() {
+    use vpps_datasets::{Treebank, TreebankConfig};
+    use vpps_models::{DynamicModel, TreeLstm};
+
+    let mut got: Vec<u64> = pinned_batches()
+        .iter()
+        .map(|(model, g, root, train)| {
+            script_digest(&generate_on_titan_v(model, g, *root, *train).1)
+        })
+        .collect();
+
+    let mut model = Model::new(11);
+    let arch = TreeLstm::register(&mut model, 300, 64, 64, 5);
+    let requests: Vec<(Graph, NodeId)> = Treebank::new(TreebankConfig {
+        vocab: 300,
+        min_len: 2,
+        max_len: 9,
+        classes: 5,
+        seed: 11,
+    })
+    .samples(7)
+    .iter()
+    .map(|s| arch.build(&model, s))
+    .collect();
+    let mut scratch = Graph::new();
+    for (g, root) in &requests[..3] {
+        scratch.absorb(g, *root);
+    }
+    scratch.clear();
+    let roots: Vec<NodeId> = requests[3..]
+        .iter()
+        .map(|(g, root)| scratch.absorb(g, *root))
+        .collect();
+    got.push(script_digest(
+        &generate_on_titan_v(&model, &scratch, roots[0], false).1,
+    ));
+
+    assert_eq!(
+        got,
+        [
+            2_893_014_877_055_805_573,
+            3_900_735_809_668_949_702,
+            8_469_431_739_527_269_713,
+            17_698_554_432_295_857_415
+        ],
+        "generated scripts moved"
+    );
 }
 
 /// The lowered stream of the three [`pinned_artifacts`], hashed field by
