@@ -355,12 +355,16 @@ impl Graph {
     pub fn structural_hash(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
+        // Each word is fed as 8 little-endian bytes, the top 4 of them zero,
+        // and `(h ^ 0) · P` is `h · P`: those four steps are one multiply by
+        // P⁴ mod 2⁶⁴.
+        const PRIME_4: u64 = 0x9ffa_ac08_5635_bc91;
         let mut h = OFFSET;
         self.encode_structure(|word| {
-            for b in u64::from(word).to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
             }
+            h = h.wrapping_mul(PRIME_4);
         });
         h
     }
@@ -476,6 +480,51 @@ mod tests {
         let x = g.input(vec![0.1, 0.2, 0.7]);
         let l = g.pick_neg_log_softmax(x, 1);
         assert_eq!(g.node(l).dim, 1);
+    }
+
+    /// `structural_hash` is FNV-1a over each structure word widened to 8
+    /// little-endian bytes, whatever the graph.
+    #[test]
+    fn structural_hash_is_fnv_1a_over_widened_words() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let byte_wise = |g: &Graph| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            g.encode_structure(|word| {
+                for b in u64::from(word).to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            });
+            h
+        };
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dim = rng.gen_range(1..600);
+            let mut m = Model::new(seed);
+            let w = m.add_matrix("W", dim, dim);
+            let b = m.add_bias("b", dim);
+            let e = m.add_lookup("E", 50, dim);
+            let mut g = Graph::new();
+            let mut nodes = vec![g.input(vec![0.5; dim]), g.lookup(&m, e, 3)];
+            for _ in 0..rng.gen_range(1..200) {
+                let x = nodes[rng.gen_range(0..nodes.len())];
+                let y = nodes[rng.gen_range(0..nodes.len())];
+                nodes.push(match rng.gen_range(0..8) {
+                    0 => g.matvec(&m, w, x),
+                    1 => g.add_bias(&m, b, x),
+                    2 => g.tanh(x),
+                    3 => g.add(x, y),
+                    4 => g.cwise_mult(x, y),
+                    5 => g.sum(&[x, y, x]),
+                    6 => g.lookup(&m, e, rng.gen_range(0..50)),
+                    _ => g.sigmoid(x),
+                });
+            }
+            let last = *nodes.last().expect("two nodes at least");
+            g.pick_neg_log_softmax(last, rng.gen_range(0..dim));
+            assert_eq!(g.structural_hash(), byte_wise(&g), "seed {seed}");
+        }
     }
 
     #[test]
